@@ -6,10 +6,10 @@ evaluation (see DESIGN.md section 4 for the experiment index).  Run with::
     pytest benchmarks/ --benchmark-only
 
 Full-resolution tables (all six checking intervals, more repeats) are
-produced by the standalone harnesses::
+produced by the CLI benches::
 
-    python -m repro.bench.overhead
-    python -m repro.bench.coverage
+    python -m repro overhead
+    python -m repro coverage
 """
 
 import pytest

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import BoundedBuffer
-from repro.detection import DetectorConfig, FaultDetector, detector_process
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import RandomPolicy, SimKernel
 from tests.conftest import consumer, producer
@@ -23,13 +23,15 @@ def run_for(items: int, *, retain: bool):
     buffer = BoundedBuffer(
         kernel, capacity=3, history=history, service_time=0.01
     )
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=0.5, tmax=None, tio=None)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=0.5, tmax=None, tio=None),
     )
     for __ in range(2):
         kernel.spawn(producer(buffer, items, delay=0.02))
         kernel.spawn(consumer(buffer, items, delay=0.02))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=1000, max_steps=20_000_000)
     return history
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import BoundedBuffer
-from repro.detection import DetectorConfig, FaultDetector, detector_process
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, RandomPolicy, SimKernel
 
@@ -25,8 +25,10 @@ TMAX = 0.5
 def detection_latency(interval: float) -> float:
     kernel = SimKernel(RandomPolicy(seed=0), on_deadlock="stop")
     buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=interval, tmax=TMAX, tio=100.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=interval, tmax=TMAX, tio=100.0),
     )
 
     def saboteur():
@@ -39,7 +41,7 @@ def detection_latency(interval: float) -> float:
 
     kernel.spawn(saboteur(), "saboteur")
     kernel.spawn(ticker(), "ticker")
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=40.0)
     assert detector.reports, f"fault undetected at interval {interval}"
     first = min(report.detected_at for report in detector.reports)

@@ -17,10 +17,9 @@ import pytest
 
 from repro.apps import BoundedBuffer
 from repro.detection import (
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
     check_full_trace,
-    detector_process,
 )
 from repro.history import HistoryDatabase
 from repro.injection import TriggeredHooks
@@ -36,13 +35,15 @@ def run_workload(hooks=None, *, items=60, interval=0.5):
     )
     if hooks is not None:
         hooks.core = buffer.monitor.core
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=interval, tmax=100.0, tio=100.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=interval, tmax=100.0, tio=100.0),
     )
     for __ in range(2):
         kernel.spawn(producer(buffer, items, delay=0.03))
         kernel.spawn(consumer(buffer, items, delay=0.03))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=200, max_steps=5_000_000)
     return buffer, history, detector
 

@@ -1,63 +1,71 @@
-"""E3 — engine scaling: batched checkpoints vs per-monitor detectors.
+"""E3 — scaling: one shared session vs per-monitor detection.
 
 Regenerates the acceptance grid (fleet sizes 1/4/16) on the simulation
 kernel and asserts the amortisation claims:
 
-* the engine enters exactly one atomic (world-stop) section per checking
-  interval regardless of fleet size, while per-monitor detectors enter one
+* a one-shard session enters exactly one atomic (world-stop) section per
+  checking interval regardless of fleet size, while per-monitor
+  detection (one session per monitor, the paper's Figure 1) enters one
   per monitor per interval;
-* the engine's checkpoint overhead therefore grows *sublinearly* in the
-  number of monitors, where the detector baseline grows linearly.
+* the shared session's checkpoint overhead therefore grows *sublinearly*
+  in the number of monitors, where the per-monitor baseline grows
+  linearly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.engine_scaling import SCALING_CONFIG, measure_scaling
+from repro.bench.engine_scaling import scaling_bench
 from repro.workloads import WorkloadSpec
 
 SPEC = WorkloadSpec(processes=2, operations=20, think_time=0.05)
 
 
+def grid(counts):
+    """``{(monitors, mode): {metric: value}}`` for the default grid."""
+    registry = scaling_bench(counts=counts, backend="sim", spec=SPEC)
+    cells: dict = {}
+    for family in registry.collect():
+        name = family.name.removeprefix("repro_bench_")
+        for labels, child in family.samples():
+            if "mode" in labels:
+                key = (int(labels["monitors"]), labels["mode"])
+                cells.setdefault(key, {})[name] = child.value
+    return cells
+
+
 @pytest.mark.parametrize("monitors", (1, 4, 16))
 def test_engine_runs_one_atomic_section_per_interval(benchmark, monitors):
-    row = benchmark.pedantic(
-        lambda: measure_scaling(monitors, "engine", backend="sim", spec=SPEC),
-        rounds=1,
-        iterations=1,
+    cells = benchmark.pedantic(
+        lambda: grid((monitors,)), rounds=1, iterations=1
     )
-    assert row.checkpoints > 0
-    assert row.atomic_sections == row.checkpoints
+    shared = cells[(monitors, "session")]
+    assert shared["checkpoints"] > 0
+    assert shared["atomic_sections"] == shared["checkpoints"]
 
 
 def test_detector_sections_scale_linearly_engine_constant(benchmark):
-    def measure():
-        return {
-            (count, mode): measure_scaling(count, mode, backend="sim", spec=SPEC)
-            for count in (1, 4, 16)
-            for mode in ("detectors", "engine")
-        }
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    cells = benchmark.pedantic(
+        lambda: grid((1, 4, 16)), rounds=1, iterations=1
+    )
     for count in (4, 16):
-        det = rows[(count, "detectors")]
-        eng = rows[(count, "engine")]
+        per_monitor = cells[(count, "per-monitor")]
+        shared = cells[(count, "session")]
         # Linear in the baseline: N sections per interval...
-        assert det.atomic_sections == count * eng.atomic_sections
-        # ...constant in the engine: one section per interval.
-        assert eng.atomic_sections == eng.checkpoints
-        assert eng.atomic_sections < det.atomic_sections
+        assert (
+            per_monitor["atomic_sections"]
+            == count * shared["atomic_sections"]
+        )
+        # ...constant in the shared session: one section per interval.
+        assert shared["atomic_sections"] == shared["checkpoints"]
+        assert shared["atomic_sections"] < per_monitor["atomic_sections"]
 
 
 def test_engine_checkpoint_overhead_sublinear(benchmark):
-    """Growing the fleet 16x must cost the engine < 16x checking time."""
-
-    def measure():
-        small = measure_scaling(1, "engine", backend="sim", spec=SPEC)
-        large = measure_scaling(16, "engine", backend="sim", spec=SPEC)
-        return small, large
-
-    small, large = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert small.checking_seconds > 0
-    assert large.checking_seconds < 16 * small.checking_seconds
+    """Growing the fleet 16x must cost the session < 16x checking time."""
+    cells = benchmark.pedantic(lambda: grid((1, 16)), rounds=1, iterations=1)
+    small = cells[(1, "session")]["checking_seconds"]
+    large = cells[(16, "session")]["checking_seconds"]
+    assert small > 0
+    assert large < 16 * small

@@ -16,49 +16,52 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.overhead import measure_overhead
+from repro.bench.overhead import overhead_bench
 from repro.workloads import WorkloadSpec
 
-#: Smaller than the standalone harness so the suite stays quick; the shape
-#: is robust at this size.
+#: Smaller than the CLI harness so the suite stays quick; the shape is
+#: robust at this size.
 SPEC = WorkloadSpec(processes=4, operations=80, think_time=0.05)
 SCENARIOS = ("coordinator", "allocator", "manager")
 ENDPOINTS = (0.5, 3.0)
 
 
+def cell(scenario, interval, repeats):
+    """One Table-1 cell's registry (a single ``{scenario, interval}``)."""
+    return overhead_bench(
+        intervals=(interval,),
+        scenarios=(scenario,),
+        backend="threads",
+        spec=SPEC,
+        repeats=repeats,
+    )
+
+
 @pytest.fixture(scope="module")
 def ratio_grid():
-    grid: dict[tuple[str, float], float] = {}
-    for scenario in SCENARIOS:
-        for interval in ENDPOINTS:
-            row = measure_overhead(
-                scenario,
-                interval,
-                backend="threads",
-                spec=SPEC,
-                repeats=3,
-            )
-            grid[(scenario, interval)] = row.ratio
-    return grid
+    return {
+        (scenario, interval): cell(scenario, interval, 3).value(
+            "repro_bench_overhead_ratio"
+        )
+        for scenario in SCENARIOS
+        for interval in ENDPOINTS
+    }
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("interval", ENDPOINTS)
 def test_overhead_cell(benchmark, scenario, interval):
     """Benchmark one Table-1 cell and assert the extension costs > 1x."""
-    row = benchmark.pedantic(
-        lambda: measure_overhead(
-            scenario, interval, backend="threads", spec=SPEC, repeats=1
-        ),
-        rounds=1,
-        iterations=1,
+    registry = benchmark.pedantic(
+        lambda: cell(scenario, interval, 1), rounds=1, iterations=1
     )
-    assert row.ratio > 1.0, (
+    ratio = registry.value("repro_bench_overhead_ratio")
+    assert ratio > 1.0, (
         f"{scenario} @ T={interval}: extension measured cheaper than the "
-        f"plain construct (ratio={row.ratio:.3f})"
+        f"plain construct (ratio={ratio:.3f})"
     )
-    assert row.events > 0
-    assert row.checkpoints > 0
+    assert registry.value("repro_bench_events") > 0
+    assert registry.value("repro_bench_checkpoints") > 0
 
 
 def test_overhead_decreases_with_interval(benchmark, ratio_grid):

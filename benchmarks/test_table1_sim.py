@@ -11,37 +11,38 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.overhead import measure_overhead
+from repro.bench.overhead import overhead_bench
 from repro.workloads import WorkloadSpec
 
 SPEC = WorkloadSpec(processes=4, operations=120, think_time=0.05)
 
 
+def cell(scenario, interval):
+    """One Table-1 cell's registry (a single ``{scenario, interval}``)."""
+    return overhead_bench(
+        intervals=(interval,),
+        scenarios=(scenario,),
+        backend="sim",
+        spec=SPEC,
+        repeats=3,
+    )
+
+
 @pytest.mark.parametrize("scenario", ("coordinator", "allocator", "manager"))
 def test_sim_overhead_ratio_positive(benchmark, scenario):
-    row = benchmark.pedantic(
-        lambda: measure_overhead(
-            scenario, 1.0, backend="sim", spec=SPEC, repeats=3
-        ),
-        rounds=1,
-        iterations=1,
+    registry = benchmark.pedantic(
+        lambda: cell(scenario, 1.0), rounds=1, iterations=1
     )
-    assert row.ratio > 1.0
-    assert row.base_seconds > 0
+    assert registry.value("repro_bench_overhead_ratio") > 1.0
+    assert registry.value("repro_bench_base_seconds") > 0
 
 
 def test_sim_checking_time_decreases_with_interval(benchmark):
     """Fewer checkpoints -> strictly less time inside the checker."""
 
     def measure():
-        tight = measure_overhead(
-            "coordinator", 0.25, backend="sim", spec=SPEC, repeats=3
-        )
-        loose = measure_overhead(
-            "coordinator", 3.0, backend="sim", spec=SPEC, repeats=3
-        )
-        return tight, loose
+        return cell("coordinator", 0.25), cell("coordinator", 3.0)
 
     tight, loose = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert tight.checkpoints > loose.checkpoints
-    assert tight.checking_seconds > loose.checking_seconds
+    for name in ("repro_bench_checkpoints", "repro_bench_checking_seconds"):
+        assert tight.value(name) > loose.value(name), name

@@ -15,16 +15,13 @@ Run:  python examples/dining_philosophers.py
 
 from repro import (
     DeadlockDetector,
-    Delay,
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
-    FaultStatistics,
     ForkTable,
     HistoryDatabase,
     RandomPolicy,
     SimKernel,
     SingleResourceAllocator,
-    detector_process,
     philosopher,
 )
 from repro.apps.dining_philosophers import greedy_philosopher
@@ -36,36 +33,38 @@ def part1_monitor_table():
     print("=== part 1: Hoare's fork-table monitor " + "=" * 26)
     kernel = SimKernel(RandomPolicy(seed=11), on_deadlock="stop")
     table = ForkTable(kernel, SEATS, history=HistoryDatabase())
-    detector = FaultDetector(
-        table, DetectorConfig(interval=0.5, tmax=20.0, tio=20.0, tlimit=20.0)
+    session = DetectionSession(
+        kernel,
+        monitors=[table],
+        config=DetectorConfig(interval=0.5, tmax=20.0, tio=20.0, tlimit=20.0),
     )
     for seat in range(SEATS):
         kernel.spawn(philosopher(table, seat, meals=5), f"philosopher-{seat}")
-    kernel.spawn(detector_process(detector), "detector")
+    session.start()
     result = kernel.run(until=100)
     kernel.raise_failures()
     print(f"meals eaten      : {table.meals}")
     print(f"deadlocked       : {result.deadlocked}")
-    print(f"detector reports : {len(detector.reports)} "
-          f"(clean = {detector.clean})")
+    print(f"detector reports : {len(session.reports)} "
+          f"(clean = {session.clean})")
     print()
 
 
 def part2_greedy_deadlock():
     print("=== part 2: greedy left-then-right protocol " + "=" * 21)
     kernel = SimKernel(on_deadlock="stop")  # FIFO makes the cycle certain
-    forks = []
-    detectors = []
-    for index in range(SEATS):
-        fork = SingleResourceAllocator(
+    session = DetectionSession(
+        kernel,
+        config=DetectorConfig(interval=0.5, tmax=None, tio=None, tlimit=3.0),
+    )
+    forks = [
+        SingleResourceAllocator(
             kernel, history=HistoryDatabase(), name=f"fork{index}"
         )
-        detector = FaultDetector(
-            fork, DetectorConfig(interval=0.5, tmax=None, tio=None, tlimit=3.0)
-        )
-        forks.append(fork)
-        detectors.append(detector)
-        kernel.spawn(detector_process(detector), f"detector-{index}")
+        for index in range(SEATS)
+    ]
+    entries = [session.register(fork) for fork in forks]
+    session.start()
     for seat in range(SEATS):
         kernel.spawn(
             greedy_philosopher(forks, seat, meals=5, think=0.1),
@@ -77,29 +76,21 @@ def part2_greedy_deadlock():
     print(f"forks still held         : {held}")
     print()
     print("Algorithm-3 Tlimit reports (resource acquired, never released):")
-    shown = 0
-    for detector in detectors:
-        for report in detector.reports:
-            if report.rule_id == "ST-8c" and shown < SEATS:
+    for reports in session.reports_by_monitor().values():
+        for report in reports:
+            if report.rule_id == "ST-8c":
                 print(f"   {report}")
-                shown += 1
                 break
-    labels = sorted(
-        {
-            fault.label
-            for detector in detectors
-            for fault in detector.implicated_faults()
-        }
-    )
+    labels = sorted(fault.label for fault in session.implicated_faults())
     print(f"implicated fault classes : {labels}")
     print()
     print("wait-for graph analysis (cross-monitor extension):")
-    deadlocks = DeadlockDetector(detectors)
+    deadlocks = DeadlockDetector(entries)
     for report in deadlocks.check():
         print(f"   {report}")
     print()
     print("fault frequency statistics:")
-    stats = FaultStatistics.from_detectors(detectors)
+    stats = session.statistics()
     stats.record_all(deadlocks.reports)
     print(stats.render(top=4))
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""One detection engine auditing several monitors at once.
+"""One detection session auditing several monitors at once.
 
 A dining-philosophers fork table, a shared printer allocator and a bounded
-buffer all run on the same kernel.  Instead of three ``FaultDetector``
-processes (three world-stops per checking interval), every monitor
-registers with a single :class:`DetectionEngine`: one batched checkpoint
-per interval snapshots and checks all three back to back, and the engine
+buffer all run on the same kernel.  Instead of one detection routine per
+monitor (three world-stops per checking interval), every monitor
+registers with a single :class:`DetectionSession`: one batched checkpoint
+per interval snapshots and checks all three back to back, and the session
 aggregates the findings per monitor.
 
 One philosopher misbehaves — it releases the printer it never requested —
@@ -31,14 +31,13 @@ from repro import (
     BoundedBuffer,
     BoundedHistory,
     Delay,
-    DetectionEngine,
+    DetectionSession,
     DetectorConfig,
     ForkTable,
     HistoryDatabase,
     RandomPolicy,
     SimKernel,
     SingleResourceAllocator,
-    engine_process,
     philosopher,
 )
 from repro.injection import sabotage_entry
@@ -59,9 +58,9 @@ def main() -> int:
         kernel, history=HistoryDatabase(), name="scanner"
     )
 
-    engine = DetectionEngine(
+    session = DetectionSession(
         kernel,
-        DetectorConfig(
+        config=DetectorConfig(
             interval=0.5,
             tmax=30.0,
             tio=30.0,
@@ -72,9 +71,9 @@ def main() -> int:
         ),
     )
     for target in (table, printer, buffer):
-        engine.register(target)
+        session.register(target)
     # The scanner's *checker* is broken: its first three checks raise.
-    scanner_entry = engine.register(scanner)
+    scanner_entry = session.register(scanner)
     sabotage_entry(scanner_entry, failures=3)
 
     # Healthy load on all three monitors...
@@ -120,20 +119,20 @@ def main() -> int:
 
     kernel.spawn(rude_philosopher(), "rude")
 
-    kernel.spawn(engine_process(engine), "detection-engine")
+    session.start()
     kernel.run(until=20)
     kernel.raise_failures()
 
-    print(f"engine: {len(engine.monitors)} monitors, "
-          f"{engine.checkpoints_run} batched checkpoints, "
-          f"{engine.atomic_sections} atomic sections\n")
-    for label, reports in engine.reports_by_monitor().items():
+    print(f"engine: {len(session.entries)} monitors, "
+          f"{session.checkpoints_run} batched checkpoints, "
+          f"{session.atomic_sections} atomic sections\n")
+    for label, reports in session.reports_by_monitor().items():
         verdict = "clean" if not reports else f"{len(reports)} report(s)"
         print(f"  {label:10s} {verdict}")
         for report in reports:
             print(f"      {report}")
     print(f"\nimplicated fault classes: "
-          f"{sorted(fault.label for fault in engine.implicated_faults())}")
+          f"{sorted(fault.label for fault in session.implicated_faults())}")
     sink = buffer.history
     print(f"buffer sink: {sink!r}")
 
@@ -152,7 +151,7 @@ def main() -> int:
         if lifecycle_ok
         else "  UNEXPECTED: breaker lifecycle incomplete"
     )
-    return 0 if (not engine.clean and lifecycle_ok) else 1
+    return 0 if (not session.clean and lifecycle_ok) else 1
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ from repro import (
     AssertionChecker,
     BoundedBuffer,
     Delay,
+    DetectionSession,
     DetectorConfig,
     ExpelStrategy,
-    FaultDetector,
     HistoryDatabase,
     RandomPolicy,
     RecoverySupervisor,
@@ -29,11 +29,13 @@ from repro import (
 def main():
     kernel = SimKernel(RandomPolicy(seed=5), on_deadlock="stop")
     buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=1.0, tmax=2.0, tio=60.0)
+    session = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=1.0, tmax=2.0, tio=60.0),
     )
     alarms = AlarmStrategy()
-    supervisor = RecoverySupervisor(detector, [ExpelStrategy(), alarms])
+    supervisor = RecoverySupervisor(session, [ExpelStrategy(), alarms])
 
     assertions = AssertionChecker(buffer)
     assertions.add(
@@ -62,7 +64,8 @@ def main():
             received.append(item)
 
     def supervisor_loop():
-        # The recovery-enabled replacement for plain detector_process.
+        # Paces the session's checkpoints itself (instead of
+        # session.start()) so every finding is offered to recovery.
         for __ in range(12):
             yield Delay(1.0)
             supervisor.checkpoint_and_recover()
@@ -76,7 +79,7 @@ def main():
     kernel.run(until=15)
 
     print("fault reports (first three):")
-    for report in detector.reports[:3]:
+    for report in session.reports[:3]:
         print(f"   {report}")
     print()
     print("recovery actions taken:")

@@ -19,13 +19,12 @@ Run:  python examples/robust_allocator.py
 
 from repro import (
     Delay,
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
     HistoryDatabase,
     RandomPolicy,
     SimKernel,
     SingleResourceAllocator,
-    detector_process,
 )
 
 
@@ -58,9 +57,10 @@ def double_request(allocator):
 def main():
     kernel = SimKernel(RandomPolicy(seed=3), on_deadlock="stop")
     allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-    detector = FaultDetector(
-        allocator,
-        DetectorConfig(interval=0.5, tmax=None, tio=None, tlimit=5.0),
+    session = DetectionSession(
+        kernel,
+        monitors=[allocator],
+        config=DetectorConfig(interval=0.5, tmax=None, tio=None, tlimit=5.0),
     )
     print("monitor declaration (the paper's Section 4 form):")
     print(allocator.declaration.render())
@@ -71,19 +71,19 @@ def main():
     kernel.spawn(release_without_request(allocator), "buggy-IIIa")
     kernel.spawn(never_release(allocator), "buggy-IIIb")
     kernel.spawn(double_request(allocator), "buggy-IIIc")
-    kernel.spawn(detector_process(detector), "detector")
+    session.start()
     kernel.run(until=30)
 
     print(f"grants handed out : {allocator.grants}")
-    print(f"fault reports     : {len(detector.reports)}")
+    print(f"fault reports     : {len(session.reports)}")
     print()
     seen_rules = {}
-    for report in detector.reports:
+    for report in session.reports:
         seen_rules.setdefault(report.rule_id, report)
     for rule_id in sorted(seen_rules):
         print(f"[{rule_id}] {seen_rules[rule_id].message}")
     print()
-    labels = sorted({f.label for f in detector.implicated_faults()})
+    labels = sorted({f.label for f in session.implicated_faults()})
     print(f"implicated fault classes: {labels}")
     expected = {"III.a", "III.b", "III.c"}
     print(f"all three user-process faults caught: "

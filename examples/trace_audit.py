@@ -7,7 +7,7 @@ Demonstrates the audit-trail workflow the history database enables:
 2. dump the scheduling events and checkpoint states to a JSONL file,
 3. reload the file (as a post-mortem tool would),
 4. re-check the trace offline against FD-Rules 1–7, and
-5. render fault-frequency statistics over the live detector's reports.
+5. render fault-frequency statistics over the live session's reports.
 
 The same offline check is available from the command line::
 
@@ -22,15 +22,13 @@ from pathlib import Path
 from repro import (
     BoundedBuffer,
     Delay,
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
-    FaultStatistics,
     HistoryDatabase,
     RandomPolicy,
     SimKernel,
     TriggeredHooks,
     check_full_trace,
-    detector_process,
 )
 from repro.history import dump_trace, load_trace
 
@@ -43,7 +41,9 @@ def run_workload(hooks=None):
     )
     if hooks is not None:
         hooks.core = buffer.monitor.core
-    detector = FaultDetector(buffer, DetectorConfig(interval=0.5))
+    session = DetectionSession(
+        kernel, monitors=[buffer], config=DetectorConfig(interval=0.5)
+    )
 
     def producer():
         for item in range(30):
@@ -57,18 +57,18 @@ def run_workload(hooks=None):
 
     kernel.spawn(producer())
     kernel.spawn(consumer())
-    kernel.spawn(detector_process(detector))
+    session.start()
     kernel.run(until=20)
     kernel.raise_failures()
-    return buffer, history, detector
+    return buffer, history, session
 
 
 def main():
     # A run with one injected "lost wakeup" style fault for the audit to find.
     hooks = TriggeredHooks("fake_resume")
-    buffer, history, detector = run_workload(hooks)
+    buffer, history, session = run_workload(hooks)
     print(f"live run: {history.total_recorded} events recorded, "
-          f"{len(detector.reports)} reports")
+          f"{len(session.reports)} reports")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "buffer-trace.jsonl"
@@ -91,9 +91,8 @@ def main():
             print(f"   {report}")
 
     print()
-    print("fault-frequency statistics over the live detector's reports:")
-    stats = FaultStatistics.from_detector(detector)
-    print(stats.render(top=5))
+    print("fault-frequency statistics over the live session's reports:")
+    print(session.statistics().render(top=5))
 
 
 if __name__ == "__main__":

@@ -77,7 +77,6 @@ from repro.detection import (
     shard_process,
     RecoverySummary,
     FaultClass,
-    FaultDetector,
     FaultLevel,
     FaultReport,
     FaultStatistics,
@@ -87,7 +86,6 @@ from repro.detection import (
     STRule,
     check_full_trace,
     check_general_concurrency_control,
-    detector_process,
     report_key,
     engine_process,
     supervisor_process,
@@ -208,9 +206,7 @@ __all__ = [
     "STRule",
     "FaultReport",
     "Confidence",
-    "FaultDetector",
     "DetectorConfig",
-    "detector_process",
     "DetectionEngine",
     "DetectionCluster",
     "DetectionSession",

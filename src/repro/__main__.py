@@ -8,18 +8,23 @@ Commands
 ``coverage [--seed N] [--json PATH]``
     The robustness experiment: inject all 21 fault classes, print the
     per-class detection table (exit status 1 if any class is missed).
-``overhead [--backend sim|threads] [--seed N] [--repeats N] [--engine] [--bounded C] [--wal] [--fleet N] [--json PATH]``
-    Regenerate Table 1 (overhead ratio vs checking interval); ``--engine``
-    checks through a shared DetectionEngine registration, ``--bounded``
-    records through a capacity-C ring buffer and surfaces dropped events,
-    ``--wal`` instead measures write-ahead-log recording overhead
-    (events/sec and bytes/event per fsync policy vs the in-memory sink),
-    ``--fleet N`` instead compares incremental checking-list evaluation
-    against the full re-walk on an N-monitor fleet (the hot-path gate).
-``scaling [--backend sim|threads] [--seed N] [--counts N ...] [--shards N ...] [--quick] [--json PATH]``
-    Engine scaling: batched checkpoints vs per-monitor detectors at
-    fleet sizes 1/4/16; ``--shards`` compares staggered
-    DetectionCluster shard counts instead (per-shard world-stop detail).
+``overhead [--backend sim|threads] [--seed N] [--repeats N] [--intervals T ...] [--scenarios NAME ...] [--bounded C] [--wal] [--fleet N [--evaluation P]] [--service] [--json PATH]``
+    Regenerate Table 1 (overhead ratio vs checking interval) through a
+    one-monitor DetectionSession per cell; ``--bounded`` records through
+    a capacity-C ring buffer and surfaces dropped events, ``--wal``
+    instead measures write-ahead-log recording overhead (events/sec and
+    bytes/event per fsync policy vs the in-memory sink), ``--fleet N``
+    instead compares incremental checking-list evaluation against the
+    full re-walk on an N-monitor fleet (the hot-path gate), ``--service``
+    instead measures detection-service ingest throughput.
+``scaling [--backend sim|threads] [--seed N] [--counts N ...] [--shards N ...] [--processes [--workers N] [--repeats K]] [--quick] [--json PATH]``
+    Scaling: one DetectionSession per monitor vs one shared session at
+    fleet sizes 1/4/16; ``--shards`` compares staggered shard counts of
+    the shared session instead (per-shard world-stop detail),
+    ``--processes`` compares phase-2 evaluation planes.
+``ablations [--only a1|a2|a3]``
+    The ablation tables A1-A3 of DESIGN.md (ST vs FD checking, checking
+    interval vs detection latency, pruning vs live-window memory).
 ``chaos [--seed N] [--rounds N] [--network] [--clients N] [--json PATH]``
     Detector-resilience chaos campaign: a healthy workload with faults
     injected into the detection pipeline itself (raising evaluators,
@@ -69,7 +74,10 @@ Commands
 Every randomised subcommand takes ``--seed``, and every result-producing
 subcommand takes ``--json PATH`` ('-' for stdout) emitting one stable
 top-level schema: ``{"command": ..., "seed": ..., "results": {...}}``.
-(``check`` and ``faults`` are deterministic lookups with no measurement
+The bench subcommands (``overhead``, ``scaling``) print and export only
+their metrics registry: ``results`` is ``{"bench": ..., "metrics": ...}``
+with ``metrics`` a ``repro-metrics/1`` document.  (``check``, ``faults``
+and ``ablations`` print fixed, deterministic tables with no measurement
 payload, so they take neither.)
 """
 
@@ -102,6 +110,24 @@ def _emit_json(args: argparse.Namespace, results: dict) -> None:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
         print(f"json written to {args.json}")
+
+
+def _positive(kind):
+    """argparse type: a strictly positive ``kind`` (int or float), so a
+    bad value exits 2 with usage instead of failing inside a bench."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    return parse
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -171,62 +197,120 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    from repro.bench.coverage import main as coverage_main
+    from repro.bench.coverage import coverage_table, run_coverage
 
-    argv = ["--seed", str(args.seed)]
-    if args.json is not None:
-        argv += ["--json", args.json]
-    return coverage_main(argv)
+    outcomes = run_coverage(seed=args.seed)
+    print(coverage_table(outcomes))
+    _emit_json(
+        args,
+        {
+            "bench": "coverage",
+            "detected": sum(1 for o in outcomes.values() if o.detected),
+            "total": len(outcomes),
+            "faults": [
+                {
+                    "fault": fault.label,
+                    "level": fault.level.value,
+                    "activated": outcome.activated,
+                    "detected": outcome.detected,
+                    "rules": list(outcome.rules),
+                    "reports": len(outcome.reports),
+                }
+                for fault, outcome in outcomes.items()
+            ],
+        },
+    )
+    return 0 if all(o.detected for o in outcomes.values()) else 1
+
+
+def _emit_bench(args: argparse.Namespace, bench: str, registry) -> int:
+    """Print a bench registry as tables and export it as the envelope's
+    ``results.metrics``."""
+    from repro.bench.harness import render_registry
+    from repro.observability.export import to_json_dict
+
+    print(render_registry(registry, title=bench))
+    _emit_json(args, {"bench": bench, "metrics": to_json_dict(registry)})
+    return 0
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    from repro.bench.overhead import main as overhead_main
+    from dataclasses import replace
 
-    argv = ["--backend", args.backend, "--repeats", str(args.repeats)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.engine:
-        argv.append("--engine")
-    if args.bounded is not None:
-        argv += ["--bounded", str(args.bounded)]
-    if args.wal:
-        argv.append("--wal")
-    if args.fleet is not None:
-        argv += ["--fleet", str(args.fleet)]
-    if args.evaluation is not None:
-        argv += ["--evaluation", args.evaluation]
+    from repro.bench import overhead
+
     if args.service:
-        argv.append("--service")
-    if args.intervals is not None:
-        argv += ["--intervals"] + [str(value) for value in args.intervals]
-    if args.scenarios is not None:
-        argv += ["--scenarios"] + list(args.scenarios)
-    if args.json is not None:
-        argv += ["--json", args.json]
-    return overhead_main(argv)
+        from repro.bench.service_bench import service_bench
+
+        registry = service_bench(seed=args.seed, repeats=args.repeats)
+        return _emit_bench(args, "service-ingest", registry)
+    if args.fleet is not None:
+        registry = overhead.fleet_bench(
+            args.fleet,
+            backend=args.backend,
+            spec=replace(overhead.FLEET_SPEC, seed=args.seed),
+            repeats=args.repeats,
+            evaluation=args.evaluation,
+        )
+        return _emit_bench(args, "overhead-fleet", registry)
+    spec = replace(overhead.BENCH_SPEC, seed=args.seed)
+    if args.wal:
+        registry = overhead.wal_bench(
+            scenarios=args.scenarios,
+            backend=args.backend,
+            spec=spec,
+            interval=args.intervals[0] if args.intervals else 1.0,
+            repeats=args.repeats,
+        )
+        return _emit_bench(args, "overhead-wal", registry)
+    registry = overhead.overhead_bench(
+        intervals=args.intervals or overhead.PAPER_INTERVALS,
+        scenarios=args.scenarios,
+        backend=args.backend,
+        spec=spec,
+        repeats=args.repeats,
+        bounded=args.bounded,
+    )
+    print(overhead.table1_pivot(registry))
+    print()
+    return _emit_bench(args, "overhead", registry)
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.bench.engine_scaling import main as scaling_main
+    from dataclasses import replace
 
-    argv = ["--backend", args.backend]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.counts:
-        argv += ["--counts"] + [str(count) for count in args.counts]
-    if args.shards:
-        argv += ["--shards"] + [str(count) for count in args.shards]
+    from repro.bench import engine_scaling as scaling
+
     if args.processes:
-        argv += [
-            "--processes",
-            "--workers", str(args.workers),
-            "--repeats", str(args.repeats),
-        ]
-    if args.quick:
-        argv.append("--quick")
-    if args.json is not None:
-        argv += ["--json", args.json]
-    return scaling_main(argv)
+        spec = scaling.QUICK_PLANES_SPEC if args.quick else scaling.PLANES_SPEC
+        registry = scaling.planes_bench(
+            workers=args.workers,
+            spec=replace(spec, seed=args.seed),
+            repeats=args.repeats,
+        )
+        return _emit_bench(args, "engine_scaling_planes", registry)
+    spec = scaling.QUICK_SCALING_SPEC if args.quick else scaling.SCALING_SPEC
+    registry = scaling.scaling_bench(
+        counts=args.counts,
+        shards=args.shards,
+        backend=args.backend,
+        spec=replace(spec, seed=args.seed),
+    )
+    return _emit_bench(args, "engine_scaling", registry)
+
+
+def _cmd_ablations(args: argparse.Namespace) -> int:
+    from repro.bench import ablations
+
+    blocks = {
+        "a1": ablations.ablation_st_vs_fd,
+        "a2": ablations.ablation_interval_accuracy,
+        "a3": ablations.ablation_pruning,
+    }
+    for key in [args.only] if args.only else sorted(blocks):
+        print(blocks[key]())
+        print()
+    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -678,16 +762,49 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     coverage.add_argument("--json", default=None, metavar="PATH")
     coverage.set_defaults(func=_cmd_coverage)
 
+    from repro.bench.engine_scaling import DEFAULT_COUNTS
+    from repro.bench.harness import BACKENDS
+    from repro.bench.overhead import PAPER_SCENARIOS
+
     overhead = subparsers.add_parser(
         "overhead", help="Table 1: overhead vs checking interval"
     )
+    # The paper measured a real runtime; the thread backend includes the
+    # world-stop stalls that dominate its overhead figures.
+    overhead.add_argument("--backend", choices=BACKENDS, default="threads")
+    overhead.add_argument("--seed", type=int, default=0)
     overhead.add_argument(
-        "--backend", choices=("sim", "threads"), default="threads"
+        "--repeats",
+        type=_positive(int),
+        default=3,
+        metavar="N",
+        help="runs per cell; the best timing is kept (default 3)",
     )
-    overhead.add_argument("--seed", type=int, default=None)
-    overhead.add_argument("--repeats", type=int, default=3)
-    overhead.add_argument("--engine", action="store_true")
-    overhead.add_argument("--bounded", type=int, default=None, metavar="CAPACITY")
+    overhead.add_argument(
+        "--intervals",
+        type=_positive(float),
+        nargs="+",
+        default=None,
+        metavar="T",
+        help="checking intervals to sweep (default: the paper's grid)",
+    )
+    overhead.add_argument(
+        "--scenarios",
+        nargs="+",
+        choices=PAPER_SCENARIOS,
+        default=PAPER_SCENARIOS,
+        metavar="NAME",
+        help="monitor scenarios to measure: "
+        f"{', '.join(PAPER_SCENARIOS)} (default: all three)",
+    )
+    overhead.add_argument(
+        "--bounded",
+        type=_positive(int),
+        default=None,
+        metavar="CAPACITY",
+        help="record through a BoundedHistory ring buffer of this capacity "
+        "instead of the unbounded database (surfaces dropped events)",
+    )
     overhead.add_argument(
         "--wal",
         action="store_true",
@@ -695,7 +812,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     overhead.add_argument(
         "--fleet",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="measure the incremental-vs-full phase-2 hot path on an "
@@ -703,47 +820,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     overhead.add_argument(
         "--evaluation",
-        choices=("threads", "processes"),
-        default=None,
-        help="with --fleet: route phase 2 through the given evaluation "
-        "plane instead of in-line evaluation",
+        choices=("inline", "threads", "processes"),
+        default="inline",
+        help="with --fleet: the phase-2 evaluation plane (default inline)",
     )
     overhead.add_argument(
         "--service",
         action="store_true",
         help="measure detection-service ingest throughput instead",
     )
-    overhead.add_argument(
-        "--intervals",
-        type=float,
-        nargs="*",
-        default=None,
-        metavar="T",
-        help="checking intervals to sweep (default: the paper's grid)",
-    )
-    overhead.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help="monitor scenarios to measure (default: all three)",
-    )
     overhead.add_argument("--json", default=None, metavar="PATH")
     overhead.set_defaults(func=_cmd_overhead)
 
     scaling = subparsers.add_parser(
-        "scaling", help="engine scaling: batched vs per-monitor checkpoints"
+        "scaling", help="scaling: per-monitor vs shared-session checkpoints"
     )
-    scaling.add_argument("--backend", choices=("sim", "threads"), default="sim")
-    scaling.add_argument("--seed", type=int, default=None)
-    scaling.add_argument("--counts", type=int, nargs="*", default=None)
+    scaling.add_argument("--backend", choices=BACKENDS, default="sim")
+    scaling.add_argument("--seed", type=int, default=0)
+    scaling.add_argument(
+        "--counts",
+        type=_positive(int),
+        nargs="+",
+        default=DEFAULT_COUNTS,
+        metavar="N",
+        help="fleet sizes (default 1 4 16)",
+    )
     scaling.add_argument(
         "--shards",
-        type=int,
-        nargs="*",
+        type=_positive(int),
+        nargs="+",
         default=None,
         metavar="N",
-        help="compare staggered DetectionCluster shard counts instead",
+        help="compare staggered shard counts of one shared session instead",
     )
     scaling.add_argument(
         "--processes",
@@ -753,21 +861,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scaling.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=4,
         metavar="N",
         help="shard/worker count for --processes (default 4)",
     )
     scaling.add_argument(
         "--repeats",
-        type=int,
+        type=_positive(int),
         default=2,
         metavar="K",
         help="runs per plane for --processes; best wall kept (default 2)",
     )
-    scaling.add_argument("--quick", action="store_true")
+    scaling.add_argument(
+        "--quick", action="store_true", help="smaller workload (CI smoke)"
+    )
     scaling.add_argument("--json", default=None, metavar="PATH")
     scaling.set_defaults(func=_cmd_scaling)
+
+    ablation = subparsers.add_parser(
+        "ablations", help="ablation tables A1-A3 (DESIGN.md)"
+    )
+    ablation.add_argument(
+        "--only", choices=("a1", "a2", "a3"), default=None,
+        help="run a single ablation",
+    )
+    ablation.set_defaults(func=_cmd_ablations)
 
     chaos = subparsers.add_parser(
         "chaos", help="detector-resilience chaos campaign (sim kernel)"

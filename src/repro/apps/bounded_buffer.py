@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.history.sink import EventSink
 from repro.kernel.base import Kernel
@@ -119,8 +119,7 @@ class BoundedBuffer(MonitorBase):
             # Time spent copying into the buffer while holding the monitor:
             # this is what creates entry-queue contention under load.
             yield Delay(self._service)
-        self._deposit(item)
-        self.signal_exit("empty")
+        self._exit_after(lambda: self._deposit(item), "empty")
 
     @procedure("Receive")
     def receive(self) -> Iterator[Syscall]:
@@ -129,9 +128,23 @@ class BoundedBuffer(MonitorBase):
             yield from self.wait("empty")
         if self._service:
             yield Delay(self._service)
-        item = self._take()
-        self.signal_exit("full")
-        return item
+        return self._exit_after(self._take, "full")
+
+    def _exit_after(self, change: Callable[[], Any], cond: str) -> Any:
+        """Apply an ``R#`` change and its Signal-Exit as one atomic step.
+
+        A checkpoint capture can then never observe the new ``R#`` without
+        the Signal-Exit event that accounts for it (ST-7b).  The nested
+        ``kernel.atomic`` is a plain call on the sim kernel and a
+        re-entrant lock on the thread kernel.
+        """
+
+        def step() -> Any:
+            result = change()
+            self.signal_exit(cond)
+            return result
+
+        return self.kernel.atomic(step)
 
     # ----------------------------------------------- fault-selectable innards
 

@@ -1,7 +1,7 @@
-"""Standalone ablation harness (experiments A1, A2, A3 of DESIGN.md).
+"""Ablation harness (experiments A1, A2, A3 of DESIGN.md).
 
-``python -m repro.bench.ablations`` runs all three and prints their
-tables; the asserted versions live in ``benchmarks/test_ablation_*.py``.
+``python -m repro ablations`` runs all three and prints their tables;
+the asserted versions live in ``benchmarks/test_ablation_*.py``.
 
 * **A1 — ST vs FD checking:** verdict agreement between the windowed
   checkpoint checker and the offline full-trace checker, plus the memory
@@ -13,13 +13,12 @@ tables; the asserted versions live in ``benchmarks/test_ablation_*.py``.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro._tables import render_table
 from repro.apps.bounded_buffer import BoundedBuffer
-from repro.detection.detector import DetectorConfig, FaultDetector, detector_process
+from repro.detection.config import DetectorConfig
+from repro.detection.session import DetectionSession
 from repro.detection.fd_rules import check_full_trace
 from repro.history.database import HistoryDatabase
 from repro.injection.hooks import TriggeredHooks
@@ -31,7 +30,6 @@ __all__ = [
     "ablation_st_vs_fd",
     "ablation_interval_accuracy",
     "ablation_pruning",
-    "main",
 ]
 
 
@@ -50,8 +48,10 @@ def _buffer_run(
     )
     if hooks is not None:
         hooks.core = buffer.monitor.core
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=interval, tmax=100.0, tio=100.0)
+    session = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=interval, tmax=100.0, tio=100.0),
     )
 
     def producer():
@@ -67,9 +67,9 @@ def _buffer_run(
     for __ in range(2):
         kernel.spawn(producer())
         kernel.spawn(consumer())
-    kernel.spawn(detector_process(detector), "detector")
+    session.start()
     kernel.run(until=500, max_steps=5_000_000)
-    return buffer, history, detector
+    return buffer, history, session
 
 
 # ----------------------------------------------------------------------- A1
@@ -81,7 +81,7 @@ def ablation_st_vs_fd() -> str:
         ("clean", None),
         ("faulty (I.a.1)", TriggeredHooks("enter_despite_owner", fire_at=2)),
     ):
-        buffer, history, detector = _buffer_run(hooks=hooks)
+        buffer, history, session = _buffer_run(hooks=hooks)
         fd_reports = check_full_trace(
             buffer.declaration,
             history.full_trace,
@@ -92,9 +92,9 @@ def ablation_st_vs_fd() -> str:
         rows.append(
             [
                 label,
-                len(detector.reports),
+                len(session.reports),
                 len(fd_reports),
-                "yes" if bool(detector.reports) == bool(fd_reports) else "NO",
+                "yes" if bool(session.reports) == bool(fd_reports) else "NO",
                 history.peak_live_events,
                 history.total_recorded,
             ]
@@ -116,8 +116,10 @@ _TMAX = 0.5
 def _detection_latency(interval: float) -> float:
     kernel = SimKernel(RandomPolicy(seed=0), on_deadlock="stop")
     buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=interval, tmax=_TMAX, tio=100.0)
+    session = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=interval, tmax=_TMAX, tio=100.0),
     )
 
     def saboteur():
@@ -130,11 +132,11 @@ def _detection_latency(interval: float) -> float:
 
     kernel.spawn(saboteur(), "saboteur")
     kernel.spawn(ticker(), "ticker")
-    kernel.spawn(detector_process(detector), "detector")
+    session.start()
     kernel.run(until=40.0)
-    if not detector.reports:
+    if not session.reports:
         return float("nan")
-    first = min(report.detected_at for report in detector.reports)
+    first = min(report.detected_at for report in session.reports)
     return first - (_INJECTION_TIME + _TMAX)
 
 
@@ -174,26 +176,3 @@ def ablation_pruning(sizes: Sequence[int] = (50, 100, 200)) -> str:
         rows,
         title="A3: pruning keeps live memory flat as the run grows",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--only", choices=("a1", "a2", "a3"), default=None,
-        help="run a single ablation",
-    )
-    args = parser.parse_args(argv)
-    blocks = {
-        "a1": ablation_st_vs_fd,
-        "a2": ablation_interval_accuracy,
-        "a3": ablation_pruning,
-    }
-    selected = [args.only] if args.only else ["a1", "a2", "a3"]
-    for key in selected:
-        print(blocks[key]())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

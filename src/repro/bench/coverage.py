@@ -5,21 +5,17 @@ injected randomly for evaluating the coverage of the fault detection
 algorithms.  The results show that all injected faults are detected."
 
 This harness runs the full campaign table (one deterministic campaign per
-taxonomy entry, 21 total) and renders the per-class outcome.  Run
-standalone with ``python -m repro.bench.coverage``.
+taxonomy entry, 21 total) and renders the per-class outcome.  Run it with
+``python -m repro coverage``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Optional, Sequence
-
-from repro.bench.tables import render_table
+from repro._tables import render_table
 from repro.detection.faults import FaultClass
 from repro.injection.campaigns import CAMPAIGNS, CampaignOutcome, run_all_campaigns
 
-__all__ = ["run_coverage", "coverage_table", "outcomes_to_json", "main"]
+__all__ = ["run_coverage", "coverage_table"]
 
 
 def run_coverage(seed: int = 0) -> dict[FaultClass, CampaignOutcome]:
@@ -51,57 +47,3 @@ def coverage_table(outcomes: dict[FaultClass, CampaignOutcome]) -> str:
         title="Robustness (reproduced): fault-injection coverage",
     )
     return f"{table}\n\ndetected {detected}/{len(FaultClass)} injected fault classes"
-
-
-def outcomes_to_json(outcomes: dict[FaultClass, CampaignOutcome]) -> dict:
-    """Machine-readable coverage results (the ``--json`` payload)."""
-    return {
-        "bench": "coverage",
-        "detected": sum(1 for o in outcomes.values() if o.detected),
-        "total": len(outcomes),
-        "faults": [
-            {
-                "fault": fault.label,
-                "level": fault.level.value,
-                "activated": outcome.activated,
-                "detected": outcome.detected,
-                "rules": list(outcome.rules),
-                "reports": len(outcome.reports),
-            }
-            for fault, outcome in outcomes.items()
-        ],
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the outcomes as JSON to PATH ('-' for stdout)",
-    )
-    args = parser.parse_args(argv)
-    outcomes = run_coverage(seed=args.seed)
-    print(coverage_table(outcomes))
-    if args.json is not None:
-        payload = json.dumps(
-            {
-                "command": "coverage",
-                "seed": args.seed,
-                "results": outcomes_to_json(outcomes),
-            },
-            indent=2,
-        )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"json written to {args.json}")
-    return 0 if all(o.detected for o in outcomes.values()) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

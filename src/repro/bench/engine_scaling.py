@@ -1,233 +1,145 @@
-"""Experiment E3 — engine scaling: shared engine vs per-monitor detectors.
+"""Experiment E3 — scaling: per-monitor detection vs one shared session.
 
-The paper's architecture pays one suspend-the-world ("all other running
-processes are suspended") section per detector per checking interval.
-This benchmark quantifies what the batched
-:class:`~repro.detection.engine.DetectionEngine` buys: it drives the same
+The paper's architecture (Figure 1) gives each monitor its own fault
+detection routine, and each routine pays one suspend-the-world ("all
+other running processes are suspended") section per checking interval.
+:func:`scaling_bench` quantifies what batching buys: it drives the same
 multi-monitor fleet (round-robin over the three scenario types) twice —
-once with one ``detector_process`` per monitor, once with a single
-``engine_process`` over all of them — at fleet sizes 1, 4 and 16, and
-reports:
+``mode="per-monitor"``, one :class:`DetectionSession` per monitor, and
+``mode="session"``, one session over the whole fleet — at fleet sizes 1,
+4 and 16, and records:
 
-* ``atomic_sections`` — how many atomic (world-stop) sections checking
-  entered.  Per-monitor detectors enter one per monitor per interval
-  (linear in fleet size); the engine enters exactly one per interval
+* ``atomic_sections`` — world-stop sections entered for checking.
+  Per-monitor detection enters one per monitor per interval (linear in
+  fleet size); a one-shard session enters exactly one per interval
   (constant in fleet size) — the headline amortisation.
 * ``worldstop_seconds`` vs ``evaluate_seconds`` — the two-phase split of
-  the old ``checking_seconds``: phase 1 (snapshot + cut inside the atomic
+  ``checking_seconds``: phase 1 (snapshot + cut inside the atomic
   section) is the only part that stalls the workload, phase 2 (rule
-  evaluation over the frozen captures) runs off the critical path.  The
-  per-checkpoint world-stop max/mean makes the "O(snapshot) world-stop"
-  claim auditable from the output alone.
+  evaluation over the frozen captures) runs off the critical path.
 
-``--processes`` switches to the evaluation-plane comparison instead:
-the same seeded sim fleet is driven once per phase-2 plane (pooled
-worker *threads* vs one evaluator worker *process* per shard), every
-checkpoint is drained synchronously so the timed wall clock covers the
-full capture→evaluate round trip, and the merged report streams are
-compared byte-for-byte against an inline 1-shard baseline.  On a
-multi-core box the process plane escapes the GIL: N workers burn CPU
-concurrently, so evaluate-bound fleets finish the same rule evaluation
-in a fraction of the thread plane's wall clock.
+With ``shards`` the grid compares shard counts of the shared session
+instead, plus per-shard detail (``shard_*`` gauges) so the staggered
+world-stop claim is auditable from the output alone.
 
-``--json PATH`` writes the grid machine-readably so ``BENCH_*.json``
-trajectories can accumulate across runs.
+:func:`planes_bench` compares phase-2 evaluation planes: the same seeded
+sim fleet is driven once per plane (pooled worker *threads* vs one
+evaluator worker *process* per shard), every checkpoint is drained
+synchronously so the timed wall clock covers the full capture→evaluate
+round trip, and the merged report streams are compared against an
+inline 1-shard baseline.
 
-Both kernels are supported; the thread backend adds the real lock
-acquisition cost to every atomic section, which is where the linear
-term hurts most.
+Both kernels are supported by :func:`scaling_bench`; the thread backend
+adds the real lock acquisition cost to every atomic section, which is
+where the linear term hurts most.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
-from repro.bench.overhead import _fill_gauges
-from repro.bench.tables import render_table
-from repro.detection.cluster import DetectionCluster
-from repro.detection.detector import DetectorConfig, FaultDetector, detector_process
-from repro.detection.engine import DetectionEngine, engine_process
-from repro.kernel.policies import RandomPolicy
-from repro.kernel.sim import SimKernel
+from repro.bench.harness import make_kernel, record, run_kernel
+from repro.detection.config import DetectorConfig
+from repro.detection.session import DetectionSession
 from repro.kernel.syscalls import Delay
-from repro.kernel.threads import ThreadKernel
-from repro.observability.export import to_json_dict
 from repro.observability.registry import MetricsRegistry
 from repro.workloads.scenarios import WorkloadSpec, build_fleet
 
-__all__ = [
-    "ScalingRow",
-    "PlaneRow",
-    "measure_scaling",
-    "measure_plane",
-    "planes_table",
-    "scaling_table",
-    "render_scaling_table",
-    "render_planes_table",
-    "rows_to_json",
-    "planes_to_json",
-    "main",
-]
+__all__ = ["scaling_bench", "planes_bench"]
 
 #: Fleet sizes exercised by default (the acceptance grid).
 DEFAULT_COUNTS: tuple[int, ...] = (1, 4, 16)
 
 #: Short workload: scaling is about per-checkpoint cost, not trace length.
 SCALING_SPEC = WorkloadSpec(processes=4, operations=40, think_time=0.05)
+QUICK_SCALING_SPEC = WorkloadSpec(processes=2, operations=10, think_time=0.05)
 
 #: Generous bounds — the fleet is healthy; the sweeps' cost is the point.
 SCALING_CONFIG = DetectorConfig(interval=0.5, tmax=120.0, tio=120.0, tlimit=120.0)
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    """One (fleet size, mode) cell of the scaling comparison."""
-
-    monitors: int
-    mode: str  # "detectors", "engine" or "cluster"
-    atomic_sections: int
-    checkpoints: int
-    checking_seconds: float
-    #: Phase-1 wall clock: the only seconds the workload is actually stopped.
-    worldstop_seconds: float
-    #: Phase-2 wall clock: rule evaluation off the critical path.
-    evaluate_seconds: float
-    #: Longest single phase-1 section observed (per-checkpoint worst case).
-    worldstop_max: float
-    reports: int
-    events: int
-    #: Events the fleet's sinks discarded (0 for unbounded histories).
-    dropped: int = 0
-    #: Engine shards the fleet was partitioned across (1 unless "cluster").
-    shards: int = 1
-    #: Per-shard accounting dicts (cluster mode only; empty otherwise).
-    per_shard: tuple = ()
-
-    @property
-    def worldstop_mean(self) -> float:
-        """Mean phase-1 world-stop per atomic section entered."""
-        if self.atomic_sections == 0:
-            return 0.0
-        return self.worldstop_seconds / self.atomic_sections
-
-
-def _make_kernel(backend: str, seed: int):
-    if backend == "sim":
-        return SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
-    if backend == "threads":
-        return ThreadKernel(time_scale=0.002)
-    raise ValueError(f"unknown backend {backend!r}; use 'sim' or 'threads'")
-
-
-def measure_scaling(
+def _measure(
+    registry: MetricsRegistry,
     monitors: int,
     mode: str,
-    *,
-    backend: str = "sim",
-    spec: Optional[WorkloadSpec] = None,
-    config: Optional[DetectorConfig] = None,
-    shards: int = 1,
-) -> ScalingRow:
-    """Run one fleet under one checking topology and collect the counters."""
-    if mode not in ("detectors", "engine", "cluster"):
-        raise ValueError(
-            f"unknown mode {mode!r}; use 'detectors', 'engine' or 'cluster'"
-        )
-    spec = spec or SCALING_SPEC
-    config = config or SCALING_CONFIG
-    kernel = _make_kernel(backend, spec.seed)
+    shards: int,
+    backend: str,
+    spec: WorkloadSpec,
+) -> None:
+    kernel = make_kernel(backend, spec.seed)
     fleet = build_fleet(kernel, monitors, spec)
     for index, run in enumerate(fleet):
         run.spawn_all(kernel, prefix=f"m{index}-")
-
-    detectors: list[FaultDetector] = []
-    engine: Optional[DetectionEngine] = None
-    cluster: Optional[DetectionCluster] = None
-    if mode == "detectors":
-        for run in fleet:
-            detector = FaultDetector(run.monitor, config)
-            detectors.append(detector)
-            kernel.spawn(detector_process(detector), f"detector-{run.name}")
-    elif mode == "cluster":
-        cluster = DetectionCluster(kernel, config, shards=shards)
-        for run in fleet:
-            cluster.register(run.monitor, group=run.shard_label)
-        cluster.spawn_processes()
-    else:
-        engine = DetectionEngine(kernel, config)
-        for run in fleet:
-            engine.register(run.monitor)
-        kernel.spawn(engine_process(engine), "detection-engine")
-
-    horizon = spec.operations * spec.think_time * 40 + 60
-    kernel.run(until=horizon, max_steps=50_000_000)
-    kernel.raise_failures()
-    if cluster is not None:
-        # Await offloaded evaluations and close the worker pool before
-        # reading the counters.
-        cluster.stop()
-
-    events = sum(
-        run.monitor.monitor.history.total_recorded
-        for run in fleet
-        if run.monitor.monitor.history is not None
-    )
-    dropped = sum(
-        run.monitor.monitor.history.dropped_events
-        for run in fleet
-        if run.monitor.monitor.history is not None
-    )
-    per_shard: tuple = ()
-    if mode == "detectors":
-        # Every FaultDetector checkpoint is its own atomic section.
-        sections = sum(d.engine.atomic_sections for d in detectors)
-        checkpoints = sum(d.checkpoints_run for d in detectors)
-        checking = sum(d.checking_seconds for d in detectors)
-        worldstop = sum(d.worldstop_seconds for d in detectors)
-        evaluate = sum(d.evaluate_seconds for d in detectors)
-        worldstop_max = max(
-            (d.engine.worldstop_max for d in detectors), default=0.0
+    groups = [[run] for run in fleet] if mode == "per-monitor" else [fleet]
+    sessions = []
+    for group in groups:
+        session = DetectionSession(
+            kernel, config=SCALING_CONFIG, shards=shards, supervised=False
         )
-        reports = sum(len(d.reports) for d in detectors)
-    elif mode == "cluster":
-        assert cluster is not None
-        sections = cluster.atomic_sections
-        checkpoints = cluster.checkpoints_run
-        checking = cluster.checking_seconds
-        worldstop = cluster.worldstop_seconds
-        evaluate = cluster.evaluate_seconds
-        worldstop_max = cluster.worldstop_max
-        reports = len(cluster.reports)
-        per_shard = tuple(cluster.shard_stats())
-    else:
-        assert engine is not None
-        sections = engine.atomic_sections
-        checkpoints = engine.checkpoints_run
-        checking = engine.checking_seconds
-        worldstop = engine.worldstop_seconds
-        evaluate = engine.evaluate_seconds
-        worldstop_max = engine.worldstop_max
-        reports = len(engine.reports)
-    return ScalingRow(
-        monitors=monitors,
-        mode=mode,
-        atomic_sections=sections,
-        checkpoints=checkpoints,
-        checking_seconds=checking,
-        worldstop_seconds=worldstop,
-        evaluate_seconds=evaluate,
-        worldstop_max=worldstop_max,
-        reports=reports,
-        events=events,
-        dropped=dropped,
-        shards=shards if mode == "cluster" else 1,
-        per_shard=per_shard,
+        for run in group:
+            session.register(run.monitor, group=run.shard_label)
+        session.start()
+        sessions.append(session)
+    run_kernel(kernel, spec.operations * spec.think_time * 40 + 60)
+    for session in sessions:
+        # Await offloaded evaluations before reading the counters.
+        session.stop()
+
+    def total(name: str) -> float:
+        return sum(getattr(session, name) for session in sessions)
+
+    labels = {"monitors": monitors, "mode": mode, "shards": shards}
+    record(
+        registry,
+        labels,
+        atomic_sections=total("atomic_sections"),
+        checkpoints=total("checkpoints_run"),
+        checking_seconds=total("checking_seconds"),
+        worldstop_seconds=total("worldstop_seconds"),
+        worldstop_max=max(session.worldstop_max for session in sessions),
+        evaluate_seconds=total("evaluate_seconds"),
+        reports=sum(len(session.reports) for session in sessions),
+        events=sum(run.monitor.history.total_recorded for run in fleet),
+        dropped_events=total("dropped_events"),
     )
+    if mode == "session" and shards > 1:
+        for stat in sessions[0].shard_stats():
+            record(
+                registry,
+                {**labels, "shard": stat["shard"]},
+                shard_monitors=stat["monitors"],
+                shard_offset=stat["offset"],
+                shard_checkpoints=stat["checkpoints"],
+                shard_worldstop_max=stat["worldstop_max"],
+                shard_evaluate_seconds=stat["evaluate_seconds"],
+            )
+
+
+def scaling_bench(
+    *,
+    counts: Sequence[int] = DEFAULT_COUNTS,
+    shards: Optional[Sequence[int]] = None,
+    backend: str = "sim",
+    spec: Optional[WorkloadSpec] = None,
+) -> MetricsRegistry:
+    """``{monitors, mode, shards}`` cells: per-monitor vs one shared
+    session at every fleet size, or — with ``shards`` — one shared session
+    per shard count, so N-shard world-stops read against the 1-shard
+    baseline directly."""
+    spec = spec or SCALING_SPEC
+    topologies = (
+        [("session", count) for count in shards]
+        if shards
+        else [("per-monitor", 1), ("session", 1)]
+    )
+    registry = MetricsRegistry()
+    record(registry, {"backend": backend}, backend_info=1)
+    for monitors in counts:
+        for mode, shard_count in topologies:
+            _measure(registry, monitors, mode, shard_count, backend, spec)
+    return registry
 
 
 #: Evaluate-bound plane-comparison workload: full-window Algorithm-1
@@ -235,6 +147,7 @@ def measure_scaling(
 #: tap) maximise the rule-evaluation share of each checkpoint, which is
 #: exactly the work the process plane parallelises.
 PLANES_SPEC = WorkloadSpec(processes=8, operations=100, think_time=0.005)
+QUICK_PLANES_SPEC = WorkloadSpec(processes=3, operations=20, think_time=0.02)
 PLANES_CONFIG = DetectorConfig(
     interval=2.0,
     tmax=120.0,
@@ -250,568 +163,97 @@ PLANES_CONFIG = DetectorConfig(
 #: rule-evaluation per event of the scenario set.
 PLANES_SCENARIOS: tuple[str, ...] = ("allocator",)
 
-
-@dataclass(frozen=True)
-class PlaneRow:
-    """One phase-2 evaluation plane under the identical seeded workload."""
-
-    plane: str  # "inline", "threads" or "processes"
-    monitors: int
-    workers: int
-    checkpoints: int
-    #: Wall clock of the synchronous checkpoint→drain rounds — the
-    #: headline number: how long the full capture+evaluate round trip
-    #: took under this plane.
-    evaluate_wall: float
-    #: Engine-side phase-2 accounting (CPU-ish; sums across shards).
-    evaluate_seconds: float
-    #: Per-worker CPU seconds (worker processes, or dispatch threads).
-    worker_cpu: tuple
-    worldstop_p50: float
-    worldstop_p99: float
-    reports: int
-    events: int
+#: Fleet size of the plane comparison.
+PLANES_MONITORS = 8
 
 
-def measure_plane(
-    plane: str,
-    monitors: int,
-    workers: int,
-    *,
-    spec: Optional[WorkloadSpec] = None,
-    config: Optional[DetectorConfig] = None,
-) -> tuple[PlaneRow, list[str]]:
-    """Run one evaluation plane; return its row and the rendered stream.
+def _measure_plane(
+    plane: str, workers: int, spec: WorkloadSpec
+) -> tuple[dict, list[str]]:
+    """Run one evaluation plane; return its figures and rendered stream.
 
     Every checkpoint is drained before the sim advances, so the timed
     wall clock covers the complete evaluation round trip and the report
     stream is deterministic regardless of plane.
     """
-    spec = spec or PLANES_SPEC
-    config = config or PLANES_CONFIG
-    kernel = SimKernel(RandomPolicy(seed=spec.seed), on_deadlock="stop")
-    fleet = build_fleet(kernel, monitors, spec, names=PLANES_SCENARIOS)
-    shards = 1 if plane == "inline" else workers
-    cluster = DetectionCluster(
-        kernel, config, shards=shards, evaluation=plane
+    kernel = make_kernel("sim", spec.seed)
+    fleet = build_fleet(kernel, PLANES_MONITORS, spec, names=PLANES_SCENARIOS)
+    session = DetectionSession(
+        kernel,
+        config=PLANES_CONFIG,
+        shards=1 if plane == "inline" else workers,
+        evaluation=plane,
+        supervised=False,
     )
     for index, run in enumerate(fleet):
-        cluster.register(run.monitor, label=f"{run.name}-{index}")
+        session.register(run.monitor, label=f"{run.name}-{index}")
         run.spawn_all(kernel, prefix=f"m{index}-")
-
     wall = [0.0]
 
     def pacer():
         while True:
-            yield Delay(config.interval)
+            yield Delay(PLANES_CONFIG.interval)
             started = time.perf_counter()
-            cluster.checkpoint()
-            cluster.drain()
+            session.checkpoint()
             wall[0] += time.perf_counter() - started
 
     kernel.spawn(pacer(), "plane-pacer")
-    horizon = spec.operations * spec.think_time * 40 + 60
-    kernel.run(until=horizon, max_steps=50_000_000)
-    kernel.raise_failures()
-    pool = cluster._pool
-    cluster.stop()
-    if pool is None:
-        worker_cpu: tuple = ()
-    elif pool.plane == "processes":
-        worker_cpu = tuple(pool.per_worker_cpu)
-    else:
-        worker_cpu = tuple(pool.dispatch_cpu)
-    events = sum(
-        run.monitor.monitor.history.total_recorded
-        for run in fleet
-        if run.monitor.monitor.history is not None
-    )
-    row = PlaneRow(
-        plane=plane,
-        monitors=monitors,
-        workers=shards,
-        checkpoints=cluster.checkpoints_run,
-        evaluate_wall=wall[0],
-        evaluate_seconds=cluster.evaluate_seconds,
-        worker_cpu=worker_cpu,
-        worldstop_p50=cluster.worldstop_percentile(0.5),
-        worldstop_p99=cluster.worldstop_percentile(0.99),
-        reports=len(cluster.reports),
-        events=events,
-    )
-    return row, [report.render() for report in cluster.reports]
+    run_kernel(kernel, spec.operations * spec.think_time * 40 + 60)
+    session.stop()
+    figures = {
+        "evaluate_wall": wall[0],
+        "evaluate_seconds": session.evaluate_seconds,
+        "worldstop_p50": session.worldstop_percentile(0.5),
+        "worldstop_p99": session.worldstop_percentile(0.99),
+        "checkpoints": session.checkpoints_run,
+        "reports": len(session.reports),
+        "events": sum(run.monitor.history.total_recorded for run in fleet),
+    }
+    return figures, [report.render() for report in session.reports]
 
 
-def planes_table(
+def planes_bench(
     *,
-    monitors: int = 8,
     workers: int = 4,
     spec: Optional[WorkloadSpec] = None,
-    config: Optional[DetectorConfig] = None,
     repeats: int = 2,
-) -> tuple[list[PlaneRow], dict]:
+) -> MetricsRegistry:
     """Threads vs processes under the identical workload, plus an inline
     1-shard baseline for the byte-identical-stream check.
 
-    Each plane runs ``repeats`` times and keeps its best wall clock
-    (pool start-up and OS noise shouldn't decide the comparison); the
-    report stream must not vary across repeats of the same plane.
+    Each pooled plane runs ``repeats`` times and keeps its best wall clock
+    (pool start-up and OS noise shouldn't decide the comparison); its
+    report stream must not vary across repeats.  ``cpu_count`` lets the
+    processes-beat-threads gate skip on hosts without cores to scale onto.
     """
-    rows: list[PlaneRow] = []
+    spec = spec or PLANES_SPEC
+    registry = MetricsRegistry()
+    record(registry, {"backend": "sim"}, backend_info=1)
+    walls: dict[str, float] = {}
     streams: dict[str, list[str]] = {}
     for plane in ("inline", "threads", "processes"):
-        best: Optional[PlaneRow] = None
+        best: Optional[dict] = None
         for repeat in range(1 if plane == "inline" else repeats):
-            row, stream = measure_plane(
-                plane, monitors, workers, spec=spec, config=config
-            )
+            figures, stream = _measure_plane(plane, workers, spec)
             if plane in streams and streams[plane] != stream:
                 raise AssertionError(
                     f"{plane} plane produced a different report stream on "
                     f"repeat {repeat}"
                 )
             streams[plane] = stream
-            if best is None or row.evaluate_wall < best.evaluate_wall:
-                best = row
-        assert best is not None
-        rows.append(best)
-    by_plane = {row.plane: row for row in rows}
-    threads_wall = by_plane["threads"].evaluate_wall
-    processes_wall = by_plane["processes"].evaluate_wall
-    comparison = {
-        "threads_wall": threads_wall,
-        "processes_wall": processes_wall,
-        "speedup": (threads_wall / processes_wall) if processes_wall else 0.0,
-        "streams_identical": (
+            if best is None or figures["evaluate_wall"] < best["evaluate_wall"]:
+                best = figures
+        record(registry, {"plane": plane}, **best)
+        walls[plane] = best["evaluate_wall"]
+    record(
+        registry,
+        {},
+        streams_identical=(
             streams["inline"] == streams["threads"] == streams["processes"]
         ),
-        "reports": len(streams["inline"]),
-    }
-    return rows, comparison
-
-
-def render_planes_table(rows: Sequence[PlaneRow]) -> str:
-    headers = [
-        "plane", "monitors", "workers", "checkpoints",
-        "evaluate wall (s)", "evaluate (s)", "worker CPU (s)",
-        "stop p50 (us)", "stop p99 (us)", "reports", "events",
-    ]
-    table_rows = [
-        [
-            row.plane,
-            str(row.monitors),
-            str(row.workers),
-            str(row.checkpoints),
-            f"{row.evaluate_wall:.4f}",
-            f"{row.evaluate_seconds:.4f}",
-            " ".join(f"{cpu:.3f}" for cpu in row.worker_cpu) or "-",
-            f"{row.worldstop_p50 * 1e6:.1f}",
-            f"{row.worldstop_p99 * 1e6:.1f}",
-            str(row.reports),
-            str(row.events),
-        ]
-        for row in rows
-    ]
-    return render_table(
-        headers,
-        table_rows,
-        title="Phase-2 evaluation planes: in-thread vs worker processes",
-    )
-
-
-def _planes_metrics(
-    rows: Sequence[PlaneRow], comparison: dict, *, backend: str
-) -> MetricsRegistry:
-    """Registry view of the evaluation-plane comparison.
-
-    Besides per-plane gauges, this exports the comparison verdicts the CI
-    scaling gate reads (`repro_bench_streams_identical`, the wall clocks)
-    and a `repro_bench_cpu_count` gauge so the processes-beat-threads
-    gate can be conditioned on actually having cores to scale onto.
-    """
-    registry = MetricsRegistry()
-    registry.gauge(
-        "repro_bench_backend_info",
-        "Bench backend marker (value is always 1).",
-        ("backend",),
-    ).labels(backend=backend).set(1.0)
-    _fill_gauges(
-        registry,
-        ("plane",),
-        [
-            ("repro_bench_evaluate_wall",
-             "Wall clock of the synchronous checkpoint+drain rounds.",
-             lambda r: r.evaluate_wall),
-            ("repro_bench_evaluate_seconds",
-             "Engine-side phase-2 accounting (sums across shards).",
-             lambda r: r.evaluate_seconds),
-            ("repro_bench_worldstop_p50",
-             "Median phase-1 section.",
-             lambda r: r.worldstop_p50),
-            ("repro_bench_worldstop_p99",
-             "p99 phase-1 section.",
-             lambda r: r.worldstop_p99),
-            ("repro_bench_checkpoints",
-             "Checkpoints run.",
-             lambda r: r.checkpoints),
-            ("repro_bench_reports",
-             "Fault reports produced.",
-             lambda r: r.reports),
-            ("repro_bench_events",
-             "Events recorded.",
-             lambda r: r.events),
-        ],
-        rows,
-        lambda r: {"plane": r.plane},
-    )
-    registry.gauge(
-        "repro_bench_streams_identical",
-        "1 when every plane produced a byte-identical report stream.",
-    ).labels().set(1.0 if comparison["streams_identical"] else 0.0)
-    registry.gauge(
-        "repro_bench_plane_speedup",
-        "threads_wall / processes_wall.",
-    ).labels().set(comparison["speedup"])
-    registry.gauge(
-        "repro_bench_cpu_count",
-        "os.cpu_count() of the bench host (gate precondition input).",
-    ).labels().set(float(os.cpu_count() or 1))
-    return registry
-
-
-def planes_to_json(
-    rows: Sequence[PlaneRow], comparison: dict, *, backend: str = "sim"
-) -> dict:
-    return {
-        "bench": "engine_scaling_planes",
-        "backend": backend,
-        "rows": [asdict(row) for row in rows],
-        "comparison": comparison,
-        "metrics": to_json_dict(
-            _planes_metrics(rows, comparison, backend=backend)
+        plane_speedup=(
+            walls["threads"] / walls["processes"] if walls["processes"] else 0.0
         ),
-    }
-
-
-def scaling_table(
-    *,
-    counts: Sequence[int] = DEFAULT_COUNTS,
-    backend: str = "sim",
-    spec: Optional[WorkloadSpec] = None,
-    config: Optional[DetectorConfig] = None,
-    shards: Optional[Sequence[int]] = None,
-) -> list[ScalingRow]:
-    """The full grid: every fleet size under both checking topologies.
-
-    With ``shards`` (a sequence of shard counts), the grid is the sharded
-    comparison instead: one ``cluster`` row per (fleet size, shard count),
-    so staggered N-shard world-stops can be read against the 1-shard
-    baseline directly.
-    """
-    rows: list[ScalingRow] = []
-    for count in counts:
-        if shards:
-            for shard_count in shards:
-                rows.append(
-                    measure_scaling(
-                        count,
-                        "cluster",
-                        backend=backend,
-                        spec=spec,
-                        config=config,
-                        shards=shard_count,
-                    )
-                )
-        else:
-            for mode in ("detectors", "engine"):
-                rows.append(
-                    measure_scaling(
-                        count, mode, backend=backend, spec=spec, config=config
-                    )
-                )
-    return rows
-
-
-def render_scaling_table(rows: Sequence[ScalingRow]) -> str:
-    headers = [
-        "monitors", "mode", "shards", "atomic sections", "checkpoints",
-        "world-stop (s)", "stop max (s)", "evaluate (s)",
-        "reports", "events", "dropped",
-    ]
-    table_rows = [
-        [
-            str(row.monitors),
-            row.mode,
-            str(row.shards),
-            str(row.atomic_sections),
-            str(row.checkpoints),
-            f"{row.worldstop_seconds:.4f}",
-            f"{row.worldstop_max:.5f}",
-            f"{row.evaluate_seconds:.4f}",
-            str(row.reports),
-            str(row.events),
-            str(row.dropped),
-        ]
-        for row in rows
-    ]
-    return render_table(
-        headers,
-        table_rows,
-        title="Engine scaling: per-monitor detectors vs shared engine",
-    )
-
-
-def _scaling_metrics(
-    rows: Sequence[ScalingRow], *, backend: str
-) -> MetricsRegistry:
-    """Registry view of the scaling grid (one child per fleet cell)."""
-    registry = MetricsRegistry()
-    registry.gauge(
-        "repro_bench_backend_info",
-        "Bench backend marker (value is always 1).",
-        ("backend",),
-    ).labels(backend=backend).set(1.0)
-    _fill_gauges(
-        registry,
-        ("monitors", "mode", "shards"),
-        [
-            ("repro_bench_atomic_sections",
-             "World-stop sections entered by checking.",
-             lambda r: r.atomic_sections),
-            ("repro_bench_checkpoints",
-             "Checkpoints run.",
-             lambda r: r.checkpoints),
-            ("repro_bench_checking_seconds",
-             "Total checking seconds.",
-             lambda r: r.checking_seconds),
-            ("repro_bench_worldstop_seconds",
-             "Phase-1 world-stop seconds.",
-             lambda r: r.worldstop_seconds),
-            ("repro_bench_worldstop_max",
-             "Longest single phase-1 section.",
-             lambda r: r.worldstop_max),
-            ("repro_bench_evaluate_seconds",
-             "Phase-2 evaluation seconds.",
-             lambda r: r.evaluate_seconds),
-            ("repro_bench_reports",
-             "Fault reports produced.",
-             lambda r: r.reports),
-            ("repro_bench_events",
-             "Events recorded.",
-             lambda r: r.events),
-            ("repro_bench_dropped_events",
-             "Events the fleet's sinks discarded.",
-             lambda r: r.dropped),
-        ],
-        rows,
-        lambda r: {
-            "monitors": r.monitors,
-            "mode": r.mode,
-            "shards": r.shards,
-        },
+        cpu_count=os.cpu_count() or 1,
     )
     return registry
-
-
-def rows_to_json(rows: Sequence[ScalingRow], *, backend: str) -> dict:
-    """Machine-readable grid for ``--json`` (BENCH_*.json trajectories)."""
-    return {
-        "bench": "engine_scaling",
-        "backend": backend,
-        "rows": [
-            {
-                **asdict(row),
-                "worldstop_mean": row.worldstop_mean,
-            }
-            for row in rows
-        ],
-        "metrics": to_json_dict(_scaling_metrics(rows, backend=backend)),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("sim", "threads"), default="sim")
-    parser.add_argument(
-        "--counts", type=int, nargs="*", default=list(DEFAULT_COUNTS)
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="*",
-        default=None,
-        metavar="N",
-        help="compare sharded clusters instead: one cluster row per "
-        "(fleet size, shard count), e.g. --shards 1 4",
-    )
-    parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="compare phase-2 evaluation planes instead: pooled worker "
-        "threads vs one evaluator worker process per shard, same seeded "
-        "sim workload, byte-identical-stream check included",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="shard/worker count for the plane comparison (default 4)",
-    )
-    parser.add_argument(
-        "--monitors",
-        type=int,
-        default=8,
-        metavar="N",
-        help="fleet size for the plane comparison (default 8)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        metavar="K",
-        help="runs per plane; the best wall clock is kept (default 2)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="workload RNG seed"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workload (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the grid as JSON to PATH ('-' for stdout)",
-    )
-    args = parser.parse_args(argv)
-    if args.processes:
-        spec = (
-            WorkloadSpec(processes=3, operations=20, think_time=0.02)
-            if args.quick
-            else PLANES_SPEC
-        )
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        plane_rows, comparison = planes_table(
-            monitors=args.monitors,
-            workers=args.workers,
-            spec=spec,
-            repeats=args.repeats,
-        )
-        print(render_planes_table(plane_rows))
-        print(
-            f"evaluate wall: threads {comparison['threads_wall']:.4f}s vs "
-            f"processes {comparison['processes_wall']:.4f}s "
-            f"(speedup {comparison['speedup']:.2f}x with "
-            f"{args.workers} workers)"
-        )
-        print(
-            "report streams byte-identical across inline/threads/processes: "
-            f"{comparison['streams_identical']} "
-            f"({comparison['reports']} reports)"
-        )
-        if args.json is not None:
-            envelope = {
-                "command": "scaling",
-                "seed": spec.seed,
-                "results": planes_to_json(plane_rows, comparison),
-            }
-            payload = json.dumps(envelope, indent=2)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"json written to {args.json}")
-        return 0
-    spec = (
-        WorkloadSpec(processes=2, operations=10, think_time=0.05)
-        if args.quick
-        else SCALING_SPEC
-    )
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    rows = scaling_table(
-        counts=args.counts, backend=args.backend, spec=spec, shards=args.shards
-    )
-    print(render_scaling_table(rows))
-    if args.shards:
-        # Make the stagger claim auditable: per-shard detail plus the
-        # N-shard vs 1-shard worst-case world-stop comparison.
-        for row in rows:
-            for stat in row.per_shard:
-                print(
-                    f"N={row.monitors} shards={row.shards} "
-                    f"shard {stat['shard']}: {stat['monitors']} monitors, "
-                    f"offset {stat['offset']:g}, "
-                    f"{stat['checkpoints']} checkpoints, "
-                    f"stop max {stat['worldstop_max'] * 1e6:.1f}us, "
-                    f"evaluate {stat['evaluate_seconds']:.4f}s"
-                )
-        baselines = {
-            row.monitors: row for row in rows if row.shards == 1
-        }
-        for row in rows:
-            base = baselines.get(row.monitors)
-            if row.shards == 1 or base is None:
-                continue
-            verdict = "<" if row.worldstop_max < base.worldstop_max else ">="
-            print(
-                f"N={row.monitors}: max world-stop with {row.shards} shards "
-                f"{row.worldstop_max * 1e6:.1f}us {verdict} 1-shard baseline "
-                f"{base.worldstop_max * 1e6:.1f}us"
-            )
-    else:
-        # Make the amortisation claim auditable from the output alone.
-        by_mode: dict[str, dict[int, ScalingRow]] = {
-            "detectors": {},
-            "engine": {},
-        }
-        for row in rows:
-            by_mode[row.mode][row.monitors] = row
-        for count in sorted(by_mode["engine"]):
-            det = by_mode["detectors"].get(count)
-            eng = by_mode["engine"][count]
-            if det is None or eng.checkpoints == 0:
-                continue
-            print(
-                f"N={count}: engine ran "
-                f"{eng.atomic_sections / eng.checkpoints:.1f} "
-                f"atomic section(s) per interval vs {det.atomic_sections} "
-                "total for per-monitor detectors"
-            )
-            print(
-                f"N={count}: engine world-stop/checkpoint "
-                f"mean {eng.worldstop_mean * 1e6:.1f}us max "
-                f"{eng.worldstop_max * 1e6:.1f}us; "
-                f"{eng.evaluate_seconds:.4f}s of rule evaluation ran off the "
-                "critical path"
-            )
-    total_dropped = sum(row.dropped for row in rows)
-    total_events = sum(row.events for row in rows)
-    print(
-        f"history pressure: {total_dropped} of {total_events} recorded "
-        f"events dropped by the fleets' sinks"
-        + ("" if total_dropped == 0 else " (windows checked in degraded mode)")
-    )
-    if args.json is not None:
-        envelope = {
-            "command": "scaling",
-            "seed": spec.seed,
-            "results": rows_to_json(rows, backend=args.backend),
-        }
-        payload = json.dumps(envelope, indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"json written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

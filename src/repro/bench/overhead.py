@@ -16,51 +16,40 @@ non-increasing in T, similar across the three monitor types — is the
 reproduction target (see EXPERIMENTS.md).
 
 Both kernels are supported: the simulation kernel measures pure CPU cost
-deterministically (default; used by the pytest benchmarks), the thread
-kernel adds real lock contention (``backend="threads"``).
+deterministically (used by the pytest benchmarks), the thread kernel adds
+real lock contention (``backend="threads"``).
+
+Besides Table 1 this module holds the two other ``repro overhead`` modes:
+:func:`wal_bench` (write-ahead-log recording cost per fsync policy) and
+:func:`fleet_bench` (incremental vs full-re-walk phase-2 evaluation).
+Every bench returns a :class:`MetricsRegistry` (see
+:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import shutil
-import statistics
 import tempfile
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.bench.tables import render_table
-from repro.detection.detector import DetectorConfig, FaultDetector, detector_process
-from repro.detection.engine import DetectionEngine, engine_process
+from repro._tables import render_table
+from repro.bench.harness import make_kernel, record, run_kernel
+from repro.detection.config import DetectorConfig
+from repro.detection.session import DetectionSession
 from repro.history.bounded import BoundedHistory
 from repro.history.database import HistoryDatabase
 from repro.history.wal import FSYNC_POLICIES, WriteAheadLog
-from repro.kernel.policies import RandomPolicy
-from repro.kernel.sim import SimKernel
-from repro.kernel.threads import ThreadKernel
-from repro.observability.export import to_json_dict
 from repro.observability.registry import MetricsRegistry
 from repro.workloads.scenarios import WorkloadSpec, build_fleet, build_scenario
 
 __all__ = [
-    "OverheadRow",
-    "measure_overhead",
-    "overhead_table",
-    "render_overhead_table",
-    "rows_to_json",
-    "WalOverheadRow",
-    "measure_wal_overhead",
-    "wal_overhead_table",
-    "render_wal_table",
-    "wal_rows_to_json",
-    "FleetOverheadRow",
-    "measure_fleet_overhead",
-    "render_fleet_table",
-    "fleet_rows_to_json",
-    "main",
+    "PAPER_INTERVALS",
+    "PAPER_SCENARIOS",
+    "overhead_bench",
+    "table1_pivot",
+    "wal_bench",
+    "fleet_bench",
 ]
 
 #: The paper's Table 1 grid.
@@ -71,69 +60,46 @@ PAPER_SCENARIOS: tuple[str, ...] = ("coordinator", "allocator", "manager")
 #: T = 3 s sees ten checkpoints, so the interval sweep is meaningful.
 BENCH_SPEC = WorkloadSpec(processes=6, operations=300, think_time=0.1)
 
-
-@dataclass(frozen=True)
-class OverheadRow:
-    """One cell of the reproduced Table 1."""
-
-    scenario: str
-    interval: float
-    base_seconds: float
-    extended_seconds: float
-    checking_seconds: float
-    ratio: float
-    events: int
-    checkpoints: int
-    #: Events the sink discarded (nonzero only with ``--bounded``).
-    dropped: int = 0
-    #: Phase-1 (atomic snapshot/cut) share of ``checking_seconds`` — the
-    #: only part the workload is actually stopped for.
-    worldstop_seconds: float = 0.0
-    #: Phase-2 (off-critical-path rule evaluation) share.
-    evaluate_seconds: float = 0.0
-    #: Longest single phase-1 section observed.
-    worldstop_max: float = 0.0
-
-    @property
-    def worldstop_mean(self) -> float:
-        """Mean phase-1 world-stop per checkpoint run."""
-        if self.checkpoints == 0:
-            return 0.0
-        return self.worldstop_seconds / self.checkpoints
+#: Generous bounds: the workloads are healthy; the sweeps stay enabled
+#: because their cost is part of what Table 1 measures.
+_QUIET = dict(tmax=120.0, tio=120.0, tlimit=120.0)
 
 
-def _make_kernel(backend: str, seed: int):
-    if backend == "sim":
-        return SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
-    if backend == "threads":
-        return ThreadKernel(time_scale=0.002)
-    raise ValueError(f"unknown backend {backend!r}; use 'sim' or 'threads'")
+def _horizon(spec: WorkloadSpec) -> float:
+    return spec.operations * spec.think_time * 40 + 60
 
 
-def _run_once(
+def _run_scenario(kernel, run, session: Optional[DetectionSession]) -> None:
+    """Run one scenario; the session stops once the last workload process
+    finishes, so small intervals are not charged for checkpoints over an
+    idle monitor after the workload has drained."""
+    remaining = [len(run.bodies)]
+
+    def finishing(body):
+        result = yield from body
+        remaining[0] -= 1
+        if remaining[0] == 0 and session is not None:
+            session.stop()
+        return result
+
+    for index, body in enumerate(run.bodies):
+        kernel.spawn(finishing(body), f"{run.name}-{index}")
+    if session is not None:
+        session.start()
+    run_kernel(kernel, _horizon(run.spec))
+
+
+def _table1_once(
     scenario: str,
     backend: str,
     spec: WorkloadSpec,
     interval: Optional[float],
-    *,
-    use_engine: bool = False,
-    bounded: Optional[int] = None,
-) -> tuple[float, float, int, int, int, float, float, float]:
-    """One workload execution.
-
-    Returns (monitor-op seconds, checking seconds, events recorded,
-    checkpoints run, events dropped, world-stop seconds, evaluate
-    seconds, world-stop max).  ``interval=None`` runs the plain
-    construct (no history, no detector) — the baseline.
-    ``use_engine=True`` checks through a shared :class:`DetectionEngine`
-    registration instead of a ``FaultDetector`` (the two are
-    report-equivalent for one monitor; the flag lets Table 1 be
-    regenerated on the engine path).  ``bounded`` caps the recording sink
-    at that many live events (a :class:`BoundedHistory` ring buffer), so
-    the row also measures what drop-mode recording costs and sheds.
-    """
-    kernel = _make_kernel(backend, spec.seed)
-    history: Optional[Union[HistoryDatabase, BoundedHistory]]
+    bounded: Optional[int],
+) -> dict:
+    """One workload execution; ``interval=None`` runs the plain construct
+    (no history, no session) — the baseline.  ``bounded`` records through
+    a :class:`BoundedHistory` ring buffer of that capacity."""
+    kernel = make_kernel(backend, spec.seed)
     if interval is None:
         history = None
     elif bounded is not None:
@@ -141,309 +107,122 @@ def _run_once(
     else:
         history = HistoryDatabase()
     run = build_scenario(scenario, kernel, history, spec)
-    checker: Optional[Union[FaultDetector, DetectionEngine]] = None
+    session = None
     if interval is not None:
-        # Generous bounds: the workload is healthy; the sweeps are
-        # enabled because their cost is part of what Table 1 measures.
-        config = DetectorConfig(
-            interval=interval, tmax=120.0, tio=120.0, tlimit=120.0
+        session = DetectionSession(
+            kernel,
+            monitors=[run.monitor],
+            config=DetectorConfig(interval=interval, **_QUIET),
+            evaluation="inline",
+            supervised=False,
         )
-        if use_engine:
-            checker = DetectionEngine(kernel, config)
-            checker.register(run.monitor)
-        else:
-            checker = FaultDetector(run.monitor, config)
-
-    # Stop the checker once the last workload process finishes, so small
-    # checking intervals are not charged for checkpoints over an idle
-    # monitor after the workload has drained.
-    remaining = {"count": len(run.bodies)}
-
-    def finishing(body):
-        result = yield from body
-        remaining["count"] -= 1
-        if remaining["count"] == 0 and checker is not None:
-            checker.stop()
-        return result
-
-    for index, body in enumerate(run.bodies):
-        kernel.spawn(finishing(body), f"{run.name}-{index}")
-    if isinstance(checker, DetectionEngine):
-        kernel.spawn(engine_process(checker), "detection-engine")
-    elif checker is not None:
-        kernel.spawn(detector_process(checker), "detector")
-    horizon = spec.operations * spec.think_time * 40 + 60
-    # Collector pauses are the dominant noise source at millisecond op
-    # timings; keep them out of the measured window.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        kernel.run(until=horizon, max_steps=20_000_000)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect()
-    kernel.raise_failures()
-    monitor = run.monitor.monitor
-    engine = (
-        checker
-        if isinstance(checker, DetectionEngine)
-        else (checker.engine if checker is not None else None)
-    )
-    checking = engine.checking_seconds if engine is not None else 0.0
-    worldstop = engine.worldstop_seconds if engine is not None else 0.0
-    evaluate = engine.evaluate_seconds if engine is not None else 0.0
-    worldstop_max = engine.worldstop_max if engine is not None else 0.0
-    events = history.total_recorded if history is not None else 0
-    checkpoints = checker.checkpoints_run if checker is not None else 0
-    dropped = history.dropped_events if history is not None else 0
-    return (
-        monitor.op_seconds,
-        checking,
-        events,
-        checkpoints,
-        dropped,
-        worldstop,
-        evaluate,
-        worldstop_max,
-    )
-
-
-def measure_overhead(
-    scenario: str,
-    interval: float,
-    *,
-    backend: str = "sim",
-    spec: Optional[WorkloadSpec] = None,
-    repeats: int = 3,
-    use_engine: bool = False,
-    bounded: Optional[int] = None,
-) -> OverheadRow:
-    """Measure one Table-1 cell: scenario x checking interval.
-
-    ``repeats`` controls how many paired runs are taken; the minimum of
-    each timing is reported — the standard low-noise estimator for
-    benchmarks, since scheduler and allocator noise only ever adds time.
-    """
-    spec = spec or BENCH_SPEC
-    base_samples: list[float] = []
-    ext_samples: list[tuple[float, float, int, int, int, float, float, float]] = []
-    for __ in range(repeats):
-        base_ops = _run_once(scenario, backend, spec, None)[0]
-        base_samples.append(base_ops)
-        ext_samples.append(
-            _run_once(
-                scenario,
-                backend,
-                spec,
-                interval,
-                use_engine=use_engine,
-                bounded=bounded,
-            )
+    _run_scenario(kernel, run, session)
+    sample = {"op_seconds": run.monitor.monitor.op_seconds}
+    if session is not None:
+        sample.update(
+            checking_seconds=session.checking_seconds,
+            worldstop_seconds=session.worldstop_seconds,
+            worldstop_max=session.worldstop_max,
+            evaluate_seconds=session.evaluate_seconds,
+            events=history.total_recorded,
+            checkpoints=session.checkpoints_run,
+            dropped_events=history.dropped_events,
         )
-    base = min(base_samples)
-    ext_ops = min(sample[0] for sample in ext_samples)
-    checking = min(sample[1] for sample in ext_samples)
-    events = ext_samples[-1][2]
-    checkpoints = ext_samples[-1][3]
-    dropped = ext_samples[-1][4]
-    worldstop = min(sample[5] for sample in ext_samples)
-    evaluate = min(sample[6] for sample in ext_samples)
-    worldstop_max = min(sample[7] for sample in ext_samples)
-    ratio = (ext_ops + checking) / base if base > 0 else float("nan")
-    return OverheadRow(
-        scenario=scenario,
-        interval=interval,
-        base_seconds=base,
-        extended_seconds=ext_ops,
-        checking_seconds=checking,
-        ratio=ratio,
-        events=events,
-        checkpoints=checkpoints,
-        dropped=dropped,
-        worldstop_seconds=worldstop,
-        evaluate_seconds=evaluate,
-        worldstop_max=worldstop_max,
-    )
+    return sample
 
 
-def overhead_table(
+def overhead_bench(
     *,
     intervals: Sequence[float] = PAPER_INTERVALS,
     scenarios: Sequence[str] = PAPER_SCENARIOS,
     backend: str = "sim",
     spec: Optional[WorkloadSpec] = None,
     repeats: int = 3,
-    use_engine: bool = False,
     bounded: Optional[int] = None,
-) -> list[OverheadRow]:
-    """Regenerate the full Table-1 grid."""
-    rows: list[OverheadRow] = []
+) -> MetricsRegistry:
+    """The Table-1 grid: one ``{scenario, interval}`` cell each.
+
+    Each cell takes ``repeats`` paired runs and keeps the minimum of each
+    timing — the standard low-noise estimator, since scheduler and
+    allocator noise only ever adds time.
+    """
+    spec = spec or BENCH_SPEC
+    registry = MetricsRegistry()
+    record(registry, {"backend": backend}, backend_info=1)
     for scenario in scenarios:
         for interval in intervals:
-            rows.append(
-                measure_overhead(
-                    scenario,
-                    interval,
-                    backend=backend,
-                    spec=spec,
-                    repeats=repeats,
-                    use_engine=use_engine,
-                    bounded=bounded,
+            pairs = [
+                (
+                    _table1_once(scenario, backend, spec, None, None),
+                    _table1_once(scenario, backend, spec, interval, bounded),
                 )
+                for __ in range(repeats)
+            ]
+            base = min(plain["op_seconds"] for plain, __ in pairs)
+            samples = [detected for __, detected in pairs]
+            best = {
+                name: min(sample[name] for sample in samples)
+                for name in samples[0]
+            }
+            last = samples[-1]
+            record(
+                registry,
+                {"scenario": scenario, "interval": f"{interval:g}"},
+                overhead_ratio=(
+                    (best["op_seconds"] + best["checking_seconds"]) / base
+                    if base > 0
+                    else float("nan")
+                ),
+                base_seconds=base,
+                extended_seconds=best["op_seconds"],
+                checking_seconds=best["checking_seconds"],
+                worldstop_seconds=best["worldstop_seconds"],
+                worldstop_max=best["worldstop_max"],
+                evaluate_seconds=best["evaluate_seconds"],
+                events=last["events"],
+                checkpoints=last["checkpoints"],
+                dropped_events=last["dropped_events"],
             )
-    return rows
-
-
-def render_overhead_table(rows: Sequence[OverheadRow]) -> str:
-    """Print the grid in the paper's layout (one row per scenario)."""
-    intervals = sorted({row.interval for row in rows})
-    headers = ["monitor type"] + [f"T={interval:g}s" for interval in intervals]
-    by_scenario: dict[str, dict[float, float]] = {}
-    for row in rows:
-        by_scenario.setdefault(row.scenario, {})[row.interval] = row.ratio
-    table_rows = [
-        [scenario]
-        + [f"{cells.get(interval, float('nan')):.3f}" for interval in intervals]
-        for scenario, cells in by_scenario.items()
-    ]
-    return render_table(
-        headers,
-        table_rows,
-        title="Table 1 (reproduced): overhead ratio vs checking interval",
-    )
-
-
-def _fill_gauges(
-    registry: MetricsRegistry,
-    labelnames: Sequence[str],
-    fields: Sequence[tuple],
-    rows: Sequence,
-    labels_of,
-) -> None:
-    """Declare one gauge family per (name, help, getter) and set a child
-    per row — the shared shape of every bench registry."""
-    for name, help_text, get in fields:
-        family = registry.gauge(name, help_text, labelnames)
-        for row in rows:
-            family.labels(**labels_of(row)).set(float(get(row)))
-
-
-def _table_metrics(
-    rows: Sequence[OverheadRow], *, backend: str
-) -> MetricsRegistry:
-    """Registry view of the Table-1 grid (one gauge child per cell)."""
-    registry = MetricsRegistry()
-    registry.gauge(
-        "repro_bench_backend_info",
-        "Bench backend marker (value is always 1).",
-        ("backend",),
-    ).labels(backend=backend).set(1.0)
-    _fill_gauges(
-        registry,
-        ("scenario", "interval"),
-        [
-            ("repro_bench_overhead_ratio",
-             "Extended-vs-base overhead ratio (Table 1 cell).",
-             lambda r: r.ratio),
-            ("repro_bench_base_seconds",
-             "Monitor-op seconds of the plain construct.",
-             lambda r: r.base_seconds),
-            ("repro_bench_extended_seconds",
-             "Monitor-op seconds with recording and checking.",
-             lambda r: r.extended_seconds),
-            ("repro_bench_checking_seconds",
-             "Checkpoint seconds at this interval.",
-             lambda r: r.checking_seconds),
-            ("repro_bench_worldstop_seconds",
-             "Phase-1 world-stop share of the checking seconds.",
-             lambda r: r.worldstop_seconds),
-            ("repro_bench_worldstop_max",
-             "Longest single phase-1 section observed.",
-             lambda r: r.worldstop_max),
-            ("repro_bench_evaluate_seconds",
-             "Phase-2 evaluation share of the checking seconds.",
-             lambda r: r.evaluate_seconds),
-            ("repro_bench_events",
-             "Events recorded by the workload.",
-             lambda r: r.events),
-            ("repro_bench_checkpoints",
-             "Checkpoints run.",
-             lambda r: r.checkpoints),
-            ("repro_bench_dropped_events",
-             "Events the bounded sink discarded.",
-             lambda r: r.dropped),
-        ],
-        rows,
-        lambda r: {"scenario": r.scenario, "interval": f"{r.interval:g}"},
-    )
     return registry
 
 
-def rows_to_json(rows: Sequence[OverheadRow], *, backend: str) -> dict:
-    """Machine-readable grid for ``--json`` (BENCH_*.json trajectories).
-
-    ``metrics`` carries the same cells as a ``repro-metrics/1`` export so
-    gate specs and ``repro metrics`` consumers read one schema.
-    """
-    return {
-        "bench": "overhead",
-        "backend": backend,
-        "rows": [
-            {
-                **asdict(row),
-                "worldstop_mean": row.worldstop_mean,
-            }
-            for row in rows
+def table1_pivot(registry: MetricsRegistry) -> str:
+    """The grid in the paper's layout: one row per scenario, one column
+    per checking interval, overhead ratios in the cells."""
+    cells: dict[str, dict[float, float]] = {}
+    for labels, child in registry.get("repro_bench_overhead_ratio").samples():
+        cells.setdefault(labels["scenario"], {})[
+            float(labels["interval"])
+        ] = child.value
+    intervals = sorted({interval for row in cells.values() for interval in row})
+    return render_table(
+        ["monitor type"] + [f"T={interval:g}s" for interval in intervals],
+        [
+            [scenario]
+            + [f"{row.get(interval, float('nan')):.3f}" for interval in intervals]
+            for scenario, row in cells.items()
         ],
-        "metrics": to_json_dict(_table_metrics(rows, backend=backend)),
-    }
+        title="Table 1 (reproduced): overhead ratio vs checking interval",
+    )
 
 
 # ------------------------------------------------------------ WAL overhead
 
 
-@dataclass(frozen=True)
-class WalOverheadRow:
-    """One recording-sink measurement: scenario x sink policy.
-
-    ``policy`` is ``"memory"`` (the in-memory :class:`HistoryDatabase`
-    baseline) or a WAL fsync policy (``always`` / ``interval`` /
-    ``never``).  ``ratio_vs_memory`` is what durability costs the
-    monitor-operation path — the CI perf-smoke asserts the ``never``
-    policy stays under 2x.
-    """
-
-    scenario: str
-    policy: str
-    op_seconds: float
-    events: int
-    events_per_second: float
-    bytes_written: int
-    bytes_per_event: float
-    fsyncs: int
-    segments: int
-    ratio_vs_memory: float
-
-
-def _run_wal_once(
+def _wal_once(
     scenario: str,
     backend: str,
     spec: WorkloadSpec,
     interval: float,
     policy: Optional[str],
-) -> tuple[float, int, int, int, int]:
-    """One workload run against one recording sink.
-
-    Returns (monitor-op seconds, events recorded, WAL bytes written, WAL
-    fsyncs, WAL segments).  ``policy=None`` records into the in-memory
-    :class:`HistoryDatabase` — the baseline the WAL rows are divided by.
-    The engine runs at ``interval`` in both cases so the WAL's cut-time
-    flush work is part of what gets measured.
-    """
-    kernel = _make_kernel(backend, spec.seed)
-    wal_dir: Optional[Path] = None
-    history: Union[HistoryDatabase, WriteAheadLog]
+) -> dict:
+    """One workload run against one recording sink: the in-memory
+    :class:`HistoryDatabase` for ``policy=None`` (the baseline), else a
+    :class:`WriteAheadLog` with that fsync policy.  The session checks at
+    ``interval`` either way, so the WAL's cut-time flush work is part of
+    what gets measured."""
+    kernel = make_kernel(backend, spec.seed)
+    wal_dir = None
     if policy is None:
         history = HistoryDatabase()
     else:
@@ -451,224 +230,88 @@ def _run_wal_once(
         history = WriteAheadLog(wal_dir, fsync=policy)
     try:
         run = build_scenario(scenario, kernel, history, spec)
-        config = DetectorConfig(
-            interval=interval, tmax=120.0, tio=120.0, tlimit=120.0
+        session = DetectionSession(
+            kernel,
+            monitors=[run.monitor],
+            config=DetectorConfig(interval=interval, **_QUIET),
+            evaluation="inline",
+            supervised=False,
         )
-        engine = DetectionEngine(kernel, config)
-        engine.register(run.monitor)
-        remaining = {"count": len(run.bodies)}
-
-        def finishing(body):
-            result = yield from body
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                engine.stop()
-            return result
-
-        for index, body in enumerate(run.bodies):
-            kernel.spawn(finishing(body), f"{run.name}-{index}")
-        kernel.spawn(engine_process(engine), "detection-engine")
-        horizon = spec.operations * spec.think_time * 40 + 60
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            kernel.run(until=horizon, max_steps=20_000_000)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
-        kernel.raise_failures()
-        ops = run.monitor.monitor.op_seconds
-        events = history.total_recorded
-        if isinstance(history, WriteAheadLog):
+        _run_scenario(kernel, run, session)
+        sample = {
+            "op_seconds": run.monitor.monitor.op_seconds,
+            "events": history.total_recorded,
+            "wal_bytes_written": 0,
+            "wal_fsyncs": 0,
+            "wal_segments": 0,
+        }
+        if wal_dir is not None:
             history.flush(sync=False)
-            stats = (
-                history.bytes_written,
-                history.fsyncs,
-                history.segment_count,
+            sample.update(
+                wal_bytes_written=history.bytes_written,
+                wal_fsyncs=history.fsyncs,
+                wal_segments=history.segment_count,
             )
             history.close()
-        else:
-            stats = (0, 0, 0)
-        return (ops, events) + stats
+        return sample
     finally:
         if wal_dir is not None:
             shutil.rmtree(wal_dir, ignore_errors=True)
 
 
-def measure_wal_overhead(
-    scenario: str,
-    *,
-    backend: str = "sim",
-    spec: Optional[WorkloadSpec] = None,
-    interval: float = 1.0,
-    repeats: int = 3,
-    policies: Sequence[str] = FSYNC_POLICIES,
-) -> list[WalOverheadRow]:
-    """Measure WAL recording cost per fsync policy against in-memory.
-
-    Returns one row per policy plus the leading ``memory`` baseline row;
-    timings are the minimum over ``repeats`` runs (noise only adds).
-    """
-    spec = spec or BENCH_SPEC
-    rows: list[WalOverheadRow] = []
-    base_ops = float("inf")
-    for policy in (None, *policies):
-        samples = [
-            _run_wal_once(scenario, backend, spec, interval, policy)
-            for __ in range(repeats)
-        ]
-        ops = min(sample[0] for sample in samples)
-        events, bytes_written, fsyncs, segments = samples[-1][1:]
-        if policy is None:
-            base_ops = ops
-        rows.append(
-            WalOverheadRow(
-                scenario=scenario,
-                policy=policy or "memory",
-                op_seconds=ops,
-                events=events,
-                events_per_second=events / ops if ops > 0 else float("nan"),
-                bytes_written=bytes_written,
-                bytes_per_event=(
-                    bytes_written / events if events else 0.0
-                ),
-                fsyncs=fsyncs,
-                segments=segments,
-                ratio_vs_memory=(
-                    ops / base_ops if base_ops > 0 else float("nan")
-                ),
-            )
-        )
-    return rows
-
-
-def wal_overhead_table(
+def wal_bench(
     *,
     scenarios: Sequence[str] = PAPER_SCENARIOS,
     backend: str = "sim",
     spec: Optional[WorkloadSpec] = None,
     interval: float = 1.0,
     repeats: int = 3,
-) -> list[WalOverheadRow]:
-    """WAL grid: every scenario x (memory + the three fsync policies)."""
-    rows: list[WalOverheadRow] = []
-    for scenario in scenarios:
-        rows.extend(
-            measure_wal_overhead(
-                scenario,
-                backend=backend,
-                spec=spec,
-                interval=interval,
-                repeats=repeats,
-            )
-        )
-    return rows
-
-
-def render_wal_table(rows: Sequence[WalOverheadRow]) -> str:
-    headers = [
-        "scenario", "sink", "ops (s)", "events", "events/s",
-        "bytes", "bytes/event", "fsyncs", "segments", "vs memory",
-    ]
-    table_rows = [
-        [
-            row.scenario,
-            row.policy,
-            f"{row.op_seconds:.4f}",
-            row.events,
-            f"{row.events_per_second:,.0f}",
-            row.bytes_written,
-            f"{row.bytes_per_event:.1f}",
-            row.fsyncs,
-            row.segments,
-            f"{row.ratio_vs_memory:.3f}x",
-        ]
-        for row in rows
-    ]
-    return render_table(
-        headers,
-        table_rows,
-        title="WAL recording overhead vs in-memory history",
-    )
-
-
-def _wal_metrics(
-    rows: Sequence[WalOverheadRow], *, backend: str
 ) -> MetricsRegistry:
-    """Registry view of the WAL grid, plus per-policy worst-case ratios
-    (`repro_bench_ratio_vs_memory_worst`) so a gate can bound a policy
-    with one selector instead of one per scenario."""
+    """WAL recording cost: every scenario x (memory + each fsync policy).
+
+    ``ratio_vs_memory`` is what durability costs the monitor-operation
+    path; ``ratio_vs_memory_worst{policy}`` is its maximum across
+    scenarios, so one gate selector bounds a policy over the whole grid.
+    """
+    spec = spec or BENCH_SPEC
     registry = MetricsRegistry()
-    registry.gauge(
-        "repro_bench_backend_info",
-        "Bench backend marker (value is always 1).",
-        ("backend",),
-    ).labels(backend=backend).set(1.0)
-    _fill_gauges(
-        registry,
-        ("scenario", "policy"),
-        [
-            ("repro_bench_ratio_vs_memory",
-             "Monitor-op cost of this sink vs the in-memory baseline.",
-             lambda r: r.ratio_vs_memory),
-            ("repro_bench_op_seconds",
-             "Monitor-op seconds against this sink.",
-             lambda r: r.op_seconds),
-            ("repro_bench_events",
-             "Events recorded through this sink.",
-             lambda r: r.events),
-            ("repro_bench_events_per_second",
-             "Recording throughput against this sink.",
-             lambda r: r.events_per_second),
-            ("repro_bench_wal_bytes_written",
-             "Bytes appended to the WAL (0 for the memory baseline).",
-             lambda r: r.bytes_written),
-            ("repro_bench_wal_bytes_per_event",
-             "WAL bytes per recorded event.",
-             lambda r: r.bytes_per_event),
-            ("repro_bench_wal_fsyncs",
-             "fsync calls issued by the WAL.",
-             lambda r: r.fsyncs),
-            ("repro_bench_wal_segments",
-             "WAL segments written.",
-             lambda r: r.segments),
-        ],
-        rows,
-        lambda r: {"scenario": r.scenario, "policy": r.policy},
-    )
-    worst = registry.gauge(
-        "repro_bench_ratio_vs_memory_worst",
-        "Max ratio_vs_memory across scenarios, per sink policy.",
-        ("policy",),
-    )
-    for policy in sorted({row.policy for row in rows}):
-        worst.labels(policy=policy).set(
-            max(
-                row.ratio_vs_memory for row in rows if row.policy == policy
+    record(registry, {"backend": backend}, backend_info=1)
+    worst: dict[str, float] = {}
+    for scenario in scenarios:
+        base = float("nan")
+        for policy in (None, *FSYNC_POLICIES):
+            samples = [
+                _wal_once(scenario, backend, spec, interval, policy)
+                for __ in range(repeats)
+            ]
+            ops = min(sample["op_seconds"] for sample in samples)
+            if policy is None:
+                base = ops
+            last = samples[-1]
+            ratio = ops / base if base > 0 else float("nan")
+            name = policy or "memory"
+            worst[name] = max(worst.get(name, ratio), ratio)
+            record(
+                registry,
+                {"scenario": scenario, "policy": name},
+                ratio_vs_memory=ratio,
+                op_seconds=ops,
+                events=last["events"],
+                events_per_second=(
+                    last["events"] / ops if ops > 0 else float("nan")
+                ),
+                wal_bytes_written=last["wal_bytes_written"],
+                wal_bytes_per_event=(
+                    last["wal_bytes_written"] / last["events"]
+                    if last["events"]
+                    else 0.0
+                ),
+                wal_fsyncs=last["wal_fsyncs"],
+                wal_segments=last["wal_segments"],
             )
-        )
+    for policy, ratio in worst.items():
+        record(registry, {"policy": policy}, ratio_vs_memory_worst=ratio)
     return registry
-
-
-def wal_rows_to_json(rows: Sequence[WalOverheadRow], *, backend: str) -> dict:
-    """Machine-readable WAL grid, durability counters included per row."""
-    return {
-        "bench": "overhead-wal",
-        "backend": backend,
-        "rows": [
-            {
-                **asdict(row),
-                "durability_counters": {
-                    "wal_bytes_written": row.bytes_written,
-                    "wal_fsyncs": row.fsyncs,
-                    "wal_segments": row.segments,
-                },
-            }
-            for row in rows
-        ],
-        "metrics": to_json_dict(_wal_metrics(rows, backend=backend)),
-    }
 
 
 # --------------------------------------------------------- fleet hot path
@@ -685,473 +328,91 @@ FLEET_INTERVAL = 0.25
 FLEET_ROUNDS = 240
 
 
-@dataclass(frozen=True)
-class FleetOverheadRow:
-    """One fleet-sized phase-2 measurement: incremental vs full re-walk.
-
-    Both modes run the identical seeded workload and checkpoint schedule;
-    only :attr:`DetectorConfig.incremental_checking` differs, so
-    ``evaluate_seconds`` isolates what the carried checking lists save.
-    The CI perf-smoke gate asserts the incremental row's
-    ``evaluate_seconds`` is strictly below the full re-walk's.
-    """
-
-    mode: str  # "incremental" | "full"
-    fleet: int
-    events: int
-    events_per_second: float
-    checkpoints: int
-    worldstop_seconds: float
-    worldstop_p50: float
-    worldstop_p99: float
-    evaluate_seconds: float
-    incremental_hits: int
-    incremental_rebases: int
-    incremental_fastpaths: int
-    staged_events: int
-    staged_flushes: int
-    #: Phase-2 evaluation plane ("inline", "threads" or "processes").
-    evaluation: str = "inline"
-
-
-def _run_fleet_once(
+def _fleet_once(
     backend: str,
     spec: WorkloadSpec,
     fleet: int,
-    *,
     incremental: bool,
-    interval: float = FLEET_INTERVAL,
-    rounds: int = FLEET_ROUNDS,
-    evaluation: Optional[str] = None,
-) -> FleetOverheadRow:
+    evaluation: str,
+) -> dict:
     """One fleet execution with a fixed checkpoint count.
 
-    The engine runs exactly ``rounds`` checkpoints rather than stopping
-    when the workload drains: the post-workload idle windows are the
-    fast-path territory the incremental mode is built for, and a fair
+    The session runs exactly ``FLEET_ROUNDS`` checkpoints rather than
+    stopping when the workload drains: the post-workload idle windows are
+    the fast-path territory the incremental mode is built for, and a fair
     comparison must charge the full re-walk for them too.
     """
-    kernel = _make_kernel(backend, spec.seed)
-    config = DetectorConfig(
-        interval=interval,
-        tmax=120.0,
-        tio=120.0,
-        tlimit=120.0,
-        incremental_checking=incremental,
+    kernel = make_kernel(backend, spec.seed)
+    session = DetectionSession(
+        kernel,
+        config=DetectorConfig(
+            interval=FLEET_INTERVAL, incremental_checking=incremental, **_QUIET
+        ),
+        evaluation=evaluation,
+        supervised=False,
     )
     runs = build_fleet(kernel, fleet, spec)
-    cluster = None
-    if evaluation is None:
-        engine = DetectionEngine(kernel, config)
-        for run in runs:
-            engine.register(run.monitor)
-            run.spawn_all(kernel)
-        kernel.spawn(engine_process(engine, rounds=rounds), "detection-engine")
-    else:
-        # Route phase 2 through the requested evaluation plane: a
-        # 1-shard cluster is a single engine plus the worker pool.
-        from repro.detection.cluster import DetectionCluster
-
-        cluster = DetectionCluster(
-            kernel, config, shards=1, evaluation=evaluation
-        )
-        engine = cluster.shards[0].engine
-        for run in runs:
-            cluster.register(run.monitor)
-            run.spawn_all(kernel)
-        cluster.spawn_processes(rounds=rounds, supervised=False)
-    horizon = rounds * interval + 60
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        kernel.run(until=horizon, max_steps=20_000_000)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect()
-    kernel.raise_failures()
-    if cluster is not None:
-        cluster.stop()
+    for run in runs:
+        session.register(run.monitor)
+        run.spawn_all(kernel)
+    session.start(rounds=FLEET_ROUNDS)
+    run_kernel(kernel, FLEET_ROUNDS * FLEET_INTERVAL + 60)
+    session.stop()
     ops = sum(run.monitor.monitor.op_seconds for run in runs)
-    events = sum(
-        entry.history.total_recorded for entry in engine.entries
-    )
-    return FleetOverheadRow(
-        mode="incremental" if incremental else "full",
-        fleet=fleet,
-        events=events,
-        events_per_second=events / ops if ops > 0 else float("nan"),
-        checkpoints=engine.checkpoints_run,
-        worldstop_seconds=engine.worldstop_seconds,
-        worldstop_p50=engine.worldstop_percentile(0.5),
-        worldstop_p99=engine.worldstop_percentile(0.99),
-        evaluate_seconds=engine.evaluate_seconds,
-        incremental_hits=engine.incremental_hits,
-        incremental_rebases=engine.incremental_rebases,
-        incremental_fastpaths=engine.incremental_fastpaths,
-        staged_events=engine.staged_events,
-        staged_flushes=engine.staged_flushes,
-        evaluation=evaluation or "inline",
-    )
+    events = sum(entry.history.total_recorded for entry in session.entries)
+    return {
+        "evaluate_seconds": session.evaluate_seconds,
+        "worldstop_seconds": session.worldstop_seconds,
+        "worldstop_p50": session.worldstop_percentile(0.5),
+        "worldstop_p99": session.worldstop_percentile(0.99),
+        "events_per_second": events / ops if ops > 0 else float("nan"),
+        "events": events,
+        "checkpoints": session.checkpoints_run,
+        "incremental_hits": session.incremental_hits,
+        "incremental_rebases": session.incremental_rebases,
+        "incremental_fastpaths": session.incremental_fastpaths,
+        "staged_events": session.staged_events,
+        "staged_flushes": session.staged_flushes,
+    }
 
 
-def measure_fleet_overhead(
+def fleet_bench(
     fleet: int,
     *,
     backend: str = "sim",
     spec: Optional[WorkloadSpec] = None,
     repeats: int = 3,
-    evaluation: Optional[str] = None,
-) -> list[FleetOverheadRow]:
-    """Paired fleet measurement: one incremental row, one full-re-walk row.
+    evaluation: str = "inline",
+) -> MetricsRegistry:
+    """Paired ``{mode=incremental|full, evaluation}`` fleet measurement.
 
-    Timings are the minimum over ``repeats`` runs per mode (noise only
-    adds); the hot-path counters are deterministic across repeats and
-    taken from the last sample.
+    Both modes run the identical seeded workload and checkpoint schedule;
+    only :attr:`DetectorConfig.incremental_checking` differs, so
+    ``evaluate_seconds`` isolates what the carried checking lists save.
+    Timings are the best over ``repeats`` runs per mode (noise only adds);
+    the hot-path counters are deterministic and taken from the last run.
     """
     spec = spec or FLEET_SPEC
-    rows: list[FleetOverheadRow] = []
-    for incremental in (True, False):
+    registry = MetricsRegistry()
+    record(registry, {"backend": backend}, backend_info=1)
+    for mode in ("incremental", "full"):
         samples = [
-            _run_fleet_once(
-                backend,
-                spec,
-                fleet,
-                incremental=incremental,
-                evaluation=evaluation,
-            )
+            _fleet_once(backend, spec, fleet, mode == "incremental", evaluation)
             for __ in range(repeats)
         ]
-        best = min(samples, key=lambda row: row.evaluate_seconds)
-        last = samples[-1]
-        rows.append(
-            replace(
-                last,
-                worldstop_seconds=min(
-                    row.worldstop_seconds for row in samples
-                ),
-                worldstop_p50=min(row.worldstop_p50 for row in samples),
-                worldstop_p99=min(row.worldstop_p99 for row in samples),
-                evaluate_seconds=best.evaluate_seconds,
-                events_per_second=max(
-                    row.events_per_second for row in samples
-                ),
-            )
+        values = dict(samples[-1])
+        for name in (
+            "evaluate_seconds", "worldstop_seconds",
+            "worldstop_p50", "worldstop_p99",
+        ):
+            values[name] = min(sample[name] for sample in samples)
+        values["events_per_second"] = max(
+            sample["events_per_second"] for sample in samples
         )
-    return rows
-
-
-def render_fleet_table(rows: Sequence[FleetOverheadRow]) -> str:
-    headers = [
-        "mode", "fleet", "events", "events/s", "checkpoints",
-        "world-stop (s)", "stop p50 (s)", "stop p99 (s)", "evaluate (s)",
-        "hits", "rebases", "fastpaths", "staged flushes",
-    ]
-    table_rows = [
-        [
-            row.mode,
-            row.fleet,
-            row.events,
-            f"{row.events_per_second:,.0f}",
-            row.checkpoints,
-            f"{row.worldstop_seconds:.4f}",
-            f"{row.worldstop_p50:.6f}",
-            f"{row.worldstop_p99:.6f}",
-            f"{row.evaluate_seconds:.4f}",
-            row.incremental_hits,
-            row.incremental_rebases,
-            row.incremental_fastpaths,
-            row.staged_flushes,
-        ]
-        for row in rows
-    ]
-    return render_table(
-        headers,
-        table_rows,
-        title="Hot path: incremental checking vs full re-walk",
-    )
-
-
-def _fleet_metrics(
-    rows: Sequence[FleetOverheadRow], *, backend: str
-) -> MetricsRegistry:
-    """Registry view of the incremental-vs-full fleet comparison.
-
-    The CI hot-path gate reads ``repro_bench_evaluate_seconds`` with the
-    ``full`` row as its ratio baseline, and asserts the hot-path counters
-    actually fired on the incremental row.
-    """
-    registry = MetricsRegistry()
-    registry.gauge(
-        "repro_bench_backend_info",
-        "Bench backend marker (value is always 1).",
-        ("backend",),
-    ).labels(backend=backend).set(1.0)
-    _fill_gauges(
-        registry,
-        ("mode", "evaluation"),
-        [
-            ("repro_bench_evaluate_seconds",
-             "Phase-2 evaluation seconds over the fixed checkpoint grid.",
-             lambda r: r.evaluate_seconds),
-            ("repro_bench_worldstop_seconds",
-             "Phase-1 world-stop seconds.",
-             lambda r: r.worldstop_seconds),
-            ("repro_bench_worldstop_p50",
-             "Median phase-1 section.",
-             lambda r: r.worldstop_p50),
-            ("repro_bench_worldstop_p99",
-             "p99 phase-1 section.",
-             lambda r: r.worldstop_p99),
-            ("repro_bench_events",
-             "Events recorded by the fleet workload.",
-             lambda r: r.events),
-            ("repro_bench_events_per_second",
-             "Events recorded per monitor-op second.",
-             lambda r: r.events_per_second),
-            ("repro_bench_checkpoints",
-             "Checkpoints run.",
-             lambda r: r.checkpoints),
-            ("repro_bench_fleet_size",
-             "Monitors in the fleet.",
-             lambda r: r.fleet),
-            ("repro_bench_incremental_hits",
-             "Windows served from a carried checking list.",
-             lambda r: r.incremental_hits),
-            ("repro_bench_incremental_rebases",
-             "Carried checking lists rebased.",
-             lambda r: r.incremental_rebases),
-            ("repro_bench_incremental_fastpaths",
-             "Zero-event windows skipped entirely.",
-             lambda r: r.incremental_fastpaths),
-            ("repro_bench_staged_events",
-             "Events staged through record batching.",
-             lambda r: r.staged_events),
-            ("repro_bench_staged_flushes",
-             "Staged-batch flushes.",
-             lambda r: r.staged_flushes),
-        ],
-        rows,
-        lambda r: {"mode": r.mode, "evaluation": r.evaluation},
-    )
+        record(
+            registry,
+            {"mode": mode, "evaluation": evaluation},
+            fleet_size=fleet,
+            **values,
+        )
     return registry
-
-
-def fleet_rows_to_json(
-    rows: Sequence[FleetOverheadRow], *, backend: str
-) -> dict:
-    """Machine-readable fleet comparison for ``BENCH_overhead.json``."""
-    return {
-        "bench": "overhead-fleet",
-        "backend": backend,
-        "rows": [asdict(row) for row in rows],
-        "metrics": to_json_dict(_fleet_metrics(rows, backend=backend)),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--backend",
-        choices=("sim", "threads"),
-        # The paper measured a real runtime; the thread backend includes
-        # the world-stop stalls that dominate its overhead figures.
-        default="threads",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--seed", type=int, default=None, help="workload RNG seed"
-    )
-    parser.add_argument(
-        "--intervals",
-        type=float,
-        nargs="*",
-        default=list(PAPER_INTERVALS),
-    )
-    parser.add_argument(
-        "--engine",
-        action="store_true",
-        help="check through a shared DetectionEngine registration instead "
-        "of a per-monitor FaultDetector",
-    )
-    parser.add_argument(
-        "--bounded",
-        type=int,
-        default=None,
-        metavar="CAPACITY",
-        help="record through a BoundedHistory ring buffer of this capacity "
-        "instead of the unbounded database (surfaces dropped events)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the grid as JSON to PATH ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--wal",
-        action="store_true",
-        help="measure WAL recording overhead instead of Table 1: "
-        "events/sec and bytes/event for each fsync policy "
-        "(always/interval/never) against the in-memory sink",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="measure the phase-2 hot path on an N-monitor fleet instead "
-        "of Table 1: incremental (carried checking lists) vs the full "
-        "re-walk, same seeded workload and checkpoint schedule",
-    )
-    parser.add_argument(
-        "--evaluation",
-        choices=("threads", "processes"),
-        default=None,
-        help="with --fleet: route phase 2 through the given evaluation "
-        "plane (pooled worker threads, or one evaluator worker process "
-        "per shard) instead of in-line evaluation",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="*",
-        default=list(PAPER_SCENARIOS),
-        help="monitor scenarios to measure (default: all three)",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="measure detection-service ingest instead of Table 1: replay "
-        "a deterministic window-frame corpus through a DetectionServer "
-        "(frames/s, events/s, per-frame latency percentiles)",
-    )
-    args = parser.parse_args(argv)
-    spec = BENCH_SPEC
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.service:
-        from repro.bench.service_bench import main as service_main
-
-        service_argv = ["--repeats", str(args.repeats)]
-        if args.seed is not None:
-            service_argv += ["--seed", str(args.seed)]
-        if args.json is not None:
-            service_argv += ["--json", args.json]
-        return service_main(service_argv)
-    if args.fleet is not None:
-        fleet_spec = FLEET_SPEC
-        if args.seed is not None:
-            fleet_spec = replace(fleet_spec, seed=args.seed)
-        fleet_rows = measure_fleet_overhead(
-            args.fleet,
-            backend=args.backend,
-            spec=fleet_spec,
-            repeats=args.repeats,
-            evaluation=args.evaluation,
-        )
-        print(render_fleet_table(fleet_rows))
-        if args.json is not None:
-            payload = json.dumps(
-                {
-                    "command": "overhead",
-                    "seed": fleet_spec.seed,
-                    "results": fleet_rows_to_json(
-                        fleet_rows, backend=args.backend
-                    ),
-                },
-                indent=2,
-            )
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"json written to {args.json}")
-        return 0
-    if args.wal:
-        interval = args.intervals[0] if args.intervals else 1.0
-        wal_rows = wal_overhead_table(
-            scenarios=args.scenarios,
-            backend=args.backend,
-            spec=spec,
-            interval=interval,
-            repeats=args.repeats,
-        )
-        print(render_wal_table(wal_rows))
-        if args.json is not None:
-            payload = json.dumps(
-                {
-                    "command": "overhead",
-                    "seed": spec.seed,
-                    "results": wal_rows_to_json(
-                        wal_rows, backend=args.backend
-                    ),
-                },
-                indent=2,
-            )
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"json written to {args.json}")
-        return 0
-    rows = overhead_table(
-        intervals=args.intervals,
-        scenarios=args.scenarios,
-        backend=args.backend,
-        spec=spec,
-        repeats=args.repeats,
-        use_engine=args.engine,
-        bounded=args.bounded,
-    )
-    print(render_overhead_table(rows))
-    print()
-    detail_headers = [
-        "scenario", "T", "base ops (s)", "ext ops (s)",
-        "world-stop (s)", "stop max (s)", "evaluate (s)",
-        "ratio", "events", "checkpoints", "dropped",
-    ]
-    detail_rows = [
-        [
-            row.scenario,
-            f"{row.interval:g}",
-            f"{row.base_seconds:.4f}",
-            f"{row.extended_seconds:.4f}",
-            f"{row.worldstop_seconds:.4f}",
-            f"{row.worldstop_max:.5f}",
-            f"{row.evaluate_seconds:.4f}",
-            f"{row.ratio:.3f}",
-            row.events,
-            row.checkpoints,
-            row.dropped,
-        ]
-        for row in rows
-    ]
-    print(render_table(detail_headers, detail_rows, title="Details"))
-    total_dropped = sum(row.dropped for row in rows)
-    if total_dropped:
-        print(
-            f"\n{total_dropped} events dropped by the bounded sink across "
-            f"the grid; lossy windows were checked in degraded mode"
-        )
-    if args.json is not None:
-        payload = json.dumps(
-            {
-                "command": "overhead",
-                "seed": spec.seed,
-                "results": rows_to_json(rows, backend=args.backend),
-            },
-            indent=2,
-        )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"json written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,50 +16,23 @@ evaluation, journal admit — with zero workload noise in the timings.
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
-from repro._tables import render_table
 from repro.apps.bounded_buffer import BoundedBuffer
-from repro.bench.overhead import _fill_gauges
-from repro.observability.export import to_json_dict
-from repro.observability.registry import MetricsRegistry
 from repro.apps.resource_allocator import SingleResourceAllocator
+from repro.bench.harness import record
 from repro.detection.config import DetectorConfig
 from repro.kernel.policies import RandomPolicy
 from repro.kernel.sim import SimKernel
 from repro.kernel.syscalls import Delay, Syscall
+from repro.observability.registry import MetricsRegistry
 from repro.service.client import DetectionClient, client_process
 from repro.service.framing import encode_frame
 from repro.service.protocol import hello_frame
 from repro.service.server import DetectionServer
 
-__all__ = [
-    "ServiceIngestRow",
-    "build_window_corpus",
-    "measure_service_ingest",
-    "render_service_table",
-    "service_rows_to_json",
-    "main",
-]
-
-
-@dataclass(frozen=True)
-class ServiceIngestRow:
-    """One measured replay of the corpus through a fresh server."""
-
-    frames: int
-    events: int
-    bytes_fed: int
-    reports: int
-    elapsed_seconds: float
-    frames_per_second: float
-    events_per_second: float
-    frame_p50_ms: float
-    frame_p99_ms: float
+__all__ = ["build_window_corpus", "service_bench"]
 
 
 def build_window_corpus(
@@ -130,20 +103,15 @@ def build_window_corpus(
     return frames, hello, events
 
 
-def measure_service_ingest(
-    *,
-    seed: int = 0,
-    rounds: int = 30,
-    operations: int = 120,
-    repeats: int = 3,
-) -> list[ServiceIngestRow]:
-    """Replay one corpus through ``repeats`` fresh servers; a row each."""
-    frames, hello, events = build_window_corpus(
-        seed=seed, rounds=rounds, operations=operations
-    )
+def service_bench(*, seed: int = 0, repeats: int = 3) -> MetricsRegistry:
+    """Replay one corpus through ``repeats`` fresh servers (``{repeat}``
+    gauges each), plus the best-repeat throughput that gates read with
+    one selector."""
+    frames, hello, events = build_window_corpus(seed=seed)
     hello_bytes = encode_frame(hello)
-    rows: list[ServiceIngestRow] = []
-    for __ in range(repeats):
+    registry = MetricsRegistry()
+    best = {"events_per_second": 0.0, "frames_per_second": 0.0}
+    for repeat in range(repeats):
         kernel = SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
         server = DetectionServer(
             kernel,
@@ -166,151 +134,31 @@ def measure_service_ingest(
             f"ingest rejected frames: {server.windows_accepted} of "
             f"{len(frames)} accepted"
         )
-        ordered = sorted(latencies)
-        rows.append(
-            ServiceIngestRow(
-                frames=len(frames),
-                events=events,
-                bytes_fed=sum(len(payload) for payload in frames),
-                reports=len(server.delivered),
-                elapsed_seconds=elapsed,
-                frames_per_second=(
-                    len(frames) / elapsed if elapsed > 0 else float("nan")
-                ),
-                events_per_second=(
-                    events / elapsed if elapsed > 0 else float("nan")
-                ),
-                frame_p50_ms=1e3 * ordered[len(ordered) // 2],
-                frame_p99_ms=1e3
-                * ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))],
-            )
+        latencies.sort()
+        throughput = {
+            "events_per_second": events / elapsed,
+            "frames_per_second": len(frames) / elapsed,
+        }
+        if throughput["events_per_second"] > best["events_per_second"]:
+            best = throughput
+        record(
+            registry,
+            {"repeat": repeat},
+            frames=len(frames),
+            events=events,
+            bytes_fed=sum(len(payload) for payload in frames),
+            reports=len(server.delivered),
+            elapsed_seconds=elapsed,
+            frame_p50_ms=1e3 * latencies[len(latencies) // 2],
+            frame_p99_ms=1e3
+            * latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))],
+            **throughput,
         )
         server.close()
-    return rows
-
-
-def render_service_table(rows: Sequence[ServiceIngestRow]) -> str:
-    headers = [
-        "frames", "events", "KiB", "reports", "elapsed (s)",
-        "frames/s", "events/s", "p50 (ms)", "p99 (ms)",
-    ]
-    table_rows = [
-        [
-            row.frames,
-            row.events,
-            f"{row.bytes_fed / 1024:.0f}",
-            row.reports,
-            f"{row.elapsed_seconds:.4f}",
-            f"{row.frames_per_second:,.0f}",
-            f"{row.events_per_second:,.0f}",
-            f"{row.frame_p50_ms:.3f}",
-            f"{row.frame_p99_ms:.3f}",
-        ]
-        for row in rows
-    ]
-    return render_table(
-        headers, table_rows, title="Detection-service ingest (one run per row)"
-    )
-
-
-def _service_metrics(rows: Sequence[ServiceIngestRow]) -> MetricsRegistry:
-    """Registry view of the ingest rows (one child per repeat), plus the
-    best-repeat throughput gauges gates read with one selector."""
-    registry = MetricsRegistry()
-    indices = {id(row): index for index, row in enumerate(rows)}
-    _fill_gauges(
+    record(
         registry,
-        ("repeat",),
-        [
-            ("repro_bench_frames",
-             "Frames replayed into the server.",
-             lambda r: r.frames),
-            ("repro_bench_events",
-             "Events carried by the replayed frames.",
-             lambda r: r.events),
-            ("repro_bench_bytes_fed",
-             "Encoded frame bytes fed.",
-             lambda r: r.bytes_fed),
-            ("repro_bench_reports",
-             "Reports the server delivered.",
-             lambda r: r.reports),
-            ("repro_bench_elapsed_seconds",
-             "Wall clock of the replay.",
-             lambda r: r.elapsed_seconds),
-            ("repro_bench_frames_per_second",
-             "Ingest throughput in frames.",
-             lambda r: r.frames_per_second),
-            ("repro_bench_events_per_second",
-             "Ingest throughput in events.",
-             lambda r: r.events_per_second),
-            ("repro_bench_frame_p50_ms",
-             "Median per-frame feed+poll latency.",
-             lambda r: r.frame_p50_ms),
-            ("repro_bench_frame_p99_ms",
-             "p99 per-frame feed+poll latency.",
-             lambda r: r.frame_p99_ms),
-        ],
-        list(rows),
-        lambda r: {"repeat": indices[id(r)]},
+        {},
+        best_events_per_second=best["events_per_second"],
+        best_frames_per_second=best["frames_per_second"],
     )
-    best = max(rows, key=lambda row: row.events_per_second)
-    registry.gauge(
-        "repro_bench_best_events_per_second",
-        "Best ingest throughput (events) across repeats.",
-    ).labels().set(best.events_per_second)
-    registry.gauge(
-        "repro_bench_best_frames_per_second",
-        "Best ingest throughput (frames) across repeats.",
-    ).labels().set(best.frames_per_second)
     return registry
-
-
-def service_rows_to_json(rows: Sequence[ServiceIngestRow]) -> dict:
-    """Machine-readable ingest figures for ``BENCH_service.json``."""
-    best = max(rows, key=lambda row: row.events_per_second)
-    return {
-        "bench": "service-ingest",
-        "rows": [asdict(row) for row in rows],
-        "best_events_per_second": best.events_per_second,
-        "best_frames_per_second": best.frames_per_second,
-        "metrics": to_json_dict(_service_metrics(rows)),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--operations", type=int, default=120)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--json", metavar="PATH", default=None)
-    args = parser.parse_args(argv)
-    rows = measure_service_ingest(
-        seed=args.seed,
-        rounds=args.rounds,
-        operations=args.operations,
-        repeats=args.repeats,
-    )
-    print(render_service_table(rows))
-    if args.json is not None:
-        payload = json.dumps(
-            {
-                "command": "overhead",
-                "seed": args.seed,
-                "results": service_rows_to_json(rows),
-            },
-            indent=2,
-        )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"json written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -21,10 +21,6 @@ Contents:
   :class:`~repro.detection.engine.DetectionEngine`: many monitors, one
   batched checkpoint per interval inside a single atomic section, with
   per-monitor report streams and engine-level aggregation.
-* :mod:`repro.detection.detector` — the single-monitor
-  :class:`~repro.detection.detector.FaultDetector` façade over the engine:
-  periodic checkpointing, real-time order checking for allocator monitors,
-  report stream.
 * :mod:`repro.detection.supervision` — the detector's own fault tolerance:
   per-monitor :class:`~repro.detection.supervision.CircuitBreaker`
   quarantine, the :class:`~repro.detection.supervision.CheckpointSupervisor`
@@ -63,7 +59,7 @@ from repro.detection.procpool import (
     ProcessEvaluationPool,
     ThreadEvaluationPool,
 )
-from repro.detection.detector import DetectorConfig, FaultDetector, detector_process
+from repro.detection.config import DetectorConfig
 from repro.detection.durability import (
     DurableEngine,
     RecoverySummary,
@@ -114,9 +110,7 @@ __all__ = [
     "ResourceStateChecker",
     "CallingOrderChecker",
     "check_full_trace",
-    "FaultDetector",
     "DetectorConfig",
-    "detector_process",
     "DetectionEngine",
     "RegisteredMonitor",
     "engine_process",

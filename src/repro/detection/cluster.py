@@ -50,7 +50,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, RecoverySummary
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import Histogram, MetricsRegistry
 from repro.detection.engine import (
     DetectionEngine,
     MonitorLike,
@@ -839,22 +839,13 @@ class DetectionCluster:
     def staged_flushes(self) -> int:
         return int(self._sum("staged_flushes"))
 
-    @property
-    def worldstop_samples(self) -> list[float]:
-        """Per-checkpoint phase-1 durations, concatenated in shard order."""
-        samples: list[float] = []
-        for shard in self._shards:
-            samples.extend(shard.engine.worldstop_samples)
-        return samples
-
     def worldstop_percentile(self, q: float) -> float:
-        """Nearest-rank percentile of phase-1 stalls across all shards."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must be within (0, 1], got {q!r}")
-        samples = sorted(self.worldstop_samples)
-        if not samples:
-            return 0.0
-        return samples[max(0, math.ceil(q * len(samples)) - 1)]
+        """Percentile of phase-1 stalls across all shards, estimated from
+        the merged shard histograms and capped at :attr:`worldstop_max`."""
+        merged = Histogram()
+        for shard in self._shards:
+            merged.merge(shard.engine.worldstop_latency)
+        return min(merged.percentile(q), self.worldstop_max)
 
     def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         """Snapshot the whole cluster into one registry, shard-labelled.

@@ -534,7 +534,7 @@ class DurableEngine:
             entry.dropped_in_windows = counters.get("dropped_in_windows", 0)
             entry.degraded_windows = counters.get("degraded_windows", 0)
             entry.forced_captures = counters.get("forced_captures", 0)
-        engine_counters = payload.get("engine", {})
+        saved = payload.get("engine", {})
         for name in (
             "checkpoints_run",
             "atomic_sections",
@@ -542,7 +542,7 @@ class DurableEngine:
             "evaluations_run",
             "check_failures",
         ):
-            setattr(self.engine, name, engine_counters.get(name, 0))
+            setattr(self.engine, name, saved.get(name, 0))
 
     # -------------------------------------------------------------- recovery
 

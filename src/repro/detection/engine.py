@@ -39,13 +39,13 @@ Skips are drop-safe: a monitor whose
 events before ``next_due`` is captured immediately — a skipped interval
 must never silently lose a window.
 
-:class:`~repro.detection.detector.FaultDetector` remains the one-monitor
-façade over this engine, so existing call sites keep working unchanged.
+Applications reach the engine through
+:class:`~repro.detection.session.DetectionSession`, which wraps one or
+more engines in supervision, sharding and durability.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Iterator, Optional, Union
@@ -67,7 +67,7 @@ from repro.history.sink import EventSink, Segment
 from repro.history.states import SchedulingState
 from repro.ids import Pid
 from repro.kernel.syscalls import Delay, Syscall
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import Histogram, MetricsRegistry
 from repro.monitor.construct import Monitor, MonitorBase
 
 __all__ = [
@@ -222,7 +222,7 @@ def evaluate_capture(
 class RegisteredMonitor:
     """Per-monitor detection state held by the engine.
 
-    Owns what the seed's ``FaultDetector`` owned for one monitor: the
+    Owns the paper's per-monitor "fault detection routine" state: the
     attached event sink, the Algorithm-2/3 checker instances selected from
     the declaration, the real-time Algorithm-3 tap, and the monitor's
     report stream.  One checkpoint's worth of checking is split in two:
@@ -585,17 +585,14 @@ class DetectionEngine:
         self.captures_taken = 0
         #: Phase-2 evaluations completed (rules run over a capture).
         self.evaluations_run = 0
-        #: Wall-clock seconds inside phase-1 atomic sections — the actual
-        #: suspend-the-world cost.
-        self.worldstop_seconds = 0.0
+        #: Per-checkpoint phase-1 (world-stop) and per-drain phase-2
+        #: durations.  Bucketed, so memory stays flat however many
+        #: checkpoints run; ``metrics()`` merges both into
+        #: ``repro_phase_latency_seconds``.
+        self.worldstop_latency = Histogram()
+        self.evaluate_latency = Histogram()
         #: Longest single phase-1 section (per-checkpoint world-stop max).
         self.worldstop_max = 0.0
-        #: Per-checkpoint phase-1 durations (world-stop percentile source).
-        self.worldstop_samples: list[float] = []
-        #: Wall-clock seconds spent in phase-2 evaluation (workload live).
-        self.evaluate_seconds = 0.0
-        #: Per-drain phase-2 durations (evaluate latency histogram source).
-        self.evaluate_samples: list[float] = []
         #: Per-monitor evaluations that raised (absorbed by the breaker
         #: instead of escaping the checkpoint).
         self.check_failures = 0
@@ -725,8 +722,7 @@ class DetectionEngine:
             taken = self.kernel.atomic(self._capture_locked)
         finally:
             elapsed = perf_counter() - started
-            self.worldstop_seconds += elapsed
-            self.worldstop_samples.append(elapsed)
+            self.worldstop_latency.observe(elapsed)
             if elapsed > self.worldstop_max:
                 self.worldstop_max = elapsed
         return taken
@@ -795,9 +791,7 @@ class DetectionEngine:
                 entry.reports.extend(reports)
                 found.extend(reports)
         finally:
-            elapsed = perf_counter() - started
-            self.evaluate_seconds += elapsed
-            self.evaluate_samples.append(elapsed)
+            self.evaluate_latency.observe(perf_counter() - started)
         return found
 
     def take_pending_captures(self) -> list[CheckpointCapture]:
@@ -818,6 +812,17 @@ class DetectionEngine:
         return len(self._pending_captures)
 
     @property
+    def worldstop_seconds(self) -> float:
+        """Wall-clock seconds inside phase-1 atomic sections — the actual
+        suspend-the-world cost."""
+        return self.worldstop_latency.sum
+
+    @property
+    def evaluate_seconds(self) -> float:
+        """Wall-clock seconds spent in phase-2 evaluation (workload live)."""
+        return self.evaluate_latency.sum
+
+    @property
     def checking_seconds(self) -> float:
         """Total wall-clock checking cost: world-stop plus evaluation.
 
@@ -830,16 +835,10 @@ class DetectionEngine:
     def worldstop_percentile(self, q: float) -> float:
         """The ``q``-quantile (0 < q <= 1) of per-checkpoint world-stops.
 
-        Nearest-rank over :attr:`worldstop_samples`; 0.0 before the first
-        checkpoint.  The overhead bench publishes p50/p99 from here.
+        Estimated from the histogram buckets and capped at the observed
+        :attr:`worldstop_max`; 0.0 before the first checkpoint.
         """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be within (0, 1], got {q!r}")
-        samples = sorted(self.worldstop_samples)
-        if not samples:
-            return 0.0
-        rank = max(0, math.ceil(q * len(samples)) - 1)
-        return samples[rank]
+        return min(self.worldstop_latency.percentile(q), self.worldstop_max)
 
     # --------------------------------------------------------------- metrics
 
@@ -1001,11 +1000,11 @@ class DetectionEngine:
             "Wall-clock latency per detection phase.",
             names + ("phase",),
         )
-        phase_family.labels(**base, phase="capture").observe_all(
-            self.worldstop_samples
+        phase_family.labels(**base, phase="capture").merge(
+            self.worldstop_latency
         )
-        phase_family.labels(**base, phase="evaluate").observe_all(
-            self.evaluate_samples
+        phase_family.labels(**base, phase="evaluate").merge(
+            self.evaluate_latency
         )
 
         for entry in self._entries:
@@ -1164,7 +1163,7 @@ def engine_process(
 ) -> Iterator[Syscall]:
     """Kernel process body invoking the engine every ``config.interval``.
 
-    One process replaces N ``detector_process`` instances: every interval
+    One process replaces N per-monitor detection routines: every interval
     it runs one two-phase checkpoint over all registered monitors.  Runs
     ``rounds`` checkpoints (forever when None) or until
     :meth:`DetectionEngine.stop` is called::

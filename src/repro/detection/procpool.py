@@ -350,9 +350,7 @@ class ProcessEvaluationPool(EvaluationPool):
                 if handle.dead:
                     self.windows_recovered += len(captures)
         finally:
-            elapsed = perf_counter() - started
-            engine.evaluate_seconds += elapsed
-            engine.evaluate_samples.append(elapsed)
+            engine.evaluate_latency.observe(perf_counter() - started)
         engine.checkpoints_run += 1
         shard.finish_durable_checkpoint()
 

@@ -1,11 +1,10 @@
 """One constructor for the whole detection stack: :class:`DetectionSession`.
 
-The public API had accreted four entry points with inconsistent assembly
-steps — ``FaultDetector`` (one monitor, private engine),
-``DetectionEngine`` (fleet, hand-spawned ``engine_process``),
-``DurableEngine`` (wrap the engine, remember to ``baseline()``), and
-``supervisor_process`` (build a ``CheckpointSupervisor`` first).  A
-session is the one front door::
+Assembling the stack by hand takes several steps — a
+``DetectionEngine`` with a hand-spawned ``engine_process``, a
+``DurableEngine`` wrapper that must be ``baseline()``-d, a
+``CheckpointSupervisor`` for ``supervisor_process``.  A session is the
+one front door, for one monitor or a fleet::
 
     session = DetectionSession(kernel, monitors=[alloc, coord])
     session.start()

@@ -12,33 +12,15 @@ windows), with a text rendering for operator consumption.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from typing import Iterable, Optional
 
 from repro._tables import render_table
-from repro.detection.detector import FaultDetector
 from repro.detection.faults import FaultClass, FaultLevel
 from repro.detection.reports import Confidence, FaultReport
 from repro.observability.registry import MetricsRegistry
 
 __all__ = ["FaultStatistics"]
-
-# Warn-once bookkeeping for the deprecated attribute surface (mirrors the
-# FaultDetector shim): each name warns on first touch, then goes quiet.
-_warned: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 #: Legacy counters key -> registry counter family (summed across labels).
 _REGISTRY_COUNTERS = {
@@ -116,23 +98,6 @@ class FaultStatistics:
         empty for statistics built from raw report streams)."""
         return self._counters
 
-    @property
-    def engine_counters(self) -> dict[str, float]:
-        """Deprecated alias of :attr:`counters` (warns once)."""
-        _warn_deprecated(
-            "FaultStatistics.engine_counters",
-            "FaultStatistics.counters (or the source's metrics() registry)",
-        )
-        return self._counters
-
-    @engine_counters.setter
-    def engine_counters(self, value: dict[str, float]) -> None:
-        _warn_deprecated(
-            "FaultStatistics.engine_counters",
-            "FaultStatistics.counters (or the source's metrics() registry)",
-        )
-        self._counters = dict(value)
-
     # ---------------------------------------------------------------- intake
 
     def record(self, report: FaultReport) -> None:
@@ -162,21 +127,6 @@ class FaultStatistics:
             self.record(report)
 
     @classmethod
-    def from_detector(cls, detector: FaultDetector) -> "FaultStatistics":
-        stats = cls()
-        stats.record_all(detector.reports)
-        return stats
-
-    @classmethod
-    def from_detectors(
-        cls, detectors: Iterable[FaultDetector]
-    ) -> "FaultStatistics":
-        stats = cls()
-        for detector in detectors:
-            stats.record_all(detector.reports)
-        return stats
-
-    @classmethod
     def from_engine(cls, engine) -> "FaultStatistics":
         """Aggregate a :class:`DetectionEngine`'s reports and counters.
 
@@ -185,39 +135,11 @@ class FaultStatistics:
         registry snapshot the exporters and gate runner read — so one
         object carries both "what was found" and "what the finding cost".
         Engines, clusters, durable wrappers and sessions all expose
-        ``metrics()``; engine-shaped objects without it fall back to
-        attribute reads.
+        ``metrics()``.
         """
         stats = cls()
         stats.record_all(engine.reports)
-        metrics = getattr(engine, "metrics", None)
-        if callable(metrics):
-            stats._counters = _counters_from_registry(metrics())
-            return stats
-        stats._counters = {
-            "checkpoints_run": engine.checkpoints_run,
-            "atomic_sections": engine.atomic_sections,
-            "captures_taken": engine.captures_taken,
-            "evaluations_run": engine.evaluations_run,
-            "intervals_skipped": engine.intervals_skipped,
-            "worldstop_seconds": engine.worldstop_seconds,
-            "evaluate_seconds": engine.evaluate_seconds,
-            # Hot-path accounting: carried checking lists and staged record
-            # batches.  getattr defaults keep older engine-shaped objects
-            # (plain detectors in tests) working.
-            "incremental_hits": getattr(engine, "incremental_hits", 0),
-            "incremental_rebases": getattr(engine, "incremental_rebases", 0),
-            "incremental_fastpaths": getattr(
-                engine, "incremental_fastpaths", 0
-            ),
-            "staged_events": getattr(engine, "staged_events", 0),
-            "staged_flushes": getattr(engine, "staged_flushes", 0),
-        }
-        # Anything else wearing durability counters additionally reports
-        # its WAL/snapshot/recovery accounting.
-        durability = getattr(engine, "durability_counters", None)
-        if durability:
-            stats._counters.update(durability)
+        stats._counters = _counters_from_registry(engine.metrics())
         return stats
 
     # --------------------------------------------------------------- queries

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import networkx as nx
 
-from repro.detection.detector import FaultDetector
+from repro.detection.engine import RegisteredMonitor
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.ids import Pid
@@ -47,19 +47,19 @@ class ResourceWaitEdge:
 class DeadlockDetector:
     """Detects circular waits across a set of allocator monitors.
 
-    Construct it over the :class:`~repro.detection.detector.FaultDetector`
-    instances of the participating allocators (each must have Algorithm-3
-    enabled, which is automatic for resource-allocator monitors) and call
-    :meth:`check` periodically — or wire :meth:`process` into a kernel
-    like ``detector_process``.
+    Construct it over the :class:`~repro.detection.engine.RegisteredMonitor`
+    entries that :meth:`DetectionSession.register` returns for the
+    participating allocators (each must have Algorithm-3 enabled, which is
+    automatic for resource-allocator monitors) and call :meth:`check`
+    periodically — or spawn :func:`deadlock_process` on the kernel.
     """
 
-    def __init__(self, detectors: Iterable[FaultDetector]) -> None:
-        self._detectors = list(detectors)
-        for detector in self._detectors:
-            if detector.algorithm3 is None:
+    def __init__(self, entries: Iterable[RegisteredMonitor]) -> None:
+        self._entries = list(entries)
+        for entry in self._entries:
+            if entry.algorithm3 is None:
                 raise ValueError(
-                    f"monitor {detector.monitor.name!r} has no calling-order "
+                    f"monitor {entry.monitor.name!r} has no calling-order "
                     "checker; wait-for analysis needs its Request-List"
                 )
         self.reports: list[FaultReport] = []
@@ -71,10 +71,10 @@ class DeadlockDetector:
     def edges(self) -> list[ResourceWaitEdge]:
         """Current waiter -> holder dependencies across all monitors."""
         edges: list[ResourceWaitEdge] = []
-        for detector in self._detectors:
-            checker = detector.algorithm3
+        for entry in self._entries:
+            checker = entry.algorithm3
             assert checker is not None
-            snapshot = detector.monitor.snapshot()
+            snapshot = entry.monitor.snapshot()
             parked = snapshot.all_waiting_pids() | set(snapshot.running_pids)
             requesters = checker.holders()
             holders = [pid for pid in requesters if pid not in parked]
@@ -86,7 +86,7 @@ class DeadlockDetector:
                             ResourceWaitEdge(
                                 waiter=waiter,
                                 holder=holder,
-                                monitor=detector.monitor.name,
+                                monitor=entry.monitor.name,
                             )
                         )
         return edges
@@ -105,7 +105,7 @@ class DeadlockDetector:
         graph = self.graph()
         if now is None:
             now = max(
-                (d.monitor.kernel.now() for d in self._detectors), default=0.0
+                (e.monitor.kernel.now() for e in self._entries), default=0.0
             )
         new_reports: list[FaultReport] = []
         for cycle in nx.simple_cycles(graph):
@@ -145,10 +145,11 @@ class DeadlockDetector:
 def deadlock_process(detector: DeadlockDetector, interval: float = 1.0):
     """Kernel process body running the wait-for check every ``interval``.
 
-    Spawn alongside the workload, like
-    :func:`~repro.detection.detector.detector_process`::
+    Spawn alongside the workload and its session::
 
-        deadlocks = DeadlockDetector([det_a, det_b])
+        deadlocks = DeadlockDetector(
+            [session.register(fork_a), session.register(fork_b)]
+        )
         kernel.spawn(deadlock_process(deadlocks, interval=1.0))
     """
     from repro.kernel.syscalls import Delay

@@ -121,13 +121,16 @@ class Histogram:
     def __init__(
         self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
     ) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"bucket bounds must be increasing: {bounds}")
-        if any(math.isinf(b) or math.isnan(b) for b in bounds):
-            raise ValueError("+Inf bucket is implicit; bounds must be finite")
+        # The default bounds are known valid; every engine builds two
+        # histograms per session, so skip re-checking them.
+        if bounds is not DEFAULT_LATENCY_BUCKETS:
+            bounds = tuple(float(b) for b in bounds)
+            if not bounds:
+                raise ValueError("histogram needs at least one bucket bound")
+            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+                raise ValueError(f"bucket bounds must be increasing: {bounds}")
+            if any(math.isinf(b) or math.isnan(b) for b in bounds):
+                raise ValueError("+Inf bucket is implicit; bounds must be finite")
         self.bounds = bounds
         self._lock = threading.Lock()
         # One slot per finite bound plus the +Inf slot at the end.

@@ -28,9 +28,8 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.detection.detector import FaultDetector
 from repro.detection.durability import report_key
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.rules import STRule
@@ -174,22 +173,22 @@ class ResetQueuesStrategy(RecoveryStrategy):
 
 
 class RecoverySupervisor:
-    """Couples a detector with an ordered strategy list.
+    """Couples a :class:`~repro.detection.session.DetectionSession` with an
+    ordered strategy list.
 
     Usage::
 
-        supervisor = RecoverySupervisor(detector,
+        supervisor = RecoverySupervisor(session,
                                         [ExpelStrategy(), AlarmStrategy()])
         ...
         new_reports = supervisor.checkpoint_and_recover()
+
+    Each report is acted on at the registered monitor whose declared name
+    the report carries.
     """
 
-    def __init__(
-        self,
-        detector: FaultDetector,
-        strategies: list[RecoveryStrategy],
-    ) -> None:
-        self._detector = detector
+    def __init__(self, session, strategies: list[RecoveryStrategy]) -> None:
+        self._session = session
         self._strategies = list(strategies)
         self.records: list[RecoveryRecord] = []
         #: Report keys already acted on.  A restarted detector replays its
@@ -198,16 +197,18 @@ class RecoverySupervisor:
         #: second expulsion.
         self.handled: set[str] = set()
 
-    @property
-    def detector(self) -> FaultDetector:
-        return self._detector
-
     def checkpoint_and_recover(self) -> list[FaultReport]:
-        """Run one detector checkpoint and recover from its findings."""
-        new_reports = self._detector.checkpoint()
+        """Run one session checkpoint and recover from its findings."""
+        new_reports = self._session.checkpoint()
         for report in new_reports:
             self.recover(report)
         return new_reports
+
+    def _monitor_for(self, report: FaultReport) -> Monitor:
+        for entry in self._session.entries:
+            if entry.monitor.name == report.monitor:
+                return entry.monitor
+        raise KeyError(f"no registered monitor named {report.monitor!r}")
 
     def recover(self, report: FaultReport) -> RecoveryRecord:
         """Offer one report to the strategies; first applicable one wins.
@@ -227,7 +228,7 @@ class RecoverySupervisor:
         self.handled.add(key)
         for strategy in self._strategies:
             if strategy.applies_to(report):
-                record = strategy.apply(self._detector.monitor, report)
+                record = strategy.apply(self._monitor_for(report), report)
                 self.records.append(record)
                 return record
         record = RecoveryRecord(report, RecoveryAction.NONE, "no strategy")

@@ -166,3 +166,46 @@ class TestIntegrityFaultVariants:
         waits = [e for e in buffer.history.full_trace if e.is_wait]
         assert len(waits) == 1
         assert waits[0].cond == "full"
+
+
+class TestCheckpointAtomicity:
+    """``R#`` and its Signal-Exit change together, even on real threads."""
+
+    def test_checkpoint_cannot_split_take_from_its_exit(self):
+        import threading
+
+        from repro.detection import DetectionSession, DetectorConfig
+        from repro.kernel import ThreadKernel
+
+        taken, resume = threading.Event(), threading.Event()
+
+        class ParkedBuffer(BoundedBuffer):
+            # Preempted right after the item leaves the buffer.
+            def _take(self):
+                item = super()._take()
+                taken.set()
+                resume.wait(timeout=5.0)
+                return item
+
+        kernel = ThreadKernel(time_scale=0.01)
+        buffer = ParkedBuffer(kernel, capacity=3, history=HistoryDatabase())
+        session = DetectionSession(
+            kernel,
+            monitors=[buffer],
+            config=DetectorConfig(interval=1000.0, tmax=None, tio=None),
+            evaluation="inline",
+        )
+        kernel.spawn(producer(buffer, 1, delay=0.0))
+        kernel.spawn(consumer(buffer, 1, delay=0.0))
+        assert taken.wait(timeout=5.0)
+        checker = threading.Thread(target=session.checkpoint)
+        checker.start()
+        # A capture taken now would see R# = 3 against s=1, r=0 (R# = 2).
+        checker.join(timeout=0.3)
+        resume.set()
+        kernel.run(until=500)
+        checker.join(timeout=5.0)
+        kernel.raise_failures()
+        assert not checker.is_alive()
+        assert session.checkpoints_run == 1
+        assert session.reports == []

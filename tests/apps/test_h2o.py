@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.h2o import WaterFactory
-from repro.detection import DetectorConfig, FaultDetector, detector_process
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, RandomPolicy, SimKernel
 from repro.kernel.explore import explore_seeds
@@ -88,15 +88,17 @@ class TestWithDetection:
     def test_clean_run_report_free(self):
         kernel = SimKernel(RandomPolicy(seed=7), on_deadlock="stop")
         factory = WaterFactory(kernel, history=HistoryDatabase())
-        detector = FaultDetector(
-            factory, DetectorConfig(interval=0.3, tmax=20.0, tio=20.0)
+        detector = DetectionSession(
+            kernel,
+            monitors=[factory],
+            config=DetectorConfig(interval=0.3, tmax=20.0, tio=20.0),
         )
         log = []
         for index in range(8):
             kernel.spawn(hydrogen(factory, log, delay=0.02 * index))
         for index in range(4):
             kernel.spawn(oxygen(factory, log, delay=0.03 * index))
-        kernel.spawn(detector_process(detector), "detector")
+        detector.start()
         kernel.run(until=30)
         kernel.raise_failures()
         assert factory.molecules == 4

@@ -4,10 +4,9 @@ import pytest
 
 from repro.apps import HoareBoundedBuffer
 from repro.detection import (
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
     check_full_trace,
-    detector_process,
 )
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, RandomPolicy, SimKernel
@@ -77,13 +76,15 @@ class TestDetection:
         buffer = HoareBoundedBuffer(
             kernel, capacity=3, history=history, service_time=0.02
         )
-        detector = FaultDetector(
-            buffer, DetectorConfig(interval=0.5, tmax=30.0, tio=30.0)
+        detector = DetectionSession(
+            kernel,
+            monitors=[buffer],
+            config=DetectorConfig(interval=0.5, tmax=30.0, tio=30.0),
         )
         for __ in range(2):
             kernel.spawn(producer(buffer, 15, delay=0.05))
             kernel.spawn(consumer(buffer, 15, delay=0.04))
-        kernel.spawn(detector_process(detector), "detector")
+        detector.start()
         kernel.run(until=30)
         kernel.raise_failures()
         assert detector.clean, [str(r) for r in detector.reports]
@@ -109,12 +110,14 @@ class TestDetection:
             history=history,
             integrity_fault=BufferIntegrityFault.RECEIVE_IGNORES_EMPTY,
         )
-        detector = FaultDetector(
-            buffer, DetectorConfig(interval=0.5, tmax=None, tio=None)
+        detector = DetectionSession(
+            kernel,
+            monitors=[buffer],
+            config=DetectorConfig(interval=0.5, tmax=None, tio=None),
         )
         kernel.spawn(producer(buffer, 5, delay=0.2))
         kernel.spawn(consumer(buffer, 15, delay=0.02))
-        kernel.spawn(detector_process(detector), "detector")
+        detector.start()
         kernel.run(until=10)
         assert any(
             report.implicates(FaultClass.RECEIVE_EXCEEDS_SEND)

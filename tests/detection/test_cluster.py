@@ -282,9 +282,14 @@ class TestMergedReportDeterminism:
         )
         assert cluster.incremental_hits > 0
         assert cluster.staged_flushes > 0
-        # One world-stop sample per phase-1 atomic section, across shards.
-        samples = cluster.worldstop_samples
-        assert len(samples) == cluster.atomic_sections
+        # One world-stop observation per phase-1 atomic section, across
+        # shards.
+        assert (
+            cluster.metrics().histogram_count(
+                "repro_phase_latency_seconds", {"phase": "capture"}
+            )
+            == cluster.atomic_sections
+        )
         p50 = cluster.worldstop_percentile(0.5)
         p99 = cluster.worldstop_percentile(0.99)
         assert 0.0 < p50 <= p99 <= cluster.worldstop_max

@@ -1,17 +1,10 @@
-"""Integration tests for the FaultDetector on live workloads."""
-
-import pytest
+"""Integration tests for one-monitor DetectionSessions on live workloads
+(the paper's per-monitor fault detection routine)."""
 
 from repro.apps import BoundedBuffer, SharedAccount, SingleResourceAllocator
-from repro.detection import (
-    DetectorConfig,
-    FaultClass,
-    FaultDetector,
-    STRule,
-    detector_process,
-)
+from repro.detection import DetectionSession, DetectorConfig, FaultClass, STRule
 from repro.history import HistoryDatabase
-from repro.kernel import Delay, RandomPolicy, SimKernel
+from repro.kernel import Delay
 from tests.conftest import consumer, producer
 
 
@@ -27,20 +20,24 @@ class TestCleanWorkloads:
         buffer = BoundedBuffer(
             kernel, capacity=3, history=HistoryDatabase(), service_time=0.02
         )
-        detector = FaultDetector(
-            buffer, DetectorConfig(interval=0.5, tmax=10.0, tio=10.0)
+        session = DetectionSession(
+            kernel,
+            monitors=[buffer],
+            config=DetectorConfig(interval=0.5, tmax=10.0, tio=10.0),
         )
         run_buffer_workload(kernel, buffer)
-        kernel.spawn(detector_process(detector), "detector")
+        session.start()
         kernel.run(until=30)
         kernel.raise_failures()
-        assert detector.clean
-        assert detector.checkpoints_run > 10
+        assert session.clean
+        assert session.checkpoints_run > 10
 
     def test_allocator_clean_with_realtime_orders(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(
-            allocator, DetectorConfig(interval=0.5, tlimit=10.0)
+        session = DetectionSession(
+            kernel,
+            monitors=[allocator],
+            config=DetectorConfig(interval=0.5, tlimit=10.0),
         )
 
         def user(i):
@@ -52,15 +49,17 @@ class TestCleanWorkloads:
 
         for i in range(4):
             kernel.spawn(user(i))
-        kernel.spawn(detector_process(detector), "detector")
+        session.start()
         kernel.run(until=30)
         kernel.raise_failures()
-        assert detector.clean
+        assert session.clean
 
     def test_account_clean(self, kernel):
         account = SharedAccount(kernel, 100, history=HistoryDatabase())
-        detector = FaultDetector(
-            account, DetectorConfig(interval=0.5, tmax=20.0, tio=20.0)
+        session = DetectionSession(
+            kernel,
+            monitors=[account],
+            config=DetectorConfig(interval=0.5, tmax=20.0, tio=20.0),
         )
 
         def depositor():
@@ -75,68 +74,73 @@ class TestCleanWorkloads:
 
         kernel.spawn(depositor())
         kernel.spawn(withdrawer())
-        kernel.spawn(detector_process(detector), "detector")
+        session.start()
         kernel.run(until=30)
         kernel.raise_failures()
-        assert detector.clean
+        assert session.clean
 
 
 class TestConfiguration:
     def test_auto_attaches_history(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2)
         assert buffer.history is None
-        detector = FaultDetector(buffer)
+        entry = DetectionSession(kernel).register(buffer)
         assert buffer.history is not None
-        assert detector.monitor.history is buffer.history
+        assert entry.monitor.history is buffer.history
 
     def test_accepts_raw_monitor_or_base(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        via_base = FaultDetector(buffer)
+        via_base = DetectionSession(kernel).register(buffer)
         assert via_base.monitor is buffer.monitor
+        other = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
+        via_monitor = DetectionSession(kernel).register(other.monitor)
+        assert via_monitor.monitor is other.monitor
 
     def test_algorithm_selection_by_type(self, kernel):
+        session = DetectionSession(kernel)
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        buffer_det = FaultDetector(buffer)
-        assert buffer_det.algorithm3 is None  # coordinators skip Algorithm-3
+        # Coordinators skip Algorithm-3.
+        assert session.register(buffer).algorithm3 is None
 
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        alloc_det = FaultDetector(allocator)
-        assert alloc_det.algorithm3 is not None
+        assert session.register(allocator).algorithm3 is not None
 
         account = SharedAccount(kernel, history=HistoryDatabase())
-        acct_det = FaultDetector(account)
-        assert acct_det.algorithm3 is None
+        assert session.register(account).algorithm3 is None
 
     def test_detector_process_rounds(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer, DetectorConfig(interval=1.0))
-        kernel.spawn(detector_process(detector, rounds=3))
+        session = DetectionSession(
+            kernel, monitors=[buffer], config=DetectorConfig(interval=1.0)
+        )
+        session.start(rounds=3)
         kernel.run()
-        assert detector.checkpoints_run == 3
+        assert session.checkpoints_run == 3
 
     def test_stop_ends_detector_process(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer, DetectorConfig(interval=1.0))
+        session = DetectionSession(
+            kernel, monitors=[buffer], config=DetectorConfig(interval=1.0)
+        )
 
         def stopper():
             yield Delay(2.5)
-            detector.stop()
+            session.stop()
 
-        kernel.spawn(detector_process(detector))
+        session.start()
         kernel.spawn(stopper())
         result = kernel.run(until=100)
         assert result.quiesced
-        assert detector.checkpoints_run == 2
+        assert session.checkpoints_run == 2
 
     def test_manual_checkpoint(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)
+        session = DetectionSession(kernel, monitors=[buffer])
         run_buffer_workload(kernel, buffer, items=5, n=1)
         kernel.run(until=30)
         kernel.raise_failures()
-        reports = detector.checkpoint()
-        assert reports == []
-        assert detector.checkpoints_run == 1
+        assert session.checkpoint() == []
+        assert session.checkpoints_run == 1
 
 
 class TestRealtimeOrderChecking:
@@ -144,7 +148,11 @@ class TestRealtimeOrderChecking:
         """Real-time mandate: the report must exist as soon as the event is
         recorded, without any checkpoint having run."""
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator, DetectorConfig(interval=1000.0))
+        session = DetectionSession(
+            kernel,
+            monitors=[allocator],
+            config=DetectorConfig(interval=1000.0),
+        )
 
         def buggy():
             yield from allocator.release()  # release before request
@@ -152,21 +160,22 @@ class TestRealtimeOrderChecking:
         kernel.spawn(buggy())
         kernel.run(until=1.0)
         kernel.raise_failures()
-        assert detector.checkpoints_run == 0
+        assert session.checkpoints_run == 0
         assert any(
             report.rule is STRule.RELEASE_REQUIRES_REQUEST
-            for report in detector.reports
+            for report in session.reports
         )
         assert any(
             report.implicates(FaultClass.RELEASE_BEFORE_REQUEST)
-            for report in detector.reports
+            for report in session.reports
         )
 
     def test_periodic_mode_defers_order_checks(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(
-            allocator,
-            DetectorConfig(interval=5.0, realtime_orders=False),
+        session = DetectionSession(
+            kernel,
+            monitors=[allocator],
+            config=DetectorConfig(interval=5.0, realtime_orders=False),
         )
 
         def buggy():
@@ -175,18 +184,18 @@ class TestRealtimeOrderChecking:
         kernel.spawn(buggy())
         kernel.run(until=1.0)
         kernel.raise_failures()
-        assert detector.reports == []  # not yet checked
-        detector.checkpoint()
+        assert session.reports == []  # not yet checked
+        session.checkpoint()
         assert any(
             report.rule is STRule.RELEASE_REQUIRES_REQUEST
-            for report in detector.reports
+            for report in session.reports
         )
 
 
 class TestReporting:
-    def test_reports_for_rule_and_implicated_faults(self, kernel):
+    def _release_before_request(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
+        session = DetectionSession(kernel, monitors=[allocator])
 
         def buggy():
             yield from allocator.release()
@@ -194,20 +203,17 @@ class TestReporting:
         kernel.spawn(buggy())
         kernel.run(until=1.0)
         kernel.raise_failures()
-        by_rule = detector.reports_for_rule(STRule.RELEASE_REQUIRES_REQUEST)
+        return session
+
+    def test_reports_for_rule_and_implicated_faults(self, kernel):
+        session = self._release_before_request(kernel)
+        by_rule = session.reports_for_rule(STRule.RELEASE_REQUIRES_REQUEST)
         assert len(by_rule) == 1
-        assert FaultClass.RELEASE_BEFORE_REQUEST in detector.implicated_faults()
-        assert not detector.clean
+        assert FaultClass.RELEASE_BEFORE_REQUEST in session.implicated_faults()
+        assert not session.clean
 
     def test_report_render(self, kernel):
-        allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
-
-        def buggy():
-            yield from allocator.release()
-
-        kernel.spawn(buggy())
-        kernel.run(until=1.0)
-        text = detector.reports[0].render()
+        session = self._release_before_request(kernel)
+        text = session.reports[0].render()
         assert "ST-8b" in text
         assert "allocator" in text

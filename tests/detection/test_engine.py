@@ -1,16 +1,15 @@
-"""DetectionEngine: batching, equivalence with per-monitor detectors,
-façade backward compatibility, config validation, tap lifecycle."""
+"""DetectionEngine: batching, equivalence with per-monitor sessions,
+registration surface, config validation, tap lifecycle."""
 
 import pytest
 
 from repro.apps import BoundedBuffer, SharedAccount, SingleResourceAllocator
 from repro.detection import (
     DetectionEngine,
+    DetectionSession,
     DetectorConfig,
     FaultClass,
-    FaultDetector,
     STRule,
-    detector_process,
     engine_process,
 )
 from repro.history import BoundedHistory, HistoryDatabase
@@ -123,7 +122,8 @@ class TestBatching:
 
 class TestEquivalence:
     def test_engine_reports_match_independent_detectors(self):
-        """The batched checkpoint must find exactly what N detectors find."""
+        """The batched checkpoint must find exactly what N one-monitor
+        sessions (the paper's per-monitor detectors) find."""
         config = DetectorConfig(interval=0.5, tmax=30.0, tio=30.0, tlimit=30.0)
 
         # Run A: one engine over three monitors.
@@ -137,13 +137,16 @@ class TestEquivalence:
         kernel_a.run(until=10)
         kernel_a.raise_failures()
 
-        # Run B: three independent detectors on an identically seeded kernel.
+        # Run B: three independent sessions on an identically seeded kernel.
         kernel_b = make_kernel(seed=5)
         monitors_b = build_monitors(kernel_b)
-        detectors = [FaultDetector(m, config) for m in monitors_b]
+        detectors = [
+            DetectionSession(kernel_b, monitors=[m], config=config)
+            for m in monitors_b
+        ]
         spawn_mixed_workload(kernel_b, monitors_b, buggy_release=True)
         for detector in detectors:
-            kernel_b.spawn(detector_process(detector), "detector")
+            detector.start()
         kernel_b.run(until=10)
         kernel_b.raise_failures()
 
@@ -204,16 +207,19 @@ class TestEquivalence:
 
 
 class TestFacadeCompatibility:
+    """A one-monitor session is a one-entry engine with a live surface."""
+
     def test_detector_is_a_one_monitor_engine(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)
-        assert isinstance(detector.engine, DetectionEngine)
-        assert detector.engine.monitors == (buffer.monitor,)
+        session = DetectionSession(kernel, monitors=[buffer])
+        (engine,) = session.engines
+        assert isinstance(engine, DetectionEngine)
+        assert engine.monitors == (buffer.monitor,)
 
     def test_facade_reports_are_live(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
-        reports = detector.reports  # grabbed before the fault fires
+        entry = DetectionSession(kernel).register(allocator)
+        reports = entry.reports  # grabbed before the fault fires
 
         def buggy():
             yield from allocator.release()
@@ -222,20 +228,20 @@ class TestFacadeCompatibility:
         kernel.run(until=1.0)
         kernel.raise_failures()
         assert reports  # the same list object observed the new reports
-        assert reports is detector.reports
+        assert reports is entry.reports
 
     def test_stop_detaches_realtime_tap(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
+        session = DetectionSession(kernel, monitors=[allocator])
         assert allocator.history.listener_count == 1
-        detector.stop()
+        session.stop()
         assert allocator.history.listener_count == 0
-        assert detector.stopped
+        assert session.stopped
 
     def test_stopped_detector_no_longer_observes_events(self, kernel):
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
-        detector.stop()
+        session = DetectionSession(kernel, monitors=[allocator])
+        session.stop()
 
         def buggy():
             yield from allocator.release()
@@ -244,7 +250,7 @@ class TestFacadeCompatibility:
         kernel.run(until=1.0)
         kernel.raise_failures()
         # Tap detached: the level-III fault is no longer reported live.
-        assert detector.reports == []
+        assert session.reports == []
 
 
 class TestConfigValidation:
@@ -337,3 +343,26 @@ class TestEdgeCases:
         engine.stop()
         assert engine.checkpoint() == []
         assert engine.checkpoints_run == 1
+
+
+class TestLatencyMemory:
+    def test_latency_bookkeeping_is_flat_over_100k_phases(self, kernel):
+        """Phase latencies live in fixed-bucket histograms, so a long
+        session (or ``repro serve``) does not grow per checkpoint."""
+        import tracemalloc
+
+        engine = DetectionEngine(kernel, DetectorConfig(interval=1.0))
+        tracemalloc.start()
+        try:
+            for __ in range(1_000):
+                engine.checkpoint()
+            baseline, __ = tracemalloc.get_traced_memory()
+            for __ in range(100_000):
+                engine.checkpoint()
+            grown = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert engine.worldstop_latency.count == 101_000
+        assert engine.evaluate_latency.count == 101_000
+        # Two float-per-phase lists would have grown by megabytes.
+        assert grown < 64 * 1024, grown

@@ -1,18 +1,10 @@
-"""DetectionSession facade: construction, lifecycle, sharding passthrough,
-config presets, and the deprecation shims over the old entry points."""
-
-import warnings
+"""DetectionSession facade: construction, lifecycle, sharding passthrough
+and config presets."""
 
 import pytest
 
-from repro.apps import BoundedBuffer, SingleResourceAllocator
-from repro.detection import (
-    DetectionSession,
-    DetectorConfig,
-    FaultDetector,
-    detector_process,
-)
-from repro.detection import detector as detector_module
+from repro.apps import SingleResourceAllocator
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, FifoPolicy, SimKernel
 
@@ -176,53 +168,3 @@ class TestPresets:
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ValueError, match="adaptive.*bounded.*durable.*paper"):
             DetectorConfig.preset("turbo")
-
-
-class TestDeprecatedShims:
-    def test_fault_detector_warns_once(self):
-        detector_module._warned.clear()
-        kernel = make_kernel()
-        buffer = BoundedBuffer(kernel, 2, history=HistoryDatabase())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            FaultDetector(buffer)
-            FaultDetector(buffer)
-        messages = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(messages) == 1
-        assert messages[0].startswith("FaultDetector is deprecated")
-        assert "DetectionSession" in messages[0]
-
-    def test_detector_process_warns_once(self):
-        detector_module._warned.clear()
-        kernel = make_kernel()
-        buffer = BoundedBuffer(kernel, 2, history=HistoryDatabase())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            detector = FaultDetector(buffer)
-            kernel.spawn(detector_process(detector, rounds=1), "detector")
-            kernel.spawn(detector_process(detector, rounds=1), "detector-2")
-        process_warnings = [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and str(w.message).startswith("detector_process is deprecated")
-        ]
-        assert len(process_warnings) == 1
-
-    def test_shims_still_work(self):
-        detector_module._warned.clear()
-        kernel = make_kernel()
-        allocator = build_allocator(kernel)
-        spawn_users(kernel, allocator)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            detector = FaultDetector(
-                allocator, DetectorConfig(interval=0.25, **QUIET)
-            )
-            kernel.spawn(detector_process(detector), "detector")
-        kernel.run(until=4.0)
-        assert detector.clean

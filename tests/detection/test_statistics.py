@@ -49,18 +49,18 @@ class TestIntake:
 class TestFromDetectors:
     def test_from_detector_run(self, kernel):
         from repro.apps import SingleResourceAllocator
-        from repro.detection import FaultDetector
+        from repro.detection import DetectionSession
         from repro.history import HistoryDatabase
 
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(allocator)
+        session = DetectionSession(kernel, monitors=[allocator])
 
         def buggy():
             yield from allocator.release()
 
         kernel.spawn(buggy())
         kernel.run(until=1.0)
-        stats = FaultStatistics.from_detector(detector)
+        stats = FaultStatistics.from_engine(session)
         assert stats.total_reports >= 1
         assert stats.frequency(FaultClass.RELEASE_BEFORE_REQUEST) >= 1
 

@@ -4,17 +4,22 @@ import pytest
 
 from repro.apps import SingleResourceAllocator
 from repro.apps.dining_philosophers import greedy_philosopher
-from repro.detection import DeadlockDetector, FaultClass, FaultDetector, STRule
+from repro.detection import (
+    DeadlockDetector,
+    DetectionSession,
+    FaultClass,
+    STRule,
+)
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, SimKernel
 
 
 def allocator_with_detector(kernel, name):
+    """An allocator and its registration with a one-monitor session."""
     allocator = SingleResourceAllocator(
         kernel, history=HistoryDatabase(), name=name
     )
-    detector = FaultDetector(allocator)
-    return allocator, detector
+    return allocator, DetectionSession(kernel).register(allocator)
 
 
 class TestConstruction:
@@ -22,9 +27,9 @@ class TestConstruction:
         from repro.apps import BoundedBuffer
 
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)  # coordinator: no Algorithm-3
-        with pytest.raises(ValueError):
-            DeadlockDetector([detector])
+        entry = DetectionSession(kernel).register(buffer)
+        with pytest.raises(ValueError):  # coordinator: no Algorithm-3
+            DeadlockDetector([entry])
 
 
 class TestCleanRuns:

@@ -11,10 +11,9 @@ import pytest
 
 from repro.apps import SharedAccount, SingleResourceAllocator
 from repro.detection import (
+    DetectionSession,
     DetectorConfig,
     FaultClass,
-    FaultDetector,
-    detector_process,
 )
 from repro.history import HistoryDatabase
 from repro.injection import TriggeredHooks
@@ -27,8 +26,10 @@ def run_allocator_with(hooks, seed=0):
         kernel, history=HistoryDatabase(), hooks=hooks
     )
     hooks.core = allocator.monitor.core
-    detector = FaultDetector(
-        allocator, DetectorConfig(interval=0.3, tmax=5.0, tio=10.0, tlimit=None)
+    detector = DetectionSession(
+        kernel,
+        monitors=[allocator],
+        config=DetectorConfig(interval=0.3, tmax=5.0, tio=10.0, tlimit=None),
     )
 
     def user(index):
@@ -40,7 +41,7 @@ def run_allocator_with(hooks, seed=0):
 
     for index in range(4):
         kernel.spawn(user(index))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=25)
     return hooks, detector
 
@@ -49,8 +50,10 @@ def run_account_with(hooks, seed=0):
     kernel = SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
     account = SharedAccount(kernel, 0, history=HistoryDatabase(), hooks=hooks)
     hooks.core = account.monitor.core
-    detector = FaultDetector(
-        account, DetectorConfig(interval=0.3, tmax=8.0, tio=10.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[account],
+        config=DetectorConfig(interval=0.3, tmax=8.0, tio=10.0),
     )
 
     def depositor():
@@ -66,7 +69,7 @@ def run_account_with(hooks, seed=0):
     kernel.spawn(depositor())
     kernel.spawn(withdrawer(10))
     kernel.spawn(withdrawer(5))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=25)
     return hooks, detector
 

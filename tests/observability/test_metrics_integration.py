@@ -2,7 +2,6 @@
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -229,25 +228,6 @@ class TestStatisticsRebase:
         stats = session.statistics()
         assert stats.counters["wal_bytes_written"] > 0
         assert stats.counters["snapshots_written"] > 0
-
-    def test_engine_counters_alias_warns_once(self):
-        import repro.detection.statistics as statistics_module
-
-        statistics_module._warned.discard(
-            "FaultStatistics.engine_counters"
-        )
-        stats = FaultStatistics()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert stats.engine_counters == {}
-            assert stats.engine_counters == {}
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-            and "engine_counters" in str(warning.message)
-        ]
-        assert len(deprecations) == 1
 
     def test_render_includes_engine_counters(self):
         session = run_session()

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from repro.apps import BoundedBuffer, SingleResourceAllocator
 from repro.detection import (
+    DetectionSession,
     DetectorConfig,
-    FaultDetector,
     check_full_trace,
-    detector_process,
 )
 from repro.history import HistoryDatabase
 from repro.injection import TriggeredHooks
@@ -49,14 +48,16 @@ def run_buffer(
     )
     if hooks is not None:
         hooks.core = buffer.monitor.core
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=interval, tmax=100.0, tio=100.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=interval, tmax=100.0, tio=100.0),
     )
     for __ in range(producers):
         kernel.spawn(producer(buffer, items, delay=0.04))
     for __ in range(consumers_n):
         kernel.spawn(consumer(buffer, items, delay=0.04))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=120, max_steps=5_000_000)
     return kernel, buffer, history, detector
 
@@ -99,8 +100,10 @@ class TestNoFalsePositives:
         kernel = SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
         history = HistoryDatabase(retain_full_trace=True)
         allocator = SingleResourceAllocator(kernel, history=history)
-        detector = FaultDetector(
-            allocator, DetectorConfig(interval=0.5, tlimit=100.0)
+        detector = DetectionSession(
+            kernel,
+            monitors=[allocator],
+            config=DetectorConfig(interval=0.5, tlimit=100.0),
         )
 
         def user(i):
@@ -112,7 +115,7 @@ class TestNoFalsePositives:
 
         for i in range(users):
             kernel.spawn(user(i))
-        kernel.spawn(detector_process(detector), "detector")
+        detector.start()
         kernel.run(until=120)
         kernel.raise_failures()
         assert detector.clean, [str(r) for r in detector.reports]

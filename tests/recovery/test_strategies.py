@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import BoundedBuffer
-from repro.detection import DetectorConfig, FaultDetector, STRule
+from repro.detection import DetectionSession, DetectorConfig, STRule
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, SimKernel
 from repro.recovery.strategies import (
@@ -19,8 +19,10 @@ from tests.conftest import consumer, producer
 def wedged_monitor_scenario(kernel):
     """A process terminates inside the buffer, wedging it (fault I.c.4)."""
     buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=1.0, tmax=2.0, tio=60.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=1.0, tmax=2.0, tio=60.0),
     )
 
     def saboteur():
@@ -89,7 +91,7 @@ class TestExpelStrategy:
 
     def test_expel_only_handles_tmax_reports(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)
+        detector = DetectionSession(kernel, monitors=[buffer])
         strategy = ExpelStrategy()
         from repro.detection.reports import FaultReport
 
@@ -133,7 +135,7 @@ class TestResetQueuesStrategy:
 
     def test_never_kills_live_owner(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)
+        detector = DetectionSession(kernel, monitors=[buffer])
         supervisor = RecoverySupervisor(detector, [ResetQueuesStrategy()])
         inside = []
 
@@ -172,7 +174,7 @@ class TestSupervisor:
 
     def test_no_strategy_records_none(self, kernel):
         buffer = BoundedBuffer(kernel, capacity=2, history=HistoryDatabase())
-        detector = FaultDetector(buffer)
+        detector = DetectionSession(kernel, monitors=[buffer])
         supervisor = RecoverySupervisor(detector, [])
         from repro.detection.reports import FaultReport
 

@@ -2,21 +2,23 @@
 
 import pytest
 
+from repro._tables import render_table
 from repro.bench.coverage import coverage_table, run_coverage
-from repro.bench.overhead import (
-    FleetOverheadRow,
-    OverheadRow,
-    fleet_rows_to_json,
-    measure_fleet_overhead,
-    measure_overhead,
-    overhead_table,
-    render_fleet_table,
-    render_overhead_table,
-)
-from repro.bench.tables import render_table
+from repro.bench.harness import render_registry
+from repro.bench.overhead import fleet_bench, overhead_bench, table1_pivot
+from repro.observability.export import to_json_dict
 from repro.workloads import WorkloadSpec
 
 FAST_SPEC = WorkloadSpec(processes=2, operations=10, think_time=0.05)
+
+
+def cells(registry, name):
+    """``{label-values: value}`` for one bench gauge family."""
+    family = registry.get(f"repro_bench_{name}")
+    return {
+        tuple(labels.values()): child.value
+        for labels, child in family.samples()
+    }
 
 
 class TestTables:
@@ -37,79 +39,90 @@ class TestTables:
 
 class TestOverheadHarness:
     def test_measure_produces_consistent_row(self):
-        row = measure_overhead(
-            "coordinator", 1.0, backend="sim", spec=FAST_SPEC, repeats=1
-        )
-        assert isinstance(row, OverheadRow)
-        assert row.scenario == "coordinator"
-        assert row.interval == 1.0
-        assert row.base_seconds > 0
-        assert row.extended_seconds > 0
-        assert row.events > 0
-        assert row.ratio == pytest.approx(
-            (row.extended_seconds + row.checking_seconds) / row.base_seconds
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            measure_overhead("coordinator", 1.0, backend="quantum")
-
-    def test_grid_covers_all_cells(self):
-        rows = overhead_table(
-            intervals=(1.0,),
-            scenarios=("coordinator", "manager"),
-            backend="sim",
-            spec=FAST_SPEC,
-            repeats=1,
-        )
-        assert {(row.scenario, row.interval) for row in rows} == {
-            ("coordinator", 1.0),
-            ("manager", 1.0),
-        }
-
-    def test_render_layout(self):
-        rows = overhead_table(
+        registry = overhead_bench(
             intervals=(1.0,),
             scenarios=("coordinator",),
             backend="sim",
             spec=FAST_SPEC,
             repeats=1,
         )
-        text = render_overhead_table(rows)
+        cell = {"scenario": "coordinator", "interval": "1"}
+
+        def value(name):
+            return registry.value(f"repro_bench_{name}", cell)
+
+        assert value("base_seconds") > 0
+        assert value("extended_seconds") > 0
+        assert value("events") > 0
+        assert value("overhead_ratio") == pytest.approx(
+            (value("extended_seconds") + value("checking_seconds"))
+            / value("base_seconds")
+        )
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError):
+            overhead_bench(intervals=(1.0,), backend="quantum", repeats=1)
+
+    def test_grid_covers_all_cells(self):
+        registry = overhead_bench(
+            intervals=(1.0,),
+            scenarios=("coordinator", "manager"),
+            backend="sim",
+            spec=FAST_SPEC,
+            repeats=1,
+        )
+        assert set(cells(registry, "overhead_ratio")) == {
+            ("coordinator", "1"),
+            ("manager", "1"),
+        }
+
+    def test_render_layout(self):
+        registry = overhead_bench(
+            intervals=(1.0,),
+            scenarios=("coordinator",),
+            backend="sim",
+            spec=FAST_SPEC,
+            repeats=1,
+        )
+        text = table1_pivot(registry)
         assert "Table 1" in text
         assert "coordinator" in text
         assert "T=1s" in text
+        detail = render_registry(registry, title="overhead")
+        assert "overhead_ratio" in detail and "coordinator" in detail
 
 
 class TestFleetHarness:
     @pytest.fixture(scope="class")
-    def rows(self):
-        return measure_fleet_overhead(2, backend="sim", spec=FAST_SPEC, repeats=1)
+    def registry(self):
+        return fleet_bench(2, backend="sim", spec=FAST_SPEC, repeats=1)
 
-    def test_paired_rows_same_workload(self, rows):
-        assert [row.mode for row in rows] == ["incremental", "full"]
-        incremental, full = rows
-        assert isinstance(incremental, FleetOverheadRow)
+    def test_paired_rows_same_workload(self, registry):
+        events = cells(registry, "events")
+        assert set(events) == {("incremental", "inline"), ("full", "inline")}
         # Identical seeded workload and checkpoint schedule on both sides.
-        assert incremental.events == full.events
-        assert incremental.checkpoints == full.checkpoints
-        assert incremental.events > 0
-        assert incremental.evaluate_seconds > 0
+        assert events[("incremental", "inline")] == events[("full", "inline")]
+        checkpoints = cells(registry, "checkpoints")
+        assert len(set(checkpoints.values())) == 1
+        assert events[("incremental", "inline")] > 0
+        assert cells(registry, "evaluate_seconds")[("incremental", "inline")] > 0
 
-    def test_mode_counters(self, rows):
-        incremental, full = rows
-        assert incremental.incremental_hits > 0
-        assert full.incremental_hits == 0
-        assert full.incremental_rebases == 0
-        assert incremental.staged_flushes > 0
+    def test_mode_counters(self, registry):
+        hits = cells(registry, "incremental_hits")
+        assert hits[("incremental", "inline")] > 0
+        assert hits[("full", "inline")] == 0
+        assert cells(registry, "incremental_rebases")[("full", "inline")] == 0
+        assert cells(registry, "staged_flushes")[("incremental", "inline")] > 0
 
-    def test_render_and_json(self, rows):
-        text = render_fleet_table(rows)
+    def test_render_and_json(self, registry):
+        text = render_registry(registry, title="overhead-fleet")
         assert "incremental" in text and "full" in text
-        payload = fleet_rows_to_json(rows, backend="sim")
-        assert payload["bench"] == "overhead-fleet"
-        modes = [row["mode"] for row in payload["rows"]]
-        assert modes == ["incremental", "full"]
+        modes = {
+            entry["labels"]["mode"]
+            for entry in to_json_dict(registry)["metrics"]
+            if entry["name"] == "repro_bench_evaluate_seconds"
+        }
+        assert modes == {"incremental", "full"}
 
 
 class TestCoverageHarness:

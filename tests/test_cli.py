@@ -73,6 +73,44 @@ class TestArgumentHandling:
             main(["frobnicate"])
 
 
+class TestBenchArgumentValidation:
+    """Bad bench values exit 2 with usage instead of failing mid-bench."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["overhead", "--repeats", "0"],
+            ["overhead", "--intervals", "0"],
+            ["overhead", "--intervals", "soon"],
+            ["overhead", "--scenarios", "nope"],
+            ["overhead", "--bounded", "0"],
+            ["overhead", "--fleet", "0"],
+            ["overhead", "--evaluation", "gpu"],
+            ["overhead", "--backend", "quantum"],
+            ["overhead", "--engine"],
+            ["scaling", "--counts", "0"],
+            ["scaling", "--shards", "-1"],
+            ["scaling", "--workers", "0"],
+            ["scaling", "--repeats", "0"],
+            ["scaling", "--monitors", "8"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestAblationsCommand:
+    def test_single_ablation_table(self, capsys):
+        assert main(["ablations", "--only", "a1"]) == 0
+        output = capsys.readouterr().out
+        assert "A1: windowed ST checking vs offline FD checking" in output
+        assert "A2" not in output
+
+
 class TestFaultsCommand:
     def test_reference_card_covers_all_levels(self, capsys):
         assert main(["faults"]) == 0
@@ -125,12 +163,22 @@ class TestJsonEnvelope:
         assert set(payload) == {"command", "seed", "results"}
         assert payload["command"] == "scaling"
         assert payload["seed"] == 3
-        rows = payload["results"]["rows"]
-        assert {row["shards"] for row in rows} == {1, 2}
-        sharded = next(row for row in rows if row["shards"] == 2)
-        assert len(sharded["per_shard"]) == 2
-        for stat in sharded["per_shard"]:
-            assert {"shard", "monitors", "offset", "worldstop_max"} <= set(stat)
+        assert set(payload["results"]) == {"bench", "metrics"}
+        assert payload["results"]["bench"] == "engine_scaling"
+        entries = payload["results"]["metrics"]["metrics"]
+
+        def labels(name):
+            return [e["labels"] for e in entries if e["name"] == name]
+
+        assert {
+            cell["shards"] for cell in labels("repro_bench_worldstop_max")
+        } == {"1", "2"}
+        for name in (
+            "repro_bench_shard_monitors",
+            "repro_bench_shard_offset",
+            "repro_bench_shard_worldstop_max",
+        ):
+            assert {cell["shard"] for cell in labels(name)} == {"0", "1"}
 
     def test_selftest_json_schema(self, tmp_path):
         import json
@@ -179,7 +227,7 @@ class TestJsonEnvelope:
         payload = json.loads(path.read_text())
         assert set(payload) == {"command", "seed", "results"}
         assert payload["command"] == "overhead"
-        assert payload["results"]["rows"]
+        assert payload["results"]["bench"] == "overhead"
         metrics = payload["results"]["metrics"]
         assert metrics["schema"] == "repro-metrics/1"
         names = {entry["name"] for entry in metrics["metrics"]}
@@ -361,3 +409,54 @@ class TestJsonEnvelope:
         payload = json.loads(fail_out.read_text())
         assert payload["results"]["failed"] == 1
         assert payload["results"]["gates"][0]["status"] == "fail"
+
+
+class TestGateSpecs:
+    """Every selector of every committed gate spec (value, baseline and
+    precondition) resolves to exactly one sample of its producing
+    command's JSON, so a renamed metric or label fails here, not in CI."""
+
+    QUICK_COMMANDS = {
+        "gates.toml": [
+            "overhead", "--fleet", "2", "--backend", "sim", "--repeats", "1",
+        ],
+        "gates/wal.toml": [
+            "overhead", "--wal", "--backend", "sim", "--repeats", "1",
+            "--intervals", "1.0", "--scenarios", "allocator",
+        ],
+        "gates/scaling.toml": ["scaling", "--quick", "--counts", "4"],
+        "gates/scaling-shards.toml": [
+            "scaling", "--quick", "--counts", "16", "--shards", "1", "4",
+        ],
+        "gates/scaling-procs.toml": [
+            "scaling", "--processes", "--quick", "--workers", "2",
+            "--repeats", "1",
+        ],
+    }
+
+    def test_every_spec_is_covered(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1] / ".github"
+        specs = {"gates.toml"} | {
+            f"gates/{path.name}" for path in (root / "gates").glob("*.toml")
+        }
+        assert specs == set(self.QUICK_COMMANDS)
+
+    @pytest.mark.parametrize("spec", sorted(QUICK_COMMANDS))
+    def test_selectors_match_exactly_one_sample(self, spec, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.observability.gates import MetricsView, load_gate_specs
+
+        out = tmp_path / "bench.json"
+        assert main(self.QUICK_COMMANDS[spec] + ["--json", str(out)]) == 0
+        capsys.readouterr()
+        view = MetricsView.from_files([str(out)])
+        root = Path(__file__).resolve().parents[1] / ".github"
+        gates = load_gate_specs(str(root / spec))
+        assert gates
+        for gate in gates:
+            selectors = [gate.value, gate.baseline, gate.when and gate.when[0]]
+            for selector in filter(None, selectors):
+                view.lookup(selector)  # raises unless exactly one match

@@ -8,7 +8,7 @@ and absence of detector reports on healthy workloads.
 import pytest
 
 from repro.apps import BoundedBuffer, SingleResourceAllocator
-from repro.detection import DetectorConfig, FaultDetector, detector_process
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, ThreadKernel
 
@@ -66,8 +66,10 @@ class TestBufferOnThreads:
         buffer = BoundedBuffer(
             kernel, capacity=3, history=HistoryDatabase(), service_time=0.005
         )
-        detector = FaultDetector(
-            buffer, DetectorConfig(interval=0.5, tmax=None, tio=None)
+        detector = DetectionSession(
+            kernel,
+            monitors=[buffer],
+            config=DetectorConfig(interval=0.5, tmax=None, tio=None),
         )
 
         def producer():
@@ -91,7 +93,7 @@ class TestBufferOnThreads:
         for __ in range(2):
             kernel.spawn(tracked(producer()))
             kernel.spawn(tracked(consumer()))
-        kernel.spawn(detector_process(detector))
+        detector.start()
         kernel.run(until=3000)
         kernel.raise_failures()
         assert detector.clean, [str(r) for r in detector.reports]
@@ -126,8 +128,10 @@ class TestAllocatorOnThreads:
     def test_realtime_order_fault_caught_on_threads(self):
         kernel = ThreadKernel(time_scale=FAST)
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        detector = FaultDetector(
-            allocator, DetectorConfig(interval=1000.0)
+        detector = DetectionSession(
+            kernel,
+            monitors=[allocator],
+            config=DetectorConfig(interval=1000.0),
         )
 
         def buggy():

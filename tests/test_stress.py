@@ -9,7 +9,7 @@ the rest of the suite.
 import pytest
 
 from repro.apps import BoundedBuffer, CountingResourceAllocator
-from repro.detection import DetectorConfig, FaultDetector, detector_process
+from repro.detection import DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, RandomPolicy, SimKernel
 from tests.conftest import consumer, producer
@@ -21,15 +21,17 @@ def test_large_buffer_workload_with_detection():
     buffer = BoundedBuffer(
         kernel, capacity=8, history=history, service_time=0.001
     )
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=1.0, tmax=100.0, tio=100.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=1.0, tmax=100.0, tio=100.0),
     )
     pairs = 8
     items = 250
     for __ in range(pairs):
         kernel.spawn(producer(buffer, items, delay=0.01))
         kernel.spawn(consumer(buffer, items, delay=0.01))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=500, max_steps=10_000_000)
     kernel.raise_failures()
     assert detector.clean
@@ -43,8 +45,10 @@ def test_many_processes_on_counting_allocator():
     allocator = CountingResourceAllocator(
         kernel, units=5, history=HistoryDatabase()
     )
-    detector = FaultDetector(
-        allocator, DetectorConfig(interval=1.0, tlimit=200.0)
+    detector = DetectionSession(
+        kernel,
+        monitors=[allocator],
+        config=DetectorConfig(interval=1.0, tlimit=200.0),
     )
     users = 40
 
@@ -57,7 +61,7 @@ def test_many_processes_on_counting_allocator():
 
     for index in range(users):
         kernel.spawn(user(index))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=500, max_steps=10_000_000)
     kernel.raise_failures()
     assert detector.clean
@@ -69,12 +73,14 @@ def test_history_pruning_keeps_long_run_bounded():
     kernel = SimKernel(RandomPolicy(seed=6), on_deadlock="stop")
     history = HistoryDatabase()
     buffer = BoundedBuffer(kernel, capacity=4, history=history)
-    detector = FaultDetector(
-        buffer, DetectorConfig(interval=0.5, tmax=None, tio=None)
+    detector = DetectionSession(
+        kernel,
+        monitors=[buffer],
+        config=DetectorConfig(interval=0.5, tmax=None, tio=None),
     )
     kernel.spawn(producer(buffer, 2000, delay=0.01))
     kernel.spawn(consumer(buffer, 2000, delay=0.01))
-    kernel.spawn(detector_process(detector), "detector")
+    detector.start()
     kernel.run(until=100, max_steps=10_000_000)
     kernel.raise_failures()
     assert history.total_recorded >= 8000

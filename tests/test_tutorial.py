@@ -6,9 +6,9 @@ If this file needs changing, update the tutorial to match.
 import pytest
 
 from repro import (
+    DetectionSession,
     DetectorConfig,
     FaultClass,
-    FaultDetector,
     HistoryDatabase,
     MonitorBase,
     MonitorDeclaration,
@@ -16,7 +16,6 @@ from repro import (
     MonitorType,
     TriggeredHooks,
     check_full_trace,
-    detector_process,
     procedure,
 )
 from repro.kernel import Delay, RandomPolicy, SimKernel, explore_seeds
@@ -94,18 +93,21 @@ class TestJobQueue:
         queue = JobQueue(
             kernel, capacity=4, history=HistoryDatabase(retain_full_trace=True)
         )
-        detector = FaultDetector(
-            queue, DetectorConfig(interval=0.5, tmax=10.0, tio=20.0)
+        session = DetectionSession(
+            kernel,
+            monitors=[queue],
+            config=DetectorConfig(interval=0.5, tmax=10.0, tio=20.0),
         )
         metrics = MonitorMetrics.attach(queue)
         sink = []
         jobs = [(f"j{i}", i % 3 == 0) for i in range(20)]
         kernel.spawn(submitter(queue, jobs))
         kernel.spawn(worker(queue, 20, sink))
-        kernel.spawn(detector_process(detector))
+        session.start()
         kernel.run(until=30)
         kernel.raise_failures()
-        assert detector.clean
+        assert session.clean
+        assert session.statistics().total_reports == 0
         assert len(sink) == 20
         assert metrics.calls == {"Send": 20, "Receive": 20}
         offline = check_full_trace(
@@ -122,15 +124,17 @@ class TestJobQueue:
             kernel, capacity=2, history=HistoryDatabase(), hooks=hooks
         )
         hooks.core = queue.monitor.core
-        detector = FaultDetector(queue, DetectorConfig(interval=0.3))
+        session = DetectionSession(
+            kernel, monitors=[queue], config=DetectorConfig(interval=0.3)
+        )
         sink = []
         jobs = [(f"j{i}", False) for i in range(15)]
         kernel.spawn(submitter(queue, jobs))
         kernel.spawn(worker(queue, 15, sink))
-        kernel.spawn(detector_process(detector))
+        session.start()
         kernel.run(until=30)
         assert hooks.fired == 1
-        assert FaultClass.SIGEXIT_NO_RESUME in detector.implicated_faults()
+        assert FaultClass.SIGEXIT_NO_RESUME in session.implicated_faults()
 
     def test_seed_exploration(self):
         def build(kernel):
