@@ -105,15 +105,15 @@ def _measure(
         dropped_events=total("dropped_events"),
     )
     if mode == "session" and shards > 1:
-        for stat in sessions[0].shard_stats():
+        for shard in sessions[0].shards:
             record(
                 registry,
-                {**labels, "shard": stat["shard"]},
-                shard_monitors=stat["monitors"],
-                shard_offset=stat["offset"],
-                shard_checkpoints=stat["checkpoints"],
-                shard_worldstop_max=stat["worldstop_max"],
-                shard_evaluate_seconds=stat["evaluate_seconds"],
+                {**labels, "shard": shard.index},
+                shard_monitors=len(shard.engine.entries),
+                shard_offset=shard.offset,
+                shard_checkpoints=shard.engine.checkpoints_run,
+                shard_worldstop_max=shard.engine.worldstop_max,
+                shard_evaluate_seconds=shard.engine.evaluate_seconds,
             )
 
 

@@ -46,12 +46,13 @@ import abc
 import math
 import random
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, RecoverySummary
 from repro.observability.registry import Histogram, MetricsRegistry
 from repro.detection.engine import (
+    ENGINE_TOTALS,
     DetectionEngine,
     MonitorLike,
     RegisteredMonitor,
@@ -191,6 +192,14 @@ def make_shard_policy(name: str) -> ShardPolicy:
         ) from None
 
 
+#: Attributes a cluster sums over its shards' engines.
+_SHARD_TOTALS = frozenset(ENGINE_TOTALS) | {
+    "worldstop_seconds",
+    "evaluate_seconds",
+    "checking_seconds",
+}
+
+
 # ------------------------------------------------------------------ shards
 
 
@@ -229,6 +238,10 @@ class ClusterShard:
         self.supervisor = CheckpointSupervisor(
             self, rng=random.Random(index)
         )
+        if isinstance(target, DurableEngine):
+            # One supervisor per shard: the snapshots persist the counts
+            # of the supervisor that actually paces the shard.
+            target.supervisor = self.supervisor
 
     # Surface the supervisor and pacing processes expect of an "engine".
 
@@ -323,9 +336,6 @@ class DetectionCluster:
         process).  Default (None): ``config.evaluation``, else threads on
         :class:`~repro.kernel.threads.ThreadKernel` and inline on the
         deterministic sim kernel.
-    evaluate_in_workers:
-        Legacy boolean spelling of ``evaluation`` (True = ``"threads"``,
-        False = ``"inline"``); ignored when ``evaluation`` decides.
     """
 
     def __init__(
@@ -338,7 +348,6 @@ class DetectionCluster:
         durable_root: Optional[Union[str, Path]] = None,
         fsync: str = "interval",
         evaluation: Optional[str] = None,
-        evaluate_in_workers: Optional[bool] = None,
     ) -> None:
         self.kernel = kernel
         self.config = config or DetectorConfig()
@@ -347,8 +356,6 @@ class DetectionCluster:
             raise ValueError(f"shard count must be >= 1, got {count}")
         self.policy = policy or make_shard_policy(self.config.shard_policy)
         self.durable_root = Path(durable_root) if durable_root else None
-        if evaluation is None and evaluate_in_workers is not None:
-            evaluation = "threads" if evaluate_in_workers else "inline"
         if evaluation is None:
             evaluation = self.config.evaluation
         if evaluation is None:
@@ -759,32 +766,14 @@ class DetectionCluster:
 
     # -------------------------------------------------------------- counters
 
-    def _sum(self, name: str) -> float:
-        return sum(getattr(shard.engine, name) for shard in self._shards)
-
-    @property
-    def checkpoints_run(self) -> int:
-        return int(self._sum("checkpoints_run"))
-
-    @property
-    def atomic_sections(self) -> int:
-        return int(self._sum("atomic_sections"))
-
-    @property
-    def captures_taken(self) -> int:
-        return int(self._sum("captures_taken"))
-
-    @property
-    def evaluations_run(self) -> int:
-        return int(self._sum("evaluations_run"))
-
-    @property
-    def check_failures(self) -> int:
-        return int(self._sum("check_failures"))
-
-    @property
-    def worldstop_seconds(self) -> float:
-        return self._sum("worldstop_seconds")
+    def __getattr__(self, name: str):
+        # Engine counters and phase times, read on the cluster, are totals
+        # over its shards.
+        if name in _SHARD_TOTALS:
+            return sum(getattr(shard.engine, name) for shard in self._shards)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @property
     def worldstop_max(self) -> float:
@@ -794,50 +783,6 @@ class DetectionCluster:
             (shard.engine.worldstop_max for shard in self._shards),
             default=0.0,
         )
-
-    @property
-    def evaluate_seconds(self) -> float:
-        return self._sum("evaluate_seconds")
-
-    @property
-    def checking_seconds(self) -> float:
-        return self.worldstop_seconds + self.evaluate_seconds
-
-    @property
-    def dropped_events(self) -> int:
-        return sum(entry.history.dropped_events for entry, __ in self._order)
-
-    @property
-    def degraded_windows(self) -> int:
-        return int(self._sum("degraded_windows"))
-
-    @property
-    def intervals_skipped(self) -> int:
-        return int(self._sum("intervals_skipped"))
-
-    @property
-    def forced_captures(self) -> int:
-        return int(self._sum("forced_captures"))
-
-    @property
-    def incremental_hits(self) -> int:
-        return int(self._sum("incremental_hits"))
-
-    @property
-    def incremental_rebases(self) -> int:
-        return int(self._sum("incremental_rebases"))
-
-    @property
-    def incremental_fastpaths(self) -> int:
-        return int(self._sum("incremental_fastpaths"))
-
-    @property
-    def staged_events(self) -> int:
-        return int(self._sum("staged_events"))
-
-    @property
-    def staged_flushes(self) -> int:
-        return int(self._sum("staged_flushes"))
 
     def worldstop_percentile(self, q: float) -> float:
         """Percentile of phase-1 stalls across all shards, estimated from
@@ -950,30 +895,6 @@ class DetectionCluster:
         )
         return registry
 
-    def shard_stats(self) -> list[dict]:
-        """Per-shard accounting: the bench/CLI ``--shards`` detail rows."""
-        return [
-            {
-                "shard": shard.index,
-                "monitors": len(shard.engine.entries),
-                "offset": shard.offset,
-                "checkpoints": shard.engine.checkpoints_run,
-                "atomic_sections": shard.engine.atomic_sections,
-                "captures_taken": shard.engine.captures_taken,
-                "evaluations_run": shard.engine.evaluations_run,
-                "worldstop_seconds": shard.engine.worldstop_seconds,
-                "worldstop_max": shard.engine.worldstop_max,
-                "evaluate_seconds": shard.engine.evaluate_seconds,
-                "incremental_hits": shard.engine.incremental_hits,
-                "staged_flushes": shard.engine.staged_flushes,
-                "reports": sum(
-                    len(entry.reports) for entry in shard.engine.entries
-                ),
-                "stalls": shard.supervisor.stalls_detected,
-            }
-            for shard in self._shards
-        ]
-
     def __repr__(self) -> str:
         return (
             f"DetectionCluster(shards={self.shard_count}, "
@@ -1001,12 +922,11 @@ def shard_process(
     interval`` for the smallest ``k`` strictly in the future, re-reading
     the offset each round so a rebalance (register/unregister) takes
     effect at the next wake — then runs one shard checkpoint.
-    ``supervised`` routes the checkpoint through the shard's
-    :class:`~repro.detection.supervision.CheckpointSupervisor` with
-    retry/backoff and the stall watchdog, like ``supervisor_process``.
+    ``supervised`` runs each round through the shard's
+    :meth:`~repro.detection.supervision.CheckpointSupervisor.run_round`
+    (retry/backoff and the stall watchdog), like ``supervisor_process``.
     """
     shard = cluster.shards[index]
-    supervisor = shard.supervisor
     remaining = rounds
     while remaining is None or remaining > 0:
         now = cluster.kernel.now()
@@ -1017,35 +937,7 @@ def shard_process(
         if cluster.stopped or shard.engine.stopped:
             return
         if supervised:
-            attempt = 0
-            while True:
-                completed, __ = supervisor.attempt()
-                if completed:
-                    break
-                if attempt >= supervisor.retries:
-                    supervisor.checkpoints_abandoned += 1
-                    supervisor.events.append(
-                        SupervisorEvent(
-                            cluster.kernel.now(),
-                            "gave-up",
-                            f"shard {index} abandoned after "
-                            f"{attempt + 1} attempt(s)",
-                        )
-                    )
-                    break
-                backoff = supervisor.retry_delay(attempt)
-                attempt += 1
-                supervisor.retries_performed += 1
-                supervisor.events.append(
-                    SupervisorEvent(
-                        cluster.kernel.now(),
-                        "retry",
-                        f"shard {index} attempt {attempt} failed; "
-                        f"backing off {backoff:g}",
-                    )
-                )
-                yield Delay(backoff)
-            supervisor.check_stall()
+            yield from shard.supervisor.run_round()
         else:
             shard.checkpoint()
         if remaining is not None:

@@ -269,6 +269,21 @@ class SnapshotStore:
 
 # ----------------------------------------------------------- durable engine
 
+#: The durability counters of a :class:`DurableEngine`, each declared once
+#: as ``(attribute, family, help)``.  The two WAL totals carry no family:
+#: every :class:`~repro.history.wal.WriteAheadLog` exports its own through
+#: the engine's metrics.
+DURABILITY_COUNTERS: tuple[tuple[str, Optional[str], Optional[str]], ...] = (
+    ("wal_bytes_written", None, None),
+    ("wal_fsyncs", None, None),
+    ("snapshots_written", "repro_snapshots_written_total",
+     "Checksummed state snapshots written."),
+    ("recoveries", "repro_recoveries_total",
+     "recover() runs completed in this process."),
+    ("reports_deduplicated", "repro_reports_deduplicated_total",
+     "Re-derived reports rejected by the exactly-once journal."),
+)
+
 
 @dataclass(frozen=True)
 class RecoverySummary:
@@ -353,6 +368,8 @@ class DurableEngine:
         self.recover_latency = Histogram()
         #: Supervisor used for its snapshot/restore of per-monitor state;
         #: also usable to pace this wrapper (it sees ``self.checkpoint``).
+        #: A cluster shard replaces it with the supervisor that paces the
+        #: shard, so snapshots persist that supervisor's counts.
         self.supervisor = CheckpointSupervisor(self)
         self._consumed: dict[str, int] = {}
 
@@ -471,24 +488,13 @@ class DurableEngine:
                         for pid, state in entry.algorithm3._dfa_state.items()
                     },
                 }
-            record["counters"] = {
-                "dropped_in_windows": entry.dropped_in_windows,
-                "degraded_windows": entry.degraded_windows,
-                "forced_captures": entry.forced_captures,
-            }
             checkers[entry.label] = record
-        engine = self.engine
+        # Per-monitor counters ride in the supervisor's per-monitor records.
         return {
             "kind": "durable-engine",
             "supervisor": self.supervisor.snapshot_state(),
             "checkers": checkers,
-            "engine": {
-                "checkpoints_run": engine.checkpoints_run,
-                "atomic_sections": engine.atomic_sections,
-                "captures_taken": engine.captures_taken,
-                "evaluations_run": engine.evaluations_run,
-                "check_failures": engine.check_failures,
-            },
+            "engine": self.engine.counter_state(),
         }
 
     def _write_snapshot(self) -> Path:
@@ -530,19 +536,7 @@ class DurableEngine:
                     int(pid): state
                     for pid, state in algo3["dfa_state"].items()
                 }
-            counters = record.get("counters", {})
-            entry.dropped_in_windows = counters.get("dropped_in_windows", 0)
-            entry.degraded_windows = counters.get("degraded_windows", 0)
-            entry.forced_captures = counters.get("forced_captures", 0)
-        saved = payload.get("engine", {})
-        for name in (
-            "checkpoints_run",
-            "atomic_sections",
-            "captures_taken",
-            "evaluations_run",
-            "check_failures",
-        ):
-            setattr(self.engine, name, saved.get(name, 0))
+        self.engine.restore_counter_state(payload.get("engine", {}))
 
     # -------------------------------------------------------------- recovery
 
@@ -642,25 +636,11 @@ class DurableEngine:
         registry = self.engine.metrics(registry, labels=labels)
         base = {str(k): str(v) for k, v in (labels or {}).items()}
         names = tuple(base)
-
-        def counter(name: str, help: str, value: float) -> None:
-            registry.counter(name, help, names).labels(**base).inc(value)
-
-        counter(
-            "repro_snapshots_written_total",
-            "Checksummed state snapshots written.",
-            self.snapshots.written,
-        )
-        counter(
-            "repro_recoveries_total",
-            "recover() runs completed in this process.",
-            self.recoveries,
-        )
-        counter(
-            "repro_reports_deduplicated_total",
-            "Re-derived reports rejected by the exactly-once journal.",
-            self.reports_deduplicated,
-        )
+        for attr, family, help in DURABILITY_COUNTERS:
+            if family is not None:
+                registry.counter(family, help, names).labels(**base).inc(
+                    getattr(self, attr)
+                )
         registry.gauge(
             "repro_journal_reports",
             "Reports delivered through the durable journal.",
@@ -674,30 +654,33 @@ class DurableEngine:
         return registry
 
     @property
+    def wal_bytes_written(self) -> int:
+        """Bytes appended across this engine's WALs."""
+        return sum(wal.bytes_written for __, wal in self._wal_entries())
+
+    @property
+    def wal_fsyncs(self) -> int:
+        """``os.fsync`` calls issued across this engine's WALs."""
+        return sum(wal.fsyncs for __, wal in self._wal_entries())
+
+    @property
+    def snapshots_written(self) -> int:
+        """Snapshots this engine's store has written."""
+        return self.snapshots.written
+
+    @property
     def durability_counters(self) -> dict[str, int]:
         """The durability cost/benefit counters, bench- and stats-facing."""
-        wal_bytes = 0
-        wal_fsyncs = 0
-        for __, wal in self._wal_entries():
-            wal_bytes += wal.bytes_written
-            wal_fsyncs += wal.fsyncs
         return {
-            "wal_bytes_written": wal_bytes,
-            "wal_fsyncs": wal_fsyncs,
-            "snapshots_written": self.snapshots.written,
-            "recoveries": self.recoveries,
-            "reports_deduplicated": self.reports_deduplicated,
+            attr: getattr(self, attr) for attr, __, __ in DURABILITY_COUNTERS
         }
 
     def __repr__(self) -> str:
-        counters = self.durability_counters
+        counters = ", ".join(
+            f"{key}={value}" for key, value in self.durability_counters.items()
+        )
         return (
             f"DurableEngine(root={str(self.root)!r}, fsync={self.fsync!r}, "
             f"monitors={len(self.engine.entries)}, "
-            f"reports={len(self.reports)}, "
-            f"wal_bytes_written={counters['wal_bytes_written']}, "
-            f"wal_fsyncs={counters['wal_fsyncs']}, "
-            f"snapshots_written={counters['snapshots_written']}, "
-            f"recoveries={counters['recoveries']}, "
-            f"reports_deduplicated={counters['reports_deduplicated']})"
+            f"reports={len(self.reports)}, {counters})"
         )

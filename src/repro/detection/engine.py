@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.detection.algorithm1 import (
     IncrementalConcurrencyChecker,
@@ -72,6 +72,9 @@ from repro.monitor.construct import Monitor, MonitorBase
 
 __all__ = [
     "CheckpointCapture",
+    "CounterSpec",
+    "COUNTERS",
+    "ENGINE_TOTALS",
     "RegisteredMonitor",
     "DetectionEngine",
     "engine_process",
@@ -79,6 +82,120 @@ __all__ = [
 ]
 
 MonitorLike = Union[Monitor, MonitorBase]
+
+
+# ------------------------------------------------------------------ counters
+
+#: :attr:`CounterSpec.scope` values.
+ENGINE = "engine"
+SUMMED = "summed"
+MONITOR = "monitor"
+
+
+@dataclass(frozen=True)
+class CounterSpec:
+    """One detection counter, declared once.
+
+    ``attr`` is a plain attribute (or read-only property) of the object
+    that increments it; ``scope`` says which object that is and how
+    :meth:`DetectionEngine.metrics` exports it:
+
+    * ``ENGINE`` — a :class:`DetectionEngine` attribute;
+    * ``SUMMED`` — a :class:`RegisteredMonitor` attribute, exported (and
+      readable on the engine) as the total over registered monitors plus
+      those already unregistered;
+    * ``MONITOR`` — a :class:`RegisteredMonitor` attribute exported per
+      monitor, under a ``monitor`` label.
+
+    ``persisted`` counters are written to the snapshots and restored on
+    recovery; the others are derived from state that is persisted (or
+    journaled) on its own.
+    """
+
+    attr: str
+    scope: str
+    family: str
+    help: str
+    persisted: bool = False
+
+
+#: Every counter the engine exports.  Drives :meth:`DetectionEngine.metrics`,
+#: the engine's summed totals, the cluster's shard totals,
+#: ``FaultStatistics.counters`` and the counter part of both snapshots.
+COUNTERS: tuple[CounterSpec, ...] = (
+    CounterSpec("checkpoints_run", ENGINE, "repro_engine_checkpoints_total",
+                "Two-phase checkpoints completed.", persisted=True),
+    CounterSpec("atomic_sections", ENGINE,
+                "repro_engine_atomic_sections_total",
+                "Kernel atomic sections entered for checking.",
+                persisted=True),
+    CounterSpec("captures_taken", ENGINE, "repro_engine_captures_total",
+                "Phase-1 captures taken (snapshot + cut).", persisted=True),
+    CounterSpec("evaluations_run", ENGINE, "repro_engine_evaluations_total",
+                "Phase-2 evaluations completed.", persisted=True),
+    CounterSpec("check_failures", ENGINE,
+                "repro_engine_check_failures_total",
+                "Capture/evaluate exceptions absorbed by breakers.",
+                persisted=True),
+    CounterSpec("intervals_skipped", SUMMED,
+                "repro_engine_intervals_skipped_total",
+                "Adaptive-schedule checkpoint skips.", persisted=True),
+    CounterSpec("forced_captures", SUMMED,
+                "repro_engine_forced_captures_total",
+                "Drop-safety captures taken before next_due.",
+                persisted=True),
+    CounterSpec("incremental_hits", SUMMED,
+                "repro_engine_incremental_hits_total",
+                "Windows evaluated on carried checking lists."),
+    CounterSpec("incremental_rebases", SUMMED,
+                "repro_engine_incremental_rebases_total",
+                "Windows that re-seeded checking lists."),
+    CounterSpec("incremental_fastpaths", SUMMED,
+                "repro_engine_incremental_fastpaths_total",
+                "Zero-event windows that skipped comparison."),
+    CounterSpec("staged_events", SUMMED, "repro_engine_staged_events_total",
+                "Events flushed through sink staging buffers."),
+    CounterSpec("staged_flushes", SUMMED,
+                "repro_engine_staged_flushes_total",
+                "Staged-batch flushes across monitor sinks."),
+    CounterSpec("dropped_events", SUMMED,
+                "repro_engine_dropped_events_total",
+                "Events dropped at bounded sinks."),
+    CounterSpec("dropped_in_windows", SUMMED,
+                "repro_engine_dropped_in_windows_total",
+                "Per-window drop counts over cut checking windows.",
+                persisted=True),
+    CounterSpec("degraded_windows", SUMMED,
+                "repro_engine_degraded_windows_total",
+                "Checking windows evaluated in degraded (lossy) mode.",
+                persisted=True),
+    CounterSpec("report_count", MONITOR, "repro_monitor_reports_total",
+                "Fault reports per registered monitor."),
+    CounterSpec("checkpoints_run", MONITOR,
+                "repro_monitor_checkpoints_total",
+                "Checkpoints evaluated per registered monitor.",
+                persisted=True),
+    CounterSpec("degraded_windows", MONITOR,
+                "repro_monitor_degraded_windows_total",
+                "Degraded (lossy) windows per registered monitor.",
+                persisted=True),
+)
+
+#: Counters readable on an engine (and, summed over shards, on a cluster).
+ENGINE_TOTALS: tuple[str, ...] = tuple(
+    spec.attr for spec in COUNTERS if spec.scope != MONITOR
+)
+_SUMMED = frozenset(spec.attr for spec in COUNTERS if spec.scope == SUMMED)
+_ENGINE_PERSISTED = tuple(
+    spec.attr for spec in COUNTERS if spec.persisted and spec.scope == ENGINE
+)
+_MONITOR_PERSISTED = tuple(
+    dict.fromkeys(
+        spec.attr
+        for spec in COUNTERS
+        if spec.persisted and spec.scope != ENGINE
+    )
+)
 
 
 def _unwrap(target: MonitorLike) -> Monitor:
@@ -403,9 +520,10 @@ class RegisteredMonitor:
         comparison rules: only drop-tolerant rules survive (see
         :func:`repro.detection.rules.degrade_to_drop_tolerant`) and their
         reports are downgraded to :attr:`Confidence.DEGRADED` — a
-        truncated trace must degrade, not false-positive.
+        truncated trace must degrade, not false-positive.  Counting is the
+        engine's (:meth:`DetectionEngine.record_evaluation`).
         """
-        found = evaluate_capture(
+        return evaluate_capture(
             self.monitor.declaration,
             self.config,
             monitor_name=self.monitor.name,
@@ -417,19 +535,14 @@ class RegisteredMonitor:
             segment=capture.segment,
             request_list=capture.request_list,
         )
-        self.checkpoints_run += 1
-        if not capture.segment.complete:
-            self.dropped_in_windows += capture.segment.dropped
-            self.degraded_windows += 1
-        return found
 
     def check(self) -> list[FaultReport]:
         """Capture and evaluate in one call (single-phase convenience).
 
-        Equivalent to one engine checkpoint for this monitor alone; kept
-        for direct callers and tests.  Goes through the instance's
-        ``evaluate`` attribute so wrappers installed on it (the chaos
-        harness's sabotage) apply here too.
+        Runs the rules of one checkpoint for this monitor alone, without
+        the engine's bookkeeping; kept for direct callers and tests.  Goes
+        through the instance's ``evaluate`` attribute so wrappers
+        installed on it (the chaos harness's sabotage) apply here too.
         """
         return self.evaluate(self.capture(self.monitor.kernel.now()))
 
@@ -528,6 +641,25 @@ class RegisteredMonitor:
         return getattr(self.history, "staged_flushes", 0)
 
     @property
+    def dropped_events(self) -> int:
+        """Events this monitor's sink dropped (total ever, at the sink)."""
+        return self.history.dropped_events
+
+    @property
+    def report_count(self) -> int:
+        """Reports in this monitor's stream."""
+        return len(self.reports)
+
+    def counter_state(self) -> dict[str, int]:
+        """This monitor's persisted :data:`COUNTERS`, for snapshots."""
+        return {attr: getattr(self, attr) for attr in _MONITOR_PERSISTED}
+
+    def restore_counter_state(self, saved: dict) -> None:
+        """Re-apply a :meth:`counter_state` dict (missing keys read 0)."""
+        for attr in _MONITOR_PERSISTED:
+            setattr(self, attr, saved.get(attr, 0))
+
+    @property
     def quarantined(self) -> bool:
         """True while this monitor's breaker is OPEN (checker sat out)."""
         return self.breaker.quarantined
@@ -600,7 +732,22 @@ class DetectionEngine:
         #: had history — without this, unregistering closed the book on a
         #: quarantine episode and the audit lost it.
         self.retired_quarantines: list[QuarantineRecord] = []
+        #: Summed counters and report counts of unregistered monitors, so
+        #: the engine's ``_total`` families never go backwards.
+        self._retired = dict.fromkeys(_SUMMED, 0)
+        self._retired_reports = dict.fromkeys(Confidence, 0)
         self._stopped = False
+
+    def __getattr__(self, name: str) -> int:
+        # A SUMMED counter has no engine attribute of its own: it is the
+        # total over registered monitors plus those already unregistered.
+        if name in _SUMMED:
+            return self._retired[name] + sum(
+                getattr(entry, name) for entry in self._entries
+            )
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     # ---------------------------------------------------------- registration
 
@@ -647,6 +794,10 @@ class DetectionEngine:
             # Close out the quarantine record so the audit keeps the
             # episode instead of leaking it out of accounting.
             self.retired_quarantines.append(entry.quarantine_record())
+        for name in _SUMMED:
+            self._retired[name] += getattr(entry, name)
+        for report in entry.reports:
+            self._retired_reports[report.confidence] += 1
         entry.detach()
         self._entries.remove(entry)
         del self._by_label[entry.label]
@@ -768,31 +919,60 @@ class DetectionEngine:
         try:
             captures, self._pending_captures = self._pending_captures, []
             for capture in captures:
-                entry = capture.entry
                 check_started = perf_counter()
                 try:
-                    reports = entry.evaluate(capture)
+                    reports = capture.entry.evaluate(capture)
                 except Exception as exc:  # noqa: BLE001 — quarantine, not crash
-                    self.check_failures += 1
-                    entry.breaker.record_failure(
-                        capture.taken_at, f"{type(exc).__name__}: {exc}"
+                    self.record_evaluation(
+                        capture, error=f"{type(exc).__name__}: {exc}"
                     )
                     continue
-                elapsed = perf_counter() - check_started
-                budget = entry.config.monitor_check_budget
-                if budget is not None and elapsed > budget:
-                    entry.breaker.record_failure(
-                        capture.taken_at,
-                        f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
-                    )
-                else:
-                    entry.breaker.record_success(capture.taken_at)
-                self.evaluations_run += 1
-                entry.reports.extend(reports)
+                self.record_evaluation(
+                    capture, reports, perf_counter() - check_started
+                )
                 found.extend(reports)
         finally:
             self.evaluate_latency.observe(perf_counter() - started)
         return found
+
+    def record_evaluation(
+        self,
+        capture: CheckpointCapture,
+        reports: Sequence[FaultReport] = (),
+        elapsed: float = 0.0,
+        *,
+        error: Optional[str] = None,
+    ) -> None:
+        """Phase-2 bookkeeping for one evaluated capture.
+
+        A failed evaluation (``error``: the evaluator's exception,
+        rendered) counts as a check failure and feeds the monitor's
+        breaker; nothing else is recorded.  Otherwise ``elapsed`` is held
+        against ``monitor_check_budget`` for the breaker verdict, the
+        evaluation and window counters advance, and ``reports`` join the
+        monitor's stream.  :meth:`evaluate_phase` and the process plane,
+        which applies its workers' replies here, share this method.
+        """
+        entry = capture.entry
+        if error is not None:
+            self.check_failures += 1
+            entry.breaker.record_failure(capture.taken_at, error)
+            return
+        budget = entry.config.monitor_check_budget
+        if budget is not None and elapsed > budget:
+            entry.breaker.record_failure(
+                capture.taken_at,
+                f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
+            )
+        else:
+            entry.breaker.record_success(capture.taken_at)
+        self.evaluations_run += 1
+        entry.checkpoints_run += 1
+        segment = capture.segment
+        if not segment.complete:
+            entry.dropped_in_windows += segment.dropped
+            entry.degraded_windows += 1
+        entry.reports.extend(reports)
 
     def take_pending_captures(self) -> list[CheckpointCapture]:
         """Claim the queued phase-1 captures for external evaluation.
@@ -840,6 +1020,15 @@ class DetectionEngine:
         """
         return min(self.worldstop_latency.percentile(q), self.worldstop_max)
 
+    def counter_state(self) -> dict[str, int]:
+        """The engine's persisted :data:`COUNTERS`, for snapshots."""
+        return {attr: getattr(self, attr) for attr in _ENGINE_PERSISTED}
+
+    def restore_counter_state(self, saved: dict) -> None:
+        """Re-apply a :meth:`counter_state` dict (missing keys read 0)."""
+        for attr in _ENGINE_PERSISTED:
+            setattr(self, attr, saved.get(attr, 0))
+
     # --------------------------------------------------------------- metrics
 
     def metrics(
@@ -850,98 +1039,33 @@ class DetectionEngine:
     ) -> MetricsRegistry:
         """Snapshot this engine's counters into a metrics registry.
 
-        The single stats surface: exporters, ``FaultStatistics``, and the
-        gate runner all read this instead of scraping attributes or
-        reprs.  ``labels`` (e.g. ``{"shard": "0"}``) are stamped onto
-        every family — :meth:`DetectionCluster.metrics` samples each
-        shard's engine into one registry this way.  Pass a fresh
-        ``registry`` per snapshot; sampling is additive.
+        The stats surface exporters and the gate runner read: one family
+        per :data:`COUNTERS` row, plus gauges, reports by confidence, and
+        the phase histograms.  ``labels`` (e.g. ``{"shard": "0"}``) are
+        stamped onto every family — :meth:`DetectionCluster.metrics`
+        samples each shard's engine into one registry this way.  Pass a
+        fresh ``registry`` per snapshot; sampling is additive.
         """
         registry = MetricsRegistry() if registry is None else registry
         base = {str(k): str(v) for k, v in (labels or {}).items()}
         names = tuple(base)
-
-        def counter(name: str, help: str, value: float) -> None:
-            registry.counter(name, help, names).labels(**base).inc(value)
+        for spec in COUNTERS:
+            if spec.scope == MONITOR:
+                family = registry.counter(
+                    spec.family, spec.help, names + ("monitor",)
+                )
+                for entry in self._entries:
+                    family.labels(**base, monitor=entry.label).inc(
+                        getattr(entry, spec.attr)
+                    )
+            else:
+                registry.counter(spec.family, spec.help, names).labels(
+                    **base
+                ).inc(getattr(self, spec.attr))
 
         def gauge(name: str, help: str, value: float) -> None:
             registry.gauge(name, help, names).labels(**base).set(value)
 
-        counter(
-            "repro_engine_checkpoints_total",
-            "Two-phase checkpoints completed.",
-            self.checkpoints_run,
-        )
-        counter(
-            "repro_engine_atomic_sections_total",
-            "Kernel atomic sections entered for checking.",
-            self.atomic_sections,
-        )
-        counter(
-            "repro_engine_captures_total",
-            "Phase-1 captures taken (snapshot + cut).",
-            self.captures_taken,
-        )
-        counter(
-            "repro_engine_evaluations_total",
-            "Phase-2 evaluations completed.",
-            self.evaluations_run,
-        )
-        counter(
-            "repro_engine_intervals_skipped_total",
-            "Adaptive-schedule checkpoint skips.",
-            self.intervals_skipped,
-        )
-        counter(
-            "repro_engine_forced_captures_total",
-            "Drop-safety captures taken before next_due.",
-            self.forced_captures,
-        )
-        counter(
-            "repro_engine_check_failures_total",
-            "Capture/evaluate exceptions absorbed by breakers.",
-            self.check_failures,
-        )
-        counter(
-            "repro_engine_incremental_hits_total",
-            "Windows evaluated on carried checking lists.",
-            self.incremental_hits,
-        )
-        counter(
-            "repro_engine_incremental_rebases_total",
-            "Windows that re-seeded checking lists.",
-            self.incremental_rebases,
-        )
-        counter(
-            "repro_engine_incremental_fastpaths_total",
-            "Zero-event windows that skipped comparison.",
-            self.incremental_fastpaths,
-        )
-        counter(
-            "repro_engine_staged_events_total",
-            "Events flushed through sink staging buffers.",
-            self.staged_events,
-        )
-        counter(
-            "repro_engine_staged_flushes_total",
-            "Staged-batch flushes across monitor sinks.",
-            self.staged_flushes,
-        )
-        counter(
-            "repro_engine_dropped_events_total",
-            "Events dropped at bounded sinks.",
-            self.dropped_events,
-        )
-        counter(
-            "repro_engine_dropped_in_windows_total",
-            "Per-window drop counts over cut checking windows.",
-            self.dropped_in_windows,
-        )
-        counter(
-            "repro_engine_degraded_windows_total",
-            "Checking windows evaluated in degraded (lossy) mode.",
-            self.degraded_windows,
-        )
         gauge(
             "repro_engine_monitors",
             "Monitors currently registered.",
@@ -966,34 +1090,7 @@ class DetectionEngine:
         for confidence, reports in self.reports_by_confidence().items():
             reports_family.labels(
                 **base, confidence=confidence.name.lower()
-            ).inc(len(reports))
-
-        monitor_names = names + ("monitor",)
-        monitor_reports = registry.counter(
-            "repro_monitor_reports_total",
-            "Fault reports per registered monitor.",
-            monitor_names,
-        )
-        monitor_checkpoints = registry.counter(
-            "repro_monitor_checkpoints_total",
-            "Checkpoints evaluated per registered monitor.",
-            monitor_names,
-        )
-        monitor_degraded = registry.counter(
-            "repro_monitor_degraded_windows_total",
-            "Degraded (lossy) windows per registered monitor.",
-            monitor_names,
-        )
-        for entry in self._entries:
-            monitor_reports.labels(**base, monitor=entry.label).inc(
-                len(entry.reports)
-            )
-            monitor_checkpoints.labels(**base, monitor=entry.label).inc(
-                entry.checkpoints_run
-            )
-            monitor_degraded.labels(**base, monitor=entry.label).inc(
-                entry.degraded_windows
-            )
+            ).inc(len(reports) + self._retired_reports[confidence])
 
         phase_family = registry.histogram(
             "repro_phase_latency_seconds",
@@ -1084,60 +1181,6 @@ class DetectionEngine:
             if entry.breaker.transitions or entry.breaker.consecutive_failures
         ]
         return live + list(self.retired_quarantines)
-
-    @property
-    def dropped_events(self) -> int:
-        """Events dropped across all registered monitors' sinks.
-
-        Counts at the sink (total ever dropped), so lossy runs are visible
-        from the engine without digging into each ring buffer.
-        """
-        return sum(entry.history.dropped_events for entry in self._entries)
-
-    @property
-    def dropped_in_windows(self) -> int:
-        """Per-window drop counts accumulated over cut checking windows."""
-        return sum(entry.dropped_in_windows for entry in self._entries)
-
-    @property
-    def degraded_windows(self) -> int:
-        """Checking windows evaluated in degraded (lossy) mode."""
-        return sum(entry.degraded_windows for entry in self._entries)
-
-    @property
-    def intervals_skipped(self) -> int:
-        """Adaptive-schedule skips across all registered monitors."""
-        return sum(entry.intervals_skipped for entry in self._entries)
-
-    @property
-    def forced_captures(self) -> int:
-        """Drop-safety captures taken before ``next_due`` (all monitors)."""
-        return sum(entry.forced_captures for entry in self._entries)
-
-    @property
-    def incremental_hits(self) -> int:
-        """Windows evaluated on carried checking lists (all monitors)."""
-        return sum(entry.incremental_hits for entry in self._entries)
-
-    @property
-    def incremental_rebases(self) -> int:
-        """Windows that re-seeded checking lists (all monitors)."""
-        return sum(entry.incremental_rebases for entry in self._entries)
-
-    @property
-    def incremental_fastpaths(self) -> int:
-        """Zero-event windows that skipped the comparison (all monitors)."""
-        return sum(entry.incremental_fastpaths for entry in self._entries)
-
-    @property
-    def staged_events(self) -> int:
-        """Events flushed through sink staging buffers (all monitors)."""
-        return sum(entry.staged_events for entry in self._entries)
-
-    @property
-    def staged_flushes(self) -> int:
-        """Staged-batch flushes across all registered monitors' sinks."""
-        return sum(entry.staged_flushes for entry in self._entries)
 
     def __repr__(self) -> str:
         return (

@@ -359,39 +359,23 @@ class ProcessEvaluationPool(EvaluationPool):
     ) -> None:
         """Fold one completed worker reply into the parent engine.
 
-        Mirrors :meth:`DetectionEngine.evaluate_phase` bookkeeping —
-        report streams, breaker verdicts, failure counters, degraded-
-        window accounting — then re-adopts the shadow checkers' state so
-        the parent stays a warm standby for the in-thread fallback.
+        Each window goes through :meth:`DetectionEngine.record_evaluation`,
+        the bookkeeping in-thread evaluation uses; then the parent
+        re-adopts the shadow checkers' state so it stays a warm standby
+        for the in-thread fallback.
         """
         engine = shard.engine
         handle = self._handles[shard.index]
         handle.cpu_seconds = float(reply.get("cpu_seconds", handle.cpu_seconds))
         last_by_label: dict[str, CheckpointCapture] = {}
         for capture, window in zip(captures, reply.get("windows", ())):
-            entry = capture.entry
-            last_by_label[entry.label] = capture
-            error = window.get("error")
-            if error is not None:
-                engine.check_failures += 1
-                entry.breaker.record_failure(capture.taken_at, error)
-                continue
-            reports = [report_from_dict(raw) for raw in window.get("reports", ())]
-            elapsed = float(window.get("elapsed", 0.0))
-            budget = entry.config.monitor_check_budget
-            if budget is not None and elapsed > budget:
-                entry.breaker.record_failure(
-                    capture.taken_at,
-                    f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
-                )
-            else:
-                entry.breaker.record_success(capture.taken_at)
-            engine.evaluations_run += 1
-            entry.reports.extend(reports)
-            entry.checkpoints_run += 1
-            if not capture.segment.complete:
-                entry.dropped_in_windows += capture.segment.dropped
-                entry.degraded_windows += 1
+            last_by_label[capture.entry.label] = capture
+            engine.record_evaluation(
+                capture,
+                [report_from_dict(raw) for raw in window.get("reports", ())],
+                float(window.get("elapsed", 0.0)),
+                error=window.get("error"),
+            )
         for label, record in reply.get("state", {}).items():
             entry = engine._by_label.get(label)
             if entry is None:

@@ -213,7 +213,7 @@ class DetectionSession:
 
     # -------------------------------------------------------------- reporting
     # The session's own surface mirrors the engine's; everything else
-    # (counters, shard_stats, quarantine_report, …) passes through.
+    # (counters, shards, quarantine_report, …) passes through.
 
     @property
     def reports(self) -> list[FaultReport]:

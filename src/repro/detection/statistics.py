@@ -16,58 +16,11 @@ from collections import Counter
 from typing import Iterable, Optional
 
 from repro._tables import render_table
+from repro.detection.engine import ENGINE_TOTALS
 from repro.detection.faults import FaultClass, FaultLevel
 from repro.detection.reports import Confidence, FaultReport
-from repro.observability.registry import MetricsRegistry
 
 __all__ = ["FaultStatistics"]
-
-#: Legacy counters key -> registry counter family (summed across labels).
-_REGISTRY_COUNTERS = {
-    "checkpoints_run": "repro_engine_checkpoints_total",
-    "atomic_sections": "repro_engine_atomic_sections_total",
-    "captures_taken": "repro_engine_captures_total",
-    "evaluations_run": "repro_engine_evaluations_total",
-    "intervals_skipped": "repro_engine_intervals_skipped_total",
-    "incremental_hits": "repro_engine_incremental_hits_total",
-    "incremental_rebases": "repro_engine_incremental_rebases_total",
-    "incremental_fastpaths": "repro_engine_incremental_fastpaths_total",
-    "staged_events": "repro_engine_staged_events_total",
-    "staged_flushes": "repro_engine_staged_flushes_total",
-}
-
-#: Durability keys, present only when the source exported WAL families.
-_REGISTRY_DURABILITY = {
-    "wal_bytes_written": "repro_wal_bytes_written_total",
-    "wal_fsyncs": "repro_wal_fsyncs_total",
-    "snapshots_written": "repro_snapshots_written_total",
-    "recoveries": "repro_recoveries_total",
-    "reports_deduplicated": "repro_reports_deduplicated_total",
-}
-
-
-def _counters_from_registry(registry: MetricsRegistry) -> dict[str, float]:
-    """Flatten a ``metrics()`` snapshot into the legacy counters mapping."""
-    counters = {
-        key: registry.value(metric) if registry.get(metric) else 0.0
-        for key, metric in _REGISTRY_COUNTERS.items()
-    }
-    if registry.get("repro_phase_latency_seconds"):
-        counters["worldstop_seconds"] = registry.histogram_sum(
-            "repro_phase_latency_seconds", {"phase": "capture"}
-        )
-        counters["evaluate_seconds"] = registry.histogram_sum(
-            "repro_phase_latency_seconds", {"phase": "evaluate"}
-        )
-    else:
-        counters["worldstop_seconds"] = 0.0
-        counters["evaluate_seconds"] = 0.0
-    if registry.get("repro_wal_bytes_written_total"):
-        for key, metric in _REGISTRY_DURABILITY.items():
-            counters[key] = (
-                registry.value(metric) if registry.get(metric) else 0.0
-            )
-    return counters
 
 
 class FaultStatistics:
@@ -83,19 +36,18 @@ class FaultStatistics:
         #: Per fault class: how many implications were confirmed vs degraded.
         self.fault_confidence: dict[FaultClass, Counter[Confidence]] = {}
         #: Two-phase pipeline counters of the source engine (when built via
-        #: :meth:`from_engine`, flattened from its ``metrics()`` registry):
-        #: checkpoints_run, atomic_sections, captures_taken,
-        #: evaluations_run, intervals_skipped, plus the worldstop/evaluate
-        #: wall-clock split.  Read via :attr:`counters`.
+        #: :meth:`from_engine`): every engine-level counter of the engine's
+        #: ``COUNTERS`` table, plus the worldstop/evaluate wall-clock
+        #: split.  Read via :attr:`counters`.
         self._counters: dict[str, float] = {}
         self._first_at: Optional[float] = None
         self._last_at: Optional[float] = None
 
     @property
     def counters(self) -> dict[str, float]:
-        """Pipeline/durability counters of the source engine (flattened
-        from its ``metrics()`` registry snapshot by :meth:`from_engine`;
-        empty for statistics built from raw report streams)."""
+        """Pipeline/durability counters of the source engine (read by
+        :meth:`from_engine`; empty for statistics built from raw report
+        streams)."""
         return self._counters
 
     # ---------------------------------------------------------------- intake
@@ -131,15 +83,19 @@ class FaultStatistics:
         """Aggregate a :class:`DetectionEngine`'s reports and counters.
 
         Besides the report stream this picks up the engine's two-phase
-        pipeline counters — flattened from the same ``metrics()``
-        registry snapshot the exporters and gate runner read — so one
-        object carries both "what was found" and "what the finding cost".
-        Engines, clusters, durable wrappers and sessions all expose
-        ``metrics()``.
+        pipeline counters — the engine-level rows of the same counter
+        table its ``metrics()`` exports — and, for a durable source, its
+        durability counters, so one object carries both "what was found"
+        and "what the finding cost".  Engines, clusters, durable wrappers
+        and sessions all expose these attributes.
         """
         stats = cls()
         stats.record_all(engine.reports)
-        stats._counters = _counters_from_registry(engine.metrics())
+        counters = {name: getattr(engine, name) for name in ENGINE_TOTALS}
+        counters["worldstop_seconds"] = engine.worldstop_seconds
+        counters["evaluate_seconds"] = engine.evaluate_seconds
+        counters.update(getattr(engine, "durability_counters", {}))
+        stats._counters = counters
         return stats
 
     # --------------------------------------------------------------- queries

@@ -275,6 +275,46 @@ class CheckpointSupervisor:
         self._stall_flagged = False
         return True, reports
 
+    # ---------------------------------------------------------------- rounds
+
+    def run_round(self) -> Iterator[Syscall]:
+        """One supervised round, as a fragment of a pacing process.
+
+        Attempts the checkpoint, retrying failed attempts up to
+        ``retries`` times with :meth:`retry_delay` backoff (in virtual
+        time) before abandoning the round, then polls the stall watchdog.
+        Every pacing process — :func:`supervisor_process` and the
+        cluster's ``shard_process`` — runs its rounds through this with
+        ``yield from``.
+        """
+        attempt = 0
+        while True:
+            completed, __ = self.attempt()
+            if completed:
+                break
+            if attempt >= self.retries:
+                self.checkpoints_abandoned += 1
+                self.events.append(
+                    SupervisorEvent(
+                        self.engine.kernel.now(),
+                        "gave-up",
+                        f"abandoned after {attempt + 1} attempt(s)",
+                    )
+                )
+                break
+            delay = self.retry_delay(attempt)
+            attempt += 1
+            self.retries_performed += 1
+            self.events.append(
+                SupervisorEvent(
+                    self.engine.kernel.now(),
+                    "retry",
+                    f"attempt {attempt} failed; backing off {delay:g}",
+                )
+            )
+            yield Delay(delay)
+        self.check_stall()
+
     # -------------------------------------------------------------- backoff
 
     def retry_delay(self, attempt: int) -> float:
@@ -347,7 +387,9 @@ class CheckpointSupervisor:
         """JSON-compatible snapshot for restart recovery.
 
         Captures, per registered monitor: the breaker lifecycle, the
-        checkpoint counters, and the event sink's base state + open window
+        adaptive schedule, the monitor's persisted counters
+        (:meth:`RegisteredMonitor.counter_state`), and the event sink's
+        base state + open window
         (:func:`repro.history.serialize.sink_state_to_dict`), so a restarted
         supervisor resumes checking windows where the crashed one stopped.
         """
@@ -362,11 +404,10 @@ class CheckpointSupervisor:
                     "times_opened": entry.breaker.times_opened,
                     "times_reclosed": entry.breaker.times_reclosed,
                     "opened_at": entry.breaker.opened_at,
-                    "checkpoints_run": entry.checkpoints_run,
                     "checkpoints_skipped": entry.checkpoints_skipped,
                     "event_rate": entry.event_rate,
                     "next_due": entry.next_due,
-                    "intervals_skipped": entry.intervals_skipped,
+                    **entry.counter_state(),
                     "sink": sink_state_to_dict(entry.history),
                 }
                 for entry in self.engine.entries
@@ -408,13 +449,12 @@ class CheckpointSupervisor:
             breaker.times_opened = record["times_opened"]
             breaker.times_reclosed = record["times_reclosed"]
             breaker.opened_at = record["opened_at"]
-            entry.checkpoints_run = record["checkpoints_run"]
             entry.checkpoints_skipped = record["checkpoints_skipped"]
             # Adaptive-schedule fields are absent from pre-split snapshots.
             entry.event_rate = record.get("event_rate", 0.0)
             entry._rate_primed = entry.event_rate > 0.0
             entry.next_due = record.get("next_due")
-            entry.intervals_skipped = record.get("intervals_skipped", 0)
+            entry.restore_counter_state(record)
             apply_sink_state(entry.history, record["sink"])
             restored.append(entry.label)
         return restored
@@ -436,12 +476,12 @@ def supervisor_process(
     """Kernel process pacing a supervised engine.
 
     A hardened drop-in for :func:`~repro.detection.engine.engine_process`:
-    every interval it runs one supervised checkpoint, retrying failed
-    attempts up to ``supervisor.retries`` times with exponential backoff
-    (``backoff``, ``2*backoff``, ``4*backoff``…, in virtual time) before
-    abandoning the round, then polls the stall watchdog.  ``prelude`` (used
-    by the chaos harness) is a generator factory spliced in before each
-    round's first attempt.
+    every interval it runs one :meth:`CheckpointSupervisor.run_round` —
+    failed attempts retried up to ``supervisor.retries`` times with
+    exponential backoff (``backoff``, ``2*backoff``, ``4*backoff``…, in
+    virtual time) before the round is abandoned, then the stall watchdog.
+    ``prelude`` (used by the chaos harness) is a generator factory spliced
+    in before each round's first attempt.
     """
     remaining = rounds
     while remaining is None or remaining > 0:
@@ -450,32 +490,6 @@ def supervisor_process(
             return
         if prelude is not None:
             yield from prelude()
-        attempt = 0
-        while True:
-            completed, __ = supervisor.attempt()
-            if completed:
-                break
-            if attempt >= supervisor.retries:
-                supervisor.checkpoints_abandoned += 1
-                supervisor.events.append(
-                    SupervisorEvent(
-                        supervisor.engine.kernel.now(),
-                        "gave-up",
-                        f"abandoned after {attempt + 1} attempt(s)",
-                    )
-                )
-                break
-            delay = supervisor.retry_delay(attempt)
-            attempt += 1
-            supervisor.retries_performed += 1
-            supervisor.events.append(
-                SupervisorEvent(
-                    supervisor.engine.kernel.now(),
-                    "retry",
-                    f"attempt {attempt} failed; backing off {delay:g}",
-                )
-            )
-            yield Delay(delay)
-        supervisor.check_stall()
+        yield from supervisor.run_round()
         if remaining is not None:
             remaining -= 1

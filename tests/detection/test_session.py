@@ -137,7 +137,7 @@ class TestSessionLifecycle:
         kernel = make_kernel()
         session = DetectionSession(kernel, monitors=[build_allocator(kernel)])
         assert session.checkpoints_run == 0
-        assert session.shard_stats()
+        assert [shard.index for shard in session.shards] == [0]
         with pytest.raises(AttributeError):
             session.no_such_attribute
 

@@ -10,6 +10,7 @@ from repro.detection import (
     CircuitBreaker,
     Confidence,
     DetectionEngine,
+    DetectionSession,
     DetectorConfig,
     DROP_TOLERANT,
     STRule,
@@ -169,53 +170,106 @@ class TestQuarantineInEngine:
         assert supervisor.checkpoints_completed == 10
 
 
+def make_flaky(target, failing_attempts):
+    """Make ``target.checkpoint`` fail for its first N calls."""
+    inner = target.checkpoint
+    state = {"left": failing_attempts}
+
+    def flaky():
+        if state["left"] > 0:
+            state["left"] -= 1
+            raise RuntimeError("transient checkpoint failure")
+        return inner()
+
+    target.checkpoint = flaky
+
+
 class TestSupervisorRetries:
+    CONFIG = DetectorConfig(
+        interval=0.5, tmax=60.0, tio=60.0, tlimit=60.0,
+        checkpoint_retries=2, retry_backoff=0.05,
+    )
+
     def build_flaky(self, failing_attempts):
         """Engine whose checkpoint fails for the first N attempts."""
         kernel = make_kernel()
         buffer = BoundedBuffer(kernel, capacity=3, history=HistoryDatabase())
-        config = DetectorConfig(
-            interval=0.5, tmax=60.0, tio=60.0, tlimit=60.0,
-            checkpoint_retries=2, retry_backoff=0.05,
-        )
-        engine = DetectionEngine(kernel, config)
+        engine = DetectionEngine(kernel, self.CONFIG)
         engine.register(buffer)
-        inner = engine.checkpoint
-        state = {"left": failing_attempts}
-
-        def flaky():
-            if state["left"] > 0:
-                state["left"] -= 1
-                raise RuntimeError("transient checkpoint failure")
-            return inner()
-
-        engine.checkpoint = flaky
+        make_flaky(engine, failing_attempts)
         spawn_buffer_load(kernel, buffer)
         return kernel, engine
 
-    def test_transient_failure_retried_with_backoff(self):
-        kernel, engine = self.build_flaky(failing_attempts=1)
-        supervisor = CheckpointSupervisor(engine)
-        kernel.spawn(supervisor_process(supervisor, rounds=4), "supervisor")
+    def run_flaky(self, pacing, failing_attempts, rounds):
+        """Pace a flaky checkpoint for ``rounds`` supervised rounds.
+
+        ``pacing`` is ``"engine"`` (a bare engine under
+        ``supervisor_process``) or ``"session"`` (a one-shard supervised
+        session, its ``ClusterShard.checkpoint`` made flaky).  Returns the
+        supervisor and, for the session, its shard-0 retries and abandoned
+        samples.
+        """
+        if pacing == "engine":
+            kernel, engine = self.build_flaky(failing_attempts)
+            supervisor = CheckpointSupervisor(engine)
+            kernel.spawn(
+                supervisor_process(supervisor, rounds=rounds), "supervisor"
+            )
+        else:
+            kernel = make_kernel()
+            buffer = BoundedBuffer(
+                kernel, capacity=3, history=HistoryDatabase()
+            )
+            session = DetectionSession(
+                kernel, monitors=[buffer], config=self.CONFIG, shards=1
+            )
+            shard = session.shards[0]
+            supervisor = shard.supervisor
+            make_flaky(shard, failing_attempts)
+            spawn_buffer_load(kernel, buffer)
+            session.start(rounds=rounds)
         kernel.run(until=20)
         kernel.raise_failures()
-        assert supervisor.checkpoints_completed == 4
-        assert supervisor.checkpoints_abandoned == 0
-        assert supervisor.retries_performed == 1
-        kinds = [event.kind for event in supervisor.events]
-        assert "failure" in kinds and "retry" in kinds
+        if pacing == "engine":
+            return supervisor, None
+        registry = session.metrics()
+        return supervisor, tuple(
+            registry.value(name, {"shard": "0"})
+            for name in (
+                "repro_supervisor_retries_total",
+                "repro_supervisor_abandoned_total",
+            )
+        )
+
+    # Both pacings run every round through CheckpointSupervisor.run_round;
+    # each test drives both.
+
+    def test_transient_failure_retried_with_backoff(self):
+        for pacing in ("engine", "session"):
+            supervisor, samples = self.run_flaky(
+                pacing, failing_attempts=1, rounds=4
+            )
+            assert supervisor.checkpoints_completed == 4, pacing
+            assert supervisor.checkpoints_abandoned == 0, pacing
+            assert supervisor.retries_performed == 1, pacing
+            kinds = [event.kind for event in supervisor.events]
+            assert "failure" in kinds and "retry" in kinds, pacing
+            assert samples in (None, (1, 0)), pacing
 
     def test_round_abandoned_after_exhausting_retries(self):
         # retries=2 -> 3 attempts per round; 3 consecutive failures burn
         # exactly one round, the next round completes.
-        kernel, engine = self.build_flaky(failing_attempts=3)
-        supervisor = CheckpointSupervisor(engine)
-        kernel.spawn(supervisor_process(supervisor, rounds=3), "supervisor")
-        kernel.run(until=20)
-        kernel.raise_failures()
-        assert supervisor.checkpoints_abandoned == 1
-        assert supervisor.checkpoints_completed == 2
-        assert any(event.kind == "gave-up" for event in supervisor.events)
+        for pacing in ("engine", "session"):
+            supervisor, samples = self.run_flaky(
+                pacing, failing_attempts=3, rounds=3
+            )
+            assert supervisor.checkpoints_abandoned == 1, pacing
+            assert supervisor.checkpoints_completed == 2, pacing
+            assert supervisor.retries_performed == 2, pacing
+            assert any(
+                event.kind == "gave-up" for event in supervisor.events
+            ), pacing
+            assert samples in (None, (2, 1)), pacing
 
     def test_attempt_never_raises(self):
         kernel, engine = self.build_flaky(failing_attempts=1)
