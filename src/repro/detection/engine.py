@@ -736,6 +736,9 @@ class DetectionEngine:
         #: the engine's ``_total`` families never go backwards.
         self._retired = dict.fromkeys(_SUMMED, 0)
         self._retired_reports = dict.fromkeys(Confidence, 0)
+        #: What unregistered durable sinks exported (WAL counts and
+        #: latencies), for the same reason; None until one leaves.
+        self._retired_sinks: Optional[MetricsRegistry] = None
         self._stopped = False
 
     def __getattr__(self, name: str) -> int:
@@ -798,6 +801,11 @@ class DetectionEngine:
             self._retired[name] += getattr(entry, name)
         for report in entry.reports:
             self._retired_reports[report.confidence] += 1
+        observe = getattr(entry.history, "observe_metrics", None)
+        if callable(observe):
+            if self._retired_sinks is None:
+                self._retired_sinks = MetricsRegistry()
+            observe(self._retired_sinks)
         entry.detach()
         self._entries.remove(entry)
         del self._by_label[entry.label]
@@ -1110,6 +1118,8 @@ class DetectionEngine:
             observe = getattr(entry.history, "observe_metrics", None)
             if callable(observe):
                 observe(registry, labels=base)
+        if self._retired_sinks is not None:
+            registry.absorb(self._retired_sinks, labels=base)
         return registry
 
     # ------------------------------------------------------------- reporting

@@ -26,8 +26,8 @@ admit the entry-queue head.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
+from collections import deque
+from typing import Optional, Sequence
 
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
@@ -41,7 +41,7 @@ __all__ = ["ReplayMachine", "sweep_timers"]
 
 
 def _entries_match(
-    model: list[QueueEntry], actual: tuple[QueueEntry, ...]
+    model: Sequence[QueueEntry], actual: tuple[QueueEntry, ...]
 ) -> bool:
     """Positional equality of a model checking list and an actual queue."""
     if len(model) != len(actual):
@@ -120,7 +120,15 @@ def sweep_timers(
 
 
 class ReplayMachine:
-    """Replays one checking window's events against model checking lists."""
+    """Replays one checking window's events against model checking lists.
+
+    Replaying one event costs the same whatever the queue lengths: the
+    FIFO lists (Enter-0-List and each Wait-Cond-List) are deques popped
+    from the front, and a ``pid -> count`` index over the blocked lists
+    (those two plus the urgent list) answers ST-Rule 4's "is the actor
+    blocked?" without scanning them.  The index counts rather than flags
+    because a faulty run can put one pid on two lists.
+    """
 
     def __init__(
         self,
@@ -131,13 +139,16 @@ class ReplayMachine:
         self._monitor_name = declaration.name
         # Initial list contents come from the last checkpoint's actual state
         # ("Initially, Enter-0-List is set to EQ", Section 3.3.1).
-        self.enter0: list[QueueEntry] = list(base_state.entry_queue)
-        self.wait_cond: dict[Cond, list[QueueEntry]] = {
-            cond: list(base_state.cond_queues.get(cond, ()))
+        self.enter0: deque[QueueEntry] = deque(base_state.entry_queue)
+        self.wait_cond: dict[Cond, deque[QueueEntry]] = {
+            cond: deque(base_state.cond_queues.get(cond, ()))
             for cond in declaration.conditions
         }
         self.running: list[QueueEntry] = list(base_state.running)
         self.urgent: list[QueueEntry] = list(base_state.urgent)
+        #: How many entries each pid has on the blocked lists.
+        self._blocked: dict[Pid, int] = {}
+        self._index_blocked()
         self.violations: list[FaultReport] = []
         self._window_start = base_state.time
 
@@ -160,16 +171,17 @@ class ReplayMachine:
         the snapshot, conditions picked up mid-window via undeclared Waits
         are cleared (a fresh machine would not know them either).
         """
-        self.enter0[:] = base_state.entry_queue
+        self.enter0.clear()
+        self.enter0.extend(base_state.entry_queue)
         cond_queues = base_state.cond_queues
         declared = self._declaration.conditions
         for cond, queue in self.wait_cond.items():
+            queue.clear()
             if cond in declared:
-                queue[:] = cond_queues.get(cond, ())
-            else:
-                queue.clear()
+                queue.extend(cond_queues.get(cond, ()))
         self.running[:] = base_state.running
         self.urgent[:] = base_state.urgent
+        self._index_blocked()
         self._window_start = base_state.time
 
     def matches(self, state: SchedulingState) -> bool:
@@ -238,6 +250,32 @@ class ReplayMachine:
 
     # ------------------------------------------------------------ list helpers
 
+    def _index_blocked(self) -> None:
+        blocked = self._blocked
+        blocked.clear()
+        for queue in (self.enter0, *self.wait_cond.values(), self.urgent):
+            for entry in queue:
+                blocked[entry.pid] = blocked.get(entry.pid, 0) + 1
+
+    def _block(
+        self, queue: deque[QueueEntry] | list[QueueEntry], entry: QueueEntry
+    ) -> None:
+        """Append ``entry`` to a blocked list, keeping the index."""
+        queue.append(entry)
+        blocked = self._blocked
+        blocked[entry.pid] = blocked.get(entry.pid, 0) + 1
+
+    def _unblock(self, entry: QueueEntry) -> QueueEntry:
+        """Drop one index count for an entry just popped off a blocked
+        list; returns the entry."""
+        blocked = self._blocked
+        count = blocked[entry.pid] - 1
+        if count:
+            blocked[entry.pid] = count
+        else:
+            del blocked[entry.pid]
+        return entry
+
     def _blocked_location(self, pid: Pid) -> Optional[str]:
         if any(e.pid == pid for e in self.enter0):
             return "Enter-0-List"
@@ -259,18 +297,19 @@ class ReplayMachine:
         if self.running:
             return
         if self.urgent:
-            entry = self.urgent.pop()
-            self.running.append(replace(entry, since=time))
+            entry = self._unblock(self.urgent.pop())
         elif self.enter0:
-            entry = self.enter0.pop(0)
-            self.running.append(replace(entry, since=time))
+            entry = self._unblock(self.enter0.popleft())
+        else:
+            return
+        self.running.append(QueueEntry(entry.pid, entry.pname, time))
 
     # ----------------------------------------------------------- event replay
 
     def process(self, event: SchedulingEvent) -> None:
         """Replay one event, appending any rule violations found."""
-        location = self._blocked_location(event.pid)
-        if location is not None:
+        if event.pid in self._blocked:
+            location = self._blocked_location(event.pid)
             self._report(
                 STRule.EVENT_WHILE_BLOCKED,
                 f"P{event.pid} generated {event.kind.value} while on the "
@@ -328,11 +367,13 @@ class ReplayMachine:
                     pids=(event.pid,),
                     event_seq=event.seq,
                 )
-            self.enter0.append(entry)
+            self._block(self.enter0, entry)
 
     def _check_caller_running(self, event: SchedulingEvent) -> bool:
-        if any(e.pid == event.pid for e in self.running):
-            return True
+        pid = event.pid
+        for entry in self.running:
+            if entry.pid == pid:
+                return True
         self._report(
             STRule.CALLER_IS_RUNNING,
             f"P{event.pid} issued {event.kind.value} but the Running-List "
@@ -349,8 +390,10 @@ class ReplayMachine:
         if was_running:
             self._remove_running(event.pid)
         assert event.cond is not None  # enforced by the event constructor
-        queue = self.wait_cond.setdefault(event.cond, [])
-        queue.append(QueueEntry(event.pid, event.pname, event.time))
+        queue = self.wait_cond.get(event.cond)
+        if queue is None:
+            queue = self.wait_cond[event.cond] = deque()
+        self._block(queue, QueueEntry(event.pid, event.pname, event.time))
         self._admit_next(event.time)
 
     def _replay_signal_exit(self, event: SchedulingEvent) -> None:
@@ -370,8 +413,10 @@ class ReplayMachine:
                 )
                 self._admit_next(event.time)
             else:
-                waiter = queue.pop(0)
-                self.running.append(replace(waiter, since=event.time))
+                waiter = self._unblock(queue.popleft())
+                self.running.append(
+                    QueueEntry(waiter.pid, waiter.pname, event.time)
+                )
         else:
             if event.cond is not None and self.wait_cond.get(event.cond):
                 self._report(
@@ -413,16 +458,20 @@ class ReplayMachine:
                 event_seq=event.seq,
             )
             return
-        waiter = queue.pop(0)
+        waiter = self._unblock(queue.popleft())
+        resumed = QueueEntry(waiter.pid, waiter.pname, event.time)
         if discipline is Discipline.SIGNAL_AND_WAIT:
             signaller = self._remove_running(event.pid)
             if signaller is not None:
-                self.urgent.append(replace(signaller, since=event.time))
-            self.running.append(replace(waiter, since=event.time))
+                self._block(
+                    self.urgent,
+                    QueueEntry(signaller.pid, signaller.pname, event.time),
+                )
+            self.running.append(resumed)
         else:
             # Mesa: the waiter re-queues at the entry queue tail; the
             # signaller keeps the monitor.
-            self.enter0.append(replace(waiter, since=event.time))
+            self._block(self.enter0, resumed)
 
     # ----------------------------------------------------- checkpoint compare
 

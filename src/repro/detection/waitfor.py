@@ -16,16 +16,14 @@ Request-Lists and state snapshots into one wait-for graph —
   and parked in one of its queues (entry queue or condition queue),
 * edges run from each waiter to every holder of the awaited resource —
 
-and reports every cycle (found with networkx) as a ``ST-WF`` violation
-naming the pids and monitors involved.
+and reports every elementary cycle as a ``ST-WF`` violation naming the
+pids and monitors involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import Iterable, Iterator, Optional
 
 from repro.detection.engine import RegisteredMonitor
 from repro.detection.reports import FaultReport
@@ -33,6 +31,33 @@ from repro.detection.rules import STRule
 from repro.ids import Pid
 
 __all__ = ["ResourceWaitEdge", "DeadlockDetector"]
+
+#: A wait-for graph: waiter -> {holder: monitor of the awaited resource}.
+WaitForGraph = dict[Pid, dict[Pid, str]]
+
+
+def simple_cycles(graph: WaitForGraph) -> Iterator[list[Pid]]:
+    """Every elementary cycle of ``graph``, each listed once and starting
+    at its smallest pid.
+
+    Depth-first from each start pid in ascending order, visiting only
+    larger pids, so a cycle is found exactly once: from its minimum.
+    Wait-for graphs have a few dozen nodes at most.
+    """
+    for start in sorted(graph):
+        path = [start]
+        successors = [iter(sorted(graph[start]))]
+        while successors:
+            for node in successors[-1]:
+                if node == start:
+                    yield list(path)
+                elif node > start and node not in path:
+                    path.append(node)
+                    successors.append(iter(sorted(graph.get(node, ()))))
+                    break
+            else:
+                successors.pop()
+                path.pop()
 
 
 @dataclass(frozen=True)
@@ -91,11 +116,14 @@ class DeadlockDetector:
                         )
         return edges
 
-    def graph(self) -> "nx.DiGraph":
-        """The wait-for graph as a networkx digraph (nodes are pids)."""
-        graph = nx.DiGraph()
+    def graph(self) -> WaitForGraph:
+        """The wait-for graph as an adjacency dict (nodes are pids).
+
+        A waiter blocked on a holder in several monitors keeps the last
+        monitor listed."""
+        graph: WaitForGraph = {}
         for edge in self.edges():
-            graph.add_edge(edge.waiter, edge.holder, monitor=edge.monitor)
+            graph.setdefault(edge.waiter, {})[edge.holder] = edge.monitor
         return graph
 
     # ---------------------------------------------------------------- checks
@@ -108,16 +136,17 @@ class DeadlockDetector:
                 (e.monitor.kernel.now() for e in self._entries), default=0.0
             )
         new_reports: list[FaultReport] = []
-        for cycle in nx.simple_cycles(graph):
+        for cycle in simple_cycles(graph):
             ordered = tuple(sorted(cycle))
             if ordered in self.cycles:
                 continue  # already reported
             self.cycles.append(ordered)
             monitors = sorted(
                 {
-                    data["monitor"]
-                    for u, v, data in graph.edges(data=True)
-                    if u in cycle and v in cycle
+                    monitor
+                    for waiter in cycle
+                    for holder, monitor in graph[waiter].items()
+                    if holder in ordered
                 }
             )
             chain = " -> ".join(f"P{pid}" for pid in cycle + [cycle[0]])

@@ -351,6 +351,30 @@ class MetricsRegistry:
             name, "histogram", help, labelnames, stable=stable, buckets=buckets
         )
 
+    def absorb(
+        self,
+        other: "MetricsRegistry",
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        """Add ``other``'s counters and histograms (not gauges) into this
+        registry, stamping ``labels`` onto every sample."""
+        base = {str(k): str(v) for k, v in (labels or {}).items()}
+        for family in other.collect():
+            mine = self._declare(
+                family.name,
+                family.kind,
+                family.help,
+                tuple(base) + family.labelnames,
+                stable=family.stable,
+                buckets=family.buckets,
+            )
+            for sample_labels, child in family.samples():
+                target = mine.labels(**base, **sample_labels)
+                if family.kind == "counter":
+                    target.inc(child.value)
+                else:
+                    target.merge(child)
+
     def collect(self) -> list[MetricFamily]:
         """All families, sorted by name (deterministic export order)."""
         with self._lock:

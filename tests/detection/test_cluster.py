@@ -303,7 +303,9 @@ class TestMergedReportDeterminism:
 
 class TestWorkerPool:
     def test_thread_kernel_evaluates_in_pool(self):
-        kernel = ThreadKernel(time_scale=FAST)
+        # 4 virtual seconds span 100 ms of wall clock, so each shard wakes
+        # for several checkpoints even on a loaded machine.
+        kernel = ThreadKernel(time_scale=0.025)
         allocators = [
             SingleResourceAllocator(kernel, history=HistoryDatabase())
             for __ in range(4)

@@ -135,6 +135,37 @@ class TestUnregister:
         )
         session.stop()
 
+    def test_wal_totals_survive_when_a_durable_monitor_leaves(self, tmp_path):
+        session = run_session(1, monitors=3, durable_dir=tmp_path / "state")
+
+        def wal_totals():
+            registry = session.metrics()
+            totals = {
+                key: value
+                for key, value in total_samples(session).items()
+                if key[0].startswith("repro_wal_")
+            }
+            for phase in ("wal_append", "wal_fsync"):
+                totals[phase] = registry.histogram_count(
+                    "repro_phase_latency_seconds", {"phase": phase}
+                )
+            return totals
+
+        before = wal_totals()
+        assert before[("repro_wal_bytes_written_total", (("shard", "0"),))] > 0
+        assert before["wal_append"] > 0
+        session.unregister(session.entries[1])
+        after = wal_totals()
+        assert after.keys() == before.keys()
+        shrunk = {
+            key: (before[key], value)
+            for key, value in after.items()
+            if value < before[key]
+        }
+        assert shrunk == {}
+        session.stop()
+        session.close()
+
 
 class TestDurableShardSupervisor:
     def test_snapshot_persists_the_pacing_supervisor(self, tmp_path):

@@ -294,3 +294,133 @@ class TestRemainingBranches:
         m.process(enter_event(0, 1, "Op", 0.1, 1))
         m.process(signal_event(1, 1, "Op", "ready", 0.2, 1))
         assert STRule.SIGNAL_CONSISTENT in rules_of(m)
+
+
+class TestBlockedLocationPrecedence:
+    """ST-Rule 4 names the first blocked list holding the actor, in the
+    order Enter-0-List, the conditions in declaration order, urgent."""
+
+    def two_condition_machine(self, base):
+        decl = MonitorDeclaration(
+            name="m",
+            mtype=MonitorType.OPERATION_MANAGER,
+            procedures=("Op", "Other"),
+            conditions=("ready", "done"),
+        )
+        return ReplayMachine(decl, base)
+
+    def st4_messages(self, m):
+        return [
+            violation.message
+            for violation in m.violations
+            if violation.rule is STRule.EVENT_WHILE_BLOCKED
+        ]
+
+    def test_entry_list_before_condition_list(self):
+        m = machine(
+            empty_state(
+                entry_queue=(QueueEntry(1, "Op", 0.0),),
+                cond_queues={"ready": (QueueEntry(1, "Op", 0.0),)},
+                running=(QueueEntry(2, "Op", 0.0),),
+            )
+        )
+        m.process(signal_exit_event(0, 1, "Op", 0.1, 0))
+        (message,) = self.st4_messages(m)
+        assert "while on the Enter-0-List:" in message
+
+    def test_first_declared_condition_wins(self):
+        m = self.two_condition_machine(
+            empty_state(
+                cond_queues={
+                    "done": (QueueEntry(1, "Op", 0.0),),
+                    "ready": (QueueEntry(1, "Op", 0.0),),
+                },
+                running=(QueueEntry(2, "Op", 0.0),),
+            )
+        )
+        m.process(signal_exit_event(0, 1, "Op", 0.1, 0))
+        (message,) = self.st4_messages(m)
+        assert "while on the Wait-Cond-List[ready]:" in message
+
+    def test_parked_hoare_signaller_reports_urgent_list(self):
+        m = machine(discipline=Discipline.SIGNAL_AND_WAIT)
+        m.process(enter_event(0, 1, "Op", 0.1, 1))
+        m.process(wait_event(1, 1, "Op", "ready", 0.2))
+        m.process(enter_event(2, 2, "Op", 0.3, 1))
+        m.process(signal_event(3, 2, "Op", "ready", 0.4, 1))
+        assert m.violations == []
+        m.process(signal_exit_event(4, 2, "Op", 0.5, 0))
+        (message,) = self.st4_messages(m)
+        assert "while on the urgent list:" in message
+
+    def test_pid_on_two_lists_stays_blocked_after_leaving_one(self):
+        m = machine(
+            empty_state(
+                entry_queue=(QueueEntry(1, "Op", 0.0),),
+                cond_queues={"ready": (QueueEntry(1, "Op", 0.0),)},
+                running=(QueueEntry(2, "Op", 0.0),),
+            )
+        )
+        m.process(signal_exit_event(0, 2, "Op", 0.1, 0))  # admits P1
+        assert m.violations == []
+        m.process(signal_exit_event(1, 1, "Op", 0.2, 0))
+        (message,) = self.st4_messages(m)
+        assert "while on the Wait-Cond-List[ready]:" in message
+
+
+class CountingPid(int):
+    """A pid that counts how often it is compared."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingPid.comparisons += 1
+        return int.__eq__(self, other)
+
+    def __ne__(self, other):
+        CountingPid.comparisons += 1
+        return int.__ne__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def contended_trace(n, rounds):
+    """One process inside, ``n - 1`` on Enter-0-List, then ``rounds``
+    exit-and-re-enter rounds that cycle the queue.  Every event carries a
+    fresh pid object, so each index probe that matches costs a compare."""
+    base = empty_state(
+        running=(QueueEntry(CountingPid(0), "Op", 0.0),),
+        entry_queue=tuple(
+            QueueEntry(CountingPid(pid), "Op", 0.0) for pid in range(1, n)
+        ),
+    )
+    events = []
+    for round_index in range(rounds):
+        pid = round_index % n
+        time = 0.1 * (round_index + 1)
+        events.append(
+            signal_exit_event(2 * round_index, CountingPid(pid), "Op", time, 0)
+        )
+        events.append(
+            enter_event(2 * round_index + 1, CountingPid(pid), "Op", time, 0)
+        )
+    return base, tuple(events)
+
+
+class TestReplayCostPerEvent:
+    """Replaying one event costs the same whatever the queue lengths."""
+
+    @staticmethod
+    def comparisons_per_event(n, rounds=4_000):
+        base, events = contended_trace(n, rounds)
+        m = machine(base)
+        CountingPid.comparisons = 0
+        m.replay(events)
+        assert m.violations == []
+        assert len(m.enter0) == n - 1
+        return CountingPid.comparisons / len(events)
+
+    def test_pid_comparisons_do_not_grow_with_queue_length(self):
+        short = self.comparisons_per_event(4)
+        long = self.comparisons_per_event(256)
+        assert long <= short, (short, long)

@@ -1,7 +1,13 @@
 """Tests for cross-monitor wait-for-graph deadlock detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps import SingleResourceAllocator
 from repro.apps.dining_philosophers import greedy_philosopher
 from repro.detection import (
@@ -10,6 +16,7 @@ from repro.detection import (
     FaultClass,
     STRule,
 )
+from repro.detection.waitfor import simple_cycles
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, SimKernel
 
@@ -155,3 +162,36 @@ class TestDeadlockProcess:
         kernel.run(until=3.0)
         assert len(deadlocks.reports) == 1
         assert deadlocks.reports[0].detected_at <= 1.5  # within ~1 period
+
+
+class TestSimpleCycles:
+    def test_each_cycle_once_from_its_smallest_pid(self):
+        graph = {
+            5: {3: "a"},
+            3: {5: "a", 4: "b"},
+            4: {5: "b"},
+            7: {5: "c"},
+        }
+        assert sorted(simple_cycles(graph)) == [[3, 4, 5], [3, 5]]
+
+    def test_acyclic_graph_has_none(self):
+        assert list(simple_cycles({1: {2: "a"}, 2: {3: "a"}})) == []
+
+
+def test_import_repro_without_networkx():
+    """The package declares no dependencies, so it must import with
+    networkx unavailable."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, pkgutil, importlib\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if module.name != 'repro.__main__':\n"
+        "        importlib.import_module(module.name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

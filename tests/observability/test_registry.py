@@ -173,6 +173,23 @@ class TestRegistry:
         p99 = registry.histogram_percentile("repro_lat_seconds", 0.99)
         assert 0.0 < p99 <= 1.0
 
+    def test_absorb_adds_samples_under_stamped_labels(self):
+        retired = MetricsRegistry()
+        retired.counter("repro_bytes_total", "h").labels().inc(5)
+        retired.histogram("repro_lat_seconds", "", ("phase",)).labels(
+            phase="append"
+        ).observe(0.5)
+        registry = MetricsRegistry()
+        registry.counter("repro_bytes_total", "h", ("shard",)).labels(
+            shard=0
+        ).inc(2)
+        registry.absorb(retired, labels={"shard": 0})
+        registry.absorb(retired, labels={"shard": 0})
+        assert registry.value("repro_bytes_total", {"shard": "0"}) == 12
+        assert registry.histogram_count(
+            "repro_lat_seconds", {"shard": "0", "phase": "append"}
+        ) == 2
+
 
 class TestThreadSafety:
     def test_concurrent_increments_from_threads(self):
