@@ -62,10 +62,24 @@ def test_detector_sections_scale_linearly_engine_constant(benchmark):
         assert shared["atomic_sections"] < per_monitor["atomic_sections"]
 
 
+#: Grids per fleet size in the overhead comparison.
+REPEATS = 5
+
+
 def test_engine_checkpoint_overhead_sublinear(benchmark):
-    """Growing the fleet 16x must cost the session < 16x checking time."""
-    cells = benchmark.pedantic(lambda: grid((1, 16)), rounds=1, iterations=1)
-    small = cells[(1, "session")]["checking_seconds"]
-    large = cells[(16, "session")]["checking_seconds"]
+    """Growing the fleet 16x must cost the session < 16x checking time.
+
+    The 1-monitor session checks for only a few milliseconds, so one
+    scheduler hiccup can push a single run past the bound.  Each fleet
+    size's time is therefore the best of ``REPEATS`` grids (noise only
+    adds), as ``fleet_bench`` does with ``repeats``.
+    """
+    grids = benchmark.pedantic(
+        lambda: [grid((1, 16)) for __ in range(REPEATS)],
+        rounds=1,
+        iterations=1,
+    )
+    small = min(cells[(1, "session")]["checking_seconds"] for cells in grids)
+    large = min(cells[(16, "session")]["checking_seconds"] for cells in grids)
     assert small > 0
     assert large < 16 * small

@@ -33,11 +33,19 @@ from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.history.events import EventKind, SchedulingEvent
 from repro.history.states import QueueEntry, SchedulingState
-from repro.ids import Cond, Pid
+from repro.ids import Cond, Pid, Pname
 from repro.monitor.declaration import MonitorDeclaration
 from repro.monitor.semantics import Discipline
 
 __all__ = ["ReplayMachine", "sweep_timers"]
+
+#: The event kinds, read once: on CPython 3.11 every ``EventKind.X`` read
+#: goes through the Enum metaclass's ``__getattr__`` hook (about 0.1 µs),
+#: and the replay dispatches on the kind of every event.
+_ENTER = EventKind.ENTER
+_WAIT = EventKind.WAIT
+_SIGNAL_EXIT = EventKind.SIGNAL_EXIT
+_SIGNAL = EventKind.SIGNAL
 
 
 def _entries_match(
@@ -308,164 +316,167 @@ class ReplayMachine:
 
     def process(self, event: SchedulingEvent) -> None:
         """Replay one event, appending any rule violations found."""
-        if event.pid in self._blocked:
-            location = self._blocked_location(event.pid)
+        # One unpack here is cheaper than the handlers' named field reads.
+        seq, kind, pid, pname, time, flag, cond = event
+        if pid in self._blocked:
+            location = self._blocked_location(pid)
             self._report(
                 STRule.EVENT_WHILE_BLOCKED,
-                f"P{event.pid} generated {event.kind.value} while on the "
+                f"P{pid} generated {kind.value} while on the "
                 f"{location}: a blocked process cannot act (it was resumed "
                 "without being admitted)",
-                time=event.time,
-                pids=(event.pid,),
-                event_seq=event.seq,
+                time=time,
+                pids=(pid,),
+                event_seq=seq,
             )
-        if event.kind is EventKind.ENTER:
-            self._replay_enter(event)
-        elif event.kind is EventKind.WAIT:
-            self._replay_wait(event)
-        elif event.kind is EventKind.SIGNAL_EXIT:
-            self._replay_signal_exit(event)
-        elif event.kind is EventKind.SIGNAL:
-            self._replay_signal(event)
-        if len(self.running) > 1:
+        if kind is _ENTER:
+            self._replay_enter(seq, pid, pname, time, flag)
+        elif kind is _WAIT:
+            self._replay_wait(seq, pid, pname, time, cond)
+        elif kind is _SIGNAL_EXIT:
+            self._replay_signal_exit(seq, pid, time, flag, cond)
+        elif kind is _SIGNAL:
+            self._replay_signal(seq, pid, time, flag, cond)
+        running = self.running
+        if len(running) > 1:
             self._report(
                 STRule.ONE_INSIDE,
-                f"{len(self.running)} processes inside the monitor after "
-                f"{event.kind.value} by P{event.pid}: "
-                f"{[e.pid for e in self.running]}",
-                time=event.time,
-                pids=tuple(e.pid for e in self.running),
-                event_seq=event.seq,
+                f"{len(running)} processes inside the monitor after "
+                f"{kind.value} by P{pid}: {[e.pid for e in running]}",
+                time=time,
+                pids=tuple(e.pid for e in running),
+                event_seq=seq,
             )
 
     def replay(self, events: tuple[SchedulingEvent, ...]) -> None:
         for event in events:
             self.process(event)
 
-    def _replay_enter(self, event: SchedulingEvent) -> None:
-        entry = QueueEntry(event.pid, event.pname, event.time)
-        if event.flag == 1:
+    def _replay_enter(
+        self, seq: int, pid: Pid, pname: Pname, time: float, flag: int
+    ) -> None:
+        entry = QueueEntry(pid, pname, time)
+        if flag == 1:
             already_busy = bool(self.running)
             self.running.append(entry)
             if already_busy:
                 self._report(
                     STRule.ENTER_TAKES_FREE_MONITOR,
-                    f"P{event.pid} entered successfully while "
+                    f"P{pid} entered successfully while "
                     f"{[e.pid for e in self.running[:-1]]} already inside "
                     "(Running-List was not {Pid} after a successful Enter)",
-                    time=event.time,
-                    pids=(event.pid,),
-                    event_seq=event.seq,
+                    time=time,
+                    pids=(pid,),
+                    event_seq=seq,
                 )
         else:
             if not self.running:
                 self._report(
                     STRule.BLOCKED_MEANS_BUSY,
-                    f"P{event.pid} was delayed on Enter although no process "
+                    f"P{pid} was delayed on Enter although no process "
                     "was inside the monitor (unfair response)",
-                    time=event.time,
-                    pids=(event.pid,),
-                    event_seq=event.seq,
+                    time=time,
+                    pids=(pid,),
+                    event_seq=seq,
                 )
             self._block(self.enter0, entry)
 
-    def _check_caller_running(self, event: SchedulingEvent) -> bool:
-        pid = event.pid
+    def _check_caller_running(
+        self, seq: int, kind: EventKind, pid: Pid, time: float
+    ) -> bool:
         for entry in self.running:
             if entry.pid == pid:
                 return True
         self._report(
             STRule.CALLER_IS_RUNNING,
-            f"P{event.pid} issued {event.kind.value} but the Running-List "
+            f"P{pid} issued {kind.value} but the Running-List "
             f"is {[e.pid for e in self.running]} — the caller never "
             "(observably) entered the monitor",
-            time=event.time,
-            pids=(event.pid,),
-            event_seq=event.seq,
+            time=time,
+            pids=(pid,),
+            event_seq=seq,
         )
         return False
 
-    def _replay_wait(self, event: SchedulingEvent) -> None:
-        was_running = self._check_caller_running(event)
-        if was_running:
-            self._remove_running(event.pid)
-        assert event.cond is not None  # enforced by the event constructor
-        queue = self.wait_cond.get(event.cond)
+    def _replay_wait(
+        self, seq: int, pid: Pid, pname: Pname, time: float, cond: Cond
+    ) -> None:
+        if self._check_caller_running(seq, _WAIT, pid, time):
+            self._remove_running(pid)
+        queue = self.wait_cond.get(cond)
         if queue is None:
-            queue = self.wait_cond[event.cond] = deque()
-        self._block(queue, QueueEntry(event.pid, event.pname, event.time))
-        self._admit_next(event.time)
+            queue = self.wait_cond[cond] = deque()
+        self._block(queue, QueueEntry(pid, pname, time))
+        self._admit_next(time)
 
-    def _replay_signal_exit(self, event: SchedulingEvent) -> None:
-        was_running = self._check_caller_running(event)
-        if was_running:
-            self._remove_running(event.pid)
-        if event.flag == 1:
-            queue = self.wait_cond.get(event.cond or "", [])
-            if event.cond is None or not queue:
+    def _replay_signal_exit(
+        self, seq: int, pid: Pid, time: float, flag: int, cond: Optional[Cond]
+    ) -> None:
+        if self._check_caller_running(seq, _SIGNAL_EXIT, pid, time):
+            self._remove_running(pid)
+        queue = self.wait_cond.get(cond) if cond is not None else None
+        if flag == 1:
+            if not queue:
                 self._report(
                     STRule.SIGNAL_CONSISTENT,
-                    f"Signal-Exit by P{event.pid} claims it resumed a waiter "
-                    f"on {event.cond!r} but the Wait-Cond-List is empty",
-                    time=event.time,
-                    pids=(event.pid,),
-                    event_seq=event.seq,
+                    f"Signal-Exit by P{pid} claims it resumed a waiter "
+                    f"on {cond!r} but the Wait-Cond-List is empty",
+                    time=time,
+                    pids=(pid,),
+                    event_seq=seq,
                 )
-                self._admit_next(event.time)
+                self._admit_next(time)
             else:
                 waiter = self._unblock(queue.popleft())
-                self.running.append(
-                    QueueEntry(waiter.pid, waiter.pname, event.time)
-                )
+                self.running.append(QueueEntry(waiter.pid, waiter.pname, time))
         else:
-            if event.cond is not None and self.wait_cond.get(event.cond):
+            if queue:
                 self._report(
                     STRule.SIGNAL_CONSISTENT,
-                    f"Signal-Exit by P{event.pid} on {event.cond!r} resumed "
-                    f"nobody although "
-                    f"{[e.pid for e in self.wait_cond[event.cond]]} were "
+                    f"Signal-Exit by P{pid} on {cond!r} resumed "
+                    f"nobody although {[e.pid for e in queue]} were "
                     "waiting on the condition",
-                    time=event.time,
-                    pids=(event.pid,),
-                    event_seq=event.seq,
+                    time=time,
+                    pids=(pid,),
+                    event_seq=seq,
                 )
-            self._admit_next(event.time)
+            self._admit_next(time)
 
-    def _replay_signal(self, event: SchedulingEvent) -> None:
+    def _replay_signal(
+        self, seq: int, pid: Pid, time: float, flag: int, cond: Optional[Cond]
+    ) -> None:
         """Extension: non-exiting Signal under the Hoare/Mesa disciplines."""
-        self._check_caller_running(event)
-        assert event.cond is not None or event.flag == 0
-        discipline = self._declaration.discipline
-        queue = self.wait_cond.get(event.cond or "", [])
-        if event.flag == 0:
-            if event.cond is not None and queue:
+        self._check_caller_running(seq, _SIGNAL, pid, time)
+        queue = self.wait_cond.get(cond) if cond is not None else None
+        if flag == 0:
+            if queue:
                 self._report(
                     STRule.SIGNAL_CONSISTENT,
-                    f"Signal by P{event.pid} on {event.cond!r} resumed nobody "
+                    f"Signal by P{pid} on {cond!r} resumed nobody "
                     f"although {[e.pid for e in queue]} were waiting",
-                    time=event.time,
-                    pids=(event.pid,),
-                    event_seq=event.seq,
+                    time=time,
+                    pids=(pid,),
+                    event_seq=seq,
                 )
             return
         if not queue:
             self._report(
                 STRule.SIGNAL_CONSISTENT,
-                f"Signal by P{event.pid} claims it resumed a waiter on "
-                f"{event.cond!r} but the Wait-Cond-List is empty",
-                time=event.time,
-                pids=(event.pid,),
-                event_seq=event.seq,
+                f"Signal by P{pid} claims it resumed a waiter on "
+                f"{cond!r} but the Wait-Cond-List is empty",
+                time=time,
+                pids=(pid,),
+                event_seq=seq,
             )
             return
         waiter = self._unblock(queue.popleft())
-        resumed = QueueEntry(waiter.pid, waiter.pname, event.time)
-        if discipline is Discipline.SIGNAL_AND_WAIT:
-            signaller = self._remove_running(event.pid)
+        resumed = QueueEntry(waiter.pid, waiter.pname, time)
+        if self._declaration.discipline is Discipline.SIGNAL_AND_WAIT:
+            signaller = self._remove_running(pid)
             if signaller is not None:
                 self._block(
                     self.urgent,
-                    QueueEntry(signaller.pid, signaller.pname, event.time),
+                    QueueEntry(signaller.pid, signaller.pname, time),
                 )
             self.running.append(resumed)
         else:

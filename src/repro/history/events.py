@@ -28,8 +28,7 @@ Flag semantics (paper Section 3.1):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.ids import Cond, Pid, Pname
 
@@ -54,15 +53,14 @@ class EventKind(enum.Enum):
     SIGNAL = "Signal"
 
 
-@dataclass(frozen=True, slots=True)
-class SchedulingEvent:
-    """One element of a scheduling event sequence ``L``.
+#: Read once for the constructor's check: on CPython 3.11 every
+#: ``EventKind.X`` read goes through the Enum metaclass's ``__getattr__``.
+_WAIT = EventKind.WAIT
 
-    ``seq`` is a monitor-local sequence number making the order total (it is
-    the index ``i`` of ``l_i`` in the paper's notation).  ``cond`` is None
-    for Enter events and for a Signal-Exit that signals no condition (a
-    plain exit).
-    """
+
+class _EventFields(NamedTuple):
+    """:class:`SchedulingEvent`'s fields, in order.  A NamedTuple may not
+    override ``__new__``, so the validating subclass below adds it."""
 
     seq: int
     kind: EventKind
@@ -72,11 +70,29 @@ class SchedulingEvent:
     flag: int = 0
     cond: Optional[Cond] = None
 
-    def __post_init__(self) -> None:
-        if self.flag not in (0, 1):
-            raise ValueError(f"event flag must be 0 or 1, got {self.flag}")
-        if self.kind is EventKind.WAIT and self.cond is None:
+
+class SchedulingEvent(_EventFields):
+    """One element of a scheduling event sequence ``L``.
+
+    ``seq`` is a monitor-local sequence number making the order total (it is
+    the index ``i`` of ``l_i`` in the paper's notation).  ``cond`` is None
+    for Enter events and for a Signal-Exit that signals no condition (a
+    plain exit).
+
+    A validated, immutable tuple record, built inside every recorded
+    monitor transition.  ``_make`` and ``_replace`` skip the constructor's
+    checks, so code builds events only through the constructor or the
+    four helpers below.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq, kind, pid, pname, time, flag=0, cond=None):
+        if flag not in (0, 1):
+            raise ValueError(f"event flag must be 0 or 1, got {flag}")
+        if cond is None and kind is _WAIT:
             raise ValueError("Wait events require a condition name")
+        return tuple.__new__(cls, (seq, kind, pid, pname, time, flag, cond))
 
     @property
     def is_enter(self) -> bool:
@@ -115,24 +131,14 @@ def enter_event(
     seq: int, pid: Pid, pname: Pname, time: float, flag: int
 ) -> SchedulingEvent:
     """``Enter(Pid, Pname, t, flag)``."""
-    return SchedulingEvent(
-        seq=seq, kind=EventKind.ENTER, pid=pid, pname=pname, time=time, flag=flag
-    )
+    return SchedulingEvent(seq, EventKind.ENTER, pid, pname, time, flag)
 
 
 def wait_event(
     seq: int, pid: Pid, pname: Pname, cond: Cond, time: float
 ) -> SchedulingEvent:
     """``Wait(Pid, Pname, Cond, t)`` — flag is always 0 in the trimmed form."""
-    return SchedulingEvent(
-        seq=seq,
-        kind=EventKind.WAIT,
-        pid=pid,
-        pname=pname,
-        time=time,
-        flag=0,
-        cond=cond,
-    )
+    return SchedulingEvent(seq, EventKind.WAIT, pid, pname, time, 0, cond)
 
 
 def signal_exit_event(
@@ -145,13 +151,7 @@ def signal_exit_event(
 ) -> SchedulingEvent:
     """``Signal-Exit(Pid, Pname, Cond, t, flag)``; cond=None is a plain exit."""
     return SchedulingEvent(
-        seq=seq,
-        kind=EventKind.SIGNAL_EXIT,
-        pid=pid,
-        pname=pname,
-        time=time,
-        flag=flag,
-        cond=cond,
+        seq, EventKind.SIGNAL_EXIT, pid, pname, time, flag, cond
     )
 
 
@@ -159,12 +159,4 @@ def signal_event(
     seq: int, pid: Pid, pname: Pname, cond: Cond, time: float, flag: int
 ) -> SchedulingEvent:
     """Extension event for non-exiting signal disciplines."""
-    return SchedulingEvent(
-        seq=seq,
-        kind=EventKind.SIGNAL,
-        pid=pid,
-        pname=pname,
-        time=time,
-        flag=flag,
-        cond=cond,
-    )
+    return SchedulingEvent(seq, EventKind.SIGNAL, pid, pname, time, flag, cond)

@@ -64,17 +64,17 @@ def event_to_dict(event: SchedulingEvent) -> dict:
 
 
 def event_from_dict(record: dict) -> SchedulingEvent:
-    if record.get("kind") != "event":
+    if not isinstance(record, dict) or record.get("kind") != "event":
         raise HistoryError(f"not an event record: {record!r}")
     try:
         return SchedulingEvent(
-            seq=record["seq"],
-            kind=EventKind(record["event"]),
-            pid=record["pid"],
-            pname=record["pname"],
-            time=record["time"],
-            flag=record["flag"],
-            cond=record.get("cond"),
+            record["seq"],
+            EventKind(record["event"]),
+            record["pid"],
+            record["pname"],
+            record["time"],
+            record["flag"],
+            record.get("cond"),
         )
     except (KeyError, ValueError) as exc:
         raise HistoryError(f"malformed event record {record!r}: {exc}") from exc
@@ -119,49 +119,38 @@ def event_to_json_line(event: SchedulingEvent) -> str:
 # ------------------------------------------------------------------ states
 
 
-def _entry_to_list(entry: QueueEntry) -> list:
-    return [entry.pid, entry.pname, entry.since]
-
-
-def _entry_from_list(raw: list) -> QueueEntry:
-    pid, pname, since = raw
-    return QueueEntry(pid, pname, since)
-
-
 def state_to_dict(state: SchedulingState) -> dict:
     """One scheduling state snapshot as a JSON-compatible dict."""
     return {
         "kind": "state",
         "time": state.time,
-        "entry_queue": [_entry_to_list(e) for e in state.entry_queue],
+        "entry_queue": [list(e) for e in state.entry_queue],
         "cond_queues": {
-            cond: [_entry_to_list(e) for e in queue]
+            cond: [list(e) for e in queue]
             for cond, queue in state.cond_queues.items()
         },
-        "running": [_entry_to_list(e) for e in state.running],
-        "urgent": [_entry_to_list(e) for e in state.urgent],
+        "running": [list(e) for e in state.running],
+        "urgent": [list(e) for e in state.urgent],
         "resource_count": state.resource_count,
     }
 
 
 def state_from_dict(record: dict) -> SchedulingState:
-    if record.get("kind") != "state":
+    if not isinstance(record, dict) or record.get("kind") != "state":
         raise HistoryError(f"not a state record: {record!r}")
     try:
         return SchedulingState(
             time=record["time"],
-            entry_queue=tuple(
-                _entry_from_list(e) for e in record["entry_queue"]
-            ),
+            entry_queue=tuple(QueueEntry(*e) for e in record["entry_queue"]),
             cond_queues={
-                cond: tuple(_entry_from_list(e) for e in queue)
+                cond: tuple(QueueEntry(*e) for e in queue)
                 for cond, queue in record["cond_queues"].items()
             },
-            running=tuple(_entry_from_list(e) for e in record["running"]),
-            urgent=tuple(_entry_from_list(e) for e in record.get("urgent", [])),
+            running=tuple(QueueEntry(*e) for e in record["running"]),
+            urgent=tuple(QueueEntry(*e) for e in record.get("urgent", [])),
             resource_count=record.get("resource_count"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed state record {record!r}: {exc}") from exc
 
 
@@ -202,13 +191,13 @@ def events_from_wire(records) -> tuple:
     try:
         return tuple(
             SchedulingEvent(
-                seq=record["seq"],
-                kind=kinds[record["event"]],
-                pid=record["pid"],
-                pname=record["pname"],
-                time=record["time"],
-                flag=record["flag"],
-                cond=get(record, "cond"),
+                record["seq"],
+                kinds[record["event"]],
+                record["pid"],
+                record["pname"],
+                record["time"],
+                record["flag"],
+                get(record, "cond"),
             )
             for record in records
         )

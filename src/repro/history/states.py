@@ -14,18 +14,18 @@ table: ``Timer(pid) = now - entry.since``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from repro.ids import Cond, Pid, Pname
 
 __all__ = ["QueueEntry", "SchedulingState"]
 
 
-@dataclass(frozen=True, slots=True)
-class QueueEntry:
-    """One process sitting in a monitor queue (or in the Running set)."""
+class QueueEntry(NamedTuple):
+    """One process sitting in a monitor queue (or in the Running set); an
+    immutable tuple record, since one is built on every admission."""
 
     pid: Pid
     pname: Pname

@@ -29,7 +29,7 @@ Two cross-cutting concerns are threaded through every transition:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -39,13 +39,7 @@ from repro.errors import (
     UnknownProcedureError,
 )
 from repro.history.sink import EventSink
-from repro.history.events import (
-    SchedulingEvent,
-    enter_event,
-    signal_event,
-    signal_exit_event,
-    wait_event,
-)
+from repro.history.events import EventKind, SchedulingEvent
 from repro.history.states import QueueEntry, SchedulingState
 from repro.ids import Cond, Pid, Pname
 from repro.monitor.declaration import MonitorDeclaration
@@ -131,13 +125,24 @@ class MonitorCore:
         if not history.opened:
             history.open(self.snapshot())
 
-    def _record(self, build: Callable[[int], SchedulingEvent]) -> Optional[SchedulingEvent]:
-        if self._history is None:
+    def _record(
+        self,
+        kind: EventKind,
+        pid: Pid,
+        pname: Pname,
+        time: float,
+        flag: int = 0,
+        cond: Optional[Cond] = None,
+    ) -> Optional[SchedulingEvent]:
+        history = self._history
+        if history is None:
             return None
-        event = build(self._history.next_seq())
+        event = SchedulingEvent(
+            history.next_seq(), kind, pid, pname, time, flag, cond
+        )
         if not self._hooks.should_record(event):
             return None
-        self._history.record(event)
+        history.record(event)
         return event
 
     # ------------------------------------------------------------- validation
@@ -190,11 +195,9 @@ class MonitorCore:
         now = self._now()
         if not self._running or self._hooks.enter_admit_despite_owner(pid, pname):
             self._running.append(QueueEntry(pid, pname, now))
-            event = self._record(
-                lambda seq: enter_event(seq, pid, pname, now, flag=1)
-            )
+            event = self._record(EventKind.ENTER, pid, pname, now, 1)
             return Transition(caller_blocks=False, event=event)
-        event = self._record(lambda seq: enter_event(seq, pid, pname, now, flag=0))
+        event = self._record(EventKind.ENTER, pid, pname, now, 0)
         if not self._hooks.enter_drop_request(pid, pname):
             self._entry_queue.append(QueueEntry(pid, pname, now))
         return Transition(caller_blocks=True, event=event)
@@ -204,9 +207,7 @@ class MonitorCore:
         self._check_condition(cond)
         entry = self._running_entry(pid, f"Wait({cond})")
         now = self._now()
-        event = self._record(
-            lambda seq: wait_event(seq, pid, entry.pname, cond, now)
-        )
+        event = self._record(EventKind.WAIT, pid, entry.pname, now, 0, cond)
         if self._hooks.wait_no_block(pid, cond):
             # Fault I.b.1: the caller just keeps running inside the monitor.
             return Transition(caller_blocks=False, event=event)
@@ -241,22 +242,20 @@ class MonitorCore:
                 waiter = queue.popleft()
                 flag = 1
         event = self._record(
-            lambda seq: signal_exit_event(
-                seq, pid, entry.pname, now, flag=flag, cond=cond
-            )
+            EventKind.SIGNAL_EXIT, pid, entry.pname, now, flag, cond
         )
         wake: list[Pid] = []
         if not self._hooks.sigexit_hold_monitor(pid):
             self._running.remove(entry)
         if waiter is not None:
-            self._running.append(replace(waiter, since=now))
+            self._running.append(QueueEntry(waiter.pid, waiter.pname, now))
             wake.append(waiter.pid)
             if (
                 self._hooks.admission_admit_extra("signal-exit-handoff")
                 and self._entry_queue
             ):
                 extra = self._entry_queue.popleft()
-                self._running.append(replace(extra, since=now))
+                self._running.append(QueueEntry(extra.pid, extra.pname, now))
                 wake.append(extra.pid)
         else:
             wake.extend(self._admit_next(now, origin="signal-exit"))
@@ -285,25 +284,25 @@ class MonitorCore:
         if discipline is Discipline.SIGNAL_AND_WAIT:
             if not queue:
                 event = self._record(
-                    lambda seq: signal_event(seq, pid, entry.pname, cond, now, 0)
+                    EventKind.SIGNAL, pid, entry.pname, now, 0, cond
                 )
                 return Transition(caller_blocks=False, event=event)
             waiter = queue.popleft()
             event = self._record(
-                lambda seq: signal_event(seq, pid, entry.pname, cond, now, 1)
+                EventKind.SIGNAL, pid, entry.pname, now, 1, cond
             )
             self._running.remove(entry)
-            self._urgent.append(replace(entry, since=now))
-            self._running.append(replace(waiter, since=now))
+            self._urgent.append(QueueEntry(entry.pid, entry.pname, now))
+            self._running.append(QueueEntry(waiter.pid, waiter.pname, now))
             return Transition(caller_blocks=True, wake=(waiter.pid,), event=event)
         # SIGNAL_AND_CONTINUE
         flag = 0
         if queue:
             waiter = queue.popleft()
-            self._entry_queue.append(replace(waiter, since=now))
+            self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             flag = 1
         event = self._record(
-            lambda seq: signal_event(seq, pid, entry.pname, cond, now, flag)
+            EventKind.SIGNAL, pid, entry.pname, now, flag, cond
         )
         return Transition(caller_blocks=False, event=event)
 
@@ -328,9 +327,9 @@ class MonitorCore:
         last_event: Optional[SchedulingEvent] = None
         while queue:
             waiter = queue.popleft()
-            self._entry_queue.append(replace(waiter, since=now))
+            self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             last_event = self._record(
-                lambda seq: signal_event(seq, pid, entry.pname, cond, now, 1)
+                EventKind.SIGNAL, pid, entry.pname, now, 1, cond
             )
         return Transition(caller_blocks=False, event=last_event)
 
@@ -371,12 +370,14 @@ class MonitorCore:
         elif self._entry_queue:
             chosen = self._pop_entry_honouring_victims()
         if chosen is not None:
-            self._running.append(replace(chosen, since=now))
+            self._running.append(QueueEntry(chosen.pid, chosen.pname, now))
             wake.append(chosen.pid)
             if self._hooks.admission_admit_extra(origin) and self._entry_queue:
                 extra = self._pop_entry_honouring_victims()
                 if extra is not None:
-                    self._running.append(replace(extra, since=now))
+                    self._running.append(
+                        QueueEntry(extra.pid, extra.pname, now)
+                    )
                     wake.append(extra.pid)
         return wake
 

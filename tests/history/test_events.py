@@ -71,3 +71,32 @@ class TestSemantics:
         event = enter_event(0, 1, "Op", 0.0, 1)
         with pytest.raises(AttributeError):
             event.pid = 2
+        with pytest.raises(AttributeError):
+            event.extra = 2
+
+
+class TestRecordShape:
+    def test_fields_and_defaults(self):
+        assert SchedulingEvent._fields == (
+            "seq", "kind", "pid", "pname", "time", "flag", "cond"
+        )
+        event = SchedulingEvent(3, EventKind.ENTER, 1, "Op", 0.5)
+        assert (event.flag, event.cond) == (0, None)
+
+    def test_repr_names_every_field(self):
+        event = signal_exit_event(2, 5, "Send", 3.0, flag=1, cond="empty")
+        assert repr(event) == (
+            "SchedulingEvent(seq=2, kind=<EventKind.SIGNAL_EXIT: "
+            "'Signal-Exit'>, pid=5, pname='Send', time=3.0, flag=1, "
+            "cond='empty')"
+        )
+
+    def test_str_rendering_exact(self):
+        event = signal_exit_event(2, 5, "Send", 3.0, flag=1, cond="empty")
+        assert str(event) == "Signal-Exit(P5, Send, empty, t=3, flag=1)"
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert wait_event(1, 5, "Send", "full", 2.0) == SchedulingEvent(
+            seq=1, kind=EventKind.WAIT, pid=5, pname="Send", time=2.0,
+            cond="full",
+        )

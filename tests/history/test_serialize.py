@@ -18,6 +18,7 @@ from repro.history.serialize import (
     dump_trace,
     event_from_dict,
     event_to_dict,
+    events_from_wire,
     load_trace,
     state_from_dict,
     state_to_dict,
@@ -66,6 +67,64 @@ class TestDictRoundTrips:
     def test_malformed_event_rejected(self):
         with pytest.raises(HistoryError):
             event_from_dict({"kind": "event", "event": "Nonsense", "seq": 0})
+
+
+#: Well-formed JSON event records that the event constructor rejects.
+#: ``SchedulingEvent._make`` and ``_replace`` skip the constructor's
+#: checks and would accept both, so these pin that every decoder builds
+#: events through the constructor.
+INVALID_EVENTS = {
+    "flag-2": {
+        "kind": "event", "event": "Enter", "seq": 0, "pid": 1,
+        "pname": "Op", "time": 0.0, "flag": 2,
+    },
+    "wait-without-cond": {
+        "kind": "event", "event": "Wait", "seq": 0, "pid": 1,
+        "pname": "Op", "time": 0.0, "flag": 0,
+    },
+}
+
+
+class TestDecoderValidation:
+    @pytest.mark.parametrize("name", sorted(INVALID_EVENTS))
+    def test_event_from_dict_rejects(self, name):
+        with pytest.raises(HistoryError):
+            event_from_dict(dict(INVALID_EVENTS[name]))
+
+    @pytest.mark.parametrize("name", sorted(INVALID_EVENTS))
+    def test_events_from_wire_rejects(self, name):
+        good = event_to_dict(enter_event(0, 2, "Op", 0.5, 1))
+        with pytest.raises(HistoryError):
+            events_from_wire([good, dict(INVALID_EVENTS[name])])
+
+    def test_events_from_wire_decodes_valid_batch(self):
+        events = (
+            enter_event(0, 1, "Send", 0.1, 1),
+            wait_event(1, 1, "Send", "full", 0.2),
+            signal_exit_event(2, 2, "Receive", 0.3, 1, cond="full"),
+        )
+        decoded = events_from_wire([event_to_dict(e) for e in events])
+        assert decoded == events
+        assert all(type(event) is SchedulingEvent for event in decoded)
+
+    @pytest.mark.parametrize("record", [None, 5, [1, 2, 3], "Enter"])
+    def test_non_object_event_rejected(self, record):
+        with pytest.raises(HistoryError):
+            event_from_dict(record)
+        with pytest.raises(HistoryError):
+            events_from_wire([record])
+
+    @pytest.mark.parametrize("record", [None, 5, [1, 2, 3]])
+    def test_non_object_state_rejected(self, record):
+        with pytest.raises(HistoryError):
+            state_from_dict(record)
+
+    @pytest.mark.parametrize("cond_queues", [None, 5, [1, 2, 3], "full"])
+    def test_non_object_cond_queues_rejected(self, cond_queues):
+        record = state_to_dict(sample_state())
+        record["cond_queues"] = cond_queues
+        with pytest.raises(HistoryError):
+            state_from_dict(record)
 
 
 class TestStreamRoundTrips:

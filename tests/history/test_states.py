@@ -26,7 +26,17 @@ class TestQueueEntry:
         assert entry(1, since=3.0).timer(10.0) == 7.0
 
     def test_str(self):
-        assert "P1" in str(entry(1))
+        assert str(entry(1, "Send", 2.5)) == "P1(Send)@2.5"
+
+    def test_repr_names_every_field(self):
+        assert repr(entry(1, "Send", 2.5)) == (
+            "QueueEntry(pid=1, pname='Send', since=2.5)"
+        )
+
+    def test_immutable(self):
+        queued = entry(1)
+        with pytest.raises(AttributeError):
+            queued.since = 5.0
 
 
 class TestAccessors:

@@ -9,12 +9,10 @@ next cut must report the same losses (so degraded-mode confidence
 survives a restart).
 """
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.history import BoundedHistory, HistoryDatabase
+from repro.history import BoundedHistory, HistoryDatabase, SchedulingEvent
 from repro.history.serialize import apply_sink_state, sink_state_to_dict
 from repro.history.states import SchedulingState
 from tests.history.test_serialize import events_strategy
@@ -28,7 +26,8 @@ def fill(sink, events):
     sink.open(blank_state())
     for seq, event in enumerate(events):
         # Recorded seqs must be unique and increasing for replay parity.
-        sink.record(dataclasses.replace(event, seq=seq))
+        # Rebuilt through the validating constructor, not ``_replace``.
+        sink.record(SchedulingEvent(seq, *event[1:]))
     return sink
 
 

@@ -332,6 +332,40 @@ class TestIngest:
         server.feed(2, encode_frame(windows[0]))
         assert server.windows_accepted == 1
 
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            ("event", None),
+            ("event", 5),
+            ("event", [1, 2, 3]),
+            ("previous", 5),
+            ("current", 5),
+            ("cond_queues", [1, 2]),
+        ],
+    )
+    def test_malformed_segment_quarantines_not_the_fleet(self, where, bad):
+        # Well-framed JSON whose segment holds a non-object where a
+        # record belongs: the decoder must answer with a protocol error
+        # for this connection, not an exception that stops the server.
+        server = make_server()
+        hello, windows = corpus()
+        handshake(server, conn_id=1)
+        segment = dict(windows[0]["segment"])
+        if where == "event":
+            segment["events"] = [bad, *segment["events"][1:]]
+        elif where == "cond_queues":
+            segment["current"] = dict(segment["current"], cond_queues=bad)
+        else:
+            segment[where] = bad
+        window = dict(windows[0], segment=segment)
+        (error,) = decode_all(server.feed(1, encode_frame(window)))
+        assert error["type"] == "error"
+        assert server.connection_quarantined(1)
+        server.connect(2)
+        decode_all(server.feed(2, encode_frame(hello)))
+        server.feed(2, encode_frame(windows[0]))
+        assert server.windows_accepted == 1
+
     def test_window_for_unknown_stream_quarantines(self):
         server = make_server()
         hello, windows = corpus()
