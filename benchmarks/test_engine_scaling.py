@@ -14,6 +14,8 @@ kernel and asserts the amortisation claims:
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from repro.bench.engine_scaling import scaling_bench
@@ -70,16 +72,19 @@ def test_engine_checkpoint_overhead_sublinear(benchmark):
     """Growing the fleet 16x must cost the session < 16x checking time.
 
     The 1-monitor session checks for only a few milliseconds, so one
-    scheduler hiccup can push a single run past the bound.  Each fleet
-    size's time is therefore the best of ``REPEATS`` grids (noise only
-    adds), as ``fleet_bench`` does with ``repeats``.
+    scheduler hiccup can push a single run past the bound.  Each grid
+    runs both fleet sizes back to back, so its 16-to-1 ratio pairs
+    measurements taken under the same machine load; the bound applies
+    to the median ratio over ``REPEATS`` grids.
     """
     grids = benchmark.pedantic(
         lambda: [grid((1, 16)) for __ in range(REPEATS)],
         rounds=1,
         iterations=1,
     )
-    small = min(cells[(1, "session")]["checking_seconds"] for cells in grids)
-    large = min(cells[(16, "session")]["checking_seconds"] for cells in grids)
-    assert small > 0
-    assert large < 16 * small
+    ratios = []
+    for cells in grids:
+        small = cells[(1, "session")]["checking_seconds"]
+        assert small > 0
+        ratios.append(cells[(16, "session")]["checking_seconds"] / small)
+    assert median(ratios) < 16

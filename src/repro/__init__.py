@@ -69,11 +69,6 @@ from repro.detection import (
     DetectionSession,
     DetectorConfig,
     DurableEngine,
-    LabelSharding,
-    RateBalancedSharding,
-    RoundRobinSharding,
-    ShardPolicy,
-    make_shard_policy,
     shard_process,
     RecoverySummary,
     FaultClass,
@@ -210,11 +205,6 @@ __all__ = [
     "DetectionEngine",
     "DetectionCluster",
     "DetectionSession",
-    "ShardPolicy",
-    "RoundRobinSharding",
-    "RateBalancedSharding",
-    "LabelSharding",
-    "make_shard_policy",
     "shard_process",
     "DurableEngine",
     "RecoverySummary",

@@ -79,7 +79,7 @@ def _measure(
             kernel, config=SCALING_CONFIG, shards=shards, supervised=False
         )
         for run in group:
-            session.register(run.monitor, group=run.shard_label)
+            session.register(run.monitor)
         session.start()
         sessions.append(session)
     run_kernel(kernel, spec.operations * spec.think_time * 40 + 60)

@@ -389,17 +389,24 @@ def fleet_bench(
     Both modes run the identical seeded workload and checkpoint schedule;
     only :attr:`DetectorConfig.incremental_checking` differs, so
     ``evaluate_seconds`` isolates what the carried checking lists save.
-    Timings are the best over ``repeats`` runs per mode (noise only adds);
-    the hot-path counters are deterministic and taken from the last run.
+    The repeats run as alternating incremental/full pairs, so a slow
+    stretch of the machine lands on both modes rather than on one mode's
+    whole batch.  Timings are the best over ``repeats`` runs per mode
+    (noise only adds); the hot-path counters are deterministic and taken
+    from the last run.
     """
     spec = spec or FLEET_SPEC
     registry = MetricsRegistry()
     record(registry, {"backend": backend}, backend_info=1)
-    for mode in ("incremental", "full"):
-        samples = [
-            _fleet_once(backend, spec, fleet, mode == "incremental", evaluation)
-            for __ in range(repeats)
-        ]
+    runs: dict[str, list[dict]] = {"incremental": [], "full": []}
+    for __ in range(repeats):
+        for mode, samples in runs.items():
+            samples.append(
+                _fleet_once(
+                    backend, spec, fleet, mode == "incremental", evaluation
+                )
+            )
+    for mode, samples in runs.items():
         values = dict(samples[-1])
         for name in (
             "evaluate_seconds", "worldstop_seconds",

@@ -33,23 +33,14 @@ Contents:
   rebuilding a restarted detector to the crashed one's fault set.
 * :mod:`repro.detection.cluster` — horizontal scale-out: the
   :class:`~repro.detection.cluster.DetectionCluster` partitioning the
-  fleet across N engine shards (pluggable
-  :class:`~repro.detection.cluster.ShardPolicy`) with staggered capture
+  fleet round-robin across N engine shards with staggered capture
   schedules and, on the thread kernel, pooled phase-2 evaluation.
 * :mod:`repro.detection.session` — the one public front door:
   :class:`~repro.detection.session.DetectionSession` wiring
   engine/cluster, supervision and durability behind a single constructor.
 """
 
-from repro.detection.cluster import (
-    DetectionCluster,
-    LabelSharding,
-    RateBalancedSharding,
-    RoundRobinSharding,
-    ShardPolicy,
-    make_shard_policy,
-    shard_process,
-)
+from repro.detection.cluster import DetectionCluster, shard_process
 
 from repro.detection.algorithm1 import check_general_concurrency_control
 from repro.detection.algorithm2 import ResourceStateChecker
@@ -120,11 +111,6 @@ __all__ = [
     "ProcessEvaluationPool",
     "DetectionCluster",
     "DetectionSession",
-    "ShardPolicy",
-    "RoundRobinSharding",
-    "RateBalancedSharding",
-    "LabelSharding",
-    "make_shard_policy",
     "shard_process",
     "FaultStatistics",
     "DeadlockDetector",

@@ -22,10 +22,8 @@ partition the registered monitors across N engine *shards* so that
   GIL), while each shard's single worker still serialises its own
   checker-state mutation.
 
-Which monitor lands on which shard is a pluggable :class:`ShardPolicy`:
-round-robin (:class:`RoundRobinSharding`), lowest event-rate EWMA load
-(:class:`RateBalancedSharding`), or explicit label groups
-(:class:`LabelSharding`, fed by ``build_fleet`` shard labels).
+Monitors are placed round-robin in registration order, unless a
+registration pins its shard explicitly (``register(..., shard=k)``).
 
 The cluster exposes the same reporting surface as a single engine
 (``reports``, ``reports_by_monitor``, ``implicated_faults``, ``clean``,
@@ -42,11 +40,10 @@ crash one shard while the others keep detecting.
 
 from __future__ import annotations
 
-import abc
 import math
 import random
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, RecoverySummary
@@ -72,124 +69,12 @@ from repro.detection.supervision import (
 from repro.history.sink import merge_event_streams
 from repro.kernel.syscalls import Delay, Syscall
 from repro.kernel.threads import ThreadKernel
-from repro.monitor.construct import Monitor
 
 __all__ = [
-    "ShardPolicy",
-    "RoundRobinSharding",
-    "RateBalancedSharding",
-    "LabelSharding",
-    "make_shard_policy",
     "ClusterShard",
     "DetectionCluster",
     "shard_process",
 ]
-
-
-# ------------------------------------------------------------ shard policies
-
-
-class ShardPolicy(abc.ABC):
-    """Chooses the shard a newly registered monitor lands on."""
-
-    #: The :attr:`DetectorConfig.shard_policy` spelling of this policy.
-    name: str = "?"
-
-    @abc.abstractmethod
-    def assign(
-        self,
-        cluster: "DetectionCluster",
-        monitor: Monitor,
-        label: str,
-        group: Optional[str],
-    ) -> int:
-        """Return the shard index (``0 <= index < cluster.shard_count``)."""
-
-
-class RoundRobinSharding(ShardPolicy):
-    """Registration order modulo shard count — the fixed, oblivious default."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def assign(self, cluster, monitor, label, group) -> int:
-        index = self._next % cluster.shard_count
-        self._next += 1
-        return index
-
-
-class RateBalancedSharding(ShardPolicy):
-    """Greedy lowest-load placement by summed event-rate EWMA.
-
-    Each registered monitor carries an EWMA of its event rate (the same
-    one the adaptive capture schedule uses); a new monitor goes to the
-    shard whose entries currently sum to the lowest rate, tie-broken by
-    fewest entries, then lowest shard id — so a hot monitor does not pile
-    onto a shard already sweeping hot ones.
-    """
-
-    name = "rate"
-
-    def assign(self, cluster, monitor, label, group) -> int:
-        def load(shard: "ClusterShard") -> tuple[float, int, int]:
-            entries = shard.engine.entries
-            return (
-                sum(entry.event_rate for entry in entries),
-                len(entries),
-                shard.index,
-            )
-
-        return min(cluster.shards, key=load).index
-
-
-class LabelSharding(ShardPolicy):
-    """Explicit label groups: every monitor of one group shares a shard.
-
-    ``groups`` maps a group name to a shard index; unseen groups are
-    assigned in first-seen order modulo the shard count, so related
-    monitors (``build_fleet`` tags each scenario instance with its
-    scenario name as ``shard_label``) stay co-located without
-    pre-declaring the universe of groups.  A monitor registered without a
-    group falls back to its label as its own group.
-    """
-
-    name = "label"
-
-    def __init__(self, groups: Optional[dict[str, int]] = None) -> None:
-        self.groups: dict[str, int] = dict(groups or {})
-
-    def assign(self, cluster, monitor, label, group) -> int:
-        key = group if group is not None else label
-        if key not in self.groups:
-            taken = len(self.groups)
-            self.groups[key] = taken % cluster.shard_count
-        index = self.groups[key]
-        if not 0 <= index < cluster.shard_count:
-            raise ValueError(
-                f"label group {key!r} maps to shard {index}, but the "
-                f"cluster has {cluster.shard_count} shard(s)"
-            )
-        return index
-
-
-_POLICY_FACTORIES: dict[str, Callable[[], ShardPolicy]] = {
-    RoundRobinSharding.name: RoundRobinSharding,
-    RateBalancedSharding.name: RateBalancedSharding,
-    LabelSharding.name: LabelSharding,
-}
-
-
-def make_shard_policy(name: str) -> ShardPolicy:
-    """Instantiate a policy from its :attr:`DetectorConfig.shard_policy` name."""
-    try:
-        return _POLICY_FACTORIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown shard policy {name!r}; choose from "
-            f"{sorted(_POLICY_FACTORIES)}"
-        ) from None
 
 
 #: Attributes a cluster sums over its shards' engines.
@@ -315,14 +200,11 @@ class DetectionCluster:
         The substrate every registered monitor (and every shard's atomic
         capture section) lives on.
     config:
-        Default :class:`DetectorConfig`; ``config.shards`` /
-        ``config.shard_policy`` / ``config.stagger`` seed the cluster
-        shape unless overridden by the keyword arguments.
+        Default :class:`DetectorConfig`; ``config.stagger`` decides
+        whether the shards' capture schedules are offset.
     shards:
-        Number of engine shards (default ``config.shards``).
-    policy:
-        A :class:`ShardPolicy` instance (default: built from
-        ``config.shard_policy``).
+        Number of engine shards (default 1).  Registrations are placed
+        round-robin across them unless pinned with ``shard=``.
     durable_root:
         When set, each shard is wrapped in a
         :class:`~repro.detection.durability.DurableEngine` rooted at
@@ -333,8 +215,8 @@ class DetectionCluster:
         thread per shard — overlap, GIL-serialised), ``"processes"``
         (one evaluator worker *process* per shard — true multi-core
         parallelism) or ``"inline"`` (evaluate on the checkpointing
-        process).  Default (None): ``config.evaluation``, else threads on
-        :class:`~repro.kernel.threads.ThreadKernel` and inline on the
+        process).  Default (None): threads on the
+        :class:`~repro.kernel.threads.ThreadKernel`, inline on the
         deterministic sim kernel.
     """
 
@@ -343,21 +225,16 @@ class DetectionCluster:
         kernel,
         config: Optional[DetectorConfig] = None,
         *,
-        shards: Optional[int] = None,
-        policy: Optional[ShardPolicy] = None,
+        shards: int = 1,
         durable_root: Optional[Union[str, Path]] = None,
         fsync: str = "interval",
         evaluation: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
         self.config = config or DetectorConfig()
-        count = self.config.shards if shards is None else shards
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        self.policy = policy or make_shard_policy(self.config.shard_policy)
+        if shards < 1:
+            raise ValueError(f"shard count must be >= 1, got {shards}")
         self.durable_root = Path(durable_root) if durable_root else None
-        if evaluation is None:
-            evaluation = self.config.evaluation
         if evaluation is None:
             evaluation = (
                 "threads" if isinstance(kernel, ThreadKernel) else "inline"
@@ -371,15 +248,15 @@ class DetectionCluster:
         self.evaluation = evaluation
         self._pool: Optional[EvaluationPool] = None
         if evaluation == "threads":
-            self._pool = ThreadEvaluationPool(count)
+            self._pool = ThreadEvaluationPool(shards)
         elif evaluation == "processes":
-            self._pool = ProcessEvaluationPool(count)
+            self._pool = ProcessEvaluationPool(shards)
         #: ``(shard index, worker name)`` of pool workers that outlived
         #: the close timeout (each also logged as a "leak" event on the
         #: shard's supervisor).
         self.pool_leaks: list[tuple[int, str]] = []
         self._shards: list[ClusterShard] = []
-        for index in range(count):
+        for index in range(shards):
             engine = DetectionEngine(kernel, self.config)
             target: Union[DetectionEngine, DurableEngine] = engine
             if self.durable_root is not None:
@@ -394,6 +271,8 @@ class DetectionCluster:
         #: Cluster-wide registration order: ``(entry, shard index)``.
         self._order: list[tuple[RegisteredMonitor, int]] = []
         self._labels: set[str] = set()
+        #: Round-robin cursor; advances only on unpinned registrations.
+        self._next_shard = 0
         self._stopped = False
 
     # ------------------------------------------------------------------ shape
@@ -433,22 +312,22 @@ class DetectionCluster:
         config: Optional[DetectorConfig] = None,
         *,
         label: Optional[str] = None,
-        group: Optional[str] = None,
         shard: Optional[int] = None,
     ) -> RegisteredMonitor:
         """Place a monitor on a shard and register it there.
 
         ``label`` keys the monitor in :meth:`reports_by_monitor`
         (cluster-wide unique, ``#2``-suffixed like the engine's).
-        ``group`` feeds :class:`LabelSharding` (ignored by the oblivious
-        policies); ``shard`` pins the placement explicitly, bypassing the
-        policy.  Registration rebalances the stagger offsets over the
+        Placement is round-robin over unpinned registrations; ``shard``
+        pins it explicitly and leaves the round-robin cursor where it
+        was.  Registration rebalances the stagger offsets over the
         non-empty shards.
         """
         monitor = _unwrap(target)
         unique = self._unique_label(label or monitor.name)
         if shard is None:
-            index = self.policy.assign(self, monitor, unique, group)
+            index = self._next_shard % self.shard_count
+            self._next_shard += 1
         else:
             index = shard
         if not 0 <= index < self.shard_count:
@@ -621,8 +500,8 @@ class DetectionCluster:
         """Restore every durable shard after a restart, in shard order.
 
         Rebuild the fleet first, exactly as before the crash (same
-        monitors, same labels, same shard placement — pin with
-        ``register(..., shard=...)`` when the policy is stateful), then
+        monitors, same labels, in the same order or pinned with
+        ``register(..., shard=...)``, so each lands on its old shard), then
         call this once.  The per-shard journals re-merge through
         :attr:`delivered_reports`.
         """
@@ -898,7 +777,7 @@ class DetectionCluster:
     def __repr__(self) -> str:
         return (
             f"DetectionCluster(shards={self.shard_count}, "
-            f"monitors={len(self._order)}, policy={self.policy.name!r}, "
+            f"monitors={len(self._order)}, "
             f"checkpoints={self.checkpoints_run}, "
             f"worldstop_max={self.worldstop_max:.6f}, "
             f"durable={self.durable_root is not None}, "

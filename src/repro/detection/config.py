@@ -38,41 +38,14 @@ class DetectorConfig:
     * ``breaker_cooldown`` — virtual seconds a quarantined monitor sits out
       before a half-open probe checkpoint is allowed.
 
-    The adaptive-interval fields drive the engine's per-monitor capture
-    schedule (two-phase checkpoints skip idle monitors in phase 1):
-
-    * ``adaptive_intervals`` — enable the per-monitor ``next_due`` schedule.
-      Off by default: every registered monitor is captured at every engine
-      interval, which keeps report streams bit-identical to the paper's
-      fixed-period checking.
-    * ``min_interval`` / ``max_interval`` — bounds of the adaptive schedule
-      (defaults: ``interval`` and ``8 * interval``).  A busy monitor is
-      captured every ``min_interval``; a fully idle one every
-      ``max_interval`` — so timer sweeps still run, just less often.
-    * ``ewma_alpha`` — smoothing factor of the per-monitor event-rate EWMA
-      (1.0 = last window only).
-    * ``adaptive_target_events`` — the schedule aims for roughly this many
-      events per checking window: next interval =
-      ``target / ewma_rate`` clamped to the bounds.
-
-    The sharding fields shape a :class:`~repro.detection.cluster.DetectionCluster`
-    (ignored by a plain single engine):
-
-    * ``shards`` — number of engine shards the registered fleet is
-      partitioned across (1 = a single engine, no partitioning).
-    * ``shard_policy`` — which :class:`~repro.detection.cluster.ShardPolicy`
-      places new registrations: ``"round-robin"``, ``"rate"`` (event-rate
-      EWMA balance) or ``"label"`` (explicit label groups).
-    * ``stagger`` — offset each shard's capture schedule by
-      ``interval * k / N`` so phase-1 world-stops never coincide; off, all
-      shards fire at the same instants (useful for apples-to-apples
-      measurements).
-    * ``evaluation`` — which phase-2 evaluation plane the cluster runs:
-      ``"threads"`` (one worker thread per shard — overlap, but the GIL
-      serialises the checkers), ``"processes"`` (one evaluator worker
-      *process* per shard — true multi-core parallelism, captures cross
-      the pipe wire-serialized) or ``None`` (auto: threads on the thread
-      kernel, inline on the sim kernel).
+    Checking is fixed-period, as in the paper: every registered monitor is
+    captured at every engine interval.  ``stagger`` offsets each shard of a
+    :class:`~repro.detection.cluster.DetectionCluster` by
+    ``interval * k / N`` so phase-1 world-stops never coincide; off, all
+    shards fire at the same instants (useful for apples-to-apples
+    measurements).  The shard count and the phase-2 evaluation plane are
+    keywords of :class:`~repro.detection.session.DetectionSession`, not
+    config fields.
 
     Rather than memorising the kwarg sprawl, start from a
     :meth:`preset` — ``DetectorConfig.preset("bounded", interval=0.5)`` —
@@ -108,17 +81,8 @@ class DetectorConfig:
     monitor_check_budget: Optional[float] = None
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 5.0
-    # ---------------------------------------------- adaptive-interval tunables
-    adaptive_intervals: bool = False
-    min_interval: Optional[float] = None
-    max_interval: Optional[float] = None
-    ewma_alpha: float = 0.5
-    adaptive_target_events: float = 8.0
-    # --------------------------------------------------- sharding tunables
-    shards: int = 1
-    shard_policy: str = "round-robin"
+    #: Offset each cluster shard's capture schedule within the interval.
     stagger: bool = True
-    evaluation: Optional[str] = None
 
     #: Named starting points for common deployments (see :meth:`preset`).
     _PRESETS = {
@@ -132,10 +96,6 @@ class DetectorConfig:
             "retry_jitter": 0.25,
             "stall_timeout": 10.0,
             "monitor_check_budget": 0.25,
-        },
-        # Idle monitors captured less often (per-monitor EWMA schedule).
-        "adaptive": {
-            "adaptive_intervals": True,
         },
         # Crash-durable pipelines: patient retries + a stall watchdog.
         "durable": {
@@ -151,9 +111,8 @@ class DetectorConfig:
         """A named configuration baseline, with optional field overrides.
 
         ``preset("paper")`` is the default config; ``"bounded"`` turns on
-        every supervision bound; ``"adaptive"`` enables the per-monitor
-        capture schedule; ``"durable"`` suits WAL-backed pipelines.
-        Overrides win over the preset: ``preset("bounded", shards=4)``.
+        every supervision bound; ``"durable"`` suits WAL-backed pipelines.
+        Overrides win over the preset: ``preset("bounded", interval=0.5)``.
         """
         try:
             base = dict(cls._PRESETS[name])
@@ -164,18 +123,6 @@ class DetectorConfig:
             ) from None
         base.update(overrides)
         return cls(**base)
-
-    @property
-    def effective_min_interval(self) -> float:
-        """Floor of the adaptive capture schedule (defaults to ``interval``)."""
-        return self.interval if self.min_interval is None else self.min_interval
-
-    @property
-    def effective_max_interval(self) -> float:
-        """Ceiling of the adaptive capture schedule (default ``8 * interval``)."""
-        if self.max_interval is not None:
-            return self.max_interval
-        return max(8.0 * self.interval, self.effective_min_interval)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -214,36 +161,4 @@ class DetectorConfig:
         if self.breaker_cooldown <= 0:
             raise ValueError(
                 f"breaker_cooldown must be positive, got {self.breaker_cooldown!r}"
-            )
-        for name in ("min_interval", "max_interval"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(
-                    f"{name} must be None or positive, got {value!r}"
-                )
-        if self.effective_min_interval > self.effective_max_interval:
-            raise ValueError(
-                f"min_interval {self.effective_min_interval!r} exceeds "
-                f"max_interval {self.effective_max_interval!r}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be within (0, 1], got {self.ewma_alpha!r}"
-            )
-        if self.adaptive_target_events <= 0:
-            raise ValueError(
-                "adaptive_target_events must be positive, got "
-                f"{self.adaptive_target_events!r}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards!r}")
-        if self.shard_policy not in ("round-robin", "rate", "label"):
-            raise ValueError(
-                f"shard_policy must be one of 'round-robin', 'rate', "
-                f"'label'; got {self.shard_policy!r}"
-            )
-        if self.evaluation not in (None, "threads", "processes"):
-            raise ValueError(
-                f"evaluation must be None, 'threads' or 'processes'; "
-                f"got {self.evaluation!r}"
             )

@@ -13,8 +13,8 @@ timeouts and report stream), and every checking interval the engine runs
 one **two-phase checkpoint**:
 
 * **Phase 1 — capture** (inside a single ``kernel.atomic`` section): for
-  every due, non-quarantined monitor, snapshot the actual scheduling
-  state and cut the history window, enqueueing an immutable
+  every non-quarantined monitor, snapshot the actual scheduling state
+  and cut the history window, enqueueing an immutable
   :class:`CheckpointCapture` per monitor.  This is all the world-stop
   pays for: O(snapshot + cut) per monitor, no rule evaluation.
 * **Phase 2 — evaluate** (outside the atomic section, workload running):
@@ -29,15 +29,6 @@ same rules, pids, timestamps and confidences, in the same order — while
 the suspend-the-world window shrinks from O(rule evaluation) to
 O(snapshot).  A checker that throws in phase 2 still trips its circuit
 breaker; ``monitor_check_budget`` now times phase-2 evaluation.
-
-On top of the captures, **adaptive per-monitor intervals**
-(``DetectorConfig.adaptive_intervals``) let idle monitors sit out
-phase 1: an EWMA of each monitor's event rate (from its segment sizes)
-schedules a per-monitor ``next_due`` within the config's min/max bounds.
-Skips are drop-safe: a monitor whose
-:class:`~repro.history.bounded.BoundedHistory` is at risk of evicting
-events before ``next_due`` is captured immediately — a skipped interval
-must never silently lose a window.
 
 Applications reach the engine through
 :class:`~repro.detection.session.DetectionSession`, which wraps one or
@@ -136,13 +127,6 @@ COUNTERS: tuple[CounterSpec, ...] = (
     CounterSpec("check_failures", ENGINE,
                 "repro_engine_check_failures_total",
                 "Capture/evaluate exceptions absorbed by breakers.",
-                persisted=True),
-    CounterSpec("intervals_skipped", SUMMED,
-                "repro_engine_intervals_skipped_total",
-                "Adaptive-schedule checkpoint skips.", persisted=True),
-    CounterSpec("forced_captures", SUMMED,
-                "repro_engine_forced_captures_total",
-                "Drop-safety captures taken before next_due.",
                 persisted=True),
     CounterSpec("incremental_hits", SUMMED,
                 "repro_engine_incremental_hits_total",
@@ -390,18 +374,6 @@ class RegisteredMonitor:
         self.dropped_in_windows = 0
         #: Windows evaluated in degraded mode (incomplete event sequence).
         self.degraded_windows = 0
-        # ------------------------------------------------- adaptive schedule
-        #: EWMA of this monitor's event rate (events / virtual second).
-        self.event_rate = 0.0
-        self._rate_primed = False
-        #: Virtual time of the next mandatory capture (None = never scheduled;
-        #: the first checkpoint always captures).
-        self.next_due: Optional[float] = None
-        #: Phase-1 rounds skipped because the monitor was not yet due.
-        self.intervals_skipped = 0
-        #: Captures taken *before* ``next_due`` because skipping risked
-        #: evicting events from a bounded sink (drop-safety overrides).
-        self.forced_captures = 0
 
     # ------------------------------------------------------------- real time
 
@@ -420,63 +392,6 @@ class RegisteredMonitor:
         """True while the real-time order tap is attached to the sink."""
         return self._tapped
 
-    # ----------------------------------------------------- adaptive schedule
-
-    def due(self, now: float) -> bool:
-        """Must this monitor be captured at a phase 1 starting ``now``?
-
-        Always true with adaptive intervals off (every monitor, every
-        interval — the paper's fixed-period checking) and for the first
-        checkpoint.  Otherwise a monitor is due when its ``next_due`` has
-        arrived, or early when skipping is not drop-safe: a bounded sink
-        already holding a lossy window, or predicted to evict events
-        before ``next_due``, is cut *now* rather than silently losing part
-        of the window to ring-buffer eviction.
-        """
-        if not self.config.adaptive_intervals or self.next_due is None:
-            return True
-        if now >= self.next_due - 1e-12:
-            return True
-        if self._eviction_risk(now):
-            self.forced_captures += 1
-            return True
-        return False
-
-    def _eviction_risk(self, now: float) -> bool:
-        capacity = getattr(self.history, "capacity", None)
-        if capacity is None:
-            return False  # unbounded sink: a skip can never drop events
-        if getattr(self.history, "pending_dropped", 0) > 0:
-            return True  # window already lossy: cut before it loses more
-        assert self.next_due is not None
-        predicted = self.event_rate * (self.next_due - now)
-        # 2x headroom: the EWMA underestimates bursts by construction.
-        return self.history.live_events + 2.0 * predicted >= capacity
-
-    def _reschedule(self, segment: Segment, now: float) -> None:
-        """Fold one cut window into the EWMA and pick the next due time."""
-        config = self.config
-        if not config.adaptive_intervals:
-            return
-        duration = segment.duration
-        if duration > 0:
-            rate = len(segment) / duration
-            if self._rate_primed:
-                alpha = config.ewma_alpha
-                self.event_rate = alpha * rate + (1.0 - alpha) * self.event_rate
-            else:
-                self.event_rate = rate
-                self._rate_primed = True
-        lo = config.effective_min_interval
-        hi = config.effective_max_interval
-        if self.event_rate <= 0.0:
-            interval = hi
-        else:
-            interval = min(
-                max(config.adaptive_target_events / self.event_rate, lo), hi
-            )
-        self.next_due = now + interval
-
     # ------------------------------------------------------ phase 1: capture
 
     def capture(self, now: float) -> CheckpointCapture:
@@ -485,8 +400,8 @@ class RegisteredMonitor:
         Must run inside the engine's atomic section.  Snapshots the actual
         state, cuts the history window, freezes the Algorithm-3
         Request-List (the real-time tap keeps mutating the live list once
-        the section ends) and advances the adaptive schedule.  No rule
-        runs here — this is the entirety of the monitor's world-stop cost.
+        the section ends).  No rule runs here — this is the entirety of
+        the monitor's world-stop cost.
         """
         snapshot = self.monitor.core.snapshot()
         segment = self.history.cut(snapshot)
@@ -495,7 +410,6 @@ class RegisteredMonitor:
             if self.algorithm3 is not None
             else None
         )
-        self._reschedule(segment, now)
         return CheckpointCapture(
             entry=self,
             snapshot=snapshot,
@@ -681,7 +595,6 @@ class RegisteredMonitor:
         return (
             f"RegisteredMonitor({self.label!r}, "
             f"reports={len(self.reports)}, checkpoints={self.checkpoints_run}, "
-            f"skipped={self.intervals_skipped}, "
             f"breaker={self.breaker.state.value})"
         )
 
@@ -858,7 +771,7 @@ class DetectionEngine:
     def checkpoint(self) -> list[FaultReport]:
         """Run one two-phase periodic check over every registered monitor.
 
-        Phase 1 (one atomic section) snapshots and cuts every due monitor;
+        Phase 1 (one atomic section) snapshots and cuts every monitor;
         phase 2 evaluates the captures with the workload running again.
         The suspend-the-world cost is paid once per interval and covers
         only the snapshot/cut sweep.  Returns the new reports (also
@@ -870,11 +783,10 @@ class DetectionEngine:
         return new_reports
 
     def capture_phase(self) -> int:
-        """Phase 1: one atomic section enqueueing a capture per due monitor.
+        """Phase 1: one atomic section enqueueing a capture per monitor.
 
-        Returns the number of captures taken.  Breaker gating and adaptive
-        skips happen here — a quarantined or not-yet-due monitor is not
-        snapshotted at all.
+        Returns the number of captures taken.  Breaker gating happens
+        here — a quarantined monitor is not snapshotted at all.
         """
         started = perf_counter()
         try:
@@ -893,9 +805,6 @@ class DetectionEngine:
         for entry in list(self._entries):
             if not entry.breaker.allow(now):
                 entry.checkpoints_skipped += 1
-                continue
-            if not entry.due(now):
-                entry.intervals_skipped += 1
                 continue
             try:
                 capture = entry.capture(now)
@@ -1199,7 +1108,6 @@ class DetectionEngine:
             f"atomic_sections={self.atomic_sections}, "
             f"captures_taken={self.captures_taken}, "
             f"evaluations_run={self.evaluations_run}, "
-            f"intervals_skipped={self.intervals_skipped}, "
             f"incremental_hits={self.incremental_hits}, "
             f"staged_flushes={self.staged_flushes}, "
             f"reports={sum(len(e.reports) for e in self._entries)}, "

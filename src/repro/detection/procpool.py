@@ -73,9 +73,6 @@ class EvaluationPool:
     worker process it converses with (:class:`ProcessEvaluationPool`).
     """
 
-    #: The DetectorConfig.evaluation spelling of this pool.
-    plane = "?"
-
     def __init__(self, shard_count: int) -> None:
         self._queues: list[queue.Queue] = [
             queue.Queue() for __ in range(shard_count)
@@ -179,8 +176,6 @@ class EvaluationPool:
 class ThreadEvaluationPool(EvaluationPool):
     """Phase-2 offload on worker threads (overlap, GIL-serialised)."""
 
-    plane = "threads"
-
     def submit_shard(self, shard) -> None:
         self.submit(shard.index, shard._evaluate_offloaded)
 
@@ -217,8 +212,6 @@ class ProcessEvaluationPool(EvaluationPool):
     send, receive, decode, apply — so shard state is still touched by
     one thread only, and ``drain()`` means what it always meant.
     """
-
-    plane = "processes"
 
     def __init__(self, shard_count: int, *, start_method: str = "spawn") -> None:
         ctx = multiprocessing.get_context(start_method)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.detection.cluster import DetectionCluster, ShardPolicy
+from repro.detection.cluster import DetectionCluster
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import RecoverySummary
 from repro.detection.engine import MonitorLike, RegisteredMonitor
@@ -60,23 +60,22 @@ class DetectionSession:
     config:
         :class:`DetectorConfig` (default: ``DetectorConfig.preset("paper")``).
     shards:
-        Number of engine shards (default ``config.shards``); capture
-        schedules are staggered across them per ``config.stagger``.
+        Number of engine shards (default 1); monitors are placed
+        round-robin unless :meth:`register` pins one with ``shard=``, and
+        capture schedules are staggered across shards per
+        ``config.stagger``.
     durable_dir:
         When set, every shard gets a WAL + snapshot + report journal under
         ``durable_dir/shard-<k>`` and :meth:`recover` restores a restarted
         session from them.
-    policy:
-        Optional :class:`~repro.detection.cluster.ShardPolicy` override
-        (default: built from ``config.shard_policy``).
     supervised:
         Pace checkpoints through each shard's
         :class:`~repro.detection.supervision.CheckpointSupervisor`
         (retry/backoff/stall watchdog) instead of raw checkpoints.
     evaluation:
         Phase-2 evaluation plane — ``"threads"``, ``"processes"`` or
-        ``"inline"`` (default ``config.evaluation``, else the kernel's
-        auto choice; see :class:`DetectionCluster`).
+        ``"inline"`` (default: the kernel's auto choice; see
+        :class:`DetectionCluster`).
     """
 
     def __init__(
@@ -85,9 +84,8 @@ class DetectionSession:
         monitors: Sequence[MonitorLike] = (),
         *,
         config: Optional[DetectorConfig] = None,
-        shards: Optional[int] = None,
+        shards: int = 1,
         durable_dir: Optional[Union[str, Path]] = None,
-        policy: Optional[ShardPolicy] = None,
         supervised: bool = True,
         fsync: str = "interval",
         evaluation: Optional[str] = None,
@@ -109,7 +107,6 @@ class DetectionSession:
             kernel,
             self.config,
             shards=shards,
-            policy=policy,
             durable_root=durable_dir,
             fsync=fsync,
             evaluation=evaluation,
@@ -135,13 +132,10 @@ class DetectionSession:
         config: Optional[DetectorConfig] = None,
         *,
         label: Optional[str] = None,
-        group: Optional[str] = None,
         shard: Optional[int] = None,
     ) -> RegisteredMonitor:
         """Add a monitor (see :meth:`DetectionCluster.register`)."""
-        return self.cluster.register(
-            target, config, label=label, group=group, shard=shard
-        )
+        return self.cluster.register(target, config, label=label, shard=shard)
 
     def unregister(self, target) -> None:
         self.cluster.unregister(target)

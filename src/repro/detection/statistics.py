@@ -176,8 +176,7 @@ class FaultStatistics:
                 f"{counters['checkpoints_run']:g} checkpoints, "
                 f"{counters['atomic_sections']:g} atomic sections, "
                 f"{counters['captures_taken']:g} captures, "
-                f"{counters['evaluations_run']:g} evaluations, "
-                f"{counters['intervals_skipped']:g} skipped; "
+                f"{counters['evaluations_run']:g} evaluations; "
                 f"world-stop {counters['worldstop_seconds']:.4f}s, "
                 f"evaluate {counters['evaluate_seconds']:.4f}s"
             )

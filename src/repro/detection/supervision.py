@@ -28,11 +28,11 @@ Three mechanisms, all deterministic on the sim kernel:
   that paces it — a drop-in replacement for ``engine_process`` whose
   checkpoints can fail without crashing the run.
 * **snapshot/restore** — :meth:`CheckpointSupervisor.snapshot_state` /
-  :meth:`restore_state` persist per-monitor breaker state, counters, the
-  adaptive capture schedule (event-rate EWMA and ``next_due``) and each
-  sink's checkpoint base state (via :mod:`repro.history.serialize`), so a
-  supervisor restarted after a crash resumes its windows instead of
-  re-checking from a cold, divergent base.
+  :meth:`restore_state` persist per-monitor breaker state, counters and
+  each sink's checkpoint base state (via :mod:`repro.history.serialize`),
+  so a supervisor restarted after a crash resumes its windows instead of
+  re-checking from a cold, divergent base.  Restore ignores per-monitor
+  keys it does not read, so a snapshot carrying extra fields still loads.
 """
 
 from __future__ import annotations
@@ -387,7 +387,7 @@ class CheckpointSupervisor:
         """JSON-compatible snapshot for restart recovery.
 
         Captures, per registered monitor: the breaker lifecycle, the
-        adaptive schedule, the monitor's persisted counters
+        monitor's persisted counters
         (:meth:`RegisteredMonitor.counter_state`), and the event sink's
         base state + open window
         (:func:`repro.history.serialize.sink_state_to_dict`), so a restarted
@@ -405,8 +405,6 @@ class CheckpointSupervisor:
                     "times_reclosed": entry.breaker.times_reclosed,
                     "opened_at": entry.breaker.opened_at,
                     "checkpoints_skipped": entry.checkpoints_skipped,
-                    "event_rate": entry.event_rate,
-                    "next_due": entry.next_due,
                     **entry.counter_state(),
                     "sink": sink_state_to_dict(entry.history),
                 }
@@ -450,10 +448,6 @@ class CheckpointSupervisor:
             breaker.times_reclosed = record["times_reclosed"]
             breaker.opened_at = record["opened_at"]
             entry.checkpoints_skipped = record["checkpoints_skipped"]
-            # Adaptive-schedule fields are absent from pre-split snapshots.
-            entry.event_rate = record.get("event_rate", 0.0)
-            entry._rate_primed = entry.event_rate > 0.0
-            entry.next_due = record.get("next_due")
             entry.restore_counter_state(record)
             apply_sink_state(entry.history, record["sink"])
             restored.append(entry.label)

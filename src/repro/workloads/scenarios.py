@@ -68,10 +68,6 @@ class ScenarioRun:
     monitor: MonitorBase
     bodies: list[Iterator[Syscall]]
     spec: WorkloadSpec
-    #: Placement hint for a sharded detection cluster's ``LabelSharding``
-    #: policy (``build_fleet`` sets it to the scenario name so instances
-    #: of one scenario co-locate on a shard); None = no preference.
-    shard_label: Optional[str] = None
 
     def spawn_all(self, kernel: Kernel, *, prefix: str = "") -> None:
         for index, body in enumerate(self.bodies):
@@ -210,7 +206,6 @@ def build_fleet(
     *,
     names: Optional[Sequence[str]] = None,
     sink_factory: Optional[Callable[[], Optional[EventSink]]] = None,
-    shard_labels: Optional[Sequence[str]] = None,
 ) -> list[ScenarioRun]:
     """Instantiate ``count`` independent monitored workloads on one kernel.
 
@@ -220,11 +215,6 @@ def build_fleet(
     :class:`HistoryDatabase` unless ``sink_factory`` supplies something
     else, e.g. a :class:`~repro.history.bounded.BoundedHistory`), cycling
     round-robin through ``names`` (all scenarios, by default).
-
-    Each instance's :attr:`ScenarioRun.shard_label` is set to its scenario
-    name (or the corresponding entry of ``shard_labels``, cycled), so a
-    :class:`~repro.detection.cluster.DetectionCluster` with the ``label``
-    policy groups same-scenario monitors onto one shard.
     """
     if count <= 0:
         raise ValueError(f"fleet size must be positive, got {count}")
@@ -235,14 +225,9 @@ def build_fleet(
                 f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
             )
     factory = sink_factory or (lambda: HistoryDatabase())
-    labels = tuple(shard_labels) if shard_labels else None
-    fleet = []
-    for index in range(count):
-        run = SCENARIOS[chosen[index % len(chosen)]].build(
+    return [
+        SCENARIOS[chosen[index % len(chosen)]].build(
             kernel, factory(), spec or WorkloadSpec()
         )
-        run.shard_label = (
-            labels[index % len(labels)] if labels else run.name
-        )
-        fleet.append(run)
-    return fleet
+        for index in range(count)
+    ]

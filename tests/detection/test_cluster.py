@@ -1,4 +1,4 @@
-"""Sharded detection cluster: shard policies, staggered schedules,
+"""Sharded detection cluster: round-robin placement, staggered schedules,
 merged-report determinism across shard counts, pooled phase-2 evaluation
 on the thread kernel, durable per-shard recovery, and the retired
 quarantine-record fix."""
@@ -9,12 +9,9 @@ from repro.apps import BoundedBuffer, SingleResourceAllocator
 from repro.detection import (
     DetectionCluster,
     DetectionEngine,
+    DetectionSession,
     DetectorConfig,
     FaultStatistics,
-    LabelSharding,
-    RateBalancedSharding,
-    RoundRobinSharding,
-    make_shard_policy,
 )
 from repro.history import HistoryDatabase
 from repro.history.sink import merge_event_streams
@@ -79,39 +76,23 @@ class TestShardPolicies:
             cluster.register(monitor)
         assert [cluster.shard_of(m) for m in monitors] == [0, 1, 2, 0, 1, 2]
 
-    def test_rate_balanced_prefers_least_loaded_shard(self):
-        kernel = make_kernel()
-        cluster = DetectionCluster(
-            kernel, shards=2, policy=RateBalancedSharding()
-        )
-        first, second, third = build_allocators(kernel, 3)
-        entry = cluster.register(first)
-        entry.event_rate = 100.0  # hot shard 0
-        cluster.register(second)
-        cluster.register(third)
-        # Both later monitors avoid the hot shard until it is no longer
-        # the least loaded by entry count.
-        assert cluster.shard_of(second) == 1
-        assert cluster.shard_of(third) == 1
-
-    def test_label_policy_groups_by_shard_label(self):
-        kernel = make_kernel()
-        cluster = DetectionCluster(kernel, shards=2, policy=LabelSharding())
-        monitors = build_allocators(kernel, 4)
-        cluster.register(monitors[0], group="a")
-        cluster.register(monitors[1], group="b")
-        cluster.register(monitors[2], group="a")
-        cluster.register(monitors[3], group="b")
-        assert cluster.shard_of(monitors[0]) == cluster.shard_of(monitors[2])
-        assert cluster.shard_of(monitors[1]) == cluster.shard_of(monitors[3])
-        assert cluster.shard_of(monitors[0]) != cluster.shard_of(monitors[1])
-
     def test_explicit_shard_pins_placement(self):
         kernel = make_kernel()
         cluster = DetectionCluster(kernel, shards=3)
         monitor = build_allocators(kernel, 1)[0]
         cluster.register(monitor, shard=2)
         assert cluster.shard_of(monitor) == 2
+
+    def test_pinned_registration_keeps_round_robin_cursor(self):
+        kernel = make_kernel()
+        cluster = DetectionCluster(kernel, shards=3)
+        first, pinned, second, third = build_allocators(kernel, 4)
+        cluster.register(first)
+        cluster.register(pinned, shard=0)
+        cluster.register(second)
+        cluster.register(third)
+        placed = [cluster.shard_of(m) for m in (first, second, third)]
+        assert placed == [0, 1, 2]
 
     def test_invalid_shard_index_rejected(self):
         kernel = make_kernel()
@@ -120,22 +101,12 @@ class TestShardPolicies:
         with pytest.raises(ValueError, match="out of range"):
             cluster.register(monitor, shard=5)
 
-    def test_unknown_policy_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard policy"):
-            make_shard_policy("hash")
-
-    def test_config_shard_fields_validated(self):
-        with pytest.raises(ValueError, match="shards"):
-            DetectorConfig(shards=0)
-        with pytest.raises(ValueError, match="shard_policy"):
-            DetectorConfig(shard_policy="modulo")
-
-    def test_cluster_shape_from_config(self):
+    def test_shard_count_validated(self):
         kernel = make_kernel()
-        config = DetectorConfig(shards=4, shard_policy="rate")
-        cluster = DetectionCluster(kernel, config)
-        assert cluster.shard_count == 4
-        assert isinstance(cluster.policy, RateBalancedSharding)
+        with pytest.raises(ValueError, match="shard count"):
+            DetectionSession(kernel, shards=0)
+        with pytest.raises(ValueError, match="shard count"):
+            DetectionCluster(kernel, shards=0)
 
     def test_duplicate_labels_unique_across_shards(self):
         kernel = make_kernel()
@@ -485,30 +456,3 @@ class TestMergedEvents:
         streams = [entry.history.pending_events for entry in cluster.entries]
         assert merge_event_streams(streams) == merged
         assert len(merged) == sum(len(stream) for stream in streams)
-
-
-class TestBuildFleetShardLabels:
-    def test_build_fleet_sets_scenario_shard_labels(self):
-        from repro.workloads import build_scenario  # noqa: F401 — import check
-        from repro.workloads.scenarios import build_fleet
-
-        kernel = make_kernel()
-        fleet = build_fleet(kernel, 6)
-        assert all(run.shard_label == run.name for run in fleet)
-        labels = {run.shard_label for run in fleet}
-        assert labels == {"allocator", "coordinator", "manager"}
-
-    def test_label_policy_colocates_fleet_scenarios(self):
-        from repro.workloads.scenarios import build_fleet
-
-        kernel = make_kernel()
-        fleet = build_fleet(kernel, 6)
-        cluster = DetectionCluster(kernel, shards=3, policy=LabelSharding())
-        for run in fleet:
-            cluster.register(run.monitor, group=run.shard_label)
-        by_label = {}
-        for run in fleet:
-            by_label.setdefault(run.shard_label, set()).add(
-                cluster.shard_of(run.monitor)
-            )
-        assert all(len(shards) == 1 for shards in by_label.values())

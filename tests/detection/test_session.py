@@ -152,19 +152,16 @@ class TestPresets:
         assert config.checkpoint_retries == 2
         assert config.stall_timeout == 10.0
 
-    def test_adaptive_preset(self):
-        assert DetectorConfig.preset("adaptive").adaptive_intervals
-
     def test_durable_preset(self):
         config = DetectorConfig.preset("durable")
         assert config.checkpoint_retries == 3
         assert config.stall_timeout == 15.0
 
     def test_preset_overrides(self):
-        config = DetectorConfig.preset("paper", interval=2.0, shards=4)
+        config = DetectorConfig.preset("paper", interval=2.0, stagger=False)
         assert config.interval == 2.0
-        assert config.shards == 4
+        assert config.stagger is False
 
     def test_unknown_preset_lists_names(self):
-        with pytest.raises(ValueError, match="adaptive.*bounded.*durable.*paper"):
+        with pytest.raises(ValueError, match="bounded.*durable.*paper"):
             DetectorConfig.preset("turbo")

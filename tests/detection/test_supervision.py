@@ -447,6 +447,33 @@ class TestSnapshotRestore:
         engine2.checkpoint()
         assert engine2.confirmed_clean
 
+    def test_restores_snapshot_with_retired_schedule_keys(self):
+        # Snapshots written before the adaptive capture schedule was
+        # removed carry its per-monitor state and two counters; restore
+        # must ignore them and keep everything it still reads.
+        kernel, buffer, engine, entry = self.build()
+        spawn_buffer_load(kernel, buffer, items=6, pace=0.1)
+        supervisor = CheckpointSupervisor(engine)
+        kernel.spawn(supervisor_process(supervisor, rounds=2), "supervisor")
+        kernel.run(until=1.2)
+        snapshot = supervisor.snapshot_state()
+        record = snapshot["monitors"][entry.label]
+        record.update(
+            event_rate=12.5, next_due=1.5, intervals_skipped=3,
+            forced_captures=1,
+        )
+
+        engine2 = DetectionEngine(kernel, engine.config)
+        entry2 = engine2.register(buffer)
+        restored = CheckpointSupervisor(engine2).restore_state(snapshot)
+        assert restored == [entry2.label]
+        assert entry2.checkpoints_run == entry.checkpoints_run == 2
+        assert not hasattr(entry2, "next_due")
+        kernel.run(until=3.0)
+        engine2.checkpoint()
+        assert entry2.checkpoints_run == 3
+        assert engine2.confirmed_clean
+
     def test_rejects_foreign_snapshot(self):
         __, ___, engine, ____ = self.build()
         supervisor = CheckpointSupervisor(engine)

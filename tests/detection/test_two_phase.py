@@ -1,7 +1,7 @@
 """Two-phase checkpoint semantics: capture/evaluate split, report-order
 determinism vs the single-phase baseline, breaker behaviour on phase-2
-throws, degraded windows cut in phase 1 but evaluated later, and the
-adaptive per-monitor capture schedule on both kernels."""
+throws, degraded windows cut in phase 1 but evaluated later, and drop
+accounting of a bounded sink under fixed-period checking."""
 
 import pytest
 
@@ -13,12 +13,10 @@ from repro.detection import (
     FaultStatistics,
     engine_process,
 )
-from repro.detection.supervision import BreakerState, CheckpointSupervisor
+from repro.detection.supervision import BreakerState
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import sabotage_entry
-from repro.kernel import Delay, RandomPolicy, SimKernel, ThreadKernel
-
-FAST = 0.002  # ThreadKernel virtual-seconds -> wall-seconds compression
+from repro.kernel import Delay, RandomPolicy, SimKernel
 
 
 def make_kernel(seed=0):
@@ -135,11 +133,10 @@ class TestReportOrderDeterminism:
     def test_split_counters_line_up(self):
         engine = self.run_two_phase(seed=3)
         assert engine.atomic_sections == engine.checkpoints_run == 8
-        # Adaptive off: every registered monitor captured and evaluated
-        # at every interval.
+        # Fixed-period checking: every registered monitor captured and
+        # evaluated at every interval.
         assert engine.captures_taken == 8 * 3
         assert engine.evaluations_run == 8 * 3
-        assert engine.intervals_skipped == 0
         assert engine.pending_captures == 0
         assert engine.worldstop_seconds > 0
         assert engine.evaluate_seconds > 0
@@ -250,86 +247,15 @@ class TestDegradedCaptureEvaluatedLater:
         assert entry.history.live_events > 0
 
 
-ADAPTIVE = DetectorConfig(
-    interval=0.25,
-    tmax=None,
-    tio=None,
-    tlimit=None,
-    adaptive_intervals=True,
-    max_interval=2.0,
-    adaptive_target_events=4.0,
-)
-
-
-def spawn_busy_buffer(kernel, buffer, ops=120, delay=0.02):
-    def producer():
-        for item in range(ops):
-            yield Delay(delay)
-            yield from buffer.send(item)
-
-    def consumer():
-        for __ in range(ops):
-            yield Delay(delay)
-            yield from buffer.receive()
-
-    kernel.spawn(producer())
-    kernel.spawn(consumer())
-
-
-class TestAdaptiveIntervalsSim:
-    def test_idle_monitor_skipped_busy_monitor_checked(self):
-        kernel = make_kernel()
-        engine = DetectionEngine(kernel, ADAPTIVE)
-        buffer = BoundedBuffer(kernel, capacity=3, history=HistoryDatabase())
-        idle = SingleResourceAllocator(
-            kernel, history=HistoryDatabase(), name="idle"
-        )
-        busy_entry = engine.register(buffer)
-        idle_entry = engine.register(idle)
-        # Outlast the 16 rounds (4.0 virtual s) so the buffer stays busy.
-        spawn_busy_buffer(kernel, buffer, ops=250)
-        kernel.spawn(engine_process(engine, rounds=16), "engine")
-        kernel.run()
-        kernel.raise_failures()
-        # The busy buffer stays on the min interval: captured every round.
-        assert busy_entry.checkpoints_run == 16
-        # The idle allocator backs off to max_interval (2.0 = 8 rounds):
-        # captured on the first round, then only on wakes.
-        assert idle_entry.intervals_skipped > 0
-        assert idle_entry.checkpoints_run < 16
-        # ...but it does wake: the timer sweeps still run periodically.
-        assert idle_entry.checkpoints_run >= 2
-        assert engine.intervals_skipped == idle_entry.intervals_skipped
-        assert engine.clean
-
-    def test_adaptive_off_never_skips(self):
-        kernel = make_kernel()
-        engine = DetectionEngine(
-            kernel, DetectorConfig(interval=0.25, tmax=None, tio=None)
-        )
-        idle = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        entry = engine.register(idle)
-        kernel.spawn(engine_process(engine, rounds=8), "engine")
-        kernel.run()
-        kernel.raise_failures()
-        assert entry.checkpoints_run == 8
-        assert entry.intervals_skipped == 0
-
-    def test_skip_is_drop_safe_with_bounded_history(self):
-        # An idle first window schedules next_due at max_interval; the
-        # burst that follows would overflow the bounded sink long before
-        # that — the engine must capture early instead of losing events.
+class TestBoundedSinkFixedInterval:
+    def test_every_drop_lands_in_a_checked_window(self):
+        # The burst overflows the bounded sink within one checking
+        # interval: events are evicted, but every drop must be accounted
+        # to a window that was cut and checked.
         kernel = make_kernel()
         engine = DetectionEngine(
             kernel,
-            DetectorConfig(
-                interval=0.25,
-                tmax=None,
-                tio=None,
-                tlimit=None,
-                adaptive_intervals=True,
-                max_interval=30.0,
-            ),
+            DetectorConfig(interval=0.25, tmax=None, tio=None, tlimit=None),
         )
         allocator = SingleResourceAllocator(
             kernel, history=BoundedHistory(capacity=6)
@@ -348,74 +274,9 @@ class TestAdaptiveIntervalsSim:
         kernel.spawn(engine_process(engine, rounds=12), "engine")
         kernel.run()
         kernel.raise_failures()
-        assert entry.forced_captures >= 1
-        # Not every event could be saved (the burst outruns one interval),
-        # but every drop was accounted to a cut-and-checked window — the
-        # schedule never silently lost one.
-        assert entry.checkpoints_run >= 3
+        assert entry.checkpoints_run == 12
+        assert entry.history.dropped_events > 0
         assert entry.dropped_in_windows == entry.history.dropped_events
-
-    def test_snapshot_restore_roundtrips_adaptive_state(self):
-        import json
-
-        kernel = make_kernel()
-        engine = DetectionEngine(kernel, ADAPTIVE)
-        buffer = BoundedBuffer(kernel, capacity=3, history=HistoryDatabase())
-        entry = engine.register(buffer)
-        spawn_busy_buffer(kernel, buffer, ops=40)
-        kernel.spawn(engine_process(engine, rounds=6), "engine")
-        kernel.run()
-        kernel.raise_failures()
-        assert entry.event_rate > 0
-        assert entry.next_due is not None
-        supervisor = CheckpointSupervisor(engine)
-        state = json.loads(json.dumps(supervisor.snapshot_state()))
-
-        kernel2 = make_kernel()
-        engine2 = DetectionEngine(kernel2, ADAPTIVE)
-        buffer2 = BoundedBuffer(kernel2, capacity=3, history=HistoryDatabase())
-        entry2 = engine2.register(buffer2)
-        restored = CheckpointSupervisor(engine2).restore_state(state)
-        assert restored == [entry.label]
-        assert entry2.event_rate == entry.event_rate
-        assert entry2.next_due == entry.next_due
-        assert entry2.intervals_skipped == entry.intervals_skipped
-
-
-class TestAdaptiveIntervalsThreads:
-    def test_idle_skip_and_wake_on_thread_kernel(self):
-        # Interleavings are nondeterministic on real threads, so only
-        # schedule-independent properties are asserted.
-        kernel = ThreadKernel(time_scale=FAST)
-        engine = DetectionEngine(
-            kernel,
-            DetectorConfig(
-                interval=0.25,
-                tmax=None,
-                tio=None,
-                tlimit=None,
-                adaptive_intervals=True,
-                max_interval=2.0,
-                adaptive_target_events=4.0,
-            ),
-        )
-        buffer = BoundedBuffer(
-            kernel, capacity=3, history=HistoryDatabase(), service_time=0.005
-        )
-        idle = SingleResourceAllocator(
-            kernel, history=HistoryDatabase(), name="idle"
-        )
-        busy_entry = engine.register(buffer)
-        idle_entry = engine.register(idle)
-        spawn_busy_buffer(kernel, buffer, ops=60, delay=0.05)
-        kernel.spawn(engine_process(engine, rounds=14), "engine")
-        kernel.run()
-        kernel.raise_failures()
-        assert engine.checkpoints_run == 14
-        assert busy_entry.checkpoints_run > idle_entry.checkpoints_run
-        assert idle_entry.intervals_skipped > 0
-        assert idle_entry.checkpoints_run >= 1
-        assert engine.clean
 
 
 class TestCountersSurfaced:
@@ -429,7 +290,6 @@ class TestCountersSurfaced:
             "atomic_sections=1",
             "captures_taken=1",
             "evaluations_run=1",
-            "intervals_skipped=0",
         ):
             assert fragment in text
 
