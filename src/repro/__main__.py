@@ -17,11 +17,10 @@ Commands
     instead compares incremental checking-list evaluation against the
     full re-walk on an N-monitor fleet (the hot-path gate), ``--service``
     instead measures detection-service ingest throughput.
-``scaling [--backend sim|threads] [--seed N] [--counts N ...] [--shards N ...] [--processes [--workers N] [--repeats K]] [--quick] [--json PATH]``
+``scaling [--backend sim|threads] [--seed N] [--counts N ...] [--shards N ...] [--quick] [--json PATH]``
     Scaling: one DetectionSession per monitor vs one shared session at
     fleet sizes 1/4/16; ``--shards`` compares staggered shard counts of
-    the shared session instead (per-shard world-stop detail),
-    ``--processes`` compares phase-2 evaluation planes.
+    the shared session instead (per-shard world-stop detail).
 ``ablations [--only a1|a2|a3]``
     The ablation tables A1-A3 of DESIGN.md (ST vs FD checking, checking
     interval vs detection latency, pruning vs live-window memory).
@@ -281,14 +280,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
     from repro.bench import engine_scaling as scaling
 
-    if args.processes:
-        spec = scaling.QUICK_PLANES_SPEC if args.quick else scaling.PLANES_SPEC
-        registry = scaling.planes_bench(
-            workers=args.workers,
-            spec=replace(spec, seed=args.seed),
-            repeats=args.repeats,
-        )
-        return _emit_bench(args, "engine_scaling_planes", registry)
     spec = scaling.QUICK_SCALING_SPEC if args.quick else scaling.SCALING_SPEC
     registry = scaling.scaling_bench(
         counts=args.counts,
@@ -820,7 +811,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     overhead.add_argument(
         "--evaluation",
-        choices=("inline", "threads", "processes"),
+        choices=("inline", "threads"),
         default="inline",
         help="with --fleet: the phase-2 evaluation plane (default inline)",
     )
@@ -852,26 +843,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="N",
         help="compare staggered shard counts of one shared session instead",
-    )
-    scaling.add_argument(
-        "--processes",
-        action="store_true",
-        help="compare phase-2 evaluation planes instead: pooled worker "
-        "threads vs one evaluator worker process per shard",
-    )
-    scaling.add_argument(
-        "--workers",
-        type=_positive(int),
-        default=4,
-        metavar="N",
-        help="shard/worker count for --processes (default 4)",
-    )
-    scaling.add_argument(
-        "--repeats",
-        type=_positive(int),
-        default=2,
-        metavar="K",
-        help="runs per plane for --processes; best wall kept (default 2)",
     )
     scaling.add_argument(
         "--quick", action="store_true", help="smaller workload (CI smoke)"

@@ -14,7 +14,7 @@ renders and exports only that registry.  Run them through
   hot-path modes).
 * :mod:`repro.bench.engine_scaling` — experiment E3, ``repro scaling``:
   per-monitor detection versus one shared session at fleet sizes 1/4/16,
-  shard counts (``--shards``) and evaluation planes (``--processes``).
+  and shard counts (``--shards``).
 * :mod:`repro.bench.service_bench` — ``repro overhead --service``:
   detection-service ingest throughput.
 * :mod:`repro.bench.coverage` — experiment E2, ``repro coverage``: the
@@ -23,7 +23,7 @@ renders and exports only that registry.  Run them through
 """
 
 from repro.bench.coverage import coverage_table, run_coverage
-from repro.bench.engine_scaling import planes_bench, scaling_bench
+from repro.bench.engine_scaling import scaling_bench
 from repro.bench.harness import render_registry
 from repro.bench.overhead import (
     fleet_bench,
@@ -36,7 +36,6 @@ __all__ = [
     "coverage_table",
     "fleet_bench",
     "overhead_bench",
-    "planes_bench",
     "render_registry",
     "run_coverage",
     "scaling_bench",

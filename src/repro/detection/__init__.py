@@ -40,16 +40,15 @@ Contents:
   engine/cluster, supervision and durability behind a single constructor.
 """
 
-from repro.detection.cluster import DetectionCluster, shard_process
+from repro.detection.cluster import (
+    DetectionCluster,
+    EvaluationPool,
+    shard_process,
+)
 
 from repro.detection.algorithm1 import check_general_concurrency_control
 from repro.detection.algorithm2 import ResourceStateChecker
 from repro.detection.algorithm3 import CallingOrderChecker
-from repro.detection.procpool import (
-    EvaluationPool,
-    ProcessEvaluationPool,
-    ThreadEvaluationPool,
-)
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import (
     DurableEngine,
@@ -64,7 +63,6 @@ from repro.detection.engine import (
     DetectionEngine,
     RegisteredMonitor,
     engine_process,
-    evaluate_capture,
 )
 from repro.detection.faults import FaultClass, FaultLevel
 from repro.detection.fd_rules import check_full_trace
@@ -105,10 +103,7 @@ __all__ = [
     "DetectionEngine",
     "RegisteredMonitor",
     "engine_process",
-    "evaluate_capture",
     "EvaluationPool",
-    "ThreadEvaluationPool",
-    "ProcessEvaluationPool",
     "DetectionCluster",
     "DetectionSession",
     "shard_process",

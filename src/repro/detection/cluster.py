@@ -14,13 +14,12 @@ partition the registered monitors across N engine *shards* so that
   ``interval * k / N`` within the checking period, recomputed over the
   non-empty shards whenever a monitor registers or unregisters, so
   phase-1 sections never pile onto the same instant,
-* phase-2 evaluation can leave the checkpointing process entirely: a
-  per-shard **worker pool** (:mod:`repro.detection.procpool`) runs
-  evaluation on worker threads (overlap — the thread-kernel default) or
-  in one evaluator worker *process* per shard
-  (``evaluation="processes"`` — true multi-core parallelism past the
-  GIL), while each shard's single worker still serialises its own
-  checker-state mutation.
+* phase-2 evaluation can leave the pacing process: with
+  ``evaluation="threads"`` (the thread-kernel default) an
+  :class:`EvaluationPool` runs each shard's evaluation on that shard's
+  own worker thread, overlapping it with the next shard's capture, while
+  each shard's single worker still serialises its own checker-state
+  mutation.
 
 Monitors are placed round-robin in registration order, unless a
 registration pins its shard explicitly (``register(..., shard=k)``).
@@ -41,9 +40,11 @@ crash one shard while the others keep detecting.
 from __future__ import annotations
 
 import math
+import queue
 import random
+import threading
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, RecoverySummary
@@ -54,11 +55,6 @@ from repro.detection.engine import (
     MonitorLike,
     RegisteredMonitor,
     _unwrap,
-)
-from repro.detection.procpool import (
-    EvaluationPool,
-    ProcessEvaluationPool,
-    ThreadEvaluationPool,
 )
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.supervision import (
@@ -73,6 +69,7 @@ from repro.kernel.threads import ThreadKernel
 __all__ = [
     "ClusterShard",
     "DetectionCluster",
+    "EvaluationPool",
     "shard_process",
 ]
 
@@ -95,7 +92,8 @@ class ClusterShard:
     ``entries``, ``stopped``, :meth:`checkpoint`) that a
     :class:`~repro.detection.supervision.CheckpointSupervisor` can pace it
     directly — supervised shard checkpoints go through the shard, which
-    routes evaluation to the cluster's worker pool when one is active.
+    hands phase 2 to its worker thread when the cluster evaluates on an
+    :class:`EvaluationPool`.
     """
 
     def __init__(
@@ -113,8 +111,8 @@ class ClusterShard:
         #: Stagger offset of this shard's capture schedule within the
         #: checking interval (maintained by the cluster's rebalance).
         self.offset = 0.0
-        #: Installed by the cluster when phase-2 evaluation runs in a
-        #: worker pool (threads or processes); None = evaluate inline.
+        #: Installed by the cluster when phase-2 evaluation runs on
+        #: worker threads; None = evaluate inline.
         self.pool: Optional[EvaluationPool] = None
         # Per-shard jitter seed: shards retrying a shared failing
         # dependency (one WAL disk, one slow evaluator pool) must not
@@ -165,17 +163,13 @@ class ClusterShard:
         if self.pool is None:
             return self.target.checkpoint()
         self.engine.capture_phase()
-        self.pool.submit_shard(self)
+        self.pool.submit(self.index, self._evaluate_offloaded)
         return []
 
-    def _evaluate_offloaded(self) -> list[FaultReport]:
-        reports = self.engine.evaluate_phase()
+    def _evaluate_offloaded(self) -> None:
+        """Phase 2 on the worker thread, then journal and snapshot."""
+        self.engine.evaluate_phase()
         self.engine.checkpoints_run += 1
-        self.finish_durable_checkpoint()
-        return reports
-
-    def finish_durable_checkpoint(self) -> None:
-        """Journal new reports and snapshot state after pooled evaluation."""
         if isinstance(self.target, DurableEngine):
             self.target._admit_new_reports()
             self.target._write_snapshot()
@@ -186,6 +180,75 @@ class ClusterShard:
             f"offset={self.offset:g}, checkpoints={self.engine.checkpoints_run}, "
             f"durable={self.durable})"
         )
+
+
+class EvaluationPool:
+    """Phase-2 offload: one worker thread and one job queue per shard.
+
+    Each shard's checker state is still mutated by a single thread, its
+    own worker, while different shards evaluate and capture
+    concurrently.  Checker failures are absorbed by the breakers inside
+    a job; an exception that escapes one (a journal write that raised,
+    say) is logged as a ``"failure"`` event on the shard's supervisor.
+    """
+
+    def __init__(self, shards: Sequence[ClusterShard]) -> None:
+        self._queues: list[queue.Queue] = [queue.Queue() for __ in shards]
+        self._threads = [
+            threading.Thread(
+                target=self._run,
+                args=(shard, jobs),
+                name=f"shard-evaluate-{shard.index}",
+                daemon=True,
+            )
+            for shard, jobs in zip(shards, self._queues)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    @staticmethod
+    def _run(shard: ClusterShard, jobs: queue.Queue) -> None:
+        while True:
+            job = jobs.get()
+            try:
+                if job is None:
+                    return
+                job()
+            except Exception as exc:  # noqa: BLE001 — logged, not lost
+                shard.supervisor.events.append(
+                    SupervisorEvent(
+                        shard.kernel.now(),
+                        "failure",
+                        f"{type(exc).__name__}: {exc}",
+                    )
+                )
+            finally:
+                jobs.task_done()
+
+    def submit(self, shard_index: int, job: Callable[[], object]) -> None:
+        self._queues[shard_index].put(job)
+
+    def drain(self) -> None:
+        """Block until every submitted job has finished."""
+        for jobs in self._queues:
+            jobs.join()
+
+    def close(self, timeout: float = 5.0) -> list[tuple[int, str]]:
+        """Stop the worker threads; surface any that won't die.
+
+        Returns ``(shard index, thread name)`` for every worker still
+        alive after its join timeout; the cluster turns each into a
+        ``"leak"`` :class:`SupervisorEvent` instead of silently
+        abandoning a live thread.
+        """
+        for jobs in self._queues:
+            jobs.put(None)
+        leaked: list[tuple[int, str]] = []
+        for index, thread in enumerate(self._threads):
+            thread.join(timeout=timeout)
+            if thread.is_alive():
+                leaked.append((index, thread.name))
+        return leaked
 
 
 # ----------------------------------------------------------------- cluster
@@ -211,11 +274,10 @@ class DetectionCluster:
         ``durable_root/shard-<k>`` — per-shard WAL, snapshots and report
         journal, restored together by :meth:`recover`.
     evaluation:
-        Which phase-2 evaluation plane to run: ``"threads"`` (one worker
-        thread per shard — overlap, GIL-serialised), ``"processes"``
-        (one evaluator worker *process* per shard — true multi-core
-        parallelism) or ``"inline"`` (evaluate on the checkpointing
-        process).  Default (None): threads on the
+        Where phase 2 runs: ``"threads"`` (one :class:`EvaluationPool`
+        worker thread per shard, overlapped with capture but
+        GIL-serialised) or ``"inline"`` (on the pacing process, as the
+        paper's checking routine does).  Default (None): threads on the
         :class:`~repro.kernel.threads.ThreadKernel`, inline on the
         deterministic sim kernel.
     """
@@ -239,18 +301,12 @@ class DetectionCluster:
             evaluation = (
                 "threads" if isinstance(kernel, ThreadKernel) else "inline"
             )
-        if evaluation not in ("inline", "threads", "processes"):
+        if evaluation not in ("inline", "threads"):
             raise ValueError(
-                f"evaluation must be 'inline', 'threads' or 'processes'; "
-                f"got {evaluation!r}"
+                f"evaluation must be 'inline' or 'threads'; got {evaluation!r}"
             )
         #: The resolved phase-2 evaluation plane.
         self.evaluation = evaluation
-        self._pool: Optional[EvaluationPool] = None
-        if evaluation == "threads":
-            self._pool = ThreadEvaluationPool(shards)
-        elif evaluation == "processes":
-            self._pool = ProcessEvaluationPool(shards)
         #: ``(shard index, worker name)`` of pool workers that outlived
         #: the close timeout (each also logged as a "leak" event on the
         #: shard's supervisor).
@@ -263,11 +319,12 @@ class DetectionCluster:
                 target = DurableEngine(
                     engine, self.durable_root / f"shard-{index}", fsync=fsync
                 )
-            shard = ClusterShard(index, engine, target)
-            shard.pool = self._pool
-            self._shards.append(shard)
-        if self._pool is not None:
-            self._pool.warm_up(self._shards)
+            self._shards.append(ClusterShard(index, engine, target))
+        self._pool: Optional[EvaluationPool] = None
+        if evaluation == "threads":
+            self._pool = EvaluationPool(self._shards)
+            for shard in self._shards:
+                shard.pool = self._pool
         #: Cluster-wide registration order: ``(entry, shard index)``.
         self._order: list[tuple[RegisteredMonitor, int]] = []
         self._labels: set[str] = set()
@@ -340,8 +397,6 @@ class DetectionCluster:
         )
         self._labels.add(entry.label)
         self._order.append((entry, index))
-        if self._pool is not None:
-            self._pool.entry_registered(self._shards[index], entry)
         self._rebalance()
         return entry
 
@@ -372,8 +427,6 @@ class DetectionCluster:
         entry = self._find(target)
         index = self.shard_of(entry)
         self._shards[index].engine.unregister(entry)
-        if self._pool is not None:
-            self._pool.entry_unregistered(self._shards[index], entry.label)
         self._labels.discard(entry.label)
         self._order = [
             (candidate, shard_index)
@@ -473,8 +526,7 @@ class DetectionCluster:
         leaked = self._pool.close()
         self._pool = None
         for index, name in leaked:
-            shard = self._shards[index if 0 <= index < len(self._shards) else 0]
-            shard.supervisor.events.append(
+            self._shards[index].supervisor.events.append(
                 SupervisorEvent(
                     self.kernel.now(),
                     "leak",
@@ -509,11 +561,6 @@ class DetectionCluster:
         for shard in self._shards:
             if isinstance(shard.target, DurableEngine):
                 summaries.append(shard.target.recover())
-        if self._pool is not None:
-            # The recovery rebuilt checker state behind the pool's back;
-            # push full stream state to the shadow evaluators.
-            for shard in self._shards:
-                self._pool.resync_shard(shard)
         return summaries
 
     def close(self) -> None:
@@ -678,8 +725,7 @@ class DetectionCluster:
         to recover the cluster totals); durable shards add their WAL /
         snapshot / recovery families; each shard's supervisor contributes
         retries, stalls, abandons, breaker transitions, and its audit-log
-        event kinds (including ``worker-death``); pool leaks are counted
-        cluster-wide per shard.
+        event kinds; pool leaks are counted cluster-wide per shard.
         """
         registry = MetricsRegistry() if registry is None else registry
         for shard in self._shards:
@@ -754,16 +800,8 @@ class DetectionCluster:
             "Supervisor audit-log events by kind.",
             ("shard", "kind"),
         )
-        deaths = {shard.index: 0 for shard in self._shards}
         for index, event in self.supervisor_events():
             events_family.labels(shard=index, kind=event.kind).inc()
-            if event.kind == "worker-death":
-                deaths[index] += 1
-        per_shard(
-            "repro_worker_deaths_total",
-            "Evaluation-pool worker processes that died mid-batch.",
-            deaths.items(),
-        )
         leaks = {shard.index: 0 for shard in self._shards}
         for index, __ in self.pool_leaks:
             leaks[index] = leaks.get(index, 0) + 1

@@ -58,6 +58,7 @@ from repro.detection.supervision import CheckpointSupervisor
 from repro.errors import RecoveryError
 from repro.history.wal import WriteAheadLog
 from repro.observability.registry import Histogram, MetricsRegistry
+from repro.service.framing import good_jsonl_prefix
 
 __all__ = [
     "report_key",
@@ -101,9 +102,11 @@ class ReportJournal:
     a report whose :func:`report_key` the journal already holds is
     rejected (it was delivered by a previous incarnation of the process),
     otherwise it is appended — and flushed — *before* the caller may show
-    it to anyone.  Reopening tolerates a torn final line exactly like the
-    WAL: the interrupted append never surfaced its report, so dropping it
-    loses nothing.
+    it to anyone.  Reopening truncates a torn tail with the WAL's
+    :func:`~repro.service.framing.good_jsonl_prefix` scanner: the
+    interrupted append never surfaced its report, so dropping it loses
+    nothing.  A corrupt line before the tail raises
+    :class:`~repro.errors.RecoveryError`.
     """
 
     def __init__(self, path: Union[str, Path], *, fsync: bool = False) -> None:
@@ -123,9 +126,11 @@ class ReportJournal:
 
     def _load_existing(self) -> None:
         raw = self.path.read_bytes()
-        good = len(raw)
-        if raw and not raw.endswith(b"\n"):
-            good = raw.rfind(b"\n") + 1
+        good = good_jsonl_prefix(raw)
+        if good < len(raw):
+            with open(self.path, "r+b") as handle:
+                handle.truncate(good)
+            self.torn_tails_truncated += 1
         lines = raw[:good].decode("utf-8").splitlines()
         for number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -133,19 +138,12 @@ class ReportJournal:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                if number == len(lines):
-                    good = raw.find(line.encode("utf-8"))
-                    break
                 raise RecoveryError(
                     f"{self.path.name} line {number}: corrupt journal: {exc}"
                 ) from exc
             report = report_from_dict(record)
             self.reports.append(report)
             self.seen.add(report_key(report))
-        if good < len(raw):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good)
-            self.torn_tails_truncated += 1
 
     def admit(self, report: FaultReport) -> bool:
         """Journal one report; False when it was already delivered."""
@@ -446,18 +444,21 @@ class DurableEngine:
         Scans each entry's stream past a per-label consumed watermark, so
         reports from the real-time Algorithm-3 tap (which land between
         checkpoints) are journaled too, at the next checkpoint boundary.
+        The watermark moves past a report only once ``admit`` returned,
+        so a journal write that raises leaves the rest of the stream for
+        the next call.
         """
         fresh: list[FaultReport] = []
         for entry in self.engine.entries:
             consumed = self._consumed.get(entry.label, 0)
-            pending = entry.reports[consumed:]
-            self._consumed[entry.label] = len(entry.reports)
-            for report in pending:
+            for report in entry.reports[consumed:]:
                 if self.journal.admit(report):
                     self.reports.append(report)
                     fresh.append(report)
                 else:
                     self.reports_deduplicated += 1
+                consumed += 1
+                self._consumed[entry.label] = consumed
         return fresh
 
     # ------------------------------------------------------------- snapshots

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from repro.detection.algorithm1 import (
     IncrementalConcurrencyChecker,
@@ -69,7 +69,6 @@ __all__ = [
     "RegisteredMonitor",
     "DetectionEngine",
     "engine_process",
-    "evaluate_capture",
 ]
 
 MonitorLike = Union[Monitor, MonitorBase]
@@ -242,84 +241,6 @@ def _degrade_window(
     return kept
 
 
-def evaluate_capture(
-    declaration,
-    config: DetectorConfig,
-    *,
-    monitor_name: str,
-    algorithm1: Optional[IncrementalConcurrencyChecker],
-    algorithm2: Optional[ResourceStateChecker],
-    algorithm3: Optional[CallingOrderChecker],
-    order_checking: bool,
-    snapshot: SchedulingState,
-    segment: Segment,
-    request_list: Optional[tuple[tuple[Pid, float], ...]],
-) -> list[FaultReport]:
-    """Run every rule over one frozen capture — the phase-2 seam.
-
-    Pure over its inputs apart from the checker instances it advances
-    (Algorithm-1 carried lists, Algorithm-2 cumulative counters,
-    Algorithm-3 replay state); shared verbatim by the in-process
-    :meth:`RegisteredMonitor.evaluate` and the process plane's shadow
-    streams (:mod:`repro.detection.procpool`), which is what makes thread
-    and process evaluation byte-identical.
-
-    ``order_checking`` is passed separately from ``algorithm3`` because a
-    realtime-tap shadow stream has no checker instance at all — the frozen
-    ``request_list`` plus the pure sweep is the entirety of its phase-2
-    order checking.
-    """
-    if algorithm1 is not None:
-        found = algorithm1.check_window(
-            segment, tmax=config.tmax, tio=config.tio
-        )
-    else:
-        found = check_general_concurrency_control(
-            declaration, segment, tmax=config.tmax, tio=config.tio
-        )
-    if algorithm2 is not None:
-        found.extend(algorithm2.check_window(segment))
-    if order_checking:
-        if not config.realtime_orders and segment.complete:
-            # Window replay of calling orders needs every event; on a
-            # lossy window the real-time tap (when on) already saw the
-            # true sequence, and the replay would start mid-pattern.
-            assert algorithm3 is not None
-            for event in segment.events:
-                found.extend(algorithm3.on_event(event))
-        if config.tlimit is not None:
-            if config.realtime_orders:
-                # Tap mode: sweep the Request-List frozen in phase 1 —
-                # consistent with the snapshot even though the live
-                # list has moved on since the section ended.
-                assert request_list is not None
-                found.extend(
-                    sweep_request_list(
-                        request_list, monitor_name, snapshot.time,
-                        config.tlimit,
-                    )
-                )
-            else:
-                # Replay mode: the sweep must see the list as the
-                # replay above just rebuilt it.
-                assert algorithm3 is not None
-                found.extend(algorithm3.periodic(snapshot.time, config.tlimit))
-    if not segment.complete:
-        found = _degrade_window(
-            found,
-            segment,
-            monitor_name=monitor_name,
-            tmax=config.tmax,
-            tio=config.tio,
-        )
-        if algorithm2 is not None:
-            # The lossy window desynchronised Algorithm-2's cumulative
-            # counters; re-base them on the snapshot so later complete
-            # windows don't report ST-7a on a healthy monitor.
-            algorithm2.resync(segment.current)
-    return found
-
-
 class RegisteredMonitor:
     """Per-monitor detection state held by the engine.
 
@@ -435,20 +356,67 @@ class RegisteredMonitor:
         :func:`repro.detection.rules.degrade_to_drop_tolerant`) and their
         reports are downgraded to :attr:`Confidence.DEGRADED` — a
         truncated trace must degrade, not false-positive.  Counting is the
-        engine's (:meth:`DetectionEngine.record_evaluation`).
+        engine's (:meth:`DetectionEngine.evaluate_phase`).
         """
-        return evaluate_capture(
-            self.monitor.declaration,
-            self.config,
-            monitor_name=self.monitor.name,
-            algorithm1=self.algorithm1,
-            algorithm2=self.algorithm2,
-            algorithm3=self.algorithm3,
-            order_checking=self.algorithm3 is not None,
-            snapshot=capture.snapshot,
-            segment=capture.segment,
-            request_list=capture.request_list,
-        )
+        config = self.config
+        segment = capture.segment
+        if self.algorithm1 is not None:
+            found = self.algorithm1.check_window(
+                segment, tmax=config.tmax, tio=config.tio
+            )
+        else:
+            found = check_general_concurrency_control(
+                self.monitor.declaration,
+                segment,
+                tmax=config.tmax,
+                tio=config.tio,
+            )
+        if self.algorithm2 is not None:
+            found.extend(self.algorithm2.check_window(segment))
+        algorithm3 = self.algorithm3
+        if algorithm3 is not None:
+            if not config.realtime_orders and segment.complete:
+                # Window replay of calling orders needs every event; on a
+                # lossy window the real-time tap (when on) already saw the
+                # true sequence, and the replay would start mid-pattern.
+                for event in segment.events:
+                    found.extend(algorithm3.on_event(event))
+            if config.tlimit is not None:
+                if config.realtime_orders:
+                    # Tap mode: sweep the Request-List frozen in phase 1 —
+                    # consistent with the snapshot even though the live
+                    # list has moved on since the section ended.
+                    assert capture.request_list is not None
+                    found.extend(
+                        sweep_request_list(
+                            capture.request_list,
+                            self.monitor.name,
+                            capture.snapshot.time,
+                            config.tlimit,
+                        )
+                    )
+                else:
+                    # Replay mode: the sweep must see the list as the
+                    # replay above just rebuilt it.
+                    found.extend(
+                        algorithm3.periodic(
+                            capture.snapshot.time, config.tlimit
+                        )
+                    )
+        if not segment.complete:
+            found = _degrade_window(
+                found,
+                segment,
+                monitor_name=self.monitor.name,
+                tmax=config.tmax,
+                tio=config.tio,
+            )
+            if self.algorithm2 is not None:
+                # The lossy window desynchronised Algorithm-2's cumulative
+                # counters; re-base them on the snapshot so later complete
+                # windows don't report ST-7a on a healthy monitor.
+                self.algorithm2.resync(segment.current)
+        return found
 
     def check(self) -> list[FaultReport]:
         """Capture and evaluate in one call (single-phase convenience).
@@ -459,73 +427,6 @@ class RegisteredMonitor:
         installed on it (the chaos harness's sabotage) apply here too.
         """
         return self.evaluate(self.capture(self.monitor.kernel.now()))
-
-    # ------------------------------------------------------ state hand-off
-
-    def export_stream_spec(self) -> dict:
-        """Everything a shadow evaluator needs to mirror this entry.
-
-        The declaration travels as rendered text (the same
-        render/parse seam the detection service uses — no pickling of
-        monitor objects), the per-entry rule configuration as plain
-        scalars, and the current checker state via the ``state_dict``
-        surface.  In realtime-order mode Algorithm-3 stays home: the live
-        tap owns its state, and phase 2 only needs the frozen
-        Request-List each capture already carries.
-        """
-        return {
-            "label": self.label,
-            "monitor_name": self.monitor.name,
-            "declaration": self.monitor.declaration.render(),
-            "config": {
-                "tmax": self.config.tmax,
-                "tio": self.config.tio,
-                "tlimit": self.config.tlimit,
-                "realtime_orders": self.config.realtime_orders,
-                "incremental_checking": self.config.incremental_checking,
-            },
-            "state": self.export_checker_state(),
-        }
-
-    def export_checker_state(self) -> dict:
-        """The carried phase-2 checker state, JSON-compatible."""
-        return {
-            "algorithm1": (
-                None if self.algorithm1 is None else self.algorithm1.state_dict()
-            ),
-            "algorithm2": (
-                None if self.algorithm2 is None else self.algorithm2.state_dict()
-            ),
-            "algorithm3": (
-                self.algorithm3.state_dict()
-                if self.algorithm3 is not None
-                and not self.config.realtime_orders
-                else None
-            ),
-        }
-
-    def import_checker_state(self, record: dict, *, basis=None) -> None:
-        """Adopt a shadow evaluator's checker state after a batch.
-
-        ``basis`` is the state object Algorithm-1's carried lists were
-        left matching (the last evaluated window's ``current``); passing
-        the engine's own object restores the identity-based carry, so a
-        later in-thread window continues incrementally instead of
-        rebasing.
-        """
-        raw = record.get("algorithm1")
-        if raw is not None and self.algorithm1 is not None:
-            self.algorithm1.restore_state(raw, basis=basis)
-        raw = record.get("algorithm2")
-        if raw is not None and self.algorithm2 is not None:
-            self.algorithm2.restore_state(raw)
-        raw = record.get("algorithm3")
-        if (
-            raw is not None
-            and self.algorithm3 is not None
-            and not self.config.realtime_orders
-        ):
-            self.algorithm3.restore_state(raw)
 
     # --------------------------------------------------- hot-path accounting
 
@@ -836,72 +737,36 @@ class DetectionEngine:
         try:
             captures, self._pending_captures = self._pending_captures, []
             for capture in captures:
+                entry = capture.entry
                 check_started = perf_counter()
                 try:
-                    reports = capture.entry.evaluate(capture)
+                    reports = entry.evaluate(capture)
                 except Exception as exc:  # noqa: BLE001 — quarantine, not crash
-                    self.record_evaluation(
-                        capture, error=f"{type(exc).__name__}: {exc}"
+                    self.check_failures += 1
+                    entry.breaker.record_failure(
+                        capture.taken_at, f"{type(exc).__name__}: {exc}"
                     )
                     continue
-                self.record_evaluation(
-                    capture, reports, perf_counter() - check_started
-                )
+                elapsed = perf_counter() - check_started
+                budget = entry.config.monitor_check_budget
+                if budget is not None and elapsed > budget:
+                    entry.breaker.record_failure(
+                        capture.taken_at,
+                        f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
+                    )
+                else:
+                    entry.breaker.record_success(capture.taken_at)
+                self.evaluations_run += 1
+                entry.checkpoints_run += 1
+                segment = capture.segment
+                if not segment.complete:
+                    entry.dropped_in_windows += segment.dropped
+                    entry.degraded_windows += 1
+                entry.reports.extend(reports)
                 found.extend(reports)
         finally:
             self.evaluate_latency.observe(perf_counter() - started)
         return found
-
-    def record_evaluation(
-        self,
-        capture: CheckpointCapture,
-        reports: Sequence[FaultReport] = (),
-        elapsed: float = 0.0,
-        *,
-        error: Optional[str] = None,
-    ) -> None:
-        """Phase-2 bookkeeping for one evaluated capture.
-
-        A failed evaluation (``error``: the evaluator's exception,
-        rendered) counts as a check failure and feeds the monitor's
-        breaker; nothing else is recorded.  Otherwise ``elapsed`` is held
-        against ``monitor_check_budget`` for the breaker verdict, the
-        evaluation and window counters advance, and ``reports`` join the
-        monitor's stream.  :meth:`evaluate_phase` and the process plane,
-        which applies its workers' replies here, share this method.
-        """
-        entry = capture.entry
-        if error is not None:
-            self.check_failures += 1
-            entry.breaker.record_failure(capture.taken_at, error)
-            return
-        budget = entry.config.monitor_check_budget
-        if budget is not None and elapsed > budget:
-            entry.breaker.record_failure(
-                capture.taken_at,
-                f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
-            )
-        else:
-            entry.breaker.record_success(capture.taken_at)
-        self.evaluations_run += 1
-        entry.checkpoints_run += 1
-        segment = capture.segment
-        if not segment.complete:
-            entry.dropped_in_windows += segment.dropped
-            entry.degraded_windows += 1
-        entry.reports.extend(reports)
-
-    def take_pending_captures(self) -> list[CheckpointCapture]:
-        """Claim the queued phase-1 captures for external evaluation.
-
-        The process evaluation plane fixes each worker batch at submit
-        time with this — once taken, the captures belong to the caller
-        (ship them, evaluate them, or push them back onto
-        ``_pending_captures`` for the in-thread fallback), and a later
-        :meth:`evaluate_phase` sees only captures taken afterwards.
-        """
-        captures, self._pending_captures = self._pending_captures, []
-        return captures
 
     @property
     def pending_captures(self) -> int:

@@ -101,8 +101,8 @@ class FaultReport:
 
 # The canonical JSON codec for reports.  Shared by the report journal
 # (exactly-once delivery across restarts, :mod:`repro.detection.durability`)
-# and the process-parallel evaluation plane (reports crossing the worker
-# pipe, :mod:`repro.detection.procpool`).  Round trips are exact:
+# and the detection service's journal
+# (:class:`repro.service.server.ServiceJournal`).  Round trips are exact:
 # ``report_from_dict(report_to_dict(r)) == r`` — floats survive JSON
 # bit-for-bit via repr-based encoding.
 

@@ -73,8 +73,8 @@ class DetectionSession:
         :class:`~repro.detection.supervision.CheckpointSupervisor`
         (retry/backoff/stall watchdog) instead of raw checkpoints.
     evaluation:
-        Phase-2 evaluation plane — ``"threads"``, ``"processes"`` or
-        ``"inline"`` (default: the kernel's auto choice; see
+        Where phase 2 runs — ``"threads"`` or ``"inline"`` (default:
+        threads on the thread kernel, inline on the sim kernel; see
         :class:`DetectionCluster`).
     """
 

@@ -184,9 +184,8 @@ class SupervisorEvent:
 
     time: float
     #: "failure" | "retry" | "gave-up" | "budget" | "stall" from the
-    #: checkpoint supervisor itself, plus two raised by the cluster's
-    #: evaluation pools: "worker-death" (an evaluator worker process died;
-    #: its shard fell back to in-thread evaluation) and "leak" (a pool
+    #: checkpoint supervisor itself.  The cluster's evaluation pool also
+    #: logs "failure" (an offloaded evaluation raised) and "leak" (a pool
     #: worker outlived its close timeout).
     kind: str
     detail: str = ""

@@ -14,7 +14,7 @@ trace`` (covered by property tests).
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable
 
 from repro.errors import HistoryError
 from repro.history.events import EventKind, SchedulingEvent
@@ -30,13 +30,6 @@ __all__ = [
     "state_from_dict",
     "segment_to_dict",
     "segment_from_dict",
-    "segment_to_json",
-    "request_list_to_wire",
-    "request_list_from_wire",
-    "capture_to_dict",
-    "capture_from_dict",
-    "report_to_dict",
-    "report_from_dict",
     "sink_state_to_dict",
     "apply_sink_state",
     "dump_trace",
@@ -163,7 +156,7 @@ def segment_to_dict(segment: Segment) -> dict:
     The wire shape is the detection service's window codec (previous and
     current states, the event list and the ``dropped`` count — see
     :func:`repro.service.protocol.segment_to_wire`, which delegates here),
-    so the out-of-process shadow checker consumes input identical to the
+    so the server's shadow checker consumes input identical to the
     in-process one.
     """
     return {
@@ -176,16 +169,16 @@ def segment_to_dict(segment: Segment) -> dict:
 
 #: Wire value → member, resolved once: ``EventKind(value)`` walks the
 #: enum ``__call__`` machinery on every event, and the batch decoder
-#: below sits on the evaluator worker's per-window hot path.
+#: below runs once per event of every window the service receives.
 _EVENT_KINDS: dict = {kind.value: kind for kind in EventKind}
 
 
 def events_from_wire(records) -> tuple:
     """Batch :func:`event_from_dict`: one tight loop, no per-record
-    dispatch.  Decoding is the dominant cost of shipping a checking
-    window to an evaluator worker process, so the common shape is
-    decoded without the per-event ``kind`` check; malformed input falls
-    back to :func:`event_from_dict` for its precise error."""
+    dispatch.  Every event of every window the detection service
+    receives is decoded here, so the common shape skips the per-event
+    ``kind`` check; malformed input falls back to
+    :func:`event_from_dict` for its precise error."""
     kinds = _EVENT_KINDS
     get = dict.get
     try:
@@ -216,128 +209,6 @@ def segment_from_dict(raw: dict) -> Segment:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed segment record {raw!r}: {exc}") from exc
-
-
-def segment_to_json(segment: Segment) -> str:
-    """:func:`segment_to_dict` + compact ``json.dumps``, hand-fused.
-
-    Byte-identical to ``json.dumps(segment_to_dict(segment),
-    separators=(",", ":"))``.  Segment encoding sits on the evaluation
-    submit path of the process plane — it runs under the GIL in the
-    dispatch thread, so every microsecond saved here is parallel speedup
-    kept; the event list (the bulk of the payload) reuses the memoised
-    :func:`event_to_json_line` encoder.
-    """
-    events = ",".join(
-        event_to_json_line(event)[:-1] for event in segment.events
-    )
-    previous = json.dumps(state_to_dict(segment.previous), separators=(",", ":"))
-    current = json.dumps(state_to_dict(segment.current), separators=(",", ":"))
-    return (
-        f'{{"previous":{previous},"events":[{events}],'
-        f'"current":{current},"dropped":{segment.dropped}}}'
-    )
-
-
-# ------------------------------------------------------------ request lists
-
-
-def request_list_to_wire(
-    request_list: Optional[Iterable[tuple]],
-) -> Optional[list]:
-    """Algorithm-3's frozen Request-List as ``[[pid, since], ...]``."""
-    if request_list is None:
-        return None
-    return [[pid, since] for pid, since in request_list]
-
-
-def request_list_from_wire(raw: Optional[list]) -> Optional[tuple]:
-    if raw is None:
-        return None
-    try:
-        return tuple((pid, since) for pid, since in raw)
-    except (TypeError, ValueError) as exc:
-        raise HistoryError(f"malformed request list {raw!r}: {exc}") from exc
-
-
-# ---------------------------------------------------------------- captures
-
-# The capture/report codecs close the loop for the process-parallel
-# evaluation plane: a phase-1 CheckpointCapture crosses the worker pipe as
-# JSON, the FaultReports come back the same way.  The detection types are
-# imported lazily — the detection package imports this module at load
-# time, so a top-level import would be a cycle.
-
-
-def capture_to_dict(capture) -> dict:
-    """One immutable phase-1 capture as a JSON-compatible dict.
-
-    ``snapshot`` is omitted (encoded as ``None``) when it is the
-    segment's ``current`` state — the engine's capture path cuts the
-    window *at* the snapshot, so this is the overwhelmingly common case
-    and the state would otherwise travel twice.
-    """
-    snapshot = (
-        None
-        if capture.snapshot is capture.segment.current
-        else state_to_dict(capture.snapshot)
-    )
-    return {
-        "kind": "capture",
-        "label": capture.entry.label,
-        "snapshot": snapshot,
-        "segment": segment_to_dict(capture.segment),
-        "request_list": request_list_to_wire(capture.request_list),
-        "taken_at": capture.taken_at,
-    }
-
-
-def capture_from_dict(record: dict, entry):
-    """Rebuild a :class:`~repro.detection.engine.CheckpointCapture`.
-
-    ``entry`` is the :class:`~repro.detection.engine.RegisteredMonitor`
-    the capture belongs to — entries never cross the wire (they hold the
-    live checkers); the caller resolves the record's ``label`` to its own
-    registration.
-    """
-    from repro.detection.engine import CheckpointCapture
-
-    if record.get("kind") != "capture":
-        raise HistoryError(f"not a capture record: {record!r}")
-    try:
-        segment = segment_from_dict(record["segment"])
-        raw_snapshot = record.get("snapshot")
-        snapshot = (
-            segment.current
-            if raw_snapshot is None
-            else state_from_dict(raw_snapshot)
-        )
-        return CheckpointCapture(
-            entry=entry,
-            snapshot=snapshot,
-            segment=segment,
-            request_list=request_list_from_wire(record.get("request_list")),
-            taken_at=record["taken_at"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HistoryError(f"malformed capture record: {exc}") from exc
-
-
-# ----------------------------------------------------------------- reports
-
-
-def report_to_dict(report) -> dict:
-    """One fault report as a JSON-compatible dict (canonical codec)."""
-    from repro.detection.reports import report_to_dict as encode
-
-    return encode(report)
-
-
-def report_from_dict(record: dict):
-    """Rebuild a :class:`~repro.detection.reports.FaultReport`."""
-    from repro.detection.reports import report_from_dict as decode
-
-    return decode(record)
 
 
 # ------------------------------------------------------------------- sinks

@@ -28,10 +28,6 @@ Semantics:
   "under 2x the baseline").  A zero baseline fails the gate.
 * ``op`` is one of ``< <= > >= == !=``; the gate passes when
   ``compared OP threshold`` holds.
-* ``[gate.when]`` is an optional precondition with the same
-  ``metric``/``labels``/``op``/``threshold`` shape; when it does not
-  hold the gate is *skipped* (reported, but not a violation).  This is
-  how "processes beat threads, but only on >= 4 cores" is expressed.
 
 The runner (``repro gates run SPEC --metrics FILE...``) loads one or
 more metrics JSON files (raw exports or CLI/bench envelopes), evaluates
@@ -134,7 +130,6 @@ class GateSpec:
     op: str
     threshold: float
     baseline: Optional[_Selector] = None
-    when: Optional[tuple] = None  # (_Selector, op, threshold)
 
     def describe(self) -> str:
         lhs = self.value.describe()
@@ -148,14 +143,10 @@ class GateResult:
     """Outcome of evaluating one gate against the metrics view."""
 
     gate: GateSpec
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     value: Optional[float] = None
     compared: Optional[float] = None
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -280,28 +271,6 @@ def parse_gate_specs(data: dict) -> list[GateSpec]:
             baseline = _Selector.from_table(
                 table["baseline"], f"{context} baseline"
             )
-        when = None
-        if "when" in table:
-            when_table = table["when"]
-            if not isinstance(when_table, dict):
-                raise ValueError(f"{context}: [gate.when] must be a table")
-            when_op = when_table.get("op")
-            if when_op not in _OPS:
-                raise ValueError(
-                    f"{context} when: 'op' must be one of {sorted(_OPS)}"
-                )
-            when_threshold = when_table.get("threshold")
-            if not isinstance(when_threshold, (int, float)) or isinstance(
-                when_threshold, bool
-            ):
-                raise ValueError(
-                    f"{context} when: 'threshold' (number) is required"
-                )
-            when = (
-                _Selector.from_table(when_table, f"{context} when"),
-                when_op,
-                float(when_threshold),
-            )
         specs.append(
             GateSpec(
                 name=name,
@@ -309,7 +278,6 @@ def parse_gate_specs(data: dict) -> list[GateSpec]:
                 op=op,
                 threshold=float(threshold),
                 baseline=baseline,
-                when=when,
             )
         )
     return specs
@@ -331,23 +299,6 @@ def load_gate_specs(path: str) -> list[GateSpec]:
 
 
 def _evaluate(spec: GateSpec, view: MetricsView) -> GateResult:
-    if spec.when is not None:
-        selector, op, threshold = spec.when
-        try:
-            probe = view.lookup(selector)
-        except LookupError as error:
-            return GateResult(
-                spec, "fail", detail=f"when-clause lookup failed: {error}"
-            )
-        if not _OPS[op](probe, threshold):
-            return GateResult(
-                spec,
-                "skip",
-                detail=(
-                    f"precondition not met: "
-                    f"{selector.describe()}={probe:g} not {op} {threshold:g}"
-                ),
-            )
     try:
         value = view.lookup(spec.value)
     except LookupError as error:
@@ -384,9 +335,6 @@ def run_gates(
     return [_evaluate(spec, view) for spec in specs]
 
 
-_STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}
-
-
 def render_gate_table(results: Sequence[GateResult]) -> str:
     """Human-readable pass/fail table, one row per gate."""
     rows = [("gate", "obligation", "status", "detail")]
@@ -395,7 +343,7 @@ def render_gate_table(results: Sequence[GateResult]) -> str:
             (
                 result.gate.name,
                 result.gate.describe(),
-                _STATUS_MARK[result.status],
+                result.status.upper(),
                 result.detail,
             )
         )
@@ -415,10 +363,8 @@ def render_gate_table(results: Sequence[GateResult]) -> str:
         if index == 0:
             lines.append("-" * (sum(widths) + 6 + max(len(row[3]), 0)))
     failed = sum(1 for r in results if r.status == "fail")
-    skipped = sum(1 for r in results if r.status == "skip")
-    passed = sum(1 for r in results if r.status == "pass")
     lines.append(
-        f"{passed} passed, {failed} failed, {skipped} skipped "
+        f"{len(results) - failed} passed, {failed} failed "
         f"of {len(results)} gate(s)"
     )
     return "\n".join(lines)

@@ -71,9 +71,8 @@ class ProtocolError(ServiceError):
 def segment_to_wire(segment: Segment) -> dict:
     """One cut checkpoint window as a JSON-compatible dict.
 
-    The codec itself lives in :mod:`repro.history.serialize` (the
-    process-parallel evaluation plane shares it); this wrapper pins the
-    service's wire shape to it.
+    The codec itself lives in :mod:`repro.history.serialize`; this
+    wrapper pins the service's wire shape to it.
     """
     return segment_to_dict(segment)
 

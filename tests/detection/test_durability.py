@@ -8,6 +8,7 @@ from repro.apps import SingleResourceAllocator
 from repro.detection import (
     Confidence,
     DetectionEngine,
+    DetectionSession,
     DetectorConfig,
     DurableEngine,
     FaultReport,
@@ -80,6 +81,29 @@ class TestReportJournal:
         assert len(reopened.reports) == 1
         # The interrupted append never surfaced; admitting it again works.
         assert reopened.admit(sample_report(detected_at=9.0)) is True
+
+    def test_junk_complete_last_line_truncated(self, tmp_path):
+        path = tmp_path / "durable.reports"
+        journal = ReportJournal(path)
+        journal.admit(sample_report())
+        journal.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("not json at all\n")
+        reopened = ReportJournal(path)
+        assert reopened.torn_tails_truncated == 1
+        assert len(reopened.reports) == 1
+        assert path.read_text(encoding="utf-8").count("\n") == 1
+
+    def test_junk_middle_line_raises(self, tmp_path):
+        path = tmp_path / "durable.reports"
+        journal = ReportJournal(path)
+        journal.admit(sample_report())
+        journal.admit(sample_report(detected_at=2.0))
+        journal.close()
+        first, second = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text(first + "not json at all\n" + second, encoding="utf-8")
+        with pytest.raises(RecoveryError, match="line 2"):
+            ReportJournal(path)
 
 
 class TestSnapshotStore:
@@ -169,6 +193,49 @@ def run_with_misuse(root, *, rounds=4):
     kernel.run(until=rounds * 0.25 + 5)
     kernel.raise_failures()
     return durable
+
+
+def flaky_admit(journal):
+    """Make ``journal.admit`` raise ``OSError`` once (a full disk), then
+    behave normally."""
+    admit = journal.admit
+
+    def flaky(report):
+        journal.admit = admit
+        raise OSError("no space left on device")
+
+    journal.admit = flaky
+
+
+class TestJournalWriteFailure:
+    def test_failed_admit_leaves_reports_for_the_retry(self, tmp_path):
+        kernel = SimKernel(RandomPolicy(seed=3), on_deadlock="stop")
+        allocator = SingleResourceAllocator(kernel, name="allocator")
+        session = DetectionSession(
+            kernel,
+            config=DetectorConfig(
+                interval=0.5, tmax=60.0, tio=60.0, tlimit=60.0,
+                realtime_orders=False,
+            ),
+            durable_dir=tmp_path,
+        )
+        session.register(allocator, label="allocator")
+        flaky_admit(session.shards[0].target.journal)
+
+        def rogue(delay):
+            yield Delay(delay)
+            yield from allocator.release()
+
+        kernel.spawn(rogue(0.2), "rogue-0")
+        kernel.spawn(rogue(1.2), "rogue-1")
+        session.start()
+        kernel.run(until=3.0)
+        session.stop()
+        assert len(session.reports) == 4
+        assert session.delivered_reports == session.reports
+        kinds = [event.kind for __, event in session.supervisor_events()]
+        assert kinds[:2] == ["failure", "retry"]
+        session.close()
 
 
 class TestDurableEngine:

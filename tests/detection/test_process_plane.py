@@ -1,12 +1,12 @@
-"""Process-parallel phase-2 evaluation: byte-identical report streams
-across evaluation planes, deterministic in-thread fallback after a
-``kill -9``'d evaluator worker, and the pool-close leak accounting.
+"""Phase-2 evaluation planes: byte-identical report streams with and
+without the per-shard worker-thread pool, and the pool's failure and
+close-leak accounting.
 
-The plane must be invisible in the output: same seeded sim workload,
-``evaluation="threads"`` vs ``"processes"`` (and a 1-shard inline
-baseline) must merge to byte-identical report streams, because the
-worker evaluates the same frozen windows with the same shadow checkers
-and the merge key is plane-independent.
+The plane must be invisible in the output: the same seeded sim workload
+evaluated on ``evaluation="threads"`` at 2 and 4 shards must merge to the
+byte-identical report stream of a 1-shard inline baseline, because the
+workers evaluate the same frozen windows with the same checkers and the
+merge key is plane-independent.
 """
 
 import threading
@@ -15,10 +15,15 @@ import time
 import pytest
 
 from repro.apps import SingleResourceAllocator
-from repro.detection import DetectionCluster, DetectorConfig
-from repro.detection.procpool import EvaluationPool, ThreadEvaluationPool
+from repro.detection import (
+    DetectionCluster,
+    DetectionSession,
+    DetectorConfig,
+    EvaluationPool,
+)
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, FifoPolicy, SimKernel
+from tests.detection.test_durability import flaky_admit
 
 #: Generous timeouts: reports anchor to event times, so the merged
 #: stream is capture-schedule (and so shard-count) independent.
@@ -35,7 +40,7 @@ CONFIG = DetectorConfig(
 def build_workload(kernel, count=6):
     """``count`` allocators with deterministic request/release cycles and
     two rogue bare releases — order violations the phase-2 replay checker
-    flags *worker-side* (``realtime_orders=False``)."""
+    flags on the evaluating thread (``realtime_orders=False``)."""
     allocators = [
         SingleResourceAllocator(kernel, history=HistoryDatabase())
         for __ in range(count)
@@ -63,7 +68,7 @@ def build_workload(kernel, count=6):
     return allocators
 
 
-def run_plane(evaluation, shards, *, sabotage=None):
+def run_plane(evaluation, shards):
     kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
     allocators = build_workload(kernel)
     cluster = DetectionCluster(
@@ -71,95 +76,60 @@ def run_plane(evaluation, shards, *, sabotage=None):
     )
     for index, allocator in enumerate(allocators):
         cluster.register(allocator, label=f"alloc-{index}")
-    pool = cluster._pool
 
     def pacer():
-        rounds = 0
         while True:
             yield Delay(CONFIG.interval)
             cluster.checkpoint()
-            rounds += 1
-            if sabotage is not None and rounds == 3:
-                sabotage(cluster, pool)
 
     kernel.spawn(pacer(), "pacer")
     kernel.run(until=8.0)
     cluster.stop()
-    return cluster, pool
+    return cluster
+
+
+def make_pool(shards):
+    """A worker-thread pool over the shards of a fresh inline cluster."""
+    kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
+    cluster = DetectionCluster(kernel, CONFIG, shards=shards)
+    return EvaluationPool(cluster.shards)
 
 
 class TestPlaneDeterminism:
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_threads_vs_processes_byte_identical(self, shards):
-        baseline, __ = run_plane("inline", 1)
+    def test_threads_match_inline_baseline(self, shards):
+        baseline = run_plane("inline", 1)
         expected = [report.render() for report in baseline.reports]
         assert expected, "workload produced no fault reports"
-        for plane in ("threads", "processes"):
-            cluster, __ = run_plane(plane, shards)
-            assert [
-                report.render() for report in cluster.reports
-            ] == expected, plane
-            # Structural identity too, not just the rendered text.
-            assert cluster.reports == baseline.reports, plane
-            assert not cluster.pool_leaks
-
-    def test_worker_evaluations_actually_ran_out_of_process(self):
-        cluster, pool = run_plane("processes", 2)
-        # No deaths, no fallbacks: every window was evaluated by a worker.
-        assert pool.worker_deaths == []
-        assert pool.windows_recovered == 0
-        assert sum(pool.per_worker_cpu) > 0.0
-        assert sum(
-            shard.engine.evaluations_run for shard in cluster.shards
-        ) > 0
-
-
-class TestWorkerDeathFallback:
-    def test_killed_worker_degrades_without_losing_reports(self):
-        baseline, __ = run_plane("inline", 1)
-        expected = [report.render() for report in baseline.reports]
-        assert expected
-
-        def kill_worker(cluster, pool):
-            handle = pool._handles[0]
-            handle.process.kill()  # SIGKILL: no goodbye, no flush
-            handle.process.join(timeout=10.0)
-
-        cluster, pool = run_plane("processes", 2, sabotage=kill_worker)
-        # Not one report lost, duplicated or reordered.
+        cluster = run_plane("threads", shards)
         assert [report.render() for report in cluster.reports] == expected
-        assert pool.worker_deaths and pool.worker_deaths[0][0] == 0
-        assert pool.windows_recovered > 0
-        kinds = [
-            event.kind
-            for shard in cluster.shards
-            for event in shard.supervisor.events
-        ]
-        assert "worker-death" in kinds
-        # The healthy shard kept its worker.
-        assert not pool._handles[1].dead
+        # Structural identity too, not just the rendered text.
+        assert cluster.reports == baseline.reports
+        assert not cluster.pool_leaks
+
+    def test_processes_plane_rejected(self):
+        kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
+        with pytest.raises(ValueError):
+            DetectionCluster(kernel, CONFIG, evaluation="processes")
 
 
 class TestPoolCloseLeak:
     def test_close_surfaces_stuck_worker_threads(self):
-        pool = ThreadEvaluationPool(1)
+        pool = make_pool(1)
         release = threading.Event()
         pool.submit(0, release.wait)
-        time.sleep(0.05)  # let the dispatch thread pick the job up
-        leaked = pool.close(timeout=0.1)
+        time.sleep(0.05)  # let the worker thread pick the job up
         try:
-            assert leaked == [(0, "shard-evaluate-0")]
-            assert pool.leaked == leaked
+            assert pool.close(timeout=0.1) == [(0, "shard-evaluate-0")]
         finally:
             release.set()
 
     def test_clean_close_leaks_nothing(self):
-        pool = ThreadEvaluationPool(2)
+        pool = make_pool(2)
         pool.submit(0, lambda: None)
         pool.submit(1, lambda: None)
         pool.drain()
         assert pool.close(timeout=5.0) == []
-        assert pool.leaked == []
 
     def test_cluster_records_leak_event(self):
         kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
@@ -185,3 +155,39 @@ class TestPoolCloseLeak:
             assert "leak" in kinds
         finally:
             release.set()
+
+
+class TestPoolFailures:
+    def test_raising_offloaded_job_is_logged_and_retried(self, tmp_path):
+        kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
+        allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
+        session = DetectionSession(
+            kernel,
+            config=CONFIG,
+            durable_dir=tmp_path,
+            evaluation="threads",
+        )
+        session.register(allocator, label="allocator")
+
+        def rogue():
+            yield Delay(0.2)
+            yield from allocator.release()
+
+        kernel.spawn(rogue(), "rogue")
+        kernel.run(until=1.0)
+        flaky_admit(session.shards[0].target.journal)
+        try:
+            session.checkpoint()  # evaluates; the journal write raises
+            kinds = [event.kind for __, event in session.supervisor_events()]
+            assert kinds == ["failure"]
+            assert session.metrics().value(
+                "repro_supervisor_events_total",
+                {"shard": "0", "kind": "failure"},
+            ) == 1
+            assert session.delivered_reports == []
+            session.checkpoint()  # the next checkpoint journals them
+            assert len(session.reports) == 2
+            assert session.delivered_reports == session.reports
+        finally:
+            session.stop()
+            session.close()

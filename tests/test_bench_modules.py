@@ -168,3 +168,24 @@ class TestTableValidation:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row 0"):
             render_table(["a", "b"], [["only-one"]])
+
+
+class TestScalingHarness:
+    def test_thread_kernel_fleet_reports_nothing(self):
+        from repro.bench.engine_scaling import (
+            QUICK_SCALING_SPEC,
+            scaling_bench,
+        )
+
+        # Thread-kernel processes run from spawn: a monitor registered
+        # after its workload started would miss early events and report.
+        registry = scaling_bench(
+            counts=(16,),
+            shards=(1, 4),
+            backend="threads",
+            spec=QUICK_SCALING_SPEC,
+        )
+        assert cells(registry, "reports") == {
+            ("16", "session", "1"): 0,
+            ("16", "session", "4"): 0,
+        }
