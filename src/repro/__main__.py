@@ -35,7 +35,7 @@ Commands
     with zero client-side exceptions, every lossy window DEGRADED and no
     duplicate reports after recovery.
 ``crash-recovery [--seed N] [--rounds N] [--crashes N] [--backend sim|threads] [--fsync P] [--points P ...] [--json PATH]``
-    Crash-durability campaign: kill a WAL-backed DurableEngine at seeded
+    Crash-durability campaign: kill a one-shard durable session at seeded
     crash points, restart and recover it, and compare the delivered fault
     set against an uninterrupted golden run; exit status 1 unless the
     sets match with zero duplicates.

@@ -27,17 +27,19 @@ Contents:
   (checkpoint budget, retry with backoff, stall watchdog, snapshot/restore),
   and :func:`~repro.detection.supervision.supervisor_process`.
 * :mod:`repro.detection.durability` — crash durability: the
-  :class:`~repro.detection.durability.DurableEngine` wrapper persisting
-  WAL-backed histories, atomic state snapshots and an exactly-once report
-  journal, with :meth:`~repro.detection.durability.DurableEngine.recover`
-  rebuilding a restarted detector to the crashed one's fault set.
+  :class:`~repro.detection.durability.DurableEngine` that is one shard's
+  durability — WAL-backed histories, atomic state snapshots and an
+  exactly-once report journal, with
+  :meth:`~repro.detection.durability.DurableEngine.recover` rebuilding a
+  restarted shard to the crashed one's fault set.
 * :mod:`repro.detection.cluster` — horizontal scale-out: the
   :class:`~repro.detection.cluster.DetectionCluster` partitioning the
-  fleet round-robin across N engine shards with staggered capture
-  schedules and, on the thread kernel, pooled phase-2 evaluation.
+  fleet round-robin across N shards (each an engine, a supervisor and,
+  when durable, a ``DurableEngine``) with staggered capture schedules
+  and, on the thread kernel, pooled phase-2 evaluation.
 * :mod:`repro.detection.session` — the one public front door:
-  :class:`~repro.detection.session.DetectionSession` wiring
-  engine/cluster, supervision and durability behind a single constructor.
+  :class:`~repro.detection.session.DetectionSession`, a cluster plus
+  up-front registration, ``start()`` and ``statistics()``.
 """
 
 from repro.detection.cluster import (

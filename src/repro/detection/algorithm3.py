@@ -153,28 +153,31 @@ class CallingOrderChecker:
             self.request_list, self._declaration.name, now, tlimit
         )
 
-    # ------------------------------------------------------------ state hand-off
+    # ----------------------------------------------------------- durable state
 
     def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the replay state.
+        """JSON-compatible snapshot of the checker state.
 
-        The Request-List plus each process's order-automaton state —
-        everything the replay-mode checker (``realtime_orders=False``)
-        accumulates across windows.  Pid keys travel as strings (JSON
-        object keys); :meth:`restore_state` converts them back.
+        The Request-List plus each process's order-automaton state — the
+        ``algorithm3`` record of a durable snapshot.  Pid keys travel as
+        strings (JSON object keys); :meth:`restore_state` converts them
+        back.
         """
         return {
             "request_list": [[pid, since] for pid, since in self.request_list],
-            "dfa": {str(pid): state for pid, state in self._dfa_state.items()},
+            "dfa_state": {
+                str(pid): state for pid, state in self._dfa_state.items()
+            },
         }
 
     def restore_state(self, record: dict) -> None:
-        """Adopt a :meth:`state_dict` snapshot (e.g. across a process hop)."""
+        """Adopt a :meth:`state_dict` snapshot (recovery after a restart)."""
         self.request_list = [
             (pid, since) for pid, since in record.get("request_list", ())
         ]
         self._dfa_state = {
-            int(pid): state for pid, state in record.get("dfa", {}).items()
+            int(pid): state
+            for pid, state in record.get("dfa_state", {}).items()
         }
 
     # ----------------------------------------------------------------- helpers

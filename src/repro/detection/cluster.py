@@ -28,13 +28,15 @@ The cluster exposes the same reporting surface as a single engine
 (``reports``, ``reports_by_monitor``, ``implicated_faults``, ``clean``,
 ``confirmed_clean`` …) by merging the shard streams into one
 deterministic order — virtual detection time, then shard id, then
-cluster registration order — and composes with the existing layers:
-per-shard :class:`~repro.detection.supervision.CheckpointSupervisor` and
-breaker state, per-shard WAL + snapshot durability
-(:class:`~repro.detection.durability.DurableEngine` under
-``root/shard-<k>``, with :meth:`DetectionCluster.recover` restoring every
-shard and re-merging their report journals), and chaos campaigns that
-crash one shard while the others keep detecting.
+cluster registration order.  Each :class:`ClusterShard` owns its engine,
+its :class:`~repro.detection.supervision.CheckpointSupervisor` and, when
+the cluster is durable, its durability: a
+:class:`~repro.detection.durability.DurableEngine` under
+``root/shard-<k>`` (WALs, snapshots, report journal), committed after
+every evaluation; :meth:`DetectionCluster.recover` restores every shard
+and re-merges their report journals.
+:class:`~repro.detection.session.DetectionSession` is this class plus
+up-front registration, ``start()`` and ``statistics()``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from repro.detection.engine import (
     MonitorLike,
     RegisteredMonitor,
     _unwrap,
+    _require_kernel,
 )
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.supervision import (
@@ -86,13 +89,14 @@ _SHARD_TOTALS = frozenset(ENGINE_TOTALS) | {
 
 
 class ClusterShard:
-    """One shard: an engine, its durability wrapper, supervisor, schedule.
+    """One shard: its engine, supervisor, durability and schedule.
 
     Exposes enough of the engine surface (``config``, ``kernel``,
-    ``entries``, ``stopped``, :meth:`checkpoint`) that a
-    :class:`~repro.detection.supervision.CheckpointSupervisor` can pace it
-    directly — supervised shard checkpoints go through the shard, which
-    hands phase 2 to its worker thread when the cluster evaluates on an
+    ``entries``, ``stopped``, :meth:`checkpoint`) that its
+    :class:`~repro.detection.supervision.CheckpointSupervisor` paces it
+    directly.  One checkpoint sequence serves both evaluation planes:
+    capture, then evaluate and commit to ``durable`` — inline, or on the
+    shard's worker thread when the cluster evaluates on an
     :class:`EvaluationPool`.
     """
 
@@ -100,14 +104,13 @@ class ClusterShard:
         self,
         index: int,
         engine: DetectionEngine,
-        target: Union[DetectionEngine, DurableEngine],
+        durable_root: Optional[Path],
+        *,
+        fsync: str,
     ) -> None:
         self.index = index
-        #: The raw engine (phase split, counters, entries).
+        #: The shard's engine (phase split, counters, entries).
         self.engine = engine
-        #: What a full checkpoint is invoked on — the engine itself, or
-        #: its :class:`DurableEngine` wrapper when the cluster is durable.
-        self.target = target
         #: Stagger offset of this shard's capture schedule within the
         #: checking interval (maintained by the cluster's rebalance).
         self.offset = 0.0
@@ -121,10 +124,14 @@ class ClusterShard:
         self.supervisor = CheckpointSupervisor(
             self, rng=random.Random(index)
         )
-        if isinstance(target, DurableEngine):
-            # One supervisor per shard: the snapshots persist the counts
-            # of the supervisor that actually paces the shard.
-            target.supervisor = self.supervisor
+        #: The shard's WALs, snapshots and report journal (None unless
+        #: the cluster is durable); its snapshots persist the counts of
+        #: the supervisor above, which paces the shard.
+        self.durable: Optional[DurableEngine] = None
+        if durable_root is not None:
+            self.durable = DurableEngine(
+                engine, self.supervisor, durable_root, fsync=fsync
+            )
 
     # Surface the supervisor and pacing processes expect of an "engine".
 
@@ -144,41 +151,45 @@ class ClusterShard:
     def stopped(self) -> bool:
         return self.engine.stopped
 
-    @property
-    def durable(self) -> bool:
-        return isinstance(self.target, DurableEngine)
+    def register(
+        self, monitor, config: Optional[DetectorConfig], label: str
+    ) -> RegisteredMonitor:
+        """Register ``monitor`` under its cluster-unique ``label``, on a
+        fresh WAL when the shard is durable."""
+        if self.durable is not None:
+            self.durable.attach(monitor, label)
+        return self.engine.register(monitor, config, label=label)
 
     def checkpoint(self) -> list[FaultReport]:
-        """One shard checkpoint, pool-aware.
+        """One shard checkpoint: capture, then evaluate and commit.
 
-        Inline (sim kernel, or pool disabled): delegate to the target —
-        the plain two-phase checkpoint, or the durable
-        evaluate+journal+snapshot.  Pooled (thread kernel): run only
-        phase 1 here and hand phase 2 to this shard's worker, so the
-        pacing process is free to start the next shard's capture while
-        this one evaluates.  Pooled checkpoints return ``[]``; their
-        reports surface on the entries once the worker finishes (await
-        with :meth:`DetectionCluster.drain`).
+        Inline, phase 2 runs here and the new reports come back — for a
+        durable shard, only those its journal had not delivered before.
+        Pooled (thread kernel), phase 2 goes to this shard's worker, so
+        the pacing process is free to start the next shard's capture
+        while this one evaluates.  Pooled checkpoints return ``[]``;
+        their reports surface on the entries once the worker finishes
+        (await with :meth:`DetectionCluster.drain`).
         """
-        if self.pool is None:
-            return self.target.checkpoint()
         self.engine.capture_phase()
-        self.pool.submit(self.index, self._evaluate_offloaded)
+        if self.pool is None:
+            return self._evaluate()
+        self.pool.submit(self.index, self._evaluate)
         return []
 
-    def _evaluate_offloaded(self) -> None:
-        """Phase 2 on the worker thread, then journal and snapshot."""
-        self.engine.evaluate_phase()
+    def _evaluate(self) -> list[FaultReport]:
+        """Phase 2, then the durable journal and snapshot."""
+        found = self.engine.evaluate_phase()
         self.engine.checkpoints_run += 1
-        if isinstance(self.target, DurableEngine):
-            self.target._admit_new_reports()
-            self.target._write_snapshot()
+        if self.durable is None:
+            return found
+        return self.durable.commit()
 
     def __repr__(self) -> str:
         return (
             f"ClusterShard({self.index}, monitors={len(self.engine.entries)}, "
             f"offset={self.offset:g}, checkpoints={self.engine.checkpoints_run}, "
-            f"durable={self.durable})"
+            f"durable={self.durable is not None})"
         )
 
 
@@ -257,6 +268,8 @@ class EvaluationPool:
 class DetectionCluster:
     """N staggered :class:`DetectionEngine` shards behind one engine surface.
 
+    Usually built as a :class:`~repro.detection.session.DetectionSession`.
+
     Parameters
     ----------
     kernel:
@@ -269,10 +282,13 @@ class DetectionCluster:
         Number of engine shards (default 1).  Registrations are placed
         round-robin across them unless pinned with ``shard=``.
     durable_root:
-        When set, each shard is wrapped in a
+        When set, each shard keeps its durability — a
         :class:`~repro.detection.durability.DurableEngine` rooted at
-        ``durable_root/shard-<k>`` — per-shard WAL, snapshots and report
+        ``durable_root/shard-<k>``: per-shard WALs, snapshots and report
         journal, restored together by :meth:`recover`.
+    fsync:
+        WAL fsync policy of a durable cluster (``"always"``,
+        ``"interval"`` or ``"never"``).
     evaluation:
         Where phase 2 runs: ``"threads"`` (one :class:`EvaluationPool`
         worker thread per shard, overlapped with capture but
@@ -311,15 +327,17 @@ class DetectionCluster:
         #: the close timeout (each also logged as a "leak" event on the
         #: shard's supervisor).
         self.pool_leaks: list[tuple[int, str]] = []
-        self._shards: list[ClusterShard] = []
-        for index in range(shards):
-            engine = DetectionEngine(kernel, self.config)
-            target: Union[DetectionEngine, DurableEngine] = engine
-            if self.durable_root is not None:
-                target = DurableEngine(
-                    engine, self.durable_root / f"shard-{index}", fsync=fsync
-                )
-            self._shards.append(ClusterShard(index, engine, target))
+        self._shards = [
+            ClusterShard(
+                index,
+                DetectionEngine(kernel, self.config),
+                None
+                if self.durable_root is None
+                else self.durable_root / f"shard-{index}",
+                fsync=fsync,
+            )
+            for index in range(shards)
+        ]
         self._pool: Optional[EvaluationPool] = None
         if evaluation == "threads":
             self._pool = EvaluationPool(self._shards)
@@ -337,6 +355,10 @@ class DetectionCluster:
     @property
     def shards(self) -> tuple[ClusterShard, ...]:
         return tuple(self._shards)
+
+    @property
+    def durable(self) -> bool:
+        return self.durable_root is not None
 
     @property
     def shard_count(self) -> int:
@@ -378,23 +400,22 @@ class DetectionCluster:
         Placement is round-robin over unpinned registrations; ``shard``
         pins it explicitly and leaves the round-robin cursor where it
         was.  Registration rebalances the stagger offsets over the
-        non-empty shards.
+        non-empty shards.  A rejected registration changes nothing: the
+        monitor keeps its sink and the cursor stays put.
         """
         monitor = _unwrap(target)
-        unique = self._unique_label(label or monitor.name)
-        if shard is None:
-            index = self._next_shard % self.shard_count
-            self._next_shard += 1
-        else:
-            index = shard
+        _require_kernel(monitor, self.kernel)
+        index = self._next_shard % self.shard_count if shard is None else shard
         if not 0 <= index < self.shard_count:
             raise ValueError(
                 f"shard index {index} out of range for "
                 f"{self.shard_count} shard(s)"
             )
-        entry = self._shards[index].target.register(
-            monitor, config, label=unique
+        entry = self._shards[index].register(
+            monitor, config, self._unique_label(label or monitor.name)
         )
+        if shard is None:
+            self._next_shard += 1
         self._labels.add(entry.label)
         self._order.append((entry, index))
         self._rebalance()
@@ -494,7 +515,6 @@ class DetectionCluster:
         *,
         rounds: Optional[int] = None,
         supervised: bool = False,
-        name_prefix: str = "detection-shard",
     ) -> list:
         """Spawn one staggered pacing process per shard on the kernel."""
         return [
@@ -502,7 +522,7 @@ class DetectionCluster:
                 shard_process(
                     self, shard.index, rounds=rounds, supervised=supervised
                 ),
-                f"{name_prefix}-{shard.index}",
+                f"detection-shard-{shard.index}",
             )
             for shard in self._shards
         ]
@@ -510,10 +530,13 @@ class DetectionCluster:
     # ------------------------------------------------------------- lifecycle
 
     def stop(self) -> None:
-        """Stop every shard, drain pending evaluations, close the pool."""
+        """Stop every shard, flush its WALs, drain pending evaluations
+        and close the pool."""
         self._stopped = True
         for shard in self._shards:
-            shard.target.stop()
+            shard.engine.stop()
+            if shard.durable is not None:
+                shard.durable.flush()
         if self._pool is not None:
             self._pool.drain()
             self._close_pool()
@@ -542,11 +565,13 @@ class DetectionCluster:
 
     # ------------------------------------------------------------ durability
 
+    def _durables(self) -> list[DurableEngine]:
+        return [s.durable for s in self._shards if s.durable is not None]
+
     def baseline(self) -> None:
         """Persist each durable shard's initial snapshot (post-assembly)."""
-        for shard in self._shards:
-            if isinstance(shard.target, DurableEngine):
-                shard.target.baseline()
+        for durable in self._durables():
+            durable.baseline()
 
     def recover(self) -> list[RecoverySummary]:
         """Restore every durable shard after a restart, in shard order.
@@ -557,17 +582,12 @@ class DetectionCluster:
         call this once.  The per-shard journals re-merge through
         :attr:`delivered_reports`.
         """
-        summaries: list[RecoverySummary] = []
-        for shard in self._shards:
-            if isinstance(shard.target, DurableEngine):
-                summaries.append(shard.target.recover())
-        return summaries
+        return [durable.recover() for durable in self._durables()]
 
     def close(self) -> None:
         """Close durable handles and the worker pool (crash simulators)."""
-        for shard in self._shards:
-            if isinstance(shard.target, DurableEngine):
-                shard.target.close()
+        for durable in self._durables():
+            durable.close()
         if self._pool is not None:
             self._close_pool()
 
@@ -575,10 +595,9 @@ class DetectionCluster:
     def durability_counters(self) -> dict[str, int]:
         """Summed durability accounting across durable shards."""
         totals: dict[str, int] = {}
-        for shard in self._shards:
-            if isinstance(shard.target, DurableEngine):
-                for key, value in shard.target.durability_counters.items():
-                    totals[key] = totals.get(key, 0) + value
+        for durable in self._durables():
+            for key, value in durable.durability_counters.items():
+                totals[key] = totals.get(key, 0) + value
         return totals
 
     # ------------------------------------------------------------- reporting
@@ -614,16 +633,13 @@ class DetectionCluster:
         back; in-memory ``reports`` only carries what the current
         incarnation derived.
         """
-        if self.durable_root is None:
+        if not self.durable:
             return self.reports
-        keyed = []
-        for shard in self._shards:
-            if not isinstance(shard.target, DurableEngine):
-                continue
-            for position, report in enumerate(shard.target.reports):
-                keyed.append(
-                    ((report.detected_at, shard.index, position), report)
-                )
+        keyed = [
+            ((report.detected_at, index, position), report)
+            for index, durable in enumerate(self._durables())
+            for position, report in enumerate(durable.reports)
+        ]
         keyed.sort(key=lambda pair: pair[0])
         return [report for __, report in keyed]
 
@@ -729,12 +745,10 @@ class DetectionCluster:
         """
         registry = MetricsRegistry() if registry is None else registry
         for shard in self._shards:
-            target = (
-                shard.target
-                if isinstance(shard.target, DurableEngine)
-                else shard.engine
-            )
-            target.metrics(registry, labels={"shard": shard.index})
+            labels = {"shard": shard.index}
+            shard.engine.metrics(registry, labels=labels)
+            if shard.durable is not None:
+                shard.durable.metrics(registry, labels=labels)
 
         def per_shard(name: str, help: str, values) -> None:
             family = registry.counter(name, help, ("shard",))
@@ -814,11 +828,11 @@ class DetectionCluster:
 
     def __repr__(self) -> str:
         return (
-            f"DetectionCluster(shards={self.shard_count}, "
+            f"{type(self).__name__}(shards={self.shard_count}, "
             f"monitors={len(self._order)}, "
             f"checkpoints={self.checkpoints_run}, "
             f"worldstop_max={self.worldstop_max:.6f}, "
-            f"durable={self.durable_root is not None}, "
+            f"durable={self.durable}, "
             f"pooled={self._pool is not None})"
         )
 

@@ -4,10 +4,12 @@ The paper assumes the fault detection routine outlives the computation it
 watches; everything in our pipeline — open checking windows, Algorithm-2
 counters, the Algorithm-3 Request-List, breaker state, pending reports —
 lives in process memory and dies with the detector.  This module closes
-that gap with three durable artefacts under one root directory:
+that gap.  A durable session gives each of its shards a
+:class:`DurableEngine` — the shard's durability, beside its engine and
+supervisor — that keeps three artefacts under the shard's root directory:
 
 * ``wal/<label>/`` — one :class:`~repro.history.wal.WriteAheadLog` per
-  registered monitor (attached by :meth:`DurableEngine.register`), so the
+  registered monitor (attached by :meth:`DurableEngine.attach`), so the
   Section 3.1 history database itself survives,
 * ``snapshots/`` — numbered, checksummed engine-state snapshots written
   atomically (temp file, fsync, rename) after every checkpoint's phase-2
@@ -44,7 +46,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import IO, Callable, Optional, Union
 
-from repro.detection.config import DetectorConfig
 from repro.detection.engine import DetectionEngine, RegisteredMonitor
 
 # The report codec lives with the report type; re-exported here because the
@@ -58,7 +59,7 @@ from repro.detection.supervision import CheckpointSupervisor
 from repro.errors import RecoveryError
 from repro.history.wal import WriteAheadLog
 from repro.observability.registry import Histogram, MetricsRegistry
-from repro.service.framing import good_jsonl_prefix
+from repro.service.framing import load_jsonl_journal
 
 __all__ = [
     "report_key",
@@ -103,9 +104,10 @@ class ReportJournal:
     rejected (it was delivered by a previous incarnation of the process),
     otherwise it is appended — and flushed — *before* the caller may show
     it to anyone.  Reopening truncates a torn tail with the WAL's
-    :func:`~repro.service.framing.good_jsonl_prefix` scanner: the
-    interrupted append never surfaced its report, so dropping it loses
-    nothing.  A corrupt line before the tail raises
+    :func:`~repro.service.framing.good_jsonl_prefix` scanner (through
+    :func:`~repro.service.framing.load_jsonl_journal`): the interrupted
+    append never surfaced its report, so dropping it loses nothing.  A
+    corrupt line before the tail raises
     :class:`~repro.errors.RecoveryError`.
     """
 
@@ -125,22 +127,9 @@ class ReportJournal:
         )
 
     def _load_existing(self) -> None:
-        raw = self.path.read_bytes()
-        good = good_jsonl_prefix(raw)
-        if good < len(raw):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good)
-            self.torn_tails_truncated += 1
-        lines = raw[:good].decode("utf-8").splitlines()
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecoveryError(
-                    f"{self.path.name} line {number}: corrupt journal: {exc}"
-                ) from exc
+        records, torn = load_jsonl_journal(self.path)
+        self.torn_tails_truncated += torn
+        for __, record in records:
             report = report_from_dict(record)
             self.reports.append(report)
             self.seen.add(report_key(report))
@@ -313,45 +302,39 @@ class RecoverySummary:
 
 
 class DurableEngine:
-    """Crash-durability wrapper around one :class:`DetectionEngine`.
+    """The durability of one cluster shard: WALs, snapshots, a journal.
 
-    Registration goes through :meth:`register`, which attaches a fresh
+    A :class:`~repro.detection.cluster.ClusterShard` with a durable root
+    owns one of these beside its engine and supervisor.  :meth:`attach`
+    gives each monitor the shard registers a fresh
     :class:`~repro.history.wal.WriteAheadLog` under ``root/wal/<label>``
-    to each monitor (replacing any previously attached sink — events
-    recorded before registration are only as durable as that sink was).
-    :meth:`checkpoint` replaces ``engine.checkpoint`` as the thing a
-    pacing process calls: it runs the two-phase checkpoint, journals the
-    new reports, then writes a state snapshot.  After assembling the
-    fleet, call :meth:`baseline` once so a crash before the first
-    checkpoint still finds a snapshot of the true initial state.
+    (replacing any previously attached sink — events recorded before
+    registration are only as durable as that sink was).  After each
+    phase-2 evaluation the shard calls :meth:`commit`, which journals the
+    new reports, then writes a state snapshot.  :meth:`baseline` writes
+    the first snapshot once the fleet is assembled, so a crash before the
+    first checkpoint still finds the true initial state.
 
-    ``durable.reports`` — not ``engine.reports`` — is the canonical
+    ``reports`` — not the entries' in-memory streams — is the canonical
     delivered-report stream: it is rebuilt from the journal on recovery,
-    while the in-memory engine only carries what the current incarnation
-    derived.  Attribute access falls through to the wrapped engine, so
-    counters, ``stopped``, statistics helpers and
-    :class:`~repro.detection.supervision.CheckpointSupervisor` pacing all
-    work against the durable wrapper unchanged.
+    while the engine only carries what the current incarnation derived.
     """
 
     def __init__(
         self,
         engine: DetectionEngine,
+        supervisor: CheckpointSupervisor,
         root: Union[str, Path],
         *,
         fsync: str = "interval",
-        fsync_every: int = 32,
-        segment_bytes: int = 1 << 20,
-        keep_snapshots: int = 4,
     ) -> None:
         self.engine = engine
+        #: The supervisor pacing the shard; its snapshot/restore of
+        #: per-monitor state rides in every snapshot.
+        self.supervisor = supervisor
         self.root = Path(root)
         self.fsync = fsync
-        self.fsync_every = fsync_every
-        self.segment_bytes = segment_bytes
-        self.snapshots = SnapshotStore(
-            self.root / "snapshots", keep=keep_snapshots
-        )
+        self.snapshots = SnapshotStore(self.root / "snapshots")
         self.journal = ReportJournal(
             self.root / "reports.jsonl", fsync=(fsync == "always")
         )
@@ -364,54 +347,25 @@ class DurableEngine:
         #: Wall-clock duration of each :meth:`recover` (snapshot restore
         #: plus WAL replay), for the recovery latency histogram.
         self.recover_latency = Histogram()
-        #: Supervisor used for its snapshot/restore of per-monitor state;
-        #: also usable to pace this wrapper (it sees ``self.checkpoint``).
-        #: A cluster shard replaces it with the supervisor that paces the
-        #: shard, so snapshots persist that supervisor's counts.
-        self.supervisor = CheckpointSupervisor(self)
         self._consumed: dict[str, int] = {}
-
-    def __getattr__(self, name: str):
-        try:
-            engine = object.__getattribute__(self, "engine")
-        except AttributeError:
-            raise AttributeError(name) from None
-        return getattr(engine, name)
 
     # ---------------------------------------------------------- registration
 
-    def register(
-        self,
-        target,
-        config: Optional[DetectorConfig] = None,
-        *,
-        label: Optional[str] = None,
-    ) -> RegisteredMonitor:
-        """Register a monitor with a fresh WAL sink under the root dir.
+    def attach(self, monitor, label: str) -> None:
+        """Give ``monitor`` a fresh WAL sink keyed by its unique ``label``.
 
-        The WAL directory is keyed by the same unique label the engine
-        will assign, so re-registering the fleet after a restart (same
+        Called just before the engine registers the monitor under the
+        same label, so re-registering the fleet after a restart (same
         order, same labels) reopens each monitor's own log.
         """
-        monitor = getattr(target, "monitor", target)
-        base = label or monitor.name
-        unique, suffix = base, 2
-        while unique in self.engine.labels:
-            unique = f"{base}#{suffix}"
-            suffix += 1
         old = monitor.history
         if isinstance(old, WriteAheadLog):
             old.close()
         wal = WriteAheadLog(
-            self.root / "wal" / unique.replace("/", "_"),
-            fsync=self.fsync,
-            fsync_every=self.fsync_every,
-            segment_bytes=self.segment_bytes,
+            self.root / "wal" / label.replace("/", "_"), fsync=self.fsync
         )
         monitor.core.attach_history(wal)
-        entry = self.engine.register(monitor, config, label=unique)
-        self._consumed[entry.label] = len(entry.reports)
-        return entry
+        self._consumed[label] = 0
 
     def _wal_entries(self) -> list[tuple[RegisteredMonitor, WriteAheadLog]]:
         return [
@@ -426,14 +380,13 @@ class DurableEngine:
         """Persist the initial snapshot (call once after registration)."""
         return self._write_snapshot()
 
-    def checkpoint(self) -> list[FaultReport]:
-        """One durable checkpoint: evaluate, journal, snapshot.
+    def commit(self) -> list[FaultReport]:
+        """Journal the new reports, then snapshot (after each evaluation).
 
         Returns only reports the journal had not delivered before — after
         a recovery, the re-run of an interrupted checkpoint re-derives the
         same findings and returns an empty list instead of duplicates.
         """
-        self.engine.checkpoint()
         fresh = self._admit_new_reports()
         self._write_snapshot()
         return fresh
@@ -466,30 +419,17 @@ class DurableEngine:
     def _snapshot_payload(self) -> dict:
         checkers: dict[str, dict] = {}
         for entry in self.engine.entries:
-            record: dict = {
-                "algorithm1": None,
-                "algorithm2": None,
-                "algorithm3": None,
+            # The carried Algorithm-1 checking lists let the first
+            # post-recovery window resume mid-stream instead of
+            # re-seeding from the snapshot state.
+            checkers[entry.label] = {
+                name: None if checker is None else checker.state_dict()
+                for name, checker in (
+                    ("algorithm1", entry.algorithm1),
+                    ("algorithm2", entry.algorithm2),
+                    ("algorithm3", entry.algorithm3),
+                )
             }
-            if entry.algorithm1 is not None:
-                # The carried checking lists: restoring them lets the
-                # first post-recovery window resume mid-stream instead of
-                # re-seeding from the snapshot state.
-                record["algorithm1"] = entry.algorithm1.state_dict()
-            if entry.algorithm2 is not None:
-                record["algorithm2"] = entry.algorithm2.state_dict()
-            if entry.algorithm3 is not None:
-                record["algorithm3"] = {
-                    "request_list": [
-                        [pid, since]
-                        for pid, since in entry.algorithm3.request_list
-                    ],
-                    "dfa_state": {
-                        str(pid): state
-                        for pid, state in entry.algorithm3._dfa_state.items()
-                    },
-                }
-            checkers[entry.label] = record
         # Per-monitor counters ride in the supervisor's per-monitor records.
         return {
             "kind": "durable-engine",
@@ -529,14 +469,7 @@ class DurableEngine:
                 entry.algorithm2.restore_state(algo2)
             algo3 = record.get("algorithm3")
             if algo3 and entry.algorithm3 is not None:
-                entry.algorithm3.request_list = [
-                    (pid, since) for pid, since in algo3["request_list"]
-                ]
-                # JSON stringifies the pid keys; Pid is an int.
-                entry.algorithm3._dfa_state = {
-                    int(pid): state
-                    for pid, state in algo3["dfa_state"].items()
-                }
+                entry.algorithm3.restore_state(algo3)
         self.engine.restore_counter_state(payload.get("engine", {}))
 
     # -------------------------------------------------------------- recovery
@@ -545,8 +478,8 @@ class DurableEngine:
         """Resume detection after a restart (call before running).
 
         Protocol: rebuild the fleet exactly as before the crash (same
-        monitors, same registration order and labels, via
-        :meth:`register`), then call this once.  It restores the latest
+        monitors, same registration order and labels, each given its WAL
+        by :meth:`attach`), then call this once.  It restores the latest
         valid snapshot into the engine, replays each WAL's events past the
         snapshot's per-sink offsets into the open windows — re-driving the
         real-time Algorithm-3 check over them — and surfaces only reports
@@ -605,11 +538,6 @@ class DurableEngine:
 
     # -------------------------------------------------------------- lifecycle
 
-    def stop(self) -> None:
-        """Stop the wrapped engine and flush every durable artefact."""
-        self.engine.stop()
-        self.flush()
-
     def flush(self) -> None:
         for __, wal in self._wal_entries():
             wal.flush(sync=self.fsync == "always")
@@ -622,20 +550,14 @@ class DurableEngine:
 
     # ------------------------------------------------------------- inspection
 
-    def metrics(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        labels: Optional[dict] = None,
-    ) -> MetricsRegistry:
-        """Engine metrics plus the durability families.
+    def metrics(self, registry: MetricsRegistry, *, labels: dict) -> None:
+        """Add the durability families to the shard's ``registry``.
 
-        The wrapped engine's sampling already folds in each monitor's WAL
+        The engine's own sampling already folds in each monitor's WAL
         (append/fsync counters and latency); this adds snapshots, journal
         dedup, and the recovery-replay latency histogram.
         """
-        registry = self.engine.metrics(registry, labels=labels)
-        base = {str(k): str(v) for k, v in (labels or {}).items()}
+        base = {str(k): str(v) for k, v in labels.items()}
         names = tuple(base)
         for attr, family, help in DURABILITY_COUNTERS:
             if family is not None:
@@ -652,21 +574,20 @@ class DurableEngine:
             "Wall-clock latency per detection phase.",
             names + ("phase",),
         ).labels(**base, phase="recover").merge(self.recover_latency)
-        return registry
 
     @property
     def wal_bytes_written(self) -> int:
-        """Bytes appended across this engine's WALs."""
+        """Bytes appended across this shard's WALs."""
         return sum(wal.bytes_written for __, wal in self._wal_entries())
 
     @property
     def wal_fsyncs(self) -> int:
-        """``os.fsync`` calls issued across this engine's WALs."""
+        """``os.fsync`` calls issued across this shard's WALs."""
         return sum(wal.fsyncs for __, wal in self._wal_entries())
 
     @property
     def snapshots_written(self) -> int:
-        """Snapshots this engine's store has written."""
+        """Snapshots this shard's store has written."""
         return self.snapshots.written
 
     @property

@@ -185,6 +185,16 @@ def _unwrap(target: MonitorLike) -> Monitor:
     return target.monitor if isinstance(target, MonitorBase) else target
 
 
+def _require_kernel(monitor: Monitor, kernel) -> None:
+    """Reject a monitor that lives on another kernel than the checker's
+    (the phase-1 capture is one atomic section of that kernel)."""
+    if monitor.kernel is not kernel:
+        raise ValueError(
+            f"monitor {monitor.name!r} lives on a different kernel than "
+            "the engine; register it with an engine on its own kernel"
+        )
+
+
 @dataclass(frozen=True)
 class CheckpointCapture:
     """One monitor's phase-1 capture: everything phase 2 needs, frozen.
@@ -582,11 +592,7 @@ class DetectionEngine:
         when several registered monitors share one name.
         """
         monitor = _unwrap(target)
-        if monitor.kernel is not self.kernel:
-            raise ValueError(
-                f"monitor {monitor.name!r} lives on a different kernel than "
-                "the engine; register it with an engine on its own kernel"
-            )
+        _require_kernel(monitor, self.kernel)
         base = label or monitor.name
         unique, suffix = base, 2
         while unique in self._by_label:

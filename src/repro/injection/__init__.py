@@ -17,8 +17,9 @@ detected.  This package makes that experiment reproducible:
   event-drop bursts), asserting the supervised engine degrades instead of
   crashing or false-positiving — plus the crash-durability campaign
   (:func:`~repro.injection.chaos.run_crash_recovery_campaign`) that kills
-  and restarts a :class:`~repro.detection.durability.DurableEngine` at
-  seeded :class:`~repro.injection.chaos.CrashPoint`\\ s.
+  and restarts a one-shard durable
+  :class:`~repro.detection.session.DetectionSession` at seeded
+  :class:`~repro.injection.chaos.CrashPoint`\\ s.
 """
 
 from repro.injection.campaigns import (

@@ -27,11 +27,11 @@ broken monitor's breaker both opens and re-closes.
 
 **Crash injection** (:func:`run_crash_recovery_campaign`) extends the menu
 from "the detector misbehaves" to "the detector *dies*": seeded rounds
-kill a :class:`~repro.detection.durability.DurableEngine` at one of four
-:class:`CrashPoint`\\ s — mid-capture, mid-evaluate, mid-snapshot-write,
-mid-WAL-append — then rebuild it from its durable root and
-:meth:`~repro.detection.durability.DurableEngine.recover`.  The campaign
-passes when the recovered run's delivered fault set equals an
+kill a one-shard durable :class:`~repro.detection.session.DetectionSession`
+at one of four :class:`CrashPoint`\\ s — mid-capture, mid-evaluate,
+mid-snapshot-write, mid-WAL-append — then rebuild it from its durable
+root and :meth:`~repro.detection.cluster.DetectionCluster.recover`.  The
+campaign passes when the recovered run's delivered fault set equals an
 uninterrupted golden run's, with zero duplicate reports.
 """
 
@@ -50,6 +50,7 @@ from repro.apps.resource_allocator import SingleResourceAllocator
 from repro.apps.shared_account import SharedAccount
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, report_key
+from repro.detection.session import DetectionSession
 from repro.detection.engine import DetectionEngine, RegisteredMonitor
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.supervision import (
@@ -582,7 +583,7 @@ def _comparison_keys(reports, strict: bool) -> tuple[str, ...]:
 
 
 class _CrashContext:
-    """One run's durable engine plus the kill/rebuild machinery."""
+    """One run's one-shard durable session plus the kill/rebuild machinery."""
 
     def __init__(
         self,
@@ -605,18 +606,27 @@ class _CrashContext:
         self.events_replayed = 0
         self.torn_tails = 0
         self.snapshot_fallbacks = 0
-        self.durable = self._build()
-        self.durable.baseline()
+        self.session = self._build()
+        self.session.baseline()
 
-    def _build(self) -> DurableEngine:
-        engine = DetectionEngine(self.kernel, self.detector_config)
-        durable = DurableEngine(engine, self.root, fsync=self.fsync)
+    def _build(self) -> DetectionSession:
+        session = DetectionSession(
+            self.kernel,
+            config=self.detector_config,
+            durable_dir=self.root,
+            fsync=self.fsync,
+            evaluation="inline",
+        )
         for target, label in self.targets:
-            durable.register(target, label=label)
-        return durable
+            session.register(target, label=label)
+        return session
+
+    @property
+    def durable(self) -> DurableEngine:
+        return self.session.shards[0].durable
 
     def wals(self) -> list[WriteAheadLog]:
-        return [wal for __, wal in self.durable._wal_entries()]
+        return [entry.history for entry in self.session.entries]
 
     def trigger(self, point: CrashPoint) -> None:
         """Arm (or immediately take) one crash at ``point``.
@@ -625,7 +635,7 @@ class _CrashContext:
         seeded sink.  The other points install one-shot wrappers that blow
         up partway through the next checkpoint.
         """
-        engine = self.durable.engine
+        engine = self.session.shards[0].engine
         if point is CrashPoint.MID_WAL_APPEND:
             self.rng.choice(self.wals()).simulate_torn_append()
             raise SimulatedCrash("died mid-WAL-append (torn tail left)")
@@ -670,10 +680,19 @@ class _CrashContext:
         engine.evaluate_phase = crashing_evaluate  # type: ignore[method-assign]
 
     def rebuild(self) -> None:
-        """The restart: fresh engine over the same durable root, recover."""
-        self.durable.close()
-        self.durable = self._build()
-        summary = self.durable.recover()
+        """The restart: a fresh session over the same durable root,
+        recovered.
+
+        One atomic section: on the thread kernel the workload keeps
+        running, and a monitor transition between closing the old WALs
+        and attaching the new ones would append to a closed WAL.
+        """
+        self.kernel.atomic(self._restart)
+
+    def _restart(self) -> None:
+        self.session.close()
+        self.session = self._build()
+        [summary] = self.session.recover()
         self.recoveries += 1
         self.events_replayed += summary.events_replayed
         self.torn_tails += sum(
@@ -699,7 +718,7 @@ def _crash_driver(
                 if point is not None:
                     pending, point = point, None
                     context.trigger(pending)
-                context.durable.checkpoint()
+                context.session.checkpoint()
                 break
             except SimulatedCrash as crash:
                 context.crashes.append((round_index, str(crash)))
@@ -817,7 +836,7 @@ def _run_crash_instance(
     slack = 30.0 if config.strict else 500.0
     horizon = config.rounds * config.interval + slack
     result = kernel.run(until=horizon, max_steps=50_000_000)
-    context.durable.close()
+    context.session.close()
     return _CrashRunOutcome(
         keys=_comparison_keys(context.durable.reports, config.strict),
         strict_keys=tuple(
@@ -913,7 +932,7 @@ def run_crash_recovery_campaign(
     Runs the same seeded workload twice: a *golden* run whose durable
     checkpoints are never interrupted, and a *crashed* run where seeded
     rounds die at seeded :class:`CrashPoint`\\ s and restart through
-    :meth:`~repro.detection.durability.DurableEngine.recover`.  Passes
+    :meth:`~repro.detection.cluster.DetectionCluster.recover`.  Passes
     when both runs deliver the same fault set with zero duplicates (see
     :attr:`CrashRecoveryResult.passed`).
 

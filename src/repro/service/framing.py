@@ -14,8 +14,9 @@ prefix ends at the last complete line that parses as a JSON **object**,
 and everything after it — a partial line, a dangling length prefix whose
 body never arrived, a half-encoded scalar — is torn tail.
 :func:`good_jsonl_prefix` computes that prefix; the write-ahead log and
-the service journal truncate to it on reopen, and :class:`FrameDecoder`
-enforces the same grammar incrementally on a live byte stream.
+both report journals truncate to it on reopen (the journals through
+:func:`load_jsonl_journal`), and :class:`FrameDecoder` enforces the same
+grammar incrementally on a live byte stream.
 
 This module is deliberately stdlib-only (no imports from the history or
 detection layers) so the WAL can share it without an import cycle.
@@ -24,9 +25,10 @@ detection layers) so the WAL can share it without an import cycle.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
-from repro.errors import ServiceError
+from repro.errors import RecoveryError, ServiceError
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -34,6 +36,7 @@ __all__ = [
     "encode_frame",
     "FrameDecoder",
     "good_jsonl_prefix",
+    "load_jsonl_journal",
 ]
 
 #: Default upper bound on one frame's body, header included in spirit:
@@ -179,3 +182,36 @@ def good_jsonl_prefix(raw: bytes) -> int:
         stripped_junk = True
         good = start
     return good
+
+
+def load_jsonl_journal(path: Path) -> tuple[list[tuple[int, dict]], bool]:
+    """Reopen an append-only JSONL journal: cut its torn tail, parse the rest.
+
+    Truncates the file in place to its :func:`good_jsonl_prefix` and
+    returns ``(records, truncated)``: each remaining record with its
+    1-based line number, and whether a torn tail was cut.  A line before
+    the tail that is not a JSON object is corruption, not a torn write:
+    :class:`~repro.errors.RecoveryError` names the file and the line.
+    """
+    raw = path.read_bytes()
+    good = good_jsonl_prefix(raw)
+    if good < len(raw):
+        with open(path, "r+b") as handle:
+            handle.truncate(good)
+    records: list[tuple[int, dict]] = []
+    for number, line in enumerate(raw[:good].splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise RecoveryError(
+                f"{path.name} line {number}: corrupt journal: {exc}"
+            ) from exc
+        if not isinstance(record, dict):
+            raise RecoveryError(
+                f"{path.name} line {number}: corrupt journal: "
+                f"{type(record).__name__} record, not an object"
+            )
+        records.append((number, record))
+    return records, good < len(raw)

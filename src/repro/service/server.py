@@ -71,7 +71,7 @@ from repro.service.framing import (
     FrameDecoder,
     FrameError,
     encode_frame,
-    good_jsonl_prefix,
+    load_jsonl_journal,
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -162,7 +162,8 @@ class ServiceJournal:
     ``path=None`` the journal is memory-only (sim tests, ephemeral
     daemons) but keeps the same dedup semantics.  Reopening truncates a
     torn tail with the shared :func:`~repro.service.framing
-    .good_jsonl_prefix` scanner — the same code path as the WAL.
+    .good_jsonl_prefix` scanner — the same code path as the WAL — and a
+    corrupt line before the tail raises :class:`~repro.errors.RecoveryError`.
     """
 
     def __init__(
@@ -187,18 +188,9 @@ class ServiceJournal:
 
     def _load_existing(self) -> None:
         assert self.path is not None
-        raw = self.path.read_bytes()
-        good = good_jsonl_prefix(raw)
-        if good < len(raw):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good)
-            self.torn_tails_truncated += 1
-        for number, line in enumerate(
-            raw[:good].decode("utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            record = json.loads(line)
+        records, torn = load_jsonl_journal(self.path)
+        self.torn_tails_truncated += torn
+        for number, record in records:
             kind = record.get("kind")
             if kind == "report":
                 report = report_from_dict(record)

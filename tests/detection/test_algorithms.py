@@ -1,5 +1,7 @@
 """Tests for Algorithm-1, Algorithm-2 and Algorithm-3 over segments."""
 
+import json
+
 import pytest
 
 from repro.detection.algorithm1 import check_general_concurrency_control
@@ -256,6 +258,38 @@ class TestAlgorithm3:
         assert [report.rule for report in reports] == [
             STRule.CALL_ORDER_VIOLATED
         ]
+
+    def test_state_round_trip(self):
+        checker = CallingOrderChecker(allocator_declaration())
+        checker.on_event(enter_event(0, 1, "Request", 0.1, 1))
+        checker.on_event(enter_event(1, 2, "Request", 0.2, 0))
+        # Through JSON, as a durable snapshot stores it.
+        record = json.loads(json.dumps(checker.state_dict()))
+        restored = CallingOrderChecker(allocator_declaration())
+        restored.restore_state(record)
+        assert restored.state_dict() == checker.state_dict()
+        assert restored.holders() == (1, 2)
+        # Each automaton resumes mid-order: a Release is now in order.
+        assert restored.on_event(enter_event(2, 1, "Release", 0.3, 0)) == []
+
+    def test_restores_a_durable_snapshot_record(self):
+        # The "algorithm3" record of a durable snapshot, verbatim: P1 has
+        # requested at t=0.1 and its automaton sits after Request.
+        record = {"request_list": [[1, 0.1]], "dfa_state": {"1": 1}}
+        checker = CallingOrderChecker(allocator_declaration())
+        checker.restore_state(record)
+        assert checker.request_list == [(1, 0.1)]
+        assert checker.state_dict() == record
+        assert checker.on_event(enter_event(0, 1, "Release", 0.3, 0)) == []
+        checker.on_event(
+            signal_exit_event(1, 1, "Release", 0.35, 0, cond="free")
+        )
+        assert checker.holders() == ()
+        reports = checker.on_event(enter_event(2, 1, "Release", 0.4, 0))
+        assert {report.rule for report in reports} == {
+            STRule.RELEASE_REQUIRES_REQUEST,
+            STRule.CALL_ORDER_VIOLATED,
+        }
 
     def test_no_call_order_means_no_dfa(self):
         decl = MonitorDeclaration(

@@ -178,8 +178,8 @@ class TestDurableShardSupervisor:
         rebuilt.recover()
         registry = rebuilt.metrics()
         for shard in rebuilt.shards:
-            assert shard.target.supervisor is shard.supervisor
-            payload, __ = shard.target.snapshots.load_latest()
+            assert shard.durable.supervisor is shard.supervisor
+            payload, __ = shard.durable.snapshots.load_latest()
             stored = payload["supervisor"]["checkpoints_completed"]
             assert stored > 0
             assert (

@@ -1,4 +1,5 @@
-"""Durability layer: report journal, snapshot store, DurableEngine recovery."""
+"""Durability layer: report journal, snapshot store, durable-session
+recovery."""
 
 import json
 
@@ -7,10 +8,8 @@ import pytest
 from repro.apps import SingleResourceAllocator
 from repro.detection import (
     Confidence,
-    DetectionEngine,
     DetectionSession,
     DetectorConfig,
-    DurableEngine,
     FaultReport,
     ReportJournal,
     SnapshotStore,
@@ -105,6 +104,17 @@ class TestReportJournal:
         with pytest.raises(RecoveryError, match="line 2"):
             ReportJournal(path)
 
+    def test_non_object_middle_line_raises(self, tmp_path):
+        path = tmp_path / "durable.reports"
+        journal = ReportJournal(path)
+        journal.admit(sample_report())
+        journal.admit(sample_report(detected_at=2.0))
+        journal.close()
+        first, second = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text(first + "[1, 2]\n" + second, encoding="utf-8")
+        with pytest.raises(RecoveryError, match="durable.reports line 2"):
+            ReportJournal(path)
+
 
 class TestSnapshotStore:
     def test_write_and_load_round_trip(self, tmp_path):
@@ -159,21 +169,26 @@ class TestSnapshotStore:
 # ------------------------------------------------------------ durable engine
 
 
-def build_durable(root, *, seed=3, fsync="interval"):
+def build_durable(root, *, seed=3, fsync="interval", label="allocator"):
+    """A one-shard durable session over one allocator, checkpointed by
+    hand (no pacing process)."""
     kernel = SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
     allocator = SingleResourceAllocator(kernel, name="allocator")
-    engine = DetectionEngine(
-        kernel, DetectorConfig(interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0)
+    session = DetectionSession(
+        kernel,
+        config=DetectorConfig(interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0),
+        durable_dir=root,
+        fsync=fsync,
+        evaluation="inline",
     )
-    durable = DurableEngine(engine, root, fsync=fsync)
-    durable.register(allocator, label="allocator")
-    return kernel, allocator, durable
+    session.register(allocator, label=label)
+    return kernel, allocator, session
 
 
 def run_with_misuse(root, *, rounds=4):
     """A run whose rogue release produces real-time reports, checkpointed."""
-    kernel, allocator, durable = build_durable(root)
-    durable.baseline()
+    kernel, allocator, session = build_durable(root)
+    session.baseline()
 
     def misuser():
         yield Delay(0.1)
@@ -186,13 +201,13 @@ def run_with_misuse(root, *, rounds=4):
     def driver():
         for __ in range(rounds):
             yield Delay(0.25)
-            durable.checkpoint()
+            session.checkpoint()
 
     kernel.spawn(misuser(), "misuser")
     kernel.spawn(driver(), "driver")
     kernel.run(until=rounds * 0.25 + 5)
     kernel.raise_failures()
-    return durable
+    return session
 
 
 def flaky_admit(journal):
@@ -220,7 +235,7 @@ class TestJournalWriteFailure:
             durable_dir=tmp_path,
         )
         session.register(allocator, label="allocator")
-        flaky_admit(session.shards[0].target.journal)
+        flaky_admit(session.shards[0].durable.journal)
 
         def rogue(delay):
             yield Delay(delay)
@@ -240,60 +255,56 @@ class TestJournalWriteFailure:
 
 class TestDurableEngine:
     def test_checkpoint_surfaces_each_report_once(self, tmp_path):
-        durable = run_with_misuse(tmp_path)
-        assert len(durable.reports) >= 2  # ST-8b and ST-PX at least
-        keys = [report_key(report) for report in durable.reports]
+        session = run_with_misuse(tmp_path)
+        assert len(session.delivered_reports) >= 2  # ST-8b and ST-PX at least
+        keys = [report_key(report) for report in session.delivered_reports]
         assert len(keys) == len(set(keys))
-        assert durable.journal.deduplicated == 0
-        durable.close()
+        assert session.shards[0].durable.journal.deduplicated == 0
+        session.close()
 
     def test_recover_restores_the_report_stream(self, tmp_path):
         crashed = run_with_misuse(tmp_path)
-        expected = [report_key(report) for report in crashed.reports]
+        expected = [report_key(report) for report in crashed.delivered_reports]
         crashed.close()  # the "crash": state lives only in tmp_path now
         __, __, rebuilt = build_durable(tmp_path)
-        summary = rebuilt.recover()
+        [summary] = rebuilt.recover()
         assert summary.reports_restored == len(expected)
-        assert [report_key(r) for r in rebuilt.reports] == expected
+        assert [report_key(r) for r in rebuilt.delivered_reports] == expected
         assert rebuilt.durability_counters["recoveries"] == 1
         rebuilt.close()
 
     def test_recover_on_fresh_root_is_empty(self, tmp_path):
-        __, __, durable = build_durable(tmp_path)
-        summary = durable.recover()
+        __, __, session = build_durable(tmp_path)
+        [summary] = session.recover()
         assert summary.snapshot_path is None
         assert summary.reports_restored == 0
-        assert durable.reports == []
-        durable.close()
+        assert session.delivered_reports == []
+        session.close()
 
     def test_recover_rejects_mismatched_fleet(self, tmp_path):
         crashed = run_with_misuse(tmp_path)
         crashed.close()
-        kernel = SimKernel(RandomPolicy(seed=3), on_deadlock="stop")
-        allocator = SingleResourceAllocator(kernel, name="allocator")
-        engine = DetectionEngine(kernel, DetectorConfig(interval=0.25))
-        rebuilt = DurableEngine(engine, tmp_path)
-        rebuilt.register(allocator, label="somebody-else")
+        __, __, rebuilt = build_durable(tmp_path, label="somebody-else")
         with pytest.raises(RecoveryError):
             rebuilt.recover()
         rebuilt.close()
 
     def test_recover_falls_back_past_corrupt_snapshot(self, tmp_path):
         crashed = run_with_misuse(tmp_path)
-        expected = [report_key(report) for report in crashed.reports]
+        expected = [report_key(report) for report in crashed.delivered_reports]
         crashed.close()
-        newest = crashed.snapshots.paths()[-1]
+        newest = crashed.shards[0].durable.snapshots.paths()[-1]
         newest.write_text("garbage", encoding="utf-8")
         __, __, rebuilt = build_durable(tmp_path)
-        summary = rebuilt.recover()
+        [summary] = rebuilt.recover()
         assert summary.snapshot_fallbacks >= 1
         # The journal, not the snapshot, owns delivery: still exactly once.
-        assert [report_key(r) for r in rebuilt.reports] == expected
+        assert [report_key(r) for r in rebuilt.delivered_reports] == expected
         rebuilt.close()
 
     def test_counters_and_repr(self, tmp_path):
-        durable = run_with_misuse(tmp_path)
-        counters = durable.durability_counters
+        session = run_with_misuse(tmp_path)
+        counters = session.durability_counters
         for name in (
             "wal_bytes_written",
             "wal_fsyncs",
@@ -304,30 +315,28 @@ class TestDurableEngine:
             assert name in counters
         assert counters["wal_bytes_written"] > 0
         assert counters["snapshots_written"] > 0
-        text = repr(durable)
+        text = repr(session.shards[0].durable)
         assert "wal_bytes" in text and "recoveries" in text
-        durable.close()
+        session.close()
 
     def test_statistics_pick_up_durability_counters(self, tmp_path):
-        from repro.detection import FaultStatistics
-
-        durable = run_with_misuse(tmp_path)
-        stats = FaultStatistics.from_engine(durable)
+        session = run_with_misuse(tmp_path)
+        stats = session.statistics()
         assert stats.counters["wal_bytes_written"] > 0
         assert "durability:" in stats.render()
-        durable.close()
+        session.close()
 
     def test_recover_restores_incremental_rule_state(self, tmp_path):
         crashed = run_with_misuse(tmp_path)
-        entry = crashed.engine.entries[0]
+        entry = crashed.entries[0]
         before = entry.algorithm1.state_dict()
         assert before["carried"], "run should end on verified carried lists"
-        reports_before = [report_key(r) for r in crashed.reports]
+        reports_before = [report_key(r) for r in crashed.delivered_reports]
         crashed.close()
 
         kernel, __, rebuilt = build_durable(tmp_path)
         rebuilt.recover()
-        restored = rebuilt.engine.entries[0].algorithm1
+        restored = rebuilt.entries[0].algorithm1
         assert restored.hits == before["hits"]
         assert restored.rebases == before["rebases"]
         assert restored.carried
@@ -343,5 +352,6 @@ class TestDurableEngine:
         rebuilt.checkpoint()
         assert restored.hits == before["hits"] + 1
         assert restored.rebases == before["rebases"]
-        assert [report_key(r) for r in rebuilt.reports] == reports_before
+        delivered = [report_key(r) for r in rebuilt.delivered_reports]
+        assert delivered == reports_before
         rebuilt.close()

@@ -175,7 +175,7 @@ class TestPoolFailures:
 
         kernel.spawn(rogue(), "rogue")
         kernel.run(until=1.0)
-        flaky_admit(session.shards[0].target.journal)
+        flaky_admit(session.shards[0].durable.journal)
         try:
             session.checkpoint()  # evaluates; the journal write raises
             kinds = [event.kind for __, event in session.supervisor_events()]

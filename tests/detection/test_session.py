@@ -87,7 +87,7 @@ class TestSessionLifecycle:
         session = DetectionSession(kernel)
         entry = session.register(build_allocator(kernel), label="late")
         assert entry.label == "late"
-        assert session.cluster.entries == (entry,)
+        assert session.entries == (entry,)
 
     def test_sharded_session_staggers(self):
         kernel = make_kernel()
@@ -98,8 +98,8 @@ class TestSessionLifecycle:
             config=DetectorConfig(interval=1.0, **QUIET),
             shards=2,
         )
-        assert session.cluster.shard_count == 2
-        assert session.cluster.offsets == (0.0, 0.5)
+        assert session.shard_count == 2
+        assert session.offsets == (0.0, 0.5)
 
     def test_durable_session_round_trip(self, tmp_path):
         kernel = make_kernel()
@@ -140,6 +140,31 @@ class TestSessionLifecycle:
         assert [shard.index for shard in session.shards] == [0]
         with pytest.raises(AttributeError):
             session.no_such_attribute
+
+
+class TestRejectedRegistration:
+    """A registration that fails leaves the session as it was."""
+
+    def test_rejected_monitor_does_not_move_the_cursor(self):
+        kernel = make_kernel()
+        session = DetectionSession(kernel, shards=2)
+        first = session.register(build_allocator(kernel), label="a")
+        with pytest.raises(ValueError, match="different kernel"):
+            session.register(build_allocator(make_kernel()))
+        second = session.register(build_allocator(kernel), label="b")
+        assert session.shard_of(first) == 0
+        assert session.shard_of(second) == 1
+
+    def test_rejected_monitor_keeps_its_sink(self, tmp_path):
+        kernel = make_kernel()
+        session = DetectionSession(kernel, durable_dir=tmp_path)
+        stranger = build_allocator(make_kernel())
+        history = stranger.monitor.history
+        with pytest.raises(ValueError, match="different kernel"):
+            session.register(stranger)
+        assert stranger.monitor.history is history
+        assert not (tmp_path / "shard-0" / "wal").exists()
+        session.close()
 
 
 class TestPresets:

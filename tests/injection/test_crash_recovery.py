@@ -1,13 +1,22 @@
 """Crash-recovery campaign: kill the detector, restart, compare fault sets."""
 
+import random
+import time
+
 import pytest
 
+from repro.apps import SingleResourceAllocator
+from repro.detection import DetectorConfig
 from repro.errors import InjectionError
+from repro.history.wal import WriteAheadLog
 from repro.injection import (
     CrashPoint,
     CrashRecoveryConfig,
     run_crash_recovery_campaign,
 )
+from repro.injection.chaos import _CrashContext
+from repro.kernel import Delay
+from repro.kernel.threads import ThreadKernel
 
 
 class TestConfigValidation:
@@ -77,3 +86,60 @@ class TestThreadCampaign:
             seed=0, rounds=20, crashes=2, backend="threads", operations=10
         )
         assert result.passed, result.summary()
+
+    def test_restarts_never_kill_the_workload(self):
+        # Each restart swaps the monitors' WALs while the workload threads
+        # run; a transition between closing the old WAL and attaching the
+        # new one used to fail its process with "append to a closed WAL".
+        # (Report equality is not asserted: two real-time runs can still
+        # differ in a timing-dependent relaxed key.)
+        for __ in range(3):
+            result = run_crash_recovery_campaign(
+                seed=0, rounds=30, crashes=2, backend="threads"
+            )
+            assert result.kernel_failures == (), result.summary()
+
+    def test_restart_holds_the_workload_off_the_wals(
+        self, tmp_path, monkeypatch
+    ):
+        # The same race made certain: a slow WAL close holds the window
+        # open while a workload thread keeps calling the monitor.
+        kernel = ThreadKernel(time_scale=0.002)
+        allocator = SingleResourceAllocator(kernel, name="allocator")
+        context = _CrashContext(
+            kernel,
+            tmp_path,
+            [(allocator, "allocator")],
+            DetectorConfig(interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0),
+            fsync="never",
+            rng=random.Random(0),
+        )
+        close = WriteAheadLog.close
+
+        def slow_close(wal):
+            close(wal)
+            time.sleep(0.02)
+
+        monkeypatch.setattr(WriteAheadLog, "close", slow_close)
+        restarted = []
+
+        def user():
+            while not restarted:
+                yield from allocator.request()
+                yield from allocator.release()
+                yield Delay(0.001)
+
+        def restarter():
+            yield Delay(0.5)
+            context.rebuild()
+            restarted.append(True)
+
+        kernel.spawn(user(), "user")
+        kernel.spawn(restarter(), "restarter")
+        # Returns once both processes end; the deadline (10 s of wall
+        # time) only bounds a hung run.
+        result = kernel.run(until=5_000.0)
+        context.durable.close()
+        assert result.live == ()
+        assert context.recoveries == 1
+        assert kernel.failures() == {}

@@ -1,7 +1,6 @@
 """End-to-end metrics tests: instrumented engine/cluster/session/server."""
 
 import io
-import json
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.detection.statistics import FaultStatistics
 from repro.kernel.policies import RandomPolicy
 from repro.kernel.sim import SimKernel
 from repro.observability.export import (
-    METRICS_SCHEMA,
     to_json_dict,
     to_prometheus_text,
     write_metrics_json,
@@ -22,14 +20,13 @@ CONFIG = DetectorConfig(interval=0.5, tmax=120.0, tio=120.0, tlimit=120.0)
 SPEC = WorkloadSpec(processes=4, operations=30, think_time=0.05)
 
 
-def run_session(seed=3, shards=2, durable_dir=None, **kwargs):
+def run_session(seed=3, shards=2, durable_dir=None):
     kernel = SimKernel(RandomPolicy(seed=seed), on_deadlock="stop")
     session = DetectionSession(
         kernel,
         config=CONFIG,
         shards=shards,
         durable_dir=durable_dir,
-        **kwargs,
     )
     for run in build_fleet(kernel, 4, SPEC):
         session.register(run.monitor)
@@ -71,7 +68,7 @@ class TestEngineMetrics:
             "repro_phase_latency_seconds", {"phase": "capture"}
         )
         worldstop = sum(
-            shard.engine.worldstop_seconds for shard in session.cluster.shards
+            shard.engine.worldstop_seconds for shard in session.shards
         )
         assert capture_sum == pytest.approx(worldstop)
 
@@ -127,46 +124,6 @@ class TestSessionExport:
         assert 'repro_engine_checkpoints_total{shard="0"}' in text
         assert "# TYPE repro_phase_latency_seconds histogram" in text
 
-    def test_metrics_path_dump_on_stop(self, tmp_path):
-        target = tmp_path / "metrics.json"
-        run_session(metrics_path=target)
-        payload = json.loads(target.read_text())
-        assert payload["schema"] == METRICS_SCHEMA
-        assert payload["metrics"]
-
-    def test_metrics_every_requires_path(self):
-        kernel = SimKernel(RandomPolicy(seed=0), on_deadlock="stop")
-        with pytest.raises(ValueError):
-            DetectionSession(kernel, config=CONFIG, metrics_every=1.0)
-        with pytest.raises(ValueError):
-            DetectionSession(
-                kernel,
-                config=CONFIG,
-                metrics_path="x.json",
-                metrics_every=0.0,
-            )
-
-    def test_periodic_dumper_writes_during_run(self, tmp_path):
-        target = tmp_path / "metrics.json"
-        kernel = SimKernel(RandomPolicy(seed=3), on_deadlock="stop")
-        session = DetectionSession(
-            kernel,
-            config=CONFIG,
-            shards=1,
-            metrics_path=target,
-            metrics_every=2.0,
-        )
-        for run in build_fleet(kernel, 2, SPEC):
-            session.register(run.monitor)
-            run.spawn_all(kernel)
-        session.start()
-        kernel.run(until=5.0, max_steps=20_000_000)
-        # The dumper has fired at least once mid-run, before stop().
-        assert target.exists()
-        mid_run = json.loads(target.read_text())
-        assert mid_run["schema"] == METRICS_SCHEMA
-        session.stop()
-
     def test_sim_kernel_stable_export_is_byte_identical(self):
         def export() -> str:
             session = run_session(seed=11)
@@ -217,7 +174,7 @@ class TestServerMetrics:
 class TestStatisticsRebase:
     def test_from_engine_uses_metrics_registry(self):
         session = run_session()
-        stats = FaultStatistics.from_engine(session.cluster)
+        stats = FaultStatistics.from_engine(session)
         assert stats.counters["checkpoints_run"] > 0
         assert stats.counters["captures_taken"] > 0
         assert stats.counters["worldstop_seconds"] > 0

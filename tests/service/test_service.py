@@ -5,6 +5,7 @@ import pytest
 from repro.detection.config import DetectorConfig
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.rules import STRule
+from repro.errors import RecoveryError
 from repro.kernel.policies import RandomPolicy
 from repro.kernel.sim import SimKernel
 from repro.kernel.syscalls import Delay
@@ -151,6 +152,21 @@ class TestServiceJournal:
         reopened = ServiceJournal(tmp_path / "j.jsonl")
         assert reopened.torn_tails_truncated == 1
         assert len(reopened.reports) == 1
+
+    @pytest.mark.parametrize("corrupt", ["not json at all", "[1, 2]"])
+    def test_corrupt_middle_line_raises(self, tmp_path, corrupt):
+        # Only the tail can be torn; a bad line before it is corruption.
+        path = tmp_path / "service.jsonl"
+        journal = ServiceJournal(path)
+        journal.admit(make_report())
+        journal.advance("tok", "buffer", 7)
+        journal.close()
+        first, second = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text(first + corrupt + "\n" + second, encoding="utf-8")
+        with pytest.raises(RecoveryError, match="service.jsonl line 2"):
+            ServiceJournal(path)
+        with pytest.raises(RecoveryError, match="service.jsonl line 2"):
+            DetectionServer(make_kernel(0), durable_dir=tmp_path)
 
 
 _MISUSE_CORPUS = {}
