@@ -160,6 +160,13 @@ class ClusterShard:
             self.durable.attach(monitor, label)
         return self.engine.register(monitor, config, label=label)
 
+    def unregister(self, entry: RegisteredMonitor) -> None:
+        """Drop ``entry`` from the engine; a durable shard then journals
+        its last reports, closes its WAL and snapshots the rest."""
+        self.engine.unregister(entry)
+        if self.durable is not None:
+            self.durable.detach(entry)
+
     def checkpoint(self) -> list[FaultReport]:
         """One shard checkpoint: capture, then evaluate and commit.
 
@@ -442,12 +449,16 @@ class DetectionCluster:
     ) -> None:
         """Drop a monitor from its shard and rebalance the stagger.
 
-        Goes through :meth:`DetectionEngine.unregister`, which closes out
-        the monitor's quarantine record when its breaker has history.
+        Pending phase-2 evaluations finish first.  Goes through
+        :meth:`ClusterShard.unregister`: the engine closes out the
+        monitor's quarantine record when its breaker has history, and a
+        durable shard journals the monitor's last reports, closes its WAL
+        and snapshots the remaining fleet.
         """
         entry = self._find(target)
         index = self.shard_of(entry)
-        self._shards[index].engine.unregister(entry)
+        self.drain()
+        self._shards[index].unregister(entry)
         self._labels.discard(entry.label)
         self._order = [
             (candidate, shard_index)

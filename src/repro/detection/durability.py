@@ -13,7 +13,9 @@ supervisor — that keeps three artefacts under the shard's root directory:
   Section 3.1 history database itself survives,
 * ``snapshots/`` — numbered, checksummed engine-state snapshots written
   atomically (temp file, fsync, rename) after every checkpoint's phase-2
-  evaluation; a corrupt latest snapshot falls back to the previous one,
+  evaluation; the file's payload is the sort-keys JSON text its checksum
+  covers, encoded once; a corrupt latest snapshot falls back to the
+  previous one,
 * ``reports.jsonl`` — the **report journal**: every fault report is
   journaled *before* it is surfaced, keyed by :func:`report_key`, giving
   exactly-once delivery across restarts — a recovered detector re-derives
@@ -44,7 +46,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import IO, Callable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.detection.engine import DetectionEngine, RegisteredMonitor
 
@@ -168,12 +170,15 @@ class ReportJournal:
 class SnapshotStore:
     """Numbered, checksummed, atomically-written state snapshots.
 
-    ``write`` serialises the payload, wraps it with a sha256 checksum,
-    writes a temp file in the same directory, fsyncs it, and renames it
-    into place — a reader (or a restarted process) sees either the old
-    snapshot or the complete new one, never a torn middle.  ``load_latest``
-    walks snapshots newest-first and falls back past any that fail the
-    checksum or do not parse (counted in ``corrupt_skipped``).
+    ``write`` encodes the payload once, as sort-keys JSON text, and
+    writes ``{"kind": "engine-snapshot", "checksum": <sha256 of that
+    text>, "payload": <that text>}`` to a temp file in the same
+    directory in one ``write``, fsyncs it, and renames it into place — a
+    reader (or a restarted process) sees either the old snapshot or the
+    complete new one, never a torn middle.  ``load_latest`` walks
+    snapshots newest-first and falls back past any that fail the checksum
+    or do not parse (counted in ``corrupt_skipped``); it re-encodes the
+    parsed payload to check it, so a payload in any key order loads.
     """
 
     def __init__(self, directory: Union[str, Path], *, keep: int = 4) -> None:
@@ -204,14 +209,18 @@ class SnapshotStore:
 
     def write(self, payload: dict) -> Path:
         path = self.directory / f"snapshot-{self._next_index:06d}.json"
-        body = {
-            "kind": "engine-snapshot",
-            "checksum": self._checksum(payload),
-            "payload": payload,
-        }
+        # One encoding, by the C encoder (``json.dump`` never reaches it):
+        # the sort-keys text the checksum covers is, verbatim, the file's
+        # payload, in the layout ``json.dump(body)`` would write.
+        canonical = json.dumps(payload, sort_keys=True)
+        checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        text = (
+            f'{{"kind": "engine-snapshot", "checksum": "{checksum}", '
+            f'"payload": {canonical}}}'
+        )
         temp = path.with_name(path.name + ".tmp")
         with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(body, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         if self.before_rename is not None:
@@ -309,7 +318,8 @@ class DurableEngine:
     gives each monitor the shard registers a fresh
     :class:`~repro.history.wal.WriteAheadLog` under ``root/wal/<label>``
     (replacing any previously attached sink — events recorded before
-    registration are only as durable as that sink was).  After each
+    registration are only as durable as that sink was), and
+    :meth:`detach` retires a monitor the shard unregisters.  After each
     phase-2 evaluation the shard calls :meth:`commit`, which journals the
     new reports, then writes a state snapshot.  :meth:`baseline` writes
     the first snapshot once the fleet is assembled, so a crash before the
@@ -367,6 +377,28 @@ class DurableEngine:
         monitor.core.attach_history(wal)
         self._consumed[label] = 0
 
+    def detach(self, entry: RegisteredMonitor) -> None:
+        """Retire a monitor the shard's engine has just unregistered.
+
+        The engine no longer lists ``entry``, so :meth:`commit` would
+        never see it again: its reports not yet journaled are journaled
+        here, its WAL is closed and the monitor stops recording into it,
+        and a snapshot of the remaining fleet replaces the one that still
+        lists it — a rebuild without the monitor then recovers.
+        """
+        self._admit_new_reports((entry,))
+        self._consumed.pop(entry.label, None)
+        wal = entry.history
+        if isinstance(wal, WriteAheadLog):
+
+            def retire() -> None:
+                entry.monitor.core.detach_history()
+                wal.close()
+
+            # Atomic, so no transition on another thread is mid-append.
+            self.engine.kernel.atomic(retire)
+        self._write_snapshot()
+
     def _wal_entries(self) -> list[tuple[RegisteredMonitor, WriteAheadLog]]:
         return [
             (entry, entry.history)
@@ -387,12 +419,14 @@ class DurableEngine:
         a recovery, the re-run of an interrupted checkpoint re-derives the
         same findings and returns an empty list instead of duplicates.
         """
-        fresh = self._admit_new_reports()
+        fresh = self._admit_new_reports(self.engine.entries)
         self._write_snapshot()
         return fresh
 
-    def _admit_new_reports(self) -> list[FaultReport]:
-        """Offer every not-yet-journaled engine report to the journal.
+    def _admit_new_reports(
+        self, entries: Iterable[RegisteredMonitor]
+    ) -> list[FaultReport]:
+        """Offer every not-yet-journaled report of ``entries`` to the journal.
 
         Scans each entry's stream past a per-label consumed watermark, so
         reports from the real-time Algorithm-3 tap (which land between
@@ -402,7 +436,7 @@ class DurableEngine:
         the next call.
         """
         fresh: list[FaultReport] = []
-        for entry in self.engine.entries:
+        for entry in entries:
             consumed = self._consumed.get(entry.label, 0)
             for report in entry.reports[consumed:]:
                 if self.journal.admit(report):

@@ -88,6 +88,15 @@ def _escape(value: str) -> str:
     return cached
 
 
+#: JSON text of each event kind, keyed by the kind's string value: on
+#: CPython 3.11 ``kind.value`` is an Enum property read and a dict keyed
+#: by the member hashes it in Python, while ``kind._value_`` is a plain
+#: instance attribute.
+_KIND_JSON: dict[str, str] = {
+    kind.value: json.dumps(kind.value) for kind in EventKind
+}
+
+
 def event_to_json_line(event: SchedulingEvent) -> str:
     """:func:`event_to_dict` + compact ``json.dumps``, hand-fused.
 
@@ -98,15 +107,14 @@ def event_to_json_line(event: SchedulingEvent) -> str:
     Shared by the write-ahead log's append path and the event sinks'
     staged-batch flush.
     """
-    head = (
-        f'{{"kind":"event","event":{_escape(event.kind.value)},'
-        f'"seq":{event.seq},"pid":{event.pid},'
-        f'"pname":{_escape(event.pname)},"time":{event.time!r},'
-        f'"flag":{event.flag}'
+    seq, kind, pid, pname, time, flag, cond = event
+    tail = "}\n" if cond is None else f',"cond":{_escape(cond)}}}\n'
+    return (
+        f'{{"kind":"event","event":{_KIND_JSON[kind._value_]},'
+        f'"seq":{seq},"pid":{pid},'
+        f'"pname":{_escape(pname)},"time":{time!r},'
+        f'"flag":{flag}{tail}'
     )
-    if event.cond is not None:
-        return head + f',"cond":{_escape(event.cond)}}}\n'
-    return head + "}\n"
 
 
 # ------------------------------------------------------------------ states

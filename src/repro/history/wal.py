@@ -23,6 +23,10 @@ policy:
 * ``"never"`` — never fsync and block-buffer writes (fastest; a crash
   may lose the buffered tail, which replay's torn-tail handling absorbs).
 
+Under every policy an explicit ``flush(sync=True)`` fsyncs only when bytes
+reached the log since its last fsync: a checkpoint's cut has usually just
+synced, so the snapshot's flush that follows skips a second fsync.
+
 Segments rotate once the active file passes ``segment_bytes``; replay
 (:meth:`iter_durable_events`) walks all segments in order.  A torn final
 line — the signature of dying mid-append — is tolerated: it is physically
@@ -120,6 +124,9 @@ class WriteAheadLog(EventSink):
         self._appends_since_fsync = 0
         #: Bytes appended to segment files by this process (not file size).
         self.bytes_written = 0
+        # ``bytes_written`` as of the last fsync; -1 leaves a (re)opened
+        # log unsynced, so its first sync covers an earlier process's tail.
+        self._synced_bytes = -1
         #: ``os.fsync`` calls issued by this process.
         self.fsyncs = 0
         #: Segment rotations performed by this process.
@@ -263,6 +270,9 @@ class WriteAheadLog(EventSink):
     def _fsync(self) -> None:
         assert self._handle is not None
         started = perf_counter()
+        # Marked before the flush: an append racing the fsync leaves the
+        # log unsynced again.
+        self._synced_bytes = self.bytes_written
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.fsync_latency.observe(perf_counter() - started)
@@ -403,7 +413,7 @@ class WriteAheadLog(EventSink):
         if self._handle is None:
             return
         self.flush_staged()
-        if sync:
+        if sync and self.bytes_written != self._synced_bytes:
             self._fsync()
         else:
             self._handle.flush()

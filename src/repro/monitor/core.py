@@ -125,6 +125,10 @@ class MonitorCore:
         if not history.opened:
             history.open(self.snapshot())
 
+    def detach_history(self) -> None:
+        """Stop recording: the monitor runs bare until a sink is attached."""
+        self._history = None
+
     def _record(
         self,
         kind: EventKind,

@@ -1,6 +1,7 @@
 """Durability layer: report journal, snapshot store, durable-session
 recovery."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.detection import (
 )
 from repro.errors import RecoveryError
 from repro.kernel import Delay, RandomPolicy, SimKernel
+from tests.history.test_wal import count_fsyncs
 
 
 def sample_report(detected_at=1.5, rule=STRule.RELEASE_REQUIRES_REQUEST):
@@ -150,6 +152,37 @@ class TestSnapshotStore:
         assert len(store.paths()) == 2
         payload, __ = store.load_latest()
         assert payload == {"round": 4}
+
+    def test_file_is_the_checksummed_sort_keys_text(self, tmp_path):
+        payload = {"zeta": [1, 2.5, None], "alpha": {"b": "\u00e9", "a": 1}}
+        path = SnapshotStore(tmp_path).write(payload)
+        canonical = json.dumps(payload, sort_keys=True)
+        checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert path.read_text(encoding="utf-8") == (
+            '{"kind": "engine-snapshot", "checksum": "' + checksum
+            + '", "payload": ' + canonical + "}"
+        )
+
+    def test_insertion_ordered_payload_still_loads(self, tmp_path):
+        # Snapshots written with ``json.dump`` of the whole body keep the
+        # payload's insertion order; the checksum covers its sort-keys
+        # text, so they load exactly like sorted ones.
+        payload = {"zeta": 1, "alpha": {"y": 2, "x": [3.25]}}
+        body = {
+            "kind": "engine-snapshot",
+            "checksum": hashlib.sha256(
+                json.dumps(payload, sort_keys=True).encode("utf-8")
+            ).hexdigest(),
+            "payload": payload,
+        }
+        path = tmp_path / "snapshot-000001.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(body, handle)
+        store = SnapshotStore(tmp_path)
+        loaded, __ = store.load_latest()
+        assert loaded == payload
+        assert store.corrupt_skipped == 0
+        assert store.write(payload).name == "snapshot-000002.json"
 
     def test_crash_before_rename_keeps_previous(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -354,4 +387,103 @@ class TestDurableEngine:
         assert restored.rebases == before["rebases"]
         delivered = [report_key(r) for r in rebuilt.delivered_reports]
         assert delivered == reports_before
+        rebuilt.close()
+
+
+class TestSyncFlushAtCheckpoint:
+    def test_interval_checkpoint_fsyncs_the_wal_once(
+        self, tmp_path, monkeypatch
+    ):
+        kernel, allocator, session = build_durable(tmp_path)
+        session.baseline()
+        wal = allocator.history
+
+        def worker():
+            yield from allocator.request()
+            yield from allocator.release()
+
+        kernel.spawn(worker(), "worker")
+        kernel.run(until=0.1)
+        calls = count_fsyncs(monkeypatch)
+        before = wal.fsyncs
+        session.checkpoint()
+        # The cut syncs the new events; the snapshot's flush finds
+        # nothing new.  The other fsync is the snapshot file's own.
+        assert wal.fsyncs - before == 1
+        assert len(calls) == 2
+        session.close()
+
+
+def durable_allocators(root, labels=("a", "b")):
+    """A one-shard durable session over one allocator per label, checked
+    every virtual second."""
+    kernel = SimKernel(RandomPolicy(seed=3), on_deadlock="stop")
+    session = DetectionSession(
+        kernel,
+        config=DetectorConfig(interval=1.0, tmax=60.0, tio=60.0, tlimit=60.0),
+        durable_dir=root,
+        evaluation="inline",
+    )
+    allocators = {}
+    for label in labels:
+        allocators[label] = SingleResourceAllocator(kernel, name=label)
+        session.register(allocators[label], label=label)
+    return kernel, allocators, session
+
+
+def segment_bytes(wal):
+    return sum(path.stat().st_size for path in wal.segment_paths())
+
+
+class TestUnregisterFromDurableSession:
+    def test_reports_found_before_unregister_are_journaled(self, tmp_path):
+        kernel, allocators, session = durable_allocators(tmp_path)
+
+        def rogue():
+            yield Delay(1.5)
+            yield from allocators["a"].release()  # real-time ST-8b + ST-PX
+            yield Delay(0.1)
+            session.unregister("a")  # before the checkpoint at t = 2
+
+        kernel.spawn(rogue(), "rogue")
+        session.start()
+        kernel.run(until=4.0)
+        session.stop()
+        kernel.raise_failures()
+        delivered = sorted(r.rule_id for r in session.delivered_reports)
+        assert delivered == ["ST-8b", "ST-PX"]
+        journal = tmp_path / "shard-0" / "reports.jsonl"
+        assert len(journal.read_text(encoding="utf-8").splitlines()) == 2
+        session.close()
+
+    def test_unregister_closes_the_wal(self, tmp_path):
+        kernel, allocator, session = build_durable(tmp_path)
+        session.baseline()
+        wal = allocator.history
+        session.unregister(allocator)
+        assert wal.closed
+        assert allocator.history is None
+        written, on_disk = wal.bytes_written, segment_bytes(wal)
+
+        def worker():
+            for __ in range(50):
+                yield from allocator.request()
+                yield from allocator.release()
+
+        kernel.spawn(worker(), "worker")
+        kernel.run(until=5.0)
+        kernel.raise_failures()
+        session.close()
+        assert wal.bytes_written == written
+        assert segment_bytes(wal) == on_disk
+
+    def test_rebuild_without_the_unregistered_monitor_recovers(self, tmp_path):
+        __, __, session = durable_allocators(tmp_path)
+        session.baseline()
+        session.unregister("a")
+        session.close()  # the "crash", before another checkpoint
+        __, __, rebuilt = durable_allocators(tmp_path, labels=("b",))
+        [summary] = rebuilt.recover()
+        assert summary.snapshot_path is not None
+        assert summary.snapshot_fallbacks == 0
         rebuilt.close()

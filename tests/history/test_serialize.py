@@ -1,6 +1,7 @@
 """Tests for trace serialisation (JSONL round trips)."""
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.history.serialize import (
     dump_trace,
     event_from_dict,
     event_to_dict,
+    event_to_json_line,
     events_from_wire,
     load_trace,
     state_from_dict,
@@ -212,6 +214,43 @@ class TestPropertyRoundTrip:
         buffer.seek(0)
         loaded, __ = load_trace(buffer)
         assert loaded == trace
+
+
+#: Names with everything a JSON string escape has to get right: quotes,
+#: backslashes, control characters and non-ASCII (astral included).
+names = st.text(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+    | st.characters()
+)
+
+
+@st.composite
+def any_events(draw):
+    """Every kind, with and without ``cond``, any finite time."""
+    kind = draw(kinds)
+    cond = draw(names if kind is EventKind.WAIT else st.none() | names)
+    return SchedulingEvent(
+        seq=draw(st.integers(0, 2**63)),
+        kind=kind,
+        pid=draw(st.integers(-1, 2**31)),
+        pname=draw(names),
+        time=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        flag=0 if kind is EventKind.WAIT else draw(st.integers(0, 1)),
+        cond=cond,
+    )
+
+
+class TestFusedEncoder:
+    """``event_to_json_line`` is the WAL's per-event encoder: it must stay
+    byte-identical to the dict codec through ``json.dumps``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(event=any_events())
+    def test_matches_json_dumps_and_round_trips(self, event):
+        line = event_to_json_line(event)
+        compact = json.dumps(event_to_dict(event), separators=(",", ":"))
+        assert line == compact + "\n"
+        assert event_from_dict(json.loads(line)) == event
 
 
 class TestEndToEnd:

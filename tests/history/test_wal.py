@@ -1,5 +1,7 @@
 """WriteAheadLog: fsync policies, rotation, torn tails, replay, reopen."""
 
+import os
+
 import pytest
 
 from repro.errors import CheckpointError, HistoryError
@@ -86,6 +88,66 @@ class TestFsyncPolicies:
             wal.record(event(seq))
         wal.cut(state(60.0))
         assert wal.fsyncs == 0
+
+
+def count_fsyncs(monkeypatch):
+    """Count every ``os.fsync`` call from here on."""
+    calls = []
+    fsync = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+class TestSyncFlush:
+    """``flush(sync=True)`` fsyncs only when bytes reached the log since
+    its last fsync."""
+
+    def test_interval_sync_flush_after_a_cut_skips_the_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        wal = make_wal(tmp_path, fsync="interval")
+        wal.open(state(0.0))
+        calls = count_fsyncs(monkeypatch)
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.cut(state(5.0))  # syncs the three appends
+        wal.flush(sync=True)  # nothing new: no second fsync
+        assert len(calls) == 1
+
+    def test_never_sync_flush_after_appends_fsyncs_once(
+        self, tmp_path, monkeypatch
+    ):
+        wal = make_wal(tmp_path, fsync="never")
+        wal.open(state(0.0))
+        calls = count_fsyncs(monkeypatch)
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.flush(sync=True)
+        assert len(calls) == 1
+        wal.flush(sync=True)
+        assert len(calls) == 1
+        wal.record(event(3))
+        wal.flush(sync=True)
+        assert len(calls) == 2
+
+    def test_reopened_log_counts_as_unsynced(self, tmp_path, monkeypatch):
+        wal = make_wal(tmp_path, fsync="never")
+        wal.open(state(0.0))
+        wal.record(event(0))
+        wal.close()
+        calls = count_fsyncs(monkeypatch)
+        # The earlier incarnation never synced its tail; the reopened
+        # log's first sync covers it though this process wrote nothing.
+        reopened = make_wal(tmp_path, fsync="never")
+        reopened.flush(sync=True)
+        assert len(calls) == 1
+        reopened.flush(sync=True)
+        assert len(calls) == 1
 
 
 class TestSegmentRotation:
