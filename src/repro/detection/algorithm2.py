@@ -37,6 +37,10 @@ RECEIVE = "Receive"
 COND_FULL = "full"
 COND_EMPTY = "empty"
 
+#: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
+#: Enum metaclass's ``__getattr__`` hook, and the scan reads one per event.
+_WAIT = EventKind.WAIT
+
 
 def completion_event_kind(discipline: Discipline) -> EventKind:
     """Which event marks a procedure call as *successful* (completed).
@@ -63,6 +67,7 @@ class ResourceStateChecker:
             )
         self._declaration = declaration
         self._rmax = declaration.rmax
+        self._completion = completion_event_kind(declaration.discipline)
         #: Cumulative successful call counts over the whole execution.
         self.sends = 0
         self.receives = 0
@@ -88,8 +93,6 @@ class ResourceStateChecker:
                 f"monitor {name!r} snapshots carry no R# — attach a "
                 "resource probe (override resource_count())"
             )
-        window_sends = 0
-        window_receives = 0
 
         def report(rule: STRule, message: str, time: float, pid=None, seq=None):
             reports.append(
@@ -104,51 +107,56 @@ class ResourceStateChecker:
                 )
             )
 
-        completion = completion_event_kind(self._declaration.discipline)
-        for event in segment.events:
-            if event.kind is completion:
-                if event.pname == SEND:
-                    self.sends += 1
-                    window_sends += 1
+        rmax = self._rmax
+        completion = self._completion
+        sends = self.sends
+        receives = self.receives
+        for seq, kind, pid, pname, time, __, cond in segment.events:
+            if kind is completion:
+                if pname == SEND:
+                    sends += 1
                     resource_no -= 1
-                elif event.pname == RECEIVE:
-                    self.receives += 1
-                    window_receives += 1
+                elif pname == RECEIVE:
+                    receives += 1
                     resource_no += 1
                 else:
                     continue
-                if not 0 <= self.receives <= self.sends <= self.receives + self._rmax:
+                if not 0 <= receives <= sends <= receives + rmax:
                     report(
                         STRule.RESOURCE_INVARIANT,
-                        f"integrity violated after {event.pname} by "
-                        f"P{event.pid}: r={self.receives}, s={self.sends}, "
-                        f"Rmax={self._rmax} (need 0 <= r <= s <= r + Rmax)",
-                        event.time,
-                        pid=event.pid,
-                        seq=event.seq,
+                        f"integrity violated after {pname} by "
+                        f"P{pid}: r={receives}, s={sends}, "
+                        f"Rmax={rmax} (need 0 <= r <= s <= r + Rmax)",
+                        time,
+                        pid=pid,
+                        seq=seq,
                     )
-            elif event.kind is EventKind.WAIT:
-                if event.pname == SEND and event.cond == COND_FULL:
+            elif kind is _WAIT:
+                if pname == SEND and cond == COND_FULL:
                     if resource_no != 0:
                         report(
                             STRule.SEND_WAIT_CONSISTENT,
-                            f"P{event.pid} was delayed on Send although the "
+                            f"P{pid} was delayed on Send although the "
                             f"buffer is not full (Resource-No={resource_no})",
-                            event.time,
-                            pid=event.pid,
-                            seq=event.seq,
+                            time,
+                            pid=pid,
+                            seq=seq,
                         )
-                elif event.pname == RECEIVE and event.cond == COND_EMPTY:
-                    if resource_no != self._rmax:
+                elif pname == RECEIVE and cond == COND_EMPTY:
+                    if resource_no != rmax:
                         report(
                             STRule.RECEIVE_WAIT_CONSISTENT,
-                            f"P{event.pid} was delayed on Receive although "
+                            f"P{pid} was delayed on Receive although "
                             f"the buffer is not empty "
-                            f"(Resource-No={resource_no}, Rmax={self._rmax})",
-                            event.time,
-                            pid=event.pid,
-                            seq=event.seq,
+                            f"(Resource-No={resource_no}, Rmax={rmax})",
+                            time,
+                            pid=pid,
+                            seq=seq,
                         )
+        window_sends = sends - self.sends
+        window_receives = receives - self.receives
+        self.sends = sends
+        self.receives = receives
 
         expected = (
             segment.previous.resource_count + window_receives - window_sends

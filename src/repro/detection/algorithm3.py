@@ -30,6 +30,11 @@ from repro.pathexpr.automaton import OrderAutomaton, compile_order
 
 __all__ = ["CallingOrderChecker", "sweep_request_list"]
 
+#: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
+#: Enum metaclass's ``__getattr__`` hook, and the tap runs on every event.
+_ENTER = EventKind.ENTER
+_SIGNAL_EXIT = EventKind.SIGNAL_EXIT
+
 
 def sweep_request_list(
     request_list: Sequence[tuple[Pid, float]],
@@ -88,62 +93,75 @@ class CallingOrderChecker:
 
     # --------------------------------------------------------------- per-event
 
-    def on_event(self, event: SchedulingEvent) -> list[FaultReport]:
-        """Real-time Step 1: called for every recorded scheduling event."""
-        reports: list[FaultReport] = []
-        if event.kind is EventKind.ENTER:
-            reports.extend(self._on_enter(event))
-        elif event.kind is EventKind.SIGNAL_EXIT:
-            if event.pname in self._release_names:
-                self._drop_request(event.pid)
-        return reports
+    def on_event(self, event: SchedulingEvent) -> Sequence[FaultReport]:
+        """Real-time Step 1: called for every recorded scheduling event.
 
-    def _on_enter(self, event: SchedulingEvent) -> list[FaultReport]:
-        reports: list[FaultReport] = []
-        pname = event.pname
+        Runs inside the recorded monitor transition, so an event that
+        reports nothing returns the empty tuple and builds no list.
+        """
+        seq, kind, pid, pname, time, __, __ = event
+        if kind is _SIGNAL_EXIT:
+            if pname in self._release_names:
+                request_list = self.request_list
+                for index, (holder, __) in enumerate(request_list):
+                    if holder == pid:
+                        del request_list[index]
+                        break
+            return ()
+        if kind is not _ENTER:
+            return ()
+        found: Sequence[FaultReport] = ()
         if pname in self._acquire_names:
-            if any(pid == event.pid for pid, __ in self.request_list):
-                reports.append(
-                    self._make_report(
-                        STRule.NO_DUPLICATE_REQUEST,
-                        f"P{event.pid} called {pname} while already holding "
-                        "the resource (re-acquisition without release is a "
-                        "self-deadlock)",
-                        event,
-                    )
-                )
-            self.request_list.append((event.pid, event.time))
+            request_list = self.request_list
+            for holder, __ in request_list:
+                if holder == pid:
+                    found = [
+                        self._make_report(
+                            STRule.NO_DUPLICATE_REQUEST,
+                            f"P{pid} called {pname} while already holding "
+                            "the resource (re-acquisition without release "
+                            "is a self-deadlock)",
+                            seq,
+                            pid,
+                            time,
+                        )
+                    ]
+                    break
+            request_list.append((pid, time))
         elif pname in self._release_names:
-            if not any(pid == event.pid for pid, __ in self.request_list):
-                reports.append(
+            for holder, __ in self.request_list:
+                if holder == pid:
+                    break
+            else:
+                found = [
                     self._make_report(
                         STRule.RELEASE_REQUIRES_REQUEST,
-                        f"P{event.pid} called {pname} without an outstanding "
+                        f"P{pid} called {pname} without an outstanding "
                         "Request (release before acquire)",
-                        event,
+                        seq,
+                        pid,
+                        time,
                     )
-                )
-        if self._automaton is not None:
-            state = self._dfa_state.get(event.pid, self._automaton.start)
-            nxt = self._automaton.step(state, pname)
+                ]
+        automaton = self._automaton
+        if automaton is not None:
+            dfa_state = self._dfa_state
+            nxt = automaton.step(dfa_state.get(pid, automaton.start), pname)
             if nxt is None:
-                reports.append(
+                found = [
+                    *found,
                     self._make_report(
                         STRule.CALL_ORDER_VIOLATED,
-                        f"P{event.pid} invoked {pname} in violation of the "
-                        f"declared order {self._automaton.source!r}",
-                        event,
-                    )
-                )
+                        f"P{pid} invoked {pname} in violation of the "
+                        f"declared order {automaton.source!r}",
+                        seq,
+                        pid,
+                        time,
+                    ),
+                ]
             else:
-                self._dfa_state[event.pid] = nxt
-        return reports
-
-    def _drop_request(self, pid: Pid) -> None:
-        for index, (holder, __) in enumerate(self.request_list):
-            if holder == pid:
-                del self.request_list[index]
-                return
+                dfa_state[pid] = nxt
+        return found
 
     # ---------------------------------------------------------------- periodic
 
@@ -183,13 +201,13 @@ class CallingOrderChecker:
     # ----------------------------------------------------------------- helpers
 
     def _make_report(
-        self, rule: STRule, message: str, event: SchedulingEvent
+        self, rule: STRule, message: str, seq: int, pid: Pid, time: float
     ) -> FaultReport:
         return FaultReport(
             rule=rule,
             message=message,
             monitor=self._declaration.name,
-            detected_at=event.time,
-            pids=(event.pid,),
-            event_seq=event.seq,
+            detected_at=time,
+            pids=(pid,),
+            event_seq=seq,
         )

@@ -197,6 +197,9 @@ class SnapshotStore:
         self._next_index = (
             int(existing[-1].stem.split("-")[-1]) + 1 if existing else 1
         )
+        #: Snapshot files oldest first, so pruning lists no directory: the
+        #: scan above, then each write once its rename has succeeded.
+        self._written_paths = existing
 
     def paths(self) -> list[Path]:
         """All snapshot files, oldest first."""
@@ -228,8 +231,12 @@ class SnapshotStore:
         os.replace(temp, path)
         self._next_index += 1
         self.written += 1
-        for stale in self.paths()[: -self.keep]:
-            stale.unlink(missing_ok=True)
+        kept = self._written_paths
+        kept.append(path)
+        if len(kept) > self.keep:
+            for stale in kept[: -self.keep]:
+                stale.unlink(missing_ok=True)
+            del kept[: -self.keep]
         return path
 
     def load_latest(self) -> Optional[tuple[dict, Path]]:

@@ -309,8 +309,10 @@ class RegisteredMonitor:
     # ------------------------------------------------------------- real time
 
     def _on_event(self, event: SchedulingEvent) -> None:
-        assert self.algorithm3 is not None
-        self.reports.extend(self.algorithm3.on_event(event))
+        # Subscribed only when ``algorithm3`` is set.
+        found = self.algorithm3.on_event(event)
+        if found:
+            self.reports.extend(found)
 
     def detach(self) -> None:
         """Remove the real-time Algorithm-3 tap from the event sink."""

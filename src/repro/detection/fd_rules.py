@@ -30,6 +30,10 @@ from repro.monitor.declaration import MonitorDeclaration
 
 __all__ = ["check_full_trace", "ST_TO_FD"]
 
+#: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
+#: Enum metaclass's ``__getattr__`` hook.
+_WAIT = EventKind.WAIT
+
 #: Translation from the replay machine's ST identifiers to the FD-Rules
 #: they realise.  ST-4 is split by queue kind inside ``_translate``.
 ST_TO_FD: dict[STRule, FDRule] = {
@@ -181,7 +185,7 @@ def _check_resources(
                     f"s={sends}, Rmax={rmax} violates 0 <= r <= s <= r+Rmax",
                     event,
                 )
-        elif event.kind is EventKind.WAIT:
+        elif event.kind is _WAIT:
             if event.pname == "Send" and event.cond == "full":
                 if resource != 0:
                     report(

@@ -27,13 +27,13 @@ admit the entry-queue head.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.history.events import EventKind, SchedulingEvent
 from repro.history.states import QueueEntry, SchedulingState
-from repro.ids import Cond, Pid, Pname
+from repro.ids import Cond, Pid
 from repro.monitor.declaration import MonitorDeclaration
 from repro.monitor.semantics import Discipline
 
@@ -46,6 +46,10 @@ _ENTER = EventKind.ENTER
 _WAIT = EventKind.WAIT
 _SIGNAL_EXIT = EventKind.SIGNAL_EXIT
 _SIGNAL = EventKind.SIGNAL
+#: The replay builds each ``QueueEntry`` as the plain tuple record it is:
+#: the ``__new__`` that NamedTuple generates is a Python-level call that
+#: checks nothing, and it would be most of the cost of an admission.
+_new_tuple = tuple.__new__
 
 
 def _entries_match(
@@ -145,6 +149,9 @@ class ReplayMachine:
     ) -> None:
         self._declaration = declaration
         self._monitor_name = declaration.name
+        self._signal_and_wait = (
+            declaration.discipline is Discipline.SIGNAL_AND_WAIT
+        )
         # Initial list contents come from the last checkpoint's actual state
         # ("Initially, Enter-0-List is set to EQ", Section 3.3.1).
         self.enter0: deque[QueueEntry] = deque(base_state.entry_queue)
@@ -256,6 +263,19 @@ class ReplayMachine:
             )
         )
 
+    def _report_not_running(
+        self, seq: int, kind: EventKind, pid: Pid, time: float
+    ) -> None:
+        self._report(
+            STRule.CALLER_IS_RUNNING,
+            f"P{pid} issued {kind.value} but the Running-List "
+            f"is {[e.pid for e in self.running]} — the caller never "
+            "(observably) entered the monitor",
+            time=time,
+            pids=(pid,),
+            event_seq=seq,
+        )
+
     # ------------------------------------------------------------ list helpers
 
     def _index_blocked(self) -> None:
@@ -264,25 +284,6 @@ class ReplayMachine:
         for queue in (self.enter0, *self.wait_cond.values(), self.urgent):
             for entry in queue:
                 blocked[entry.pid] = blocked.get(entry.pid, 0) + 1
-
-    def _block(
-        self, queue: deque[QueueEntry] | list[QueueEntry], entry: QueueEntry
-    ) -> None:
-        """Append ``entry`` to a blocked list, keeping the index."""
-        queue.append(entry)
-        blocked = self._blocked
-        blocked[entry.pid] = blocked.get(entry.pid, 0) + 1
-
-    def _unblock(self, entry: QueueEntry) -> QueueEntry:
-        """Drop one index count for an entry just popped off a blocked
-        list; returns the entry."""
-        blocked = self._blocked
-        count = blocked[entry.pid] - 1
-        if count:
-            blocked[entry.pid] = count
-        else:
-            del blocked[entry.pid]
-        return entry
 
     def _blocked_location(self, pid: Pid) -> Optional[str]:
         if any(e.pid == pid for e in self.enter0):
@@ -294,159 +295,143 @@ class ReplayMachine:
             return "urgent list"
         return None
 
-    def _remove_running(self, pid: Pid) -> Optional[QueueEntry]:
-        for index, entry in enumerate(self.running):
-            if entry.pid == pid:
-                return self.running.pop(index)
-        return None
-
-    def _admit_next(self, time: float) -> None:
-        """Model the correct admission after the monitor is released."""
-        if self.running:
-            return
-        if self.urgent:
-            entry = self._unblock(self.urgent.pop())
-        elif self.enter0:
-            entry = self._unblock(self.enter0.popleft())
-        else:
-            return
-        self.running.append(QueueEntry(entry.pid, entry.pname, time))
-
     # ----------------------------------------------------------- event replay
 
     def process(self, event: SchedulingEvent) -> None:
         """Replay one event, appending any rule violations found."""
-        # One unpack here is cheaper than the handlers' named field reads.
-        seq, kind, pid, pname, time, flag, cond = event
-        if pid in self._blocked:
-            location = self._blocked_location(pid)
-            self._report(
-                STRule.EVENT_WHILE_BLOCKED,
-                f"P{pid} generated {kind.value} while on the "
-                f"{location}: a blocked process cannot act (it was resumed "
-                "without being admitted)",
-                time=time,
-                pids=(pid,),
-                event_seq=seq,
-            )
-        if kind is _ENTER:
-            self._replay_enter(seq, pid, pname, time, flag)
-        elif kind is _WAIT:
-            self._replay_wait(seq, pid, pname, time, cond)
-        elif kind is _SIGNAL_EXIT:
-            self._replay_signal_exit(seq, pid, time, flag, cond)
-        elif kind is _SIGNAL:
-            self._replay_signal(seq, pid, time, flag, cond)
+        self.replay((event,))
+
+    def replay(self, events: Iterable[SchedulingEvent]) -> None:
+        """Replay ``events`` in order, appending any rule violations found.
+
+        The one per-event loop of Algorithm-1 and of the offline FD
+        checker.  Every blocked-list append and pop keeps ``_blocked``
+        exact in place; a helper is called only to build a report or to
+        replay the Hoare/Mesa ``Signal`` extension.
+        """
         running = self.running
-        if len(running) > 1:
-            self._report(
-                STRule.ONE_INSIDE,
-                f"{len(running)} processes inside the monitor after "
-                f"{kind.value} by P{pid}: {[e.pid for e in running]}",
-                time=time,
-                pids=tuple(e.pid for e in running),
-                event_seq=seq,
-            )
-
-    def replay(self, events: tuple[SchedulingEvent, ...]) -> None:
-        for event in events:
-            self.process(event)
-
-    def _replay_enter(
-        self, seq: int, pid: Pid, pname: Pname, time: float, flag: int
-    ) -> None:
-        entry = QueueEntry(pid, pname, time)
-        if flag == 1:
-            already_busy = bool(self.running)
-            self.running.append(entry)
-            if already_busy:
+        enter0 = self.enter0
+        wait_cond = self.wait_cond
+        urgent = self.urgent
+        blocked = self._blocked
+        for seq, kind, pid, pname, time, flag, cond in events:
+            if pid in blocked:
                 self._report(
-                    STRule.ENTER_TAKES_FREE_MONITOR,
-                    f"P{pid} entered successfully while "
-                    f"{[e.pid for e in self.running[:-1]]} already inside "
-                    "(Running-List was not {Pid} after a successful Enter)",
+                    STRule.EVENT_WHILE_BLOCKED,
+                    f"P{pid} generated {kind.value} while on the "
+                    f"{self._blocked_location(pid)}: a blocked process "
+                    "cannot act (it was resumed without being admitted)",
                     time=time,
                     pids=(pid,),
                     event_seq=seq,
                 )
-        else:
-            if not self.running:
+            if kind is _ENTER:
+                if flag == 1:
+                    busy = bool(running)
+                    running.append(_new_tuple(QueueEntry, (pid, pname, time)))
+                    if busy:
+                        self._report(
+                            STRule.ENTER_TAKES_FREE_MONITOR,
+                            f"P{pid} entered successfully while "
+                            f"{[e.pid for e in running[:-1]]} already inside "
+                            "(Running-List was not {Pid} after a successful "
+                            "Enter)",
+                            time=time,
+                            pids=(pid,),
+                            event_seq=seq,
+                        )
+                else:
+                    if not running:
+                        self._report(
+                            STRule.BLOCKED_MEANS_BUSY,
+                            f"P{pid} was delayed on Enter although no process "
+                            "was inside the monitor (unfair response)",
+                            time=time,
+                            pids=(pid,),
+                            event_seq=seq,
+                        )
+                    enter0.append(_new_tuple(QueueEntry, (pid, pname, time)))
+                    blocked[pid] = blocked.get(pid, 0) + 1
+            elif kind is _WAIT or kind is _SIGNAL_EXIT:
+                # The caller leaves the Running-List (ST-3(b) if absent).
+                for entry in running:
+                    if entry.pid == pid:
+                        running.remove(entry)
+                        break
+                else:
+                    self._report_not_running(seq, kind, pid, time)
+                head = None
+                if kind is _WAIT:
+                    queue = wait_cond.get(cond)
+                    if queue is None:
+                        queue = wait_cond[cond] = deque()
+                    queue.append(_new_tuple(QueueEntry, (pid, pname, time)))
+                    blocked[pid] = blocked.get(pid, 0) + 1
+                else:
+                    queue = wait_cond.get(cond) if cond is not None else None
+                    if flag == 1:
+                        if queue:
+                            head = queue.popleft()
+                        else:
+                            self._report(
+                                STRule.SIGNAL_CONSISTENT,
+                                f"Signal-Exit by P{pid} claims it resumed a "
+                                f"waiter on {cond!r} but the Wait-Cond-List "
+                                "is empty",
+                                time=time,
+                                pids=(pid,),
+                                event_seq=seq,
+                            )
+                    elif queue:
+                        self._report(
+                            STRule.SIGNAL_CONSISTENT,
+                            f"Signal-Exit by P{pid} on {cond!r} resumed "
+                            f"nobody although {[e.pid for e in queue]} were "
+                            "waiting on the condition",
+                            time=time,
+                            pids=(pid,),
+                            event_seq=seq,
+                        )
+                # The monitor passes to the resumed waiter, else to the
+                # correct admission: the urgent list, then Enter-0-List.
+                if head is None and not running:
+                    if urgent:
+                        head = urgent.pop()
+                    elif enter0:
+                        head = enter0.popleft()
+                if head is not None:
+                    admitted, procedure, __ = head
+                    count = blocked[admitted] - 1
+                    if count:
+                        blocked[admitted] = count
+                    else:
+                        del blocked[admitted]
+                    running.append(
+                        _new_tuple(QueueEntry, (admitted, procedure, time))
+                    )
+            elif kind is _SIGNAL:
+                self._replay_signal(seq, pid, time, flag, cond)
+            if len(running) > 1:
                 self._report(
-                    STRule.BLOCKED_MEANS_BUSY,
-                    f"P{pid} was delayed on Enter although no process "
-                    "was inside the monitor (unfair response)",
+                    STRule.ONE_INSIDE,
+                    f"{len(running)} processes inside the monitor after "
+                    f"{kind.value} by P{pid}: {[e.pid for e in running]}",
                     time=time,
-                    pids=(pid,),
+                    pids=tuple(e.pid for e in running),
                     event_seq=seq,
                 )
-            self._block(self.enter0, entry)
-
-    def _check_caller_running(
-        self, seq: int, kind: EventKind, pid: Pid, time: float
-    ) -> bool:
-        for entry in self.running:
-            if entry.pid == pid:
-                return True
-        self._report(
-            STRule.CALLER_IS_RUNNING,
-            f"P{pid} issued {kind.value} but the Running-List "
-            f"is {[e.pid for e in self.running]} — the caller never "
-            "(observably) entered the monitor",
-            time=time,
-            pids=(pid,),
-            event_seq=seq,
-        )
-        return False
-
-    def _replay_wait(
-        self, seq: int, pid: Pid, pname: Pname, time: float, cond: Cond
-    ) -> None:
-        if self._check_caller_running(seq, _WAIT, pid, time):
-            self._remove_running(pid)
-        queue = self.wait_cond.get(cond)
-        if queue is None:
-            queue = self.wait_cond[cond] = deque()
-        self._block(queue, QueueEntry(pid, pname, time))
-        self._admit_next(time)
-
-    def _replay_signal_exit(
-        self, seq: int, pid: Pid, time: float, flag: int, cond: Optional[Cond]
-    ) -> None:
-        if self._check_caller_running(seq, _SIGNAL_EXIT, pid, time):
-            self._remove_running(pid)
-        queue = self.wait_cond.get(cond) if cond is not None else None
-        if flag == 1:
-            if not queue:
-                self._report(
-                    STRule.SIGNAL_CONSISTENT,
-                    f"Signal-Exit by P{pid} claims it resumed a waiter "
-                    f"on {cond!r} but the Wait-Cond-List is empty",
-                    time=time,
-                    pids=(pid,),
-                    event_seq=seq,
-                )
-                self._admit_next(time)
-            else:
-                waiter = self._unblock(queue.popleft())
-                self.running.append(QueueEntry(waiter.pid, waiter.pname, time))
-        else:
-            if queue:
-                self._report(
-                    STRule.SIGNAL_CONSISTENT,
-                    f"Signal-Exit by P{pid} on {cond!r} resumed "
-                    f"nobody although {[e.pid for e in queue]} were "
-                    "waiting on the condition",
-                    time=time,
-                    pids=(pid,),
-                    event_seq=seq,
-                )
-            self._admit_next(time)
 
     def _replay_signal(
         self, seq: int, pid: Pid, time: float, flag: int, cond: Optional[Cond]
     ) -> None:
         """Extension: non-exiting Signal under the Hoare/Mesa disciplines."""
-        self._check_caller_running(seq, _SIGNAL, pid, time)
+        running = self.running
+        for signaller in running:
+            if signaller.pid == pid:
+                break
+        else:
+            signaller = None
+            self._report_not_running(seq, _SIGNAL, pid, time)
         queue = self.wait_cond.get(cond) if cond is not None else None
         if flag == 0:
             if queue:
@@ -469,20 +454,25 @@ class ReplayMachine:
                 event_seq=seq,
             )
             return
-        waiter = self._unblock(queue.popleft())
+        blocked = self._blocked
+        waiter = queue.popleft()
+        count = blocked[waiter.pid] - 1
+        if count:
+            blocked[waiter.pid] = count
+        else:
+            del blocked[waiter.pid]
         resumed = QueueEntry(waiter.pid, waiter.pname, time)
-        if self._declaration.discipline is Discipline.SIGNAL_AND_WAIT:
-            signaller = self._remove_running(pid)
+        if self._signal_and_wait:
             if signaller is not None:
-                self._block(
-                    self.urgent,
-                    QueueEntry(signaller.pid, signaller.pname, time),
-                )
-            self.running.append(resumed)
+                running.remove(signaller)
+                self.urgent.append(QueueEntry(pid, signaller.pname, time))
+                blocked[pid] = blocked.get(pid, 0) + 1
+            running.append(resumed)
         else:
             # Mesa: the waiter re-queues at the entry queue tail; the
             # signaller keeps the monitor.
-            self._block(self.enter0, resumed)
+            self.enter0.append(resumed)
+            blocked[waiter.pid] = blocked.get(waiter.pid, 0) + 1
 
     # ----------------------------------------------------- checkpoint compare
 

@@ -73,6 +73,17 @@ class HistoryDatabase(EventSink):
         if live > self._peak_live:
             self._peak_live = live
 
+    def _flush_batch(self, batch: tuple[SchedulingEvent, ...]) -> None:
+        # One extend per batch.  The open segment only grows between
+        # cuts, so its length after the batch is the batch's peak.
+        open_events = self._open_events
+        open_events.extend(batch)
+        if self._retain_full:
+            self._full_trace.extend(batch)
+        live = len(open_events)
+        if live > self._peak_live:
+            self._peak_live = live
+
     def _drain(self) -> tuple[SchedulingEvent, ...]:
         events = tuple(self._open_events)
         self._open_events.clear()

@@ -48,6 +48,14 @@ from repro.monitor.semantics import Discipline
 
 __all__ = ["Transition", "MonitorCore"]
 
+#: The event kinds, read once: on CPython 3.11 every ``EventKind.X`` read
+#: goes through the Enum metaclass's ``__getattr__`` hook, and every
+#: transition names one, recording or not.
+_ENTER = EventKind.ENTER
+_WAIT = EventKind.WAIT
+_SIGNAL_EXIT = EventKind.SIGNAL_EXIT
+_SIGNAL = EventKind.SIGNAL
+
 
 @dataclass(frozen=True, slots=True)
 class Transition:
@@ -199,9 +207,9 @@ class MonitorCore:
         now = self._now()
         if not self._running or self._hooks.enter_admit_despite_owner(pid, pname):
             self._running.append(QueueEntry(pid, pname, now))
-            event = self._record(EventKind.ENTER, pid, pname, now, 1)
+            event = self._record(_ENTER, pid, pname, now, 1)
             return Transition(caller_blocks=False, event=event)
-        event = self._record(EventKind.ENTER, pid, pname, now, 0)
+        event = self._record(_ENTER, pid, pname, now, 0)
         if not self._hooks.enter_drop_request(pid, pname):
             self._entry_queue.append(QueueEntry(pid, pname, now))
         return Transition(caller_blocks=True, event=event)
@@ -211,7 +219,7 @@ class MonitorCore:
         self._check_condition(cond)
         entry = self._running_entry(pid, f"Wait({cond})")
         now = self._now()
-        event = self._record(EventKind.WAIT, pid, entry.pname, now, 0, cond)
+        event = self._record(_WAIT, pid, entry.pname, now, 0, cond)
         if self._hooks.wait_no_block(pid, cond):
             # Fault I.b.1: the caller just keeps running inside the monitor.
             return Transition(caller_blocks=False, event=event)
@@ -246,7 +254,7 @@ class MonitorCore:
                 waiter = queue.popleft()
                 flag = 1
         event = self._record(
-            EventKind.SIGNAL_EXIT, pid, entry.pname, now, flag, cond
+            _SIGNAL_EXIT, pid, entry.pname, now, flag, cond
         )
         wake: list[Pid] = []
         if not self._hooks.sigexit_hold_monitor(pid):
@@ -288,12 +296,12 @@ class MonitorCore:
         if discipline is Discipline.SIGNAL_AND_WAIT:
             if not queue:
                 event = self._record(
-                    EventKind.SIGNAL, pid, entry.pname, now, 0, cond
+                    _SIGNAL, pid, entry.pname, now, 0, cond
                 )
                 return Transition(caller_blocks=False, event=event)
             waiter = queue.popleft()
             event = self._record(
-                EventKind.SIGNAL, pid, entry.pname, now, 1, cond
+                _SIGNAL, pid, entry.pname, now, 1, cond
             )
             self._running.remove(entry)
             self._urgent.append(QueueEntry(entry.pid, entry.pname, now))
@@ -306,7 +314,7 @@ class MonitorCore:
             self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             flag = 1
         event = self._record(
-            EventKind.SIGNAL, pid, entry.pname, now, flag, cond
+            _SIGNAL, pid, entry.pname, now, flag, cond
         )
         return Transition(caller_blocks=False, event=event)
 
@@ -333,7 +341,7 @@ class MonitorCore:
             waiter = queue.popleft()
             self._entry_queue.append(QueueEntry(waiter.pid, waiter.pname, now))
             last_event = self._record(
-                EventKind.SIGNAL, pid, entry.pname, now, 1, cond
+                _SIGNAL, pid, entry.pname, now, 1, cond
             )
         return Transition(caller_blocks=False, event=last_event)
 

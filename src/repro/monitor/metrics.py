@@ -27,6 +27,13 @@ from repro.ids import Cond, Pid, Pname
 
 __all__ = ["DurationStats", "MonitorMetrics"]
 
+#: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
+#: Enum metaclass's ``__getattr__`` hook, and ``observe`` runs per event.
+_ENTER = EventKind.ENTER
+_WAIT = EventKind.WAIT
+_SIGNAL_EXIT = EventKind.SIGNAL_EXIT
+_SIGNAL = EventKind.SIGNAL
+
 
 @dataclass
 class DurationStats:
@@ -103,7 +110,8 @@ class MonitorMetrics:
 
     def observe(self, event: SchedulingEvent) -> None:
         """Fold one scheduling event into the metrics."""
-        if event.kind is EventKind.ENTER:
+        kind = event.kind
+        if kind is _ENTER:
             if event.flag == 1:
                 self.immediate_enters += 1
                 self._running_since[event.pid] = event.time
@@ -111,14 +119,14 @@ class MonitorMetrics:
                 self.contended_enters += 1
                 self._entry_since[event.pid] = event.time
                 self._entry_order.append(event.pid)
-        elif event.kind is EventKind.WAIT:
+        elif kind is _WAIT:
             self._leave_running(event.pid, event.time, event.pname, count=False)
             assert event.cond is not None
             self._cond_since.setdefault(event.cond, []).append(
                 (event.pid, event.time)
             )
             self._admit_next(event.time)
-        elif event.kind is EventKind.SIGNAL_EXIT:
+        elif kind is _SIGNAL_EXIT:
             self._leave_running(event.pid, event.time, event.pname, count=True)
             if event.flag == 1 and event.cond is not None:
                 queue = self._cond_since.get(event.cond, [])
@@ -130,7 +138,7 @@ class MonitorMetrics:
                     self._running_since[pid] = event.time
             else:
                 self._admit_next(event.time)
-        elif event.kind is EventKind.SIGNAL:
+        elif kind is _SIGNAL:
             # Extended disciplines: approximate — count the resumed waiter's
             # condition wait; urgent-stack residency folds into service time.
             if event.flag == 1 and event.cond is not None:

@@ -253,7 +253,7 @@ class TestAlgorithm3:
             call_order="((StartRead ; EndRead) | (StartWrite ; EndWrite))*",
         )
         checker = CallingOrderChecker(decl)
-        assert checker.on_event(enter_event(0, 1, "StartRead", 0.1, 1)) == []
+        assert checker.on_event(enter_event(0, 1, "StartRead", 0.1, 1)) == ()
         reports = checker.on_event(enter_event(1, 1, "EndWrite", 0.2, 1))
         assert [report.rule for report in reports] == [
             STRule.CALL_ORDER_VIOLATED
@@ -270,7 +270,7 @@ class TestAlgorithm3:
         assert restored.state_dict() == checker.state_dict()
         assert restored.holders() == (1, 2)
         # Each automaton resumes mid-order: a Release is now in order.
-        assert restored.on_event(enter_event(2, 1, "Release", 0.3, 0)) == []
+        assert restored.on_event(enter_event(2, 1, "Release", 0.3, 0)) == ()
 
     def test_restores_a_durable_snapshot_record(self):
         # The "algorithm3" record of a durable snapshot, verbatim: P1 has
@@ -280,7 +280,7 @@ class TestAlgorithm3:
         checker.restore_state(record)
         assert checker.request_list == [(1, 0.1)]
         assert checker.state_dict() == record
-        assert checker.on_event(enter_event(0, 1, "Release", 0.3, 0)) == []
+        assert checker.on_event(enter_event(0, 1, "Release", 0.3, 0)) == ()
         checker.on_event(
             signal_exit_event(1, 1, "Release", 0.35, 0, cond="free")
         )

@@ -153,6 +153,24 @@ class TestSnapshotStore:
         payload, __ = store.load_latest()
         assert payload == {"round": 4}
 
+    def test_reopened_store_prunes_to_keep_without_listing(
+        self, tmp_path, monkeypatch
+    ):
+        first = SnapshotStore(tmp_path, keep=5)
+        for round_index in range(5):
+            first.write({"round": round_index})
+        store = SnapshotStore(tmp_path, keep=2)
+
+        def listed():
+            raise AssertionError("write listed the snapshot directory")
+
+        monkeypatch.setattr(store, "paths", listed)
+        newest = store.write({"round": 5})
+        monkeypatch.undo()
+        assert store.paths() == [tmp_path / "snapshot-000005.json", newest]
+        payload, __ = store.load_latest()
+        assert payload == {"round": 5}
+
     def test_file_is_the_checksummed_sort_keys_text(self, tmp_path):
         payload = {"zeta": [1, 2.5, None], "alpha": {"b": "\u00e9", "a": 1}}
         path = SnapshotStore(tmp_path).write(payload)
