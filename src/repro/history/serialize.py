@@ -3,11 +3,16 @@
 The history information database is the system's audit trail; being able
 to persist a trace and re-check it offline (on another machine, against a
 different rule configuration, or long after the run) is what makes the
-offline FD checker practically useful.  The format is line-oriented JSON:
-one object per event or state, with a ``kind`` discriminator, so traces
-can be streamed and grepped.
+offline FD checker practically useful.  The on-disk format is
+line-oriented JSON: one keyed object per event or state, with a ``kind``
+discriminator, so traces can be streamed and grepped.  Trace files, WAL
+lines and snapshot ``pending`` lists all use that keyed event form.
 
-Round-trip guarantees are exact: ``load_events(dump_events(trace)) ==
+The detection service's window codec (:func:`segment_to_dict`) is the
+one exception: it ships each event as a positional array, half the
+bytes of the keyed object and cheaper to parse.
+
+Round-trip guarantees are exact: ``load_trace(dump_trace(trace)) ==
 trace`` (covered by property tests).
 """
 
@@ -136,20 +141,49 @@ def state_to_dict(state: SchedulingState) -> dict:
     }
 
 
+#: The types a JSON number decodes to.  The decoders test ``type(x)``
+#: exactly, so ``bool`` (an ``int`` subclass) is not a number here.
+_NUMBER = (float, int)
+
+
+def _queue(entries) -> tuple:
+    """A JSON queue as :class:`QueueEntry` s: each entry must be a
+    ``[pid, pname, since]`` array of an int, a str and a number."""
+    queue = []
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            raise TypeError(f"queue entry {entry!r} is not a 3-element array")
+        pid, pname, since = entry
+        if (
+            type(pid) is not int
+            or type(pname) is not str
+            or type(since) not in _NUMBER
+        ):
+            raise TypeError(f"queue entry {entry!r} is not [int, str, number]")
+        queue.append(QueueEntry(pid, pname, since))
+    return tuple(queue)
+
+
 def state_from_dict(record: dict) -> SchedulingState:
     if not isinstance(record, dict) or record.get("kind") != "state":
         raise HistoryError(f"not a state record: {record!r}")
     try:
+        time = record["time"]
+        count = record.get("resource_count")
+        if type(time) not in _NUMBER:
+            raise TypeError(f"state time {time!r} is not a number")
+        if count is not None and type(count) is not int:
+            raise TypeError(f"resource count {count!r} is not an int")
         return SchedulingState(
-            time=record["time"],
-            entry_queue=tuple(QueueEntry(*e) for e in record["entry_queue"]),
+            time=time,
+            entry_queue=_queue(record["entry_queue"]),
             cond_queues={
-                cond: tuple(QueueEntry(*e) for e in queue)
+                cond: _queue(queue)
                 for cond, queue in record["cond_queues"].items()
             },
-            running=tuple(QueueEntry(*e) for e in record["running"]),
-            urgent=tuple(QueueEntry(*e) for e in record.get("urgent", [])),
-            resource_count=record.get("resource_count"),
+            running=_queue(record["running"]),
+            urgent=_queue(record.get("urgent", [])),
+            resource_count=count,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed state record {record!r}: {exc}") from exc
@@ -159,17 +193,23 @@ def state_from_dict(record: dict) -> SchedulingState:
 
 
 def segment_to_dict(segment: Segment) -> dict:
-    """One cut checkpoint window as a JSON-compatible dict.
+    """One cut checkpoint window in the detection service's wire form.
 
-    The wire shape is the detection service's window codec (previous and
-    current states, the event list and the ``dropped`` count — see
-    :func:`repro.service.protocol.segment_to_wire`, which delegates here),
-    so the server's shadow checker consumes input identical to the
-    in-process one.
+    Reached only through :func:`repro.service.protocol.segment_to_wire`.
+    The previous and current states are keyed objects, as on disk; each
+    event is the positional array ``[seq, kind, pid, pname, time, flag,
+    cond]`` (:class:`SchedulingEvent`'s field order, ``kind`` as its
+    :class:`EventKind` value, ``cond`` null when absent).  The arrays
+    carry no key names, so a window is about half the bytes of keyed
+    events and the server's JSON parse builds no per-event dict.  Files
+    on disk keep the keyed :func:`event_to_dict` form.
     """
     return {
         "previous": state_to_dict(segment.previous),
-        "events": [event_to_dict(event) for event in segment.events],
+        "events": [
+            [seq, kind._value_, pid, pname, time, flag, cond]
+            for seq, kind, pid, pname, time, flag, cond in segment.events
+        ],
         "current": state_to_dict(segment.current),
         "dropped": segment.dropped,
     }
@@ -182,40 +222,63 @@ _EVENT_KINDS: dict = {kind.value: kind for kind in EventKind}
 
 
 def events_from_wire(records) -> tuple:
-    """Batch :func:`event_from_dict`: one tight loop, no per-record
-    dispatch.  Every event of every window the detection service
-    receives is decoded here, so the common shape skips the per-event
-    ``kind`` check; malformed input falls back to
-    :func:`event_from_dict` for its precise error."""
+    """Decode a window's positional event arrays (see
+    :func:`segment_to_dict`) in one loop.
+
+    This is the service's trust boundary, so each record must be a
+    7-element array with an int ``seq``, ``pid`` and ``flag``, a str
+    ``pname``, a number ``time``, a known ``kind`` and a str or null
+    ``cond`` (``bool`` is not an int here).  Every event is built through
+    the :class:`SchedulingEvent` constructor, which checks that the flag
+    is 0 or 1 and that a Wait names its condition.  Any other shape, the
+    keyed on-disk object included, raises
+    :class:`~repro.errors.HistoryError`.
+    """
     kinds = _EVENT_KINDS
-    get = dict.get
+    number = _NUMBER
+    events = []
+    append = events.append
+    record = None
     try:
-        return tuple(
-            SchedulingEvent(
-                record["seq"],
-                kinds[record["event"]],
-                record["pid"],
-                record["pname"],
-                record["time"],
-                record["flag"],
-                get(record, "cond"),
+        for record in records:
+            if type(record) is not list:
+                raise TypeError("not an array")
+            seq, kind, pid, pname, time, flag, cond = record
+            if (
+                type(seq) is not int
+                or type(pid) is not int
+                or type(pname) is not str
+                or type(time) not in number
+                or type(flag) is not int
+                or (cond is not None and type(cond) is not str)
+            ):
+                raise TypeError("a field has the wrong type")
+            append(
+                SchedulingEvent(seq, kinds[kind], pid, pname, time, flag, cond)
             )
-            for record in records
-        )
-    except (KeyError, TypeError, ValueError):
-        return tuple(event_from_dict(record) for record in records)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HistoryError(f"malformed wire event {record!r}: {exc}") from exc
+    return tuple(events)
 
 
 def segment_from_dict(raw: dict) -> Segment:
-    """Rebuild a :class:`~repro.history.sink.Segment` from wire form."""
+    """Rebuild a :class:`~repro.history.sink.Segment` from wire form.
+
+    ``dropped`` must be a non-negative int: a negative count would cancel
+    the server's own loss accounting and let a lossy window pass as
+    complete.
+    """
     try:
+        dropped = raw.get("dropped", 0)
+        if type(dropped) is not int or dropped < 0:
+            raise ValueError(f"dropped {dropped!r} is not a count")
         return Segment(
             previous=state_from_dict(raw["previous"]),
             events=events_from_wire(raw["events"]),
             current=state_from_dict(raw["current"]),
-            dropped=int(raw.get("dropped", 0)),
+            dropped=dropped,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed segment record {raw!r}: {exc}") from exc
 
 

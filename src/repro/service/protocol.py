@@ -12,8 +12,9 @@ hello      client   handshake: name, resume token, stream catalogue
 welcome    server   handshake reply: authoritative per-stream
                     watermarks and the initial window credits
 window     client   one checkpoint window of one stream: sequence
-                    number, the cut segment, and carried loss
-                    accounting for windows shed client-side
+                    number, the cut segment (keyed states, each event
+                    a positional array), and carried loss accounting
+                    for windows shed client-side
 ack        server   durably-processed watermarks + replenished credits
 backpressure server the connection is over its ingest quota; stop
                     sending windows until an ack restores credits
@@ -22,11 +23,20 @@ error      server   protocol violation; the connection is quarantined
 bye        client   orderly goodbye
 ========== ======== ===============================================
 
-Windows reuse the history serialisation codecs
+Windows use the history serialisation codecs
 (:mod:`repro.history.serialize`): a :class:`~repro.history.sink.Segment`
 travels as its previous/current states plus the event list, with the
 ``dropped`` count — the same triple the in-process checker consumes, so
 the server-side shadow evaluation is input-identical to local checking.
+States are keyed objects, as on disk.  Each event is the 7-element array
+``[seq, kind, pid, pname, time, flag, cond]`` (``kind`` as its
+:class:`~repro.history.events.EventKind` value, ``cond`` null when
+absent): about half the bytes of the keyed object the WAL and trace
+files write, and about half the server's JSON parse time.  The server decodes the
+arrays with type checks at this trust boundary; any other shape,
+including protocol version 1's keyed event objects, is a
+:class:`ProtocolError` that quarantines the sending connection.  Version
+2 is the positional form, so a version-1 client is refused at hello.
 """
 
 from __future__ import annotations
@@ -54,7 +64,10 @@ __all__ = [
     "frame_type",
 ]
 
-PROTOCOL_VERSION = 1
+#: Version 2 ships window events as positional arrays.  A client of
+#: another version is refused at hello, so no server ever has to guess
+#: which event shape a window carries.
+PROTOCOL_VERSION = 2
 
 #: Per-stream rule overrides a hello may carry (applied server-side on
 #: top of the daemon's base DetectorConfig).
@@ -69,7 +82,8 @@ class ProtocolError(ServiceError):
 
 
 def segment_to_wire(segment: Segment) -> dict:
-    """One cut checkpoint window as a JSON-compatible dict.
+    """One cut checkpoint window as a JSON-compatible dict, events as
+    positional arrays.
 
     The codec itself lives in :mod:`repro.history.serialize`; this
     wrapper pins the service's wire shape to it.
@@ -78,7 +92,8 @@ def segment_to_wire(segment: Segment) -> dict:
 
 
 def segment_from_wire(raw: dict) -> Segment:
-    """Rebuild a :class:`~repro.history.sink.Segment` from wire form."""
+    """Rebuild a :class:`~repro.history.sink.Segment` from wire form; a
+    malformed segment or event is a :class:`ProtocolError`."""
     try:
         return segment_from_dict(raw)
     except HistoryError as exc:

@@ -86,6 +86,45 @@ INVALID_EVENTS = {
     },
 }
 
+#: A valid positional wire event: ``[seq, kind, pid, pname, time, flag,
+#: cond]``.
+VALID_WIRE = [3, "Wait", 2, "Op", 0.5, 0, "full"]
+
+
+def _wire_with(slot, value):
+    record = list(VALID_WIRE)
+    record[slot] = value
+    return record
+
+
+#: Wire events that differ from :data:`VALID_WIRE` in exactly one slot:
+#: its flag, its cond, its kind, its length or one field's type.  The
+#: first two reach the constructor's own checks.
+INVALID_WIRE_EVENTS = {
+    "flag-2": _wire_with(5, 2),
+    "wait-without-cond": _wire_with(6, None),
+    "unknown-kind": _wire_with(1, "Nonsense"),
+    "kind-number": _wire_with(1, 0),
+    "six-elements": VALID_WIRE[:6],
+    "eight-elements": VALID_WIRE + [None],
+    "seq-string": _wire_with(0, "3"),
+    "seq-true": _wire_with(0, True),
+    "seq-float": _wire_with(0, 3.0),
+    "pid-string": _wire_with(2, "2"),
+    "pid-null": _wire_with(2, None),
+    "pid-false": _wire_with(2, False),
+    "pname-number": _wire_with(3, 7),
+    "pname-null": _wire_with(3, None),
+    "time-string": _wire_with(4, "late"),
+    "time-null": _wire_with(4, None),
+    "time-true": _wire_with(4, True),
+    "flag-string": _wire_with(5, "0"),
+    "flag-false": _wire_with(5, False),
+    "flag-float": _wire_with(5, 0.0),
+    "cond-number": _wire_with(6, 1),
+    "cond-array": _wire_with(6, ["full"]),
+}
+
 
 class TestDecoderValidation:
     @pytest.mark.parametrize("name", sorted(INVALID_EVENTS))
@@ -93,21 +132,46 @@ class TestDecoderValidation:
         with pytest.raises(HistoryError):
             event_from_dict(dict(INVALID_EVENTS[name]))
 
-    @pytest.mark.parametrize("name", sorted(INVALID_EVENTS))
+    @pytest.mark.parametrize("name", sorted(INVALID_WIRE_EVENTS))
     def test_events_from_wire_rejects(self, name):
-        good = event_to_dict(enter_event(0, 2, "Op", 0.5, 1))
+        good = [0, "Enter", 2, "Op", 0.5, 1, None]
+        assert events_from_wire([good, VALID_WIRE])
         with pytest.raises(HistoryError):
-            events_from_wire([good, dict(INVALID_EVENTS[name])])
+            events_from_wire([good, list(INVALID_WIRE_EVENTS[name])])
 
     def test_events_from_wire_decodes_valid_batch(self):
         events = (
             enter_event(0, 1, "Send", 0.1, 1),
             wait_event(1, 1, "Send", "full", 0.2),
             signal_exit_event(2, 2, "Receive", 0.3, 1, cond="full"),
+            signal_exit_event(3, 2, "Receive", 4, 0),
         )
-        decoded = events_from_wire([event_to_dict(e) for e in events])
+        records = [
+            [0, "Enter", 1, "Send", 0.1, 1, None],
+            [1, "Wait", 1, "Send", 0.2, 0, "full"],
+            [2, "Signal-Exit", 2, "Receive", 0.3, 1, "full"],
+            [3, "Signal-Exit", 2, "Receive", 4, 0, None],
+        ]
+        decoded = events_from_wire(records)
         assert decoded == events
         assert all(type(event) is SchedulingEvent for event in decoded)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            event_to_dict(enter_event(0, 1, "Op", 0.0, 1)),
+            event_to_dict(wait_event(0, 1, "Op", "full", 0.0)),
+            (0, "Enter", 1, "Op", 0.0, 1, None),
+            "Enter!!",
+        ],
+        ids=["keyed-object", "keyed-object-with-cond", "tuple", "string"],
+    )
+    def test_events_from_wire_takes_only_arrays(self, record):
+        # The keyed object the WAL and trace files write is not a wire
+        # event; nor is a 7-item sequence of another type, even though it
+        # would unpack into seven fields.
+        with pytest.raises(HistoryError):
+            events_from_wire([record])
 
     @pytest.mark.parametrize("record", [None, 5, [1, 2, 3], "Enter"])
     def test_non_object_event_rejected(self, record):
@@ -127,6 +191,62 @@ class TestDecoderValidation:
         record["cond_queues"] = cond_queues
         with pytest.raises(HistoryError):
             state_from_dict(record)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "abc",
+            ["a", "b", "c"],
+            [3, "Receive"],
+            [3, "Receive", 3.0, 1],
+            [True, "Receive", 3.0],
+            [3.0, "Receive", 3.0],
+            [3, None, 3.0],
+            [3, "Receive", "3.0"],
+            [3, "Receive", None],
+            [3, "Receive", True],
+            {"pid": 3, "pname": "Receive", "since": 3.0},
+        ],
+        ids=[
+            "string", "three-strings", "two-elements", "four-elements",
+            "pid-true", "pid-float", "pname-null", "since-string",
+            "since-null", "since-true", "object",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "queue", ["entry_queue", "running", "urgent", "cond_queue"]
+    )
+    def test_malformed_queue_entry_rejected(self, queue, entry):
+        record = state_to_dict(sample_state())
+        if queue == "cond_queue":
+            record["cond_queues"]["full"] = [entry]
+        else:
+            record[queue] = [entry]
+        with pytest.raises(HistoryError):
+            state_from_dict(record)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time", "late"),
+            ("time", None),
+            ("time", True),
+            ("resource_count", "3"),
+            ("resource_count", 3.0),
+            ("resource_count", False),
+        ],
+    )
+    def test_malformed_state_scalar_rejected(self, field, value):
+        record = state_to_dict(sample_state())
+        record[field] = value
+        with pytest.raises(HistoryError):
+            state_from_dict(record)
+
+    def test_integer_since_is_a_number(self):
+        record = state_to_dict(sample_state())
+        record["running"] = [[3, "Receive", 3]]
+        running = state_from_dict(record).running
+        assert running == (QueueEntry(3, "Receive", 3),)
 
 
 class TestStreamRoundTrips:

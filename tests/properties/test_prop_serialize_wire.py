@@ -7,12 +7,14 @@ through :mod:`repro.history.serialize` and
 ``decode(encode(x)) == x`` must hold bit-for-bit (structural equality on
 the frozen dataclasses), including lossy windows where the bounded sink
 dropped events (``Segment.dropped > 0``), because the service's shadow
-checkers must see exactly the window the client cut.
+checkers must see exactly the window the client cut.  A window's events
+travel as positional arrays, so the round trips below run through the
+service's own framing.
 """
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detection.reports import (
@@ -23,10 +25,9 @@ from repro.detection.reports import (
 )
 from repro.detection.rules import FDRule, STRule
 from repro.history import BoundedHistory
+from repro.history.events import EventKind, SchedulingEvent
 from repro.history.serialize import (
-    event_from_dict,
     events_from_wire,
-    event_to_dict,
     segment_from_dict,
     segment_to_dict,
     state_from_dict,
@@ -35,7 +36,9 @@ from repro.history.serialize import (
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
 from repro.kernel import Delay, FifoPolicy, SimKernel
-from tests.history.test_serialize import events_strategy
+from repro.service.framing import FrameDecoder, encode_frame
+from repro.service.protocol import segment_from_wire, segment_to_wire
+from tests.history.test_serialize import events_strategy, kinds, names
 
 
 # --------------------------------------------------------- strategies
@@ -82,6 +85,47 @@ def segments_strategy(draw):
     )
 
 
+def _needs_17_digits(value: float) -> bool:
+    return float(f"{value:.16g}") != value
+
+
+#: Finite times, including ones whose shortest repr needs all 17
+#: significant digits, and integers (a JSON number may decode to either).
+times = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).filter(_needs_17_digits)
+    | st.integers(-(2**53), 2**53)
+)
+
+
+@st.composite
+def wire_events(draw):
+    """Every kind, with and without ``cond``; names with quotes,
+    backslashes, control and non-ASCII characters."""
+    kind = draw(kinds)
+    return SchedulingEvent(
+        seq=draw(st.integers(0, 2**63)),
+        kind=kind,
+        pid=draw(st.integers(-1, 2**31)),
+        pname=draw(names),
+        time=draw(times),
+        flag=0 if kind is EventKind.WAIT else draw(st.integers(0, 1)),
+        cond=draw(names if kind is EventKind.WAIT else st.none() | names),
+    )
+
+
+def window_of(events) -> Segment:
+    state = SchedulingState(
+        time=1.0,
+        entry_queue=(QueueEntry(4, 'say "hi"\\', 0.1 + 0.2),),
+        cond_queues={"c\u00e9\n": (QueueEntry(5, "x", 1),)},
+        running=(),
+    )
+    return Segment(
+        previous=state, events=tuple(events), current=state, dropped=0
+    )
+
+
 @st.composite
 def reports_strategy(draw):
     rule = draw(st.sampled_from(list(STRule) + list(FDRule)))
@@ -114,12 +158,40 @@ class TestWireRoundTripProperties:
         assert segment_from_dict(segment_to_dict(segment)) == segment
 
     @settings(max_examples=100, deadline=None)
-    @given(events=st.lists(events_strategy(), max_size=12))
+    @given(events=st.lists(wire_events(), max_size=12))
     def test_batch_event_decoder_matches_reference(self, events):
-        records = [event_to_dict(event) for event in events]
-        assert events_from_wire(records) == tuple(
-            event_from_dict(record) for record in records
+        # Reference codec: each event as the array of its fields in
+        # order, the kind by value; decoded one constructor call each.
+        reference = [
+            [e.seq, e.kind.value, e.pid, e.pname, e.time, e.flag, e.cond]
+            for e in events
+        ]
+        assert segment_to_dict(window_of(events))["events"] == reference
+        records = json.loads(json.dumps(reference))
+        decoded = events_from_wire(records)
+        assert decoded == tuple(
+            SchedulingEvent(r[0], EventKind(r[1]), *r[2:]) for r in records
         )
+        assert decoded == tuple(events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(wire_events(), max_size=12))
+    @example(events=[])
+    @example(
+        events=[
+            SchedulingEvent(
+                2**63, EventKind.WAIT, -1, '"\\', 0.1 + 0.2, 0, "\x00"
+            ),
+            SchedulingEvent(0, EventKind.SIGNAL, 0, "\U0001f600", -0.0, 1),
+        ]
+    )
+    def test_any_event_list_survives_the_wire(self, events):
+        segment = window_of(events)
+        frame = encode_frame(segment_to_wire(segment))
+        (decoded,) = FrameDecoder().feed(frame)
+        rebuilt = segment_from_wire(decoded)
+        assert rebuilt == segment
+        assert all(type(event) is SchedulingEvent for event in rebuilt.events)
 
     @settings(max_examples=150, deadline=None)
     @given(report=reports_strategy())

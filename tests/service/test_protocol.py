@@ -66,6 +66,14 @@ class TestSegmentCodec:
         with pytest.raises(ProtocolError):
             segment_from_wire({"events": []})
 
+    @pytest.mark.parametrize("dropped", [-1, True, "2", 1.5, None])
+    def test_dropped_must_be_a_count(self, dropped):
+        # A negative count would cancel the server's own loss accounting.
+        wire = segment_to_wire(segment())
+        wire["dropped"] = dropped
+        with pytest.raises(ProtocolError):
+            segment_from_wire(wire)
+
     def test_missing_dropped_defaults_to_zero(self):
         wire = segment_to_wire(segment())
         del wire["dropped"]

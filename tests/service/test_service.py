@@ -215,14 +215,22 @@ class TestHandshake:
         assert welcome["credits"] == 4
         assert welcome["resumed"] is False
 
-    def test_version_mismatch_quarantines(self):
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
+    def test_version_mismatch_quarantines(self, offset):
+        # An older client would ship keyed event objects the server no
+        # longer decodes: it is refused at hello, before any window.
         server = make_server()
         hello, __ = corpus()
-        hello["version"] = PROTOCOL_VERSION + 1
+        version = PROTOCOL_VERSION + offset
+        hello["version"] = version
         server.connect(1)
         (error,) = decode_all(server.feed(1, encode_frame(hello)))
         assert error["type"] == "error"
+        assert f"server {PROTOCOL_VERSION}" in error["reason"]
+        assert f"client {version}" in error["reason"]
         assert server.connection_quarantined(1)
+        assert not server._sessions
+        assert not server.engine.monitors
 
     def test_hello_without_streams_quarantines(self):
         server = make_server()
@@ -256,6 +264,41 @@ class TestHandshake:
 
 
 # ------------------------------------------------------------------ ingest
+
+#: Slot of each field in a positional wire event.
+EVENT_SLOTS = ("seq", "kind", "pid", "pname", "time", "flag", "cond")
+
+
+def event_with(**fields):
+    """A malformer: a wire event with ``fields`` replaced."""
+
+    def malform(event):
+        record = list(event)
+        for name, value in fields.items():
+            record[EVENT_SLOTS.index(name)] = value
+        return record
+
+    return malform
+
+
+def six_slots(event):
+    return list(event)[:6]
+
+
+def eight_slots(event):
+    return [*event, None]
+
+
+def keyed_event(event):
+    """The same event as protocol version 1 shipped it: a keyed object."""
+    seq, kind, pid, pname, time, flag, cond = event
+    record = {
+        "kind": "event", "event": kind, "seq": seq, "pid": pid,
+        "pname": pname, "time": time, "flag": flag,
+    }
+    if cond is not None:
+        record["cond"] = cond
+    return record
 
 
 class TestIngest:
@@ -357,26 +400,57 @@ class TestIngest:
             ("previous", 5),
             ("current", 5),
             ("cond_queues", [1, 2]),
+            pytest.param("event", keyed_event, id="event-keyed-object"),
+            pytest.param("event", six_slots, id="event-six-elements"),
+            pytest.param("event", eight_slots, id="event-eight-elements"),
+            pytest.param(
+                "event", event_with(kind="Nonsense"), id="event-unknown-kind"
+            ),
+            pytest.param("event", event_with(flag=2), id="flag-2"),
+            pytest.param(
+                "event",
+                event_with(kind="Wait", flag=0, cond=None),
+                id="wait-without-cond",
+            ),
+            pytest.param("event", event_with(pid="x"), id="pid-string"),
+            pytest.param("event", event_with(pid=None), id="pid-null"),
+            pytest.param("event", event_with(time="late"), id="time-string"),
+            pytest.param("event", event_with(seq=True), id="seq-true"),
+            pytest.param("event", "Enter!!", id="event-seven-characters"),
+            pytest.param("running", "abc", id="queue-entry-string"),
+            pytest.param("time", "late", id="state-time-string"),
+            pytest.param("resource_count", "x", id="resource-count-string"),
+            pytest.param("dropped", -3, id="dropped-negative"),
+            pytest.param("dropped", True, id="dropped-true"),
         ],
     )
     def test_malformed_segment_quarantines_not_the_fleet(self, where, bad):
-        # Well-framed JSON whose segment holds a non-object where a
-        # record belongs: the decoder must answer with a protocol error
-        # for this connection, not an exception that stops the server.
+        # Well-framed JSON whose segment holds something other than a
+        # well-typed record where one belongs: the decoder must answer
+        # with a protocol error for this connection, evaluate nothing,
+        # and not raise an exception that stops the server.
         server = make_server()
         hello, windows = corpus()
         handshake(server, conn_id=1)
         segment = dict(windows[0]["segment"])
+        if callable(bad):
+            bad = bad(segment["events"][0])
         if where == "event":
             segment["events"] = [bad, *segment["events"][1:]]
-        elif where == "cond_queues":
-            segment["current"] = dict(segment["current"], cond_queues=bad)
+        elif where == "running":
+            segment["previous"] = dict(segment["previous"], running=[bad])
+        elif where in ("cond_queues", "time", "resource_count"):
+            segment["current"] = dict(segment["current"], **{where: bad})
         else:
             segment[where] = bad
         window = dict(windows[0], segment=segment)
         (error,) = decode_all(server.feed(1, encode_frame(window)))
         assert error["type"] == "error"
+        assert "malformed window segment" in error["reason"]
         assert server.connection_quarantined(1)
+        assert 1 not in server.poll()
+        assert server.windows_accepted == 0
+        assert server.delivered == []
         server.connect(2)
         decode_all(server.feed(2, encode_frame(hello)))
         server.feed(2, encode_frame(windows[0]))

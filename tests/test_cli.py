@@ -426,6 +426,7 @@ class TestGateSpecs:
         "gates/scaling-shards.toml": [
             "scaling", "--quick", "--counts", "16", "--shards", "1", "4",
         ],
+        "gates/service.toml": ["overhead", "--service", "--repeats", "1"],
     }
 
     def test_every_spec_is_covered(self):
