@@ -82,7 +82,6 @@ from repro.detection import (
     check_full_trace,
     check_general_concurrency_control,
     report_key,
-    engine_process,
     supervisor_process,
 )
 from repro.errors import (
@@ -209,7 +208,6 @@ __all__ = [
     "DurableEngine",
     "RecoverySummary",
     "report_key",
-    "engine_process",
     "BreakerState",
     "CircuitBreaker",
     "QuarantineRecord",

@@ -63,9 +63,7 @@ def _measure(
     groups = [[run] for run in fleet] if mode == "per-monitor" else [fleet]
     sessions = []
     for group in groups:
-        session = DetectionSession(
-            kernel, config=SCALING_CONFIG, shards=shards, supervised=False
-        )
+        session = DetectionSession(kernel, config=SCALING_CONFIG, shards=shards)
         for run in group:
             session.register(run.monitor)
         sessions.append(session)

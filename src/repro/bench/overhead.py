@@ -114,7 +114,6 @@ def _table1_once(
             monitors=[run.monitor],
             config=DetectorConfig(interval=interval, **_QUIET),
             evaluation="inline",
-            supervised=False,
         )
     _run_scenario(kernel, run, session)
     sample = {"op_seconds": run.monitor.monitor.op_seconds}
@@ -235,7 +234,6 @@ def _wal_once(
             monitors=[run.monitor],
             config=DetectorConfig(interval=interval, **_QUIET),
             evaluation="inline",
-            supervised=False,
         )
         _run_scenario(kernel, run, session)
         sample = {
@@ -349,7 +347,6 @@ def _fleet_once(
             interval=FLEET_INTERVAL, incremental_checking=incremental, **_QUIET
         ),
         evaluation=evaluation,
-        supervised=False,
     )
     runs = build_fleet(kernel, fleet, spec)
     for run in runs:

@@ -24,8 +24,10 @@ Contents:
 * :mod:`repro.detection.supervision` — the detector's own fault tolerance:
   per-monitor :class:`~repro.detection.supervision.CircuitBreaker`
   quarantine, the :class:`~repro.detection.supervision.CheckpointSupervisor`
-  (checkpoint budget, retry with backoff, stall watchdog, snapshot/restore),
-  and :func:`~repro.detection.supervision.supervisor_process`.
+  (retry with backoff and a stall watchdog around one checking round,
+  snapshot/restore), and
+  :func:`~repro.detection.supervision.supervisor_process`, which paces
+  a supervised round every interval.
 * :mod:`repro.detection.durability` — crash durability: the
   :class:`~repro.detection.durability.DurableEngine` that is one shard's
   durability — WAL-backed histories, atomic state snapshots and an
@@ -61,11 +63,7 @@ from repro.detection.durability import (
     report_key,
     report_to_dict,
 )
-from repro.detection.engine import (
-    DetectionEngine,
-    RegisteredMonitor,
-    engine_process,
-)
+from repro.detection.engine import DetectionEngine, RegisteredMonitor
 from repro.detection.faults import FaultClass, FaultLevel
 from repro.detection.fd_rules import check_full_trace
 from repro.detection.replay import ReplayMachine
@@ -104,7 +102,6 @@ __all__ = [
     "DetectorConfig",
     "DetectionEngine",
     "RegisteredMonitor",
-    "engine_process",
     "EvaluationPool",
     "DetectionCluster",
     "DetectionSession",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import queue
-import random
 import threading
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -91,13 +90,11 @@ _SHARD_TOTALS = frozenset(ENGINE_TOTALS) | {
 class ClusterShard:
     """One shard: its engine, supervisor, durability and schedule.
 
-    Exposes enough of the engine surface (``config``, ``kernel``,
-    ``entries``, ``stopped``, :meth:`checkpoint`) that its
-    :class:`~repro.detection.supervision.CheckpointSupervisor` paces it
-    directly.  One checkpoint sequence serves both evaluation planes:
-    capture, then evaluate and commit to ``durable`` — inline, or on the
-    shard's worker thread when the cluster evaluates on an
-    :class:`EvaluationPool`.
+    Its :class:`~repro.detection.supervision.CheckpointSupervisor`
+    supervises :meth:`checkpoint`.  One checkpoint sequence serves both
+    evaluation planes: capture, then evaluate and commit to ``durable`` —
+    inline, or on the shard's worker thread when the cluster evaluates on
+    an :class:`EvaluationPool`.
     """
 
     def __init__(
@@ -117,12 +114,8 @@ class ClusterShard:
         #: Installed by the cluster when phase-2 evaluation runs on
         #: worker threads; None = evaluate inline.
         self.pool: Optional[EvaluationPool] = None
-        # Per-shard jitter seed: shards retrying a shared failing
-        # dependency (one WAL disk, one slow evaluator pool) must not
-        # back off in lockstep, so each shard's supervisor draws from its
-        # own index-seeded RNG — still fully deterministic per seed.
         self.supervisor = CheckpointSupervisor(
-            self, rng=random.Random(index)
+            self.checkpoint, engine.kernel, engine.config
         )
         #: The shard's WALs, snapshots and report journal (None unless
         #: the cluster is durable); its snapshots persist the counts of
@@ -132,24 +125,6 @@ class ClusterShard:
             self.durable = DurableEngine(
                 engine, self.supervisor, durable_root, fsync=fsync
             )
-
-    # Surface the supervisor and pacing processes expect of an "engine".
-
-    @property
-    def config(self) -> DetectorConfig:
-        return self.engine.config
-
-    @property
-    def kernel(self):
-        return self.engine.kernel
-
-    @property
-    def entries(self) -> tuple[RegisteredMonitor, ...]:
-        return self.engine.entries
-
-    @property
-    def stopped(self) -> bool:
-        return self.engine.stopped
 
     def register(
         self, monitor, config: Optional[DetectorConfig], label: str
@@ -235,7 +210,7 @@ class EvaluationPool:
             except Exception as exc:  # noqa: BLE001 — logged, not lost
                 shard.supervisor.events.append(
                     SupervisorEvent(
-                        shard.kernel.now(),
+                        shard.engine.kernel.now(),
                         "failure",
                         f"{type(exc).__name__}: {exc}",
                     )
@@ -283,8 +258,7 @@ class DetectionCluster:
         The substrate every registered monitor (and every shard's atomic
         capture section) lives on.
     config:
-        Default :class:`DetectorConfig`; ``config.stagger`` decides
-        whether the shards' capture schedules are offset.
+        Default :class:`DetectorConfig`.
     shards:
         Number of engine shards (default 1).  Registrations are placed
         round-robin across them unless pinned with ``shard=``.
@@ -485,10 +459,6 @@ class DetectionCluster:
         among the shards that actually capture — registering the first
         monitor on a previously empty shard re-spaces everyone.
         """
-        if not self.config.stagger:
-            for shard in self._shards:
-                shard.offset = 0.0
-            return
         active = [shard for shard in self._shards if shard.engine.entries]
         for shard in self._shards:
             shard.offset = 0.0
@@ -521,18 +491,11 @@ class DetectionCluster:
         if self._pool is not None:
             self._pool.drain()
 
-    def spawn_processes(
-        self,
-        *,
-        rounds: Optional[int] = None,
-        supervised: bool = False,
-    ) -> list:
+    def spawn_processes(self, *, rounds: Optional[int] = None) -> list:
         """Spawn one staggered pacing process per shard on the kernel."""
         return [
             self.kernel.spawn(
-                shard_process(
-                    self, shard.index, rounds=rounds, supervised=supervised
-                ),
+                shard_process(self, shard.index, rounds=rounds),
                 f"detection-shard-{shard.index}",
             )
             for shard in self._shards
@@ -856,31 +819,27 @@ def shard_process(
     index: int,
     *,
     rounds: Optional[int] = None,
-    supervised: bool = False,
 ) -> Iterator[Syscall]:
     """Kernel process pacing one shard on its staggered schedule.
 
     Every round it sleeps to the shard's next slot — ``offset + k *
     interval`` for the smallest ``k`` strictly in the future, re-reading
     the offset each round so a rebalance (register/unregister) takes
-    effect at the next wake — then runs one shard checkpoint.
-    ``supervised`` runs each round through the shard's
+    effect at the next wake — then runs one shard checkpoint through the
+    shard's
     :meth:`~repro.detection.supervision.CheckpointSupervisor.run_round`
-    (retry/backoff and the stall watchdog), like ``supervisor_process``.
+    (retry/backoff and the stall watchdog).
     """
     shard = cluster.shards[index]
+    interval = cluster.config.interval
     remaining = rounds
     while remaining is None or remaining > 0:
         now = cluster.kernel.now()
-        interval = shard.config.interval
         step = math.floor((now - shard.offset) / interval + 1e-9) + 1
         target = shard.offset + step * interval
         yield Delay(max(0.0, target - now))
         if cluster.stopped or shard.engine.stopped:
             return
-        if supervised:
-            yield from shard.supervisor.run_round()
-        else:
-            shard.checkpoint()
+        yield from shard.supervisor.run_round()
         if remaining is not None:
             remaining -= 1

@@ -22,34 +22,20 @@ class DetectorConfig:
     pipeline must degrade, not take the application down — see
     :mod:`repro.detection.supervision`):
 
-    * ``checkpoint_budget`` — wall-clock seconds one batched checkpoint may
-      take before the supervisor counts a budget blow (None disables).
     * ``checkpoint_retries`` / ``retry_backoff`` — how often a failed
       checkpoint is retried, with exponential backoff starting at
       ``retry_backoff`` virtual seconds.
     * ``stall_timeout`` — virtual seconds without a completed checkpoint
       before the stall watchdog flags the pipeline (None disables).
-    * ``monitor_check_budget`` — wall-clock seconds a *single* monitor's
-      share of the checkpoint may take; blowing it repeatedly trips that
-      monitor's circuit breaker (None disables).
     * ``breaker_failure_threshold`` — consecutive per-monitor check
-      failures (exceptions or budget blows) before the monitor is
-      quarantined (its breaker opens).
+      failures before the monitor is quarantined (its breaker opens).
     * ``breaker_cooldown`` — virtual seconds a quarantined monitor sits out
       before a half-open probe checkpoint is allowed.
 
     Checking is fixed-period, as in the paper: every registered monitor is
-    captured at every engine interval.  ``stagger`` offsets each shard of a
-    :class:`~repro.detection.cluster.DetectionCluster` by
-    ``interval * k / N`` so phase-1 world-stops never coincide; off, all
-    shards fire at the same instants (useful for apples-to-apples
-    measurements).  The shard count and the phase-2 evaluation plane are
-    keywords of :class:`~repro.detection.session.DetectionSession`, not
-    config fields.
-
-    Rather than memorising the kwarg sprawl, start from a
-    :meth:`preset` — ``DetectorConfig.preset("bounded", interval=0.5)`` —
-    and override what differs.
+    captured at every engine interval.  The shard count and the phase-2
+    evaluation plane are keywords of
+    :class:`~repro.detection.session.DetectionSession`, not config fields.
     """
 
     interval: float = 1.0
@@ -67,62 +53,11 @@ class DetectorConfig:
     #: full re-walk — the differential-testing oracle.
     incremental_checking: bool = True
     # ------------------------------------------------- supervision tunables
-    checkpoint_budget: Optional[float] = None
     checkpoint_retries: int = 2
     retry_backoff: float = 0.1
-    #: Randomised stretch on each retry backoff: the delay becomes
-    #: ``backoff * 2**attempt * (1 + U[0, retry_jitter])``, drawn from the
-    #: supervisor's own seeded RNG so sim runs stay deterministic.  Zero
-    #: keeps the historical lockstep schedule — with many supervised
-    #: engines sharing a failing dependency, lockstep retries stampede it
-    #: in unison; jitter spreads them out.
-    retry_jitter: float = 0.0
     stall_timeout: Optional[float] = None
-    monitor_check_budget: Optional[float] = None
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 5.0
-    #: Offset each cluster shard's capture schedule within the interval.
-    stagger: bool = True
-
-    #: Named starting points for common deployments (see :meth:`preset`).
-    _PRESETS = {
-        # The paper's setup: fixed-period checking, nothing bounded.
-        "paper": {},
-        # Production-shaped: every detector failure mode bounded.
-        "bounded": {
-            "checkpoint_budget": 0.5,
-            "checkpoint_retries": 2,
-            "retry_backoff": 0.1,
-            "retry_jitter": 0.25,
-            "stall_timeout": 10.0,
-            "monitor_check_budget": 0.25,
-        },
-        # Crash-durable pipelines: patient retries + a stall watchdog.
-        "durable": {
-            "checkpoint_retries": 3,
-            "retry_backoff": 0.1,
-            "retry_jitter": 0.25,
-            "stall_timeout": 15.0,
-        },
-    }
-
-    @classmethod
-    def preset(cls, name: str, **overrides) -> "DetectorConfig":
-        """A named configuration baseline, with optional field overrides.
-
-        ``preset("paper")`` is the default config; ``"bounded"`` turns on
-        every supervision bound; ``"durable"`` suits WAL-backed pipelines.
-        Overrides win over the preset: ``preset("bounded", interval=0.5)``.
-        """
-        try:
-            base = dict(cls._PRESETS[name])
-        except KeyError:
-            raise ValueError(
-                f"unknown preset {name!r}; choose from "
-                f"{sorted(cls._PRESETS)}"
-            ) from None
-        base.update(overrides)
-        return cls(**base)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -135,12 +70,11 @@ class DetectorConfig:
                 raise ValueError(
                     f"{name} must be None or non-negative, got {value!r}"
                 )
-        for name in ("checkpoint_budget", "stall_timeout", "monitor_check_budget"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(
-                    f"{name} must be None or positive, got {value!r}"
-                )
+        if self.stall_timeout is not None and self.stall_timeout <= 0:
+            raise ValueError(
+                "stall_timeout must be None or positive, got "
+                f"{self.stall_timeout!r}"
+            )
         if self.checkpoint_retries < 0:
             raise ValueError(
                 f"checkpoint_retries must be >= 0, got {self.checkpoint_retries!r}"
@@ -148,10 +82,6 @@ class DetectorConfig:
         if self.retry_backoff <= 0:
             raise ValueError(
                 f"retry_backoff must be positive, got {self.retry_backoff!r}"
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter!r}"
             )
         if self.breaker_failure_threshold < 1:
             raise ValueError(

@@ -332,9 +332,10 @@ class DurableEngine:
     the first snapshot once the fleet is assembled, so a crash before the
     first checkpoint still finds the true initial state.
 
-    ``reports`` — not the entries' in-memory streams — is the canonical
-    delivered-report stream: it is rebuilt from the journal on recovery,
-    while the engine only carries what the current incarnation derived.
+    :attr:`reports` — not the entries' in-memory streams — is the
+    canonical delivered-report stream: it reads the journal, which
+    reloads it on restart, while the engine only carries what the current
+    incarnation derived.
     """
 
     def __init__(
@@ -355,16 +356,23 @@ class DurableEngine:
         self.journal = ReportJournal(
             self.root / "reports.jsonl", fsync=(fsync == "always")
         )
-        #: The durable delivered-report stream (journal-backed).
-        self.reports: list[FaultReport] = list(self.journal.reports)
         #: Times :meth:`recover` ran in this process.
         self.recoveries = 0
-        #: Re-derived reports the journal rejected (exactly-once at work).
-        self.reports_deduplicated = 0
         #: Wall-clock duration of each :meth:`recover` (snapshot restore
         #: plus WAL replay), for the recovery latency histogram.
         self.recover_latency = Histogram()
         self._consumed: dict[str, int] = {}
+
+    @property
+    def reports(self) -> list[FaultReport]:
+        """The durable delivered-report stream: the journal's own list."""
+        return self.journal.reports
+
+    @property
+    def reports_deduplicated(self) -> int:
+        """Re-derived reports the journal rejected (exactly-once at work);
+        every admission goes through this shard."""
+        return self.journal.deduplicated
 
     # ---------------------------------------------------------- registration
 
@@ -447,10 +455,7 @@ class DurableEngine:
             consumed = self._consumed.get(entry.label, 0)
             for report in entry.reports[consumed:]:
                 if self.journal.admit(report):
-                    self.reports.append(report)
                     fresh.append(report)
-                else:
-                    self.reports_deduplicated += 1
                 consumed += 1
                 self._consumed[entry.label] = consumed
         return fresh
@@ -474,7 +479,9 @@ class DurableEngine:
         # Per-monitor counters ride in the supervisor's per-monitor records.
         return {
             "kind": "durable-engine",
-            "supervisor": self.supervisor.snapshot_state(),
+            "supervisor": self.supervisor.snapshot_state(
+                self.engine.entries
+            ),
             "checkers": checkers,
             "engine": self.engine.counter_state(),
         }
@@ -491,7 +498,9 @@ class DurableEngine:
             raise RecoveryError(
                 f"not a durable-engine snapshot: {payload.get('kind')!r}"
             )
-        self.supervisor.restore_state(payload["supervisor"])
+        self.supervisor.restore_state(
+            payload["supervisor"], self.engine.entries
+        )
         checkers = payload.get("checkers", {})
         for entry in self.engine.entries:
             record = checkers.get(entry.label)
@@ -529,8 +538,7 @@ class DurableEngine:
         base state.
         """
         recover_started = perf_counter()
-        self.reports = list(self.journal.reports)
-        restored = len(self.reports)
+        restored = len(self.journal.reports)
         loaded = self.snapshots.load_latest()
         snapshot_path: Optional[str] = None
         watermarks: dict[str, int] = {}
@@ -560,12 +568,10 @@ class DurableEngine:
                     for report in entry.algorithm3.on_event(event):
                         entry.reports.append(report)
                         if self.journal.admit(report):
-                            self.reports.append(report)
                             recovered += 1
                         else:
                             deduplicated += 1
             self._consumed[entry.label] = len(entry.reports)
-        self.reports_deduplicated += deduplicated
         self.recoveries += 1
         self.recover_latency.observe(perf_counter() - recover_started)
         return RecoverySummary(

@@ -28,7 +28,7 @@ reports are event-for-event identical to evaluating inside the section —
 same rules, pids, timestamps and confidences, in the same order — while
 the suspend-the-world window shrinks from O(rule evaluation) to
 O(snapshot).  A checker that throws in phase 2 still trips its circuit
-breaker; ``monitor_check_budget`` now times phase-2 evaluation.
+breaker.
 
 Applications reach the engine through
 :class:`~repro.detection.session.DetectionSession`, which wraps one or
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro.detection.algorithm1 import (
     IncrementalConcurrencyChecker,
@@ -57,7 +57,6 @@ from repro.history.events import SchedulingEvent
 from repro.history.sink import EventSink, Segment
 from repro.history.states import SchedulingState
 from repro.ids import Pid
-from repro.kernel.syscalls import Delay, Syscall
 from repro.observability.registry import Histogram, MetricsRegistry
 from repro.monitor.construct import Monitor, MonitorBase
 
@@ -68,7 +67,6 @@ __all__ = [
     "ENGINE_TOTALS",
     "RegisteredMonitor",
     "DetectionEngine",
-    "engine_process",
 ]
 
 MonitorLike = Union[Monitor, MonitorBase]
@@ -294,7 +292,7 @@ class RegisteredMonitor:
         self.reports: list[FaultReport] = []
         self.checkpoints_run = 0
         #: Circuit breaker quarantining this monitor's checker when it
-        #: raises or repeatedly blows ``config.monitor_check_budget``.
+        #: raises.
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_failure_threshold,
             cooldown=config.breaker_cooldown,
@@ -522,7 +520,7 @@ class DetectionEngine:
         phase-1 capture sweep is one ``kernel.atomic`` section).
     config:
         Default :class:`DetectorConfig` applied to registrations that do
-        not bring their own; its ``interval`` paces :func:`engine_process`.
+        not bring their own.
     """
 
     def __init__(self, kernel, config: Optional[DetectorConfig] = None) -> None:
@@ -662,7 +660,8 @@ class DetectionEngine:
     # -------------------------------------------------------------- lifecycle
 
     def stop(self) -> None:
-        """Ask a spawned ``engine_process`` to finish after its next wake.
+        """Ask the ``shard_process`` pacing this engine to finish after
+        its next wake.
 
         Also detaches every registered monitor's real-time tap, so a
         retired engine stops charging the recording hot path.
@@ -746,7 +745,6 @@ class DetectionEngine:
             captures, self._pending_captures = self._pending_captures, []
             for capture in captures:
                 entry = capture.entry
-                check_started = perf_counter()
                 try:
                     reports = entry.evaluate(capture)
                 except Exception as exc:  # noqa: BLE001 — quarantine, not crash
@@ -755,15 +753,7 @@ class DetectionEngine:
                         capture.taken_at, f"{type(exc).__name__}: {exc}"
                     )
                     continue
-                elapsed = perf_counter() - check_started
-                budget = entry.config.monitor_check_budget
-                if budget is not None and elapsed > budget:
-                    entry.breaker.record_failure(
-                        capture.taken_at,
-                        f"evaluation took {elapsed:.4f}s > budget {budget:g}s",
-                    )
-                else:
-                    entry.breaker.record_success(capture.taken_at)
+                entry.breaker.record_success(capture.taken_at)
                 self.evaluations_run += 1
                 entry.checkpoints_run += 1
                 segment = capture.segment
@@ -989,26 +979,3 @@ class DetectionEngine:
             f"quarantined={len(self.quarantined)})"
         )
 
-
-def engine_process(
-    engine: DetectionEngine,
-    *,
-    rounds: Optional[int] = None,
-) -> Iterator[Syscall]:
-    """Kernel process body invoking the engine every ``config.interval``.
-
-    One process replaces N per-monitor detection routines: every interval
-    it runs one two-phase checkpoint over all registered monitors.  Runs
-    ``rounds`` checkpoints (forever when None) or until
-    :meth:`DetectionEngine.stop` is called::
-
-        kernel.spawn(engine_process(engine), name="detection-engine")
-    """
-    remaining = rounds
-    while remaining is None or remaining > 0:
-        yield Delay(engine.config.interval)
-        if engine.stopped:
-            return
-        engine.checkpoint()
-        if remaining is not None:
-            remaining -= 1

@@ -14,7 +14,7 @@ Scaling out and hardening are keyword arguments, not different APIs::
     session = DetectionSession(
         kernel,
         monitors=fleet,
-        config=DetectorConfig.preset("bounded", interval=0.5),
+        config=DetectorConfig(interval=0.5, stall_timeout=10.0),
         shards=4,                  # staggered shards
         durable_dir="state/",      # per-shard WAL + snapshots
     )
@@ -22,7 +22,9 @@ Scaling out and hardening are keyword arguments, not different APIs::
 A session *is* its :class:`~repro.detection.cluster.DetectionCluster` (a
 1-shard cluster is a single engine plus supervision), so the reporting
 surface, durability controls and per-shard accounting are uniform
-regardless of scale.  The session adds only up-front registration,
+regardless of scale.  Every round runs through its shard's
+:class:`~repro.detection.supervision.CheckpointSupervisor` (retries with
+backoff, stall watchdog).  The session adds only up-front registration,
 :meth:`~DetectionSession.start` and :meth:`~DetectionSession.statistics`.
 """
 
@@ -50,20 +52,16 @@ class DetectionSession(DetectionCluster):
     monitors:
         Monitors to register up front (more can join via :meth:`register`).
     config:
-        :class:`DetectorConfig` (default: ``DetectorConfig.preset("paper")``).
+        :class:`DetectorConfig` (default: ``DetectorConfig()``, the
+        paper's fixed-period checking).
     shards:
         Number of engine shards (default 1); monitors are placed
         round-robin unless :meth:`register` pins one with ``shard=``, and
-        capture schedules are staggered across shards per
-        ``config.stagger``.
+        capture schedules are staggered across shards.
     durable_dir:
         When set, every shard keeps a WAL + snapshot + report journal
         under ``durable_dir/shard-<k>`` and :meth:`recover` restores a
         restarted session from them.
-    supervised:
-        Pace checkpoints through each shard's
-        :class:`~repro.detection.supervision.CheckpointSupervisor`
-        (retry/backoff/stall watchdog) instead of raw checkpoints.
     fsync:
         WAL fsync policy of a durable session.
     evaluation:
@@ -80,7 +78,6 @@ class DetectionSession(DetectionCluster):
         config: Optional[DetectorConfig] = None,
         shards: int = 1,
         durable_dir: Optional[Union[str, Path]] = None,
-        supervised: bool = True,
         fsync: str = "interval",
         evaluation: Optional[str] = None,
     ) -> None:
@@ -92,7 +89,6 @@ class DetectionSession(DetectionCluster):
             fsync=fsync,
             evaluation=evaluation,
         )
-        self.supervised = supervised
         self._pids: list = []
         for monitor in monitors:
             self.register(monitor)
@@ -107,9 +103,7 @@ class DetectionSession(DetectionCluster):
         if self.started:
             raise RuntimeError("session already started")
         self.baseline()
-        self._pids = self.spawn_processes(
-            rounds=rounds, supervised=self.supervised
-        )
+        self._pids = self.spawn_processes(rounds=rounds)
         return list(self._pids)
 
     @property

@@ -11,26 +11,26 @@ Three mechanisms, all deterministic on the sim kernel:
 
 * :class:`CircuitBreaker` — per-monitor quarantine.  A registered monitor
   whose evaluator raises (in either phase of the two-phase checkpoint —
-  a phase-2 throw off the critical path still opens the breaker) or
-  repeatedly blows its per-monitor time budget transitions
-  CLOSED → OPEN: it is skipped by subsequent batched checkpoints so one
-  broken evaluator cannot poison the fleet's shared pipeline.  The
-  per-monitor budget (``monitor_check_budget``) times the phase-2
-  evaluation — only snapshot/cut time counts as world-stop.  After
-  ``breaker_cooldown`` virtual seconds the breaker goes HALF_OPEN and the
-  next checkpoint runs a single probe check; a clean probe re-closes the
-  breaker, a failing probe re-opens it.
-* :class:`CheckpointSupervisor` — wraps :meth:`DetectionEngine.checkpoint`
-  (both phases: capture and evaluation) with a wall-clock budget,
-  retry-with-exponential-backoff on transient failures
-  (``checkpoint_retries`` / ``retry_backoff``), and a stall watchdog
-  (``stall_timeout``).  :func:`supervisor_process` is the kernel process
-  that paces it — a drop-in replacement for ``engine_process`` whose
-  checkpoints can fail without crashing the run.
+  a phase-2 throw off the critical path still opens the breaker)
+  transitions CLOSED → OPEN once it has failed
+  ``breaker_failure_threshold`` times in a row: it is skipped by
+  subsequent batched checkpoints so one broken evaluator cannot poison
+  the fleet's shared pipeline.  After ``breaker_cooldown`` virtual
+  seconds the breaker goes HALF_OPEN and the next checkpoint runs a
+  single probe check; a clean probe re-closes the breaker, a failing
+  probe re-opens it.
+* :class:`CheckpointSupervisor` — wraps one checking round (a callable:
+  a cluster shard's checkpoint, the detection server's evaluation round,
+  or :meth:`DetectionEngine.checkpoint`) with retries and exponential
+  backoff on transient failures (``checkpoint_retries`` /
+  ``retry_backoff``) and a stall watchdog (``stall_timeout``).
+  :func:`supervisor_process` is the kernel process that paces it, every
+  ``interval``, with checkpoints that can fail without crashing the run.
 * **snapshot/restore** — :meth:`CheckpointSupervisor.snapshot_state` /
-  :meth:`restore_state` persist per-monitor breaker state, counters and
-  each sink's checkpoint base state (via :mod:`repro.history.serialize`),
-  so a supervisor restarted after a crash resumes its windows instead of
+  :meth:`restore_state` persist the supervisor's round counts and, for
+  the registered monitors passed in, breaker state, counters and each
+  sink's checkpoint base state (via :mod:`repro.history.serialize`), so
+  a supervisor restarted after a crash resumes its windows instead of
   re-checking from a cold, divergent base.  Restore ignores per-monitor
   keys it does not read, so a snapshot carrying extra fields still loads.
 """
@@ -38,11 +38,10 @@ Three mechanisms, all deterministic on the sim kernel:
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
+from repro.detection.config import DetectorConfig
 from repro.detection.reports import FaultReport
 from repro.errors import RecoveryError
 from repro.history.serialize import apply_sink_state, sink_state_to_dict
@@ -127,7 +126,7 @@ class CircuitBreaker:
         self.last_failure = None
 
     def record_failure(self, now: float, reason: str) -> None:
-        """A check raised or blew its budget; open when the threshold hits."""
+        """A check raised; open when the threshold hits."""
         self.last_failure = reason
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN:
@@ -183,7 +182,7 @@ class SupervisorEvent:
     """One entry of the supervisor's audit log."""
 
     time: float
-    #: "failure" | "retry" | "gave-up" | "budget" | "stall" from the
+    #: "failure" | "retry" | "gave-up" | "stall" from the
     #: checkpoint supervisor itself.  The cluster's evaluation pool also
     #: logs "failure" (an offloaded evaluation raised) and "leak" (a pool
     #: worker outlived its close timeout).
@@ -192,47 +191,30 @@ class SupervisorEvent:
 
 
 class CheckpointSupervisor:
-    """Wraps an engine's checkpoint with budget, retries and a watchdog.
+    """Wraps one checking round with retries and a stall watchdog.
 
-    Parameters default to the engine's :class:`DetectorConfig` supervision
-    fields; pass overrides for ad-hoc supervision.  The supervisor never
-    lets an exception out of :meth:`attempt` — detector failures are data
-    (counters and :class:`SupervisorEvent` entries), exactly like detected
-    faults are data and not exceptions.
+    ``checkpoint`` is a zero-argument callable that runs one round and
+    returns its new reports; ``kernel`` supplies the clock, and
+    ``config`` the retry (``checkpoint_retries``, ``retry_backoff``) and
+    watchdog (``stall_timeout``) settings and the pacing ``interval``.
+    The supervisor never lets an exception out of :meth:`attempt` —
+    detector failures are data (counters and :class:`SupervisorEvent`
+    entries), exactly like detected faults are data and not exceptions.
     """
 
     def __init__(
         self,
-        engine,
-        *,
-        budget: Optional[float] = None,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
-        jitter: Optional[float] = None,
-        stall_timeout: Optional[float] = None,
-        rng: Optional[random.Random] = None,
+        checkpoint: Callable[[], list[FaultReport]],
+        kernel,
+        config: DetectorConfig,
     ) -> None:
-        config = engine.config
-        self.engine = engine
-        self.budget = config.checkpoint_budget if budget is None else budget
-        self.retries = config.checkpoint_retries if retries is None else retries
-        self.backoff = config.retry_backoff if backoff is None else backoff
-        self.jitter = (
-            getattr(config, "retry_jitter", 0.0) if jitter is None else jitter
-        )
-        #: Seeded source of retry jitter.  A fixed default seed keeps any
-        #: single supervisor deterministic; callers running many
-        #: supervisors (the cluster) seed each differently so their retry
-        #: schedules decorrelate instead of stampeding in lockstep.
-        self._rng = random.Random(0) if rng is None else rng
-        self.stall_timeout = (
-            config.stall_timeout if stall_timeout is None else stall_timeout
-        )
+        self.checkpoint = checkpoint
+        self.kernel = kernel
+        self.config = config
         self.checkpoints_completed = 0
         #: Rounds in which every attempt (1 + retries) failed.
         self.checkpoints_abandoned = 0
         self.retries_performed = 0
-        self.budget_blows = 0
         self.stalls_detected = 0
         self.last_success_at: Optional[float] = None
         #: When supervision began watching (reference before any success).
@@ -247,30 +229,18 @@ class CheckpointSupervisor:
 
         Returns ``(completed, new_reports)``; on failure the exception is
         recorded as a ``"failure"`` event and ``(False, [])`` comes back so
-        the caller (usually :func:`supervisor_process`) can back off and
-        retry.
+        the caller (usually :meth:`run_round`) can back off and retry.
         """
-        now = self.engine.kernel.now()
-        started = perf_counter()
+        now = self.kernel.now()
         try:
-            reports = self.engine.checkpoint()
+            reports = self.checkpoint()
         except Exception as exc:  # noqa: BLE001 — the whole point
             self.events.append(
                 SupervisorEvent(now, "failure", f"{type(exc).__name__}: {exc}")
             )
             return False, []
-        elapsed = perf_counter() - started
-        if self.budget is not None and elapsed > self.budget:
-            self.budget_blows += 1
-            self.events.append(
-                SupervisorEvent(
-                    now,
-                    "budget",
-                    f"checkpoint took {elapsed:.4f}s > budget {self.budget:g}s",
-                )
-            )
         self.checkpoints_completed += 1
-        self.last_success_at = self.engine.kernel.now()
+        self.last_success_at = self.kernel.now()
         self._stall_flagged = False
         return True, reports
 
@@ -280,22 +250,22 @@ class CheckpointSupervisor:
         """One supervised round, as a fragment of a pacing process.
 
         Attempts the checkpoint, retrying failed attempts up to
-        ``retries`` times with :meth:`retry_delay` backoff (in virtual
-        time) before abandoning the round, then polls the stall watchdog.
-        Every pacing process — :func:`supervisor_process` and the
-        cluster's ``shard_process`` — runs its rounds through this with
-        ``yield from``.
+        ``checkpoint_retries`` times with :meth:`retry_delay` backoff (in
+        virtual time) before abandoning the round, then polls the stall
+        watchdog.  Every pacing process — :func:`supervisor_process` and
+        the cluster's ``shard_process`` — runs its rounds through this
+        with ``yield from``.
         """
         attempt = 0
         while True:
             completed, __ = self.attempt()
             if completed:
                 break
-            if attempt >= self.retries:
+            if attempt >= self.config.checkpoint_retries:
                 self.checkpoints_abandoned += 1
                 self.events.append(
                     SupervisorEvent(
-                        self.engine.kernel.now(),
+                        self.kernel.now(),
                         "gave-up",
                         f"abandoned after {attempt + 1} attempt(s)",
                     )
@@ -306,7 +276,7 @@ class CheckpointSupervisor:
             self.retries_performed += 1
             self.events.append(
                 SupervisorEvent(
-                    self.engine.kernel.now(),
+                    self.kernel.now(),
                     "retry",
                     f"attempt {attempt} failed; backing off {delay:g}",
                 )
@@ -314,23 +284,10 @@ class CheckpointSupervisor:
             yield Delay(delay)
         self.check_stall()
 
-    # -------------------------------------------------------------- backoff
-
     def retry_delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based): exponential with
-        seeded jitter.
-
-        ``backoff * 2**attempt`` stretched by ``1 + U[0, jitter]``.  With
-        ``jitter == 0`` this is exactly the historical schedule; with it
-        on, supervisors sharing a failing dependency spread their retries
-        instead of hammering it in lockstep.  The jitter draw comes from
-        this supervisor's own seeded RNG, so sim runs stay deterministic
-        and never perturb the kernel's scheduling policy RNG.
-        """
-        delay = self.backoff * (2**attempt)
-        if self.jitter > 0.0:
-            delay *= 1.0 + self._rng.random() * self.jitter
-        return delay
+        """Backoff before retry ``attempt`` (0-based):
+        ``retry_backoff * 2**attempt``."""
+        return self.config.retry_backoff * (2**attempt)
 
     # ------------------------------------------------------------- watchdog
 
@@ -341,7 +298,7 @@ class CheckpointSupervisor:
         healthy makes the next busy episode measure from now instead of
         from the last completed round long ago.
         """
-        self.last_success_at = self.engine.kernel.now()
+        self.last_success_at = self.kernel.now()
 
     def check_stall(self) -> bool:
         """Stall watchdog: has the pipeline gone too long without success?
@@ -349,9 +306,10 @@ class CheckpointSupervisor:
         Flags (and counts) at most once per stall episode; a completed
         checkpoint re-arms the watchdog.
         """
-        if self.stall_timeout is None:
+        stall_timeout = self.config.stall_timeout
+        if stall_timeout is None:
             return False
-        now = self.engine.kernel.now()
+        now = self.kernel.now()
         if self._watch_since is None:
             self._watch_since = now
         reference = (
@@ -359,7 +317,7 @@ class CheckpointSupervisor:
             if self.last_success_at is not None
             else self._watch_since
         )
-        if now - reference <= self.stall_timeout:
+        if now - reference <= stall_timeout:
             return self._stall_flagged
         if not self._stall_flagged:
             # Flag (and count) once per stall episode; success re-arms.
@@ -370,7 +328,7 @@ class CheckpointSupervisor:
                     now,
                     "stall",
                     f"no completed checkpoint for {now - reference:g} > "
-                    f"stall_timeout {self.stall_timeout:g}",
+                    f"stall_timeout {stall_timeout:g}",
                 )
             )
         return True
@@ -382,13 +340,13 @@ class CheckpointSupervisor:
 
     # ------------------------------------------------------ snapshot/restore
 
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self, entries: Sequence) -> dict:
         """JSON-compatible snapshot for restart recovery.
 
-        Captures, per registered monitor: the breaker lifecycle, the
-        monitor's persisted counters
-        (:meth:`RegisteredMonitor.counter_state`), and the event sink's
-        base state + open window
+        Captures the round counts and, per registered monitor in
+        ``entries``: the breaker lifecycle, the monitor's persisted
+        counters (:meth:`RegisteredMonitor.counter_state`), and the event
+        sink's base state + open window
         (:func:`repro.history.serialize.sink_state_to_dict`), so a restarted
         supervisor resumes checking windows where the crashed one stopped.
         """
@@ -407,16 +365,16 @@ class CheckpointSupervisor:
                     **entry.counter_state(),
                     "sink": sink_state_to_dict(entry.history),
                 }
-                for entry in self.engine.entries
+                for entry in entries
             },
         }
 
-    def restore_state(self, snapshot: dict) -> list[str]:
+    def restore_state(self, snapshot: dict, entries: Sequence) -> list[str]:
         """Re-apply a :meth:`snapshot_state` dict after a restart.
 
-        Monitors are matched by registration label.  The snapshot's label
-        set must equal the registered fleet's: restoring a snapshot from a
-        different fleet would silently leave some monitors on cold state
+        Monitors in ``entries`` are matched by registration label.  The
+        snapshot's label set must equal theirs: restoring a snapshot from
+        a different fleet would silently leave some monitors on cold state
         and others on restored state — an inconsistent cut — so a mismatch
         raises :class:`~repro.errors.RecoveryError` instead.  Returns the
         labels restored.
@@ -424,7 +382,7 @@ class CheckpointSupervisor:
         if snapshot.get("kind") != "supervisor":
             raise ValueError(f"not a supervisor snapshot: {snapshot.get('kind')!r}")
         saved = snapshot.get("monitors", {})
-        live_labels = {entry.label for entry in self.engine.entries}
+        live_labels = {entry.label for entry in entries}
         if set(saved) != live_labels:
             missing = sorted(live_labels - set(saved))
             extra = sorted(set(saved) - live_labels)
@@ -436,7 +394,7 @@ class CheckpointSupervisor:
         self.checkpoints_completed = snapshot.get("checkpoints_completed", 0)
         self.checkpoints_abandoned = snapshot.get("checkpoints_abandoned", 0)
         restored: list[str] = []
-        for entry in self.engine.entries:
+        for entry in entries:
             record = saved.get(entry.label)
             if record is None:
                 continue
@@ -466,21 +424,24 @@ def supervisor_process(
     rounds: Optional[int] = None,
     prelude: Optional[Callable[[], Iterator[Syscall]]] = None,
 ) -> Iterator[Syscall]:
-    """Kernel process pacing a supervised engine.
+    """Kernel process pacing a supervised checkpoint.
 
-    A hardened drop-in for :func:`~repro.detection.engine.engine_process`:
-    every interval it runs one :meth:`CheckpointSupervisor.run_round` —
-    failed attempts retried up to ``supervisor.retries`` times with
-    exponential backoff (``backoff``, ``2*backoff``, ``4*backoff``…, in
-    virtual time) before the round is abandoned, then the stall watchdog.
+    Every ``supervisor.config.interval`` it runs one
+    :meth:`CheckpointSupervisor.run_round` — failed attempts retried up
+    to ``checkpoint_retries`` times with exponential backoff
+    (``backoff``, ``2*backoff``, ``4*backoff``…, in virtual time) before
+    the round is abandoned, then the stall watchdog.  Runs ``rounds``
+    rounds (forever when None)::
+
+        supervisor = CheckpointSupervisor(engine.checkpoint, kernel, config)
+        kernel.spawn(supervisor_process(supervisor), "detection")
+
     ``prelude`` (used by the chaos harness) is a generator factory spliced
     in before each round's first attempt.
     """
     remaining = rounds
     while remaining is None or remaining > 0:
-        yield Delay(supervisor.engine.config.interval)
-        if supervisor.engine.stopped:
-            return
+        yield Delay(supervisor.config.interval)
         if prelude is not None:
             yield from prelude()
         yield from supervisor.run_round()

@@ -16,7 +16,6 @@ window was incomplete rather than quietly checking a truncated trace.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.history.database import DEFAULT_STAGING
 from repro.history.events import SchedulingEvent
@@ -34,19 +33,17 @@ class BoundedHistory(EventSink):
         Maximum number of events held between checkpoints.  Recording the
         ``capacity + 1``-th event of a window evicts the window's oldest
         event and increments the drop counters.
-    staging:
-        Recording batch size (see :class:`~repro.history.sink.EventSink`).
-        Defaults to ``min(capacity, DEFAULT_STAGING)`` so the staged batch
-        never holds more than one ring's worth of events; eviction
-        accounting runs at flush and stays exact.
+
+    Recording stages ``min(capacity, DEFAULT_STAGING)`` events per batch
+    (see :class:`~repro.history.sink.EventSink`), so the staged batch
+    never holds more than one ring's worth of events; eviction accounting
+    runs at flush and stays exact.
     """
 
-    def __init__(self, capacity: int, *, staging: Optional[int] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if staging is None:
-            staging = min(capacity, DEFAULT_STAGING)
-        super().__init__(staging=staging)
+        super().__init__(min(capacity, DEFAULT_STAGING))
         self._buffer: deque[SchedulingEvent] = deque(maxlen=capacity)
         self._dropped_total = 0
         self._dropped_in_window = 0

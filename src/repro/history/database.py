@@ -25,8 +25,6 @@ the unbounded open segment and the optional full-trace retention.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import HistoryError
 from repro.history.events import SchedulingEvent
 from repro.history.sink import EventSink, Segment
@@ -34,28 +32,22 @@ from repro.history.states import SchedulingState
 
 __all__ = ["DEFAULT_STAGING", "Segment", "HistoryDatabase"]
 
-#: Default staging-batch size of the in-memory sinks: ``record`` appends
-#: to a plain list inside the atomic section and storage (plus its
-#: accounting) runs once per batch / checkpoint instead of per event.
+#: Staging-batch size of the in-memory sinks: ``record`` appends to a
+#: plain list inside the atomic section and storage (plus its accounting)
+#: runs once per batch / checkpoint instead of per event.
 DEFAULT_STAGING = 64
 
 
 class HistoryDatabase(EventSink):
     """Append-only event log with checkpoint-based pruning.
 
-    ``staging`` batches the recording hot path (see
-    :class:`~repro.history.sink.EventSink`); it defaults to
-    :data:`DEFAULT_STAGING` and is observationally transparent — every
-    inspection property flushes the staged batch first.
+    Recording stages :data:`DEFAULT_STAGING` events per batch (see
+    :class:`~repro.history.sink.EventSink`), observationally transparent:
+    every inspection property flushes the staged batch first.
     """
 
-    def __init__(
-        self,
-        *,
-        retain_full_trace: bool = False,
-        staging: Optional[int] = None,
-    ) -> None:
-        super().__init__(staging=DEFAULT_STAGING if staging is None else staging)
+    def __init__(self, *, retain_full_trace: bool = False) -> None:
+        super().__init__(DEFAULT_STAGING)
         self._open_events: list[SchedulingEvent] = []
         self._retain_full = retain_full_trace
         self._full_trace: list[SchedulingEvent] = []

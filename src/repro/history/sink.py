@@ -13,15 +13,14 @@ swapped without touching the monitor core or the detection algorithms:
   :class:`Segment` for the checker.
 
 ``record`` runs inside the monitor's atomic transition — it is the one
-sink call the workload pays for on every operation.  A sink constructed
-with ``staging > 1`` therefore defers storage: ``record`` appends to a
-plain local list and the batch is handed to the storage hooks in one
-``_flush_batch`` call once the list reaches ``staging`` events, at the
-next checkpoint ``cut``, or whenever the stored window is inspected
-(``pending_events`` and friends call :meth:`EventSink.flush_staged`
-first, so staging is invisible to every reader).  Real-time taps are
-*not* deferred: listeners fire synchronously inside ``record`` exactly
-as before, staged or not.
+sink call the workload pays for on every operation.  The in-memory sinks
+therefore stage: ``record`` appends to a plain local list and the batch
+is handed to the storage hooks in one ``_flush_batch`` call once the
+list reaches the sink class's staging size, at the next checkpoint
+``cut``, or whenever the stored window is inspected (``pending_events``
+and friends call :meth:`EventSink.flush_staged` first, so staging is
+invisible to every reader).  Real-time taps are *not* deferred:
+listeners fire synchronously inside ``record``, staged or not.
 * :class:`Segment` — one checkpoint window: previous state, event
   sequence, current state, plus the number of events the sink had to drop
   inside the window (0 for unbounded sinks).
@@ -87,21 +86,16 @@ class EventSink(abc.ABC):
     storage to three hooks: ``_append`` (store one event), ``_drain``
     (hand over and clear the open window) and ``_take_dropped`` (report
     and reset the window's drop count, 0 by default).  Sinks that can
-    store a whole batch cheaper than event-by-event (the write-ahead log)
-    additionally override ``_flush_batch``.
+    store a whole batch cheaper than event-by-event additionally override
+    ``_flush_batch``.
 
-    Parameters
-    ----------
-    staging:
-        Events ``record`` may hold in the staging list before the batch
-        is flushed to storage.  ``1`` (the default) stores every event
-        immediately — the seed's behaviour, and what durability-sensitive
-        sinks need.
+    ``staging`` is fixed by each subclass: the events ``record`` may hold
+    in the staging list before the batch is flushed to storage.  ``1``
+    (the default) stores every event immediately, which is what the
+    durable write-ahead log needs.
     """
 
-    def __init__(self, *, staging: int = 1) -> None:
-        if staging < 1:
-            raise ValueError(f"staging must be >= 1, got {staging}")
+    def __init__(self, staging: int = 1) -> None:
         self._seq = 0
         self._last_state: Optional[SchedulingState] = None
         self._listeners: list[EventListener] = []
@@ -151,7 +145,7 @@ class EventSink(abc.ABC):
     def record(self, event: SchedulingEvent) -> None:
         """Append one scheduling event (called by data-gathering routines).
 
-        With ``staging > 1`` the event lands in a cheap local list and
+        On a staging sink the event lands in a cheap local list and
         storage is deferred to the next batch flush; real-time listeners
         are invoked synchronously either way.
         """
@@ -230,7 +224,7 @@ class EventSink(abc.ABC):
     def _flush_batch(self, batch: tuple[SchedulingEvent, ...]) -> None:
         """Store one staged batch.  Defaults to ``_append`` per event, so
         subclass accounting (capacity eviction, peaks) is exact; sinks
-        with a cheaper bulk path (the WAL's fused serializer) override."""
+        with a cheaper bulk path override."""
         append = self._append
         for event in batch:
             append(event)

@@ -77,16 +77,10 @@ class WriteAheadLog(EventSink):
         Appends between fsyncs under the ``"interval"`` policy.
     segment_bytes:
         Rotation threshold: an append that finds the active segment at or
-        past this size starts a new segment first (a staged batch may
-        overshoot by at most one batch; the threshold was always soft).
-    staging:
-        Recording batch size (see :class:`~repro.history.sink.EventSink`).
-        Defaults to ``1`` — every event is durable before ``record``
-        returns, exactly the seed's contract.  ``staging > 1`` trades a
-        bounded loss window (up to ``staging - 1`` staged events die with
-        the process) for one fused serialisation + ``write`` per batch;
-        it is rejected under the ``"always"`` policy, whose whole point
-        is per-event durability.
+        past this size starts a new segment first.
+
+    The log never stages: every event is written before ``record``
+    returns.
     """
 
     def __init__(
@@ -96,7 +90,6 @@ class WriteAheadLog(EventSink):
         fsync: str = "interval",
         fsync_every: int = 32,
         segment_bytes: int = 1 << 20,
-        staging: int = 1,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise HistoryError(
@@ -108,12 +101,7 @@ class WriteAheadLog(EventSink):
             raise HistoryError(
                 f"segment_bytes must be >= 1, got {segment_bytes}"
             )
-        if staging > 1 and fsync == "always":
-            raise HistoryError(
-                "staging > 1 batches appends and cannot honour the "
-                "per-event durability of fsync='always'"
-            )
-        super().__init__(staging=staging)
+        super().__init__()
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = fsync
@@ -134,7 +122,7 @@ class WriteAheadLog(EventSink):
         #: Torn final lines truncated away when the log was (re)opened.
         self.torn_tails_truncated = 0
         #: Wall-clock latency of segment writes (one observation per
-        #: append or fused staged batch, excluding fsync).
+        #: append, excluding fsync).
         self.append_latency = Histogram()
         #: Wall-clock latency of flush + ``os.fsync`` calls.
         self.fsync_latency = Histogram()
@@ -230,28 +218,6 @@ class WriteAheadLog(EventSink):
             self._fsync()
         elif self.fsync_policy == "interval":
             self._appends_since_fsync += 1
-            if self._appends_since_fsync >= self.fsync_every:
-                self._fsync()
-
-    def _flush_batch(self, batch: tuple[SchedulingEvent, ...]) -> None:
-        # The staged-batch fast path: serialise the whole batch with the
-        # fused encoder and hand the segment file one string, paying the
-        # rotation check, size accounting and fsync-policy bookkeeping
-        # once per batch instead of once per event.
-        self._open_window.extend(batch)
-        if self._replaying:
-            return
-        assert self._handle is not None, "append to a closed WAL"
-        if self._active_size >= self.segment_bytes:
-            self._rotate()
-        started = perf_counter()
-        lines = "".join(map(event_to_json_line, batch))
-        self._handle.write(lines)
-        self.append_latency.observe(perf_counter() - started)
-        self._active_size += len(lines)
-        self.bytes_written += len(lines)
-        if self.fsync_policy == "interval":
-            self._appends_since_fsync += len(batch)
             if self._appends_since_fsync >= self.fsync_every:
                 self._fsync()
 
@@ -399,7 +365,6 @@ class WriteAheadLog(EventSink):
 
     def iter_durable_events(self) -> Iterator[SchedulingEvent]:
         """Replay every durable event, oldest first (torn-tail tolerant)."""
-        self.flush_staged()
         if self._handle is not None:
             self._handle.flush()
         segments = self.segment_paths()
@@ -412,7 +377,6 @@ class WriteAheadLog(EventSink):
     def flush(self, *, sync: bool = False) -> None:
         if self._handle is None:
             return
-        self.flush_staged()
         if sync and self.bytes_written != self._synced_bytes:
             self._fsync()
         else:
@@ -422,7 +386,6 @@ class WriteAheadLog(EventSink):
         """Close the active segment handle (idempotent)."""
         if self._handle is None:
             return
-        self.flush_staged()
         self._handle.close()
         self._handle = None
 
@@ -434,7 +397,6 @@ class WriteAheadLog(EventSink):
 
     @property
     def pending_events(self) -> tuple[SchedulingEvent, ...]:
-        self.flush_staged()
         return tuple(self._open_window)
 
     # ----------------------------------------------------------------- chaos
@@ -447,7 +409,6 @@ class WriteAheadLog(EventSink):
         must truncate.  No real event is lost — the junk never carried one.
         """
         assert self._handle is not None, "torn append on a closed WAL"
-        self.flush_staged()
         junk = '{"kind": "event", "event": "Enter", "seq"'
         self._handle.write(junk)
         self._handle.flush()
@@ -464,7 +425,6 @@ class WriteAheadLog(EventSink):
         truncate exactly like a half-written line.
         """
         assert self._handle is not None, "torn append on a closed WAL"
-        self.flush_staged()
         junk = "187\n"
         self._handle.write(junk)
         self._handle.flush()

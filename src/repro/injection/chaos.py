@@ -428,7 +428,10 @@ def run_chaos_campaign(
     )
     injector.arm(engine, sinks)
 
-    supervisor = CheckpointSupervisor(engine)
+    # ``engine.checkpoint`` is the flaky wrapper ``arm`` installed.
+    supervisor = CheckpointSupervisor(
+        engine.checkpoint, kernel, detector_config
+    )
     _fleet_workload(
         kernel,
         buffer,

@@ -61,14 +61,9 @@ class RemoteEventSink(BoundedHistory):
     """
 
     def __init__(
-        self,
-        client: "DetectionClient",
-        label: str,
-        capacity: int,
-        *,
-        staging: Optional[int] = None,
+        self, client: "DetectionClient", label: str, capacity: int
     ) -> None:
-        super().__init__(capacity, staging=staging)
+        super().__init__(capacity)
         self._client = client
         self._label = label
 
@@ -215,7 +210,6 @@ class DetectionClient:
         *,
         label: Optional[str] = None,
         capacity: int = 256,
-        staging: Optional[int] = None,
         tmax: Optional[float] = None,
         tio: Optional[float] = None,
         tlimit: Optional[float] = None,
@@ -231,7 +225,7 @@ class DetectionClient:
         name = label or monitor.name
         if name in self._streams:
             raise ValueError(f"stream {name!r} already attached")
-        sink = RemoteEventSink(self, name, capacity, staging=staging)
+        sink = RemoteEventSink(self, name, capacity)
         overrides = {
             key: value
             for key, value in zip(STREAM_OVERRIDES, (tmax, tio, tlimit))

@@ -48,6 +48,7 @@ counters resynced.  A malformed frame or quota-abusing client quarantines
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -323,40 +324,6 @@ class _WindowMeta:
     seq: int
 
 
-class _EvaluationPlane:
-    """The engine-shaped adapter a CheckpointSupervisor paces.
-
-    The supervisor expects ``config``/``kernel``/``stopped``/
-    ``checkpoint()``/``entries``; here one "checkpoint" is the server's
-    evaluation round — drain the wire-built captures through
-    ``evaluate_phase`` and journal the results — so retries, budget
-    accounting and the stall watchdog apply to remote ingestion exactly
-    as they do to local checkpoints.
-    """
-
-    def __init__(self, server: "DetectionServer") -> None:
-        self._server = server
-
-    @property
-    def config(self) -> DetectorConfig:
-        return self._server.engine.config
-
-    @property
-    def kernel(self):
-        return self._server.engine.kernel
-
-    @property
-    def entries(self):
-        return self._server.engine.entries
-
-    @property
-    def stopped(self) -> bool:
-        return self._server.closed
-
-    def checkpoint(self) -> list[FaultReport]:
-        return self._server._evaluation_round()
-
-
 class DetectionServer:
     """Sans-IO ingestion daemon core.
 
@@ -400,7 +367,12 @@ class DetectionServer:
             else self.durable_dir / "service.jsonl"
         )
         self.journal = ServiceJournal(journal_path, fsync=fsync)
-        self.supervisor = CheckpointSupervisor(_EvaluationPlane(self))
+        #: Supervises :meth:`_evaluation_round`, so retries and the stall
+        #: watchdog apply to remote ingestion exactly as they do to local
+        #: checkpoints.
+        self.supervisor = CheckpointSupervisor(
+            self._evaluation_round, kernel, self.engine.config
+        )
         self._connections: dict[int, _Connection] = {}
         self._sessions: dict[str, ClientSession] = {}
         #: Watermarks loaded by :meth:`recover`, consumed by handshakes.
@@ -411,8 +383,9 @@ class DetectionServer:
         #: journal write parks them here so the retry delivers them
         #: instead of acking their windows with the findings lost.
         self._pending_reports: list[FaultReport] = []
-        #: Reports admitted by the journal, in delivery order.
-        self.delivered: list[FaultReport] = []
+        #: Journal reports loaded at start-up (delivered by an earlier
+        #: incarnation); :attr:`delivered` is the journal past them.
+        self._preloaded = len(self.journal.reports)
         self.windows_accepted = 0
         self.windows_duplicate = 0
         self.gaps_detected = 0
@@ -568,6 +541,13 @@ class DetectionServer:
             raise ProtocolError("hello without streams")
         if not isinstance(resume, dict):
             raise ProtocolError(f"malformed resume map: {resume!r}")
+        for label, mark in resume.items():
+            # Exact type: a bool or a float here would resume past windows
+            # the server never saw, skipping them as duplicates.
+            if type(mark) is not int or mark < -1:
+                raise ProtocolError(
+                    f"stream {label!r}: malformed resume watermark {mark!r}"
+                )
         if len(streams) > self.service.max_streams:
             raise ProtocolError(
                 f"hello registers {len(streams)} streams > "
@@ -655,13 +635,7 @@ class DetectionServer:
             shadow, entry_config, label=f"{session.name}:{label}"
         )
         recovered = self._recovered.get((session.token, label), -1)
-        try:
-            resumed_from = int(resume.get(label, -1))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"stream {label!r}: malformed resume watermark"
-            ) from exc
-        watermark = max(recovered, resumed_from)
+        watermark = max(recovered, resume.get(label, -1))
         session.streams[label] = StreamState(
             label,
             entry,
@@ -679,15 +653,29 @@ class DetectionServer:
         if stream is None:
             raise ProtocolError(f"window for unknown stream {label!r}")
         try:
-            seq = int(frame["seq"])
-            taken_at = float(frame["taken_at"])
-            lost_windows = int(frame.get("lost_windows", 0))
-            lost_events = int(frame.get("lost_events", 0))
+            seq = frame["seq"]
+            taken_at = frame["taken_at"]
             raw_segment = frame["segment"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ProtocolError(f"malformed window frame: {exc}") from exc
-        if seq < 0 or lost_windows < 0 or lost_events < 0:
-            raise ProtocolError("window with negative accounting")
+        lost_windows = frame.get("lost_windows", 0)
+        lost_events = frame.get("lost_events", 0)
+        # Exact types, not coercion: ``"seq": true`` read as 1 would ack
+        # watermark 1 and skip the client's real window 1 as a duplicate.
+        for name, value in (
+            ("seq", seq),
+            ("lost_windows", lost_windows),
+            ("lost_events", lost_events),
+        ):
+            if type(value) is not int or value < 0:
+                raise ProtocolError(
+                    f"window {name} must be a non-negative int, got {value!r}"
+                )
+        if type(taken_at) not in (int, float) or not math.isfinite(taken_at):
+            raise ProtocolError(
+                f"window taken_at must be a finite number, got {taken_at!r}"
+            )
+        taken_at = float(taken_at)
         events = raw_segment.get("events") if isinstance(raw_segment, dict) else None
         if not isinstance(events, list):
             raise ProtocolError("window without an event list")
@@ -763,9 +751,9 @@ class DetectionServer:
     def _evaluation_round(self) -> list[FaultReport]:
         """One supervised round: evaluate pending captures, journal, ack.
 
-        Called by the :class:`CheckpointSupervisor` through the
-        evaluation-plane adapter; an exception here is a supervisor
-        ``failure`` event and the round is retried with backoff.
+        Called by the :class:`CheckpointSupervisor`; an exception here is
+        a supervisor ``failure`` event and the round is retried with
+        backoff.
         """
         round_started = perf_counter()
         meta = self._pending_meta
@@ -778,7 +766,6 @@ class DetectionServer:
             # failed (admit itself dedups, so no double delivery).
             report = pending[0]
             if self.journal.admit(report):
-                self.delivered.append(report)
                 admitted.append(report)
             pending.pop(0)
         for item in meta:
@@ -834,9 +821,14 @@ class DetectionServer:
     # ------------------------------------------------------------ inspection
 
     @property
+    def delivered(self) -> list[FaultReport]:
+        """Reports this incarnation's journal admitted, in delivery order."""
+        return self.journal.reports[self._preloaded:]
+
+    @property
     def reports(self) -> list[FaultReport]:
         """Delivered (journal-admitted) reports, in delivery order."""
-        return list(self.delivered)
+        return self.delivered
 
     def metrics(
         self, registry: Optional[MetricsRegistry] = None

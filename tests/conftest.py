@@ -6,6 +6,7 @@ from typing import Iterator, Optional
 
 import pytest
 
+from repro.detection import CheckpointSupervisor
 from repro.history import HistoryDatabase
 from repro.kernel import Delay, RandomPolicy, SimKernel
 from repro.kernel.syscalls import Syscall
@@ -48,3 +49,9 @@ def consumer(buffer, items: int, sink: Optional[list] = None,
         item = yield from buffer.receive()
         if sink is not None:
             sink.append(item)
+
+
+def supervise(engine) -> CheckpointSupervisor:
+    """A supervisor over ``engine.checkpoint``, with the engine's clock and
+    config; pace it with ``supervisor_process``."""
+    return CheckpointSupervisor(engine.checkpoint, engine.kernel, engine.config)

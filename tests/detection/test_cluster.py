@@ -12,11 +12,13 @@ from repro.detection import (
     DetectionSession,
     DetectorConfig,
     FaultStatistics,
+    supervisor_process,
 )
 from repro.history import HistoryDatabase
 from repro.history.sink import merge_event_streams
 from repro.injection import sabotage_entry
 from repro.kernel import Delay, FifoPolicy, SimKernel, ThreadKernel
+from tests.conftest import supervise
 
 FAST = 0.002
 
@@ -141,15 +143,6 @@ class TestStagger:
         # Only one shard still has monitors; no stagger needed.
         assert cluster.offsets == (0.0, 0.0)
 
-    def test_stagger_disabled_keeps_zero_offsets(self):
-        kernel = make_kernel()
-        cluster = DetectionCluster(
-            kernel, DetectorConfig(interval=1.0, stagger=False), shards=3
-        )
-        for monitor in build_allocators(kernel, 3):
-            cluster.register(monitor)
-        assert cluster.offsets == (0.0, 0.0, 0.0)
-
     def test_staggered_captures_never_coincide(self):
         kernel = make_kernel()
         config = DetectorConfig(interval=0.5, **QUIET)
@@ -226,9 +219,7 @@ class TestMergedReportDeterminism:
         )
         for allocator in allocators:
             engine.register(allocator)
-        from repro.detection import engine_process
-
-        kernel.spawn(engine_process(engine), "engine")
+        kernel.spawn(supervisor_process(supervise(engine)), "engine")
         kernel.run(until=8.0)
         engine.stop()
         assert cluster.clean == engine.clean
@@ -360,9 +351,7 @@ class TestUnregisterQuarantineRecord:
         entry = engine.register(allocator)
         sabotage_entry(entry)
         kernel.spawn(iter([Delay(2.0)]), "clock")
-        from repro.detection import engine_process
-
-        kernel.spawn(engine_process(engine, rounds=5), "engine")
+        kernel.spawn(supervisor_process(supervise(engine), rounds=5), "engine")
         kernel.run(until=3.0)
         assert entry.breaker.transitions or entry.breaker.consecutive_failures
         before = engine.quarantine_report()

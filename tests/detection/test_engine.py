@@ -10,11 +10,12 @@ from repro.detection import (
     DetectorConfig,
     FaultClass,
     STRule,
-    engine_process,
+    supervisor_process,
 )
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import TriggeredHooks
 from repro.kernel import Delay, RandomPolicy, SimKernel
+from tests.conftest import supervise
 
 
 def make_kernel(seed=0):
@@ -82,7 +83,7 @@ class TestBatching:
                     kernel, history=HistoryDatabase(), name=f"alloc{i}"
                 )
             )
-        kernel.spawn(engine_process(engine, rounds=5))
+        kernel.spawn(supervisor_process(supervise(engine), rounds=5))
         kernel.run()
         kernel.raise_failures()
         assert engine.checkpoints_run == 5
@@ -133,7 +134,7 @@ class TestEquivalence:
         for target in monitors_a:
             engine.register(target)
         spawn_mixed_workload(kernel_a, monitors_a, buggy_release=True)
-        kernel_a.spawn(engine_process(engine), "engine")
+        kernel_a.spawn(supervisor_process(supervise(engine)), "engine")
         kernel_a.run(until=10)
         kernel_a.raise_failures()
 
@@ -178,7 +179,7 @@ class TestEquivalence:
         for target in monitors:
             engine.register(target)
         spawn_mixed_workload(kernel, monitors)
-        kernel.spawn(engine_process(engine), "engine")
+        kernel.spawn(supervisor_process(supervise(engine)), "engine")
         kernel.run(until=10)
         kernel.raise_failures()
         assert engine.clean
@@ -199,7 +200,7 @@ class TestEquivalence:
                 yield from allocator.release()
 
         kernel.spawn(user())
-        kernel.spawn(engine_process(engine, rounds=6))
+        kernel.spawn(supervisor_process(supervise(engine), rounds=6))
         kernel.run(until=10)
         kernel.raise_failures()
         assert engine.clean

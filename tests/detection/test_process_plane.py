@@ -33,7 +33,6 @@ CONFIG = DetectorConfig(
     tio=120.0,
     tlimit=120.0,
     realtime_orders=False,
-    stagger=False,
 )
 
 

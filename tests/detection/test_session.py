@@ -1,5 +1,5 @@
-"""DetectionSession facade: construction, lifecycle, sharding passthrough
-and config presets."""
+"""DetectionSession facade: construction, lifecycle and sharding
+passthrough."""
 
 import pytest
 
@@ -166,27 +166,3 @@ class TestRejectedRegistration:
         assert not (tmp_path / "shard-0" / "wal").exists()
         session.close()
 
-
-class TestPresets:
-    def test_paper_preset_is_default_config(self):
-        assert DetectorConfig.preset("paper") == DetectorConfig()
-
-    def test_bounded_preset_sets_budgets(self):
-        config = DetectorConfig.preset("bounded")
-        assert config.checkpoint_budget == 0.5
-        assert config.checkpoint_retries == 2
-        assert config.stall_timeout == 10.0
-
-    def test_durable_preset(self):
-        config = DetectorConfig.preset("durable")
-        assert config.checkpoint_retries == 3
-        assert config.stall_timeout == 15.0
-
-    def test_preset_overrides(self):
-        config = DetectorConfig.preset("paper", interval=2.0, stagger=False)
-        assert config.interval == 2.0
-        assert config.stagger is False
-
-    def test_unknown_preset_lists_names(self):
-        with pytest.raises(ValueError, match="bounded.*durable.*paper"):
-            DetectorConfig.preset("turbo")

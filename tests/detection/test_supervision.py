@@ -6,7 +6,6 @@ import pytest
 from repro.apps import BoundedBuffer, SingleResourceAllocator
 from repro.detection import (
     BreakerState,
-    CheckpointSupervisor,
     CircuitBreaker,
     Confidence,
     DetectionEngine,
@@ -20,6 +19,7 @@ from repro.detection import (
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import sabotage_entry
 from repro.kernel import Delay, RandomPolicy, SimKernel
+from tests.conftest import supervise
 
 
 def make_kernel(seed=0):
@@ -122,7 +122,7 @@ class TestQuarantineInEngine:
 
     def test_broken_monitor_quarantined_fleet_keeps_checking(self):
         kernel, engine, healthy, entry = self.build()
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=12), "supervisor")
         kernel.run(until=30)
         kernel.raise_failures()
@@ -142,7 +142,7 @@ class TestQuarantineInEngine:
         # 3 evaluator failures with threshold 2: open, failed probe
         # re-opens, second probe heals.
         kernel, engine, __, entry = self.build(failures=3)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=14), "supervisor")
         kernel.run(until=30)
         kernel.raise_failures()
@@ -152,7 +152,7 @@ class TestQuarantineInEngine:
 
     def test_quarantine_report_lists_lifecycle(self):
         kernel, engine, __, entry = self.build()
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=10), "supervisor")
         kernel.run(until=30)
         records = engine.quarantine_report()
@@ -163,16 +163,16 @@ class TestQuarantineInEngine:
 
     def test_engine_never_raises_out_of_checkpoint(self):
         kernel, engine, __, ___ = self.build(failures=50, cooldown=100.0)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=10), "supervisor")
         kernel.run(until=30)
         kernel.raise_failures()  # nothing escaped to the kernel
         assert supervisor.checkpoints_completed == 10
 
 
-def make_flaky(target, failing_attempts):
-    """Make ``target.checkpoint`` fail for its first N calls."""
-    inner = target.checkpoint
+def make_flaky(target, failing_attempts, attr="checkpoint"):
+    """Make ``target.<attr>`` fail for its first N calls."""
+    inner = getattr(target, attr)
     state = {"left": failing_attempts}
 
     def flaky():
@@ -181,7 +181,7 @@ def make_flaky(target, failing_attempts):
             raise RuntimeError("transient checkpoint failure")
         return inner()
 
-    target.checkpoint = flaky
+    setattr(target, attr, flaky)
 
 
 class TestSupervisorRetries:
@@ -204,14 +204,15 @@ class TestSupervisorRetries:
         """Pace a flaky checkpoint for ``rounds`` supervised rounds.
 
         ``pacing`` is ``"engine"`` (a bare engine under
-        ``supervisor_process``) or ``"session"`` (a one-shard supervised
-        session, its ``ClusterShard.checkpoint`` made flaky).  Returns the
+        ``supervisor_process``) or ``"session"`` (a one-shard session, the
+        capture phase of its shard's engine made flaky: the shard's
+        supervisor holds ``ClusterShard.checkpoint`` itself).  Returns the
         supervisor and, for the session, its shard-0 retries and abandoned
         samples.
         """
         if pacing == "engine":
             kernel, engine = self.build_flaky(failing_attempts)
-            supervisor = CheckpointSupervisor(engine)
+            supervisor = supervise(engine)
             kernel.spawn(
                 supervisor_process(supervisor, rounds=rounds), "supervisor"
             )
@@ -225,7 +226,7 @@ class TestSupervisorRetries:
             )
             shard = session.shards[0]
             supervisor = shard.supervisor
-            make_flaky(shard, failing_attempts)
+            make_flaky(shard.engine, failing_attempts, "capture_phase")
             spawn_buffer_load(kernel, buffer)
             session.start(rounds=rounds)
         kernel.run(until=20)
@@ -273,7 +274,7 @@ class TestSupervisorRetries:
 
     def test_attempt_never_raises(self):
         kernel, engine = self.build_flaky(failing_attempts=1)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         completed, reports = supervisor.attempt()
         assert (completed, reports) == (False, [])
         completed, reports = supervisor.attempt()
@@ -287,7 +288,7 @@ class TestStallWatchdog:
         config = DetectorConfig(interval=0.5, stall_timeout=2.0)
         engine = DetectionEngine(kernel, config)
         engine.register(buffer)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
 
         def idle():
             yield Delay(10.0)
@@ -312,8 +313,8 @@ class TestStallWatchdog:
         buffer = BoundedBuffer(kernel, capacity=3, history=HistoryDatabase())
         engine = DetectionEngine(kernel, DetectorConfig(interval=0.5))
         engine.register(buffer)
-        supervisor = CheckpointSupervisor(engine)
-        assert supervisor.stall_timeout is None
+        supervisor = supervise(engine)
+        assert supervisor.config.stall_timeout is None
         assert supervisor.check_stall() is False
 
 
@@ -424,17 +425,19 @@ class TestSnapshotRestore:
 
         kernel, buffer, engine, entry = self.build()
         spawn_buffer_load(kernel, buffer, items=6, pace=0.1)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=2), "supervisor")
         kernel.run(until=1.2)
         entry.breaker.record_failure(kernel.now(), "simulated")
-        snapshot = json.loads(json.dumps(supervisor.snapshot_state()))
+        snapshot = json.loads(
+            json.dumps(supervisor.snapshot_state(engine.entries))
+        )
 
         # A "restarted" supervisor on a fresh engine over the same sinks.
         engine2 = DetectionEngine(kernel, engine.config)
         entry2 = engine2.register(buffer)
-        supervisor2 = CheckpointSupervisor(engine2)
-        restored = supervisor2.restore_state(snapshot)
+        supervisor2 = supervise(engine2)
+        restored = supervisor2.restore_state(snapshot, engine2.entries)
         assert restored == [entry2.label]
         assert supervisor2.checkpoints_completed == 2
         assert entry2.checkpoints_run == entry.checkpoints_run
@@ -453,10 +456,10 @@ class TestSnapshotRestore:
         # must ignore them and keep everything it still reads.
         kernel, buffer, engine, entry = self.build()
         spawn_buffer_load(kernel, buffer, items=6, pace=0.1)
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=2), "supervisor")
         kernel.run(until=1.2)
-        snapshot = supervisor.snapshot_state()
+        snapshot = supervisor.snapshot_state(engine.entries)
         record = snapshot["monitors"][entry.label]
         record.update(
             event_rate=12.5, next_due=1.5, intervals_skipped=3,
@@ -465,7 +468,9 @@ class TestSnapshotRestore:
 
         engine2 = DetectionEngine(kernel, engine.config)
         entry2 = engine2.register(buffer)
-        restored = CheckpointSupervisor(engine2).restore_state(snapshot)
+        restored = supervise(engine2).restore_state(
+            snapshot, engine2.entries
+        )
         assert restored == [entry2.label]
         assert entry2.checkpoints_run == entry.checkpoints_run == 2
         assert not hasattr(entry2, "next_due")
@@ -476,25 +481,25 @@ class TestSnapshotRestore:
 
     def test_rejects_foreign_snapshot(self):
         __, ___, engine, ____ = self.build()
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         with pytest.raises(ValueError):
-            supervisor.restore_state({"kind": "sink"})
+            supervisor.restore_state({"kind": "sink"}, engine.entries)
 
     def test_rejects_mismatched_monitor_fleet(self):
         from repro.errors import RecoveryError
 
         kernel, buffer, engine, entry = self.build()
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         engine.checkpoint()
-        snapshot = supervisor.snapshot_state()
+        snapshot = supervisor.snapshot_state(engine.entries)
 
         # Restarted engine registers a *different* fleet: restoring the
         # snapshot silently onto the wrong monitors must be refused.
         engine2 = DetectionEngine(kernel, engine.config)
         engine2.register(buffer, label="renamed")
-        supervisor2 = CheckpointSupervisor(engine2)
+        supervisor2 = supervise(engine2)
         with pytest.raises(RecoveryError) as excinfo:
-            supervisor2.restore_state(snapshot)
+            supervisor2.restore_state(snapshot, engine2.entries)
         message = str(excinfo.value)
         assert entry.label in message and "renamed" in message
 
@@ -502,38 +507,31 @@ class TestSnapshotRestore:
         from repro.errors import RecoveryError
 
         kernel, buffer, engine, ____ = self.build()
-        supervisor = CheckpointSupervisor(engine)
+        supervisor = supervise(engine)
         engine.checkpoint()
-        snapshot = supervisor.snapshot_state()
+        snapshot = supervisor.snapshot_state(engine.entries)
 
         engine2 = DetectionEngine(kernel, engine.config)
-        supervisor2 = CheckpointSupervisor(engine2)  # nothing registered
+        supervisor2 = supervise(engine2)  # nothing registered
         with pytest.raises(RecoveryError):
-            supervisor2.restore_state(snapshot)
+            supervisor2.restore_state(snapshot, engine2.entries)
 
 
 class TestSupervisionConfig:
     def test_defaults_off(self):
         config = DetectorConfig()
-        assert config.checkpoint_budget is None
         assert config.stall_timeout is None
-        assert config.monitor_check_budget is None
         assert config.checkpoint_retries == 2
         assert config.breaker_failure_threshold == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"checkpoint_budget": 0.0},
-            {"checkpoint_budget": -1.0},
             {"checkpoint_retries": -1},
             {"retry_backoff": 0.0},
             {"stall_timeout": -2.0},
-            {"monitor_check_budget": 0.0},
             {"breaker_failure_threshold": 0},
             {"breaker_cooldown": 0.0},
-            {"retry_jitter": -0.1},
-            {"retry_jitter": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -541,71 +539,12 @@ class TestSupervisionConfig:
             DetectorConfig(**kwargs)
 
 
-class TestRetryJitter:
-    """Seeded jitter on retry backoff: no lockstep fleets, sim-determinism."""
-
-    def build_supervisor(self, **config_kwargs):
-        import random
-
+class TestRetryBackoff:
+    def test_exact_exponential_backoff(self):
         kernel = make_kernel()
-        engine = DetectionEngine(kernel, DetectorConfig(**config_kwargs))
-        return CheckpointSupervisor(engine, rng=random.Random(42))
-
-    def test_zero_jitter_is_exact_exponential_backoff(self):
-        supervisor = self.build_supervisor(retry_backoff=0.25)
-        assert supervisor.jitter == 0.0
+        supervisor = supervise(
+            DetectionEngine(kernel, DetectorConfig(retry_backoff=0.25))
+        )
         assert [supervisor.retry_delay(a) for a in range(4)] == [
             0.25, 0.5, 1.0, 2.0
         ]
-
-    def test_jitter_stays_within_the_configured_band(self):
-        supervisor = self.build_supervisor(
-            retry_backoff=0.25, retry_jitter=0.5
-        )
-        for attempt in range(6):
-            base = 0.25 * 2**attempt
-            delay = supervisor.retry_delay(attempt)
-            assert base <= delay <= base * 1.5
-
-    def test_seeded_rng_makes_jitter_deterministic(self):
-        first = self.build_supervisor(retry_backoff=0.25, retry_jitter=0.5)
-        second = self.build_supervisor(retry_backoff=0.25, retry_jitter=0.5)
-        schedule = [first.retry_delay(a) for a in range(8)]
-        assert schedule == [second.retry_delay(a) for a in range(8)]
-        # And it is actually jittered, not a constant multiplier.
-        ratios = {round(d / (0.25 * 2**a), 9) for a, d in enumerate(schedule)}
-        assert len(ratios) > 1
-
-    def test_jitter_override_beats_config(self):
-        import random
-
-        kernel = make_kernel()
-        engine = DetectionEngine(
-            kernel, DetectorConfig(retry_jitter=0.5)
-        )
-        supervisor = CheckpointSupervisor(
-            engine, jitter=0.0, rng=random.Random(0)
-        )
-        assert supervisor.retry_delay(1) == engine.config.retry_backoff * 2
-
-    def test_presets_enable_jitter(self):
-        assert DetectorConfig.preset("bounded").retry_jitter == 0.25
-        assert DetectorConfig.preset("durable").retry_jitter == 0.25
-        assert DetectorConfig().retry_jitter == 0.0
-
-    def test_distinct_rngs_decorrelate_two_supervisors(self):
-        import random
-
-        kernel = make_kernel()
-        config = DetectorConfig(retry_jitter=0.5)
-        one = CheckpointSupervisor(
-            DetectionEngine(kernel, config), rng=random.Random(1)
-        )
-        two = CheckpointSupervisor(
-            DetectionEngine(kernel, config), rng=random.Random(2)
-        )
-        schedules = (
-            [one.retry_delay(a) for a in range(6)],
-            [two.retry_delay(a) for a in range(6)],
-        )
-        assert schedules[0] != schedules[1]

@@ -11,12 +11,13 @@ from repro.detection import (
     DetectionEngine,
     DetectorConfig,
     FaultStatistics,
-    engine_process,
+    supervisor_process,
 )
 from repro.detection.supervision import BreakerState
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import sabotage_entry
 from repro.kernel import Delay, RandomPolicy, SimKernel
+from tests.conftest import supervise
 
 
 def make_kernel(seed=0):
@@ -87,7 +88,7 @@ class TestReportOrderDeterminism:
         for monitor in monitors:
             engine.register(monitor)
         spawn_mixed_workload(kernel, monitors, buggy_release=True)
-        kernel.spawn(engine_process(engine, rounds=8), "engine")
+        kernel.spawn(supervisor_process(supervise(engine), rounds=8), "engine")
         kernel.run()
         kernel.raise_failures()
         return engine
@@ -187,7 +188,7 @@ class TestPhaseTwoFailures:
         # survive evaluation moving off the atomic section.
         kernel, engine, entry = self.build(threshold=2)
         sabotage_entry(entry, failures=2)
-        kernel.spawn(engine_process(engine, rounds=16), "engine")
+        kernel.spawn(supervisor_process(supervise(engine), rounds=16), "engine")
         kernel.run(until=10)
         kernel.raise_failures()
         assert entry.breaker.times_opened >= 1
@@ -271,7 +272,7 @@ class TestBoundedSinkFixedInterval:
                 yield from allocator.release()
 
         kernel.spawn(late_burst(), "late-burst")
-        kernel.spawn(engine_process(engine, rounds=12), "engine")
+        kernel.spawn(supervisor_process(supervise(engine), rounds=12), "engine")
         kernel.run()
         kernel.raise_failures()
         assert entry.checkpoints_run == 12
@@ -300,7 +301,7 @@ class TestCountersSurfaced:
         for monitor in monitors:
             engine.register(monitor)
         spawn_mixed_workload(kernel, monitors, buggy_release=True)
-        kernel.spawn(engine_process(engine, rounds=4), "engine")
+        kernel.spawn(supervisor_process(supervise(engine), rounds=4), "engine")
         kernel.run()
         kernel.raise_failures()
         stats = FaultStatistics.from_engine(engine)

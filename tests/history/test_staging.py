@@ -1,16 +1,12 @@
-"""Per-process staging buffer: batched ``record()`` across every sink.
+"""Per-process staging buffer: batched ``record()`` in the in-memory sinks.
 
 Staging makes ``record()`` a cheap local append, flushed once per atomic
 section (``cut()``) or whenever the batch fills.  The contract tested
 here: staging is *observationally transparent* — every inspection surface
 flushes first, listeners still fire synchronously per event, drop
-accounting stays exact — and the WAL's staged batches produce bytes
-identical to per-event appends.
+accounting stays exact — and the write-ahead log never stages.
 """
 
-import pytest
-
-from repro.errors import HistoryError
 from repro.history import (
     BoundedHistory,
     EventSink,
@@ -33,12 +29,8 @@ def state(t):
 
 
 class TestSinkStaging:
-    def test_staging_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HistoryDatabase(staging=0)
-
-    def test_unstaged_sink_counts_no_flushes(self):
-        sink = HistoryDatabase(staging=1)
+    def test_unstaged_sink_counts_no_flushes(self, tmp_path):
+        sink = WriteAheadLog(tmp_path / "wal", fsync="never")
         sink.open(state(0.0))
         for seq in range(5):
             sink.record(event(seq))
@@ -47,17 +39,17 @@ class TestSinkStaging:
         assert sink.live_events == 5
 
     def test_batch_flushes_at_limit(self):
-        sink = HistoryDatabase(staging=3)
+        sink = HistoryDatabase()
         sink.open(state(0.0))
-        for seq in range(7):
+        for seq in range(2 * DEFAULT_STAGING + 1):
             sink.record(event(seq))
-        # 7 records = two full batches flushed, one event still staged.
+        # Two full batches flushed, one event still staged.
         assert sink.staged_flushes == 2
-        assert sink.staged_events == 6
-        assert sink.total_recorded == 7
+        assert sink.staged_events == 2 * DEFAULT_STAGING
+        assert sink.total_recorded == 2 * DEFAULT_STAGING + 1
 
     def test_cut_flushes_the_tail(self):
-        sink = HistoryDatabase(staging=100)
+        sink = HistoryDatabase()
         sink.open(state(0.0))
         for seq in range(4):
             sink.record(event(seq))
@@ -67,7 +59,7 @@ class TestSinkStaging:
         assert sink.staged_events == 4
 
     def test_inspection_properties_flush(self):
-        sink = HistoryDatabase(staging=100)
+        sink = HistoryDatabase()
         sink.open(state(0.0))
         for seq in range(3):
             sink.record(event(seq))
@@ -76,7 +68,7 @@ class TestSinkStaging:
         assert sink.live_events == 3
 
     def test_listeners_fire_synchronously_despite_staging(self):
-        sink = HistoryDatabase(staging=100)
+        sink = HistoryDatabase()
         sink.open(state(0.0))
         seen = []
         sink.subscribe(lambda e: seen.append(e.seq))
@@ -89,7 +81,7 @@ class TestSinkStaging:
         assert sink._staging_limit == DEFAULT_STAGING
 
     def test_flush_staged_reports_batch_size(self):
-        sink = HistoryDatabase(staging=100)
+        sink = HistoryDatabase()
         sink.open(state(0.0))
         for seq in range(4):
             sink.record(event(seq))
@@ -103,18 +95,20 @@ class TestBoundedStaging:
         assert BoundedHistory(10_000)._staging_limit == DEFAULT_STAGING
 
     def test_drop_accounting_exact_across_flushes(self):
-        sink = BoundedHistory(3, staging=2)
+        # Batches of 64 into a ring of 70: flushes at 64 and 128 and the
+        # cut's tail of 22 straddle the capacity unevenly.
+        sink = BoundedHistory(70)
         sink.open(state(0.0))
-        for seq in range(9):
+        for seq in range(150):
             sink.record(event(seq))
-        segment = sink.cut(state(10.0))
-        # Capacity 3: only the last three events survive; six dropped.
-        assert [e.seq for e in segment.events] == [6, 7, 8]
-        assert segment.dropped == 6
+        segment = sink.cut(state(151.0))
+        # Capacity 70: only the last 70 events survive; 80 dropped.
+        assert [e.seq for e in segment.events] == list(range(80, 150))
+        assert segment.dropped == 80
         assert not segment.complete
 
     def test_dropped_events_property_flushes(self):
-        sink = BoundedHistory(2, staging=10)
+        sink = BoundedHistory(2)
         sink.open(state(0.0))
         for seq in range(5):
             sink.record(event(seq))
@@ -123,35 +117,6 @@ class TestBoundedStaging:
 
 
 class TestWalStaging:
-    def test_staged_wal_bytes_identical_to_unstaged(self, tmp_path):
-        staged = WriteAheadLog(tmp_path / "staged", fsync="never", staging=4)
-        plain = WriteAheadLog(tmp_path / "plain", fsync="never")
-        for wal in (staged, plain):
-            wal.open(state(0.0))
-            for seq in range(10):
-                wal.record(event(seq))
-            wal.cut(state(11.0))
-            wal.close()
-        staged_bytes = b"".join(
-            p.read_bytes() for p in sorted((tmp_path / "staged").iterdir())
-        )
-        plain_bytes = b"".join(
-            p.read_bytes() for p in sorted((tmp_path / "plain").iterdir())
-        )
-        assert staged_bytes == plain_bytes
-
-    def test_staged_wal_replays_identically(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal", fsync="never", staging=3)
-        wal.open(state(0.0))
-        for seq in range(7):
-            wal.record(event(seq))
-        wal.flush()
-        assert [e.seq for e in wal.iter_durable_events()] == list(range(7))
-
-    def test_staging_incompatible_with_fsync_always(self, tmp_path):
-        with pytest.raises(HistoryError):
-            WriteAheadLog(tmp_path / "wal", fsync="always", staging=8)
-
     def test_unstaged_is_the_wal_default(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal", fsync="never")
         assert wal._staging_limit == 1

@@ -23,13 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import BoundedBuffer
-from repro.detection import DetectorConfig
-from repro.detection.engine import DetectionEngine, engine_process
+from repro.detection import DetectorConfig, supervisor_process
+from repro.detection.engine import DetectionEngine
 from repro.history import BoundedHistory, HistoryDatabase
 from repro.injection import TriggeredHooks
 from repro.kernel import RandomPolicy, SimKernel
 from repro.workloads.scenarios import WorkloadSpec, build_fleet
-from tests.conftest import consumer, producer
+from tests.conftest import consumer, producer, supervise
 
 
 def run_fleet(
@@ -57,7 +57,7 @@ def run_fleet(
     for run in fleet:
         engine.register(run.monitor)
         run.spawn_all(kernel)
-    kernel.spawn(engine_process(engine), "engine")
+    kernel.spawn(supervisor_process(supervise(engine)), "engine")
     kernel.run(until=until, max_steps=5_000_000)
     kernel.raise_failures()
     return engine
@@ -83,7 +83,7 @@ def run_buffer_with_hooks(
     for __ in range(2):
         kernel.spawn(producer(buffer, 15, delay=0.04))
         kernel.spawn(consumer(buffer, 15, delay=0.04))
-    kernel.spawn(engine_process(engine), "engine")
+    kernel.spawn(supervisor_process(supervise(engine)), "engine")
     kernel.run(until=120, max_steps=5_000_000)
     kernel.raise_failures()
     return engine, hooks

@@ -253,6 +253,23 @@ class TestHandshake:
         assert server.connection_alive(2)
         assert server.stats()["sessions"] == 1
 
+    @pytest.mark.parametrize(
+        "mark", [True, "3", 2.7, -5], ids=["true", "string", "float", "-5"]
+    )
+    def test_mistyped_resume_watermark_quarantines(self, mark):
+        # Coerced, ``true`` resumed at 1 and ``2.7`` at 2: every window up
+        # to it would have been skipped as a duplicate, never checked.
+        server = make_server()
+        hello, __ = corpus()
+        hello["resume"] = {"buffer": mark}
+        server.connect(1)
+        (error,) = decode_all(server.feed(1, encode_frame(hello)))
+        assert error["type"] == "error"
+        assert "malformed resume watermark" in error["reason"]
+        assert server.connection_quarantined(1)
+        assert server.stats()["streams"] == 0
+        assert not server.engine.monitors
+
     def test_resume_watermark_skips_already_acked_windows(self):
         server = make_server()
         hello, windows = corpus()
@@ -447,6 +464,41 @@ class TestIngest:
         (error,) = decode_all(server.feed(1, encode_frame(window)))
         assert error["type"] == "error"
         assert "malformed window segment" in error["reason"]
+        assert server.connection_quarantined(1)
+        assert 1 not in server.poll()
+        assert server.windows_accepted == 0
+        assert server.delivered == []
+        server.connect(2)
+        decode_all(server.feed(2, encode_frame(hello)))
+        server.feed(2, encode_frame(windows[0]))
+        assert server.windows_accepted == 1
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            pytest.param("seq", True, id="seq-true"),
+            pytest.param("seq", "0", id="seq-string"),
+            pytest.param("seq", 0.9, id="seq-float"),
+            pytest.param("taken_at", "nan", id="taken-at-string"),
+            pytest.param("taken_at", float("nan"), id="taken-at-nan"),
+            pytest.param("taken_at", float("inf"), id="taken-at-infinity"),
+            pytest.param("taken_at", True, id="taken-at-true"),
+            pytest.param("lost_events", "2", id="lost-events-string"),
+            pytest.param("lost_events", 2.5, id="lost-events-float"),
+            pytest.param("lost_windows", True, id="lost-windows-true"),
+        ],
+    )
+    def test_mistyped_window_scalar_quarantines(self, field, bad):
+        # Coerced, ``"seq": true`` was accepted as seq 1 and acked with
+        # watermark 1, so the client's real window 1 would be skipped as
+        # a duplicate and never checked.
+        server = make_server()
+        hello, windows = corpus()
+        handshake(server, conn_id=1)
+        window = dict(windows[0], **{field: bad})
+        (error,) = decode_all(server.feed(1, encode_frame(window)))
+        assert error["type"] == "error"
+        assert field in error["reason"]
         assert server.connection_quarantined(1)
         assert 1 not in server.poll()
         assert server.windows_accepted == 0

@@ -92,8 +92,13 @@ class TestFleet:
             build_fleet(kernel, 2, names=["nope"])
 
     def test_fleet_runs_under_one_engine(self):
-        from repro.detection import DetectionEngine, DetectorConfig, engine_process
+        from repro.detection import (
+            DetectionEngine,
+            DetectorConfig,
+            supervisor_process,
+        )
         from repro.workloads import build_fleet
+        from tests.conftest import supervise
 
         kernel = SimKernel(RandomPolicy(seed=0), on_deadlock="stop")
         spec = WorkloadSpec(processes=2, operations=4)
@@ -105,7 +110,7 @@ class TestFleet:
             engine.register(run.monitor)
         for index, run in enumerate(fleet):
             run.spawn_all(kernel, prefix=f"m{index}-")
-        kernel.spawn(engine_process(engine), "engine")
+        kernel.spawn(supervisor_process(supervise(engine)), "engine")
         kernel.run(until=30, max_steps=2_000_000)
         kernel.raise_failures()
         assert engine.clean
