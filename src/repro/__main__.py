@@ -390,10 +390,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_service_client(args: argparse.Namespace) -> int:
     from repro.apps.bounded_buffer import BoundedBuffer
     from repro.apps.resource_allocator import SingleResourceAllocator
-    from repro.kernel.syscalls import Delay
     from repro.kernel.threads import ThreadKernel
     from repro.service.client import DetectionClient, client_process
     from repro.service.transport import unix_connector
+    from repro.workloads import spawn_misuse_workload
 
     kernel = ThreadKernel(time_scale=args.time_scale)
     buffer = BoundedBuffer(kernel, capacity=3)
@@ -409,37 +409,14 @@ def _cmd_service_client(args: argparse.Namespace) -> int:
     )
     client.attach(buffer, label="buffer")
     client.attach(allocator, label="allocator", tlimit=2.0 * args.interval)
-    operations = args.rounds * 4
-    phase = args.rounds * args.interval * 0.4
-
-    def producer():
-        for item in range(operations):
-            yield Delay(0.11)
-            yield from buffer.send(item)
-
-    def consumer():
-        for __ in range(operations):
-            yield Delay(0.12)
-            yield from buffer.receive()
-
-    def misuser():
-        yield Delay(0.35)
-        yield from allocator.release()  # ST-8b + ST-PX
-        yield Delay(phase)
-        yield from allocator.request()
-        yield Delay(0.07)
-        yield from allocator.request()  # ST-8a; blocks on itself
-        yield Delay(3.1 * args.interval)
-        yield from allocator.release()
-
-    def rescuer():
-        yield Delay(0.35 + phase + 0.6)
-        yield from allocator.release()  # un-wedges the misuser
-
-    kernel.spawn(producer(), "producer")
-    kernel.spawn(consumer(), "consumer")
-    kernel.spawn(misuser(), "misuser")
-    kernel.spawn(rescuer(), "rescuer")
+    spawn_misuse_workload(
+        kernel,
+        buffer,
+        allocator,
+        operations=args.rounds * 4,
+        interval=args.interval,
+        phase=args.rounds * args.interval * 0.4,
+    )
     kernel.spawn(
         client_process(client, rounds=args.rounds, drain_rounds=60),
         "service-client",

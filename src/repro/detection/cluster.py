@@ -711,93 +711,26 @@ class DetectionCluster:
     def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         """Snapshot the whole cluster into one registry, shard-labelled.
 
-        Every engine family carries a ``shard`` label (sum across shards
-        to recover the cluster totals); durable shards add their WAL /
-        snapshot / recovery families; each shard's supervisor contributes
-        retries, stalls, abandons, breaker transitions, and its audit-log
-        event kinds; pool leaks are counted cluster-wide per shard.
+        Each shard's engine, durability (when durable) and supervisor
+        export their own families under a ``shard`` label (sum across
+        shards to recover the cluster totals); pool leaks are counted per
+        shard here.
         """
         registry = MetricsRegistry() if registry is None else registry
+        leaks = registry.counter(
+            "repro_pool_leaks_total",
+            "Pool workers that outlived the close timeout.",
+            ("shard",),
+        )
         for shard in self._shards:
             labels = {"shard": shard.index}
             shard.engine.metrics(registry, labels=labels)
             if shard.durable is not None:
                 shard.durable.metrics(registry, labels=labels)
-
-        def per_shard(name: str, help: str, values) -> None:
-            family = registry.counter(name, help, ("shard",))
-            for index, value in values:
-                family.labels(shard=index).inc(value)
-
-        per_shard(
-            "repro_supervisor_retries_total",
-            "Checkpoint retries performed by shard supervisors.",
-            (
-                (s.index, s.supervisor.retries_performed)
-                for s in self._shards
-            ),
-        )
-        per_shard(
-            "repro_supervisor_stalls_total",
-            "Watchdog stalls detected by shard supervisors.",
-            (
-                (s.index, s.supervisor.stalls_detected)
-                for s in self._shards
-            ),
-        )
-        per_shard(
-            "repro_supervisor_abandoned_total",
-            "Checkpoints abandoned after exhausted retry budgets.",
-            (
-                (s.index, s.supervisor.checkpoints_abandoned)
-                for s in self._shards
-            ),
-        )
-        per_shard(
-            "repro_supervisor_completed_total",
-            "Checkpoints completed under shard supervisors.",
-            (
-                (s.index, s.supervisor.checkpoints_completed)
-                for s in self._shards
-            ),
-        )
-        opened = [(s.index, 0) for s in self._shards]
-        reclosed = [(s.index, 0) for s in self._shards]
-        for shard in self._shards:
-            for record in shard.engine.quarantine_report():
-                opened[shard.index] = (
-                    shard.index,
-                    opened[shard.index][1] + record.times_opened,
-                )
-                reclosed[shard.index] = (
-                    shard.index,
-                    reclosed[shard.index][1] + record.times_reclosed,
-                )
-        per_shard(
-            "repro_breaker_opened_total",
-            "Circuit-breaker CLOSED->OPEN transitions (quarantines).",
-            opened,
-        )
-        per_shard(
-            "repro_breaker_reclosed_total",
-            "Circuit-breaker recoveries back to CLOSED.",
-            reclosed,
-        )
-        events_family = registry.counter(
-            "repro_supervisor_events_total",
-            "Supervisor audit-log events by kind.",
-            ("shard", "kind"),
-        )
-        for index, event in self.supervisor_events():
-            events_family.labels(shard=index, kind=event.kind).inc()
-        leaks = {shard.index: 0 for shard in self._shards}
-        for index, __ in self.pool_leaks:
-            leaks[index] = leaks.get(index, 0) + 1
-        per_shard(
-            "repro_pool_leaks_total",
-            "Pool workers that outlived the close timeout.",
-            leaks.items(),
-        )
+            shard.supervisor.metrics(registry, labels=labels)
+            leaks.labels(**labels).inc(
+                sum(1 for index, __ in self.pool_leaks if index == shard.index)
+            )
         return registry
 
     def __repr__(self) -> str:

@@ -820,8 +820,10 @@ class DetectionEngine:
         """Snapshot this engine's counters into a metrics registry.
 
         The stats surface exporters and the gate runner read: one family
-        per :data:`COUNTERS` row, plus gauges, reports by confidence, and
-        the phase histograms.  ``labels`` (e.g. ``{"shard": "0"}``) are
+        per :data:`COUNTERS` row, plus gauges, reports by confidence, the
+        breakers' open/re-close transitions (over :meth:`quarantine_report`,
+        so unregistered monitors' episodes count), and the phase
+        histograms.  ``labels`` (e.g. ``{"shard": "0"}``) are
         stamped onto every family — :meth:`DetectionCluster.metrics`
         samples each shard's engine into one registry this way.  Pass a
         fresh ``registry`` per snapshot; sampling is additive.
@@ -843,6 +845,9 @@ class DetectionEngine:
                     **base
                 ).inc(getattr(self, spec.attr))
 
+        def counter(name: str, help: str, value: float) -> None:
+            registry.counter(name, help, names).labels(**base).inc(value)
+
         def gauge(name: str, help: str, value: float) -> None:
             registry.gauge(name, help, names).labels(**base).set(value)
 
@@ -860,6 +865,17 @@ class DetectionEngine:
             "repro_engine_pending_captures",
             "Phase-1 captures awaiting evaluation.",
             self.pending_captures,
+        )
+        quarantines = self.quarantine_report()
+        counter(
+            "repro_breaker_opened_total",
+            "Circuit-breaker CLOSED->OPEN transitions (quarantines).",
+            sum(record.times_opened for record in quarantines),
+        )
+        counter(
+            "repro_breaker_reclosed_total",
+            "Circuit-breaker recoveries back to CLOSED.",
+            sum(record.times_reclosed for record in quarantines),
         )
 
         reports_family = registry.counter(

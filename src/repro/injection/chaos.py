@@ -66,6 +66,7 @@ from repro.kernel.sim import SimKernel
 from repro.kernel.threads import ThreadKernel
 from repro.kernel.syscalls import Delay, Syscall
 from repro.monitor.construct import MonitorBase
+from repro.workloads import spawn_misuse_workload
 
 __all__ = [
     "ChaosError",
@@ -729,65 +730,6 @@ def _crash_driver(
     context.durable.flush()
 
 
-def _spawn_crash_workload(
-    kernel,
-    buffer: BoundedBuffer,
-    allocator: SingleResourceAllocator,
-    config: CrashRecoveryConfig,
-) -> None:
-    """A workload with deterministic faults on both sides of every crash.
-
-    The misuser produces two real-time violations (Release without Request
-    — ST-8b/ST-PX — once early, once via the rogue "rescuer"), a duplicate
-    Request (ST-8a) mid-run, and then holds the resource long enough that
-    the periodic Request-List sweep reports ST-8c at several checkpoints —
-    so the campaign exercises both event-triggered and checkpoint-derived
-    reports across restarts.
-    """
-    span = config.rounds * config.interval
-    phase = span * 0.45
-
-    def producer() -> Iterator[Syscall]:
-        for item in range(config.operations):
-            yield Delay(0.11)
-            yield from buffer.send(item)
-
-    def consumer() -> Iterator[Syscall]:
-        for __ in range(config.operations):
-            yield Delay(0.12)
-            yield from buffer.receive()
-
-    def good_user() -> Iterator[Syscall]:
-        for __ in range(config.operations):
-            yield Delay(0.21)
-            yield from allocator.request()
-            yield Delay(0.03)
-            yield from allocator.release()
-
-    def misuser() -> Iterator[Syscall]:
-        yield Delay(0.35)
-        yield from allocator.release()  # ST-8b + ST-PX (no Request)
-        yield Delay(phase)
-        yield from allocator.request()  # legitimate
-        yield Delay(0.07)
-        yield from allocator.request()  # ST-8a duplicate; blocks on itself
-        # ...until the rescuer's rogue release wakes it.  Hold a little
-        # longer so the Tlimit sweep sees the aged Request-List entry.
-        yield Delay(3.1 * config.interval)
-        yield from allocator.release()
-
-    def rescuer() -> Iterator[Syscall]:
-        # A second rogue release (ST-8b) that also un-wedges the misuser.
-        yield Delay(0.35 + phase + 0.6)
-        yield from allocator.release()
-
-    kernel.spawn(producer(), "producer")
-    kernel.spawn(consumer(), "consumer")
-    kernel.spawn(good_user(), "good-user")
-    kernel.spawn(misuser(), "misuser")
-    kernel.spawn(rescuer(), "rescuer")
-
-
 @dataclass(frozen=True)
 class _CrashRunOutcome:
     keys: tuple[str, ...]
@@ -830,7 +772,16 @@ def _run_crash_instance(
         fsync=config.fsync,
         rng=rng,
     )
-    _spawn_crash_workload(kernel, buffer, allocator, config)
+    # Deterministic faults on both sides of every crash.
+    spawn_misuse_workload(
+        kernel,
+        buffer,
+        allocator,
+        operations=config.operations,
+        interval=config.interval,
+        phase=config.rounds * config.interval * 0.45,
+        good_user=True,
+    )
     kernel.spawn(_crash_driver(context, config, plan), "crash-driver")
     # On threads each crash's rebuild (WAL replay, snapshot fsync) spends
     # real time that the virtual clock also counts, so a tight horizon can

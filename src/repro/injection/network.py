@@ -43,6 +43,7 @@ from repro.kernel.syscalls import Delay, Syscall
 from repro.service.client import DetectionClient, client_process
 from repro.service.server import DetectionServer, service_report_key
 from repro.service.transport import SimNetwork, network_process
+from repro.workloads import spawn_misuse_workload
 
 __all__ = [
     "NetworkChaosConfig",
@@ -162,49 +163,6 @@ class NetworkChaosResult:
         )
 
 
-def _spawn_client_workload(
-    kernel: SimKernel,
-    buffer: BoundedBuffer,
-    allocator: SingleResourceAllocator,
-    config: NetworkChaosConfig,
-    index: int,
-) -> None:
-    """Per-client workload with deterministic misuse (same shape as the
-    crash-recovery campaign's): rogue releases (ST-8b/ST-PX), a duplicate
-    request (ST-8a) and a hold long enough to trip the ST-8c sweep."""
-    span = config.rounds * config.interval
-    phase = span * 0.4 + 0.13 * index
-
-    def producer() -> Iterator[Syscall]:
-        for item in range(config.operations):
-            yield Delay(0.11)
-            yield from buffer.send(item)
-
-    def consumer() -> Iterator[Syscall]:
-        for __ in range(config.operations):
-            yield Delay(0.12)
-            yield from buffer.receive()
-
-    def misuser() -> Iterator[Syscall]:
-        yield Delay(0.35 + 0.07 * index)
-        yield from allocator.release()  # ST-8b + ST-PX
-        yield Delay(phase)
-        yield from allocator.request()
-        yield Delay(0.07)
-        yield from allocator.request()  # ST-8a; blocks on itself
-        yield Delay(3.1 * config.interval)
-        yield from allocator.release()
-
-    def rescuer() -> Iterator[Syscall]:
-        yield Delay(0.35 + 0.07 * index + phase + 0.6)
-        yield from allocator.release()  # ST-8b; un-wedges the misuser
-
-    kernel.spawn(producer(), f"producer-{index}")
-    kernel.spawn(consumer(), f"consumer-{index}")
-    kernel.spawn(misuser(), f"misuser-{index}")
-    kernel.spawn(rescuer(), f"rescuer-{index}")
-
-
 def _fault_driver(
     kernel: SimKernel,
     net: SimNetwork,
@@ -298,7 +256,16 @@ def _run(config: NetworkChaosConfig, root: Path) -> NetworkChaosResult:
         client.attach(buffer, label="buffer")
         client.attach(allocator, label="allocator")
         clients.append(client)
-        _spawn_client_workload(kernel, buffer, allocator, config, index)
+        spawn_misuse_workload(
+            kernel,
+            buffer,
+            allocator,
+            operations=config.operations,
+            interval=config.interval,
+            phase=config.rounds * config.interval * 0.4 + 0.13 * index,
+            start=0.35 + 0.07 * index,
+            suffix=f"-{index}",
+        )
         kernel.spawn(
             client_process(client, rounds=config.rounds, drain_rounds=30),
             f"client-{index}",

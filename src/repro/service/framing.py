@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import RecoveryError, ServiceError
 
@@ -184,21 +184,22 @@ def good_jsonl_prefix(raw: bytes) -> int:
     return good
 
 
-def load_jsonl_journal(path: Path) -> tuple[list[tuple[int, dict]], bool]:
-    """Reopen an append-only JSONL journal: cut its torn tail, parse the rest.
+def load_jsonl_journal(path: Path, apply: Callable[[dict], None]) -> bool:
+    """Reopen an append-only JSONL journal: cut its torn tail, replay the rest.
 
-    Truncates the file in place to its :func:`good_jsonl_prefix` and
-    returns ``(records, truncated)``: each remaining record with its
-    1-based line number, and whether a torn tail was cut.  A line before
-    the tail that is not a JSON object is corruption, not a torn write:
-    :class:`~repro.errors.RecoveryError` names the file and the line.
+    Truncates the file in place to its :func:`good_jsonl_prefix`, passes
+    each remaining record to ``apply`` in file order, and returns whether
+    a torn tail was cut.  A line before the tail that is not a JSON
+    object, or that ``apply`` rejects with
+    :class:`~repro.errors.RecoveryError`, is corruption, not a torn
+    write: the :class:`~repro.errors.RecoveryError` raised names the file
+    and the 1-based line.
     """
     raw = path.read_bytes()
     good = good_jsonl_prefix(raw)
     if good < len(raw):
         with open(path, "r+b") as handle:
             handle.truncate(good)
-    records: list[tuple[int, dict]] = []
     for number, line in enumerate(raw[:good].splitlines(), start=1):
         if not line.strip():
             continue
@@ -213,5 +214,8 @@ def load_jsonl_journal(path: Path) -> tuple[list[tuple[int, dict]], bool]:
                 f"{path.name} line {number}: corrupt journal: "
                 f"{type(record).__name__} record, not an object"
             )
-        records.append((number, record))
-    return records, good < len(raw)
+        try:
+            apply(record)
+        except RecoveryError as exc:
+            raise RecoveryError(f"{path.name} line {number}: {exc}") from exc
+    return good < len(raw)

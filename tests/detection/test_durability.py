@@ -117,6 +117,22 @@ class TestReportJournal:
         with pytest.raises(RecoveryError, match="durable.reports line 2"):
             ReportJournal(path)
 
+    @pytest.mark.parametrize("field", ["rule", "monitor", "confidence"])
+    def test_report_missing_a_field_names_file_and_line(self, tmp_path, field):
+        path = tmp_path / "durable.reports"
+        journal = ReportJournal(path)
+        journal.admit(sample_report())
+        journal.admit(sample_report(detected_at=2.0))
+        journal.close()
+        first, second = path.read_text(encoding="utf-8").splitlines(True)
+        record = json.loads(second)
+        del record[field]
+        path.write_text(first + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(
+            RecoveryError, match="durable.reports line 2: malformed report"
+        ):
+            ReportJournal(path)
+
 
 class TestSnapshotStore:
     def test_write_and_load_round_trip(self, tmp_path):

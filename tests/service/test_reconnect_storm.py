@@ -67,7 +67,7 @@ def run_fleet(*, storm: bool):
 def merged_stream(server):
     return [
         json.dumps(report_to_dict(report), sort_keys=True)
-        for report in server.reports
+        for report in server.delivered
     ]
 
 
@@ -90,7 +90,7 @@ def test_storm_report_stream_matches_undisturbed_baseline():
     assert storm_server.stats()["lossy_windows"] == 0
 
     # No duplicates slipped through the replays.
-    keys = [service_report_key(r) for r in storm_server.reports]
+    keys = [service_report_key(r) for r in storm_server.delivered]
     assert len(keys) == len(set(keys))
 
     # The merged report stream is byte-identical, order included.
