@@ -351,6 +351,24 @@ class MetricsRegistry:
             name, "histogram", help, labelnames, stable=stable, buckets=buckets
         )
 
+    def count_table(
+        self,
+        source: object,
+        rows: Iterable[tuple[str, Optional[str], Optional[str]]],
+        labels: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Export a counter table of ``(attribute, family, help)`` rows:
+        one counter family per row, sampled from ``getattr(source,
+        attribute)`` and stamped with ``labels``.  A row whose family is
+        ``None`` is counted but not exported."""
+        base = {str(k): str(v) for k, v in (labels or {}).items()}
+        names = tuple(base)
+        for attr, family, help in rows:
+            if family is not None:
+                self.counter(family, help, names).labels(**base).inc(
+                    getattr(source, attr)
+                )
+
     def absorb(
         self,
         other: "MetricsRegistry",

@@ -190,6 +190,27 @@ class TestRegistry:
             "repro_lat_seconds", {"shard": "0", "phase": "append"}
         ) == 2
 
+    def test_count_table_exports_one_family_per_named_row(self):
+        class Source:
+            sent = 3
+            lost = 1
+            internal = 9
+
+        rows = (
+            ("sent", "repro_sent_total", "Sent."),
+            ("lost", "repro_lost_total", "Lost."),
+            ("internal", None, None),
+        )
+        registry = MetricsRegistry()
+        registry.count_table(Source(), rows, {"shard": 0})
+        registry.count_table(Source(), rows, {"shard": 1})
+        assert [f.name for f in registry.collect()] == [
+            "repro_lost_total", "repro_sent_total",
+        ]
+        assert registry.get("repro_sent_total").help == "Sent."
+        assert registry.value("repro_sent_total", {"shard": "1"}) == 3
+        assert registry.value("repro_lost_total") == 2
+
 
 class TestThreadSafety:
     def test_concurrent_increments_from_threads(self):
