@@ -148,6 +148,7 @@ def service_bench(*, seed: int = 0, repeats: int = 3) -> MetricsRegistry:
             events=events,
             bytes_fed=sum(len(payload) for payload in frames),
             reports=len(server.delivered),
+            incremental_hits=server.engine.incremental_hits,
             elapsed_seconds=elapsed,
             frame_p50_ms=1e3 * latencies[len(latencies) // 2],
             frame_p99_ms=1e3

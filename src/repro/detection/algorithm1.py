@@ -22,8 +22,8 @@ Two equivalent drivers share the replay machine:
   from the snapshot only when the previous window ended on a mismatch.
   Its report stream is byte-identical to the oracle's by construction:
   a window is only evaluated on carried lists after they were verified
-  (:meth:`~repro.detection.replay.ReplayMachine.matches`) against the
-  very snapshot the oracle would seed from.
+  (:meth:`~repro.detection.replay.ReplayMachine.matches`) against a
+  snapshot equal to the one the oracle would seed from.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class IncrementalConcurrencyChecker:
     alive per monitor and decides per window:
 
     * **carry** (``hits``): the lists were verified equal to the last
-      checkpoint's snapshot *and* this window starts on that very
-      snapshot object (sinks reuse it as the next window's ``previous``),
-      so the machine replays only the new events — no re-seeding.
+      checkpoint's snapshot *and* this window starts on a state equal to
+      it (sinks reuse the very object as the next window's ``previous``;
+      a window decoded off the wire brings an equal copy), so the machine
+      replays only the new events — no re-seeding.
     * **fast path** (``fastpaths``): a carried window with zero events
       whose lists still equal the current snapshot can skip the whole
       membership comparison; only the snapshot witness and the timer
@@ -90,8 +91,8 @@ class IncrementalConcurrencyChecker:
     def __init__(self, declaration: MonitorDeclaration) -> None:
         self._declaration = declaration
         self._machine: Optional[ReplayMachine] = None
-        #: The snapshot object the carried lists were last verified
-        #: against (identity-compared with the next window's ``previous``).
+        #: The snapshot the carried lists were last verified against
+        #: (compared with the next window's ``previous``).
         self._basis: Optional[SchedulingState] = None
         #: Windows evaluated on carried lists (no re-seeding paid).
         self.hits = 0
@@ -109,16 +110,21 @@ class IncrementalConcurrencyChecker:
     ) -> list[FaultReport]:
         """Run Algorithm-1 over one checking window, incrementally."""
         machine = self._machine
-        carried = machine is not None and segment.previous is self._basis
+        previous = segment.previous
+        # A sink hands the next window the very object it cut at; a
+        # wire-decoded window brings an equal one (``is`` short-circuits).
+        carried = machine is not None and (
+            previous is self._basis or previous == self._basis
+        )
         if machine is None:
-            machine = ReplayMachine(self._declaration, segment.previous)
+            machine = ReplayMachine(self._declaration, previous)
             self._machine = machine
             self.rebases += 1
         elif carried:
-            machine.begin_window(segment.previous.time)
+            machine.begin_window(previous.time)
             self.hits += 1
         else:
-            machine.rebase(segment.previous)
+            machine.rebase(previous)
             self.rebases += 1
         current = segment.current
         if carried and not segment.events and machine.matches(current):

@@ -64,9 +64,11 @@ from repro.observability.registry import Histogram, MetricsRegistry
 from repro.service.framing import load_jsonl_journal
 
 __all__ = [
+    "service_report_key",
     "report_key",
     "report_to_dict",
     "report_from_dict",
+    "ExactlyOnceJournal",
     "ReportJournal",
     "SnapshotStore",
     "RecoverySummary",
@@ -77,13 +79,16 @@ __all__ = [
 # ----------------------------------------------------------------- reports
 
 
-def report_key(report: FaultReport) -> str:
-    """Stable identity of one fault report across process restarts.
+def service_report_key(report: FaultReport) -> str:
+    """Report identity for the detection service's dedup, *confidence-blind*.
 
     Everything that makes the finding *the same finding* — rule, monitor,
     implicated pids, triggering event, window and timestamps — and nothing
     presentation-only (the message).  Floats are keyed by ``repr`` so the
-    key survives JSON round-trips bit-for-bit.
+    key survives JSON round-trips bit-for-bit.  Re-deriving a replayed
+    window after a server restart evaluates it in degraded mode, so the
+    same finding can come back with a different confidence; deduping on
+    this key keeps the first derivation and absorbs the re-derived twin.
     """
     return "|".join(
         (
@@ -93,62 +98,83 @@ def report_key(report: FaultReport) -> str:
             ",".join(str(pid) for pid in report.pids),
             repr(report.event_seq),
             repr(report.window_start),
-            report.confidence.value,
         )
     )
 
 
-class ReportJournal:
+def report_key(report: FaultReport) -> str:
+    """Stable identity of one fault report across process restarts:
+    :func:`service_report_key` plus the report's confidence."""
+    return f"{service_report_key(report)}|{report.confidence.value}"
+
+
+class ExactlyOnceJournal:
     """Append-only JSONL journal giving exactly-once report delivery.
 
     ``admit`` is the single gate every surfaced report passes through:
-    a report whose :func:`report_key` the journal already holds is
-    rejected (it was delivered by a previous incarnation of the process),
-    otherwise it is appended — and flushed — *before* the caller may show
-    it to anyone.  Reopening truncates a torn tail with the WAL's
-    :func:`~repro.service.framing.good_jsonl_prefix` scanner (through
-    :func:`~repro.service.framing.load_jsonl_journal`): the interrupted
-    append never surfaced its report, so dropping it loses nothing.  A
-    corrupt or malformed line before the tail raises
+    a report whose :attr:`key` the journal already holds is rejected (it
+    was delivered by a previous incarnation of the process), otherwise it
+    is appended *before* the caller may show it to anyone.  The file is
+    line-buffered, so each record reaches the OS at its newline; with
+    ``fsync`` each admit also forces it to disk.  Reopening truncates a
+    torn tail with the WAL's :func:`~repro.service.framing.good_jsonl_prefix`
+    scanner (through :func:`~repro.service.framing.load_jsonl_journal`):
+    the interrupted append never surfaced its report, so dropping it
+    loses nothing.  A corrupt or malformed line before the tail raises
     :class:`~repro.errors.RecoveryError` naming the file and the line.
+    With ``path=None`` the journal is memory-only but keeps the same
+    dedup semantics.
+
+    The two users subclass it, each with its own key:
+    :class:`ReportJournal` (durable shards) and
+    :class:`~repro.service.server.ServiceJournal` (the detection server).
     """
 
-    def __init__(self, path: Union[str, Path], *, fsync: bool = False) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+    #: The dedup key of one report.
+    key: Callable[[FaultReport], str]
+
+    def __init__(
+        self, path: Optional[Union[str, Path]], *, fsync: bool = False
+    ) -> None:
+        self.path = None if path is None else Path(path)
         self._fsync = fsync
         self.reports: list[FaultReport] = []
         self.seen: set[str] = set()
         self.journaled = 0
         self.deduplicated = 0
         self.torn_tails_truncated = 0
-        if self.path.exists():
-            self._load_existing()
-        self._handle: Optional[IO[str]] = open(  # noqa: SIM115 — long-lived
-            self.path, "a", buffering=1, encoding="utf-8"
-        )
-
-    def _load_existing(self) -> None:
-        self.torn_tails_truncated += load_jsonl_journal(
-            self.path, self._load_record
-        )
+        self._handle: Optional[IO[str]] = None
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                self.torn_tails_truncated += load_jsonl_journal(
+                    self.path, self._load_record
+                )
+            self._handle = open(  # noqa: SIM115 — long-lived
+                self.path, "a", buffering=1, encoding="utf-8"
+            )
 
     def _load_record(self, record: dict) -> None:
         report = report_from_dict(record)
         self.reports.append(report)
-        self.seen.add(report_key(report))
+        self.seen.add(self.key(report))
 
-    def admit(self, report: FaultReport) -> bool:
-        """Journal one report; False when it was already delivered."""
-        key = report_key(report)
-        if key in self.seen:
-            self.deduplicated += 1
-            return False
-        assert self._handle is not None, "admit to a closed journal"
-        self._handle.write(json.dumps(report_to_dict(report)) + "\n")
+    def _write(self, record: dict) -> None:
+        if self.path is None:
+            return
+        assert self._handle is not None, "write to a closed journal"
+        self._handle.write(json.dumps(record) + "\n")
         if self._fsync:
             self._handle.flush()
             os.fsync(self._handle.fileno())
+
+    def admit(self, report: FaultReport) -> bool:
+        """Journal one report; False when it was already delivered."""
+        key = self.key(report)
+        if key in self.seen:
+            self.deduplicated += 1
+            return False
+        self._write(report_to_dict(report))
         self.seen.add(key)
         self.reports.append(report)
         self.journaled += 1
@@ -160,10 +186,17 @@ class ReportJournal:
             self._handle = None
 
     def __repr__(self) -> str:
+        path = None if self.path is None else str(self.path)
         return (
-            f"ReportJournal({str(self.path)!r}, reports={len(self.reports)}, "
+            f"{type(self).__name__}({path!r}, reports={len(self.reports)}, "
             f"journaled={self.journaled}, deduplicated={self.deduplicated})"
         )
+
+
+class ReportJournal(ExactlyOnceJournal):
+    """A durable shard's ``reports.jsonl``, keyed by :func:`report_key`."""
+
+    key = staticmethod(report_key)
 
 
 # --------------------------------------------------------------- snapshots

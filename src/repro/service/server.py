@@ -15,7 +15,8 @@ The server parses the handshake's rendered declaration into a **shadow
 monitor** registered with an ordinary
 :class:`~repro.detection.engine.DetectionEngine` (``realtime_orders``
 forced off: Algorithm 3 replays the shipped events, and the ``Tlimit``
-sweep runs off the replayed Request-List).  Each window becomes a
+sweep runs off the replayed Request-List).  Each window the shadow
+monitor's breaker admits becomes a
 :class:`~repro.detection.engine.CheckpointCapture` appended to the
 engine's pending queue; :meth:`poll` drains the queue under the existing
 :class:`~repro.detection.supervision.CheckpointSupervisor` discipline.
@@ -25,8 +26,8 @@ lossy windows, report streams — is the unmodified in-process machinery.
 Exactly-once across reconnects and restarts
 -------------------------------------------
 Windows carry per-stream sequence numbers.  The server acks a window only
-after its reports are journaled (:class:`ServiceJournal`, the
-:class:`~repro.detection.durability.ReportJournal` pattern) and the
+after its reports are journaled (:class:`ServiceJournal`, a report
+journal like a durable shard's, plus stream watermarks) and the
 per-stream watermark is advanced — so a client that never saw the ack
 replays the window, the watermark skips the duplicate, and re-derived
 reports are deduplicated by a **confidence-blind** key
@@ -37,10 +38,12 @@ stamped DEGRADED), and the journal keeps the first derivation.
 Loss is visible, never silent
 -----------------------------
 A sequence gap (client shed windows), client-reported ``lost_events``,
-or the first window after a server restart (cold checker state) all bump
-the reconstructed segment's ``dropped`` count, which routes evaluation
-through the engine's degraded path: drop-tolerant rules only, reports
-stamped :attr:`~repro.detection.reports.Confidence.DEGRADED`, Algorithm-2
+the first window after a server restart (cold checker state), or a window
+before it that the shadow monitor's OPEN breaker refused (acked, never
+evaluated) all bump the reconstructed segment's ``dropped`` count, which
+routes evaluation through the engine's degraded path: drop-tolerant rules
+only, reports stamped
+:attr:`~repro.detection.reports.Confidence.DEGRADED`, Algorithm-2
 counters resynced.  A malformed frame or quota-abusing client quarantines
 *that connection* — never the fleet.
 
@@ -55,18 +58,16 @@ families into the same registry.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import IO, Optional, Union
+from typing import Optional, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.engine import CheckpointCapture, DetectionEngine
 from repro.detection.durability import (
-    report_from_dict,
-    report_to_dict,
+    ExactlyOnceJournal,
+    service_report_key,
 )
 from repro.detection.reports import FaultReport
 from repro.detection.supervision import CheckpointSupervisor
@@ -76,12 +77,7 @@ from repro.monitor.construct import Monitor
 from repro.observability.export import write_metrics_json
 from repro.observability.registry import Histogram, MetricsRegistry
 from repro.monitor.declaration import MonitorDeclaration
-from repro.service.framing import (
-    FrameDecoder,
-    FrameError,
-    encode_frame,
-    load_jsonl_journal,
-)
+from repro.service.framing import FrameDecoder, FrameError, encode_frame
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     STREAM_OVERRIDES,
@@ -103,27 +99,6 @@ __all__ = [
     "DetectionServer",
     "serve",
 ]
-
-
-def service_report_key(report: FaultReport) -> str:
-    """Report identity for service-level dedup, *confidence-blind*.
-
-    Re-deriving a replayed window after a server restart evaluates it in
-    degraded mode, so the same finding can come back with a different
-    confidence; everything else (rule, monitor, timestamps, pids, window)
-    is bit-identical.  Deduping on this key keeps the first derivation
-    and absorbs the re-derived twin.
-    """
-    return "|".join(
-        (
-            report.rule_id,
-            report.monitor,
-            repr(report.detected_at),
-            ",".join(str(pid) for pid in report.pids),
-            repr(report.event_seq),
-            repr(report.window_start),
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -161,90 +136,45 @@ class ServiceConfig:
             )
 
 
-class ServiceJournal:
-    """Durable exactly-once state: delivered reports + stream watermarks.
+class ServiceJournal(ExactlyOnceJournal):
+    """The server's exactly-once state: delivered reports + stream watermarks.
 
-    One JSONL file holds two record kinds — ``report`` (the
-    :func:`~repro.detection.durability.report_to_dict` shape) and
-    ``watermark`` (``token``/``stream``/``seq``).  ``admit`` dedups on
-    the confidence-blind :func:`service_report_key`; ``advance`` records
-    the highest durably-processed window per (token, stream).  With
-    ``path=None`` the journal is memory-only (sim tests, ephemeral
-    daemons) but keeps the same dedup semantics.  Reopening truncates a
-    torn tail with the shared :func:`~repro.service.framing
-    .good_jsonl_prefix` scanner — the same code path as the WAL — and a
-    corrupt or malformed line before the tail raises
-    :class:`~repro.errors.RecoveryError` naming the file and the line: a
-    watermark needs a str ``token`` and ``stream`` and an int ``seq`` >= 0.
+    A report journal (:class:`~repro.detection.durability
+    .ExactlyOnceJournal`) keyed by the confidence-blind
+    :func:`service_report_key`, whose file also holds ``watermark``
+    records (``token``/``stream``/``seq``): ``advance`` records the
+    highest durably-processed window per (token, stream).  With
+    ``path=None`` it is memory-only (sim tests, ephemeral daemons).  A
+    watermark line needs a str ``token`` and ``stream`` and an int
+    ``seq`` >= 0, or reopening raises
+    :class:`~repro.errors.RecoveryError` naming the file and the line.
     """
 
-    def __init__(
-        self, path: Optional[Union[str, Path]] = None, *, fsync: bool = False
-    ) -> None:
-        self.path = None if path is None else Path(path)
-        self._fsync = fsync
-        self.reports: list[FaultReport] = []
-        self.seen: set[str] = set()
-        self.watermarks: dict[tuple[str, str], int] = {}
-        self.journaled = 0
-        self.deduplicated = 0
-        self.torn_tails_truncated = 0
-        self._handle: Optional[IO[str]] = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self.path.exists():
-                self._load_existing()
-            self._handle = open(  # noqa: SIM115 — long-lived
-                self.path, "a", buffering=1, encoding="utf-8"
-            )
+    key = staticmethod(service_report_key)
 
-    def _load_existing(self) -> None:
-        assert self.path is not None
-        self.torn_tails_truncated += load_jsonl_journal(
-            self.path, self._load_record
-        )
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
+        # Before the base loads the file: its watermark lines land here.
+        self.watermarks: dict[tuple[str, str], int] = {}
+        super().__init__(path)
 
     def _load_record(self, record: dict) -> None:
-        kind = record.get("kind")
-        if kind == "report":
-            report = report_from_dict(record)
-            self.reports.append(report)
-            self.seen.add(service_report_key(report))
-        elif kind == "watermark":
-            token = record.get("token")
-            stream = record.get("stream")
-            seq = record.get("seq")
-            # Exact types, not coercion: ``"seq": true`` read as 1 would
-            # skip a replaying client's real window 1 as a duplicate.
-            if (
-                type(token) is not str
-                or type(stream) is not str
-                or type(seq) is not int
-                or seq < 0
-            ):
-                raise RecoveryError(f"malformed watermark record {record!r}")
-            if seq > self.watermarks.get((token, stream), -1):
-                self.watermarks[(token, stream)] = seq
-        else:
-            raise RecoveryError(f"unknown journal record kind {kind!r}")
-
-    def _write(self, record: dict) -> None:
-        if self._handle is None:
+        if record.get("kind") != "watermark":
+            super()._load_record(record)  # a report, or RecoveryError
             return
-        self._handle.write(json.dumps(record) + "\n")
-
-    def admit(self, report: FaultReport) -> bool:
-        """Journal one report; False when already delivered (any
-        confidence) by this or a previous server incarnation."""
-        key = service_report_key(report)
-        if key in self.seen:
-            self.deduplicated += 1
-            return False
-        self._write(report_to_dict(report))
-        self.seen.add(key)
-        self.reports.append(report)
-        self.journaled += 1
-        return True
+        token = record.get("token")
+        stream = record.get("stream")
+        seq = record.get("seq")
+        # Exact types, not coercion: ``"seq": true`` read as 1 would skip
+        # a replaying client's real window 1 as a duplicate.
+        if (
+            type(token) is not str
+            or type(stream) is not str
+            or type(seq) is not int
+            or seq < 0
+        ):
+            raise RecoveryError(f"malformed watermark record {record!r}")
+        if seq > self.watermarks.get((token, stream), -1):
+            self.watermarks[(token, stream)] = seq
 
     def advance(self, token: str, stream: str, seq: int) -> None:
         """Record that windows of ``stream`` through ``seq`` are durably
@@ -256,19 +186,6 @@ class ServiceJournal:
         self._write(
             {"kind": "watermark", "token": token, "stream": stream, "seq": seq}
         )
-
-    def flush(self) -> None:
-        if self._handle is None:
-            return
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
 
 
 class StreamState:
@@ -299,6 +216,9 @@ class StreamState:
         #: (evaluated degraded + Algorithm-2 resync) instead of silently
         #: CONFIRMED on a mid-stream cold start.
         self.resync_pending = resync_pending
+        #: Events of a window the breaker refused, added to the next
+        #: window's ``dropped`` count.
+        self.owed = 0
 
 
 class ClientSession:
@@ -394,7 +314,6 @@ class DetectionServer:
         config: Optional[DetectorConfig] = None,
         service: Optional[ServiceConfig] = None,
         durable_dir: Optional[Union[str, Path]] = None,
-        fsync: bool = False,
     ) -> None:
         self.kernel = kernel
         base = config or DetectorConfig()
@@ -408,7 +327,7 @@ class DetectionServer:
             if self.durable_dir is None
             else self.durable_dir / "service.jsonl"
         )
-        self.journal = ServiceJournal(journal_path, fsync=fsync)
+        self.journal = ServiceJournal(journal_path)
         #: Supervises :meth:`_evaluation_round`, so retries and the stall
         #: watchdog apply to remote ingestion exactly as they do to local
         #: checkpoints.
@@ -451,7 +370,7 @@ class DetectionServer:
         return self._closed
 
     def close(self) -> None:
-        """Stop accepting work and flush the journal (idempotent)."""
+        """Stop accepting work and close the journal (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -741,7 +660,8 @@ class DetectionServer:
             )
         segment = segment_from_wire(raw_segment)
         gap = seq - stream.accepted - 1 if stream.accepted >= 0 else 0
-        extra = lost_events
+        extra = lost_events + stream.owed
+        stream.owed = 0
         if gap > 0:
             self.gaps_detected += 1
             if extra == 0:
@@ -753,16 +673,25 @@ class DetectionServer:
         stream.resync_pending = False
         if extra:
             segment = replace(segment, dropped=segment.dropped + extra)
-        if segment.dropped:
-            self.lossy_windows += 1
-        capture = CheckpointCapture(
-            entry=stream.entry,
-            snapshot=segment.current,
-            segment=segment,
-            request_list=None,
-            taken_at=taken_at,
-        )
-        self.engine._pending_captures.append(capture)
+        entry = stream.entry
+        if entry.breaker.allow(taken_at):
+            if segment.dropped:
+                self.lossy_windows += 1
+            self.engine._pending_captures.append(
+                CheckpointCapture(
+                    entry=entry,
+                    snapshot=segment.current,
+                    segment=segment,
+                    request_list=None,
+                    taken_at=taken_at,
+                )
+            )
+        else:
+            # Quarantined shadow monitor: the window sits out, as a local
+            # capture would, but its events are gone with it — the next
+            # window owes them as loss (degraded + Algorithm-2 resync).
+            entry.checkpoints_skipped += 1
+            stream.owed = len(segment.events) + segment.dropped
         self._pending_meta.append(
             _WindowMeta(conn.conn_id, session, stream, seq)
         )
@@ -808,7 +737,6 @@ class DetectionServer:
             self.journal.advance(
                 item.session.token, item.stream.label, item.seq
             )
-        self.journal.flush()
         self._pending_meta = []
         for item in meta:
             conn = self._connections.get(item.conn_id)

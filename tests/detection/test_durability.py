@@ -21,6 +21,7 @@ from repro.detection import (
 )
 from repro.errors import RecoveryError
 from repro.kernel import Delay, RandomPolicy, SimKernel
+from repro.service.server import ServiceJournal
 from tests.history.test_wal import count_fsyncs
 
 
@@ -132,6 +133,72 @@ class TestReportJournal:
             RecoveryError, match="durable.reports line 2: malformed report"
         ):
             ReportJournal(path)
+
+
+def two_report_journal(journal_class, path):
+    """Write two reports through ``journal_class``; return the lines."""
+    journal = journal_class(path)
+    journal.admit(sample_report())
+    journal.admit(sample_report(detected_at=2.0))
+    journal.close()
+    return path.read_text(encoding="utf-8").splitlines(True)
+
+
+@pytest.mark.parametrize("journal_class", [ReportJournal, ServiceJournal])
+class TestEitherJournalLoads:
+    """The load path both exactly-once journals share."""
+
+    def test_reopen_then_dedup(self, tmp_path, journal_class):
+        path = tmp_path / "journal.jsonl"
+        two_report_journal(journal_class, path)
+        reopened = journal_class(path)
+        assert len(reopened.reports) == 2
+        assert reopened.admit(sample_report()) is False
+        assert reopened.deduplicated == 1
+
+    def test_torn_final_line_truncated(self, tmp_path, journal_class):
+        path = tmp_path / "journal.jsonl"
+        two_report_journal(journal_class, path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "report", "rule": "ST-8b", "monit')
+        reopened = journal_class(path)
+        assert reopened.torn_tails_truncated == 1
+        assert len(reopened.reports) == 2
+        assert reopened.admit(sample_report(detected_at=9.0)) is True
+
+    def test_junk_complete_last_line_truncated(self, tmp_path, journal_class):
+        path = tmp_path / "journal.jsonl"
+        two_report_journal(journal_class, path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("not json at all\n")
+        reopened = journal_class(path)
+        assert reopened.torn_tails_truncated == 1
+        assert len(reopened.reports) == 2
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+
+    @pytest.mark.parametrize("corrupt", ["not json at all", "[1, 2]"])
+    def test_corrupt_middle_line_names_file_and_line(
+        self, tmp_path, journal_class, corrupt
+    ):
+        path = tmp_path / "journal.jsonl"
+        first, second = two_report_journal(journal_class, path)
+        path.write_text(first + corrupt + "\n" + second, encoding="utf-8")
+        with pytest.raises(RecoveryError, match="journal.jsonl line 2: corrupt"):
+            journal_class(path)
+
+    @pytest.mark.parametrize("field", ["rule", "monitor", "confidence"])
+    def test_report_missing_a_field_names_file_and_line(
+        self, tmp_path, journal_class, field
+    ):
+        path = tmp_path / "journal.jsonl"
+        first, second = two_report_journal(journal_class, path)
+        record = json.loads(second)
+        del record[field]
+        path.write_text(first + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(
+            RecoveryError, match="journal.jsonl line 2: malformed report"
+        ):
+            journal_class(path)
 
 
 class TestSnapshotStore:

@@ -70,16 +70,25 @@ class TestCarrySemantics:
         assert checker.hits == 1
         assert checker.rebases == 1
 
-    def test_equal_but_distinct_snapshot_rebases(self):
-        checker = IncrementalConcurrencyChecker(declaration())
+    def test_equal_but_distinct_snapshot_carries(self):
+        decl = declaration()
+        checker = IncrementalConcurrencyChecker(decl)
         s0 = state(0.0)
         first = clean_window(s0, 0, 0.0)
         checker.check_window(first)
-        # Same value, different object: identity carry must refuse it
-        # (out-of-sequence windows, e.g. right after crash recovery).
+        # Same value, different object (a window decoded off the wire):
+        # the lists verified against the last current seed it equally.
         second = clean_window(state(1.0), 2, 1.0)
-        checker.check_window(second)
-        assert checker.hits == 0
+        assert second.previous is not first.current
+        assert checker.check_window(second) == (
+            check_general_concurrency_control(decl, second)
+        )
+        assert checker.hits == 1
+        assert checker.rebases == 1
+        # A window that starts anywhere else (out of sequence, e.g. right
+        # after crash recovery) still re-seeds.
+        checker.check_window(clean_window(state(5.0), 4, 5.0))
+        assert checker.hits == 1
         assert checker.rebases == 2
 
     def test_mismatch_invalidates_the_carry(self):

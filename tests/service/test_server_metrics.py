@@ -37,16 +37,12 @@ def failing_round_server() -> DetectionServer:
     windows (the breaker threshold) and whose journal fails one write.
 
     Each window is fed and polled in turn, so the failed journal write
-    fails one round; the next poll's round delivers its reports.
-
-    The golden file also records a defect: the server queues each
-    window's capture for evaluation without asking the monitor's breaker,
-    so the OPEN misused:buffer monitor is still evaluated on its next
-    windows (``repro_monitor_checkpoints_total{monitor="misused:buffer"}``
-    3), stays quarantined (``repro_engine_quarantined_monitors`` 1) and
-    never re-closes (``repro_breaker_reclosed_total`` 0).  Routing the
-    server's captures through the breaker moves those counts on purpose;
-    that change regenerates the golden file.
+    fails one round; the next poll's round delivers its reports.  The
+    OPEN misused:buffer breaker refuses the next two windows (acked,
+    not evaluated; both are empty, so the window after them owes no
+    loss), goes HALF_OPEN at the cooldown and re-closes on the last
+    window (``repro_monitor_checkpoints_total{monitor="misused:buffer"}``
+    1, ``repro_breaker_reclosed_total`` 1).
     """
     server = DetectionServer(
         make_kernel(0), service=ServiceConfig(window_credits=50)
@@ -104,7 +100,7 @@ def test_each_service_counter_reads_the_same_in_stats_and_metrics(server):
 def test_export_carries_breaker_and_supervisor_event_families(server):
     registry = server.metrics()
     assert registry.value("repro_breaker_opened_total") == 1
-    assert registry.get("repro_breaker_reclosed_total") is not None
+    assert registry.value("repro_breaker_reclosed_total") == 1
     assert (
         registry.value("repro_supervisor_events_total", {"kind": "failure"})
         == 1

@@ -149,6 +149,18 @@ class TestServiceJournal:
         assert reopened.watermarks[("tok", "buffer")] == 7
         assert not reopened.admit(make_report(Confidence.DEGRADED))
 
+    def test_each_record_reaches_the_file_at_its_newline(self, tmp_path):
+        # The file is line-buffered: a second open, with no flush() or
+        # close() on the first, reads the report and the watermark.
+        journal = ServiceJournal(tmp_path / "j.jsonl")
+        journal.admit(make_report())
+        journal.advance("tok", "buffer", 3)
+        reader = ServiceJournal(tmp_path / "j.jsonl")
+        assert reader.reports == journal.reports
+        assert reader.watermarks == {("tok", "buffer"): 3}
+        journal.close()
+        reader.close()
+
     def test_torn_tail_truncated_on_reload(self, tmp_path):
         journal = ServiceJournal(tmp_path / "j.jsonl")
         journal.admit(make_report())
@@ -658,6 +670,80 @@ class TestStreamOverrides:
         assert server.connection_quarantined(1)
         # The poisoned hello never reached the fleet: a clean client works.
         assert handshake(server, conn_id=2)["type"] == "welcome"
+
+
+# ------------------------------------------------ shadow monitor checking
+
+
+def feed_and_poll(server, windows):
+    for window in windows:
+        server.feed(1, encode_frame(window))
+        server.poll()
+
+
+class TestShadowMonitorChecking:
+    def test_quarantined_monitor_sits_out_its_windows(self):
+        server = make_server(
+            config=DetectorConfig(
+                interval=1.0, breaker_failure_threshold=1, breaker_cooldown=1.5
+            )
+        )
+        hello, windows = corpus()
+        handshake(server)
+        entry = server.engine.entry_for("direct:buffer")
+        evaluate = entry.evaluate
+        faults = {"evaluate": 1}
+
+        def sabotaged(capture):
+            if faults["evaluate"]:
+                faults["evaluate"] -= 1
+                raise RuntimeError("sabotaged shadow evaluator")
+            return evaluate(capture)
+
+        entry.evaluate = sabotaged
+        feed_and_poll(server, windows[:2])
+        # Window 1 fails and opens the breaker; window 2 (14 events)
+        # arrives inside the cooldown: acked, not evaluated.
+        assert len(windows[1]["segment"]["events"]) == 14
+        assert entry.quarantined
+        assert entry.checkpoints_skipped == 1
+        assert entry.checkpoints_run == 0
+        assert server.journal.watermarks[(hello["token"], "buffer")] == 1
+        # Window 3 owes window 2's events: evaluated DEGRADED, and its
+        # success re-closes the half-open breaker.
+        feed_and_poll(server, windows[2:3])
+        stats = server.stats()
+        assert stats["lossy_windows"] == 1
+        assert stats["degraded_windows"] == 1
+        assert entry.breaker.times_reclosed == 1
+        assert not entry.quarantined
+        feed_and_poll(server, windows[3:])
+        assert server.journal.watermarks[(hello["token"], "buffer")] == 5
+        assert entry.checkpoints_run == len(windows) - 2
+        assert server.stats()["degraded_windows"] == 1
+        assert server.delivered == []
+
+    @pytest.mark.parametrize("make_corpus", [corpus, misuse_corpus])
+    def test_remote_windows_carry_checking_lists(self, make_corpus):
+        hello, windows = make_corpus()
+        servers = [
+            make_server(
+                config=DetectorConfig(incremental_checking=incremental),
+                service=ServiceConfig(window_credits=50),
+            )
+            for incremental in (True, False)
+        ]
+        for server in servers:
+            handshake(server, hello=dict(hello))
+            feed_and_poll(server, windows)
+        carried, oracle = servers
+        # Every window but each stream's first starts on a wire-decoded
+        # state equal to the last verified one, so its lists carry.
+        assert carried.engine.evaluations_run == len(windows)
+        assert carried.engine.incremental_hits == (
+            len(windows) - len(hello["streams"])
+        )
+        assert carried.delivered == oracle.delivered
 
 
 # ------------------------------------------------------- evaluation retry
