@@ -396,6 +396,9 @@ class DurableEngine:
         #: Wall-clock duration of each :meth:`recover` (snapshot restore
         #: plus WAL replay), for the recovery latency histogram.
         self.recover_latency = Histogram()
+        #: Wall-clock duration of each snapshot written (WAL flush,
+        #: payload and store write), for the snapshot latency histogram.
+        self.snapshot_latency = Histogram()
         self._consumed: dict[str, int] = {}
 
     @property
@@ -522,11 +525,14 @@ class DurableEngine:
         }
 
     def _write_snapshot(self) -> Path:
+        started = perf_counter()
         # The WAL must be at least as new as the offsets the snapshot
         # records, or replay would start past events it never saw.
         for __, wal in self._wal_entries():
             wal.flush(sync=self.fsync != "never")
-        return self.snapshots.write(self._snapshot_payload())
+        path = self.snapshots.write(self._snapshot_payload())
+        self.snapshot_latency.observe(perf_counter() - started)
+        return path
 
     def _restore_payload(self, payload: dict) -> None:
         if payload.get("kind") != "durable-engine":
@@ -637,7 +643,7 @@ class DurableEngine:
 
         The engine's own sampling already folds in each monitor's WAL
         (append/fsync counters and latency); this adds snapshots, journal
-        dedup, and the recovery-replay latency histogram.
+        dedup, and the snapshot and recovery latency histograms.
         """
         registry.count_table(self, DURABILITY_COUNTERS, labels)
         base = {str(k): str(v) for k, v in labels.items()}
@@ -647,11 +653,13 @@ class DurableEngine:
             "Reports delivered through the durable journal.",
             names,
         ).labels(**base).set(len(self.reports))
-        registry.histogram(
+        phases = registry.histogram(
             "repro_phase_latency_seconds",
             "Wall-clock latency per detection phase.",
             names + ("phase",),
-        ).labels(**base, phase="recover").merge(self.recover_latency)
+        )
+        phases.labels(**base, phase="snapshot").merge(self.snapshot_latency)
+        phases.labels(**base, phase="recover").merge(self.recover_latency)
 
     @property
     def wal_bytes_written(self) -> int:

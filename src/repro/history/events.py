@@ -79,10 +79,22 @@ class SchedulingEvent(_EventFields):
     for Enter events and for a Signal-Exit that signals no condition (a
     plain exit).
 
-    A validated, immutable tuple record, built inside every recorded
-    monitor transition.  ``_make`` and ``_replace`` skip the constructor's
-    checks, so code builds events only through the constructor or the
-    four helpers below.
+    A validated, immutable tuple record.  The constructor checks that the
+    flag is 0 or 1 and that a Wait names its condition; ``_make`` and
+    ``_replace`` skip both checks, so code builds events through the
+    constructor or the four helpers below, with two exceptions that
+    build the tuple directly (``tuple.__new__(SchedulingEvent, ...)``)
+    because they run once per event:
+
+    * the record hook, :meth:`repro.monitor.core.MonitorCore._record`:
+      every flag it is passed is the literal 0 or 1 or a local only ever
+      set to one of them, and ``wait`` passes its condition only after
+      checking that the monitor declares it (a declared condition name
+      is a string);
+    * the service's wire decoder,
+      :func:`repro.history.serialize.events_from_wire`: the wire is a
+      trust boundary, so it runs both checks inline before building the
+      tuple.
     """
 
     __slots__ = ()

@@ -46,6 +46,12 @@ __all__ = [
 
 # ------------------------------------------------------------------ events
 
+#: Kind value → member, resolved once: ``EventKind(value)`` walks the
+#: enum ``__call__`` machinery, and the decoders below run once per event
+#: of every window the service receives and of every WAL line recovery
+#: replays.
+_EVENT_KINDS: dict = {kind.value: kind for kind in EventKind}
+
 
 def event_to_dict(event: SchedulingEvent) -> dict:
     """One scheduling event as a JSON-compatible dict."""
@@ -64,19 +70,23 @@ def event_to_dict(event: SchedulingEvent) -> dict:
 
 
 def event_from_dict(record: dict) -> SchedulingEvent:
+    """Decode one keyed event record (a WAL line, a snapshot's pending
+    event, a trace line).  Files are a boundary too, so the event goes
+    through the validating :class:`SchedulingEvent` constructor; an
+    unknown kind raises :class:`~repro.errors.HistoryError`."""
     if not isinstance(record, dict) or record.get("kind") != "event":
         raise HistoryError(f"not an event record: {record!r}")
     try:
         return SchedulingEvent(
             record["seq"],
-            EventKind(record["event"]),
+            _EVENT_KINDS[record["event"]],
             record["pid"],
             record["pname"],
             record["time"],
             record["flag"],
             record.get("cond"),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed event record {record!r}: {exc}") from exc
 
 
@@ -89,10 +99,9 @@ _ESCAPED: dict[str, str] = {}
 
 
 def _escape(value: str) -> str:
-    cached = _ESCAPED.get(value)
-    if cached is None:
-        cached = _ESCAPED[value] = json.dumps(value)
-    return cached
+    """Encode a name the memo misses, and remember it."""
+    escaped = _ESCAPED[value] = json.dumps(value)
+    return escaped
 
 
 #: JSON text of each event kind, keyed by the kind's string value: on
@@ -111,15 +120,20 @@ def event_to_json_line(event: SchedulingEvent) -> str:
     ``json.dumps(event_to_dict(event), separators=(",", ":"))`` (floats
     via ``repr``, exactly as the json encoder emits them; pure ASCII, so
     ``len`` is the byte length) without building the intermediate dict.
-    Shared by the write-ahead log's append path and the event sinks'
-    staged-batch flush.
+    The write-ahead log's append path is its only caller; names are read
+    from the memo inline and :func:`_escape` runs only on a miss.
     """
     seq, kind, pid, pname, time, flag, cond = event
-    tail = "}\n" if cond is None else f',"cond":{_escape(cond)}}}\n'
+    escaped = _ESCAPED
+    tail = (
+        "}\n"
+        if cond is None
+        else f',"cond":{escaped.get(cond) or _escape(cond)}}}\n'
+    )
     return (
         f'{{"kind":"event","event":{_KIND_JSON[kind._value_]},'
         f'"seq":{seq},"pid":{pid},'
-        f'"pname":{_escape(pname)},"time":{time!r},'
+        f'"pname":{escaped.get(pname) or _escape(pname)},"time":{time!r},'
         f'"flag":{flag}{tail}'
     )
 
@@ -233,12 +247,6 @@ def segment_to_dict(segment: Segment) -> dict:
     }
 
 
-#: Wire value → member, resolved once: ``EventKind(value)`` walks the
-#: enum ``__call__`` machinery on every event, and the batch decoder
-#: below runs once per event of every window the service receives.
-_EVENT_KINDS: dict = {kind.value: kind for kind in EventKind}
-
-
 def events_from_wire(records) -> tuple:
     """Decode a window's positional event arrays (see
     :func:`segment_to_dict`) in one loop.
@@ -246,16 +254,20 @@ def events_from_wire(records) -> tuple:
     This is the service's trust boundary, so each record must be a
     7-element array with an int ``seq``, ``pid`` and ``flag``, a str
     ``pname``, a finite ``time`` (:func:`is_wire_time`), a known ``kind``
-    and a str or null ``cond`` (``bool`` is not an int here).  Every
-    event is built through the :class:`SchedulingEvent` constructor,
-    which checks that the flag is 0 or 1 and that a Wait names its
-    condition.  Any other shape, the keyed on-disk object included,
-    raises :class:`~repro.errors.HistoryError`.
+    and a str or null ``cond`` (``bool`` is not an int here).  The loop
+    then runs the :class:`SchedulingEvent` constructor's two checks
+    inline — the flag is 0 or 1, a Wait names its condition — and builds
+    each event as the plain tuple record it is.  Any other shape, the
+    keyed on-disk object included, raises
+    :class:`~repro.errors.HistoryError`.
     """
     kinds = _EVENT_KINDS
+    wait = EventKind.WAIT
     number = _NUMBER
     top = _MAX_TIME
     bottom = -top
+    new_event = tuple.__new__
+    event_type = SchedulingEvent
     events = []
     append = events.append
     record = None
@@ -275,8 +287,15 @@ def events_from_wire(records) -> tuple:
                 raise TypeError("a field has the wrong type")
             if not bottom <= time <= top:
                 raise ValueError("time is not finite")
+            if flag != 0 and flag != 1:
+                raise ValueError(f"event flag must be 0 or 1, got {flag}")
+            kind = kinds[kind]
+            if cond is None and kind is wait:
+                raise ValueError("Wait events require a condition name")
             append(
-                SchedulingEvent(seq, kinds[kind], pid, pname, time, flag, cond)
+                new_event(
+                    event_type, (seq, kind, pid, pname, time, flag, cond)
+                )
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed wire event {record!r}: {exc}") from exc

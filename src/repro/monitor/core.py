@@ -55,6 +55,11 @@ _ENTER = EventKind.ENTER
 _WAIT = EventKind.WAIT
 _SIGNAL_EXIT = EventKind.SIGNAL_EXIT
 _SIGNAL = EventKind.SIGNAL
+#: The record hook builds each ``SchedulingEvent`` as the plain tuple
+#: record it is.  The constructor's two checks hold at every ``_record``
+#: call: each flag is the literal 0 or 1 or a local only ever set to one
+#: of them, and ``wait`` passes its condition after ``_check_condition``.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +154,9 @@ class MonitorCore:
         history = self._history
         if history is None:
             return None
-        event = SchedulingEvent(
-            history.next_seq(), kind, pid, pname, time, flag, cond
+        event = _new_tuple(
+            SchedulingEvent,
+            (history.next_seq(), kind, pid, pname, time, flag, cond),
         )
         if not self._hooks.should_record(event):
             return None

@@ -83,6 +83,11 @@ class MonitorDeclaration:
             raise DeclarationError(
                 f"monitor {self.name!r} declares duplicate procedure names"
             )
+        if not all(isinstance(cond, str) for cond in self.conditions):
+            # The record hook relies on it: a Wait always names a condition.
+            raise DeclarationError(
+                f"monitor {self.name!r}: condition names must be strings"
+            )
         if len(set(self.conditions)) != len(self.conditions):
             raise DeclarationError(
                 f"monitor {self.name!r} declares duplicate condition names"

@@ -39,10 +39,11 @@ Loss is visible, never silent
 -----------------------------
 A sequence gap (client shed windows), client-reported ``lost_events``,
 the first window after a server restart (cold checker state), or a window
-before it that the shadow monitor's OPEN breaker refused (acked, never
-evaluated) all bump the reconstructed segment's ``dropped`` count, which
-routes evaluation through the engine's degraded path: drop-tolerant rules
-only, reports stamped
+before it that the shadow monitor's breaker refused (acked, never
+evaluated: the breaker is OPEN, or HALF_OPEN with its one probe window
+already queued) all bump the reconstructed segment's ``dropped`` count,
+which routes evaluation through the engine's degraded path: drop-tolerant
+rules only, reports stamped
 :attr:`~repro.detection.reports.Confidence.DEGRADED`, Algorithm-2
 counters resynced.  A malformed frame or quota-abusing client quarantines
 *that connection* — never the fleet.
@@ -70,7 +71,7 @@ from repro.detection.durability import (
     service_report_key,
 )
 from repro.detection.reports import FaultReport
-from repro.detection.supervision import CheckpointSupervisor
+from repro.detection.supervision import BreakerState, CheckpointSupervisor
 from repro.errors import DeclarationError, RecoveryError, ServiceError
 from repro.history.serialize import is_wire_time
 from repro.monitor.construct import Monitor
@@ -674,7 +675,7 @@ class DetectionServer:
         if extra:
             segment = replace(segment, dropped=segment.dropped + extra)
         entry = stream.entry
-        if entry.breaker.allow(taken_at):
+        if entry.breaker.allow(taken_at) and not self._probe_queued(entry):
             if segment.dropped:
                 self.lossy_windows += 1
             self.engine._pending_captures.append(
@@ -687,7 +688,8 @@ class DetectionServer:
                 )
             )
         else:
-            # Quarantined shadow monitor: the window sits out, as a local
+            # Quarantined shadow monitor, or a half-open one whose probe
+            # window is still queued: the window sits out, as a local
             # capture would, but its events are gone with it — the next
             # window owes them as loss (degraded + Algorithm-2 resync).
             entry.checkpoints_skipped += 1
@@ -708,6 +710,16 @@ class DetectionServer:
                 )
             )
         return b""
+
+    def _probe_queued(self, entry) -> bool:
+        """Whether ``entry``'s breaker is HALF_OPEN with its probe window
+        already queued.  The breaker is asked at feed time, so without
+        this every window fed before the next poll would be queued as a
+        probe, and those behind a failing probe would be checked on a
+        monitor the probe has just quarantined again."""
+        return entry.breaker.state is BreakerState.HALF_OPEN and any(
+            capture.entry is entry for capture in self.engine._pending_captures
+        )
 
     # ------------------------------------------------------------ evaluation
 

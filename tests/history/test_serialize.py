@@ -71,10 +71,11 @@ class TestDictRoundTrips:
             event_from_dict({"kind": "event", "event": "Nonsense", "seq": 0})
 
 
-#: Well-formed JSON event records that the event constructor rejects.
-#: ``SchedulingEvent._make`` and ``_replace`` skip the constructor's
-#: checks and would accept both, so these pin that every decoder builds
-#: events through the constructor.
+#: Well-formed JSON event records that the file decoder rejects.  The
+#: first two reach the event constructor's own checks:
+#: ``SchedulingEvent._make`` and ``_replace`` skip them and would accept
+#: both, so these pin that the file decoder builds events through the
+#: constructor.  The last two name no event kind.
 INVALID_EVENTS = {
     "flag-2": {
         "kind": "event", "event": "Enter", "seq": 0, "pid": 1,
@@ -82,6 +83,14 @@ INVALID_EVENTS = {
     },
     "wait-without-cond": {
         "kind": "event", "event": "Wait", "seq": 0, "pid": 1,
+        "pname": "Op", "time": 0.0, "flag": 0,
+    },
+    "unknown-kind": {
+        "kind": "event", "event": "Nonsense", "seq": 0, "pid": 1,
+        "pname": "Op", "time": 0.0, "flag": 0,
+    },
+    "kind-array": {
+        "kind": "event", "event": ["Enter"], "seq": 0, "pid": 1,
         "pname": "Op", "time": 0.0, "flag": 0,
     },
 }
@@ -99,7 +108,8 @@ def _wire_with(slot, value):
 
 #: Wire events that differ from :data:`VALID_WIRE` in exactly one slot:
 #: its flag, its cond, its kind, its length or one field's type.  The
-#: first two reach the constructor's own checks.
+#: first two reach the constructor's two checks, which the decoder runs
+#: inline before it builds the tuple.
 INVALID_WIRE_EVENTS = {
     "flag-2": _wire_with(5, 2),
     "wait-without-cond": _wire_with(6, None),

@@ -1,5 +1,6 @@
 """WriteAheadLog: fsync policies, rotation, torn tails, replay, reopen."""
 
+import math
 import os
 
 import pytest
@@ -88,6 +89,32 @@ class TestFsyncPolicies:
             wal.record(event(seq))
         wal.cut(state(60.0))
         assert wal.fsyncs == 0
+
+
+class TestAppendTiming:
+    """Appends are timed one in 64, the first always; fsyncs every time."""
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_samples_the_first_append_and_every_64th(self, tmp_path, policy):
+        wal = make_wal(tmp_path, fsync=policy)
+        wal.open(state(0.0))
+        wal.record(event(0))
+        assert wal.append_latency.count == 1
+        for seq in range(1, 130):
+            wal.record(event(seq))
+            assert wal.append_latency.count == math.ceil(wal.appends / 64)
+        assert wal.appends == 130
+        assert wal.append_latency.count == 3  # appends 1, 65 and 129
+        wal.cut(state(200.0))
+        assert wal.fsync_latency.count == wal.fsyncs
+
+    def test_replayed_events_are_not_appends(self, tmp_path):
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        with wal.replaying():
+            wal.record(event(0))
+        assert wal.appends == 0
+        assert wal.append_latency.count == 0
 
 
 def count_fsyncs(monkeypatch):

@@ -39,6 +39,12 @@ class TestValidation:
         with pytest.raises(DeclarationError):
             make(conditions=("c", "c"))
 
+    def test_non_string_condition_rejected(self):
+        # The record hook relies on it: a Wait on a declared condition
+        # always names one, so no declared condition may be None.
+        with pytest.raises(DeclarationError):
+            make(conditions=(None,))
+
     def test_name_collision_between_kinds_rejected(self):
         with pytest.raises(DeclarationError):
             make(procedures=("X",), conditions=("X",))

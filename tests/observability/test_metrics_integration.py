@@ -1,6 +1,7 @@
 """End-to-end metrics tests: instrumented engine/cluster/session/server."""
 
 import io
+import math
 
 import pytest
 
@@ -95,6 +96,28 @@ class TestDurableMetrics:
             )
             > 0
         )
+
+    def test_snapshot_latency_observed_per_snapshot(self, tmp_path):
+        session = run_session(durable_dir=tmp_path / "state")
+        registry = session.metrics()
+        written = 0
+        for shard in session.shards:
+            labels = {"shard": str(shard.index), "phase": "snapshot"}
+            count = registry.histogram_count(
+                "repro_phase_latency_seconds", labels
+            )
+            assert count == shard.durable.snapshots_written > 0
+            written += count
+        assert written == registry.value("repro_snapshots_written_total")
+
+    def test_wal_append_latency_samples_one_append_in_64(self, tmp_path):
+        session = run_session(durable_dir=tmp_path / "state")
+        appends = [entry.history.appends for entry in session.entries]
+        assert max(appends) > 64
+        sampled = session.metrics().histogram_count(
+            "repro_phase_latency_seconds", {"phase": "wal_append"}
+        )
+        assert sampled == sum(math.ceil(count / 64) for count in appends)
 
     def test_recover_latency_observed(self, tmp_path):
         state = tmp_path / "state"

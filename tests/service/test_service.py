@@ -681,26 +681,34 @@ def feed_and_poll(server, windows):
         server.poll()
 
 
+def sabotaged_server(failures):
+    """A server whose breaker opens on one failure and half-opens 1.5 s
+    later, with the direct:buffer shadow monitor's first ``failures``
+    evaluations raising; returns the server, hello, windows and entry."""
+    server = make_server(
+        config=DetectorConfig(
+            interval=1.0, breaker_failure_threshold=1, breaker_cooldown=1.5
+        )
+    )
+    hello, windows = corpus()
+    handshake(server)
+    entry = server.engine.entry_for("direct:buffer")
+    evaluate = entry.evaluate
+    faults = {"evaluate": failures}
+
+    def sabotaged(capture):
+        if faults["evaluate"]:
+            faults["evaluate"] -= 1
+            raise RuntimeError("sabotaged shadow evaluator")
+        return evaluate(capture)
+
+    entry.evaluate = sabotaged
+    return server, hello, windows, entry
+
+
 class TestShadowMonitorChecking:
     def test_quarantined_monitor_sits_out_its_windows(self):
-        server = make_server(
-            config=DetectorConfig(
-                interval=1.0, breaker_failure_threshold=1, breaker_cooldown=1.5
-            )
-        )
-        hello, windows = corpus()
-        handshake(server)
-        entry = server.engine.entry_for("direct:buffer")
-        evaluate = entry.evaluate
-        faults = {"evaluate": 1}
-
-        def sabotaged(capture):
-            if faults["evaluate"]:
-                faults["evaluate"] -= 1
-                raise RuntimeError("sabotaged shadow evaluator")
-            return evaluate(capture)
-
-        entry.evaluate = sabotaged
+        server, hello, windows, entry = sabotaged_server(1)
         feed_and_poll(server, windows[:2])
         # Window 1 fails and opens the breaker; window 2 (14 events)
         # arrives inside the cooldown: acked, not evaluated.
@@ -721,6 +729,28 @@ class TestShadowMonitorChecking:
         assert server.journal.watermarks[(hello["token"], "buffer")] == 5
         assert entry.checkpoints_run == len(windows) - 2
         assert server.stats()["degraded_windows"] == 1
+        assert server.delivered == []
+
+    def test_half_open_monitor_is_probed_with_one_window(self):
+        server, hello, windows, entry = sabotaged_server(2)
+        feed_and_poll(server, windows[:1])
+        assert entry.quarantined
+        # One burst between two polls: window 2 is inside the cooldown,
+        # window 3 is the half-open probe, and windows 4 and 5 sit out
+        # behind it instead of being checked on a monitor whose probe
+        # fails and re-opens the breaker.
+        server.feed(1, b"".join(encode_frame(w) for w in windows[1:5]))
+        server.poll()
+        assert entry.quarantined
+        assert entry.checkpoints_run == 0
+        assert entry.checkpoints_skipped == 3
+        assert server.journal.watermarks[(hello["token"], "buffer")] == 4
+        # Window 6 comes after the cooldown: a clean probe re-closes.
+        feed_and_poll(server, windows[5:6])
+        assert entry.breaker.times_reclosed == 1
+        assert not entry.quarantined
+        assert entry.checkpoints_run == 1
+        assert server.journal.watermarks[(hello["token"], "buffer")] == 5
         assert server.delivered == []
 
     @pytest.mark.parametrize("make_corpus", [corpus, misuse_corpus])
