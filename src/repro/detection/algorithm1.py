@@ -33,7 +33,7 @@ from typing import Optional
 from repro.detection.replay import ReplayMachine
 from repro.detection.reports import FaultReport
 from repro.history.database import Segment
-from repro.history.serialize import state_from_dict, state_to_dict
+from repro.history.serialize import state_from_dict
 from repro.history.states import SchedulingState
 from repro.monitor.declaration import MonitorDeclaration
 
@@ -152,9 +152,7 @@ class IncrementalConcurrencyChecker:
             "rebases": self.rebases,
             "fastpaths": self.fastpaths,
             "carried": self._basis is not None,
-            "lists": (
-                None if machine is None else state_to_dict(machine.export_state())
-            ),
+            "lists": None if machine is None else machine.lists_to_dict(),
         }
 
     def restore_state(
