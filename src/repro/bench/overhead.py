@@ -40,6 +40,7 @@ from repro.detection.session import DetectionSession
 from repro.history.bounded import BoundedHistory
 from repro.history.database import HistoryDatabase
 from repro.history.wal import FSYNC_POLICIES, WriteAheadLog
+from repro.kernel.sim import SimKernel
 from repro.observability.registry import MetricsRegistry
 from repro.workloads.scenarios import WorkloadSpec, build_fleet, build_scenario
 
@@ -226,7 +227,11 @@ def _wal_once(
         history = HistoryDatabase()
     else:
         wal_dir = Path(tempfile.mkdtemp(prefix="repro-wal-bench-"))
-        history = WriteAheadLog(wal_dir, fsync=policy)
+        history = WriteAheadLog(
+            wal_dir,
+            fsync=policy,
+            virtual_clock=isinstance(kernel, SimKernel),
+        )
     try:
         run = build_scenario(scenario, kernel, history, spec)
         session = DetectionSession(

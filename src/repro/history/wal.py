@@ -39,10 +39,11 @@ histogram update to every recorded event, about a third of an unsynced
 append.
 
 Segments rotate once the active file passes ``segment_bytes``; replay
-(:meth:`iter_durable_events`) walks all segments in order.  A torn final
-line — the signature of dying mid-append — is tolerated: it is physically
-truncated away when the log is reopened and silently skipped during
-replay.  A torn line anywhere *else* is corruption and raises
+(:meth:`iter_durable_events`) walks all segments in the order of their
+numbers (:func:`file_number`).  A torn final line — the signature of
+dying mid-append — is tolerated: it is physically truncated away when
+the log is reopened and silently skipped during replay.  A torn line
+anywhere *else* is corruption and raises
 :class:`~repro.errors.HistoryError`.
 """
 
@@ -57,13 +58,17 @@ from typing import IO, Iterator, Optional, Union
 
 from repro.errors import HistoryError
 from repro.history.events import SchedulingEvent
-from repro.history.serialize import event_from_dict, event_to_json_line
+from repro.history.serialize import (
+    event_from_dict,
+    event_to_json_line,
+    event_to_json_line_reusing_time,
+)
 from repro.history.sink import EventSink
 from repro.history.states import SchedulingState
 from repro.observability.registry import Histogram, MetricsRegistry
 from repro.service.framing import good_jsonl_prefix
 
-__all__ = ["FSYNC_POLICIES", "WriteAheadLog"]
+__all__ = ["FSYNC_POLICIES", "WriteAheadLog", "file_number"]
 
 #: Valid values of the ``fsync`` policy parameter.
 FSYNC_POLICIES = ("always", "interval", "never")
@@ -74,6 +79,13 @@ _SEGMENT_SUFFIX = ".jsonl"
 #: ``append_latency`` times the first append and every this-many-th after
 #: it (see "Timing" above).
 _APPEND_SAMPLE_EVERY = 64
+
+
+def file_number(path: Path) -> int:
+    """The number in a ``<name>-<number>.<suffix>`` file name: numbered
+    files (WAL segments, state snapshots) are ordered by it, not by name,
+    so ``segment-1000000.jsonl`` follows ``segment-999999.jsonl``."""
+    return int(path.stem.rpartition("-")[2])
 
 
 class WriteAheadLog(EventSink):
@@ -93,6 +105,13 @@ class WriteAheadLog(EventSink):
     segment_bytes:
         Rotation threshold: an append that finds the active segment at or
         past this size starts a new segment first.
+    virtual_clock:
+        True when event times come from a virtual clock (the sim
+        kernel's), which gives every event at one instant the same float;
+        lines are then encoded by
+        :func:`~repro.history.serialize.event_to_json_line_reusing_time`.
+        The durable shard and the WAL overhead bench set it from their
+        kernel.
 
     The log never stages: every event is written before ``record``
     returns.
@@ -105,6 +124,7 @@ class WriteAheadLog(EventSink):
         fsync: str = "interval",
         fsync_every: int = 32,
         segment_bytes: int = 1 << 20,
+        virtual_clock: bool = False,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise HistoryError(
@@ -124,6 +144,11 @@ class WriteAheadLog(EventSink):
         self.segment_bytes = segment_bytes
         self._open_window: list[SchedulingEvent] = []
         self._replaying = False
+        self._encode_line = (
+            event_to_json_line_reusing_time
+            if virtual_clock
+            else event_to_json_line
+        )
         # The policy as the append path reads it: fsync once this many
         # appends are unsynced (0 = never).
         self._sync_every = {"always": 1, "interval": fsync_every}.get(fsync, 0)
@@ -177,9 +202,10 @@ class WriteAheadLog(EventSink):
         return self._directory / f"{_SEGMENT_PREFIX}{index:06d}{_SEGMENT_SUFFIX}"
 
     def segment_paths(self) -> list[Path]:
-        """All segment files, oldest first."""
+        """All segment files, oldest first (by number)."""
         return sorted(
-            self._directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
+            self._directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"),
+            key=file_number,
         )
 
     @property
@@ -231,12 +257,15 @@ class WriteAheadLog(EventSink):
             self._rotate()
         appends = self.appends
         self.appends = appends + 1
+        # Read as a plain attribute: CPython 3.11 leaves a method-style
+        # call of an instance attribute unspecialised.
+        encode_line = self._encode_line
         if appends % _APPEND_SAMPLE_EVERY:
-            line = event_to_json_line(event)
+            line = encode_line(event)
             self._handle.write(line)
         else:
             started = perf_counter()
-            line = event_to_json_line(event)
+            line = encode_line(event)
             self._handle.write(line)
             self.append_latency.observe(perf_counter() - started)
         size = len(line)
@@ -277,8 +306,9 @@ class WriteAheadLog(EventSink):
         if self.fsync_policy != "never":
             self._fsync()
         self._handle.close()
-        index = len(self.segment_paths()) + 1
-        self._active_path = self._segment_path(index)
+        self._active_path = self._segment_path(
+            file_number(self._active_path) + 1
+        )
         self._handle = self._open_handle(self._active_path)
         self._active_size = 0
         self.segments_rotated += 1

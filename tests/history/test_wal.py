@@ -198,6 +198,28 @@ class TestSegmentRotation:
         on_disk = sum(path.stat().st_size for path in wal.segment_paths())
         assert wal.bytes_written == on_disk
 
+    def test_segments_order_by_number_past_six_digits(self, tmp_path):
+        # By name, segment-1000000.jsonl sorts before segment-999999.jsonl.
+        wal = make_wal(tmp_path, segment_bytes=1)
+        wal.open(state(0.0))
+        for seq in range(2):
+            wal.record(event(seq))
+        wal.close()
+        first, second = wal.segment_paths()
+        first.rename(first.with_name("segment-999999.jsonl"))
+        second.rename(second.with_name("segment-1000000.jsonl"))
+        reopened = make_wal(tmp_path, segment_bytes=1)
+        assert reopened.next_seq() == 2
+        reopened.open(state(2.0))
+        reopened.record(event(2))
+        reopened.flush()
+        assert [path.name for path in reopened.segment_paths()] == [
+            "segment-999999.jsonl",
+            "segment-1000000.jsonl",
+            "segment-1000001.jsonl",
+        ]
+        assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
+
 
 class TestTornTails:
     def test_partial_final_line_truncated_on_reopen(self, tmp_path):
