@@ -8,7 +8,7 @@ Commands
 ``coverage [--seed N] [--json PATH]``
     The robustness experiment: inject all 21 fault classes, print the
     per-class detection table (exit status 1 if any class is missed).
-``overhead [--backend sim|threads] [--seed N] [--repeats N] [--intervals T ...] [--scenarios NAME ...] [--bounded C] [--wal] [--fleet N [--evaluation P]] [--service] [--json PATH]``
+``overhead [--backend sim|threads] [--seed N] [--repeats N] [--intervals T ...] [--scenarios NAME ...] [--bounded C] [--wal] [--fleet N] [--service] [--json PATH]``
     Regenerate Table 1 (overhead ratio vs checking interval) through a
     one-monitor DetectionSession per cell; ``--bounded`` records through
     a capacity-C ring buffer and surfaces dropped events, ``--wal``
@@ -86,6 +86,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.errors import InjectionError
+
 __all__ = ["main"]
 
 
@@ -113,7 +115,7 @@ def _emit_json(args: argparse.Namespace, results: dict) -> None:
 
 def _positive(kind):
     """argparse type: a strictly positive ``kind`` (int or float), so a
-    bad value exits 2 with usage instead of failing inside a bench."""
+    bad value exits 2 with usage instead of failing mid-run."""
 
     def parse(text: str):
         try:
@@ -249,7 +251,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
             backend=args.backend,
             spec=replace(overhead.FLEET_SPEC, seed=args.seed),
             repeats=args.repeats,
-            evaluation=args.evaluation,
         )
         return _emit_bench(args, "overhead-fleet", registry)
     spec = replace(overhead.BENCH_SPEC, seed=args.seed)
@@ -304,18 +305,23 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_config(args: argparse.Namespace):
+    if args.network:
+        from repro.injection.network import NetworkChaosConfig
+
+        return NetworkChaosConfig(
+            seed=args.seed, rounds=args.rounds, clients=args.clients
+        )
+    from repro.injection.chaos import ChaosConfig
+
+    return ChaosConfig(seed=args.seed, rounds=args.rounds)
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.network:
-        from repro.injection.network import (
-            NetworkChaosConfig,
-            run_network_chaos_campaign,
-        )
+        from repro.injection.network import run_network_chaos_campaign
 
-        result = run_network_chaos_campaign(
-            NetworkChaosConfig(
-                seed=args.seed, rounds=args.rounds, clients=args.clients
-            )
-        )
+        result = run_network_chaos_campaign(args.config)
         print(result.summary())
         _emit_json(
             args,
@@ -334,7 +340,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0 if result.passed else 1
     from repro.injection.chaos import run_chaos_campaign
 
-    result = run_chaos_campaign(seed=args.seed, rounds=args.rounds)
+    result = run_chaos_campaign(args.config)
     print(result.summary())
     _emit_json(
         args, {"passed": result.passed, "summary": result.summary()}
@@ -342,15 +348,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_crash_recovery(args: argparse.Namespace) -> int:
-    from repro.injection.chaos import CrashPoint, run_crash_recovery_campaign
+def _crash_recovery_config(args: argparse.Namespace):
+    from repro.injection.chaos import CrashPoint, CrashRecoveryConfig
 
     points = (
         tuple(CrashPoint(value) for value in args.points)
         if args.points
         else None
     )
-    result = run_crash_recovery_campaign(
+    return CrashRecoveryConfig(
         seed=args.seed,
         rounds=args.rounds,
         crashes=args.crashes,
@@ -358,6 +364,12 @@ def _cmd_crash_recovery(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         crash_points=points,
     )
+
+
+def _cmd_crash_recovery(args: argparse.Namespace) -> int:
+    from repro.injection.chaos import run_crash_recovery_campaign
+
+    result = run_crash_recovery_campaign(args.config)
     print(result.summary())
     _emit_json(
         args, {"passed": result.passed, "summary": result.summary()}
@@ -787,12 +799,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "N-monitor fleet instead",
     )
     overhead.add_argument(
-        "--evaluation",
-        choices=("inline", "threads"),
-        default="inline",
-        help="with --fleet: the phase-2 evaluation plane (default inline)",
-    )
-    overhead.add_argument(
         "--service",
         action="store_true",
         help="measure detection-service ingest throughput instead",
@@ -856,7 +862,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="client sessions for --network (default: 3)",
     )
     chaos.add_argument("--json", default=None, metavar="PATH")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_chaos, config=_chaos_config)
 
     serve = subparsers.add_parser(
         "serve",
@@ -907,11 +913,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run a fault-injecting workload that reports to a daemon",
     )
     service_client.add_argument("--socket", required=True, metavar="PATH")
-    service_client.add_argument("--rounds", type=int, default=10)
-    service_client.add_argument("--interval", type=float, default=2.0)
+    service_client.add_argument("--rounds", type=_positive(int), default=10)
+    service_client.add_argument(
+        "--interval", type=_positive(float), default=2.0
+    )
     service_client.add_argument(
         "--time-scale",
-        type=float,
+        type=_positive(float),
         default=0.1,
         help="wall seconds per virtual second (default: 0.1)",
     )
@@ -925,24 +933,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="end-to-end daemon smoke: two clients, kill + restart "
         "the server mid-run, assert no duplicate reports",
     )
-    service_smoke.add_argument("--rounds", type=int, default=10)
+    service_smoke.add_argument("--rounds", type=_positive(int), default=10)
     service_smoke.add_argument(
         "--interval",
-        type=float,
+        type=_positive(float),
         default=2.0,
         metavar="SECONDS",
         help="client checkpoint interval in virtual seconds (default 2.0)",
     )
     service_smoke.add_argument(
         "--time-scale",
-        type=float,
+        type=_positive(float),
         default=0.1,
         metavar="S",
         help="client wall seconds per virtual second (default 0.1)",
     )
     service_smoke.add_argument(
         "--kill-after",
-        type=float,
+        type=_positive(float),
         default=2.5,
         metavar="SECONDS",
         help="wall seconds before the daemon is SIGKILLed (default 2.5)",
@@ -975,7 +983,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="crash points to sample from (default: all four)",
     )
     crash.add_argument("--json", default=None, metavar="PATH")
-    crash.set_defaults(func=_cmd_crash_recovery)
+    crash.set_defaults(func=_cmd_crash_recovery, config=_crash_recovery_config)
 
     check = subparsers.add_parser(
         "check", help="offline FD-rule check of a JSONL trace"
@@ -1003,14 +1011,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics.add_argument("--seed", type=int, default=0)
     metrics.add_argument(
         "--monitors",
-        type=int,
+        type=_positive(int),
         default=4,
         metavar="N",
         help="fleet size to drive (default 4)",
     )
     metrics.add_argument(
         "--shards",
-        type=int,
+        type=_positive(int),
         default=2,
         metavar="N",
         help="engine shards (default 2)",
@@ -1063,6 +1071,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     selftest.set_defaults(func=_cmd_selftest)
 
     args = parser.parse_args(argv)
+    if hasattr(args, "config"):
+        # A campaign's config checks its own fields and their cross-field
+        # limits; a value it rejects is a usage error (exit 2), not a
+        # failed campaign (exit 1).
+        try:
+            args.config = args.config(args)
+        except (ValueError, InjectionError) as exc:
+            subparsers.choices[args.command].error(str(exc))
     return args.func(args)
 
 

@@ -75,8 +75,9 @@ def _measure(
         session.start()
     run_kernel(kernel, spec.operations * spec.think_time * 40 + 60)
     for session in sessions:
-        # Await offloaded evaluations before reading the counters.
         session.stop()
+    if backend == "threads":
+        kernel.run()  # join the pacing threads: no round is in flight
 
     def total(name: str) -> float:
         return sum(getattr(session, name) for session in sessions)

@@ -114,7 +114,6 @@ def _table1_once(
             kernel,
             monitors=[run.monitor],
             config=DetectorConfig(interval=interval, **_QUIET),
-            evaluation="inline",
         )
     _run_scenario(kernel, run, session)
     sample = {"op_seconds": run.monitor.monitor.op_seconds}
@@ -238,7 +237,6 @@ def _wal_once(
             kernel,
             monitors=[run.monitor],
             config=DetectorConfig(interval=interval, **_QUIET),
-            evaluation="inline",
         )
         _run_scenario(kernel, run, session)
         sample = {
@@ -336,7 +334,6 @@ def _fleet_once(
     spec: WorkloadSpec,
     fleet: int,
     incremental: bool,
-    evaluation: str,
 ) -> dict:
     """One fleet execution with a fixed checkpoint count.
 
@@ -351,7 +348,6 @@ def _fleet_once(
         config=DetectorConfig(
             interval=FLEET_INTERVAL, incremental_checking=incremental, **_QUIET
         ),
-        evaluation=evaluation,
     )
     runs = build_fleet(kernel, fleet, spec)
     for run in runs:
@@ -360,6 +356,8 @@ def _fleet_once(
     session.start(rounds=FLEET_ROUNDS)
     run_kernel(kernel, FLEET_ROUNDS * FLEET_INTERVAL + 60)
     session.stop()
+    if backend == "threads":
+        kernel.run()  # join the pacing threads: no round is in flight
     ops = sum(run.monitor.monitor.op_seconds for run in runs)
     events = sum(entry.history.total_recorded for entry in session.entries)
     return {
@@ -384,9 +382,8 @@ def fleet_bench(
     backend: str = "sim",
     spec: Optional[WorkloadSpec] = None,
     repeats: int = 3,
-    evaluation: str = "inline",
 ) -> MetricsRegistry:
-    """Paired ``{mode=incremental|full, evaluation}`` fleet measurement.
+    """Paired ``{mode=incremental|full}`` fleet measurement.
 
     Both modes run the identical seeded workload and checkpoint schedule;
     only :attr:`DetectorConfig.incremental_checking` differs, so
@@ -404,9 +401,7 @@ def fleet_bench(
     for __ in range(repeats):
         for mode, samples in runs.items():
             samples.append(
-                _fleet_once(
-                    backend, spec, fleet, mode == "incremental", evaluation
-                )
+                _fleet_once(backend, spec, fleet, mode == "incremental")
             )
     for mode, samples in runs.items():
         values = dict(samples[-1])
@@ -418,10 +413,5 @@ def fleet_bench(
         values["events_per_second"] = max(
             sample["events_per_second"] for sample in samples
         )
-        record(
-            registry,
-            {"mode": mode, "evaluation": evaluation},
-            fleet_size=fleet,
-            **values,
-        )
+        record(registry, {"mode": mode}, fleet_size=fleet, **values)
     return registry

@@ -37,18 +37,14 @@ Contents:
 * :mod:`repro.detection.cluster` — horizontal scale-out: the
   :class:`~repro.detection.cluster.DetectionCluster` partitioning the
   fleet round-robin across N shards (each an engine, a supervisor and,
-  when durable, a ``DurableEngine``) with staggered capture schedules
-  and, on the thread kernel, pooled phase-2 evaluation.
+  when durable, a ``DurableEngine``) with staggered capture schedules,
+  each shard checked on its own pacing process.
 * :mod:`repro.detection.session` — the one public front door:
   :class:`~repro.detection.session.DetectionSession`, a cluster plus
   up-front registration, ``start()`` and ``statistics()``.
 """
 
-from repro.detection.cluster import (
-    DetectionCluster,
-    EvaluationPool,
-    shard_process,
-)
+from repro.detection.cluster import DetectionCluster, shard_process
 
 from repro.detection.algorithm1 import check_general_concurrency_control
 from repro.detection.algorithm2 import ResourceStateChecker
@@ -102,7 +98,6 @@ __all__ = [
     "DetectorConfig",
     "DetectionEngine",
     "RegisteredMonitor",
-    "EvaluationPool",
     "DetectionCluster",
     "DetectionSession",
     "shard_process",

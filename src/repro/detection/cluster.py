@@ -14,12 +14,11 @@ partition the registered monitors across N engine *shards* so that
   ``interval * k / N`` within the checking period, recomputed over the
   non-empty shards whenever a monitor registers or unregisters, so
   phase-1 sections never pile onto the same instant,
-* phase-2 evaluation can leave the pacing process: with
-  ``evaluation="threads"`` (the thread-kernel default) an
-  :class:`EvaluationPool` runs each shard's evaluation on that shard's
-  own worker thread, overlapping it with the next shard's capture, while
-  each shard's single worker still serialises its own checker-state
-  mutation.
+* each shard runs capture, evaluation and commit on its own pacing
+  process, as the paper's checking routine does.  On the thread kernel
+  every pacing process is its own OS thread, so one shard's phase 2
+  overlaps another shard's capture while each shard's checker state
+  keeps a single writer.
 
 Monitors are placed round-robin in registration order, unless a
 registration pins its shard explicitly (``register(..., shard=k)``).
@@ -42,10 +41,8 @@ up-front registration, ``start()`` and ``statistics()``.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, RecoverySummary
@@ -66,12 +63,10 @@ from repro.detection.supervision import (
 )
 from repro.history.sink import merge_event_streams
 from repro.kernel.syscalls import Delay, Syscall
-from repro.kernel.threads import ThreadKernel
 
 __all__ = [
     "ClusterShard",
     "DetectionCluster",
-    "EvaluationPool",
     "shard_process",
 ]
 
@@ -91,10 +86,8 @@ class ClusterShard:
     """One shard: its engine, supervisor, durability and schedule.
 
     Its :class:`~repro.detection.supervision.CheckpointSupervisor`
-    supervises :meth:`checkpoint`.  One checkpoint sequence serves both
-    evaluation planes: capture, then evaluate and commit to ``durable`` —
-    inline, or on the shard's worker thread when the cluster evaluates on
-    an :class:`EvaluationPool`.
+    supervises :meth:`checkpoint`: capture, evaluate, then commit to
+    ``durable``.
     """
 
     def __init__(
@@ -111,9 +104,6 @@ class ClusterShard:
         #: Stagger offset of this shard's capture schedule within the
         #: checking interval (maintained by the cluster's rebalance).
         self.offset = 0.0
-        #: Installed by the cluster when phase-2 evaluation runs on
-        #: worker threads; None = evaluate inline.
-        self.pool: Optional[EvaluationPool] = None
         self.supervisor = CheckpointSupervisor(
             self.checkpoint, engine.kernel, engine.config
         )
@@ -143,29 +133,15 @@ class ClusterShard:
             self.durable.detach(entry)
 
     def checkpoint(self) -> list[FaultReport]:
-        """One shard checkpoint: capture, then evaluate and commit.
+        """One shard checkpoint: the engine's capture and evaluation, then
+        the durable journal and snapshot.
 
-        Inline, phase 2 runs here and the new reports come back — for a
-        durable shard, only those its journal had not delivered before.
-        Pooled (thread kernel), phase 2 goes to this shard's worker, so
-        the pacing process is free to start the next shard's capture
-        while this one evaluates.  Pooled checkpoints return ``[]``;
-        their reports surface on the entries once the worker finishes
-        (await with :meth:`DetectionCluster.drain`).
+        Returns the new reports — for a durable shard, only those its
+        journal had not delivered before.  A commit that raises fails the
+        supervised attempt, so the round is retried.
         """
-        self.engine.capture_phase()
-        if self.pool is None:
-            return self._evaluate()
-        self.pool.submit(self.index, self._evaluate)
-        return []
-
-    def _evaluate(self) -> list[FaultReport]:
-        """Phase 2, then the durable journal and snapshot."""
-        found = self.engine.evaluate_phase()
-        self.engine.checkpoints_run += 1
-        if self.durable is None:
-            return found
-        return self.durable.commit()
+        found = self.engine.checkpoint()
+        return found if self.durable is None else self.durable.commit()
 
     def __repr__(self) -> str:
         return (
@@ -173,75 +149,6 @@ class ClusterShard:
             f"offset={self.offset:g}, checkpoints={self.engine.checkpoints_run}, "
             f"durable={self.durable is not None})"
         )
-
-
-class EvaluationPool:
-    """Phase-2 offload: one worker thread and one job queue per shard.
-
-    Each shard's checker state is still mutated by a single thread, its
-    own worker, while different shards evaluate and capture
-    concurrently.  Checker failures are absorbed by the breakers inside
-    a job; an exception that escapes one (a journal write that raised,
-    say) is logged as a ``"failure"`` event on the shard's supervisor.
-    """
-
-    def __init__(self, shards: Sequence[ClusterShard]) -> None:
-        self._queues: list[queue.Queue] = [queue.Queue() for __ in shards]
-        self._threads = [
-            threading.Thread(
-                target=self._run,
-                args=(shard, jobs),
-                name=f"shard-evaluate-{shard.index}",
-                daemon=True,
-            )
-            for shard, jobs in zip(shards, self._queues)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    @staticmethod
-    def _run(shard: ClusterShard, jobs: queue.Queue) -> None:
-        while True:
-            job = jobs.get()
-            try:
-                if job is None:
-                    return
-                job()
-            except Exception as exc:  # noqa: BLE001 — logged, not lost
-                shard.supervisor.events.append(
-                    SupervisorEvent(
-                        shard.engine.kernel.now(),
-                        "failure",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            finally:
-                jobs.task_done()
-
-    def submit(self, shard_index: int, job: Callable[[], object]) -> None:
-        self._queues[shard_index].put(job)
-
-    def drain(self) -> None:
-        """Block until every submitted job has finished."""
-        for jobs in self._queues:
-            jobs.join()
-
-    def close(self, timeout: float = 5.0) -> list[tuple[int, str]]:
-        """Stop the worker threads; surface any that won't die.
-
-        Returns ``(shard index, thread name)`` for every worker still
-        alive after its join timeout; the cluster turns each into a
-        ``"leak"`` :class:`SupervisorEvent` instead of silently
-        abandoning a live thread.
-        """
-        for jobs in self._queues:
-            jobs.put(None)
-        leaked: list[tuple[int, str]] = []
-        for index, thread in enumerate(self._threads):
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                leaked.append((index, thread.name))
-        return leaked
 
 
 # ----------------------------------------------------------------- cluster
@@ -270,13 +177,6 @@ class DetectionCluster:
     fsync:
         WAL fsync policy of a durable cluster (``"always"``,
         ``"interval"`` or ``"never"``).
-    evaluation:
-        Where phase 2 runs: ``"threads"`` (one :class:`EvaluationPool`
-        worker thread per shard, overlapped with capture but
-        GIL-serialised) or ``"inline"`` (on the pacing process, as the
-        paper's checking routine does).  Default (None): threads on the
-        :class:`~repro.kernel.threads.ThreadKernel`, inline on the
-        deterministic sim kernel.
     """
 
     def __init__(
@@ -287,27 +187,12 @@ class DetectionCluster:
         shards: int = 1,
         durable_root: Optional[Union[str, Path]] = None,
         fsync: str = "interval",
-        evaluation: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
         self.config = config or DetectorConfig()
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         self.durable_root = Path(durable_root) if durable_root else None
-        if evaluation is None:
-            evaluation = (
-                "threads" if isinstance(kernel, ThreadKernel) else "inline"
-            )
-        if evaluation not in ("inline", "threads"):
-            raise ValueError(
-                f"evaluation must be 'inline' or 'threads'; got {evaluation!r}"
-            )
-        #: The resolved phase-2 evaluation plane.
-        self.evaluation = evaluation
-        #: ``(shard index, worker name)`` of pool workers that outlived
-        #: the close timeout (each also logged as a "leak" event on the
-        #: shard's supervisor).
-        self.pool_leaks: list[tuple[int, str]] = []
         self._shards = [
             ClusterShard(
                 index,
@@ -319,11 +204,6 @@ class DetectionCluster:
             )
             for index in range(shards)
         ]
-        self._pool: Optional[EvaluationPool] = None
-        if evaluation == "threads":
-            self._pool = EvaluationPool(self._shards)
-            for shard in self._shards:
-                shard.pool = self._pool
         #: Cluster-wide registration order: ``(entry, shard index)``.
         self._order: list[tuple[RegisteredMonitor, int]] = []
         self._labels: set[str] = set()
@@ -423,15 +303,13 @@ class DetectionCluster:
     ) -> None:
         """Drop a monitor from its shard and rebalance the stagger.
 
-        Pending phase-2 evaluations finish first.  Goes through
-        :meth:`ClusterShard.unregister`: the engine closes out the
-        monitor's quarantine record when its breaker has history, and a
-        durable shard journals the monitor's last reports, closes its WAL
-        and snapshots the remaining fleet.
+        Goes through :meth:`ClusterShard.unregister`: the engine closes
+        out the monitor's quarantine record when its breaker has history,
+        and a durable shard journals the monitor's last reports, closes
+        its WAL and snapshots the remaining fleet.
         """
         entry = self._find(target)
         index = self.shard_of(entry)
-        self.drain()
         self._shards[index].unregister(entry)
         self._labels.discard(entry.label)
         self._order = [
@@ -476,20 +354,12 @@ class DetectionCluster:
         """Run one checkpoint on every shard, in shard order.
 
         The manual (non-paced) surface, mirroring
-        :meth:`DetectionEngine.checkpoint`.  With a worker pool active the
-        evaluations are awaited before returning, so the reports below are
-        complete.
+        :meth:`DetectionEngine.checkpoint`.
         """
         found: list[FaultReport] = []
         for shard in self._shards:
             found.extend(shard.checkpoint())
-        self.drain()
         return found
-
-    def drain(self) -> None:
-        """Wait for every offloaded phase-2 evaluation to finish."""
-        if self._pool is not None:
-            self._pool.drain()
 
     def spawn_processes(self, *, rounds: Optional[int] = None) -> list:
         """Spawn one staggered pacing process per shard on the kernel."""
@@ -504,34 +374,18 @@ class DetectionCluster:
     # ------------------------------------------------------------- lifecycle
 
     def stop(self) -> None:
-        """Stop every shard, flush its WALs, drain pending evaluations
-        and close the pool."""
+        """Stop every shard and flush its WALs.
+
+        Each pacing process leaves at its next wake.  On the thread
+        kernel a round may still be running when this returns: to read
+        final counts there, join the pacing processes first
+        (``kernel.run()``).
+        """
         self._stopped = True
         for shard in self._shards:
             shard.engine.stop()
             if shard.durable is not None:
                 shard.durable.flush()
-        if self._pool is not None:
-            self._pool.drain()
-            self._close_pool()
-            for shard in self._shards:
-                shard.pool = None
-
-    def _close_pool(self) -> None:
-        """Close the pool; surface — never swallow — leaked workers."""
-        assert self._pool is not None
-        leaked = self._pool.close()
-        self._pool = None
-        for index, name in leaked:
-            self._shards[index].supervisor.events.append(
-                SupervisorEvent(
-                    self.kernel.now(),
-                    "leak",
-                    f"evaluation worker {name!r} still alive after its "
-                    "close timeout",
-                )
-            )
-        self.pool_leaks.extend(leaked)
 
     @property
     def stopped(self) -> bool:
@@ -559,11 +413,9 @@ class DetectionCluster:
         return [durable.recover() for durable in self._durables()]
 
     def close(self) -> None:
-        """Close durable handles and the worker pool (crash simulators)."""
+        """Close durable handles (crash simulators)."""
         for durable in self._durables():
             durable.close()
-        if self._pool is not None:
-            self._close_pool()
 
     @property
     def durability_counters(self) -> dict[str, int]:
@@ -713,24 +565,15 @@ class DetectionCluster:
 
         Each shard's engine, durability (when durable) and supervisor
         export their own families under a ``shard`` label (sum across
-        shards to recover the cluster totals); pool leaks are counted per
-        shard here.
+        shards to recover the cluster totals).
         """
         registry = MetricsRegistry() if registry is None else registry
-        leaks = registry.counter(
-            "repro_pool_leaks_total",
-            "Pool workers that outlived the close timeout.",
-            ("shard",),
-        )
         for shard in self._shards:
             labels = {"shard": shard.index}
             shard.engine.metrics(registry, labels=labels)
             if shard.durable is not None:
                 shard.durable.metrics(registry, labels=labels)
             shard.supervisor.metrics(registry, labels=labels)
-            leaks.labels(**labels).inc(
-                sum(1 for index, __ in self.pool_leaks if index == shard.index)
-            )
         return registry
 
     def __repr__(self) -> str:
@@ -739,8 +582,7 @@ class DetectionCluster:
             f"monitors={len(self._order)}, "
             f"checkpoints={self.checkpoints_run}, "
             f"worldstop_max={self.worldstop_max:.6f}, "
-            f"durable={self.durable}, "
-            f"pooled={self._pool is not None})"
+            f"durable={self.durable})"
         )
 
 

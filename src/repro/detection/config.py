@@ -33,9 +33,9 @@ class DetectorConfig:
       before a half-open probe checkpoint is allowed.
 
     Checking is fixed-period, as in the paper: every registered monitor is
-    captured at every engine interval.  The shard count and the phase-2
-    evaluation plane are keywords of
-    :class:`~repro.detection.session.DetectionSession`, not config fields.
+    captured at every engine interval, and each shard evaluates on its own
+    pacing process.  The shard count is a keyword of
+    :class:`~repro.detection.session.DetectionSession`, not a config field.
     """
 
     interval: float = 1.0

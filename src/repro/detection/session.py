@@ -22,7 +22,8 @@ Scaling out and hardening are keyword arguments, not different APIs::
 A session *is* its :class:`~repro.detection.cluster.DetectionCluster` (a
 1-shard cluster is a single engine plus supervision), so the reporting
 surface, durability controls and per-shard accounting are uniform
-regardless of scale.  Every round runs through its shard's
+regardless of scale.  Every round runs on its shard's own pacing
+process, through the shard's
 :class:`~repro.detection.supervision.CheckpointSupervisor` (retries with
 backoff, stall watchdog).  The session adds only up-front registration,
 :meth:`~DetectionSession.start` and :meth:`~DetectionSession.statistics`.
@@ -65,9 +66,8 @@ class DetectionSession(DetectionCluster):
     fsync:
         WAL fsync policy of a durable session.
     evaluation:
-        Where phase 2 runs — ``"threads"`` or ``"inline"`` (default:
-        threads on the thread kernel, inline on the sim kernel; see
-        :class:`DetectionCluster`).
+        Accepted for existing callers; its only value is ``"inline"``
+        (phase 2 runs on the shard's pacing process, the only plane).
     """
 
     def __init__(
@@ -79,15 +79,18 @@ class DetectionSession(DetectionCluster):
         shards: int = 1,
         durable_dir: Optional[Union[str, Path]] = None,
         fsync: str = "interval",
-        evaluation: Optional[str] = None,
+        evaluation: str = "inline",
     ) -> None:
+        if evaluation != "inline":
+            raise ValueError(
+                f"evaluation must be 'inline'; got {evaluation!r}"
+            )
         super().__init__(
             kernel,
             config,
             shards=shards,
             durable_root=durable_dir,
             fsync=fsync,
-            evaluation=evaluation,
         )
         self._pids: list = []
         for monitor in monitors:

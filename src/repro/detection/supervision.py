@@ -191,10 +191,7 @@ class SupervisorEvent:
     """One entry of the supervisor's audit log."""
 
     time: float
-    #: "failure" | "retry" | "gave-up" | "stall" from the
-    #: checkpoint supervisor itself.  The cluster's evaluation pool also
-    #: logs "failure" (an offloaded evaluation raised) and "leak" (a pool
-    #: worker outlived its close timeout).
+    #: "failure" | "retry" | "gave-up" | "stall".
     kind: str
     detail: str = ""
 

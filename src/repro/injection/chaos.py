@@ -619,7 +619,6 @@ class _CrashContext:
             config=self.detector_config,
             durable_dir=self.root,
             fsync=self.fsync,
-            evaluation="inline",
         )
         for target, label in self.targets:
             session.register(target, label=label)

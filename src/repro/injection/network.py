@@ -57,10 +57,11 @@ class NetworkChaosConfig:
     """One seeded network-chaos campaign.
 
     Fault rates are per driver round (one round per checkpoint
-    interval).  ``crash_round`` picks when the server dies ungracefully;
-    after ``crash_outage`` virtual seconds a new incarnation recovers
-    from the same durable journal and the network starts accepting
-    again.  ``None`` disables the crash.
+    interval).  ``crash_at`` places the server's ungraceful death at that
+    fraction of the run (:attr:`crash_round`; round 14 of the default
+    36); after ``crash_outage`` virtual seconds a new incarnation
+    recovers from the same durable journal and the network starts
+    accepting again.  ``None`` disables the crash.
     """
 
     seed: int = 0
@@ -73,7 +74,7 @@ class NetworkChaosConfig:
     truncate_rate: float = 0.08
     stall_rate: float = 0.10
     stall_pumps: int = 4
-    crash_round: Optional[int] = 14
+    crash_at: Optional[float] = 14 / 36
     crash_outage: float = 12.0
 
     def __post_init__(self) -> None:
@@ -93,8 +94,16 @@ class NetworkChaosConfig:
             1 <= self.crash_round < self.rounds
         ):
             raise ValueError(
-                f"crash_round must be in [1, rounds), got {self.crash_round!r}"
+                f"crash_at {self.crash_at!r} puts the crash at round "
+                f"{self.crash_round}, outside [1, rounds)"
             )
+
+    @property
+    def crash_round(self) -> Optional[int]:
+        """The round at which the server crashes (None: never)."""
+        if self.crash_at is None:
+            return None
+        return round(self.rounds * self.crash_at)
 
 
 @dataclass(frozen=True)

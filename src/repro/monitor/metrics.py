@@ -18,14 +18,12 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
-
 from repro._tables import render_table
 from repro.history.events import EventKind, SchedulingEvent
 from repro.ids import Cond, Pid, Pname
+from repro.observability.registry import Histogram
 
-__all__ = ["DurationStats", "MonitorMetrics"]
+__all__ = ["DURATION_BUCKETS", "DurationStats", "MonitorMetrics"]
 
 #: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
 #: Enum metaclass's ``__getattr__`` hook, and ``observe`` runs per event.
@@ -34,34 +32,49 @@ _WAIT = EventKind.WAIT
 _SIGNAL_EXIT = EventKind.SIGNAL_EXIT
 _SIGNAL = EventKind.SIGNAL
 
+#: Bucket bounds of every duration population, in virtual seconds: from a
+#: millisecond up to a thousand seconds (the registry's latency buckets
+#: stop at 10 s, too short for virtual-time waits).
+DURATION_BUCKETS: tuple[float, ...] = (
+    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
+)
 
-@dataclass
+
 class DurationStats:
-    """Streaming summary of a duration population (seconds of virtual time)."""
+    """Streaming summary of a duration population (seconds of virtual time).
 
-    count: int = 0
-    total: float = 0.0
-    maximum: float = 0.0
-    _samples: list = field(default_factory=list, repr=False)
+    ``count``, ``total``, ``mean`` and ``maximum`` are exact; percentiles
+    are estimated from :data:`DURATION_BUCKETS`, so the state stays the
+    same size however many durations are added.
+    """
+
+    def __init__(self) -> None:
+        self.maximum = 0.0
+        self._histogram = Histogram(DURATION_BUCKETS)
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
         if value > self.maximum:
             self.maximum = value
-        self._samples.append(value)
+        self._histogram.observe(value)
+
+    @property
+    def count(self) -> int:
+        return self._histogram.count
+
+    @property
+    def total(self) -> float:
+        return self._histogram.sum
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> float:
-        """Empirical percentile (e.g. 0.95); 0.0 when no samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        """Bucket estimate of a percentile (``0 < fraction <= 1``), capped
+        at :attr:`maximum`; 0.0 when empty."""
+        return min(self._histogram.percentile(fraction), self.maximum)
 
     def row(self) -> list:
         return [

@@ -193,7 +193,6 @@ class TestCheckpointAtomicity:
             kernel,
             monitors=[buffer],
             config=DetectorConfig(interval=1000.0, tmax=None, tio=None),
-            evaluation="inline",
         )
         kernel.spawn(producer(buffer, 1, delay=0.0))
         kernel.spawn(consumer(buffer, 1, delay=0.0))

@@ -1,7 +1,7 @@
 """Sharded detection cluster: round-robin placement, staggered schedules,
-merged-report determinism across shard counts, pooled phase-2 evaluation
-on the thread kernel, durable per-shard recovery, and the retired
-quarantine-record fix."""
+merged-report determinism across shard counts, phase-2 evaluation on each
+shard's pacing thread on the thread kernel, durable per-shard recovery,
+and the retired quarantine-record fix."""
 
 import pytest
 
@@ -264,6 +264,8 @@ class TestMergedReportDeterminism:
 
 
 class TestWorkerPool:
+    """Phase 2 on the thread kernel runs on each shard's pacing thread."""
+
     def test_thread_kernel_evaluates_in_pool(self):
         # 4 virtual seconds span 100 ms of wall clock, so each shard wakes
         # for several checkpoints even on a loaded machine.
@@ -276,7 +278,6 @@ class TestWorkerPool:
         cluster = DetectionCluster(kernel, config, shards=2)
         for allocator in allocators:
             cluster.register(allocator)
-        assert cluster._pool is not None
 
         def user(allocator):
             for __ in range(4):
@@ -290,16 +291,14 @@ class TestWorkerPool:
         cluster.spawn_processes()
         kernel.run(until=4.0)
         cluster.stop()
+        # Join the pacing threads (each leaves at its next wake), so no
+        # round is in flight when the counts are read.
+        assert not kernel.run(until=200.0).live
         assert cluster.clean
         assert cluster.captures_taken > 0
-        # Every capture got its offloaded evaluation.
+        # Every capture was evaluated on its shard's pacing thread.
         assert cluster.evaluations_run == cluster.captures_taken
         assert cluster.checkpoints_run > 0
-
-    def test_sim_kernel_stays_inline(self):
-        kernel = make_kernel()
-        cluster = DetectionCluster(kernel, shards=2)
-        assert cluster._pool is None
 
     def test_manual_checkpoint_awaits_pool(self):
         kernel = ThreadKernel(time_scale=FAST)

@@ -336,7 +336,6 @@ def build_durable(root, *, seed=3, fsync="interval", label="allocator"):
         config=DetectorConfig(interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0),
         durable_dir=root,
         fsync=fsync,
-        evaluation="inline",
     )
     session.register(allocator, label=label)
     return kernel, allocator, session
@@ -571,7 +570,6 @@ def durable_allocators(root, labels=("a", "b")):
         kernel,
         config=DetectorConfig(interval=1.0, tmax=60.0, tio=60.0, tlimit=60.0),
         durable_dir=root,
-        evaluation="inline",
     )
     allocators = {}
     for label in labels:

@@ -64,7 +64,6 @@ def write_durable_session(root: Path) -> None:
         config=DetectorConfig(interval=0.25, tmax=5.0, tio=10.0, tlimit=1.0),
         shards=2,
         durable_dir=root,
-        evaluation="inline",
     )
     for index, run in enumerate(runs):
         session.register(run.monitor, label=f"{run.name}-{index}")

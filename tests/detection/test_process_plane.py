@@ -1,28 +1,20 @@
-"""Phase-2 evaluation planes: byte-identical report streams with and
-without the per-shard worker-thread pool, and the pool's failure and
-close-leak accounting.
+"""Phase-2 evaluation runs on each shard's own pacing process.
 
-The plane must be invisible in the output: the same seeded sim workload
-evaluated on ``evaluation="threads"`` at 2 and 4 shards must merge to the
-byte-identical report stream of a 1-shard inline baseline, because the
-workers evaluate the same frozen windows with the same checkers and the
-merge key is plane-independent.
+The shard count must be invisible in the output: the same seeded sim
+workload evaluated at 2 and 4 shards must merge to the byte-identical
+report stream of a 1-shard baseline, because every shard evaluates the
+same frozen windows with the same checkers and the merge key does not
+depend on the shard.  On the thread kernel a phase 2 that raises fails
+its supervised attempt, so the round is retried and counted only once it
+completes.
 """
-
-import threading
-import time
 
 import pytest
 
 from repro.apps import SingleResourceAllocator
-from repro.detection import (
-    DetectionCluster,
-    DetectionSession,
-    DetectorConfig,
-    EvaluationPool,
-)
+from repro.detection import DetectionCluster, DetectionSession, DetectorConfig
 from repro.history import HistoryDatabase
-from repro.kernel import Delay, FifoPolicy, SimKernel
+from repro.kernel import Delay, FifoPolicy, SimKernel, ThreadKernel
 from tests.detection.test_durability import flaky_admit
 
 #: Generous timeouts: reports anchor to event times, so the merged
@@ -39,7 +31,7 @@ CONFIG = DetectorConfig(
 def build_workload(kernel, count=6):
     """``count`` allocators with deterministic request/release cycles and
     two rogue bare releases — order violations the phase-2 replay checker
-    flags on the evaluating thread (``realtime_orders=False``)."""
+    flags (``realtime_orders=False``)."""
     allocators = [
         SingleResourceAllocator(kernel, history=HistoryDatabase())
         for __ in range(count)
@@ -67,12 +59,10 @@ def build_workload(kernel, count=6):
     return allocators
 
 
-def run_plane(evaluation, shards):
+def run_shards(shards):
     kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
     allocators = build_workload(kernel)
-    cluster = DetectionCluster(
-        kernel, CONFIG, shards=shards, evaluation=evaluation
-    )
+    cluster = DetectionCluster(kernel, CONFIG, shards=shards)
     for index, allocator in enumerate(allocators):
         cluster.register(allocator, label=f"alloc-{index}")
 
@@ -87,85 +77,32 @@ def run_plane(evaluation, shards):
     return cluster
 
 
-def make_pool(shards):
-    """A worker-thread pool over the shards of a fresh inline cluster."""
-    kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
-    cluster = DetectionCluster(kernel, CONFIG, shards=shards)
-    return EvaluationPool(cluster.shards)
-
-
 class TestPlaneDeterminism:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_threads_match_inline_baseline(self, shards):
-        baseline = run_plane("inline", 1)
+        """Every shard count merges to the 1-shard report stream."""
+        baseline = run_shards(1)
         expected = [report.render() for report in baseline.reports]
         assert expected, "workload produced no fault reports"
-        cluster = run_plane("threads", shards)
+        cluster = run_shards(shards)
         assert [report.render() for report in cluster.reports] == expected
         # Structural identity too, not just the rendered text.
         assert cluster.reports == baseline.reports
-        assert not cluster.pool_leaks
 
     def test_processes_plane_rejected(self):
         kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
-        with pytest.raises(ValueError):
-            DetectionCluster(kernel, CONFIG, evaluation="processes")
+        for plane in ("processes", "threads"):
+            with pytest.raises(ValueError):
+                DetectionSession(kernel, config=CONFIG, evaluation=plane)
+            with pytest.raises(TypeError):
+                DetectionCluster(kernel, CONFIG, evaluation=plane)
 
 
-class TestPoolCloseLeak:
-    def test_close_surfaces_stuck_worker_threads(self):
-        pool = make_pool(1)
-        release = threading.Event()
-        pool.submit(0, release.wait)
-        time.sleep(0.05)  # let the worker thread pick the job up
-        try:
-            assert pool.close(timeout=0.1) == [(0, "shard-evaluate-0")]
-        finally:
-            release.set()
-
-    def test_clean_close_leaks_nothing(self):
-        pool = make_pool(2)
-        pool.submit(0, lambda: None)
-        pool.submit(1, lambda: None)
-        pool.drain()
-        assert pool.close(timeout=5.0) == []
-
-    def test_cluster_records_leak_event(self):
-        kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
-        cluster = DetectionCluster(
-            kernel, CONFIG, shards=1, evaluation="threads"
-        )
-        pool = cluster._pool
-        release = threading.Event()
-        pool.submit(0, release.wait)
-        time.sleep(0.05)
-        # The cluster closes pools with the default (long) join timeout;
-        # shrink it so the stuck worker is surfaced promptly.
-        pool.close = lambda timeout=5.0: EvaluationPool.close(
-            pool, timeout=0.1
-        )
-        try:
-            cluster.close()
-            assert cluster.pool_leaks == [(0, "shard-evaluate-0")]
-            kinds = [
-                event.kind
-                for event in cluster.shards[0].supervisor.events
-            ]
-            assert "leak" in kinds
-        finally:
-            release.set()
-
-
-class TestPoolFailures:
-    def test_raising_offloaded_job_is_logged_and_retried(self, tmp_path):
-        kernel = SimKernel(FifoPolicy(), on_deadlock="stop")
+class TestPhaseTwoFailures:
+    def test_raising_commit_fails_its_attempt(self, tmp_path):
+        kernel = ThreadKernel(time_scale=0.01)
         allocator = SingleResourceAllocator(kernel, history=HistoryDatabase())
-        session = DetectionSession(
-            kernel,
-            config=CONFIG,
-            durable_dir=tmp_path,
-            evaluation="threads",
-        )
+        session = DetectionSession(kernel, config=CONFIG, durable_dir=tmp_path)
         session.register(allocator, label="allocator")
 
         def rogue():
@@ -173,20 +110,22 @@ class TestPoolFailures:
             yield from allocator.release()
 
         kernel.spawn(rogue(), "rogue")
-        kernel.run(until=1.0)
+        # Join: the rogue release is in the window.
+        assert not kernel.run(until=500.0).live
         flaky_admit(session.shards[0].durable.journal)
+        supervisor = session.shards[0].supervisor
         try:
-            session.checkpoint()  # evaluates; the journal write raises
-            kinds = [event.kind for __, event in session.supervisor_events()]
-            assert kinds == ["failure"]
-            assert session.metrics().value(
-                "repro_supervisor_events_total",
-                {"shard": "0", "kind": "failure"},
-            ) == 1
+            # Evaluates, then the journal write raises: the attempt fails.
+            assert supervisor.attempt() == (False, [])
+            assert supervisor.checkpoints_completed == 0
+            assert [event.kind for event in supervisor.events] == ["failure"]
             assert session.delivered_reports == []
-            session.checkpoint()  # the next checkpoint journals them
-            assert len(session.reports) == 2
-            assert session.delivered_reports == session.reports
+            # The retry completes and journals both reports, once each.
+            completed, reports = supervisor.attempt()
+            assert completed
+            assert supervisor.checkpoints_completed == 1
+            assert len(reports) == 2
+            assert session.delivered_reports == session.reports == reports
         finally:
             session.stop()
             session.close()

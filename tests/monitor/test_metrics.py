@@ -1,5 +1,7 @@
 """Tests for the monitor metrics observer."""
 
+import sys
+
 import pytest
 
 from repro.apps import BoundedBuffer, HoareBoundedBuffer
@@ -21,10 +23,33 @@ class TestDurationStats:
         for value in (1.0, 3.0, 2.0):
             stats.add(value)
         assert stats.count == 3
+        assert stats.total == 6.0
         assert stats.mean == pytest.approx(2.0)
         assert stats.maximum == 3.0
-        assert stats.percentile(0.0) == 1.0
+        # Bucket estimates: the first third ends at 1.0's bucket bound,
+        # and the top is capped at the exact maximum.
+        assert stats.percentile(1 / 3) == 1.0
         assert stats.percentile(0.99) == 3.0
+
+    def test_state_size_is_bounded(self):
+        def state_size(stats):
+            """Bytes of every container in the object graph of ``stats``."""
+            size, pending = 0, [stats]
+            while pending:
+                for value in vars(pending.pop()).values():
+                    if isinstance(value, (list, tuple, dict)):
+                        size += sys.getsizeof(value)
+                    elif hasattr(value, "__dict__"):
+                        pending.append(value)
+            return size
+
+        stats = DurationStats()
+        stats.add(0.5)
+        before = state_size(stats)
+        for index in range(100_000):
+            stats.add(index % 977 * 0.01)
+        assert stats.count == 100_001
+        assert state_size(stats) == before
 
 
 class TestAttachment:

@@ -222,7 +222,6 @@ class TestClusterSupervisionMetrics:
         registry = session.metrics()
         # Healthy run: families exist with zero values (not absent).
         assert registry.value("repro_supervisor_retries_total") == 0
-        assert registry.value("repro_pool_leaks_total") == 0
         assert registry.value("repro_breaker_opened_total") == 0
 
 

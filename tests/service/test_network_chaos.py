@@ -14,12 +14,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkChaosConfig(drop_rate=1.5)
     with pytest.raises(ValueError):
-        NetworkChaosConfig(crash_round=99, rounds=20)
+        NetworkChaosConfig(crash_at=99 / 20, rounds=20)
 
 
 def test_campaign_passes_with_full_fault_menu():
     config = NetworkChaosConfig(
-        seed=2, clients=2, rounds=18, operations=24, crash_round=8,
+        seed=2, clients=2, rounds=18, operations=24, crash_at=8 / 18,
         crash_outage=10.0,
     )
     result = run_network_chaos_campaign(config)
@@ -39,7 +39,7 @@ def test_campaign_passes_with_full_fault_menu():
 def test_campaign_without_faults_is_clean():
     config = NetworkChaosConfig(
         seed=5, clients=2, rounds=12, operations=24, drop_rate=0.0,
-        truncate_rate=0.0, stall_rate=0.0, crash_round=None,
+        truncate_rate=0.0, stall_rate=0.0, crash_at=None,
     )
     result = run_network_chaos_campaign(config)
     assert result.passed, result.summary()

@@ -99,20 +99,20 @@ class TestFleetHarness:
 
     def test_paired_rows_same_workload(self, registry):
         events = cells(registry, "events")
-        assert set(events) == {("incremental", "inline"), ("full", "inline")}
+        assert set(events) == {("incremental",), ("full",)}
         # Identical seeded workload and checkpoint schedule on both sides.
-        assert events[("incremental", "inline")] == events[("full", "inline")]
+        assert events[("incremental",)] == events[("full",)]
         checkpoints = cells(registry, "checkpoints")
         assert len(set(checkpoints.values())) == 1
-        assert events[("incremental", "inline")] > 0
-        assert cells(registry, "evaluate_seconds")[("incremental", "inline")] > 0
+        assert events[("incremental",)] > 0
+        assert cells(registry, "evaluate_seconds")[("incremental",)] > 0
 
     def test_mode_counters(self, registry):
         hits = cells(registry, "incremental_hits")
-        assert hits[("incremental", "inline")] > 0
-        assert hits[("full", "inline")] == 0
-        assert cells(registry, "incremental_rebases")[("full", "inline")] == 0
-        assert cells(registry, "staged_flushes")[("incremental", "inline")] > 0
+        assert hits[("incremental",)] > 0
+        assert hits[("full",)] == 0
+        assert cells(registry, "incremental_rebases")[("full",)] == 0
+        assert cells(registry, "staged_flushes")[("incremental",)] > 0
 
     def test_render_and_json(self, registry):
         text = render_registry(registry, title="overhead-fleet")

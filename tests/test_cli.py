@@ -74,7 +74,8 @@ class TestArgumentHandling:
 
 
 class TestBenchArgumentValidation:
-    """Bad bench values exit 2 with usage instead of failing mid-bench."""
+    """Bad bench, campaign and service values exit 2 with usage instead of
+    failing mid-run (exit 1 is a failed campaign)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -91,6 +92,16 @@ class TestBenchArgumentValidation:
             ["scaling", "--counts", "0"],
             ["scaling", "--shards", "-1"],
             ["scaling", "--monitors", "8"],
+            ["chaos", "--rounds", "0"],
+            ["chaos", "--network", "--rounds", "3"],
+            ["chaos", "--network", "--clients", "0"],
+            ["crash-recovery", "--rounds", "3"],
+            ["crash-recovery", "--crashes", "0"],
+            ["crash-recovery", "--rounds", "10", "--crashes", "9"],
+            ["service-client", "--socket", "unused.sock", "--time-scale", "0"],
+            ["service-smoke", "--kill-after", "-1"],
+            ["metrics", "--monitors", "0"],
+            ["metrics", "--shards", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -99,6 +110,11 @@ class TestBenchArgumentValidation:
             main(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_short_network_campaign_runs(self, capsys):
+        # The server crash sits at the same fraction of any run length.
+        assert main(["chaos", "--network", "--rounds", "10"]) == 0
+        assert "network chaos [PASS]" in capsys.readouterr().out
 
 
 class TestAblationsCommand:
