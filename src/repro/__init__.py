@@ -107,11 +107,10 @@ from repro.history import (
 from repro.injection import (
     CAMPAIGNS,
     CampaignOutcome,
-    ChaosCampaignResult,
+    CampaignResult,
     ChaosConfig,
     CrashPoint,
     CrashRecoveryConfig,
-    CrashRecoveryResult,
     TriggeredHooks,
     run_all_campaigns,
     run_campaign,
@@ -229,12 +228,11 @@ __all__ = [
     "CAMPAIGNS",
     "run_campaign",
     "run_all_campaigns",
+    "CampaignResult",
     "ChaosConfig",
-    "ChaosCampaignResult",
     "run_chaos_campaign",
     "CrashPoint",
     "CrashRecoveryConfig",
-    "CrashRecoveryResult",
     "run_crash_recovery_campaign",
     # recovery extensions
     "MonitorAssertion",

@@ -317,35 +317,31 @@ def _chaos_config(args: argparse.Namespace):
     return ChaosConfig(seed=args.seed, rounds=args.rounds)
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.network:
-        from repro.injection.network import run_network_chaos_campaign
+def _report_campaign(args: argparse.Namespace, result) -> int:
+    """Print a campaign's verdict; export its gates, notes and stable
+    metrics (a ``repro gates run --metrics`` input); exit 1 unless it
+    passed."""
+    from repro.observability.export import to_json_dict
 
-        result = run_network_chaos_campaign(args.config)
-        print(result.summary())
-        _emit_json(
-            args,
-            {
-                "passed": result.passed,
-                "summary": result.summary(),
-                "windows_accepted": result.windows_accepted,
-                "lossy_windows": result.lossy_windows,
-                "degraded_windows": result.degraded_windows,
-                "delivered_reports": result.delivered_reports,
-                "duplicate_journal_keys": result.duplicate_journal_keys,
-                "reconnects": result.reconnects,
-                "client_errors": list(result.client_errors),
-            },
-        )
-        return 0 if result.passed else 1
-    from repro.injection.chaos import run_chaos_campaign
-
-    result = run_chaos_campaign(args.config)
     print(result.summary())
     _emit_json(
-        args, {"passed": result.passed, "summary": result.summary()}
+        args,
+        {
+            "passed": result.passed,
+            "gates": [gate.to_dict() for gate in result.gates],
+            "notes": list(result.notes),
+            "metrics": to_json_dict(result.registry, stable_only=True),
+        },
     )
     return 0 if result.passed else 1
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    if args.network:
+        from repro.injection.network import run_network_chaos_campaign as run
+    else:
+        from repro.injection.chaos import run_chaos_campaign as run
+    return _report_campaign(args, run(args.config))
 
 
 def _crash_recovery_config(args: argparse.Namespace):
@@ -369,12 +365,7 @@ def _crash_recovery_config(args: argparse.Namespace):
 def _cmd_crash_recovery(args: argparse.Namespace) -> int:
     from repro.injection.chaos import run_crash_recovery_campaign
 
-    result = run_crash_recovery_campaign(args.config)
-    print(result.summary())
-    _emit_json(
-        args, {"passed": result.passed, "summary": result.summary()}
-    )
-    return 0 if result.passed else 1
+    return _report_campaign(args, run_crash_recovery_campaign(args.config))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -565,6 +556,7 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.detection import check_full_trace
+    from repro.errors import HistoryError
     from repro.history.serialize import load_trace
     from repro.monitor import MonitorDeclaration, MonitorType
 
@@ -585,8 +577,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ),
     }
     declaration = declarations[args.monitor]
-    with open(args.trace) as stream:
-        events, states = load_trace(stream)
+    try:
+        with open(args.trace) as stream:
+            events, states = load_trace(stream)
+    except (OSError, ValueError, HistoryError) as exc:
+        # Exit 1 means "violations found"; an unreadable trace is not one.
+        print(f"repro check: cannot read {args.trace}: {exc}", file=sys.stderr)
+        return 2
     final_state = states[-1] if states else None
     reports = check_full_trace(
         declaration,

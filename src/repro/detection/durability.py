@@ -549,7 +549,11 @@ class DurableEngine:
         # records, or replay would start past events it never saw.
         for __, wal in self._wal_entries():
             wal.flush(sync=self.fsync != "never")
-        path = self.snapshots.write(self._snapshot_payload())
+        # One atomic cut: a transition recorded between reading the
+        # checkers and reading the sinks would be covered by a sink's seq
+        # but missing from its checker, and replay would never show it.
+        payload = self.engine.kernel.atomic(self._snapshot_payload)
+        path = self.snapshots.write(payload)
         self.snapshot_latency.observe(perf_counter() - started)
         return path
 

@@ -51,7 +51,11 @@ from repro.detection.config import DetectorConfig
 from repro.detection.replay import sweep_timers
 from repro.detection.reports import Confidence, FaultReport
 from repro.detection.rules import degrade_to_drop_tolerant
-from repro.detection.supervision import CircuitBreaker, QuarantineRecord
+from repro.detection.supervision import (
+    BreakerState,
+    CircuitBreaker,
+    QuarantineRecord,
+)
 from repro.history.database import HistoryDatabase
 from repro.history.events import SchedulingEvent
 from repro.history.sink import EventSink, Segment
@@ -160,6 +164,10 @@ COUNTERS: tuple[CounterSpec, ...] = (
                 "repro_monitor_degraded_windows_total",
                 "Degraded (lossy) windows per registered monitor.",
                 persisted=True),
+    # Persisted by the supervisor's per-monitor snapshot record.
+    CounterSpec("checkpoints_skipped", MONITOR,
+                "repro_monitor_checkpoints_skipped_total",
+                "Checkpoints a monitor sat out while quarantined."),
 )
 
 #: Counters readable on an engine (and, summed over shards, on a cluster).
@@ -856,11 +864,15 @@ class DetectionEngine:
             "Monitors currently registered.",
             len(self._entries),
         )
-        gauge(
-            "repro_engine_quarantined_monitors",
-            "Monitors currently sitting out checkpoints (breaker OPEN).",
-            len(self.quarantined),
+        breakers = registry.gauge(
+            "repro_engine_breakers",
+            "Registered monitors by circuit-breaker state.",
+            names + ("state",),
         )
+        for state in BreakerState:
+            breakers.labels(**base, state=state.value).set(
+                sum(entry.breaker.state is state for entry in self._entries)
+            )
         gauge(
             "repro_engine_pending_captures",
             "Phase-1 captures awaiting evaluation.",

@@ -502,7 +502,7 @@ def load_trace(
             raise HistoryError(
                 f"line {line_number}: invalid JSON: {exc}"
             ) from exc
-        kind = record.get("kind")
+        kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "event":
             events.append(event_from_dict(record))
         elif kind == "state":

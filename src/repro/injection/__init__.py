@@ -19,7 +19,10 @@ detected.  This package makes that experiment reproducible:
   (:func:`~repro.injection.chaos.run_crash_recovery_campaign`) that kills
   and restarts a one-shard durable
   :class:`~repro.detection.session.DetectionSession` at seeded
-  :class:`~repro.injection.chaos.CrashPoint`\\ s.
+  :class:`~repro.injection.chaos.CrashPoint`\\ s.  Each of these
+  campaigns, and the network one (:mod:`repro.injection.network`),
+  returns one :class:`~repro.injection.chaos.CampaignResult`: the metrics
+  of its run and the gates that are its verdict.
 """
 
 from repro.injection.campaigns import (
@@ -29,13 +32,12 @@ from repro.injection.campaigns import (
     run_campaign,
 )
 from repro.injection.chaos import (
-    ChaosCampaignResult,
+    CampaignResult,
     ChaosConfig,
     ChaosError,
     ChaosInjector,
     CrashPoint,
     CrashRecoveryConfig,
-    CrashRecoveryResult,
     SabotagedCheck,
     SimulatedCrash,
     run_chaos_campaign,
@@ -50,16 +52,15 @@ __all__ = [
     "CAMPAIGNS",
     "run_campaign",
     "run_all_campaigns",
+    "CampaignResult",
     "ChaosError",
     "ChaosConfig",
     "ChaosInjector",
-    "ChaosCampaignResult",
     "SabotagedCheck",
     "sabotage_entry",
     "run_chaos_campaign",
     "CrashPoint",
     "SimulatedCrash",
     "CrashRecoveryConfig",
-    "CrashRecoveryResult",
     "run_crash_recovery_campaign",
 ]

@@ -22,8 +22,11 @@ Everything is driven by one ``random.Random(seed)`` on the sim kernel, so
 a campaign is exactly reproducible: same seed, same injections, same
 counters.  :func:`run_chaos_campaign` is the acceptance harness — a
 campaign *passes* when the supervisor completes every round, nothing
-crashes the kernel, the healthy fleet stays CONFIRMED-clean, and the
-broken monitor's breaker both opens and re-closes.
+crashes the kernel, the healthy fleet stays CONFIRMED-clean and checked
+every round, and the broken monitor's breaker opens and re-closes, so
+that every breaker ends CLOSED.  Each campaign returns a
+:class:`CampaignResult`: the run's metrics, and that predicate as gates
+over them.
 
 **Crash injection** (:func:`run_crash_recovery_campaign`) extends the menu
 from "the detector misbehaves" to "the detector *dies*": seeded rounds
@@ -41,9 +44,10 @@ import enum
 import random
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.apps.bounded_buffer import BoundedBuffer
 from repro.apps.resource_allocator import SingleResourceAllocator
@@ -52,12 +56,8 @@ from repro.detection.config import DetectorConfig
 from repro.detection.durability import DurableEngine, report_key
 from repro.detection.session import DetectionSession
 from repro.detection.engine import DetectionEngine, RegisteredMonitor
-from repro.detection.reports import Confidence, FaultReport
-from repro.detection.supervision import (
-    BreakerState,
-    CheckpointSupervisor,
-    supervisor_process,
-)
+from repro.detection.reports import FaultReport
+from repro.detection.supervision import CheckpointSupervisor, supervisor_process
 from repro.errors import InjectionError
 from repro.history.bounded import BoundedHistory
 from repro.history.wal import WriteAheadLog
@@ -66,26 +66,99 @@ from repro.kernel.sim import SimKernel
 from repro.kernel.threads import ThreadKernel
 from repro.kernel.syscalls import Delay, Syscall
 from repro.monitor.construct import MonitorBase
+from repro.observability.export import to_json_dict
+from repro.observability.gates import (
+    GateResult,
+    MetricsView,
+    parse_gate_specs,
+    render_gate_table,
+    run_gates,
+)
+from repro.observability.registry import MetricsRegistry
 from repro.workloads import spawn_misuse_workload
 
 __all__ = [
+    "CampaignResult",
     "ChaosError",
     "ChaosConfig",
     "SabotagedCheck",
     "sabotage_entry",
     "ChaosInjector",
-    "ChaosCampaignResult",
     "run_chaos_campaign",
     "CrashPoint",
     "SimulatedCrash",
     "CrashRecoveryConfig",
-    "CrashRecoveryResult",
     "run_crash_recovery_campaign",
 ]
 
 
 class ChaosError(InjectionError):
     """The exception type every injected detector-environment fault raises."""
+
+
+@dataclass(frozen=True)
+class CampaignResult:
+    """One campaign run: its metrics, the gates that are its verdict, notes.
+
+    ``registry`` holds every count of the run: the families the engine,
+    supervisor, server or session export, plus one ``repro_campaign_*``
+    gauge per tally only the campaign keeps (injections, crashes, report
+    comparisons).  ``gates`` are the acceptance predicate, one gate per
+    conjunct, evaluated over that registry by the gate engine; ``notes``
+    hold what a count cannot carry (failure messages, crash descriptions,
+    report keys).
+    """
+
+    title: str
+    registry: MetricsRegistry
+    gates: tuple[GateResult, ...]
+    notes: tuple[str, ...] = ()
+
+    @classmethod
+    def judge(
+        cls,
+        title: str,
+        registry: MetricsRegistry,
+        gates: list[tuple],
+        notes: Iterable[str] = (),
+    ) -> "CampaignResult":
+        """Evaluate gates over ``registry``.  Each gate is the fields of a
+        ``[[gate]]`` table, ``(name, metric, op, threshold[, labels])``;
+        the threshold is a number or a ``{"metric": ...}`` table."""
+        tables = [
+            {"name": name, "metric": metric, "op": op,
+             "threshold": threshold, "labels": dict(*labels)}
+            for name, metric, op, threshold, *labels in gates
+        ]
+        view = MetricsView(to_json_dict(registry)["metrics"])
+        results = run_gates(parse_gate_specs({"gate": tables}), view)
+        return cls(title, registry, tuple(results), tuple(notes))
+
+    @property
+    def passed(self) -> bool:
+        return all(result.status == "pass" for result in self.gates)
+
+    def summary(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return "\n".join(
+            [f"{self.title}: {verdict}", render_gate_table(self.gates)]
+            + [f"  {note}" for note in self.notes]
+        )
+
+
+def tally(registry: MetricsRegistry, **counts: float) -> None:
+    """Set the gauge ``repro_campaign_<name>`` to each keyword's value."""
+    for name, value in counts.items():
+        registry.gauge(f"repro_campaign_{name}").labels().set(value)
+
+
+def kernel_failures(*kernels) -> list[str]:
+    """One note per process failure the kernels recorded."""
+    return [
+        f"kernel failure: {type(exc).__name__}: {exc}"
+        for kernel in kernels
+        for exc in kernel.failures().values()
+    ]
 
 
 @dataclass(frozen=True)
@@ -199,7 +272,6 @@ class ChaosInjector:
         self.rng = random.Random(config.seed)
         self.failures_injected = 0
         self.delays_injected = 0
-        self.delay_seconds_injected = 0.0
         self.bursts_injected = 0
         self.events_dropped = 0
         self._engine: Optional[DetectionEngine] = None
@@ -234,7 +306,6 @@ class ChaosInjector:
         if self.rng.random() < config.delay_rate:
             delay = self.rng.uniform(config.max_delay / 2, config.max_delay)
             self.delays_injected += 1
-            self.delay_seconds_injected += delay
             yield Delay(delay)
         if self.rng.random() < config.drop_burst_rate:
             self.bursts_injected += 1
@@ -242,87 +313,6 @@ class ChaosInjector:
                 self.events_dropped += sink.force_drop(config.burst_size)
         self._fail_next_attempt = (
             self.rng.random() < config.checkpoint_failure_rate
-        )
-
-
-@dataclass(frozen=True)
-class ChaosCampaignResult:
-    """Everything :func:`run_chaos_campaign` observed, plus the verdict."""
-
-    config: ChaosConfig
-    #: Supervised rounds that completed a checkpoint (retries included).
-    checkpoints_completed: int
-    #: Rounds abandoned after exhausting retries (must be 0 to pass).
-    checkpoints_abandoned: int
-    retries_performed: int
-    stalls_detected: int
-    #: Injection tallies — the campaign must actually have injected things.
-    failures_injected: int
-    delays_injected: int
-    bursts_injected: int
-    events_dropped: int
-    evaluator_failures_raised: int
-    #: Detection outcome on the (fault-free) workload.
-    confirmed_reports: int
-    degraded_reports: int
-    degraded_windows: int
-    #: Breaker lifecycle of the sabotaged monitor.
-    breaker_opened: int
-    breaker_reclosed: int
-    breaker_final_state: BreakerState
-    broken_checkpoints_run: int
-    broken_checkpoints_skipped: int
-    #: Checkpoints run by each healthy monitor (fleet keeps checking).
-    healthy_checkpoints: tuple[int, ...]
-    #: Exceptions that escaped to the kernel (must be empty to pass).
-    kernel_failures: tuple[str, ...]
-    end_time: float
-
-    @property
-    def passed(self) -> bool:
-        """The acceptance predicate, in one place (see module docstring)."""
-        return (
-            not self.kernel_failures
-            and self.checkpoints_abandoned == 0
-            and self.checkpoints_completed >= self.config.rounds
-            and self.confirmed_reports == 0
-            and self.breaker_opened >= 1
-            and self.breaker_reclosed >= 1
-            and self.breaker_final_state is BreakerState.CLOSED
-            and all(
-                count == self.checkpoints_completed
-                for count in self.healthy_checkpoints
-            )
-            and self.failures_injected > 0
-            and self.delays_injected > 0
-            and self.events_dropped > 0
-        )
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return "\n".join(
-            [
-                f"chaos campaign (seed={self.config.seed}, "
-                f"rounds={self.config.rounds}): {verdict}",
-                f"  checkpoints: {self.checkpoints_completed} completed, "
-                f"{self.checkpoints_abandoned} abandoned, "
-                f"{self.retries_performed} retries, "
-                f"{self.stalls_detected} stalls flagged",
-                f"  injected: {self.failures_injected} checkpoint failures, "
-                f"{self.delays_injected} delays, {self.bursts_injected} "
-                f"drop bursts ({self.events_dropped} events), "
-                f"{self.evaluator_failures_raised} evaluator exceptions",
-                f"  reports: {self.confirmed_reports} confirmed / "
-                f"{self.degraded_reports} degraded "
-                f"({self.degraded_windows} degraded windows)",
-                f"  quarantine: opened x{self.breaker_opened}, re-closed "
-                f"x{self.breaker_reclosed}, final "
-                f"{self.breaker_final_state.value}; broken monitor checked "
-                f"{self.broken_checkpoints_run}, skipped "
-                f"{self.broken_checkpoints_skipped}",
-                f"  healthy fleet checkpoints: "
-                f"{list(self.healthy_checkpoints)}",
-            ]
         )
 
 
@@ -369,13 +359,15 @@ def _fleet_workload(
 
 def run_chaos_campaign(
     config: Optional[ChaosConfig] = None, **overrides
-) -> ChaosCampaignResult:
+) -> CampaignResult:
     """Run one seeded chaos campaign on the sim kernel.
 
     Builds a four-monitor fleet (buffer, allocator, account — all healthy —
     plus one allocator whose *checker* is sabotaged), supervises the shared
     engine through :func:`supervisor_process`, injects the full chaos menu,
-    and returns the deterministic :class:`ChaosCampaignResult`.
+    and returns the deterministic :class:`CampaignResult`: the engine's
+    and the supervisor's families plus the injection tallies, and one
+    gate per conjunct of the acceptance predicate (module docstring).
 
     ``overrides`` are :class:`ChaosConfig` fields for ad-hoc runs:
     ``run_chaos_campaign(seed=7, rounds=80)``.
@@ -450,37 +442,48 @@ def run_chaos_campaign(
     )
 
     horizon = config.rounds * (config.interval + config.max_delay) + 30.0
-    result = kernel.run(until=horizon, max_steps=50_000_000)
+    kernel.run(until=horizon, max_steps=50_000_000)
 
-    by_confidence = engine.reports_by_confidence()
-    breaker = broken_entry.breaker
-    return ChaosCampaignResult(
-        config=config,
-        checkpoints_completed=supervisor.checkpoints_completed,
-        checkpoints_abandoned=supervisor.checkpoints_abandoned,
-        retries_performed=supervisor.retries_performed,
-        stalls_detected=supervisor.stalls_detected,
-        failures_injected=injector.failures_injected,
-        delays_injected=injector.delays_injected,
-        bursts_injected=injector.bursts_injected,
-        events_dropped=injector.events_dropped,
-        evaluator_failures_raised=saboteur.raised,
-        confirmed_reports=len(by_confidence[Confidence.CONFIRMED]),
-        degraded_reports=len(by_confidence[Confidence.DEGRADED]),
-        degraded_windows=engine.degraded_windows,
-        breaker_opened=breaker.times_opened,
-        breaker_reclosed=breaker.times_reclosed,
-        breaker_final_state=breaker.state,
-        broken_checkpoints_run=broken_entry.checkpoints_run,
-        broken_checkpoints_skipped=broken_entry.checkpoints_skipped,
-        healthy_checkpoints=tuple(
-            entry.checkpoints_run for entry in healthy_entries
+    registry = engine.metrics()
+    supervisor.metrics(registry)
+    failures = kernel_failures(kernel)
+    tally(
+        registry,
+        checkpoint_failures=injector.failures_injected,
+        delays=injector.delays_injected,
+        drop_bursts=injector.bursts_injected,
+        dropped_events=injector.events_dropped,
+        evaluator_failures=saboteur.raised,
+        kernel_failures=len(failures),
+    )
+    completed = {"metric": "repro_supervisor_completed_total"}
+    gates = [
+        ("no-kernel-failure", "repro_campaign_kernel_failures", "==", 0),
+        ("no-round-abandoned", "repro_supervisor_abandoned_total", "==", 0),
+        ("every-round-completed", "repro_supervisor_completed_total", ">=",
+         config.rounds),
+        ("no-confirmed-report", "repro_reports_total", "==", 0,
+         {"confidence": "confirmed"}),
+        ("breaker-opened", "repro_breaker_opened_total", ">=", 1),
+        ("breaker-reclosed", "repro_breaker_reclosed_total", ">=", 1),
+        ("every-breaker-closed", "repro_engine_breakers", "==",
+         {"metric": "repro_engine_monitors"}, {"state": "closed"}),
+        *(
+            (f"{entry.label}-checked-every-round",
+             "repro_monitor_checkpoints_total", "==", completed,
+             {"monitor": entry.label})
+            for entry in healthy_entries
         ),
-        kernel_failures=tuple(
-            f"{type(exc).__name__}: {exc}"
-            for exc in kernel.failures().values()
-        ),
-        end_time=result.end_time,
+        ("checkpoint-failures-injected", "repro_campaign_checkpoint_failures",
+         ">", 0),
+        ("delays-injected", "repro_campaign_delays", ">", 0),
+        ("events-dropped", "repro_campaign_dropped_events", ">", 0),
+    ]
+    return CampaignResult.judge(
+        f"chaos campaign (seed={config.seed}, rounds={config.rounds})",
+        registry,
+        gates,
+        failures,
     )
 
 
@@ -610,6 +613,10 @@ class _CrashContext:
         self.events_replayed = 0
         self.torn_tails = 0
         self.snapshot_fallbacks = 0
+        #: Every retired incarnation's metrics, under an ``incarnation``
+        #: label: persisted counters carry over a restart, so an
+        #: unlabelled sum would count them twice.
+        self.registry = MetricsRegistry()
         self.session = self._build()
         self.session.baseline()
 
@@ -692,8 +699,15 @@ class _CrashContext:
         """
         self.kernel.atomic(self._restart)
 
-    def _restart(self) -> None:
+    def retire(self) -> None:
+        """Absorb the live incarnation's metrics, then close it."""
+        self.registry.absorb(
+            self.session.metrics(), {"incarnation": self.recoveries}
+        )
         self.session.close()
+
+    def _restart(self) -> None:
+        self.retire()
         self.session = self._build()
         [summary] = self.session.recover()
         self.recoveries += 1
@@ -729,24 +743,9 @@ def _crash_driver(
     context.durable.flush()
 
 
-@dataclass(frozen=True)
-class _CrashRunOutcome:
-    keys: tuple[str, ...]
-    strict_keys: tuple[str, ...]
-    reports: int
-    crashes: tuple[tuple[int, str], ...]
-    recoveries: int
-    events_replayed: int
-    torn_tails: int
-    snapshot_fallbacks: int
-    durability_counters: dict
-    kernel_failures: tuple[str, ...]
-    end_time: float
-
-
 def _run_crash_instance(
     config: CrashRecoveryConfig, root: Path, plan: dict
-) -> _CrashRunOutcome:
+) -> _CrashContext:
     """One full kernel run (golden when ``plan`` is empty)."""
     if config.backend == "sim":
         kernel = SimKernel(RandomPolicy(seed=config.seed), on_deadlock="stop")
@@ -788,106 +787,24 @@ def _run_crash_instance(
     # soon as every process is done, so the generous slack costs nothing.
     slack = 30.0 if config.strict else 500.0
     horizon = config.rounds * config.interval + slack
-    result = kernel.run(until=horizon, max_steps=50_000_000)
-    context.session.close()
-    return _CrashRunOutcome(
-        keys=_comparison_keys(context.durable.reports, config.strict),
-        strict_keys=tuple(
-            report_key(report) for report in context.durable.reports
-        ),
-        reports=len(context.durable.reports),
-        crashes=tuple(context.crashes),
-        recoveries=context.recoveries,
-        events_replayed=context.events_replayed,
-        torn_tails=context.torn_tails,
-        snapshot_fallbacks=context.snapshot_fallbacks,
-        durability_counters=context.durable.durability_counters,
-        kernel_failures=tuple(
-            f"{type(exc).__name__}: {exc}"
-            for exc in kernel.failures().values()
-        ),
-        end_time=result.end_time,
-    )
-
-
-@dataclass(frozen=True)
-class CrashRecoveryResult:
-    """Golden-vs-recovered comparison of one crash campaign."""
-
-    config: CrashRecoveryConfig
-    #: ``(round, description)`` of every injected crash.
-    crashes_injected: tuple[tuple[int, str], ...]
-    recoveries: int
-    events_replayed: int
-    torn_tails_truncated: int
-    snapshot_fallbacks: int
-    golden_reports: int
-    recovered_reports: int
-    #: Golden keys the recovered run never delivered (must be empty).
-    missing_keys: tuple[str, ...]
-    #: Recovered keys absent from the golden run (must be empty).
-    extra_keys: tuple[str, ...]
-    #: Strict report keys the recovered run delivered more than once
-    #: (must be empty — this is the exactly-once claim).
-    duplicate_keys: tuple[str, ...]
-    durability_counters: dict
-    kernel_failures: tuple[str, ...]
-    end_time: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.kernel_failures
-            and len(self.crashes_injected) == self.config.crashes
-            and self.recoveries == self.config.crashes
-            and self.golden_reports > 0
-            and not self.missing_keys
-            and not self.extra_keys
-            and not self.duplicate_keys
-        )
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        mode = "strict" if self.config.strict else "relaxed"
-        lines = [
-            f"crash-recovery campaign (seed={self.config.seed}, "
-            f"backend={self.config.backend}, rounds={self.config.rounds}, "
-            f"crashes={self.config.crashes}, fsync={self.config.fsync}): "
-            f"{verdict}",
-            f"  crashes: "
-            + (
-                "; ".join(
-                    f"round {index}: {desc}"
-                    for index, desc in self.crashes_injected
-                )
-                or "none"
-            ),
-            f"  recovery: {self.recoveries} recoveries, "
-            f"{self.events_replayed} WAL events replayed, "
-            f"{self.torn_tails_truncated} torn tails truncated, "
-            f"{self.snapshot_fallbacks} corrupt snapshots skipped",
-            f"  reports ({mode} keys): golden {self.golden_reports}, "
-            f"recovered {self.recovered_reports}; "
-            f"missing {len(self.missing_keys)}, extra {len(self.extra_keys)}, "
-            f"duplicated {len(self.duplicate_keys)}",
-            f"  durability: {self.durability_counters}",
-        ]
-        if self.kernel_failures:
-            lines.append(f"  kernel failures: {list(self.kernel_failures)}")
-        return "\n".join(lines)
+    kernel.run(until=horizon, max_steps=50_000_000)
+    context.retire()
+    return context
 
 
 def run_crash_recovery_campaign(
     config: Optional[CrashRecoveryConfig] = None, **overrides
-) -> CrashRecoveryResult:
+) -> CampaignResult:
     """Kill the detector N times and prove recovery changed nothing.
 
     Runs the same seeded workload twice: a *golden* run whose durable
     checkpoints are never interrupted, and a *crashed* run where seeded
     rounds die at seeded :class:`CrashPoint`\\ s and restart through
     :meth:`~repro.detection.cluster.DetectionCluster.recover`.  Passes
-    when both runs deliver the same fault set with zero duplicates (see
-    :attr:`CrashRecoveryResult.passed`).
+    when every crash was injected and recovered and both runs deliver
+    the same fault set with zero duplicates.  The result's registry holds
+    each crashed-run incarnation's session metrics under an
+    ``incarnation`` label, plus the crash and comparison tallies.
 
     ``overrides`` are :class:`CrashRecoveryConfig` fields:
     ``run_crash_recovery_campaign(seed=7, crashes=2, backend="threads")``.
@@ -918,27 +835,52 @@ def run_crash_recovery_campaign(
         if cleanup:
             shutil.rmtree(base, ignore_errors=True)
 
-    golden_keys = set(golden.keys)
-    recovered_keys = set(crashed.keys)
-    from collections import Counter
-
-    strict_counts = Counter(crashed.strict_keys)
-    duplicates = tuple(
-        sorted(key for key, count in strict_counts.items() if count > 1)
+    golden_keys = set(_comparison_keys(golden.durable.reports, config.strict))
+    recovered_keys = set(
+        _comparison_keys(crashed.durable.reports, config.strict)
     )
-    return CrashRecoveryResult(
-        config=config,
-        crashes_injected=crashed.crashes,
+    missing = sorted(golden_keys - recovered_keys)
+    extra = sorted(recovered_keys - golden_keys)
+    delivered = Counter(report_key(r) for r in crashed.durable.reports)
+    duplicated = sorted(key for key, count in delivered.items() if count > 1)
+    failures = kernel_failures(golden.kernel, crashed.kernel)
+    registry = crashed.registry
+    tally(
+        registry,
+        crashes=len(crashed.crashes),
         recoveries=crashed.recoveries,
-        events_replayed=crashed.events_replayed,
-        torn_tails_truncated=crashed.torn_tails,
+        wal_events_replayed=crashed.events_replayed,
+        torn_tails=crashed.torn_tails,
         snapshot_fallbacks=crashed.snapshot_fallbacks,
-        golden_reports=golden.reports,
-        recovered_reports=crashed.reports,
-        missing_keys=tuple(sorted(golden_keys - recovered_keys)),
-        extra_keys=tuple(sorted(recovered_keys - golden_keys)),
-        duplicate_keys=duplicates,
-        durability_counters=crashed.durability_counters,
-        kernel_failures=golden.kernel_failures + crashed.kernel_failures,
-        end_time=crashed.end_time,
+        golden_reports=len(golden.durable.reports),
+        recovered_reports=len(crashed.durable.reports),
+        missing_keys=len(missing),
+        extra_keys=len(extra),
+        duplicate_keys=len(duplicated),
+        kernel_failures=len(failures),
+    )
+    gates = [
+        ("no-kernel-failure", "repro_campaign_kernel_failures", "==", 0),
+        ("every-crash-injected", "repro_campaign_crashes", "==", config.crashes),
+        ("every-crash-recovered", "repro_campaign_recoveries", "==",
+         config.crashes),
+        ("golden-run-reports", "repro_campaign_golden_reports", ">", 0),
+        ("no-missing-report", "repro_campaign_missing_keys", "==", 0),
+        ("no-extra-report", "repro_campaign_extra_keys", "==", 0),
+        ("no-duplicated-report", "repro_campaign_duplicate_keys", "==", 0),
+    ]
+    notes = [f"crash in round {index}: {text}" for index, text in crashed.crashes]
+    for kind, keys in (
+        ("missing", missing), ("extra", extra), ("duplicated", duplicated)
+    ):
+        notes += [f"{kind}: {key}" for key in keys]
+    mode = "strict" if config.strict else "relaxed"
+    return CampaignResult.judge(
+        f"crash-recovery campaign (seed={config.seed}, "
+        f"backend={config.backend}, rounds={config.rounds}, "
+        f"crashes={config.crashes}, fsync={config.fsync}, "
+        f"{mode} report keys)",
+        registry,
+        gates,
+        notes + failures,
     )

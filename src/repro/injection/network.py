@@ -5,18 +5,20 @@ over a :class:`~repro.service.transport.SimNetwork`, with a deterministic
 fault driver injecting the service's whole failure menu — connection
 drops, partial frames, slow-consumer stalls, and a full server
 crash/restart over a durable journal — then asserts the robustness
-contract end to end:
+contract end to end, as gates over the run's metrics (every server
+incarnation's families, summed, plus the campaign's own tallies):
 
 * **zero client-side exceptions**: every client's ``errors`` list is
   empty — disconnects, stalls and the server outage were absorbed by
   buffering and reconnect, never raised into the workload;
-* **loss is never silent**: every window that arrived lossy (ring drops,
-  shed replay windows, sequence gaps, post-restart resync) was evaluated
-  in degraded mode — reports from such windows carry
+* **loss is never silent**: every window evaluated lossy (ring drops,
+  shed replay windows, sequence gaps, post-restart resync) took the
+  degraded path — ``repro_engine_degraded_windows_total`` equals
+  ``repro_service_lossy_windows_total`` — so its reports carry
   :attr:`~repro.detection.reports.Confidence.DEGRADED`, not CONFIRMED;
 * **exactly-once delivery**: after the crash and recovery, the journal
   holds no duplicate reports (confidence-blind keys are unique);
-* the faults actually happened: reconnects observed, windows replayed,
+* the faults actually happened: reconnects observed, windows accepted,
   at least one report delivered.
 
 Everything is driven by one seed: the kernel scheduling policy, the
@@ -37,9 +39,11 @@ from repro.apps.bounded_buffer import BoundedBuffer
 from repro.apps.resource_allocator import SingleResourceAllocator
 from repro.detection.config import DetectorConfig
 from repro.detection.reports import Confidence
+from repro.injection.chaos import CampaignResult, kernel_failures, tally
 from repro.kernel.policies import RandomPolicy
 from repro.kernel.sim import SimKernel
 from repro.kernel.syscalls import Delay, Syscall
+from repro.observability.registry import MetricsRegistry
 from repro.service.client import DetectionClient, client_process
 from repro.service.server import DetectionServer, service_report_key
 from repro.service.transport import SimNetwork, network_process
@@ -47,7 +51,6 @@ from repro.workloads import spawn_misuse_workload
 
 __all__ = [
     "NetworkChaosConfig",
-    "NetworkChaosResult",
     "run_network_chaos_campaign",
 ]
 
@@ -106,72 +109,6 @@ class NetworkChaosConfig:
         return round(self.rounds * self.crash_at)
 
 
-@dataclass(frozen=True)
-class NetworkChaosResult:
-    """Outcome of one campaign, with the pass/fail contract attached."""
-
-    config: NetworkChaosConfig
-    faults_injected: tuple[tuple[float, str], ...]
-    server_crashes: int
-    connections_cut: int
-    frames_truncated: int
-    pumps_stalled: int
-    reconnects: int
-    windows_accepted: int
-    windows_duplicate: int
-    windows_evicted: int
-    events_lost: int
-    lossy_windows: int
-    degraded_windows: int
-    resync_windows: int
-    delivered_reports: int
-    degraded_reports: int
-    confirmed_from_lossy: int
-    duplicate_journal_keys: int
-    journal_deduplicated: int
-    client_errors: tuple[str, ...]
-    kernel_failures: tuple[str, ...]
-    end_time: float
-
-    @property
-    def passed(self) -> bool:
-        checks = [
-            not self.kernel_failures,
-            not self.client_errors,
-            self.duplicate_journal_keys == 0,
-            # Every lossy window took the degraded evaluation path...
-            self.degraded_windows == self.lossy_windows,
-            # ...and no report born from one claims full confidence.
-            self.confirmed_from_lossy == 0,
-            self.delivered_reports > 0,
-            self.windows_accepted > 0,
-        ]
-        if self.config.drop_rate > 0 or self.config.crash_round is not None:
-            checks.append(self.reconnects > 0)
-        if self.config.crash_round is not None:
-            checks.append(self.server_crashes >= 1)
-        return all(checks)
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"network chaos [{verdict}] seed={self.config.seed} "
-            f"clients={self.config.clients}: "
-            f"{self.windows_accepted} windows "
-            f"({self.windows_duplicate} dup-skipped, "
-            f"{self.lossy_windows} lossy -> {self.degraded_windows} "
-            f"degraded), {self.delivered_reports} reports "
-            f"({self.degraded_reports} degraded, 0 dups expected: "
-            f"{self.duplicate_journal_keys}), "
-            f"faults: {self.connections_cut} cuts, "
-            f"{self.frames_truncated} truncations, "
-            f"{self.pumps_stalled} stalled pumps, "
-            f"{self.server_crashes} crash(es); "
-            f"{self.reconnects} reconnects, "
-            f"{self.client_errors and 'CLIENT ERRORS' or 'no client errors'}"
-        )
-
-
 def _fault_driver(
     kernel: SimKernel,
     net: SimNetwork,
@@ -215,26 +152,16 @@ def _fault_driver(
             faults.append((now, f"stall-{config.stall_pumps}"))
 
 
-def run_network_chaos_campaign(
-    config: NetworkChaosConfig,
-    *,
-    durable_root: Optional[Path] = None,
-) -> NetworkChaosResult:
+def run_network_chaos_campaign(config: NetworkChaosConfig) -> CampaignResult:
     """Run one seeded campaign; see the module docstring for the contract."""
-    owns_root = durable_root is None
-    root = (
-        Path(tempfile.mkdtemp(prefix="repro-netchaos-"))
-        if owns_root
-        else Path(durable_root)
-    )
+    root = Path(tempfile.mkdtemp(prefix="repro-netchaos-"))
     try:
         return _run(config, root)
     finally:
-        if owns_root:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
 
 
-def _run(config: NetworkChaosConfig, root: Path) -> NetworkChaosResult:
+def _run(config: NetworkChaosConfig, root: Path) -> CampaignResult:
     kernel = SimKernel(RandomPolicy(seed=config.seed), on_deadlock="stop")
     detector_config = DetectorConfig(
         interval=config.interval,
@@ -298,65 +225,59 @@ def _run(config: NetworkChaosConfig, root: Path) -> NetworkChaosResult:
         "fault-driver",
     )
     horizon = (config.rounds + 35) * config.interval + config.crash_outage
-    result = kernel.run(until=horizon, max_steps=50_000_000)
-    final = incarnations[-1]
-    final.close()
-    # ------------------------------------------------------------ verdicts
-    keys = [service_report_key(r) for r in final.journal.reports]
-    duplicate_journal_keys = len(keys) - len(set(keys))
-    degraded_reports = sum(
-        1
-        for report in final.journal.reports
-        if report.confidence is Confidence.DEGRADED
-    )
-    # A CONFIRMED report produced while evaluating a lossy window would be
-    # a silent-loss bug.  Reports don't record their window's loss, but
-    # the engine invariant does: every lossy window bumps
-    # ``degraded_windows`` and its surviving reports are downgraded, so
-    # lossy windows minus degraded evaluations exposes any leak.  Lossy
-    # windows accepted but never evaluated (pending in a crashed
-    # incarnation — the client replays them to the next one) are excluded.
-    lossy = sum(s.lossy_windows for s in incarnations)
-    unevaluated_lossy = sum(
-        1
-        for s in incarnations
-        for capture in s.engine._pending_captures
-        if capture.segment.dropped
-    )
-    lossy -= unevaluated_lossy
-    degraded = sum(s.engine.degraded_windows for s in incarnations)
-    return NetworkChaosResult(
-        config=config,
-        faults_injected=tuple(faults),
+    kernel.run(until=horizon, max_steps=50_000_000)
+    incarnations[-1].close()
+    # A lossy window counts when a server evaluates it, so windows a
+    # crashed incarnation left pending count nowhere.
+    registry = MetricsRegistry()
+    for server in incarnations:
+        registry.absorb(server.metrics())
+    journal = incarnations[-1].journal.reports
+    keys = [service_report_key(report) for report in journal]
+    client_errors = [
+        f"client error: {client.name}: {error}"
+        for client in clients
+        for error in client.errors
+    ]
+    failures = kernel_failures(kernel)
+    stats = [client.stats() for client in clients]
+    tally(
+        registry,
         server_crashes=net.server_crashes,
         connections_cut=net.connections_cut,
         frames_truncated=net.frames_truncated,
         pumps_stalled=net.pumps_stalled,
-        reconnects=sum(c.disconnects for c in clients),
-        windows_accepted=sum(s.windows_accepted for s in incarnations),
-        windows_duplicate=sum(s.windows_duplicate for s in incarnations),
-        windows_evicted=sum(
-            c.stats()["windows_evicted"] for c in clients
+        reconnects=sum(client["disconnects"] for client in stats),
+        client_errors=len(client_errors),
+        windows_evicted=sum(client["windows_evicted"] for client in stats),
+        events_lost=sum(client["events_lost"] for client in stats),
+        kernel_failures=len(failures),
+        journal_reports=len(journal),
+        journal_degraded_reports=sum(
+            report.confidence is Confidence.DEGRADED for report in journal
         ),
-        events_lost=sum(c.stats()["events_lost"] for c in clients),
-        lossy_windows=lossy,
-        degraded_windows=degraded,
-        resync_windows=sum(s.resync_windows for s in incarnations),
-        delivered_reports=len(final.journal.reports),
-        degraded_reports=degraded_reports,
-        confirmed_from_lossy=max(0, lossy - degraded),
-        duplicate_journal_keys=duplicate_journal_keys,
-        journal_deduplicated=sum(
-            s.journal.deduplicated for s in incarnations
-        ),
-        client_errors=tuple(
-            f"{client.name}: {error}"
-            for client in clients
-            for error in client.errors
-        ),
-        kernel_failures=tuple(
-            f"{type(exc).__name__}: {exc}"
-            for exc in kernel.failures().values()
-        ),
-        end_time=result.end_time,
+        journal_duplicate_keys=len(keys) - len(set(keys)),
+    )
+    gates = [
+        ("no-kernel-failure", "repro_campaign_kernel_failures", "==", 0),
+        ("no-client-error", "repro_campaign_client_errors", "==", 0),
+        ("no-duplicate-journal-key", "repro_campaign_journal_duplicate_keys",
+         "==", 0),
+        ("every-lossy-window-degraded", "repro_engine_degraded_windows_total",
+         "==", {"metric": "repro_service_lossy_windows_total"}),
+        ("reports-delivered", "repro_campaign_journal_reports", ">", 0),
+        ("windows-accepted", "repro_service_windows_accepted_total", ">", 0),
+    ]
+    if config.drop_rate > 0 or config.crash_round is not None:
+        gates.append(("clients-reconnected", "repro_campaign_reconnects", ">", 0))
+    if config.crash_round is not None:
+        gates.append(("server-crashed", "repro_campaign_server_crashes", ">=", 1))
+    return CampaignResult.judge(
+        f"network chaos campaign (seed={config.seed}, "
+        f"clients={config.clients}, rounds={config.rounds})",
+        registry,
+        gates,
+        [f"fault at {time:g}: {fault}" for time, fault in faults]
+        + client_errors
+        + failures,
     )

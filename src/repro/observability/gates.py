@@ -26,6 +26,10 @@ Semantics:
 * ``[gate.baseline]`` names a second sample; the compared value becomes
   the ratio ``value / baseline`` (so ``op="<" threshold=2.0`` states
   "under 2x the baseline").  A zero baseline fails the gate.
+* ``threshold`` is a number, or a table naming another sample
+  (``threshold = { metric = "...", labels = { k = "v" } }``) whose value
+  is compared as it is, zero included: ``degraded == lossy`` holds when
+  both are 0.  A threshold sample that is missing fails the gate.
 * ``op`` is one of ``< <= > >= == !=``; the gate passes when
   ``compared OP threshold`` holds.
 
@@ -33,10 +37,17 @@ The runner (``repro gates run SPEC --metrics FILE...``) loads one or
 more metrics JSON files (raw exports or CLI/bench envelopes), evaluates
 every gate, prints a pass/fail table, and exits nonzero on violation.
 
+A campaign (:class:`repro.injection.CampaignResult`) builds the same
+``[[gate]]`` tables in Python, with thresholds from its config, and runs
+them over the registry of its run through :func:`parse_gate_specs` and
+:func:`run_gates`.
+
 TOML parsing uses :mod:`tomllib` where available (python >= 3.11) and
 falls back to a minimal built-in parser covering the subset the gate
 format needs (``[[gate]]`` array tables, sub-tables, inline tables,
-strings/numbers/booleans) — no third-party dependency either way.
+strings/numbers/booleans) — no third-party dependency either way.  It
+splits an inline table on every comma, so a table nested in an inline
+table (a threshold's ``labels``) holds at most one key there.
 """
 
 from __future__ import annotations
@@ -128,13 +139,16 @@ class GateSpec:
     name: str
     value: _Selector
     op: str
-    threshold: float
+    #: A number, or the sample whose value is the threshold.
+    threshold: Union[float, _Selector]
     baseline: Optional[_Selector] = None
 
     def describe(self) -> str:
         lhs = self.value.describe()
         if self.baseline is not None:
             lhs = f"{lhs} / {self.baseline.describe()}"
+        if isinstance(self.threshold, _Selector):
+            return f"{lhs} {self.op} {self.threshold.describe()}"
         return f"{lhs} {self.op} {self.threshold:g}"
 
 
@@ -259,10 +273,16 @@ def parse_gate_specs(data: dict) -> list[GateSpec]:
                 f"{context}: 'op' must be one of {sorted(_OPS)}, got {op!r}"
             )
         threshold = table.get("threshold")
-        if not isinstance(threshold, (int, float)) or isinstance(
+        if isinstance(threshold, dict):
+            threshold = _Selector.from_table(threshold, f"{context} threshold")
+        elif isinstance(threshold, (int, float)) and not isinstance(
             threshold, bool
         ):
-            raise ValueError(f"{context}: 'threshold' (number) is required")
+            threshold = float(threshold)
+        else:
+            raise ValueError(
+                f"{context}: 'threshold' (number or metric table) is required"
+            )
         value = _Selector.from_table(table, context)
         baseline = None
         if "baseline" in table:
@@ -276,7 +296,7 @@ def parse_gate_specs(data: dict) -> list[GateSpec]:
                 name=name,
                 value=value,
                 op=op,
-                threshold=float(threshold),
+                threshold=threshold,
                 baseline=baseline,
             )
         )
@@ -317,8 +337,14 @@ def _evaluate(spec: GateSpec, view: MetricsView) -> GateResult:
                 detail=f"baseline {spec.baseline.describe()} is zero",
             )
         compared = value / base
-    ok = _OPS[spec.op](compared, spec.threshold)
-    detail = f"{compared:g} {spec.op} {spec.threshold:g}"
+    threshold = spec.threshold
+    if isinstance(threshold, _Selector):
+        try:
+            threshold = view.lookup(threshold)
+        except LookupError as error:
+            return GateResult(spec, "fail", value=value, detail=str(error))
+    ok = _OPS[spec.op](compared, threshold)
+    detail = f"{compared:g} {spec.op} {threshold:g}"
     return GateResult(
         spec,
         "pass" if ok else "fail",

@@ -378,6 +378,8 @@ class MetricsRegistry:
         registry, stamping ``labels`` onto every sample."""
         base = {str(k): str(v) for k, v in (labels or {}).items()}
         for family in other.collect():
+            if family.kind == "gauge":
+                continue
             mine = self._declare(
                 family.name,
                 family.kind,

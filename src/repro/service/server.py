@@ -676,8 +676,6 @@ class DetectionServer:
             segment = replace(segment, dropped=segment.dropped + extra)
         entry = stream.entry
         if entry.breaker.allow(taken_at) and not self._probe_queued(entry):
-            if segment.dropped:
-                self.lossy_windows += 1
             self.engine._pending_captures.append(
                 CheckpointCapture(
                     entry=entry,
@@ -733,6 +731,11 @@ class DetectionServer:
         round_started = perf_counter()
         meta = self._pending_meta
         pending = self._pending_reports
+        self.lossy_windows += sum(
+            1
+            for capture in self.engine._pending_captures
+            if capture.segment.dropped
+        )
         pending.extend(self.engine.evaluate_phase())
         admitted: list[FaultReport] = []
         while pending:

@@ -3,6 +3,7 @@ recovery."""
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -536,6 +537,69 @@ class TestDurableEngine:
         delivered = [report_key(r) for r in rebuilt.delivered_reports]
         assert delivered == reports_before
         rebuilt.close()
+
+
+class TestSnapshotAtomicity:
+    def test_release_during_snapshot_is_not_lost_on_recovery(self, tmp_path):
+        # A workload thread releases the allocator after the snapshot read
+        # the Algorithm-3 state and before it read the sink's seq.  Unless
+        # the payload is one atomic cut, the seq covers a Release the
+        # restored checker never saw, replay starts past it, and the
+        # process's next Request reads as a second acquisition (ST-8a).
+        kernel = ThreadKernel(time_scale=0.002)
+        allocator = SingleResourceAllocator(kernel, name="allocator")
+        config = DetectorConfig(
+            interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0
+        )
+
+        def build():
+            session = DetectionSession(
+                kernel, config=config, durable_dir=tmp_path, fsync="never"
+            )
+            session.register(allocator, label="allocator")
+            return session
+
+        session = build()
+        session.baseline()
+        held, release, released, recovered = (
+            threading.Event() for __ in range(4)
+        )
+
+        def user():
+            yield from allocator.request()
+            held.set()
+            release.wait(timeout=10)
+            yield from allocator.release()
+            released.set()
+            recovered.wait(timeout=10)
+            yield from allocator.request()
+            yield from allocator.release()
+
+        pid = kernel.spawn(user(), "user")
+        assert held.wait(timeout=10)
+        durable = session.shards[0].durable
+        snapshot_state = durable.supervisor.snapshot_state
+
+        def mid_payload(entries):
+            # The checkers are already read; let the Release race the
+            # sinks.  Inside the atomic section it waits for the lock.
+            release.set()
+            released.wait(timeout=0.3)
+            return snapshot_state(entries)
+
+        durable.supervisor.snapshot_state = mid_payload
+        durable.commit()
+        assert released.wait(timeout=10)
+        session.close()
+        session = build()
+        session.recover()
+        recovered.set()
+        # Returns once the user ends; the deadline only bounds a hung run.
+        result = kernel.run(until=5_000.0)
+        session.close()
+        assert result.live == ()
+        assert kernel.failures() == {}
+        assert [r for r in session.reports if pid in r.pids] == []
 
 
 class TestSyncFlushAtCheckpoint:

@@ -43,12 +43,39 @@ class TestSimCampaign:
             seed=0, rounds=30, crashes=3, backend="sim"
         )
         assert result.passed, result.summary()
-        assert result.golden_reports > 0
-        assert result.recovered_reports == result.golden_reports
-        assert result.missing_keys == ()
-        assert result.extra_keys == ()
-        assert result.duplicate_keys == ()
-        assert result.recoveries == 3
+        value = result.registry.value
+        assert value("repro_campaign_golden_reports") > 0
+        assert value("repro_campaign_recovered_reports") == value(
+            "repro_campaign_golden_reports"
+        )
+        assert value("repro_campaign_missing_keys") == 0
+        assert value("repro_campaign_extra_keys") == 0
+        assert value("repro_campaign_duplicate_keys") == 0
+        assert value("repro_campaign_recoveries") == 3
+        assert [result.gate.name for result in result.gates] == [
+            "no-kernel-failure",
+            "every-crash-injected",
+            "every-crash-recovered",
+            "golden-run-reports",
+            "no-missing-report",
+            "no-extra-report",
+            "no-duplicated-report",
+        ]
+        assert len(result.notes) == 3
+        assert all(note.startswith("crash in round") for note in result.notes)
+
+    def test_each_incarnation_exports_under_its_label(self):
+        result = run_crash_recovery_campaign(
+            seed=0, rounds=30, crashes=3, backend="sim"
+        )
+        value = result.registry.value
+        # Incarnation 0 is the first start; each later one recovered once.
+        assert value("repro_recoveries_total", {"incarnation": "0"}) == 0
+        for incarnation in ("1", "2", "3"):
+            assert value(
+                "repro_recoveries_total", {"incarnation": incarnation}
+            ) == 1
+        assert value("repro_recoveries_total") == 3
 
     def test_each_crash_point_recovers(self):
         # One campaign per point, so a regression names its culprit.
@@ -71,7 +98,7 @@ class TestSimCampaign:
             crash_points=(CrashPoint.MID_WAL_APPEND,),
         )
         assert result.passed, result.summary()
-        assert result.torn_tails_truncated == 2
+        assert result.registry.value("repro_campaign_torn_tails") == 2
 
     def test_summary_renders(self):
         result = run_crash_recovery_campaign(seed=1, rounds=16, crashes=1)
@@ -91,13 +118,12 @@ class TestThreadCampaign:
         # Each restart swaps the monitors' WALs while the workload threads
         # run; a transition between closing the old WAL and attaching the
         # new one used to fail its process with "append to a closed WAL".
-        # (Report equality is not asserted: two real-time runs can still
-        # differ in a timing-dependent relaxed key.)
         for __ in range(3):
             result = run_crash_recovery_campaign(
                 seed=0, rounds=30, crashes=2, backend="threads"
             )
-            assert result.kernel_failures == (), result.summary()
+            failures = result.registry.value("repro_campaign_kernel_failures")
+            assert failures == 0, result.summary()
 
     def test_restart_holds_the_workload_off_the_wals(
         self, tmp_path, monkeypatch

@@ -207,6 +207,80 @@ class TestEvaluation:
         assert "percentile" in results[0].detail
 
 
+METRIC_THRESHOLD_TEXT = """
+[[gate]]
+name = "every-lossy-window-degraded"
+metric = "repro_windows_total"
+labels = { mode = "degraded" }
+op = "=="
+threshold = { metric = "repro_windows_total", labels = { mode = "lossy" } }
+"""
+
+
+class TestMetricThreshold:
+    """``threshold = { metric = ..., labels = ... }`` compares two samples
+    as they are."""
+
+    def windows(self, **counts: float) -> MetricsView:
+        registry = MetricsRegistry()
+        family = registry.counter("repro_windows_total", "", ("mode",))
+        for mode, count in counts.items():
+            family.labels(mode=mode).inc(count)
+        return view_from(registry)
+
+    def run(self, view: MetricsView):
+        [result] = run_gates(
+            parse_gate_specs(_parse_toml_subset(METRIC_THRESHOLD_TEXT)), view
+        )
+        return result
+
+    def test_equal_samples_pass(self):
+        result = self.run(self.windows(degraded=6, lossy=6))
+        assert result.status == "pass"
+        assert result.detail == "6 == 6"
+        assert result.gate.describe() == (
+            "repro_windows_total{mode=degraded} == "
+            "repro_windows_total{mode=lossy}"
+        )
+
+    def test_unequal_samples_fail(self):
+        result = self.run(self.windows(degraded=5, lossy=6))
+        assert result.status == "fail"
+        assert result.detail == "5 == 6"
+
+    def test_both_zero_pass(self):
+        # Unlike a [gate.baseline] ratio, a zero threshold sample is a
+        # value like any other.
+        assert self.run(self.windows(degraded=0, lossy=0)).status == "pass"
+
+    def test_missing_threshold_sample_fails(self):
+        result = self.run(self.windows(degraded=0))
+        assert result.status == "fail"
+        assert "no metric matches repro_windows_total{mode=lossy}" in (
+            result.detail
+        )
+
+    def test_fallback_parser_reads_one_label_threshold_table(self):
+        data = _parse_toml_subset(METRIC_THRESHOLD_TEXT)
+        assert data["gate"][0]["threshold"] == {
+            "metric": "repro_windows_total",
+            "labels": {"mode": "lossy"},
+        }
+        tomllib = pytest.importorskip("tomllib")
+        assert data == tomllib.loads(METRIC_THRESHOLD_TEXT)
+
+    def test_threshold_must_be_number_or_table(self):
+        with pytest.raises(ValueError, match="threshold"):
+            parse_gate_specs(
+                {
+                    "gate": [
+                        {"name": "g", "metric": "m", "op": "<",
+                         "threshold": "1"}
+                    ]
+                }
+            )
+
+
 class TestRendering:
     def test_table_shows_status_and_footer(self):
         results = run_gates(

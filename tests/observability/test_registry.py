@@ -190,6 +190,16 @@ class TestRegistry:
             "repro_lat_seconds", {"shard": "0", "phase": "append"}
         ) == 2
 
+    def test_absorb_skips_gauges(self):
+        incarnation = MetricsRegistry()
+        incarnation.counter("repro_windows_total").labels().inc(3)
+        incarnation.gauge("repro_live_streams").labels().set(2)
+        registry = MetricsRegistry()
+        registry.absorb(incarnation)
+        registry.absorb(incarnation)
+        assert registry.value("repro_windows_total") == 6
+        assert registry.get("repro_live_streams") is None
+
     def test_count_table_exports_one_family_per_named_row(self):
         class Source:
             sent = 3

@@ -24,15 +24,20 @@ def test_campaign_passes_with_full_fault_menu():
     )
     result = run_network_chaos_campaign(config)
     assert result.passed, result.summary()
+    value = result.registry.value
     # The campaign exercised what it claims to exercise.
-    assert result.server_crashes == 1
-    assert result.reconnects > 0
-    assert not result.client_errors
-    assert result.duplicate_journal_keys == 0
-    # Loss is never silent: every lossy window was evaluated degraded,
-    # and no report from a lossy window claims CONFIRMED.
-    assert result.degraded_windows == result.lossy_windows
-    assert result.confirmed_from_lossy == 0
+    assert value("repro_campaign_server_crashes") == 1
+    assert value("repro_campaign_reconnects") > 0
+    assert value("repro_campaign_client_errors") == 0
+    # The notes are the fault timeline alone: no error, no failure.
+    assert any(note.endswith(": server-crash") for note in result.notes)
+    assert all(note.startswith("fault at ") for note in result.notes)
+    assert value("repro_campaign_journal_duplicate_keys") == 0
+    # Loss is never silent: every window evaluated lossy took the degraded
+    # path, so no report from a lossy window claims CONFIRMED.
+    assert value("repro_engine_degraded_windows_total") == value(
+        "repro_service_lossy_windows_total"
+    )
     assert "PASS" in result.summary()
 
 
@@ -43,6 +48,11 @@ def test_campaign_without_faults_is_clean():
     )
     result = run_network_chaos_campaign(config)
     assert result.passed, result.summary()
-    assert result.lossy_windows == 0
-    assert result.reconnects == 0
-    assert result.delivered_reports > 0
+    value = result.registry.value
+    assert value("repro_service_lossy_windows_total") == 0
+    assert value("repro_campaign_reconnects") == 0
+    assert value("repro_campaign_journal_reports") > 0
+    # Without a drop or a crash there is nothing to reconnect from, so
+    # neither fault's gate is part of the verdict.
+    names = {gate.gate.name for gate in result.gates}
+    assert not names & {"clients-reconnected", "server-crashed"}

@@ -62,6 +62,35 @@ class TestCheck:
         assert status == 1
         assert "FD-1a" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda tmp_path: tmp_path / "missing.jsonl", "No such file"),
+            (lambda tmp_path: tmp_path, "Is a directory"),
+            (lambda tmp_path: _write(tmp_path / "t.jsonl", "not json\n"),
+             "invalid JSON"),
+            (lambda tmp_path: _write(tmp_path / "t.jsonl", "[1, 2]\n"),
+             "unknown record kind"),
+        ],
+        ids=["missing", "directory", "not-json", "not-an-object"],
+    )
+    def test_unreadable_trace_exits_two_with_one_line(
+        self, tmp_path, capsys, make, reason
+    ):
+        # Exit 1 means violations were found; a bad path must not read so.
+        path = make(tmp_path)
+        assert main(["check", str(path), "--monitor", "buffer"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"repro check: cannot read {path}")
+        assert reason in captured.err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
 
 class TestArgumentHandling:
     def test_missing_command_rejected(self):
@@ -114,7 +143,10 @@ class TestBenchArgumentValidation:
     def test_short_network_campaign_runs(self, capsys):
         # The server crash sits at the same fraction of any run length.
         assert main(["chaos", "--network", "--rounds", "10"]) == 0
-        assert "network chaos [PASS]" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        title = "network chaos campaign (seed=0, clients=3, rounds=10)"
+        assert f"{title}: PASS" in output
+        assert "server-crashed" in output
 
 
 class TestAblationsCommand:
@@ -203,17 +235,35 @@ class TestJsonEnvelope:
         assert payload["command"] == "selftest"
         assert payload["results"]["campaign"]["detected"] is True
 
-    def test_chaos_json_schema(self, tmp_path):
+    def test_chaos_json_schema(self, tmp_path, capsys):
         import json
 
         path = tmp_path / "chaos.json"
-        status = main(
-            ["chaos", "--seed", "0", "--rounds", "20", "--json", str(path)]
-        )
+        argv = ["chaos", "--seed", "0", "--rounds", "20", "--json", str(path)]
+        status = main(argv)
         payload = json.loads(path.read_text())
         assert payload["command"] == "chaos"
-        assert payload["results"]["passed"] is (status == 0)
-        assert "summary" in payload["results"]
+        results = payload["results"]
+        assert set(results) == {"passed", "gates", "notes", "metrics"}
+        assert results["passed"] is (status == 0)
+        assert results["metrics"]["schema"] == "repro-metrics/1"
+        gates = {gate["name"]: gate for gate in results["gates"]}
+        assert gates["every-round-completed"]["status"] == "pass"
+        assert gates["every-round-completed"]["value"] == 20
+        # Two runs of one seed write the same bytes.
+        first = path.read_bytes()
+        assert main(argv) == status
+        assert path.read_bytes() == first
+        # The file is a metrics input of the gate runner.
+        spec = tmp_path / "spec.toml"
+        spec.write_text(
+            '[[gate]]\nname = "no-abandoned"\n'
+            'metric = "repro_supervisor_abandoned_total"\n'
+            'op = "=="\nthreshold = 0\n'
+        )
+        capsys.readouterr()
+        assert main(["gates", "run", str(spec), "--metrics", str(path)]) == 0
+        assert "1 passed, 0 failed" in capsys.readouterr().out
 
     def test_coverage_json_schema(self, tmp_path):
         import json
@@ -261,6 +311,11 @@ class TestJsonEnvelope:
         assert set(payload) == {"command", "seed", "results"}
         assert payload["command"] == "crash-recovery"
         assert payload["results"]["passed"] is (status == 0)
+        assert payload["results"]["notes"][0].startswith("crash in round")
+        names = {
+            entry["name"] for entry in payload["results"]["metrics"]["metrics"]
+        }
+        assert {"repro_campaign_recoveries", "repro_recoveries_total"} <= names
 
     def test_serve_json_schema_and_metrics_out(self, tmp_path):
         import json
