@@ -14,11 +14,12 @@ supervisor — that keeps three artefacts under the shard's root directory:
   virtual clock gives all events at one instant one float, the log
   reuses that time's text (``virtual_clock``),
 * ``snapshots/`` — numbered, checksummed engine-state snapshots written
-  atomically (temp file, fsync, rename) after every checkpoint's phase-2
-  evaluation; the file's payload is the sort-keys JSON its checksum
-  covers, encoded once to bytes and written as one bytes object through
-  one file descriptor; a corrupt latest snapshot falls back to the
-  previous one,
+  after every checkpoint's phase-2 evaluation into a ring of four slot
+  files: each snapshot overwrites the oldest slot in place, as one
+  record (a header line with its number, length and sha256, then its
+  payload's JSON, encoded once), synced with ``fdatasync`` before the
+  write returns; a torn or corrupt newest slot falls back to the
+  previous snapshot,
 * ``reports.jsonl`` — the **report journal**: every fault report is
   journaled *before* it is surfaced, keyed by :func:`report_key`, giving
   exactly-once delivery across restarts — a recovered detector re-derives
@@ -62,7 +63,7 @@ from repro.detection.reports import (
 )
 from repro.detection.supervision import CheckpointSupervisor
 from repro.errors import RecoveryError
-from repro.history.wal import WriteAheadLog, file_number
+from repro.history.wal import WriteAheadLog
 from repro.kernel.sim import SimKernel
 from repro.observability.registry import Histogram, MetricsRegistry
 from repro.service.framing import load_jsonl_journal
@@ -206,118 +207,165 @@ class ReportJournal(ExactlyOnceJournal):
 # --------------------------------------------------------------- snapshots
 
 
-class SnapshotStore:
-    """Numbered, checksummed, atomically-written state snapshots.
+#: Slot files in a store's ring: snapshot number n overwrites slot
+#: n mod ``SNAPSHOT_SLOTS``, so a write leaves the three before it intact.
+SNAPSHOT_SLOTS = 4
 
-    ``write`` encodes the payload once, to the bytes of its sort-keys
-    JSON, hashes those bytes, and writes ``{"kind": "engine-snapshot",
-    "checksum": <their sha256>, "payload": <those bytes>}`` as one bytes
-    object through one file descriptor to a temp file in the same
-    directory, fsyncs it, and renames it into place — a reader (or a
-    restarted process) sees either the old snapshot or the complete new
-    one, never a torn middle.  Files are ordered by their number, not
-    their name, so ``snapshot-1000000.json`` follows
-    ``snapshot-999999.json``.  ``load_latest`` walks snapshots
-    newest-first and falls back past any that fail the checksum or do not
-    parse (counted in ``corrupt_skipped``); it re-encodes the parsed
-    payload to check it, so a payload in any key order loads.
+#: A snapshot record's header line; the payload's ``length`` bytes follow.
+#: Compact, so that changing any one of its bytes changes what it says.
+_HEADER = (
+    b'{"kind":"engine-snapshot","number":%d,"length":%d,"sha256":"%s"}\n'
+)
+
+
+def _digest(number: int, payload: bytes) -> str:
+    """The checksum of one record: the sha256 of its number's text line
+    and its payload bytes, so a damaged number fails it too."""
+    digest = hashlib.sha256(b"%d\n" % number)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def _parse_record(data: bytes) -> Optional[tuple[int, bytes]]:
+    """``(number, payload bytes)`` of the record a slot file starts with,
+    or None when it is torn, truncated or corrupt.  Bytes past the
+    record's stated length are ignored."""
+    newline = data.find(b"\n")
+    if newline < 0:
+        return None
+    try:
+        header = json.loads(data[:newline])
+    except ValueError:
+        return None
+    if not isinstance(header, dict) or header.get("kind") != "engine-snapshot":
+        return None
+    number, length = header.get("number"), header.get("length")
+    if type(number) is not int or type(length) is not int:
+        return None
+    start = newline + 1
+    payload = data[start : start + length]
+    if len(payload) != length:
+        return None
+    if header.get("sha256") != _digest(number, payload):
+        return None
+    return number, payload
+
+
+class SnapshotStore:
+    """Numbered, checksummed state snapshots in a ring of slot files.
+
+    Snapshot number n overwrites ``slot-<n mod 4>.snapshot`` in place as
+    one record: the header line ``{"kind":"engine-snapshot","number":n,
+    "length":L,"sha256":H}``, then the L bytes of the payload's JSON,
+    encoded once, in the payload's insertion order.  H is the sha256 of
+    the number and those bytes (:func:`_digest`).  ``write`` puts the record
+    at offset 0 with ``os.pwrite`` and makes it durable with
+    ``os.fdatasync`` before it returns: past each slot's first write, no
+    file is created, renamed or deleted.  A shorter record leaves the end
+    of a longer one behind it; readers ignore that stale tail.
+
+    A write can only damage the slot it writes, and a torn or unsynced
+    record fails its checksum.  ``load_latest`` reads every slot and
+    returns the intact record with the highest number, so a crash
+    mid-write falls back to the previous snapshot; each existing slot
+    that fails is counted in ``corrupt_skipped``.  The store numbers on
+    from the newest intact record (the one ``load_latest`` returned).
+
+    A directory that still holds ``snapshot-<n>.json`` files, the
+    earlier one-file-per-snapshot layout, is refused with
+    :class:`~repro.errors.RecoveryError`: those files are not read, and
+    starting cold beside them would silently drop the state they hold.
     """
 
-    def __init__(self, directory: Union[str, Path], *, keep: int = 4) -> None:
-        if keep < 1:
-            raise RecoveryError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
+        old = sorted(
+            path.name for path in self.directory.glob("snapshot-*.json")
+        )
+        if old:
+            raise RecoveryError(
+                f"{self.directory} holds snapshots in the old "
+                f"one-file-per-snapshot layout, which is not read: "
+                f"{', '.join(old)}"
+            )
         self.written = 0
         self.corrupt_skipped = 0
-        #: Crash-injection hook: called between the temp write and the
-        #: rename, i.e. at the exact instant where dying leaves the old
-        #: snapshot in place.  None outside chaos campaigns.
-        self.before_rename: Optional[Callable[[], None]] = None
-        existing = self.paths()
-        self._next_index = file_number(existing[-1]) + 1 if existing else 1
-        #: Snapshot files oldest first, so pruning lists no directory: the
-        #: scan above, then each write once its rename has succeeded.
-        self._written_paths = existing
+        #: Crash-injection hook: called with the open slot's descriptor
+        #: and the whole record just before the record is written.  None
+        #: outside chaos campaigns.
+        self.before_write: Optional[Callable[[int, bytes], None]] = None
+        newest, __ = self._newest()
+        self._next_number = 1 if newest is None else newest[0] + 1
 
-    def paths(self) -> list[Path]:
-        """All snapshot files, oldest first (by number)."""
-        return sorted(
-            self.directory.glob("snapshot-*.json"), key=file_number
-        )
+    def _slot(self, number: int) -> Path:
+        return self.directory / f"slot-{number % SNAPSHOT_SLOTS}.snapshot"
 
-    @staticmethod
-    def _checksum(payload: dict) -> str:
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def _newest(self) -> tuple[Optional[tuple[int, bytes, Path]], int]:
+        """The intact record with the highest number, as ``(number,
+        payload bytes, slot path)`` (None when there is none), and how
+        many existing slots failed."""
+        newest: Optional[tuple[int, bytes, Path]] = None
+        failed = 0
+        for slot in range(SNAPSHOT_SLOTS):
+            path = self._slot(slot)
+            try:
+                data = path.read_bytes()
+            except FileNotFoundError:
+                continue
+            except OSError:
+                failed += 1
+                continue
+            record = _parse_record(data)
+            if record is None:
+                failed += 1
+            elif newest is None or record[0] > newest[0]:
+                newest = (*record, path)
+        return newest, failed
 
     def write(self, payload: dict) -> Path:
-        path = self.directory / f"snapshot-{self._next_index:06d}.json"
-        # One encoding, by the C encoder, straight to bytes: the sort-keys
-        # JSON the checksum covers is, verbatim, the file's payload, in
-        # the layout ``json.dump(body)`` would write (ASCII, as the
-        # encoder escapes every other character).
-        canonical = json.dumps(payload, sort_keys=True).encode()
-        checksum = hashlib.sha256(canonical).hexdigest().encode()
-        data = b"".join(
-            (
-                b'{"kind": "engine-snapshot", "checksum": "',
-                checksum,
-                b'", "payload": ',
-                canonical,
-                b"}",
-            )
+        """Write ``payload`` as the next snapshot; durable on return."""
+        number = self._next_number
+        body = json.dumps(payload).encode()
+        record = (
+            _HEADER % (number, len(body), _digest(number, body).encode())
+            + body
         )
-        temp = path.with_name(path.name + ".tmp")
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        path = self._slot(number)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            os.fsync(fd)
+            if self.before_write is not None:
+                self.before_write(fd, record)
+            view = memoryview(record)
+            written = 0
+            while written < len(record):
+                written += os.pwrite(fd, view[written:], written)
+            os.fdatasync(fd)
         finally:
             os.close(fd)
-        if self.before_rename is not None:
-            self.before_rename()
-        os.replace(temp, path)
-        self._next_index += 1
+        self._next_number = number + 1
         self.written += 1
-        kept = self._written_paths
-        kept.append(path)
-        if len(kept) > self.keep:
-            for stale in kept[: -self.keep]:
-                stale.unlink(missing_ok=True)
-            del kept[: -self.keep]
         return path
 
     def load_latest(self) -> Optional[tuple[dict, Path]]:
-        """Newest snapshot that passes its checksum, or None.
+        """The newest intact snapshot and its slot, or None.
 
-        Corrupt or truncated candidates are skipped (and counted), so a
-        snapshot torn by a crash — or rotted on disk — silently falls back
-        to the previous consistent one instead of failing recovery.
+        Torn or corrupt slots are skipped (and counted), so a snapshot
+        torn by a crash — or rotted on disk — falls back to the previous
+        intact one instead of failing recovery.
         """
-        for path in reversed(self.paths()):
-            try:
-                body = json.loads(path.read_text(encoding="utf-8"))
-                payload = body["payload"]
-                intact = (
-                    body.get("kind") == "engine-snapshot"
-                    and body.get("checksum") == self._checksum(payload)
-                )
-            except (ValueError, KeyError, TypeError, OSError):
-                intact = False
-                payload = None
-            if intact:
-                return payload, path
-            self.corrupt_skipped += 1
-        return None
+        newest, failed = self._newest()
+        self.corrupt_skipped += failed
+        if newest is None:
+            return None
+        number, payload, path = newest
+        self._next_number = number + 1
+        return json.loads(payload), path
 
     def __repr__(self) -> str:
         return (
             f"SnapshotStore({str(self.directory)!r}, "
-            f"snapshots={len(self.paths())}, written={self.written}, "
+            f"next={self._next_number}, written={self.written}, "
             f"corrupt_skipped={self.corrupt_skipped})"
         )
 

@@ -82,9 +82,9 @@ _APPEND_SAMPLE_EVERY = 64
 
 
 def file_number(path: Path) -> int:
-    """The number in a ``<name>-<number>.<suffix>`` file name: numbered
-    files (WAL segments, state snapshots) are ordered by it, not by name,
-    so ``segment-1000000.jsonl`` follows ``segment-999999.jsonl``."""
+    """The number in a ``<name>-<number>.<suffix>`` file name: WAL
+    segments are ordered by it, not by name, so ``segment-1000000.jsonl``
+    follows ``segment-999999.jsonl``."""
     return int(path.stem.rpartition("-")[2])
 
 

@@ -41,6 +41,7 @@ uninterrupted golden run's, with zero duplicate reports.
 from __future__ import annotations
 
 import enum
+import os
 import random
 import shutil
 import tempfile
@@ -499,8 +500,8 @@ class CrashPoint(enum.Enum):
     #: Die partway through the phase-2 drain: some captures evaluated (and
     #: their reports produced in memory), the rest lost un-evaluated.
     MID_EVALUATE = "mid-evaluate"
-    #: Die after the snapshot temp file is written but before the rename:
-    #: the previous snapshot stays the latest.
+    #: Die halfway through writing a snapshot record into its slot: the
+    #: torn slot fails its checksum and the previous snapshot is loaded.
     MID_SNAPSHOT_WRITE = "mid-snapshot-write"
     #: Die halfway through a WAL append, leaving a torn final line.
     MID_WAL_APPEND = "mid-wal-append"
@@ -652,11 +653,16 @@ class _CrashContext:
         if point is CrashPoint.MID_SNAPSHOT_WRITE:
             store = self.durable.snapshots
 
-            def die_before_rename() -> None:
-                store.before_rename = None
-                raise SimulatedCrash("died mid-snapshot-write (temp only)")
+            def tear_the_slot(fd: int, record: bytes) -> None:
+                store.before_write = None
+                torn = len(record) // 2
+                os.pwrite(fd, record[:torn], 0)
+                raise SimulatedCrash(
+                    f"died mid-snapshot-write ({torn}/{len(record)} bytes "
+                    f"written)"
+                )
 
-            store.before_rename = die_before_rename
+            store.before_write = tear_the_slot
             return
         if point is CrashPoint.MID_CAPTURE:
             original = engine.capture_phase
@@ -715,7 +721,7 @@ class _CrashContext:
         self.torn_tails += sum(
             wal.torn_tails_truncated for wal in self.wals()
         )
-        self.snapshot_fallbacks = self.durable.snapshots.corrupt_skipped
+        self.snapshot_fallbacks += self.durable.snapshots.corrupt_skipped
 
 
 def _crash_driver(

@@ -3,9 +3,13 @@ recovery."""
 
 import hashlib
 import json
+import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import SingleResourceAllocator
 from repro.detection import (
@@ -20,6 +24,7 @@ from repro.detection import (
     report_key,
     report_to_dict,
 )
+from repro.detection.durability import SNAPSHOT_SLOTS
 from repro.errors import RecoveryError
 from repro.history.serialize import (
     event_to_json_line,
@@ -206,122 +211,141 @@ class TestEitherJournalLoads:
             journal_class(path)
 
 
+def padded(index, size):
+    """A snapshot payload of roughly ``size`` bytes, told apart by
+    ``index``."""
+    return {"round": index, "pad": "x" * size}
+
+
+def record_length(path):
+    """Bytes of the record at the start of a slot file, header included."""
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    return newline + 1 + json.loads(data[:newline])["length"]
+
+
 class TestSnapshotStore:
     def test_write_and_load_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write({"round": 1})
-        store.write({"round": 2})
-        payload, path = store.load_latest()
-        assert payload == {"round": 2}
-        assert path.name == "snapshot-000002.json"
+        path = store.write({"round": 2})
+        assert store.load_latest() == ({"round": 2}, path)
+        assert store.corrupt_skipped == 0
+        assert SnapshotStore(tmp_path).load_latest() == ({"round": 2}, path)
 
-    def test_corrupt_latest_falls_back(self, tmp_path):
+    def test_slot_holds_one_checksummed_record(self, tmp_path):
+        # Insertion order, no sort: the payload bytes are json.dumps's.
+        payload = {"zeta": [1, 2.5, None], "alpha": {"b": "\u00e9", "a": 1}}
+        path = SnapshotStore(tmp_path).write(payload)
+        assert path == tmp_path / "slot-1.snapshot"
+        body = json.dumps(payload).encode()
+        checksum = hashlib.sha256(b"1\n" + body).hexdigest()
+        assert path.read_bytes() == (
+            b'{"kind":"engine-snapshot","number":1,"length":%d,'
+            b'"sha256":"%s"}\n' % (len(body), checksum.encode())
+            + body
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_latest_falls_back(self, data):
+        # Torn at any offset, or any one byte changed.
+        with tempfile.TemporaryDirectory() as directory:
+            store = SnapshotStore(directory)
+            # Each payload is shorter than the last, so the newest slot
+            # (number 5, over number 1) also holds a stale tail.
+            payloads = [padded(index, 200 - 30 * index) for index in range(5)]
+            for payload in payloads:
+                newest = store.write(payload)
+            size = record_length(newest)
+            assert newest.stat().st_size > size
+            offset = data.draw(st.integers(0, size - 1), label="offset")
+            damaged = bytearray(newest.read_bytes())
+            if data.draw(st.booleans(), label="flip one byte"):
+                damaged[offset] ^= data.draw(st.integers(1, 255), label="mask")
+            else:
+                del damaged[offset:]
+            newest.write_bytes(bytes(damaged))
+            reopened = SnapshotStore(directory)
+            payload, __ = reopened.load_latest()
+            assert payload == payloads[3]
+            assert reopened.corrupt_skipped == 1
+            # The reopened store numbers on from the record it returned,
+            # so its next write replaces the torn slot.
+            assert reopened.write(padded(5, 0)) == newest
+            assert reopened.load_latest()[0] == padded(5, 0)
+
+    def test_changed_header_byte_falls_back(self, tmp_path):
+        # Every one-bit flip and every change to a byte's low four bits,
+        # so every digit of the number turned into each other digit: the
+        # checksum covers the number, so none passes for a newer record.
         store = SnapshotStore(tmp_path)
-        store.write({"round": 1})
-        newest = store.write({"round": 2})
-        newest.write_text('{"kind": "engine-snapshot", "chec', encoding="utf-8")
-        payload, path = store.load_latest()
-        assert payload == {"round": 1}
-        assert store.corrupt_skipped == 1
+        for index in range(5):
+            newest = store.write(padded(index, 10))
+        record = newest.read_bytes()
+        for offset in range(record.index(b"\n") + 1):
+            for mask in (*range(1, 16), 0x10, 0x20, 0x40, 0x80):
+                damaged = bytearray(record)
+                damaged[offset] ^= mask
+                newest.write_bytes(bytes(damaged))
+                payload, __ = SnapshotStore(tmp_path).load_latest()
+                assert payload == padded(3, 10), (offset, mask)
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        newest = store.write({"round": 1})
-        body = json.loads(newest.read_text(encoding="utf-8"))
-        body["payload"]["round"] = 99  # tamper without re-checksumming
-        newest.write_text(json.dumps(body), encoding="utf-8")
+        path = store.write({"round": 1})
+        # Tamper with the payload without re-checksumming it.
+        record = path.read_bytes()
+        path.write_bytes(record.replace(b'"round": 1', b'"round": 9'))
         assert store.load_latest() is None
         assert store.corrupt_skipped == 1
 
-    def test_prunes_beyond_keep(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=2)
-        for round_index in range(5):
-            store.write({"round": round_index})
-        assert len(store.paths()) == 2
-        payload, __ = store.load_latest()
-        assert payload == {"round": 4}
-
-    def test_reopened_store_prunes_to_keep_without_listing(
-        self, tmp_path, monkeypatch
-    ):
-        first = SnapshotStore(tmp_path, keep=5)
-        for round_index in range(5):
-            first.write({"round": round_index})
-        store = SnapshotStore(tmp_path, keep=2)
-
-        def listed():
-            raise AssertionError("write listed the snapshot directory")
-
-        monkeypatch.setattr(store, "paths", listed)
-        newest = store.write({"round": 5})
-        monkeypatch.undo()
-        assert store.paths() == [tmp_path / "snapshot-000005.json", newest]
-        payload, __ = store.load_latest()
-        assert payload == {"round": 5}
-
     def test_snapshots_order_by_number_past_six_digits(self, tmp_path):
-        # Names are zero-padded to six digits only, so as strings
-        # ``snapshot-1000000.json`` sorts before ``snapshot-999999.json``.
+        # The newest record has the highest number, whatever its slot:
+        # number 1000000 sits in slot 0, before 999999 in slot 3.
         store = SnapshotStore(tmp_path)
-        store._next_index = 999_998
+        store._next_number = 999_998
         for round_index in range(3):
-            store.write({"round": round_index})
-        payload, path = store.load_latest()
-        assert (path.name, payload) == ("snapshot-1000000.json", {"round": 2})
-        reopened = SnapshotStore(tmp_path, keep=3)
-        assert reopened.load_latest()[1].name == "snapshot-1000000.json"
-        assert reopened.write({"round": 3}).name == "snapshot-1000001.json"
-        assert [path.name for path in reopened.paths()] == [
-            "snapshot-999999.json",
-            "snapshot-1000000.json",
-            "snapshot-1000001.json",
-        ]
-        assert reopened.load_latest()[0] == {"round": 3}
+            path = store.write({"round": round_index})
+        assert path == tmp_path / "slot-0.snapshot"
+        assert store.load_latest() == ({"round": 2}, path)
+        reopened = SnapshotStore(tmp_path)
+        path = reopened.write({"round": 3})
+        assert path == tmp_path / "slot-1.snapshot"
+        assert reopened.load_latest() == ({"round": 3}, path)
 
-    def test_file_is_the_checksummed_sort_keys_text(self, tmp_path):
-        payload = {"zeta": [1, 2.5, None], "alpha": {"b": "\u00e9", "a": 1}}
-        path = SnapshotStore(tmp_path).write(payload)
-        canonical = json.dumps(payload, sort_keys=True)
-        checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        assert path.read_text(encoding="utf-8") == (
-            '{"kind": "engine-snapshot", "checksum": "' + checksum
-            + '", "payload": ' + canonical + "}"
+    def test_shorter_snapshot_over_a_longer_one_loads(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        for index in range(SNAPSHOT_SLOTS):
+            store.write(padded(index, 500))
+        longer = (tmp_path / "slot-1.snapshot").stat().st_size
+        path = store.write(padded(SNAPSHOT_SLOTS, 10))
+        assert path == tmp_path / "slot-1.snapshot"
+        assert path.stat().st_size == longer > record_length(path)
+        assert SnapshotStore(tmp_path).load_latest() == (
+            padded(SNAPSHOT_SLOTS, 10), path
         )
 
-    def test_insertion_ordered_payload_still_loads(self, tmp_path):
-        # Snapshots written with ``json.dump`` of the whole body keep the
-        # payload's insertion order; the checksum covers its sort-keys
-        # text, so they load exactly like sorted ones.
-        payload = {"zeta": 1, "alpha": {"y": 2, "x": [3.25]}}
-        body = {
-            "kind": "engine-snapshot",
-            "checksum": hashlib.sha256(
-                json.dumps(payload, sort_keys=True).encode("utf-8")
-            ).hexdigest(),
-            "payload": payload,
-        }
-        path = tmp_path / "snapshot-000001.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(body, handle)
+    def test_fifth_write_overwrites_the_oldest_slot(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        loaded, __ = store.load_latest()
-        assert loaded == payload
-        assert store.corrupt_skipped == 0
-        assert store.write(payload).name == "snapshot-000002.json"
+        paths = [store.write({"round": index}) for index in range(5)]
+        assert len(set(paths[:4])) == SNAPSHOT_SLOTS
+        assert paths[4] == paths[0]
+        assert sorted(tmp_path.iterdir()) == sorted(paths[:4])
+        assert store.load_latest() == ({"round": 4}, paths[4])
+        reopened = SnapshotStore(tmp_path)
+        assert reopened.write({"round": 5}) == paths[1]
+        assert reopened.load_latest() == ({"round": 5}, paths[1])
+        assert sorted(tmp_path.iterdir()) == sorted(paths[:4])
 
-    def test_crash_before_rename_keeps_previous(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.write({"round": 1})
-
-        def boom():
-            store.before_rename = None
-            raise RuntimeError("crash")
-
-        store.before_rename = boom
-        with pytest.raises(RuntimeError):
-            store.write({"round": 2})
-        payload, __ = store.load_latest()
-        assert payload == {"round": 1}
+    def test_old_layout_snapshots_are_refused(self, tmp_path):
+        for name in ("snapshot-000003.json", "snapshot-000004.json"):
+            (tmp_path / name).write_text("{}", encoding="utf-8")
+        with pytest.raises(
+            RecoveryError,
+            match="snapshot-000003.json, snapshot-000004.json",
+        ):
+            SnapshotStore(tmp_path)
 
 
 # ------------------------------------------------------------ durable engine
@@ -475,11 +499,12 @@ class TestDurableEngine:
         crashed = run_with_misuse(tmp_path)
         expected = [report_key(report) for report in crashed.delivered_reports]
         crashed.close()
-        newest = crashed.shards[0].durable.snapshots.paths()[-1]
+        __, newest = crashed.shards[0].durable.snapshots.load_latest()
         newest.write_text("garbage", encoding="utf-8")
         __, __, rebuilt = build_durable(tmp_path)
         [summary] = rebuilt.recover()
-        assert summary.snapshot_fallbacks >= 1
+        assert summary.snapshot_fallbacks == 1
+        assert summary.snapshot_path not in (None, str(newest))
         # The journal, not the snapshot, owns delivery: still exactly once.
         assert [report_key(r) for r in rebuilt.delivered_reports] == expected
         rebuilt.close()
@@ -617,12 +642,21 @@ class TestSyncFlushAtCheckpoint:
         kernel.spawn(worker(), "worker")
         kernel.run(until=0.1)
         calls = count_fsyncs(monkeypatch)
+        datasyncs = []
+        fdatasync = os.fdatasync
+
+        def counting(fd):
+            datasyncs.append(fd)
+            fdatasync(fd)
+
+        monkeypatch.setattr(os, "fdatasync", counting)
         before = wal.fsyncs
         session.checkpoint()
         # The cut syncs the new events; the snapshot's flush finds
-        # nothing new.  The other fsync is the snapshot file's own.
+        # nothing new.  The snapshot slot syncs its own data.
         assert wal.fsyncs - before == 1
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert len(datasyncs) == 1
         session.close()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import SingleResourceAllocator
 from repro.detection import DetectorConfig
+from repro.detection.durability import SNAPSHOT_SLOTS
 from repro.errors import InjectionError
 from repro.history.wal import WriteAheadLog
 from repro.injection import (
@@ -14,8 +15,8 @@ from repro.injection import (
     CrashRecoveryConfig,
     run_crash_recovery_campaign,
 )
-from repro.injection.chaos import _CrashContext
-from repro.kernel import Delay
+from repro.injection.chaos import SimulatedCrash, _CrashContext
+from repro.kernel import Delay, RandomPolicy, SimKernel
 from repro.kernel.threads import ThreadKernel
 
 
@@ -88,6 +89,17 @@ class TestSimCampaign:
                 crash_points=(point,),
             )
             assert result.passed, f"{point.value}:\n{result.summary()}"
+
+    def test_each_torn_snapshot_falls_back_once(self):
+        result = run_crash_recovery_campaign(
+            seed=7,
+            rounds=20,
+            crashes=2,
+            backend="sim",
+            crash_points=(CrashPoint.MID_SNAPSHOT_WRITE,),
+        )
+        assert result.passed, result.summary()
+        assert result.registry.value("repro_campaign_snapshot_fallbacks") == 2
 
     def test_torn_tails_are_truncated_on_recovery(self):
         result = run_crash_recovery_campaign(
@@ -169,3 +181,30 @@ class TestThreadCampaign:
         assert result.live == ()
         assert context.recoveries == 1
         assert kernel.failures() == {}
+
+
+class TestMidSnapshotWrite:
+    def test_torn_slot_recovers_the_previous(self, tmp_path):
+        kernel = SimKernel(RandomPolicy(seed=0), on_deadlock="stop")
+        allocator = SingleResourceAllocator(kernel, name="allocator")
+        context = _CrashContext(
+            kernel,
+            tmp_path,
+            [(allocator, "allocator")],
+            DetectorConfig(interval=0.25, tmax=60.0, tio=60.0, tlimit=60.0),
+            fsync="interval",
+            rng=random.Random(0),
+        )
+        # After the baseline and these, the torn write lands on a slot
+        # that already holds an older record.
+        for __ in range(SNAPSHOT_SLOTS):
+            context.session.checkpoint()
+        previous, __ = context.durable.snapshots.load_latest()
+        context.trigger(CrashPoint.MID_SNAPSHOT_WRITE)
+        with pytest.raises(SimulatedCrash, match="mid-snapshot-write"):
+            context.session.checkpoint()
+        context.rebuild()
+        assert context.snapshot_fallbacks == 1
+        store = context.durable.snapshots
+        assert store.load_latest()[0] == previous
+        context.durable.close()

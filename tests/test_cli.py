@@ -498,6 +498,9 @@ class TestGateSpecs:
             "scaling", "--quick", "--counts", "16", "--shards", "1", "4",
         ],
         "gates/service.toml": ["overhead", "--service", "--repeats", "1"],
+        "gates/network.toml": [
+            "chaos", "--network", "--seed", "6", "--rounds", "36",
+        ],
     }
 
     def test_every_spec_is_covered(self):
