@@ -24,23 +24,38 @@ Two equivalent drivers share the replay machine:
   a window is only evaluated on carried lists after they were verified
   (:meth:`~repro.detection.replay.ReplayMachine.matches`) against a
   snapshot equal to the one the oracle would seed from.
+
+A durable snapshot keeps only the incremental checker's row
+``[hits, rebases, fastpaths, carried]``, no lists: carried lists equal the
+queues of the sink's last checkpoint state, which the snapshot holds
+already, so recovery rebuilds the machine from that state.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro._rows import BOOL, INT, Fields, check_row
 from repro.detection.replay import ReplayMachine
 from repro.detection.reports import FaultReport
 from repro.history.database import Segment
-from repro.history.serialize import state_from_dict
 from repro.history.states import SchedulingState
 from repro.monitor.declaration import MonitorDeclaration
 
 __all__ = [
     "check_general_concurrency_control",
     "IncrementalConcurrencyChecker",
+    "STATE_FIELDS",
 ]
+
+#: The durable row of an :class:`IncrementalConcurrencyChecker`: its
+#: three window counters and whether its lists are carried.
+STATE_FIELDS: Fields = (
+    ("hits", INT),
+    ("rebases", INT),
+    ("fastpaths", INT),
+    ("carried", BOOL),
+)
 
 
 def check_general_concurrency_control(
@@ -144,35 +159,39 @@ class IncrementalConcurrencyChecker:
 
     # ------------------------------------------------------------ durability
 
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the carried rule state."""
-        machine = self._machine
-        return {
-            "hits": self.hits,
-            "rebases": self.rebases,
-            "fastpaths": self.fastpaths,
-            "carried": self._basis is not None,
-            "lists": None if machine is None else machine.lists_to_dict(),
-        }
+    def state_dict(self) -> list:
+        """The durable row of this checker, in :data:`STATE_FIELDS` order.
+
+        The checking lists are not stored.  Carried lists equal the queues
+        of the sink's ``last_state`` (:meth:`ReplayMachine.matches` checked
+        that before they were carried), and a snapshot holds that state
+        already; lists that are not carried are re-seeded from the next
+        window's previous state before anything reads them.
+        """
+        return [
+            self.hits,
+            self.rebases,
+            self.fastpaths,
+            self._basis is not None,
+        ]
 
     def restore_state(
-        self, record: dict, *, basis: Optional[SchedulingState] = None
+        self, row: list, *, basis: Optional[SchedulingState] = None
     ) -> None:
-        """Restore a :meth:`state_dict` snapshot.
+        """Restore a :meth:`state_dict` row.
 
-        ``basis`` is the sink's restored ``last_state``: when the snapshot
-        says the lists were carried, re-binding them to that object lets
-        the first post-recovery window resume mid-stream instead of
-        re-seeding (recovery hands the sink the same snapshot as the next
-        window's ``previous``).
+        ``basis`` is the sink's restored ``last_state``.  When the row
+        says the lists were carried, the machine is rebuilt on that
+        object, so the first post-recovery window (whose ``previous`` is
+        the same object) is a carry instead of a rebase.  Otherwise the
+        machine is left unset and that window re-seeds it.
         """
-        self.hits = record.get("hits", 0)
-        self.rebases = record.get("rebases", 0)
-        self.fastpaths = record.get("fastpaths", 0)
-        raw = record.get("lists")
-        if raw is None:
+        self.hits, self.rebases, self.fastpaths, carried = check_row(
+            row, STATE_FIELDS, "algorithm1"
+        )
+        if carried and basis is not None:
+            self._machine = ReplayMachine(self._declaration, basis)
+            self._basis = basis
+        else:
             self._machine = None
             self._basis = None
-            return
-        self._machine = ReplayMachine(self._declaration, state_from_dict(raw))
-        self._basis = basis if record.get("carried") and basis is not None else None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro._rows import INT, Fields, check_row
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.history.database import Segment
@@ -29,7 +30,7 @@ from repro.history.states import SchedulingState
 from repro.monitor.declaration import MonitorDeclaration
 from repro.monitor.semantics import Discipline
 
-__all__ = ["ResourceStateChecker", "completion_event_kind"]
+__all__ = ["ResourceStateChecker", "STATE_FIELDS", "completion_event_kind"]
 
 #: Procedure/condition names the paper's constraints are phrased over.
 SEND = "Send"
@@ -40,6 +41,10 @@ COND_EMPTY = "empty"
 #: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
 #: Enum metaclass's ``__getattr__`` hook, and the scan reads one per event.
 _WAIT = EventKind.WAIT
+
+#: The durable row of a :class:`ResourceStateChecker`: its cumulative
+#: counters and how often it re-based them.
+STATE_FIELDS: Fields = (("sends", INT), ("receives", INT), ("resyncs", INT))
 
 
 def completion_event_kind(discipline: Discipline) -> EventKind:
@@ -176,24 +181,22 @@ class ResourceStateChecker:
             )
         return reports
 
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the cumulative counters.
+    def state_dict(self) -> list:
+        """The durable row of the cumulative counters, in
+        :data:`STATE_FIELDS` order.
 
         Algorithm-2 *is* an incremental state object — the counters carry
         across windows by design (FD-Rule 6(a) is cumulative) — so its
         durable state is just the counters plus the resync count.
         """
-        return {
-            "sends": self.sends,
-            "receives": self.receives,
-            "resyncs": self.resyncs,
-        }
+        return [getattr(self, name) for name, __ in STATE_FIELDS]
 
-    def restore_state(self, record: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.sends = record.get("sends", 0)
-        self.receives = record.get("receives", 0)
-        self.resyncs = record.get("resyncs", 0)
+    def restore_state(self, row: list) -> None:
+        """Restore a :meth:`state_dict` row."""
+        for (name, __), value in zip(
+            STATE_FIELDS, check_row(row, STATE_FIELDS, "algorithm2")
+        ):
+            setattr(self, name, value)
 
     def resync(self, state: SchedulingState) -> None:
         """Re-base the cumulative counters on a state snapshot.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro._rows import INT, LIST, NUMBER, Fields, check_row
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.history.events import EventKind, SchedulingEvent
@@ -28,12 +29,18 @@ from repro.ids import Pid
 from repro.monitor.declaration import MonitorDeclaration
 from repro.pathexpr.automaton import OrderAutomaton, compile_order
 
-__all__ = ["CallingOrderChecker", "sweep_request_list"]
+__all__ = ["CallingOrderChecker", "STATE_FIELDS", "sweep_request_list"]
 
 #: Read once: on CPython 3.11 every ``EventKind.X`` read goes through the
 #: Enum metaclass's ``__getattr__`` hook, and the tap runs on every event.
 _ENTER = EventKind.ENTER
 _SIGNAL_EXIT = EventKind.SIGNAL_EXIT
+
+#: The durable row of a :class:`CallingOrderChecker`: its Request-List and
+#: its per-process automaton states, each a list of the pairs below.
+STATE_FIELDS: Fields = (("request_list", LIST), ("dfa_state", LIST))
+_REQUEST_FIELDS: Fields = (("pid", INT), ("since", NUMBER))
+_DFA_FIELDS: Fields = (("pid", INT), ("state", INT))
 
 
 def sweep_request_list(
@@ -173,30 +180,28 @@ class CallingOrderChecker:
 
     # ----------------------------------------------------------- durable state
 
-    def state_dict(self) -> dict:
-        """JSON-compatible snapshot of the checker state.
+    def state_dict(self) -> list:
+        """The durable row of the checker, in :data:`STATE_FIELDS` order.
 
-        The Request-List plus each process's order-automaton state — the
-        ``algorithm3`` record of a durable snapshot.  Pid keys travel as
-        strings (JSON object keys); :meth:`restore_state` converts them
-        back.
+        The Request-List as ``[pid, since]`` pairs, and each process's
+        order-automaton state as ``[pid, state]`` pairs: pids stay ints.
         """
-        return {
-            "request_list": [[pid, since] for pid, since in self.request_list],
-            "dfa_state": {
-                str(pid): state for pid, state in self._dfa_state.items()
-            },
-        }
-
-    def restore_state(self, record: dict) -> None:
-        """Adopt a :meth:`state_dict` snapshot (recovery after a restart)."""
-        self.request_list = [
-            (pid, since) for pid, since in record.get("request_list", ())
+        return [
+            [[pid, since] for pid, since in self.request_list],
+            [[pid, state] for pid, state in self._dfa_state.items()],
         ]
-        self._dfa_state = {
-            int(pid): state
-            for pid, state in record.get("dfa_state", {}).items()
-        }
+
+    def restore_state(self, row: list) -> None:
+        """Adopt a :meth:`state_dict` row (recovery after a restart)."""
+        request_list, dfa_state = check_row(row, STATE_FIELDS, "algorithm3")
+        self.request_list = [
+            tuple(check_row(pair, _REQUEST_FIELDS, "algorithm3 request"))
+            for pair in request_list
+        ]
+        self._dfa_state = dict(
+            check_row(pair, _DFA_FIELDS, "algorithm3 dfa_state")
+            for pair in dfa_state
+        )
 
     # ----------------------------------------------------------------- helpers
 

@@ -19,7 +19,14 @@ supervisor — that keeps three artefacts under the shard's root directory:
   record (a header line with its number, length and sha256, then its
   payload's JSON, encoded once), synced with ``fdatasync`` before the
   write returns; a torn or corrupt newest slot falls back to the
-  previous snapshot,
+  previous snapshot.  The payload is positional: the version tag
+  :data:`SNAPSHOT_FORMAT`, the supervisor's row with one row per
+  monitor (label, breaker fields, counters, sink row, one row per
+  checker), and the engine's counter row.  Each component declares its
+  row's fields beside its own codec; scheduling states and pending
+  events stay keyed objects.  Algorithm-1's checking lists are not
+  stored: recovery rebuilds carried lists from the restored sink's base
+  state,
 * ``reports.jsonl`` — the **report journal**: every fault report is
   journaled *before* it is surfaced, keyed by :func:`report_key`, giving
   exactly-once delivery across restarts — a recovered detector re-derives
@@ -38,7 +45,11 @@ the latest valid snapshot (building on
 :meth:`~repro.detection.supervision.CheckpointSupervisor.restore_state`,
 which rejects a mismatched monitor fleet), replay WAL events past the
 snapshot's per-sink offsets — re-driving the real-time Algorithm-3 tap —
-and surface only reports the journal has not seen.
+and surface only reports the journal has not seen.  A payload that is
+not a :data:`SNAPSHOT_FORMAT` row, such as the keyed payload of the
+earlier format, or a row of the wrong shape, is refused with
+:class:`~repro.errors.RecoveryError` naming the slot: there is no second
+decoder and no silent cold start.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import IO, Callable, Iterable, Optional, Union
 
+from repro._rows import LIST, STR, Fields, check_row
 from repro.detection.engine import DetectionEngine, RegisteredMonitor
 
 # The report codec lives with the report type; re-exported here because the
@@ -76,6 +88,7 @@ __all__ = [
     "ExactlyOnceJournal",
     "ReportJournal",
     "SnapshotStore",
+    "SNAPSHOT_FORMAT",
     "RecoverySummary",
     "DurableEngine",
 ]
@@ -323,7 +336,7 @@ class SnapshotStore:
                 newest = (*record, path)
         return newest, failed
 
-    def write(self, payload: dict) -> Path:
+    def write(self, payload: object) -> Path:
         """Write ``payload`` as the next snapshot; durable on return."""
         number = self._next_number
         body = json.dumps(payload).encode()
@@ -347,7 +360,7 @@ class SnapshotStore:
         self.written += 1
         return path
 
-    def load_latest(self) -> Optional[tuple[dict, Path]]:
+    def load_latest(self) -> Optional[tuple[object, Path]]:
         """The newest intact snapshot and its slot, or None.
 
         Torn or corrupt slots are skipped (and counted), so a snapshot
@@ -371,6 +384,17 @@ class SnapshotStore:
 
 
 # ----------------------------------------------------------- durable engine
+
+#: The version tag that opens every snapshot payload.
+SNAPSHOT_FORMAT = "durable-engine/rows-1"
+
+#: A snapshot payload: the tag, the supervisor's row (one row per
+#: monitor inside it) and the engine's counter row.
+_PAYLOAD_FIELDS: Fields = (
+    ("format", STR),
+    ("supervisor", LIST),
+    ("engine", LIST),
+)
 
 #: The durability counters of a :class:`DurableEngine`, each declared once
 #: as ``(attribute, family, help)``.  The two WAL totals carry no family:
@@ -567,29 +591,13 @@ class DurableEngine:
 
     # ------------------------------------------------------------- snapshots
 
-    def _snapshot_payload(self) -> dict:
-        checkers: dict[str, dict] = {}
-        for entry in self.engine.entries:
-            # The carried Algorithm-1 checking lists let the first
-            # post-recovery window resume mid-stream instead of
-            # re-seeding from the snapshot state.
-            checkers[entry.label] = {
-                name: None if checker is None else checker.state_dict()
-                for name, checker in (
-                    ("algorithm1", entry.algorithm1),
-                    ("algorithm2", entry.algorithm2),
-                    ("algorithm3", entry.algorithm3),
-                )
-            }
-        # Per-monitor counters ride in the supervisor's per-monitor records.
-        return {
-            "kind": "durable-engine",
-            "supervisor": self.supervisor.snapshot_state(
-                self.engine.entries
-            ),
-            "checkers": checkers,
-            "engine": self.engine.counter_state(),
-        }
+    def _snapshot_payload(self) -> list:
+        entries = self.engine.entries
+        return [
+            SNAPSHOT_FORMAT,
+            self.supervisor.snapshot_state(entries),
+            self.engine.counter_state(),
+        ]
 
     def _write_snapshot(self) -> Path:
         started = perf_counter()
@@ -597,42 +605,32 @@ class DurableEngine:
         # records, or replay would start past events it never saw.
         for __, wal in self._wal_entries():
             wal.flush(sync=self.fsync != "never")
-        # One atomic cut: a transition recorded between reading the
-        # checkers and reading the sinks would be covered by a sink's seq
-        # but missing from its checker, and replay would never show it.
+        # One atomic cut: a transition recorded between reading a sink and
+        # reading its checkers would be missing from the sink's seq but
+        # applied to the checker, and replay would apply it twice.
         payload = self.engine.kernel.atomic(self._snapshot_payload)
         path = self.snapshots.write(payload)
         self.snapshot_latency.observe(perf_counter() - started)
         return path
 
-    def _restore_payload(self, payload: dict) -> None:
-        if payload.get("kind") != "durable-engine":
+    def _restore_payload(self, payload: object, path: Path) -> None:
+        if type(payload) is dict and payload.get("kind") == "durable-engine":
             raise RecoveryError(
-                f"not a durable-engine snapshot: {payload.get('kind')!r}"
+                f"{path} holds a keyed durable-engine snapshot, the layout "
+                f"before {SNAPSHOT_FORMAT!r} rows, which is not read"
             )
-        self.supervisor.restore_state(
-            payload["supervisor"], self.engine.entries
-        )
-        checkers = payload.get("checkers", {})
-        for entry in self.engine.entries:
-            record = checkers.get(entry.label)
-            if record is None:
-                continue
-            algo1 = record.get("algorithm1")
-            if algo1 and entry.algorithm1 is not None:
-                # The supervisor restore above already reinstated the
-                # sink's last checkpoint state; binding the carried lists
-                # to that object makes the next cut a carry, not a rebase.
-                entry.algorithm1.restore_state(
-                    algo1, basis=entry.history.last_state
+        try:
+            tag, supervisor, counters = check_row(
+                payload, _PAYLOAD_FIELDS, "snapshot"
+            )
+            if tag != SNAPSHOT_FORMAT:
+                raise RecoveryError(
+                    f"snapshot format {tag!r} is not {SNAPSHOT_FORMAT!r}"
                 )
-            algo2 = record.get("algorithm2")
-            if algo2 and entry.algorithm2 is not None:
-                entry.algorithm2.restore_state(algo2)
-            algo3 = record.get("algorithm3")
-            if algo3 and entry.algorithm3 is not None:
-                entry.algorithm3.restore_state(algo3)
-        self.engine.restore_counter_state(payload.get("engine", {}))
+            self.supervisor.restore_state(supervisor, self.engine.entries)
+            self.engine.restore_counter_state(counters)
+        except RecoveryError as exc:
+            raise RecoveryError(f"{path}: {exc}") from exc
 
     # -------------------------------------------------------------- recovery
 
@@ -657,15 +655,15 @@ class DurableEngine:
         if loaded is not None:
             payload, path = loaded
             snapshot_path = str(path)
-            monitors = payload.get("supervisor", {}).get("monitors", {})
-            watermarks = {
-                label: record.get("sink", {}).get("seq", 0)
-                for label, record in monitors.items()
-            }
             with contextlib.ExitStack() as stack:
                 for __, wal in self._wal_entries():
                     stack.enter_context(wal.replaying())
-                self._restore_payload(payload)
+                self._restore_payload(payload, path)
+            # Replay resumes where each restored sink's numbering stood.
+            watermarks = {
+                entry.label: wal.upcoming_seq
+                for entry, wal in self._wal_entries()
+            }
         events_replayed = 0
         recovered = 0
         deduplicated = 0

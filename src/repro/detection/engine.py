@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Optional, Union
 
+from repro._rows import INT, Fields, check_row
 from repro.detection.algorithm1 import (
     IncrementalConcurrencyChecker,
     check_general_concurrency_control,
@@ -164,10 +165,10 @@ COUNTERS: tuple[CounterSpec, ...] = (
                 "repro_monitor_degraded_windows_total",
                 "Degraded (lossy) windows per registered monitor.",
                 persisted=True),
-    # Persisted by the supervisor's per-monitor snapshot record.
     CounterSpec("checkpoints_skipped", MONITOR,
                 "repro_monitor_checkpoints_skipped_total",
-                "Checkpoints a monitor sat out while quarantined."),
+                "Checkpoints a monitor sat out while quarantined.",
+                persisted=True),
 )
 
 #: Counters readable on an engine (and, summed over shards, on a cluster).
@@ -185,6 +186,9 @@ _MONITOR_PERSISTED = tuple(
         if spec.persisted and spec.scope != ENGINE
     )
 )
+#: The snapshot rows of the persisted counters, in table order.
+_ENGINE_FIELDS: Fields = tuple((attr, INT) for attr in _ENGINE_PERSISTED)
+_MONITOR_FIELDS: Fields = tuple((attr, INT) for attr in _MONITOR_PERSISTED)
 
 
 def _unwrap(target: MonitorLike) -> Monitor:
@@ -483,14 +487,16 @@ class RegisteredMonitor:
         """Reports in this monitor's stream."""
         return len(self.reports)
 
-    def counter_state(self) -> dict[str, int]:
-        """This monitor's persisted :data:`COUNTERS`, for snapshots."""
-        return {attr: getattr(self, attr) for attr in _MONITOR_PERSISTED}
+    def counter_state(self) -> list[int]:
+        """This monitor's persisted :data:`COUNTERS` in table order, a
+        snapshot row."""
+        return [getattr(self, attr) for attr in _MONITOR_PERSISTED]
 
-    def restore_counter_state(self, saved: dict) -> None:
-        """Re-apply a :meth:`counter_state` dict (missing keys read 0)."""
-        for attr in _MONITOR_PERSISTED:
-            setattr(self, attr, saved.get(attr, 0))
+    def restore_counter_state(self, row: list) -> None:
+        """Re-apply a :meth:`counter_state` row."""
+        row = check_row(row, _MONITOR_FIELDS, "monitor counters")
+        for attr, value in zip(_MONITOR_PERSISTED, row):
+            setattr(self, attr, value)
 
     @property
     def quarantined(self) -> bool:
@@ -808,14 +814,16 @@ class DetectionEngine:
         """
         return min(self.worldstop_latency.percentile(q), self.worldstop_max)
 
-    def counter_state(self) -> dict[str, int]:
-        """The engine's persisted :data:`COUNTERS`, for snapshots."""
-        return {attr: getattr(self, attr) for attr in _ENGINE_PERSISTED}
+    def counter_state(self) -> list[int]:
+        """The engine's persisted :data:`COUNTERS` in table order, a
+        snapshot row."""
+        return [getattr(self, attr) for attr in _ENGINE_PERSISTED]
 
-    def restore_counter_state(self, saved: dict) -> None:
-        """Re-apply a :meth:`counter_state` dict (missing keys read 0)."""
-        for attr in _ENGINE_PERSISTED:
-            setattr(self, attr, saved.get(attr, 0))
+    def restore_counter_state(self, row: list) -> None:
+        """Re-apply a :meth:`counter_state` row."""
+        row = check_row(row, _ENGINE_FIELDS, "engine counters")
+        for attr, value in zip(_ENGINE_PERSISTED, row):
+            setattr(self, attr, value)
 
     # --------------------------------------------------------------- metrics
 

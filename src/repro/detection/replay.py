@@ -32,7 +32,6 @@ from typing import Iterable, Optional, Sequence
 from repro.detection.reports import FaultReport
 from repro.detection.rules import STRule
 from repro.history.events import EventKind, SchedulingEvent
-from repro.history.serialize import queues_to_state_dict
 from repro.history.states import QueueEntry, SchedulingState
 from repro.ids import Cond, Pid
 from repro.monitor.declaration import MonitorDeclaration
@@ -228,18 +227,6 @@ class ReplayMachine:
         found = self.violations
         self.violations = []
         return found
-
-    def lists_to_dict(self) -> dict:
-        """The checking lists, anchored at the window start, in
-        :func:`~repro.history.serialize.state_to_dict` form (durable
-        snapshots), built straight from the lists."""
-        return queues_to_state_dict(
-            self._window_start,
-            self.enter0,
-            self.wait_cond,
-            self.running,
-            self.urgent,
-        )
 
     # ------------------------------------------------------------- reporting
 

@@ -28,11 +28,14 @@ Three mechanisms, all deterministic on the sim kernel:
   ``interval``, with checkpoints that can fail without crashing the run.
 * **snapshot/restore** — :meth:`CheckpointSupervisor.snapshot_state` /
   :meth:`restore_state` persist the supervisor's round counts and, for
-  the registered monitors passed in, breaker state, counters and each
-  sink's checkpoint base state (via :mod:`repro.history.serialize`), so
-  a supervisor restarted after a crash resumes its windows instead of
-  re-checking from a cold, divergent base.  Restore ignores per-monitor
-  keys it does not read, so a snapshot carrying extra fields still loads.
+  the registered monitors passed in, breaker state, counters, each
+  sink's checkpoint base state and open window (via
+  :mod:`repro.history.serialize`) and each checker's state, so a
+  supervisor restarted after a crash resumes its windows instead of
+  re-checking from a cold, divergent base.  The snapshot is positional:
+  one row per monitor whose fields :data:`MONITOR_FIELDS` declares, and
+  a row of another length, or with a field of another type, is refused
+  with :class:`~repro.errors.RecoveryError` naming the field.
 
 A supervisor exports its own counters: :meth:`CheckpointSupervisor.metrics`
 writes one family per :data:`SUPERVISOR_COUNTERS` row and its audit log as
@@ -48,6 +51,15 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+from repro._rows import (
+    INT,
+    LIST,
+    OPTIONAL_LIST,
+    OPTIONAL_NUMBER,
+    STR,
+    Fields,
+    check_row,
+)
 from repro.detection.config import DetectorConfig
 from repro.detection.reports import FaultReport
 from repro.errors import RecoveryError
@@ -61,6 +73,8 @@ __all__ = [
     "QuarantineRecord",
     "SupervisorEvent",
     "SUPERVISOR_COUNTERS",
+    "SNAPSHOT_FIELDS",
+    "MONITOR_FIELDS",
     "CheckpointSupervisor",
     "supervisor_process",
 ]
@@ -209,6 +223,83 @@ SUPERVISOR_COUNTERS: tuple[tuple[str, str, str], ...] = (
     ("checkpoints_completed", "repro_supervisor_completed_total",
      "Checkpoints completed under shard supervisors."),
 )
+
+
+#: The row :meth:`CheckpointSupervisor.snapshot_state` returns.
+SNAPSHOT_FIELDS: Fields = (
+    ("checkpoints_completed", INT),
+    ("checkpoints_abandoned", INT),
+    ("monitors", LIST),
+)
+
+#: One monitor's row in a supervisor snapshot: its label, its breaker's
+#: fields (the state as its value), then its counter row, its sink row
+#: and one row per checker (null for a checker the monitor lacks).
+MONITOR_FIELDS: Fields = (
+    ("label", STR),
+    ("breaker_state", STR),
+    ("consecutive_failures", INT),
+    ("times_opened", INT),
+    ("times_reclosed", INT),
+    ("opened_at", OPTIONAL_NUMBER),
+    ("counters", LIST),
+    ("sink", LIST),
+    ("algorithm1", OPTIONAL_LIST),
+    ("algorithm2", OPTIONAL_LIST),
+    ("algorithm3", OPTIONAL_LIST),
+)
+
+
+def _monitor_row(entry) -> list:
+    """One registered monitor's :data:`MONITOR_FIELDS` row."""
+    breaker = entry.breaker
+    return [
+        entry.label,
+        breaker.state.value,
+        breaker.consecutive_failures,
+        breaker.times_opened,
+        breaker.times_reclosed,
+        breaker.opened_at,
+        entry.counter_state(),
+        sink_state_to_dict(entry.history),
+        *(
+            None if checker is None else checker.state_dict()
+            for checker in (
+                entry.algorithm1, entry.algorithm2, entry.algorithm3
+            )
+        ),
+    ]
+
+
+def _restore_monitor(entry, row: list) -> None:
+    """Re-apply a checked :data:`MONITOR_FIELDS` row to ``entry``."""
+    __, state, failures, opened, reclosed, opened_at = row[:6]
+    counters, sink, algorithm1, algorithm2, algorithm3 = row[6:]
+    try:
+        breaker_state = BreakerState(state)
+    except ValueError:
+        raise RecoveryError(
+            f"field 'breaker_state' {state!r} is not a breaker state"
+        ) from None
+    breaker = entry.breaker
+    breaker.state = breaker_state
+    breaker.consecutive_failures = failures
+    breaker.times_opened = opened
+    breaker.times_reclosed = reclosed
+    breaker.opened_at = opened_at
+    entry.restore_counter_state(counters)
+    apply_sink_state(entry.history, sink)
+    if algorithm1 is not None and entry.algorithm1 is not None:
+        # The sink restore above reinstated its last checkpoint state;
+        # carried lists are rebuilt on that very object, so the next cut
+        # is a carry, not a rebase.
+        entry.algorithm1.restore_state(
+            algorithm1, basis=entry.history.last_state
+        )
+    if algorithm2 is not None and entry.algorithm2 is not None:
+        entry.algorithm2.restore_state(algorithm2)
+    if algorithm3 is not None and entry.algorithm3 is not None:
+        entry.algorithm3.restore_state(algorithm3)
 
 
 class CheckpointSupervisor:
@@ -361,48 +452,42 @@ class CheckpointSupervisor:
 
     # ------------------------------------------------------ snapshot/restore
 
-    def snapshot_state(self, entries: Sequence) -> dict:
-        """JSON-compatible snapshot for restart recovery.
+    def snapshot_state(self, entries: Sequence) -> list:
+        """A :data:`SNAPSHOT_FIELDS` row for restart recovery.
 
-        Captures the round counts and, per registered monitor in
-        ``entries``: the breaker lifecycle, the monitor's persisted
-        counters (:meth:`RegisteredMonitor.counter_state`), and the event
-        sink's base state + open window
-        (:func:`repro.history.serialize.sink_state_to_dict`), so a restarted
-        supervisor resumes checking windows where the crashed one stopped.
+        Holds the round counts and one :data:`MONITOR_FIELDS` row per
+        registered monitor in ``entries``: its label, breaker lifecycle,
+        persisted counters (:meth:`RegisteredMonitor.counter_state`), the
+        event sink's base state and open window
+        (:func:`repro.history.serialize.sink_state_to_dict`) and each
+        checker's row (``state_dict``), so a restarted supervisor resumes
+        checking windows where the crashed one stopped.  Each monitor row
+        reads its sink before its checkers.
         """
-        return {
-            "kind": "supervisor",
-            "checkpoints_completed": self.checkpoints_completed,
-            "checkpoints_abandoned": self.checkpoints_abandoned,
-            "monitors": {
-                entry.label: {
-                    "breaker_state": entry.breaker.state.value,
-                    "consecutive_failures": entry.breaker.consecutive_failures,
-                    "times_opened": entry.breaker.times_opened,
-                    "times_reclosed": entry.breaker.times_reclosed,
-                    "opened_at": entry.breaker.opened_at,
-                    "checkpoints_skipped": entry.checkpoints_skipped,
-                    **entry.counter_state(),
-                    "sink": sink_state_to_dict(entry.history),
-                }
-                for entry in entries
-            },
-        }
+        return [
+            self.checkpoints_completed,
+            self.checkpoints_abandoned,
+            [_monitor_row(entry) for entry in entries],
+        ]
 
-    def restore_state(self, snapshot: dict, entries: Sequence) -> list[str]:
-        """Re-apply a :meth:`snapshot_state` dict after a restart.
+    def restore_state(self, row: list, entries: Sequence) -> list[str]:
+        """Re-apply a :meth:`snapshot_state` row after a restart.
 
         Monitors in ``entries`` are matched by registration label.  The
         snapshot's label set must equal theirs: restoring a snapshot from
         a different fleet would silently leave some monitors on cold state
         and others on restored state — an inconsistent cut — so a mismatch
-        raises :class:`~repro.errors.RecoveryError` instead.  Returns the
-        labels restored.
+        raises :class:`~repro.errors.RecoveryError` instead, as does a row
+        of the wrong shape (naming the monitor and the field).  Returns
+        the labels restored.
         """
-        if snapshot.get("kind") != "supervisor":
-            raise ValueError(f"not a supervisor snapshot: {snapshot.get('kind')!r}")
-        saved = snapshot.get("monitors", {})
+        completed, abandoned, monitors = check_row(
+            row, SNAPSHOT_FIELDS, "supervisor"
+        )
+        saved = {
+            check_row(monitor, MONITOR_FIELDS, "monitor")[0]: monitor
+            for monitor in monitors
+        }
         live_labels = {entry.label for entry in entries}
         if set(saved) != live_labels:
             missing = sorted(live_labels - set(saved))
@@ -412,24 +497,14 @@ class CheckpointSupervisor:
                 f"snapshot lacks {missing or 'nothing'}, snapshot has "
                 f"unregistered {extra or 'nothing'}"
             )
-        self.checkpoints_completed = snapshot.get("checkpoints_completed", 0)
-        self.checkpoints_abandoned = snapshot.get("checkpoints_abandoned", 0)
-        restored: list[str] = []
+        self.checkpoints_completed = completed
+        self.checkpoints_abandoned = abandoned
         for entry in entries:
-            record = saved.get(entry.label)
-            if record is None:
-                continue
-            breaker = entry.breaker
-            breaker.state = BreakerState(record["breaker_state"])
-            breaker.consecutive_failures = record["consecutive_failures"]
-            breaker.times_opened = record["times_opened"]
-            breaker.times_reclosed = record["times_reclosed"]
-            breaker.opened_at = record["opened_at"]
-            entry.checkpoints_skipped = record["checkpoints_skipped"]
-            entry.restore_counter_state(record)
-            apply_sink_state(entry.history, record["sink"])
-            restored.append(entry.label)
-        return restored
+            try:
+                _restore_monitor(entry, saved[entry.label])
+            except RecoveryError as exc:
+                raise RecoveryError(f"monitor {entry.label!r}: {exc}") from exc
+        return [entry.label for entry in entries]
 
     # --------------------------------------------------------------- metrics
 

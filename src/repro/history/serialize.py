@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Iterable
 
-from repro.errors import HistoryError
+from repro._rows import INT, LIST, OPTIONAL_DICT, Fields, check_row
+from repro.errors import HistoryError, RecoveryError
 from repro.history.events import EventKind, SchedulingEvent
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
@@ -47,10 +48,10 @@ __all__ = [
     "event_to_json_line",
     "event_to_json_line_reusing_time",
     "state_to_dict",
-    "queues_to_state_dict",
     "state_from_dict",
     "segment_to_dict",
     "segment_from_dict",
+    "SINK_FIELDS",
     "sink_state_to_dict",
     "apply_sink_state",
     "dump_trace",
@@ -202,37 +203,17 @@ def event_to_json_line_reusing_time(event: SchedulingEvent) -> str:
 
 def state_to_dict(state: SchedulingState) -> dict:
     """One scheduling state snapshot as a JSON-compatible dict."""
-    return queues_to_state_dict(
-        state.time,
-        state.entry_queue,
-        state.cond_queues,
-        state.running,
-        state.urgent,
-        state.resource_count,
-    )
-
-
-def queues_to_state_dict(
-    time: float,
-    entry_queue: Iterable[QueueEntry],
-    cond_queues: Mapping[str, Iterable[QueueEntry]],
-    running: Iterable[QueueEntry],
-    urgent: Iterable[QueueEntry],
-    resource_count: Optional[int] = None,
-) -> dict:
-    """The :func:`state_to_dict` form of a state given by its parts, each
-    queue any iterable of entries: the replay machine's checking lists
-    reach a durable snapshot through it without building a state first."""
     return {
         "kind": "state",
-        "time": time,
-        "entry_queue": [list(e) for e in entry_queue],
+        "time": state.time,
+        "entry_queue": [list(e) for e in state.entry_queue],
         "cond_queues": {
-            cond: [list(e) for e in queue] for cond, queue in cond_queues.items()
+            cond: [list(e) for e in queue]
+            for cond, queue in state.cond_queues.items()
         },
-        "running": [list(e) for e in running],
-        "urgent": [list(e) for e in urgent],
-        "resource_count": resource_count,
+        "running": [list(e) for e in state.running],
+        "urgent": [list(e) for e in state.urgent],
+        "resource_count": state.resource_count,
     }
 
 
@@ -405,8 +386,23 @@ def segment_from_dict(raw: dict) -> Segment:
 # ------------------------------------------------------------------- sinks
 
 
-def sink_state_to_dict(sink) -> dict:
-    """Snapshot an :class:`~repro.history.sink.EventSink`'s live state.
+#: The row :func:`sink_state_to_dict` returns, field by field.  The base
+#: state and the pending events keep their keyed forms
+#: (:func:`state_to_dict`, :func:`event_to_dict`), so each type still has
+#: one codec.
+SINK_FIELDS: Fields = (
+    ("seq", INT),
+    ("total_recorded", INT),
+    ("last_state", OPTIONAL_DICT),
+    ("pending", LIST),
+    ("dropped_events", INT),
+    ("pending_dropped", INT),
+)
+
+
+def sink_state_to_dict(sink) -> list:
+    """Snapshot an :class:`~repro.history.sink.EventSink`'s live state as
+    a :data:`SINK_FIELDS` row.
 
     Captures everything a restarted checker needs to resume the sink's open
     checking window: the base state of the window (the last checkpoint's
@@ -415,48 +411,52 @@ def sink_state_to_dict(sink) -> dict:
     registered monitor (see
     :meth:`repro.detection.supervision.CheckpointSupervisor.snapshot_state`).
     """
-    return {
-        "kind": "sink",
-        "seq": sink._seq,
-        "total_recorded": sink._total_recorded,
-        "last_state": (
-            None if sink.last_state is None else state_to_dict(sink.last_state)
-        ),
-        "pending": [event_to_dict(event) for event in sink.pending_events],
-        "dropped_events": sink.dropped_events,
-        "pending_dropped": getattr(sink, "pending_dropped", 0),
-    }
+    last_state = sink.last_state
+    return [
+        sink._seq,
+        sink._total_recorded,
+        None if last_state is None else state_to_dict(last_state),
+        [event_to_dict(event) for event in sink.pending_events],
+        sink.dropped_events,
+        getattr(sink, "pending_dropped", 0),
+    ]
 
 
-def apply_sink_state(sink, record: dict) -> None:
-    """Restore a :func:`sink_state_to_dict` snapshot into a (fresh) sink.
+def apply_sink_state(sink, row: list) -> None:
+    """Restore a :func:`sink_state_to_dict` row into a (fresh) sink.
 
-    The sink's storage is rebuilt through its own ``_append`` hook, so a
-    bounded sink re-applies its capacity policy to the restored window.
-    Listeners are *not* invoked — restoration replays bookkeeping, not the
-    recording hot path.
+    The whole row is decoded before the sink changes; a row of the wrong
+    shape, or a base state or pending event that does not decode, raises
+    :class:`~repro.errors.RecoveryError` naming the field.  The sink's
+    storage is rebuilt through its own ``_append`` hook, so a bounded sink
+    re-applies its capacity policy to the restored window.  Listeners are
+    *not* invoked — restoration replays bookkeeping, not the recording hot
+    path.
     """
-    if record.get("kind") != "sink":
-        raise HistoryError(f"not a sink record: {record!r}")
+    seq, total, last_state, pending, dropped, pending_dropped = check_row(
+        row, SINK_FIELDS, "sink"
+    )
     try:
-        sink._seq = record["seq"]
-        sink._total_recorded = record["total_recorded"]
-        last_state = record["last_state"]
-        sink._last_state = (
-            None if last_state is None else state_from_dict(last_state)
-        )
-        for raw in record["pending"]:
-            sink._append(event_from_dict(raw))
-        if hasattr(sink, "_dropped_total"):
-            # Bounded sinks: restore the drop accounting *after* the replay
-            # above (replaying into a smaller buffer may itself evict and
-            # count; the snapshot's totals are authoritative), so the next
-            # cut's ``Segment.dropped`` matches what the crashed sink would
-            # have reported.
-            sink._dropped_total = record.get("dropped_events", 0)
-            sink._dropped_in_window = record.get("pending_dropped", 0)
-    except (KeyError, TypeError) as exc:
-        raise HistoryError(f"malformed sink record: {exc}") from exc
+        base = None if last_state is None else state_from_dict(last_state)
+    except HistoryError as exc:
+        raise RecoveryError(f"sink field 'last_state': {exc}") from exc
+    try:
+        events = [event_from_dict(raw) for raw in pending]
+    except HistoryError as exc:
+        raise RecoveryError(f"sink field 'pending': {exc}") from exc
+    sink._seq = seq
+    sink._total_recorded = total
+    sink._last_state = base
+    for event in events:
+        sink._append(event)
+    if hasattr(sink, "_dropped_total"):
+        # Bounded sinks: restore the drop accounting *after* the replay
+        # above (replaying into a smaller buffer may itself evict and
+        # count; the snapshot's totals are authoritative), so the next
+        # cut's ``Segment.dropped`` matches what the crashed sink would
+        # have reported.
+        sink._dropped_total = dropped
+        sink._dropped_in_window = pending_dropped
 
 
 # ------------------------------------------------------------------- files

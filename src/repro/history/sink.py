@@ -142,6 +142,12 @@ class EventSink(abc.ABC):
         self._seq += 1
         return seq
 
+    @property
+    def upcoming_seq(self) -> int:
+        """The sequence number :meth:`next_seq` issues next; every event
+        numbered below it has been recorded."""
+        return self._seq
+
     def record(self, event: SchedulingEvent) -> None:
         """Append one scheduling event (called by data-gathering routines).
 

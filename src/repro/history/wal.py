@@ -43,8 +43,9 @@ Segments rotate once the active file passes ``segment_bytes``; replay
 numbers (:func:`file_number`).  A torn final line — the signature of
 dying mid-append — is tolerated: it is physically truncated away when
 the log is reopened and silently skipped during replay.  A torn line
-anywhere *else* is corruption and raises
-:class:`~repro.errors.HistoryError`.
+anywhere *else*, a line that is not valid UTF-8 included, is corruption
+and raises :class:`~repro.errors.HistoryError` naming the segment and
+the line.
 """
 
 from __future__ import annotations
@@ -396,13 +397,15 @@ class WriteAheadLog(EventSink):
             self._seq = event.seq + 1
 
     def _iter_segment(self, path: Path, *, final: bool) -> Iterator[dict]:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # Decoded line by line: one undecodable byte is one corrupt line,
+        # reported as such, not a failure to read the whole segment.
+        lines = path.read_bytes().splitlines()
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # bad UTF-8 or bad JSON
                 if final and number == len(lines):
                     return  # torn tail: the write died mid-line
                 raise HistoryError(

@@ -273,9 +273,9 @@ class TestAlgorithm3:
         assert restored.on_event(enter_event(2, 1, "Release", 0.3, 0)) == ()
 
     def test_restores_a_durable_snapshot_record(self):
-        # The "algorithm3" record of a durable snapshot, verbatim: P1 has
+        # The "algorithm3" row of a durable snapshot, verbatim: P1 has
         # requested at t=0.1 and its automaton sits after Request.
-        record = {"request_list": [[1, 0.1]], "dfa_state": {"1": 1}}
+        record = [[[1, 0.1]], [[1, 1]]]
         checker = CallingOrderChecker(allocator_declaration())
         checker.restore_state(record)
         assert checker.request_list == [(1, 0.1)]

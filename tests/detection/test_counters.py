@@ -180,7 +180,8 @@ class TestDurableShardSupervisor:
         for shard in rebuilt.shards:
             assert shard.durable.supervisor is shard.supervisor
             payload, __ = shard.durable.snapshots.load_latest()
-            stored = payload["supervisor"]["checkpoints_completed"]
+            # [format, [completed, abandoned, monitors], engine counters]
+            __, (stored, __, __), __ = payload
             assert stored > 0
             assert (
                 registry.value(

@@ -26,6 +26,7 @@ from repro.detection import (
 )
 from repro.detection.durability import SNAPSHOT_SLOTS
 from repro.errors import RecoveryError
+from repro.history import EventKind, SchedulingEvent
 from repro.history.serialize import (
     event_to_json_line,
     event_to_json_line_reusing_time,
@@ -391,6 +392,16 @@ class TestWalEncoder:
         session.close()
 
 
+def idle_until(kernel, time):
+    """Advance ``kernel``'s clock to ``time`` with an idle process."""
+
+    def idle():
+        yield Delay(time - kernel.now())
+
+    kernel.spawn(idle(), "idle")
+    kernel.run(until=time)
+
+
 def run_with_misuse(root, *, rounds=4):
     """A run whose rogue release produces real-time reports, checkpointed."""
     kernel, allocator, session = build_durable(root)
@@ -536,41 +547,135 @@ class TestDurableEngine:
     def test_recover_restores_incremental_rule_state(self, tmp_path):
         crashed = run_with_misuse(tmp_path)
         entry = crashed.entries[0]
-        before = entry.algorithm1.state_dict()
-        assert before["carried"], "run should end on verified carried lists"
+        hits, rebases, __, carried = entry.algorithm1.state_dict()
+        assert carried, "run should end on verified carried lists"
         reports_before = [report_key(r) for r in crashed.delivered_reports]
         crashed.close()
 
         kernel, __, rebuilt = build_durable(tmp_path)
         rebuilt.recover()
         restored = rebuilt.entries[0].algorithm1
-        assert restored.hits == before["hits"]
-        assert restored.rebases == before["rebases"]
+        assert restored.hits == hits
+        assert restored.rebases == rebases
         assert restored.carried
         # The first post-recovery checkpoint resumes mid-stream: the
-        # carried lists are reused (a hit, not a rebase) and no spurious
-        # report appears on the healthy, idle monitor.  (Advance the fresh
-        # kernel's clock past the restored checkpoint time first.)
-        def idle():
-            yield Delay(5.0)
-
-        kernel.spawn(idle(), "idle")
-        kernel.run(until=5.0)
+        # lists rebuilt from the restored base state are reused (a hit,
+        # not a rebase) and no spurious report appears on the healthy,
+        # idle monitor.  (Advance the fresh kernel's clock past the
+        # restored checkpoint time first.)
+        idle_until(kernel, 5.0)
         rebuilt.checkpoint()
-        assert restored.hits == before["hits"] + 1
-        assert restored.rebases == before["rebases"]
+        assert restored.hits == hits + 1
+        assert restored.rebases == rebases
         delivered = [report_key(r) for r in rebuilt.delivered_reports]
         assert delivered == reports_before
+        rebuilt.close()
+
+    def test_recover_rebases_lists_that_were_not_carried(self, tmp_path):
+        # A phantom Enter (recorded, but made by no process) leaves the
+        # replayed lists unequal to the monitor's actual state at the last
+        # checkpoint, so the last snapshot stores "not carried".  The
+        # first window after recovery must re-seed the lists (a rebase)
+        # and report exactly what the uninterrupted run reports.
+        def run(root):
+            kernel, allocator, session = build_durable(root)
+            session.baseline()
+
+            def phantom():
+                yield Delay(0.9)  # inside the last window
+                sink = allocator.history
+                sink.record(
+                    SchedulingEvent(
+                        sink.next_seq(), EventKind.ENTER, 99, "Request",
+                        kernel.now(), 1,
+                    )
+                )
+
+            def driver():
+                for __ in range(4):
+                    yield Delay(0.25)
+                    session.checkpoint()
+
+            kernel.spawn(phantom(), "phantom")
+            kernel.spawn(driver(), "driver")
+            kernel.run(until=6.0)
+            kernel.raise_failures()
+            return kernel, session
+
+        kernel, uninterrupted = run(tmp_path / "uninterrupted")
+        checker = uninterrupted.entries[0].algorithm1
+        hits, rebases, __, carried = checker.state_dict()
+        assert not carried, "the phantom must leave the lists unverified"
+        idle_until(kernel, 5.0)
+        uninterrupted.checkpoint()
+        assert (checker.hits, checker.rebases) == (hits, rebases + 1)
+        expected = [report_key(r) for r in uninterrupted.delivered_reports]
+        uninterrupted.close()
+
+        __, crashed = run(tmp_path / "crashed")
+        crashed.close()
+        kernel, __, rebuilt = build_durable(tmp_path / "crashed")
+        rebuilt.recover()
+        restored = rebuilt.entries[0].algorithm1
+        assert not restored.carried
+        assert (restored.hits, restored.rebases) == (hits, rebases)
+        idle_until(kernel, 5.0)
+        rebuilt.checkpoint()
+        assert (restored.hits, restored.rebases) == (hits, rebases + 1)
+        assert [report_key(r) for r in rebuilt.delivered_reports] == expected
+        rebuilt.close()
+
+    def test_keyed_snapshot_of_the_earlier_format_is_refused(self, tmp_path):
+        session = run_with_misuse(tmp_path)
+        session.close()
+        # A slot holding a keyed payload, as the earlier format wrote it.
+        store = SnapshotStore(tmp_path / "shard-0" / "snapshots")
+        path = store.write(
+            {"kind": "durable-engine", "supervisor": {}, "checkers": {}}
+        )
+        __, __, rebuilt = build_durable(tmp_path)
+        with pytest.raises(RecoveryError, match=str(path)) as excinfo:
+            rebuilt.recover()
+        assert "keyed" in str(excinfo.value)
+        rebuilt.close()
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda payload: payload[:2], "engine"),
+            (lambda payload: ["durable-engine/rows-0", *payload[1:]],
+             "durable-engine/rows-0"),
+            (lambda payload: [payload[0], payload[1][:2], payload[2]],
+             "monitors"),
+            (lambda payload: [payload[0], payload[1], [*payload[2], 0]],
+             "check_failures"),
+        ],
+        ids=["short-payload", "unknown-tag", "short-supervisor",
+             "long-engine-row"],
+    )
+    def test_damaged_rows_are_refused_naming_the_field(
+        self, tmp_path, damage, field
+    ):
+        session = run_with_misuse(tmp_path)
+        session.close()
+        store = SnapshotStore(tmp_path / "shard-0" / "snapshots")
+        payload, __ = store.load_latest()
+        path = store.write(damage(payload))
+        __, __, rebuilt = build_durable(tmp_path)
+        with pytest.raises(RecoveryError) as excinfo:
+            rebuilt.recover()
+        assert str(path) in str(excinfo.value)
+        assert field in str(excinfo.value)
         rebuilt.close()
 
 
 class TestSnapshotAtomicity:
     def test_release_during_snapshot_is_not_lost_on_recovery(self, tmp_path):
         # A workload thread releases the allocator after the snapshot read
-        # the Algorithm-3 state and before it read the sink's seq.  Unless
-        # the payload is one atomic cut, the seq covers a Release the
-        # restored checker never saw, replay starts past it, and the
-        # process's next Request reads as a second acquisition (ST-8a).
+        # the sink's seq and before it read the Algorithm-3 state.  Unless
+        # the payload is one atomic cut, the restored checker has seen a
+        # Release the seq does not cover, replay applies it a second
+        # time, and it reads as a release without a request (ST-8b).
         kernel = ThreadKernel(time_scale=0.002)
         allocator = SingleResourceAllocator(kernel, name="allocator")
         config = DetectorConfig(
@@ -603,16 +708,17 @@ class TestSnapshotAtomicity:
         pid = kernel.spawn(user(), "user")
         assert held.wait(timeout=10)
         durable = session.shards[0].durable
-        snapshot_state = durable.supervisor.snapshot_state
+        checker = session.entries[0].algorithm3
+        state_dict = checker.state_dict
 
-        def mid_payload(entries):
-            # The checkers are already read; let the Release race the
-            # sinks.  Inside the atomic section it waits for the lock.
+        def mid_payload():
+            # The sink is already read; let the Release race the checker.
+            # Inside the atomic section it waits for the lock.
             release.set()
             released.wait(timeout=0.3)
-            return snapshot_state(entries)
+            return state_dict()
 
-        durable.supervisor.snapshot_state = mid_payload
+        checker.state_dict = mid_payload
         durable.commit()
         assert released.wait(timeout=10)
         session.close()

@@ -175,7 +175,7 @@ class TestDurability:
         first = clean_window(s0, 0, 0.0)
         checker.check_window(first)
         record = checker.state_dict()
-        assert record["carried"] is True
+        assert record == [checker.hits, checker.rebases, checker.fastpaths, True]
 
         restored = IncrementalConcurrencyChecker(decl)
         restored.restore_state(record, basis=first.current)
@@ -199,7 +199,7 @@ class TestDurability:
     def test_fresh_checker_state_dict_restores_empty(self):
         decl = declaration()
         record = IncrementalConcurrencyChecker(decl).state_dict()
-        assert record["lists"] is None
+        assert record == [0, 0, 0, False]
         restored = IncrementalConcurrencyChecker(decl)
         restored.restore_state(record)
         assert not restored.carried

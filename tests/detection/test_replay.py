@@ -4,8 +4,6 @@ Each test constructs a small scheduling event sequence by hand and asserts
 exactly which ST-rules the replay flags — the machine's per-rule contract.
 """
 
-import json
-
 import pytest
 
 from repro.detection.replay import ReplayMachine
@@ -16,7 +14,6 @@ from repro.history.events import (
     signal_exit_event,
     wait_event,
 )
-from repro.history.serialize import state_to_dict
 from repro.history.states import QueueEntry, SchedulingState
 from repro.monitor import Discipline, MonitorDeclaration, MonitorType
 
@@ -297,41 +294,6 @@ class TestRemainingBranches:
         m.process(enter_event(0, 1, "Op", 0.1, 1))
         m.process(signal_event(1, 1, "Op", "ready", 0.2, 1))
         assert STRule.SIGNAL_CONSISTENT in rules_of(m)
-
-
-class TestListsToDict:
-    def test_equals_state_to_dict_of_the_lists(self):
-        # The reference: the lists as one SchedulingState, then its dict.
-        m = machine(
-            empty_state(
-                time=0.30000000000000004,
-                entry_queue=(QueueEntry(3, "Op", 0.1), QueueEntry(4, "Op", 0.2)),
-                cond_queues={"ready": (QueueEntry(5, "Other", 1e-7),)},
-                running=(QueueEntry(6, "Op", 0.25),),
-            ),
-            discipline=Discipline.SIGNAL_AND_WAIT,
-        )
-        # A Wait on an undeclared condition adds a list mid-window; the
-        # signal then leaves its signaller on the urgent list.
-        m.process(wait_event(0, 6, "Op", "late", 0.4))
-        m.process(signal_event(1, 3, "Op", "ready", 0.5, 1))
-        reference = state_to_dict(
-            SchedulingState(
-                time=0.30000000000000004,
-                entry_queue=tuple(m.enter0),
-                cond_queues={
-                    cond: tuple(queue) for cond, queue in m.wait_cond.items()
-                },
-                running=tuple(m.running),
-                urgent=tuple(m.urgent),
-            )
-        )
-        record = m.lists_to_dict()
-        assert m.urgent and "late" in record["cond_queues"]
-        assert record == reference
-        assert json.dumps(record, sort_keys=True) == json.dumps(
-            reference, sort_keys=True
-        )
 
 
 class TestBlockedLocationPrecedence:

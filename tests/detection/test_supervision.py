@@ -448,41 +448,39 @@ class TestSnapshotRestore:
         # The restored engine keeps checking from the snapshot base.
         kernel.run(until=3.0)
         engine2.checkpoint()
+        assert entry2.checkpoints_run == entry.checkpoints_run + 1
         assert engine2.confirmed_clean
 
-    def test_restores_snapshot_with_retired_schedule_keys(self):
-        # Snapshots written before the adaptive capture schedule was
-        # removed carry its per-monitor state and two counters; restore
-        # must ignore them and keep everything it still reads.
+    def test_refuses_a_monitor_row_with_an_extra_field(self):
+        # A monitor row is positional: a field past the declared ones
+        # (per-monitor state of a retired feature, say) is refused,
+        # naming the monitor and the last declared field, before any of
+        # the snapshot is applied.
+        from repro.errors import RecoveryError
+
         kernel, buffer, engine, entry = self.build()
         spawn_buffer_load(kernel, buffer, items=6, pace=0.1)
         supervisor = supervise(engine)
         kernel.spawn(supervisor_process(supervisor, rounds=2), "supervisor")
         kernel.run(until=1.2)
         snapshot = supervisor.snapshot_state(engine.entries)
-        record = snapshot["monitors"][entry.label]
-        record.update(
-            event_rate=12.5, next_due=1.5, intervals_skipped=3,
-            forced_captures=1,
-        )
+        __, __, [row] = snapshot
+        row.append(12.5)
 
         engine2 = DetectionEngine(kernel, engine.config)
         entry2 = engine2.register(buffer)
-        restored = supervise(engine2).restore_state(
-            snapshot, engine2.entries
-        )
-        assert restored == [entry2.label]
-        assert entry2.checkpoints_run == entry.checkpoints_run == 2
-        assert not hasattr(entry2, "next_due")
-        kernel.run(until=3.0)
-        engine2.checkpoint()
-        assert entry2.checkpoints_run == 3
-        assert engine2.confirmed_clean
+        supervisor2 = supervise(engine2)
+        with pytest.raises(RecoveryError, match="past 'algorithm3'"):
+            supervisor2.restore_state(snapshot, engine2.entries)
+        assert supervisor2.checkpoints_completed == 0
+        assert entry2.checkpoints_run == 0
 
     def test_rejects_foreign_snapshot(self):
+        from repro.errors import RecoveryError
+
         __, ___, engine, ____ = self.build()
         supervisor = supervise(engine)
-        with pytest.raises(ValueError):
+        with pytest.raises(RecoveryError, match="supervisor row"):
             supervisor.restore_state({"kind": "sink"}, engine.entries)
 
     def test_rejects_mismatched_monitor_fleet(self):

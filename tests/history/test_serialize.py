@@ -508,6 +508,7 @@ class TestSinkStateRoundTrip:
     def test_bounded_drop_accounting_round_trips(self):
         from repro.history import BoundedHistory
         from repro.history.serialize import (
+            SINK_FIELDS,
             apply_sink_state,
             sink_state_to_dict,
         )
@@ -515,7 +516,9 @@ class TestSinkStateRoundTrip:
         sink = self._saturated_bounded(capacity=4, recorded=10)
         assert sink.pending_dropped == 6
         record = sink_state_to_dict(sink)
-        assert record["pending_dropped"] == 6
+        assert dict(zip((name for name, __ in SINK_FIELDS), record))[
+            "pending_dropped"
+        ] == 6
 
         restored = BoundedHistory(4)
         restored.open(self._state(0.0))

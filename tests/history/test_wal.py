@@ -285,6 +285,52 @@ class TestTornTails:
             make_wal(tmp_path)
 
 
+    def test_non_utf8_byte_in_the_active_segment_fails_open(self, tmp_path):
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        for seq in range(5):
+            wal.record(event(seq))
+        wal.close()
+        path = wal.segment_paths()[-1]
+        set_byte(path, 20, 0xFF)  # inside the first of five lines
+        with pytest.raises(HistoryError, match=f"{path.name} line 1"):
+            make_wal(tmp_path)
+
+    def test_non_utf8_byte_in_a_sealed_segment_fails_replay(self, tmp_path):
+        wal = make_wal(tmp_path, segment_bytes=1)  # one event per segment
+        wal.open(state(0.0))
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.close()
+        sealed = wal.segment_paths()[0]
+        set_byte(sealed, 20, 0xFF)
+        # Opening reads only the intact active segment; replay reads all.
+        reopened = make_wal(tmp_path, segment_bytes=1)
+        with pytest.raises(HistoryError, match=f"{sealed.name} line 1"):
+            list(reopened.iter_durable_events())
+
+    def test_non_utf8_torn_tail_is_skipped_and_truncated(self, tmp_path):
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.flush()
+        path = wal.segment_paths()[-1]
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "event", "pname": "\xff')
+        assert [e.seq for e in wal.iter_durable_events()] == [0, 1, 2]
+        wal.close()
+        reopened = make_wal(tmp_path)
+        assert reopened.torn_tails_truncated == 1
+        assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
+
+
+def set_byte(path, offset, value):
+    raw = bytearray(path.read_bytes())
+    raw[offset] = value
+    path.write_bytes(bytes(raw))
+
+
 class TestReopen:
     def test_seq_resumes_past_durable_events(self, tmp_path):
         wal = make_wal(tmp_path)
