@@ -17,7 +17,6 @@ __all__ = [
     "INT",
     "LIST",
     "NUMBER",
-    "OPTIONAL_DICT",
     "OPTIONAL_LIST",
     "OPTIONAL_NUMBER",
     "STR",
@@ -34,7 +33,6 @@ NUMBER = (int, float)
 OPTIONAL_NUMBER = (int, float, type(None))
 LIST = (list,)
 OPTIONAL_LIST = (list, type(None))
-OPTIONAL_DICT = (dict, type(None))
 
 #: A row's field table: ``(name, types)`` per field, in row order.
 Fields = tuple[tuple[str, tuple[type, ...]], ...]

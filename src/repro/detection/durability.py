@@ -23,10 +23,10 @@ supervisor — that keeps three artefacts under the shard's root directory:
   :data:`SNAPSHOT_FORMAT`, the supervisor's row with one row per
   monitor (label, breaker fields, counters, sink row, one row per
   checker), and the engine's counter row.  Each component declares its
-  row's fields beside its own codec; scheduling states and pending
-  events stay keyed objects.  Algorithm-1's checking lists are not
-  stored: recovery rebuilds carried lists from the restored sink's base
-  state,
+  row's fields beside its own codec; a sink row holds its base state
+  and pending events as the rows of :mod:`repro.history.serialize`.
+  Algorithm-1's checking lists are not stored: recovery rebuilds carried
+  lists from the restored sink's base state,
 * ``reports.jsonl`` — the **report journal**: every fault report is
   journaled *before* it is surfaced, keyed by :func:`report_key`, giving
   exactly-once delivery across restarts — a recovered detector re-derives
@@ -46,8 +46,9 @@ the latest valid snapshot (building on
 which rejects a mismatched monitor fleet), replay WAL events past the
 snapshot's per-sink offsets — re-driving the real-time Algorithm-3 tap —
 and surface only reports the journal has not seen.  A payload that is
-not a :data:`SNAPSHOT_FORMAT` row, such as the keyed payload of the
-earlier format, or a row of the wrong shape, is refused with
+not a :data:`SNAPSHOT_FORMAT` row, such as the keyed payload or the
+``rows-1`` payload (keyed states and events) of earlier formats, or a
+row of the wrong shape, is refused with
 :class:`~repro.errors.RecoveryError` naming the slot: there is no second
 decoder and no silent cold start.
 """
@@ -386,7 +387,7 @@ class SnapshotStore:
 # ----------------------------------------------------------- durable engine
 
 #: The version tag that opens every snapshot payload.
-SNAPSHOT_FORMAT = "durable-engine/rows-1"
+SNAPSHOT_FORMAT = "durable-engine/rows-2"
 
 #: A snapshot payload: the tag, the supervisor's row (one row per
 #: monitor inside it) and the engine's counter row.

@@ -63,7 +63,7 @@ from repro._rows import (
 from repro.detection.config import DetectorConfig
 from repro.detection.reports import FaultReport
 from repro.errors import RecoveryError
-from repro.history.serialize import apply_sink_state, sink_state_to_dict
+from repro.history.serialize import apply_sink_state, sink_state_to_row
 from repro.kernel.syscalls import Delay, Syscall
 from repro.observability.registry import MetricsRegistry
 
@@ -261,7 +261,7 @@ def _monitor_row(entry) -> list:
         breaker.times_reclosed,
         breaker.opened_at,
         entry.counter_state(),
-        sink_state_to_dict(entry.history),
+        sink_state_to_row(entry.history),
         *(
             None if checker is None else checker.state_dict()
             for checker in (
@@ -459,7 +459,7 @@ class CheckpointSupervisor:
         registered monitor in ``entries``: its label, breaker lifecycle,
         persisted counters (:meth:`RegisteredMonitor.counter_state`), the
         event sink's base state and open window
-        (:func:`repro.history.serialize.sink_state_to_dict`) and each
+        (:func:`repro.history.serialize.sink_state_to_row`) and each
         checker's row (``state_dict``), so a restarted supervisor resumes
         checking windows where the crashed one stopped.  Each monitor row
         reads its sink before its checkers.

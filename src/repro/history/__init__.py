@@ -31,11 +31,11 @@ from repro.history.database import HistoryDatabase
 from repro.history.sink import EventListener, EventSink, Segment
 from repro.history.serialize import (
     dump_trace,
-    event_from_dict,
-    event_to_dict,
+    event_to_row,
+    events_from_rows,
     load_trace,
-    state_from_dict,
-    state_to_dict,
+    state_from_row,
+    state_to_row,
 )
 from repro.history.events import (
     EventKind,
@@ -66,8 +66,8 @@ __all__ = [
     "Segment",
     "dump_trace",
     "load_trace",
-    "event_to_dict",
-    "event_from_dict",
-    "state_to_dict",
-    "state_from_dict",
+    "event_to_row",
+    "events_from_rows",
+    "state_to_row",
+    "state_from_row",
 ]

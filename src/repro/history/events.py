@@ -91,10 +91,11 @@ class SchedulingEvent(_EventFields):
       set to one of them, and ``wait`` passes its condition only after
       checking that the monitor declares it (a declared condition name
       is a string);
-    * the service's wire decoder,
-      :func:`repro.history.serialize.events_from_wire`: the wire is a
-      trust boundary, so it runs both checks inline before building the
-      tuple.
+    * the event row decoder,
+      :func:`repro.history.serialize.events_from_rows`, which every
+      event read from outside the process passes (the wire, WAL lines,
+      snapshots, trace files): it runs both checks inline before
+      building the tuple.
     """
 
     __slots__ = ()

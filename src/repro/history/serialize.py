@@ -1,16 +1,31 @@
-"""Serialisation of scheduling histories (JSON-compatible, JSONL files).
+"""Serialisation of scheduling histories: one positional codec per record.
 
 The history information database is the system's audit trail; being able
 to persist a trace and re-check it offline (on another machine, against a
 different rule configuration, or long after the run) is what makes the
-offline FD checker practically useful.  The on-disk format is
-line-oriented JSON: one keyed object per event or state, with a ``kind``
-discriminator, so traces can be streamed and grepped.  Trace files, WAL
-lines and snapshot ``pending`` lists all use that keyed event form.
+offline FD checker practically useful.
 
-The detection service's window codec (:func:`segment_to_dict`) is the
-one exception: it ships each event as a positional array, half the
-bytes of the keyed object and cheaper to parse.
+Section 3.1 defines two history records, and each has one codec: a JSON
+array of its fields in order, a *row*.
+
+* A scheduling event is ``[seq, kind, pid, pname, time, flag, cond]``
+  (:class:`SchedulingEvent`'s field order, ``kind`` as its
+  :class:`EventKind` value, ``cond`` null when absent).
+  :func:`event_to_row` encodes one; :func:`events_from_rows` decodes a
+  batch.
+* A scheduling state is ``[time, entry_queue, cond_queues, running,
+  urgent, resource_count]``: each queue a list of ``[pid, pname, since]``
+  entries, ``cond_queues`` an object from condition name to queue.
+  :func:`state_to_row` and :func:`state_from_row` encode and decode it.
+
+Every boundary carries these rows: the detection service's window frames
+(:func:`segment_to_dict`), WAL lines (the compact JSON of one event row
+per line), a durable snapshot's sink rows (:func:`sink_state_to_row`)
+and trace files (:func:`dump_trace`, one row per line).  The two decoders
+check every field's type, so whatever reads a record from outside the
+process (a socket, a WAL segment, a snapshot slot, a trace file) refuses
+a malformed one with :class:`~repro.errors.HistoryError`, and the keyed
+objects that earlier versions wrote are refused, never misread.
 
 The write-ahead log encodes each event with :func:`event_to_json_line`.
 When its times come from a virtual clock it uses
@@ -34,25 +49,24 @@ import json
 import sys
 from typing import IO, Iterable
 
-from repro._rows import INT, LIST, OPTIONAL_DICT, Fields, check_row
+from repro._rows import INT, LIST, OPTIONAL_LIST, Fields, check_row
 from repro.errors import HistoryError, RecoveryError
 from repro.history.events import EventKind, SchedulingEvent
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
 
 __all__ = [
-    "event_to_dict",
-    "event_from_dict",
-    "events_from_wire",
+    "event_to_row",
+    "events_from_rows",
     "is_wire_time",
     "event_to_json_line",
     "event_to_json_line_reusing_time",
-    "state_to_dict",
-    "state_from_dict",
+    "state_to_row",
+    "state_from_row",
     "segment_to_dict",
     "segment_from_dict",
     "SINK_FIELDS",
-    "sink_state_to_dict",
+    "sink_state_to_row",
     "apply_sink_state",
     "dump_trace",
     "load_trace",
@@ -62,47 +76,90 @@ __all__ = [
 # ------------------------------------------------------------------ events
 
 #: Kind value → member, resolved once: ``EventKind(value)`` walks the
-#: enum ``__call__`` machinery, and the decoders below run once per event
+#: enum ``__call__`` machinery, and the decoder below runs once per event
 #: of every window the service receives and of every WAL line recovery
 #: replays.
 _EVENT_KINDS: dict = {kind.value: kind for kind in EventKind}
 
+#: The types a JSON number decodes to.  The decoders test ``type(x)``
+#: exactly, so ``bool`` (an ``int`` subclass) is not a number here.
+_NUMBER = (float, int)
 
-def event_to_dict(event: SchedulingEvent) -> dict:
-    """One scheduling event as a JSON-compatible dict."""
-    record = {
-        "kind": "event",
-        "event": event.kind.value,
-        "seq": event.seq,
-        "pid": event.pid,
-        "pname": event.pname,
-        "time": event.time,
-        "flag": event.flag,
-    }
-    if event.cond is not None:
-        record["cond"] = event.cond
-    return record
+#: A time must also lie in ``[-_MAX_TIME, _MAX_TIME]``.  ``json.loads``
+#: reads ``NaN``, ``Infinity`` and overflowing literals such as ``1e999``
+#: as floats (a NaN time compares false against every timeout), and reads
+#: a long integer literal as an ``int`` too large for a float.  The
+#: chained comparison is false for all of them and never raises:
+#: ``math.isfinite`` raises ``OverflowError`` on such an ``int``.
+_MAX_TIME = sys.float_info.max
 
 
-def event_from_dict(record: dict) -> SchedulingEvent:
-    """Decode one keyed event record (a WAL line, a snapshot's pending
-    event, a trace line).  Files are a boundary too, so the event goes
-    through the validating :class:`SchedulingEvent` constructor; an
-    unknown kind raises :class:`~repro.errors.HistoryError`."""
-    if not isinstance(record, dict) or record.get("kind") != "event":
-        raise HistoryError(f"not an event record: {record!r}")
+def is_wire_time(value) -> bool:
+    """Whether ``value`` may stand as a time in a decoded record: an
+    ``int`` or ``float`` (not ``bool``) within the finite float range."""
+    return type(value) in _NUMBER and -_MAX_TIME <= value <= _MAX_TIME
+
+
+def event_to_row(event: SchedulingEvent) -> list:
+    """One scheduling event as its row ``[seq, kind, pid, pname, time,
+    flag, cond]``."""
+    seq, kind, pid, pname, time, flag, cond = event
+    return [seq, kind._value_, pid, pname, time, flag, cond]
+
+
+def events_from_rows(rows) -> tuple:
+    """Decode event rows (see :func:`event_to_row`) in one loop.
+
+    Every event read from outside the process comes through here: a
+    window's events, a WAL line, a snapshot's pending events, a trace
+    line.  Each row must be a 7-element array with an int ``seq``,
+    ``pid`` and ``flag``, a str ``pname``, a finite ``time``
+    (:func:`is_wire_time`), a known ``kind`` and a str or null ``cond``
+    (``bool`` is not an int here).  The loop then runs the
+    :class:`SchedulingEvent` constructor's two checks inline — the flag is
+    0 or 1, a Wait names its condition — and builds each event as the
+    plain tuple record it is.  Any other shape, the keyed event object of
+    earlier versions included, raises :class:`~repro.errors.HistoryError`.
+    """
+    kinds = _EVENT_KINDS
+    wait = EventKind.WAIT
+    number = _NUMBER
+    top = _MAX_TIME
+    bottom = -top
+    new_event = tuple.__new__
+    event_type = SchedulingEvent
+    events = []
+    append = events.append
+    record = None
     try:
-        return SchedulingEvent(
-            record["seq"],
-            _EVENT_KINDS[record["event"]],
-            record["pid"],
-            record["pname"],
-            record["time"],
-            record["flag"],
-            record.get("cond"),
-        )
+        for record in rows:
+            if type(record) is not list:
+                raise TypeError("not an array")
+            seq, kind, pid, pname, time, flag, cond = record
+            if (
+                type(seq) is not int
+                or type(pid) is not int
+                or type(pname) is not str
+                or type(time) not in number
+                or type(flag) is not int
+                or (cond is not None and type(cond) is not str)
+            ):
+                raise TypeError("a field has the wrong type")
+            if not bottom <= time <= top:
+                raise ValueError("time is not finite")
+            if flag != 0 and flag != 1:
+                raise ValueError(f"event flag must be 0 or 1, got {flag}")
+            kind = kinds[kind]
+            if cond is None and kind is wait:
+                raise ValueError("Wait events require a condition name")
+            append(
+                new_event(
+                    event_type, (seq, kind, pid, pname, time, flag, cond)
+                )
+            )
     except (KeyError, TypeError, ValueError) as exc:
-        raise HistoryError(f"malformed event record {record!r}: {exc}") from exc
+        raise HistoryError(f"malformed event row {record!r}: {exc}") from exc
+    return tuple(events)
 
 
 # ------------------------------------------------------------ fused encoder
@@ -129,27 +186,21 @@ _KIND_JSON: dict[str, str] = {
 
 
 def event_to_json_line(event: SchedulingEvent) -> str:
-    """:func:`event_to_dict` + compact ``json.dumps``, hand-fused.
+    """:func:`event_to_row` + compact ``json.dumps`` + newline, hand-fused.
 
     Produces byte-identical JSON to
-    ``json.dumps(event_to_dict(event), separators=(",", ":"))`` (floats
+    ``json.dumps(event_to_row(event), separators=(",", ":"))`` (floats
     via ``repr``, exactly as the json encoder emits them; pure ASCII, so
-    ``len`` is the byte length) without building the intermediate dict.
-    The write-ahead log's append path is its only caller; names are read
+    ``len`` is the byte length) without building the intermediate list.
+    The write-ahead log's append path is its main caller; names are read
     from the memo inline and :func:`_escape` runs only on a miss.
     """
     seq, kind, pid, pname, time, flag, cond = event
     escaped = _ESCAPED
-    tail = (
-        "}\n"
-        if cond is None
-        else f',"cond":{escaped.get(cond) or _escape(cond)}}}\n'
-    )
+    cond = "null" if cond is None else escaped.get(cond) or _escape(cond)
     return (
-        f'{{"kind":"event","event":{_KIND_JSON[kind._value_]},'
-        f'"seq":{seq},"pid":{pid},'
-        f'"pname":{escaped.get(pname) or _escape(pname)},"time":{time!r},'
-        f'"flag":{flag}{tail}'
+        f"[{seq},{_KIND_JSON[kind._value_]},{pid},"
+        f"{escaped.get(pname) or _escape(pname)},{time!r},{flag},{cond}]\n"
     )
 
 
@@ -185,60 +236,38 @@ def event_to_json_line_reusing_time(event: SchedulingEvent) -> str:
     else:
         text = repr(time)
         _last_time_text = (time, text)
-    tail = (
-        "}\n"
-        if cond is None
-        else f',"cond":{escaped.get(cond) or _escape(cond)}}}\n'
-    )
+    cond = "null" if cond is None else escaped.get(cond) or _escape(cond)
     return (
-        f'{{"kind":"event","event":{_KIND_JSON[kind._value_]},'
-        f'"seq":{seq},"pid":{pid},'
-        f'"pname":{escaped.get(pname) or _escape(pname)},"time":{text},'
-        f'"flag":{flag}{tail}'
+        f"[{seq},{_KIND_JSON[kind._value_]},{pid},"
+        f"{escaped.get(pname) or _escape(pname)},{text},{flag},{cond}]\n"
     )
 
 
 # ------------------------------------------------------------------ states
 
 
-def state_to_dict(state: SchedulingState) -> dict:
-    """One scheduling state snapshot as a JSON-compatible dict."""
-    return {
-        "kind": "state",
-        "time": state.time,
-        "entry_queue": [list(e) for e in state.entry_queue],
-        "cond_queues": {
+def state_to_row(state: SchedulingState) -> list:
+    """One scheduling state as its row ``[time, entry_queue, cond_queues,
+    running, urgent, resource_count]``."""
+    return [
+        state.time,
+        [list(e) for e in state.entry_queue],
+        {
             cond: [list(e) for e in queue]
             for cond, queue in state.cond_queues.items()
         },
-        "running": [list(e) for e in state.running],
-        "urgent": [list(e) for e in state.urgent],
-        "resource_count": state.resource_count,
-    }
-
-
-#: The types a JSON number decodes to.  The decoders test ``type(x)``
-#: exactly, so ``bool`` (an ``int`` subclass) is not a number here.
-_NUMBER = (float, int)
-
-#: A time must also lie in ``[-_MAX_TIME, _MAX_TIME]``.  The frame
-#: decoder's ``json.loads`` reads ``NaN``, ``Infinity`` and overflowing
-#: literals such as ``1e999`` as floats (a NaN time compares false against
-#: every timeout), and reads a long integer literal as an ``int`` too large
-#: for a float.  The chained comparison is false for all of them and never
-#: raises: ``math.isfinite`` raises ``OverflowError`` on such an ``int``.
-_MAX_TIME = sys.float_info.max
-
-
-def is_wire_time(value) -> bool:
-    """Whether ``value`` may stand as a time in a decoded frame: an
-    ``int`` or ``float`` (not ``bool``) within the finite float range."""
-    return type(value) in _NUMBER and -_MAX_TIME <= value <= _MAX_TIME
+        [list(e) for e in state.running],
+        [list(e) for e in state.urgent],
+        state.resource_count,
+    ]
 
 
 def _queue(entries) -> tuple:
-    """A JSON queue as :class:`QueueEntry` s: each entry must be a
-    ``[pid, pname, since]`` array of an int, a str and a finite number."""
+    """A JSON queue as :class:`QueueEntry` s: an array whose entries are
+    each a ``[pid, pname, since]`` array of an int, a str and a finite
+    number."""
+    if type(entries) is not list:
+        raise TypeError(f"queue {entries!r} is not an array")
     queue = []
     for entry in entries:
         if type(entry) is not list or len(entry) != 3:
@@ -256,110 +285,58 @@ def _queue(entries) -> tuple:
     return tuple(queue)
 
 
-def state_from_dict(record: dict) -> SchedulingState:
-    if not isinstance(record, dict) or record.get("kind") != "state":
-        raise HistoryError(f"not a state record: {record!r}")
+def state_from_row(row) -> SchedulingState:
+    """Decode a :func:`state_to_row` row.
+
+    The row must be a 6-element array: a finite ``time``
+    (:func:`is_wire_time`), queues of ``[int, str, finite number]``
+    entries, an object of condition queues and an int or null resource
+    count.  Anything else, the keyed state object of earlier versions
+    included, raises :class:`~repro.errors.HistoryError`.
+    """
     try:
-        time = record["time"]
-        count = record.get("resource_count")
+        if type(row) is not list:
+            raise TypeError("not an array")
+        time, entry_queue, cond_queues, running, urgent, count = row
         if not is_wire_time(time):
             raise TypeError(f"state time {time!r} is not a finite number")
         if count is not None and type(count) is not int:
             raise TypeError(f"resource count {count!r} is not an int")
+        if type(cond_queues) is not dict:
+            raise TypeError(
+                f"condition queues {cond_queues!r} are not an object"
+            )
         return SchedulingState(
             time=time,
-            entry_queue=_queue(record["entry_queue"]),
+            entry_queue=_queue(entry_queue),
             cond_queues={
-                cond: _queue(queue)
-                for cond, queue in record["cond_queues"].items()
+                cond: _queue(queue) for cond, queue in cond_queues.items()
             },
-            running=_queue(record["running"]),
-            urgent=_queue(record.get("urgent", [])),
+            running=_queue(running),
+            urgent=_queue(urgent),
             resource_count=count,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise HistoryError(f"malformed state record {record!r}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise HistoryError(f"malformed state row {row!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- segments
 
 
 def segment_to_dict(segment: Segment) -> dict:
-    """One cut checkpoint window in the detection service's wire form.
+    """One cut checkpoint window in the detection service's wire form:
+    the previous and current states and every event as rows.
 
     Reached only through :func:`repro.service.protocol.segment_to_wire`.
-    The previous and current states are keyed objects, as on disk; each
-    event is the positional array ``[seq, kind, pid, pname, time, flag,
-    cond]`` (:class:`SchedulingEvent`'s field order, ``kind`` as its
-    :class:`EventKind` value, ``cond`` null when absent).  The arrays
-    carry no key names, so a window is about half the bytes of keyed
-    events and the server's JSON parse builds no per-event dict.  Files
-    on disk keep the keyed :func:`event_to_dict` form.
+    The rows carry no key names, so the server's JSON parse builds no
+    per-record dict.
     """
     return {
-        "previous": state_to_dict(segment.previous),
-        "events": [
-            [seq, kind._value_, pid, pname, time, flag, cond]
-            for seq, kind, pid, pname, time, flag, cond in segment.events
-        ],
-        "current": state_to_dict(segment.current),
+        "previous": state_to_row(segment.previous),
+        "events": list(map(event_to_row, segment.events)),
+        "current": state_to_row(segment.current),
         "dropped": segment.dropped,
     }
-
-
-def events_from_wire(records) -> tuple:
-    """Decode a window's positional event arrays (see
-    :func:`segment_to_dict`) in one loop.
-
-    This is the service's trust boundary, so each record must be a
-    7-element array with an int ``seq``, ``pid`` and ``flag``, a str
-    ``pname``, a finite ``time`` (:func:`is_wire_time`), a known ``kind``
-    and a str or null ``cond`` (``bool`` is not an int here).  The loop
-    then runs the :class:`SchedulingEvent` constructor's two checks
-    inline — the flag is 0 or 1, a Wait names its condition — and builds
-    each event as the plain tuple record it is.  Any other shape, the
-    keyed on-disk object included, raises
-    :class:`~repro.errors.HistoryError`.
-    """
-    kinds = _EVENT_KINDS
-    wait = EventKind.WAIT
-    number = _NUMBER
-    top = _MAX_TIME
-    bottom = -top
-    new_event = tuple.__new__
-    event_type = SchedulingEvent
-    events = []
-    append = events.append
-    record = None
-    try:
-        for record in records:
-            if type(record) is not list:
-                raise TypeError("not an array")
-            seq, kind, pid, pname, time, flag, cond = record
-            if (
-                type(seq) is not int
-                or type(pid) is not int
-                or type(pname) is not str
-                or type(time) not in number
-                or type(flag) is not int
-                or (cond is not None and type(cond) is not str)
-            ):
-                raise TypeError("a field has the wrong type")
-            if not bottom <= time <= top:
-                raise ValueError("time is not finite")
-            if flag != 0 and flag != 1:
-                raise ValueError(f"event flag must be 0 or 1, got {flag}")
-            kind = kinds[kind]
-            if cond is None and kind is wait:
-                raise ValueError("Wait events require a condition name")
-            append(
-                new_event(
-                    event_type, (seq, kind, pid, pname, time, flag, cond)
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HistoryError(f"malformed wire event {record!r}: {exc}") from exc
-    return tuple(events)
 
 
 def segment_from_dict(raw: dict) -> Segment:
@@ -374,9 +351,9 @@ def segment_from_dict(raw: dict) -> Segment:
         if type(dropped) is not int or dropped < 0:
             raise ValueError(f"dropped {dropped!r} is not a count")
         return Segment(
-            previous=state_from_dict(raw["previous"]),
-            events=events_from_wire(raw["events"]),
-            current=state_from_dict(raw["current"]),
+            previous=state_from_row(raw["previous"]),
+            events=events_from_rows(raw["events"]),
+            current=state_from_row(raw["current"]),
             dropped=dropped,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -386,21 +363,19 @@ def segment_from_dict(raw: dict) -> Segment:
 # ------------------------------------------------------------------- sinks
 
 
-#: The row :func:`sink_state_to_dict` returns, field by field.  The base
-#: state and the pending events keep their keyed forms
-#: (:func:`state_to_dict`, :func:`event_to_dict`), so each type still has
-#: one codec.
+#: The row :func:`sink_state_to_row` returns, field by field: the base
+#: state is a state row (or null), the pending events are event rows.
 SINK_FIELDS: Fields = (
     ("seq", INT),
     ("total_recorded", INT),
-    ("last_state", OPTIONAL_DICT),
+    ("last_state", OPTIONAL_LIST),
     ("pending", LIST),
     ("dropped_events", INT),
     ("pending_dropped", INT),
 )
 
 
-def sink_state_to_dict(sink) -> list:
+def sink_state_to_row(sink) -> list:
     """Snapshot an :class:`~repro.history.sink.EventSink`'s live state as
     a :data:`SINK_FIELDS` row.
 
@@ -415,15 +390,15 @@ def sink_state_to_dict(sink) -> list:
     return [
         sink._seq,
         sink._total_recorded,
-        None if last_state is None else state_to_dict(last_state),
-        [event_to_dict(event) for event in sink.pending_events],
+        None if last_state is None else state_to_row(last_state),
+        list(map(event_to_row, sink.pending_events)),
         sink.dropped_events,
         getattr(sink, "pending_dropped", 0),
     ]
 
 
 def apply_sink_state(sink, row: list) -> None:
-    """Restore a :func:`sink_state_to_dict` row into a (fresh) sink.
+    """Restore a :func:`sink_state_to_row` row into a (fresh) sink.
 
     The whole row is decoded before the sink changes; a row of the wrong
     shape, or a base state or pending event that does not decode, raises
@@ -437,11 +412,11 @@ def apply_sink_state(sink, row: list) -> None:
         row, SINK_FIELDS, "sink"
     )
     try:
-        base = None if last_state is None else state_from_dict(last_state)
+        base = None if last_state is None else state_from_row(last_state)
     except HistoryError as exc:
         raise RecoveryError(f"sink field 'last_state': {exc}") from exc
     try:
-        events = [event_from_dict(raw) for raw in pending]
+        events = events_from_rows(pending)
     except HistoryError as exc:
         raise RecoveryError(f"sink field 'pending': {exc}") from exc
     sink._seq = seq
@@ -467,17 +442,20 @@ def dump_trace(
     events: Iterable[SchedulingEvent],
     states: Iterable[SchedulingState] = (),
 ) -> int:
-    """Write events (and optional checkpoint states) as JSON lines.
+    """Write checkpoint states, then events, one compact row per line.
 
-    States and events are written in one stream, distinguished by their
-    ``kind`` field; returns the number of lines written.
+    An event line is a WAL line (:func:`event_to_json_line`); a state
+    line is the compact JSON of its :func:`state_to_row` row.  Returns the
+    number of lines written.
     """
     written = 0
     for state in states:
-        stream.write(json.dumps(state_to_dict(state)) + "\n")
+        stream.write(
+            json.dumps(state_to_row(state), separators=(",", ":")) + "\n"
+        )
         written += 1
     for event in events:
-        stream.write(json.dumps(event_to_dict(event)) + "\n")
+        stream.write(event_to_json_line(event))
         written += 1
     return written
 
@@ -485,8 +463,11 @@ def dump_trace(
 def load_trace(
     stream: IO[str],
 ) -> tuple[tuple[SchedulingEvent, ...], tuple[SchedulingState, ...]]:
-    """Read a JSONL trace back into (events, states).
+    """Read a trace file back into (events, states).
 
+    A 7-element row is an event, decoded by :func:`events_from_rows`; a
+    6-element row is a state, decoded by :func:`state_from_row`.  Any
+    other line raises :class:`~repro.errors.HistoryError` naming it.
     Events are re-sorted by sequence number so that concatenated or
     interleaved dumps still load as a well-ordered trace.
     """
@@ -497,20 +478,21 @@ def load_trace(
         if not line:
             continue
         try:
-            record = json.loads(line)
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise HistoryError(
                 f"line {line_number}: invalid JSON: {exc}"
             ) from exc
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind == "event":
-            events.append(event_from_dict(record))
-        elif kind == "state":
-            states.append(state_from_dict(record))
-        else:
-            raise HistoryError(
-                f"line {line_number}: unknown record kind {kind!r}"
-            )
+        width = len(row) if type(row) is list else None
+        try:
+            if width == 7:
+                events += events_from_rows((row,))
+            elif width == 6:
+                states.append(state_from_row(row))
+            else:
+                raise HistoryError(f"not an event or a state row: {row!r}")
+        except HistoryError as exc:
+            raise HistoryError(f"line {line_number}: {exc}") from exc
     events.sort(key=lambda event: event.seq)
     states.sort(key=lambda state: state.time)
     return tuple(events), tuple(states)

@@ -4,10 +4,10 @@ The paper's Section 3.1 history database is the audit trail every FD-Rule
 is evaluated against — and in the in-memory sinks it dies with the
 process.  :class:`WriteAheadLog` is an :class:`~repro.history.sink.EventSink`
 that keeps the usual in-memory open window *and* appends every recorded
-event to an on-disk JSONL segment (one :func:`~repro.history.serialize
-.event_to_dict` object per line) before the recording call returns, so a
-restarted detector can rebuild the window it lost
-(see :mod:`repro.detection.durability`).
+event to an on-disk JSONL segment (the compact JSON of one
+:func:`~repro.history.serialize.event_to_row` row per line) before the
+recording call returns, so a restarted detector can rebuild the window
+it lost (see :mod:`repro.detection.durability`).
 
 Durability model
 ----------------
@@ -40,12 +40,16 @@ append.
 
 Segments rotate once the active file passes ``segment_bytes``; replay
 (:meth:`iter_durable_events`) walks all segments in the order of their
-numbers (:func:`file_number`).  A torn final line — the signature of
-dying mid-append — is tolerated: it is physically truncated away when
-the log is reopened and silently skipped during replay.  A torn line
-anywhere *else*, a line that is not valid UTF-8 included, is corruption
-and raises :class:`~repro.errors.HistoryError` naming the segment and
-the line.
+numbers (:func:`file_number`).  Reopening and replay decode every line
+through :func:`~repro.history.serialize.events_from_rows`, the decoder
+of every other event boundary.  A torn final line — the signature of
+dying mid-append: bytes that do not decode, or a bare integer left by a
+length prefix — is tolerated: it is physically truncated away when the
+log is reopened and silently skipped during replay.  Any other line that
+is not an event row, a torn line before the tail, a line that is not
+valid UTF-8, a mistyped field or the keyed object of earlier versions,
+is corruption and raises :class:`~repro.errors.HistoryError` naming the
+segment and the line.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ from typing import IO, Iterator, Optional, Union
 from repro.errors import HistoryError
 from repro.history.events import SchedulingEvent
 from repro.history.serialize import (
-    event_from_dict,
     event_to_json_line,
     event_to_json_line_reusing_time,
+    events_from_rows,
 )
 from repro.history.sink import EventSink
 from repro.history.states import SchedulingState
@@ -223,8 +227,8 @@ class WriteAheadLog(EventSink):
         shares this file format — a dangling length prefix (a bare
         integer line) whose frame body never made it to disk.  The shared
         :func:`~repro.service.framing.good_jsonl_prefix` scanner finds
-        the durable prefix (last complete line that is a JSON *object*)
-        and the log resumes from there.
+        the durable prefix (last complete line that is a JSON array or
+        object) and the log resumes from there.
         """
         raw = path.read_bytes()
         good = good_jsonl_prefix(raw)
@@ -237,10 +241,8 @@ class WriteAheadLog(EventSink):
     def _scan_highest_seq(self, segments: list[Path]) -> int:
         """Highest event seq already durable (−1 when the log is empty)."""
         for path in reversed(segments):
-            highest = -1
-            for record in self._iter_segment(path, final=path is segments[-1]):
-                if record.get("seq", -1) > highest:
-                    highest = record["seq"]
+            events = self._segment_events(path, final=path is segments[-1])
+            highest = max((event.seq for event in events), default=-1)
             if highest >= 0:
                 return highest
         return -1
@@ -396,32 +398,34 @@ class WriteAheadLog(EventSink):
         if event.seq >= self._seq:
             self._seq = event.seq + 1
 
-    def _iter_segment(self, path: Path, *, final: bool) -> Iterator[dict]:
+    def _segment_events(
+        self, path: Path, *, final: bool
+    ) -> Iterator[SchedulingEvent]:
         # Decoded line by line: one undecodable byte is one corrupt line,
         # reported as such, not a failure to read the whole segment.
         lines = path.read_bytes().splitlines()
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
+            torn = final and number == len(lines)
             try:
-                record = json.loads(line.decode("utf-8"))
+                row = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # bad UTF-8 or bad JSON
-                if final and number == len(lines):
-                    return  # torn tail: the write died mid-line
+                if torn:
+                    return  # the write died mid-line
                 raise HistoryError(
                     f"{path.name} line {number}: corrupt WAL record: {exc}"
                 ) from exc
-            if not isinstance(record, dict):
-                # Valid JSON but not a record — e.g. a bare integer left
-                # by a torn length-prefixed write on a log that was never
-                # reopened (reopen would have truncated it away).
-                if final and number == len(lines):
-                    return
-                raise HistoryError(
-                    f"{path.name} line {number}: corrupt WAL record: "
-                    f"expected an object, got {type(record).__name__}"
-                )
-            yield record
+            if torn and type(row) is int:
+                # A bare integer left by a torn length-prefixed write on a
+                # log that was never reopened (reopen would have truncated
+                # it away).
+                return
+            try:
+                (event,) = events_from_rows((row,))
+            except HistoryError as exc:
+                raise HistoryError(f"{path.name} line {number}: {exc}") from exc
+            yield event
 
     def iter_durable_events(self) -> Iterator[SchedulingEvent]:
         """Replay every durable event, oldest first (torn-tail tolerant)."""
@@ -429,8 +433,7 @@ class WriteAheadLog(EventSink):
             self._handle.flush()
         segments = self.segment_paths()
         for path in segments:
-            for record in self._iter_segment(path, final=path is segments[-1]):
-                yield event_from_dict(record)
+            yield from self._segment_events(path, final=path is segments[-1])
 
     # -------------------------------------------------------------- lifecycle
 
@@ -469,7 +472,7 @@ class WriteAheadLog(EventSink):
         must truncate.  No real event is lost — the junk never carried one.
         """
         assert self._handle is not None, "torn append on a closed WAL"
-        junk = '{"kind": "event", "event": "Enter", "seq"'
+        junk = '[0,"Enter",1,"Se'
         self._handle.write(junk)
         self._handle.flush()
         self._active_size += len(junk)

@@ -10,9 +10,10 @@ is *also* a well-formed line stream — every frame contributes a bare
 integer line followed by a JSON-object line.  That makes the torn-tail
 story identical on both sides of the wire: whether a writer died
 mid-append to a WAL segment or a connection died mid-frame, the durable
-prefix ends at the last complete line that parses as a JSON **object**,
-and everything after it — a partial line, a dangling length prefix whose
-body never arrived, a half-encoded scalar — is torn tail.
+prefix ends at the last complete line that parses as a JSON **array or
+object** (a WAL line is an event row, a journal line or a frame body an
+object), and everything after it — a partial line, a dangling length
+prefix whose body never arrived, a half-encoded scalar — is torn tail.
 :func:`good_jsonl_prefix` computes that prefix; the write-ahead log and
 both report journals truncate to it on reopen (the journals through
 :func:`load_jsonl_journal`), and :class:`FrameDecoder` enforces the same
@@ -139,16 +140,17 @@ def good_jsonl_prefix(raw: bytes) -> int:
     """Byte length of the durable prefix of a JSONL byte stream.
 
     The prefix ends at the last complete, newline-terminated line whose
-    content parses as a JSON *object* — the only record shape the WAL,
-    the report journal and the wire protocol ever write.  Scanning from
-    the tail, the following are recognised as torn and excluded:
+    content parses as a JSON *array or object* — the only record shapes
+    the WAL (event rows), the report journals and the wire protocol
+    (objects) ever write.  Scanning from the tail, the following are
+    recognised as torn and excluded:
 
     * a final line without its newline (died mid-body — or mid-header),
     * trailing blank lines,
     * complete all-digit lines (a length prefix whose body never made it
       to disk — the truncated-length-prefix crash signature),
     * at most **one** complete line that is junk in any other way (not
-      JSON, or JSON but not an object): a single torn write can corrupt
+      JSON, or a JSON scalar): a single torn write can corrupt
       at most one such line, so anything deeper is real corruption and is
       deliberately left in place for replay to raise on.
     """
@@ -175,7 +177,7 @@ def good_jsonl_prefix(raw: bytes) -> int:
             stripped_junk = True
             good = start
             continue
-        if isinstance(record, dict):
+        if isinstance(record, (dict, list)):
             break
         if stripped_junk:
             break
@@ -190,7 +192,8 @@ def load_jsonl_journal(path: Path, apply: Callable[[dict], None]) -> bool:
     Truncates the file in place to its :func:`good_jsonl_prefix`, passes
     each remaining record to ``apply`` in file order, and returns whether
     a torn tail was cut.  A line before the tail that is not a JSON
-    object, or that ``apply`` rejects with
+    object (a complete array line included, which the prefix counts as a
+    record), or that ``apply`` rejects with
     :class:`~repro.errors.RecoveryError`, is corruption, not a torn
     write: the :class:`~repro.errors.RecoveryError` raised names the file
     and the 1-based line.

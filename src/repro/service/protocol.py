@@ -12,8 +12,8 @@ hello      client   handshake: name, resume token, stream catalogue
 welcome    server   handshake reply: authoritative per-stream
                     watermarks and the initial window credits
 window     client   one checkpoint window of one stream: sequence
-                    number, the cut segment (keyed states, each event
-                    a positional array), and carried loss accounting
+                    number, the cut segment (each state and each event
+                    a positional row), and carried loss accounting
                     for windows shed client-side
 ack        server   durably-processed watermarks + replenished credits
 backpressure server the connection is over its ingest quota; stop
@@ -28,15 +28,17 @@ Windows use the history serialisation codecs
 travels as its previous/current states plus the event list, with the
 ``dropped`` count — the same triple the in-process checker consumes, so
 the server-side shadow evaluation is input-identical to local checking.
-States are keyed objects, as on disk.  Each event is the 7-element array
-``[seq, kind, pid, pname, time, flag, cond]`` (``kind`` as its
+Each state and each event is the row that snapshots and trace files
+hold too (and WAL lines, for events): a state ``[time, entry_queue,
+cond_queues, running, urgent, resource_count]``, an event ``[seq, kind,
+pid, pname, time, flag, cond]`` (``kind`` as its
 :class:`~repro.history.events.EventKind` value, ``cond`` null when
-absent): about half the bytes of the keyed object the WAL and trace
-files write, and about half the server's JSON parse time.  The server decodes the
-arrays with type checks at this trust boundary; any other shape,
-including protocol version 1's keyed event objects, is a
+absent).  The server decodes the rows with
+type checks at this trust boundary; any other shape, including the keyed
+event objects of version 1 and the keyed states of version 2, is a
 :class:`ProtocolError` that quarantines the sending connection.  Version
-2 is the positional form, so a version-1 client is refused at hello.
+3 ships states as rows, so a client of an earlier version is refused at
+hello.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ __all__ = [
     "frame_type",
 ]
 
-#: Version 2 ships window events as positional arrays.  A client of
+#: Version 3 ships window states and events as rows.  A client of
 #: another version is refused at hello, so no server ever has to guess
-#: which event shape a window carries.
-PROTOCOL_VERSION = 2
+#: which shape a window carries.
+PROTOCOL_VERSION = 3
 
 #: Per-stream rule overrides a hello may carry (applied server-side on
 #: top of the daemon's base DetectorConfig).
@@ -82,8 +84,8 @@ class ProtocolError(ServiceError):
 
 
 def segment_to_wire(segment: Segment) -> dict:
-    """One cut checkpoint window as a JSON-compatible dict, events as
-    positional arrays.
+    """One cut checkpoint window as a JSON-compatible dict, states and
+    events as rows.
 
     The codec itself lives in :mod:`repro.history.serialize`; this
     wrapper pins the service's wire shape to it.

@@ -33,7 +33,13 @@ from repro.history.serialize import (
 )
 from repro.kernel import Delay, RandomPolicy, SimKernel, ThreadKernel
 from repro.service.server import ServiceJournal
+from tests.history.test_serialize import STATE_SLOTS
 from tests.history.test_wal import count_fsyncs
+
+
+#: The keys of the keyed event objects earlier formats wrote, in the
+#: order of an event row's fields.
+EVENT_KEYS = ("seq", "event", "pid", "pname", "time", "flag", "cond")
 
 
 def sample_report(detected_at=1.5, rule=STRule.RELEASE_REQUIRES_REQUEST):
@@ -195,6 +201,18 @@ class TestEitherJournalLoads:
         first, second = two_report_journal(journal_class, path)
         path.write_text(first + corrupt + "\n" + second, encoding="utf-8")
         with pytest.raises(RecoveryError, match="journal.jsonl line 2: corrupt"):
+            journal_class(path)
+
+    def test_complete_array_last_line_is_corruption(
+        self, tmp_path, journal_class
+    ):
+        # The torn-tail scan counts an array line as a record (a WAL line
+        # is an event row), so in a journal it is corruption, not a tail.
+        path = tmp_path / "journal.jsonl"
+        two_report_journal(journal_class, path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+        with pytest.raises(RecoveryError, match="jsonl line 3: corrupt"):
             journal_class(path)
 
     @pytest.mark.parametrize("field", ["rule", "monitor", "confidence"])
@@ -637,6 +655,28 @@ class TestDurableEngine:
         with pytest.raises(RecoveryError, match=str(path)) as excinfo:
             rebuilt.recover()
         assert "keyed" in str(excinfo.value)
+        rebuilt.close()
+
+    def test_rows_1_snapshot_is_refused(self, tmp_path):
+        session = run_with_misuse(tmp_path)
+        session.close()
+        # A slot holding the payload as rows-1 wrote it: the same rows,
+        # but each sink's base state and pending events keyed.
+        store = SnapshotStore(tmp_path / "shard-0" / "snapshots")
+        payload, __ = store.load_latest()
+        tag, supervisor, engine = payload
+        for monitor in supervisor[2]:
+            sink = monitor[7]
+            sink[2] = {"kind": "state", **dict(zip(STATE_SLOTS, sink[2]))}
+            sink[3] = [
+                {"kind": "event", **dict(zip(EVENT_KEYS, row))}
+                for row in sink[3]
+            ]
+        path = store.write(["durable-engine/rows-1", supervisor, engine])
+        __, __, rebuilt = build_durable(tmp_path)
+        with pytest.raises(RecoveryError, match=str(path)) as excinfo:
+            rebuilt.recover()
+        assert "'durable-engine/rows-1'" in str(excinfo.value)
         rebuilt.close()
 
     @pytest.mark.parametrize(

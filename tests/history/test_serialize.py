@@ -1,4 +1,5 @@
-"""Tests for trace serialisation (JSONL round trips)."""
+"""Tests for history serialisation: event and state rows, trace files
+and the WAL's line encoders."""
 
 import io
 import json
@@ -19,14 +20,13 @@ from repro.history.events import (
 )
 from repro.history.serialize import (
     dump_trace,
-    event_from_dict,
-    event_to_dict,
     event_to_json_line,
     event_to_json_line_reusing_time,
-    events_from_wire,
+    event_to_row,
+    events_from_rows,
     load_trace,
-    state_from_dict,
-    state_to_dict,
+    state_from_row,
+    state_to_row,
 )
 from repro.history.states import QueueEntry, SchedulingState
 
@@ -42,20 +42,60 @@ def sample_state():
     )
 
 
+#: Field names of a state row, in order.
+STATE_SLOTS = (
+    "time", "entry_queue", "cond_queues", "running", "urgent",
+    "resource_count",
+)
+
+
+def state_row_with(**fields):
+    """:func:`sample_state`'s row with ``fields`` replaced."""
+    row = state_to_row(sample_state())
+    for name, value in fields.items():
+        row[STATE_SLOTS.index(name)] = value
+    return row
+
+
+#: An event and a state in the keyed form earlier versions wrote; no
+#: decoder reads either.
+KEYED_EVENT = {
+    "kind": "event", "event": "Enter", "seq": 0, "pid": 1, "pname": "Op",
+    "time": 0.0, "flag": 1,
+}
+KEYED_STATE = {
+    "kind": "state", "time": 4.2, "entry_queue": [], "cond_queues": {},
+    "running": [], "urgent": [], "resource_count": None,
+}
+
+
 class TestDictRoundTrips:
+    """Each record's row codec round-trips (through JSON where it says)."""
+
     def test_event_round_trip(self):
         event = signal_exit_event(7, 3, "Send", 1.25, flag=1, cond="empty")
-        assert event_from_dict(event_to_dict(event)) == event
+        row = event_to_row(event)
+        assert row == [7, "Signal-Exit", 3, "Send", 1.25, 1, "empty"]
+        assert events_from_rows([row]) == (event,)
 
     def test_event_without_cond(self):
         event = enter_event(0, 1, "Op", 0.0, 1)
-        record = event_to_dict(event)
-        assert "cond" not in record
-        assert event_from_dict(record) == event
+        row = event_to_row(event)
+        assert row[6] is None
+        assert events_from_rows(json.loads(json.dumps([row]))) == (event,)
 
     def test_state_round_trip(self):
         state = sample_state()
-        loaded = state_from_dict(state_to_dict(state))
+        row = state_to_row(state)
+        assert row == [
+            4.2,
+            [[1, "Send", 1.0]],
+            {"full": [[2, "Send", 2.0]], "empty": []},
+            [[3, "Receive", 3.0]],
+            [[4, "Send", 3.5]],
+            2,
+        ]
+        loaded = state_from_row(json.loads(json.dumps(row)))
         assert loaded.time == state.time
         assert loaded.entry_queue == state.entry_queue
         assert dict(loaded.cond_queues) == dict(state.cond_queues)
@@ -64,38 +104,27 @@ class TestDictRoundTrips:
         assert loaded.resource_count == state.resource_count
 
     def test_wrong_kind_rejected(self):
+        # An event row is no state row, and a state row no event row.
         with pytest.raises(HistoryError):
-            event_from_dict({"kind": "state"})
+            events_from_rows([state_to_row(sample_state())])
         with pytest.raises(HistoryError):
-            state_from_dict({"kind": "event"})
+            state_from_row(event_to_row(enter_event(0, 1, "Op", 0.0, 1)))
 
     def test_malformed_event_rejected(self):
         with pytest.raises(HistoryError):
-            event_from_dict({"kind": "event", "event": "Nonsense", "seq": 0})
+            events_from_rows([[0, "Nonsense", 1, "Op", 0.0, 0, None]])
 
 
-#: Well-formed JSON event records that the file decoder rejects.  The
+#: Well-formed JSON event rows that a trace file may not hold.  The
 #: first two reach the event constructor's own checks:
 #: ``SchedulingEvent._make`` and ``_replace`` skip them and would accept
-#: both, so these pin that the file decoder builds events through the
-#: constructor.  The last two name no event kind.
+#: both, so these pin that the file reader gives every event those
+#: checks.  The last two name no event kind.
 INVALID_EVENTS = {
-    "flag-2": {
-        "kind": "event", "event": "Enter", "seq": 0, "pid": 1,
-        "pname": "Op", "time": 0.0, "flag": 2,
-    },
-    "wait-without-cond": {
-        "kind": "event", "event": "Wait", "seq": 0, "pid": 1,
-        "pname": "Op", "time": 0.0, "flag": 0,
-    },
-    "unknown-kind": {
-        "kind": "event", "event": "Nonsense", "seq": 0, "pid": 1,
-        "pname": "Op", "time": 0.0, "flag": 0,
-    },
-    "kind-array": {
-        "kind": "event", "event": ["Enter"], "seq": 0, "pid": 1,
-        "pname": "Op", "time": 0.0, "flag": 0,
-    },
+    "flag-2": [0, "Enter", 1, "Op", 0.0, 2, None],
+    "wait-without-cond": [0, "Wait", 1, "Op", 0.0, 0, None],
+    "unknown-kind": [0, "Nonsense", 1, "Op", 0.0, 0, None],
+    "kind-array": [0, ["Enter"], 1, "Op", 0.0, 0, None],
 }
 
 #: A valid positional wire event: ``[seq, kind, pid, pname, time, flag,
@@ -146,15 +175,17 @@ INVALID_WIRE_EVENTS = {
 class TestDecoderValidation:
     @pytest.mark.parametrize("name", sorted(INVALID_EVENTS))
     def test_event_from_dict_rejects(self, name):
-        with pytest.raises(HistoryError):
-            event_from_dict(dict(INVALID_EVENTS[name]))
+        # The trace reader refuses the line, naming it.
+        text = "\n" + json.dumps(INVALID_EVENTS[name]) + "\n"
+        with pytest.raises(HistoryError, match="line 2"):
+            load_trace(io.StringIO(text))
 
     @pytest.mark.parametrize("name", sorted(INVALID_WIRE_EVENTS))
     def test_events_from_wire_rejects(self, name):
         good = [0, "Enter", 2, "Op", 0.5, 1, None]
-        assert events_from_wire([good, VALID_WIRE])
+        assert events_from_rows([good, VALID_WIRE])
         with pytest.raises(HistoryError):
-            events_from_wire([good, list(INVALID_WIRE_EVENTS[name])])
+            events_from_rows([good, list(INVALID_WIRE_EVENTS[name])])
 
     def test_events_from_wire_decodes_valid_batch(self):
         events = (
@@ -169,45 +200,47 @@ class TestDecoderValidation:
             [2, "Signal-Exit", 2, "Receive", 0.3, 1, "full"],
             [3, "Signal-Exit", 2, "Receive", 4, 0, None],
         ]
-        decoded = events_from_wire(records)
+        decoded = events_from_rows(records)
         assert decoded == events
         assert all(type(event) is SchedulingEvent for event in decoded)
 
     @pytest.mark.parametrize(
         "record",
         [
-            event_to_dict(enter_event(0, 1, "Op", 0.0, 1)),
-            event_to_dict(wait_event(0, 1, "Op", "full", 0.0)),
+            KEYED_EVENT,
+            dict(KEYED_EVENT, event="Wait", flag=0, cond="full"),
             (0, "Enter", 1, "Op", 0.0, 1, None),
             "Enter!!",
         ],
         ids=["keyed-object", "keyed-object-with-cond", "tuple", "string"],
     )
     def test_events_from_wire_takes_only_arrays(self, record):
-        # The keyed object the WAL and trace files write is not a wire
-        # event; nor is a 7-item sequence of another type, even though it
-        # would unpack into seven fields.
+        # The keyed object earlier versions wrote is not an event row;
+        # nor is a 7-item sequence of another type, even though it would
+        # unpack into seven fields.
         with pytest.raises(HistoryError):
-            events_from_wire([record])
+            events_from_rows([record])
 
     @pytest.mark.parametrize("record", [None, 5, [1, 2, 3], "Enter"])
     def test_non_object_event_rejected(self, record):
         with pytest.raises(HistoryError):
-            event_from_dict(record)
-        with pytest.raises(HistoryError):
-            events_from_wire([record])
+            events_from_rows([record])
+        with pytest.raises(HistoryError, match="line 1"):
+            load_trace(io.StringIO(json.dumps(record) + "\n"))
 
     @pytest.mark.parametrize("record", [None, 5, [1, 2, 3]])
     def test_non_object_state_rejected(self, record):
         with pytest.raises(HistoryError):
-            state_from_dict(record)
+            state_from_row(record)
+
+    def test_keyed_state_rejected(self):
+        with pytest.raises(HistoryError):
+            state_from_row(KEYED_STATE)
 
     @pytest.mark.parametrize("cond_queues", [None, 5, [1, 2, 3], "full"])
     def test_non_object_cond_queues_rejected(self, cond_queues):
-        record = state_to_dict(sample_state())
-        record["cond_queues"] = cond_queues
         with pytest.raises(HistoryError):
-            state_from_dict(record)
+            state_from_row(state_row_with(cond_queues=cond_queues))
 
     @pytest.mark.parametrize(
         "entry",
@@ -239,13 +272,19 @@ class TestDecoderValidation:
         "queue", ["entry_queue", "running", "urgent", "cond_queue"]
     )
     def test_malformed_queue_entry_rejected(self, queue, entry):
-        record = state_to_dict(sample_state())
+        row = state_to_row(sample_state())
         if queue == "cond_queue":
-            record["cond_queues"]["full"] = [entry]
+            row[STATE_SLOTS.index("cond_queues")]["full"] = [entry]
         else:
-            record[queue] = [entry]
+            row[STATE_SLOTS.index(queue)] = [entry]
         with pytest.raises(HistoryError):
-            state_from_dict(record)
+            state_from_row(row)
+
+    @pytest.mark.parametrize("queue", ["entry_queue", "running", "urgent"])
+    @pytest.mark.parametrize("value", [None, "abc", {}, 5])
+    def test_non_array_queue_rejected(self, queue, value):
+        with pytest.raises(HistoryError):
+            state_from_row(state_row_with(**{queue: value}))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -263,15 +302,19 @@ class TestDecoderValidation:
         ],
     )
     def test_malformed_state_scalar_rejected(self, field, value):
-        record = state_to_dict(sample_state())
-        record[field] = value
         with pytest.raises(HistoryError):
-            state_from_dict(record)
+            state_from_row(state_row_with(**{field: value}))
+
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_state_row_of_another_width_rejected(self, width):
+        row = state_to_row(sample_state())
+        row = row[:width] if width < len(row) else [*row, None]
+        with pytest.raises(HistoryError):
+            state_from_row(row)
 
     def test_integer_since_is_a_number(self):
-        record = state_to_dict(sample_state())
-        record["running"] = [[3, "Receive", 3]]
-        running = state_from_dict(record).running
+        row = state_row_with(running=[[3, "Receive", 3]])
+        running = state_from_row(row).running
         assert running == (QueueEntry(3, "Receive", 3),)
 
 
@@ -286,10 +329,14 @@ class TestStreamRoundTrips:
         buffer = io.StringIO()
         written = dump_trace(buffer, events, states)
         assert written == 4
+        # One compact row per line; an event line is a WAL line.
+        lines = buffer.getvalue().splitlines(keepends=True)
+        assert json.loads(lines[0]) == state_to_row(states[0])
+        assert lines[1:] == [event_to_json_line(event) for event in events]
         buffer.seek(0)
         loaded_events, loaded_states = load_trace(buffer)
         assert loaded_events == events
-        assert len(loaded_states) == 1
+        assert loaded_states == states
 
     def test_events_resorted_by_seq(self):
         events = (
@@ -303,9 +350,7 @@ class TestStreamRoundTrips:
         assert [event.seq for event in loaded] == [2, 5]
 
     def test_blank_lines_skipped(self):
-        buffer = io.StringIO('\n{"kind": "event", "event": "Enter", '
-                             '"seq": 0, "pid": 1, "pname": "Op", '
-                             '"time": 0.0, "flag": 1}\n\n')
+        buffer = io.StringIO('\n[0, "Enter", 1, "Op", 0.0, 1, null]\n\n')
         events, states = load_trace(buffer)
         assert len(events) == 1 and states == ()
 
@@ -316,7 +361,20 @@ class TestStreamRoundTrips:
 
     def test_unknown_kind_rejected(self):
         buffer = io.StringIO('{"kind": "mystery"}\n')
-        with pytest.raises(HistoryError, match="unknown record kind"):
+        with pytest.raises(
+            HistoryError, match="line 1: not an event or a state row"
+        ):
+            load_trace(buffer)
+
+    @pytest.mark.parametrize(
+        "record", [KEYED_EVENT, KEYED_STATE], ids=["event", "state"]
+    )
+    def test_keyed_trace_line_is_refused(self, record):
+        # The keyed objects earlier versions wrote are refused, naming
+        # the line, never misread.
+        good = event_to_json_line(enter_event(0, 1, "Op", 0.0, 1))
+        buffer = io.StringIO(good + json.dumps(record) + "\n")
+        with pytest.raises(HistoryError, match="line 2"):
             load_trace(buffer)
 
 
@@ -348,7 +406,7 @@ class TestPropertyRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(event=events_strategy())
     def test_any_event_round_trips(self, event):
-        assert event_from_dict(event_to_dict(event)) == event
+        assert events_from_rows([event_to_row(event)]) == (event,)
 
     @settings(max_examples=50, deadline=None)
     @given(events=st.lists(events_strategy(), max_size=20))
@@ -370,9 +428,23 @@ names = st.text(
 )
 
 
+def _needs_17_digits(value: float) -> bool:
+    return float(f"{value:.16g}") != value
+
+
+#: Finite times, including ones whose shortest repr needs all 17
+#: significant digits, and integers (a JSON number may decode to either).
+times = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).filter(_needs_17_digits)
+    | st.integers(-(2**53), 2**53)
+)
+
+
 @st.composite
 def any_events(draw):
-    """Every kind, with and without ``cond``, any finite time."""
+    """Every kind, with and without ``cond``; any finite or integer time;
+    names with quotes, backslashes, control and non-ASCII characters."""
     kind = draw(kinds)
     cond = draw(names if kind is EventKind.WAIT else st.none() | names)
     return SchedulingEvent(
@@ -380,10 +452,60 @@ def any_events(draw):
         kind=kind,
         pid=draw(st.integers(-1, 2**31)),
         pname=draw(names),
-        time=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        time=draw(times),
         flag=0 if kind is EventKind.WAIT else draw(st.integers(0, 1)),
         cond=cond,
     )
+
+
+queues = st.lists(
+    st.builds(QueueEntry, st.integers(-1, 2**31), names, times), max_size=3
+).map(tuple)
+
+
+@st.composite
+def any_states(draw):
+    """States with such names and times in every queue."""
+    return SchedulingState(
+        time=draw(times),
+        entry_queue=draw(queues),
+        cond_queues=draw(st.dictionaries(names, queues, max_size=3)),
+        running=draw(queues),
+        urgent=draw(queues),
+        resource_count=draw(st.none() | st.integers(-(2**31), 2**31)),
+    )
+
+
+def through_json(value):
+    return json.loads(json.dumps(value))
+
+
+class TestRowCodecProperties:
+    """Each decoder inverts its encoder, through JSON, for any record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(any_events(), max_size=8))
+    @example(
+        events=[
+            SchedulingEvent(
+                2**63, EventKind.WAIT, -1, '"\\', 0.1 + 0.2, 0, "\x00"
+            ),
+            SchedulingEvent(0, EventKind.SIGNAL, 0, "\U0001f600", -0.0, 1),
+            SchedulingEvent(1, EventKind.ENTER, 2, "Op", 2**53, 1),
+        ]
+    )
+    def test_events_from_rows_inverts_event_to_row(self, events):
+        rows = through_json([event_to_row(event) for event in events])
+        decoded = events_from_rows(rows)
+        assert decoded == tuple(events)
+        assert [type(event.time) for event in decoded] == [
+            type(event.time) for event in events
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=any_states())
+    def test_state_from_row_inverts_state_to_row(self, state):
+        assert state_from_row(through_json(state_to_row(state))) == state
 
 
 #: Times that text reused on equality, not identity, would print wrongly:
@@ -404,19 +526,26 @@ def time_event(seq, time):
     return SchedulingEvent(seq, EventKind.ENTER, 1, "Op", time, 1)
 
 
+def compact_row(event):
+    """The reference WAL line: the event row through compact
+    ``json.dumps``."""
+    return json.dumps(event_to_row(event), separators=(",", ":")) + "\n"
+
+
 class TestFusedEncoder:
     """``event_to_json_line`` and ``event_to_json_line_reusing_time`` are
     the WAL's per-event encoders: both must stay byte-identical to the
-    dict codec through ``json.dumps``."""
+    event row through compact ``json.dumps``."""
 
     @settings(max_examples=300, deadline=None)
     @given(event=any_events())
+    @example(event=time_event(0, 2**53))
+    @example(event=time_event(1, 0.30000000000000004))
     def test_matches_json_dumps_and_round_trips(self, event):
         line = event_to_json_line(event)
-        compact = json.dumps(event_to_dict(event), separators=(",", ":"))
-        assert line == compact + "\n"
+        assert line == compact_row(event)
         assert event_to_json_line_reusing_time(event) == line
-        assert event_from_dict(json.loads(line)) == event
+        assert events_from_rows([json.loads(line)]) == (event,)
 
     @settings(max_examples=200, deadline=None)
     @given(times=st.lists(hazard_times, max_size=60))
@@ -426,8 +555,7 @@ class TestFusedEncoder:
         # encoder meets both the same time object and equal ones.
         for seq, time in enumerate(times):
             event = time_event(seq, time)
-            compact = json.dumps(event_to_dict(event), separators=(",", ":"))
-            assert event_to_json_line_reusing_time(event) == compact + "\n"
+            assert event_to_json_line_reusing_time(event) == compact_row(event)
 
     def test_concurrent_encoders_keep_each_times_own_text(self):
         # Four threads over disjoint sets of 17-digit times, each time
@@ -439,10 +567,7 @@ class TestFusedEncoder:
             times = [base + step / 7 for step in range(40)]
             for seq in range(4000):
                 event = time_event(seq, times[seq // 3 % len(times)])
-                compact = json.dumps(
-                    event_to_dict(event), separators=(",", ":")
-                )
-                if event_to_json_line_reusing_time(event) != compact + "\n":
+                if event_to_json_line_reusing_time(event) != compact_row(event):
                     failures.append(event)
 
         threads = [
@@ -488,7 +613,7 @@ class TestEndToEnd:
 
 
 class TestSinkStateRoundTrip:
-    """sink_state_to_dict / apply_sink_state, including drop accounting."""
+    """sink_state_to_row / apply_sink_state, including drop accounting."""
 
     @staticmethod
     def _state(t):
@@ -510,12 +635,12 @@ class TestSinkStateRoundTrip:
         from repro.history.serialize import (
             SINK_FIELDS,
             apply_sink_state,
-            sink_state_to_dict,
+            sink_state_to_row,
         )
 
         sink = self._saturated_bounded(capacity=4, recorded=10)
         assert sink.pending_dropped == 6
-        record = sink_state_to_dict(sink)
+        record = sink_state_to_row(sink)
         assert dict(zip((name for name, __ in SINK_FIELDS), record))[
             "pending_dropped"
         ] == 6
@@ -539,12 +664,12 @@ class TestSinkStateRoundTrip:
         from repro.history import BoundedHistory
         from repro.history.serialize import (
             apply_sink_state,
-            sink_state_to_dict,
+            sink_state_to_row,
         )
 
         sink = self._saturated_bounded(capacity=8, recorded=6)
         assert sink.dropped_events == 0
-        record = sink_state_to_dict(sink)
+        record = sink_state_to_row(sink)
         # Replaying 6 pending events into capacity 2 evicts 4 of them —
         # but those evictions happened during *restoration*, not in the
         # monitored run; the snapshot's accounting is authoritative.
@@ -559,14 +684,14 @@ class TestSinkStateRoundTrip:
         from repro.history import HistoryDatabase
         from repro.history.serialize import (
             apply_sink_state,
-            sink_state_to_dict,
+            sink_state_to_row,
         )
 
         sink = HistoryDatabase()
         sink.open(self._state(0.0))
         for seq in range(5):
             sink.record(enter_event(seq, 2, "Receive", float(seq), 1))
-        record = sink_state_to_dict(sink)
+        record = sink_state_to_row(sink)
         restored = HistoryDatabase()
         restored.open(self._state(0.0))
         apply_sink_state(restored, record)

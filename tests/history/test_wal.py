@@ -1,5 +1,6 @@
 """WriteAheadLog: fsync policies, rotation, torn tails, replay, reopen."""
 
+import json
 import math
 import os
 
@@ -240,7 +241,7 @@ class TestTornTails:
         wal.close()
         path = wal.segment_paths()[-1]
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "event", "seq": \n')
+            handle.write('[1,"Enter",1,\n')
         reopened = make_wal(tmp_path)
         assert reopened.torn_tails_truncated == 1
         assert [e.seq for e in reopened.iter_durable_events()] == [0]
@@ -317,12 +318,67 @@ class TestTornTails:
         wal.flush()
         path = wal.segment_paths()[-1]
         with open(path, "ab") as handle:
-            handle.write(b'{"kind": "event", "pname": "\xff')
+            handle.write(b'[3,"Enter",1,"\xff')
         assert [e.seq for e in wal.iter_durable_events()] == [0, 1, 2]
         wal.close()
         reopened = make_wal(tmp_path)
         assert reopened.torn_tails_truncated == 1
         assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
+
+
+class TestLineDecoding:
+    """Reopen and replay decode every line as an event row, with the
+    decoder every other event boundary uses."""
+
+    @staticmethod
+    def rewrite_line(path, number, row):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[number - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_mistyped_seq_fails_reopen(self, tmp_path):
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.close()
+        path = wal.segment_paths()[-1]
+        self.rewrite_line(path, 2, ["7", "Enter", 1, "Send", 1.0, 1, None])
+        with pytest.raises(HistoryError, match=f"{path.name} line 2"):
+            make_wal(tmp_path)
+
+    def test_mistyped_fields_fail_replay(self, tmp_path):
+        wal = make_wal(tmp_path, segment_bytes=1)  # one event per segment
+        wal.open(state(0.0))
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.close()
+        sealed = wal.segment_paths()[0]
+        self.rewrite_line(sealed, 1, [0, "Enter", "x", "Send", "late", 1, None])
+        # Opening reads only the intact active segment; replay reads all.
+        reopened = make_wal(tmp_path, segment_bytes=1)
+        with pytest.raises(HistoryError, match=f"{sealed.name} line 1"):
+            list(reopened.iter_durable_events())
+
+    def test_keyed_line_is_refused_even_at_the_tail(self, tmp_path):
+        # The keyed object earlier versions wrote is complete JSON, not a
+        # torn write: it is refused, naming the line, never truncated.
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        for seq in range(2):
+            wal.record(event(seq))
+        wal.flush()
+        path = wal.segment_paths()[-1]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(
+                '{"kind": "event", "event": "Enter", "seq": 2, "pid": 1, '
+                '"pname": "Send", "time": 2.0, "flag": 1}\n'
+            )
+        with pytest.raises(HistoryError, match=f"{path.name} line 3"):
+            list(wal.iter_durable_events())
+        wal.close()
+        with pytest.raises(HistoryError, match=f"{path.name} line 3"):
+            make_wal(tmp_path)
 
 
 def set_byte(path, offset, value):

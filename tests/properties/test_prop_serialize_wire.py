@@ -7,8 +7,8 @@ through :mod:`repro.history.serialize` and
 ``decode(encode(x)) == x`` must hold bit-for-bit (structural equality on
 the frozen dataclasses), including lossy windows where the bounded sink
 dropped events (``Segment.dropped > 0``), because the service's shadow
-checkers must see exactly the window the client cut.  A window's events
-travel as positional arrays, so the round trips below run through the
+checkers must see exactly the window the client cut.  A window's states
+and events travel as rows, so the round trips below run through the
 service's own framing.
 """
 
@@ -27,18 +27,18 @@ from repro.detection.rules import FDRule, STRule
 from repro.history import BoundedHistory
 from repro.history.events import EventKind, SchedulingEvent
 from repro.history.serialize import (
-    events_from_wire,
+    events_from_rows,
     segment_from_dict,
     segment_to_dict,
-    state_from_dict,
-    state_to_dict,
+    state_from_row,
+    state_to_row,
 )
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
 from repro.kernel import Delay, FifoPolicy, SimKernel
 from repro.service.framing import FrameDecoder, encode_frame
 from repro.service.protocol import segment_from_wire, segment_to_wire
-from tests.history.test_serialize import events_strategy, kinds, names
+from tests.history.test_serialize import any_events, events_strategy
 
 
 # --------------------------------------------------------- strategies
@@ -82,35 +82,6 @@ def segments_strategy(draw):
         # Lossy windows included: dropped > 0 is the DEGRADED-confidence
         # path and must survive the wire unchanged.
         dropped=draw(st.integers(0, 5)),
-    )
-
-
-def _needs_17_digits(value: float) -> bool:
-    return float(f"{value:.16g}") != value
-
-
-#: Finite times, including ones whose shortest repr needs all 17
-#: significant digits, and integers (a JSON number may decode to either).
-times = (
-    st.floats(allow_nan=False, allow_infinity=False)
-    | st.floats(allow_nan=False, allow_infinity=False).filter(_needs_17_digits)
-    | st.integers(-(2**53), 2**53)
-)
-
-
-@st.composite
-def wire_events(draw):
-    """Every kind, with and without ``cond``; names with quotes,
-    backslashes, control and non-ASCII characters."""
-    kind = draw(kinds)
-    return SchedulingEvent(
-        seq=draw(st.integers(0, 2**63)),
-        kind=kind,
-        pid=draw(st.integers(-1, 2**31)),
-        pname=draw(names),
-        time=draw(times),
-        flag=0 if kind is EventKind.WAIT else draw(st.integers(0, 1)),
-        cond=draw(names if kind is EventKind.WAIT else st.none() | names),
     )
 
 
@@ -158,7 +129,7 @@ class TestWireRoundTripProperties:
         assert segment_from_dict(segment_to_dict(segment)) == segment
 
     @settings(max_examples=100, deadline=None)
-    @given(events=st.lists(wire_events(), max_size=12))
+    @given(events=st.lists(any_events(), max_size=12))
     def test_batch_event_decoder_matches_reference(self, events):
         # Reference codec: each event as the array of its fields in
         # order, the kind by value; decoded one constructor call each.
@@ -168,14 +139,14 @@ class TestWireRoundTripProperties:
         ]
         assert segment_to_dict(window_of(events))["events"] == reference
         records = json.loads(json.dumps(reference))
-        decoded = events_from_wire(records)
+        decoded = events_from_rows(records)
         assert decoded == tuple(
             SchedulingEvent(r[0], EventKind(r[1]), *r[2:]) for r in records
         )
         assert decoded == tuple(events)
 
     @settings(max_examples=150, deadline=None)
-    @given(events=st.lists(wire_events(), max_size=12))
+    @given(events=st.lists(any_events(), max_size=12))
     @example(events=[])
     @example(
         events=[
@@ -281,6 +252,5 @@ class TestSeededSimWindows:
     def test_sim_states_round_trip(self):
         captures, engine = self._captures()
         for capture in captures:
-            assert state_from_dict(state_to_dict(capture.snapshot)) == (
-                capture.snapshot
-            )
+            row = json.loads(json.dumps(state_to_row(capture.snapshot)))
+            assert state_from_row(row) == capture.snapshot

@@ -1,7 +1,7 @@
 """Property tests: sink-state snapshots round-trip for every sink type.
 
 The checkpoint supervisor and the durability layer both persist live sink
-state via :func:`sink_state_to_dict` and rebuild it with
+state via :func:`sink_state_to_row` and rebuild it with
 :func:`apply_sink_state`.  For arbitrary event streams and arbitrary ring
 capacities, the restored sink must be observationally identical: same
 pending window, same sequence counter, same drop accounting — and its
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.history import BoundedHistory, HistoryDatabase, SchedulingEvent
-from repro.history.serialize import apply_sink_state, sink_state_to_dict
+from repro.history.serialize import apply_sink_state, sink_state_to_row
 from repro.history.states import SchedulingState
 from tests.history.test_serialize import events_strategy
 
@@ -32,7 +32,7 @@ def fill(sink, events):
 
 
 def assert_round_trips(sink, fresh):
-    record = sink_state_to_dict(sink)
+    record = sink_state_to_row(sink)
     fresh.open(blank_state())
     apply_sink_state(fresh, record)
     assert fresh.pending_events == sink.pending_events
@@ -71,5 +71,5 @@ class TestBoundedSinkStateProperties:
         sink = fill(BoundedHistory(capacity), events)
         fresh = BoundedHistory(capacity)
         fresh.open(blank_state())
-        apply_sink_state(fresh, sink_state_to_dict(sink))
+        apply_sink_state(fresh, sink_state_to_row(sink))
         assert fresh.pending_dropped == sink.pending_dropped

@@ -47,7 +47,7 @@ from repro.history import BoundedHistory
 from repro.history.serialize import (
     SINK_FIELDS,
     apply_sink_state,
-    sink_state_to_dict,
+    sink_state_to_row,
 )
 from repro.kernel import RandomPolicy, SimKernel
 from tests.detection.test_algorithms import (
@@ -220,7 +220,7 @@ class TestSinkRows:
     def test_bounded_sink_round_trips(self, events, capacity, base):
         sink = fill(BoundedHistory(capacity), events)
         sink._last_state = base
-        row = through_json(sink_state_to_dict(sink))
+        row = through_json(sink_state_to_row(sink))
         fresh = BoundedHistory(capacity)
         fresh.open(blank_state())
         apply_sink_state(fresh, row)
@@ -230,12 +230,12 @@ class TestSinkRows:
         assert fresh.total_recorded == sink.total_recorded
         assert fresh.dropped_events == sink.dropped_events
         assert fresh.pending_dropped == sink.pending_dropped
-        assert sink_state_to_dict(fresh) == row
+        assert sink_state_to_row(fresh) == row
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), events=st.lists(events_strategy(), max_size=5))
     def test_damaged_sink_row_is_refused(self, data, events):
-        row = sink_state_to_dict(fill(BoundedHistory(3), events))
+        row = sink_state_to_row(fill(BoundedHistory(3), events))
         bad, name = data.draw(damaged(row, SINK_FIELDS))
         fresh = BoundedHistory(3)
         fresh.open(blank_state())
@@ -244,12 +244,15 @@ class TestSinkRows:
     @pytest.mark.parametrize(
         "index, value, name",
         [
-            (2, {"kind": "state", "time": "noon"}, "last_state"),
+            (2, ["noon", [], {}, [], [], None], "last_state"),
+            (3, [[0, "Enter", 1, "Op", "late", 1, None]], "pending"),
+            # The keyed objects that rows-1 snapshots held.
+            (2, {"kind": "state", "time": 0.0}, "last_state"),
             (3, [{"kind": "event", "seq": 0}], "pending"),
         ],
     )
     def test_undecodable_state_or_event_is_refused(self, index, value, name):
-        row = sink_state_to_dict(fill(BoundedHistory(3), []))
+        row = sink_state_to_row(fill(BoundedHistory(3), []))
         row[index] = value
         fresh = BoundedHistory(3)
         fresh.open(blank_state())

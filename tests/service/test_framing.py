@@ -141,8 +141,14 @@ class TestGoodJsonlPrefix:
         assert good_jsonl_prefix(raw) == len(self.GOOD)
 
     def test_non_object_json_line_stripped(self):
-        raw = self.GOOD + b"[1,2,3]\n"
+        # A JSON scalar is no record; an array is (a WAL line's row).
+        raw = self.GOOD + b'"half a record"\n'
         assert good_jsonl_prefix(raw) == len(self.GOOD)
+
+    def test_array_line_is_a_record(self):
+        raw = self.GOOD + b'[0,"Enter",1,"Op",0.5,1,null]\n'
+        assert good_jsonl_prefix(raw) == len(raw)
+        assert good_jsonl_prefix(raw + b'[1,"Ent') == len(raw)
 
     def test_two_junk_lines_left_for_replay_to_raise_on(self):
         # Two distinct junk lines cannot come from one torn write; the

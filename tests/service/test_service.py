@@ -21,6 +21,7 @@ from repro.service.server import (
     service_report_key,
 )
 from repro.service.transport import SimNetwork, network_process
+from tests.history.test_serialize import STATE_SLOTS
 from tests.service.workload import attach_workload, make_kernel
 
 # --------------------------------------------------------------- fixtures
@@ -264,8 +265,9 @@ class TestHandshake:
 
     @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
     def test_version_mismatch_quarantines(self, offset):
-        # An older client would ship keyed event objects the server no
-        # longer decodes: it is refused at hello, before any window.
+        # An older client ships records the server no longer decodes
+        # (version 2 keyed states, version 1 keyed events as well): it is
+        # refused at hello, before any window.
         server = make_server()
         hello, __ = corpus()
         version = PROTOCOL_VERSION + offset
@@ -363,6 +365,19 @@ def keyed_event(event):
     if cond is not None:
         record["cond"] = cond
     return record
+
+
+def state_with(row, **fields):
+    """A copy of state ``row`` with ``fields`` replaced."""
+    row = list(row)
+    for name, value in fields.items():
+        row[STATE_SLOTS.index(name)] = value
+    return row
+
+
+def keyed_state(row):
+    """The same state as protocol version 2 shipped it: a keyed object."""
+    return {"kind": "state", **dict(zip(STATE_SLOTS, row))}
 
 
 #: Stand in for two JSON numbers that :func:`frame_of` splices in as
@@ -526,6 +541,7 @@ class TestIngest:
             pytest.param("resource_count", "x", id="resource-count-string"),
             pytest.param("dropped", -3, id="dropped-negative"),
             pytest.param("dropped", True, id="dropped-true"),
+            pytest.param("previous", keyed_state, id="state-keyed-object"),
         ],
     )
     def test_malformed_segment_quarantines_not_the_fleet(self, where, bad):
@@ -538,13 +554,15 @@ class TestIngest:
         handshake(server, conn_id=1)
         segment = dict(windows[0]["segment"])
         if callable(bad):
-            bad = bad(segment["events"][0])
+            record = segment["events"][0] if where == "event" else segment[where]
+            bad = bad(record)
         if where == "event":
             segment["events"] = [bad, *segment["events"][1:]]
         elif where == "running":
-            segment["previous"] = dict(segment["previous"], running=[bad])
+            previous = segment["previous"]
+            segment["previous"] = state_with(previous, running=[bad])
         elif where in ("cond_queues", "time", "resource_count"):
-            segment["current"] = dict(segment["current"], **{where: bad})
+            segment["current"] = state_with(segment["current"], **{where: bad})
         else:
             segment[where] = bad
         window = dict(windows[0], segment=segment)

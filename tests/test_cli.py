@@ -70,9 +70,23 @@ class TestCheck:
             (lambda tmp_path: _write(tmp_path / "t.jsonl", "not json\n"),
              "invalid JSON"),
             (lambda tmp_path: _write(tmp_path / "t.jsonl", "[1, 2]\n"),
-             "unknown record kind"),
+             "not an event or a state row"),
+            (lambda tmp_path: _write(tmp_path / "t.jsonl", KEYED_EVENT),
+             "line 1: not an event or a state row"),
+            (lambda tmp_path: _write(
+                tmp_path / "t.jsonl",
+                '[0, "Enter", 1, "Send", 0.1, 1, null]\n'
+                '[1, "Signal-Exit", 1, "Send", "late", 0, null]\n',
+            ), "line 2: malformed event row"),
+            (lambda tmp_path: _write(
+                tmp_path / "t.jsonl",
+                '[0, "Enter", "x", "Send", 0.1, 1, null]\n',
+            ), "line 1: malformed event row"),
         ],
-        ids=["missing", "directory", "not-json", "not-an-object"],
+        ids=[
+            "missing", "directory", "not-json", "not-an-object",
+            "keyed-event", "time-string", "pid-string",
+        ],
     )
     def test_unreadable_trace_exits_two_with_one_line(
         self, tmp_path, capsys, make, reason
@@ -90,6 +104,13 @@ class TestCheck:
 def _write(path, text):
     path.write_text(text)
     return path
+
+
+#: A trace line as earlier versions wrote events: a keyed object.
+KEYED_EVENT = (
+    '{"kind": "event", "event": "Enter", "seq": 0, "pid": 1, '
+    '"pname": "Send", "time": 0.1, "flag": 1}\n'
+)
 
 
 class TestArgumentHandling:
