@@ -91,12 +91,18 @@ class IncrementalConcurrencyChecker:
       a window decoded off the wire brings an equal copy), so the machine
       replays only the new events — no re-seeding.
     * **fast path** (``fastpaths``): a carried window with zero events
-      whose lists still equal the current snapshot can skip the whole
-      membership comparison; only the snapshot witness and the timer
-      sweeps can fire.
+      whose lists still equal the current snapshot.
     * **rebase** (``rebases``): first window, a mismatch in the previous
       window, or a window fed out of sequence (e.g. right after crash
       recovery) — re-seed from ``s_p``, exactly like the oracle.
+
+    After the replay one :meth:`~repro.detection.replay.ReplayMachine.matches`
+    decides both the comparison and the next carry.  Lists that match
+    the current snapshot give the membership comparison nothing to
+    report, so a matched window runs only
+    :meth:`~repro.detection.replay.ReplayMachine.compare_unchanged` (the
+    snapshot witness and the timer sweeps, in ``compare_with``'s order);
+    only a mismatch runs the full comparison.
 
     Because a carry is only ever taken off a verified match, the emitted
     report stream is byte-identical to running the oracle on every
@@ -141,15 +147,17 @@ class IncrementalConcurrencyChecker:
         else:
             machine.rebase(previous)
             self.rebases += 1
+        events = segment.events
+        machine.replay(events)
         current = segment.current
-        if carried and not segment.events and machine.matches(current):
-            self.fastpaths += 1
+        if machine.matches(current):
+            if carried and not events:
+                self.fastpaths += 1
             machine.compare_unchanged(current, tmax=tmax, tio=tio)
             self._basis = current
-            return machine.take_violations()
-        machine.replay(segment.events)
-        machine.compare_with(current, tmax=tmax, tio=tio)
-        self._basis = current if machine.matches(current) else None
+        else:
+            machine.compare_with(current, tmax=tmax, tio=tio)
+            self._basis = None
         return machine.take_violations()
 
     @property

@@ -59,6 +59,7 @@ import contextlib
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -225,6 +226,11 @@ class ReportJournal(ExactlyOnceJournal):
 #: n mod ``SNAPSHOT_SLOTS``, so a write leaves the three before it intact.
 SNAPSHOT_SLOTS = 4
 
+#: Encodes every snapshot payload into exactly ``json.dumps``'s text (the
+#: default separators, ASCII only), built once and without the
+#: circular-reference check: a payload is rows of plain values.
+_encode_payload = json.JSONEncoder(check_circular=False).encode
+
 #: A snapshot record's header line; the payload's ``length`` bytes follow.
 #: Compact, so that changing any one of its bytes changes what it says.
 _HEADER = (
@@ -275,8 +281,15 @@ class SnapshotStore:
     the number and those bytes (:func:`_digest`).  ``write`` puts the record
     at offset 0 with ``os.pwrite`` and makes it durable with
     ``os.fdatasync`` before it returns: past each slot's first write, no
-    file is created, renamed or deleted.  A shorter record leaves the end
-    of a longer one behind it; readers ignore that stale tail.
+    file is created, renamed, deleted, opened or closed.  The store opens
+    each slot file at its first write and holds it until :meth:`close`
+    (at most :data:`SNAPSHOT_SLOTS` descriptors); a store dropped without
+    ``close``, as a crashed incarnation is, releases them when it is
+    collected.  A lock guards each write and ``close`` takes it too, so
+    on the thread kernel a close never releases a descriptor that a
+    pacing thread is writing through; a write after ``close`` opens its
+    slot again.  A shorter record leaves the end of a longer one behind
+    it; readers ignore that stale tail.
 
     A write can only damage the slot it writes, and a torn or unsynced
     record fails its checksum.  ``load_latest`` reads every slot and
@@ -309,11 +322,15 @@ class SnapshotStore:
         #: and the whole record just before the record is written.  None
         #: outside chaos campaigns.
         self.before_write: Optional[Callable[[int, bytes], None]] = None
+        self._paths = tuple(
+            self.directory / f"slot-{slot}.snapshot"
+            for slot in range(SNAPSHOT_SLOTS)
+        )
+        #: Each slot's file, opened at the slot's first write.
+        self._files: list[Optional[IO[bytes]]] = [None] * SNAPSHOT_SLOTS
+        self._lock = threading.Lock()
         newest, __ = self._newest()
         self._next_number = 1 if newest is None else newest[0] + 1
-
-    def _slot(self, number: int) -> Path:
-        return self.directory / f"slot-{number % SNAPSHOT_SLOTS}.snapshot"
 
     def _newest(self) -> tuple[Optional[tuple[int, bytes, Path]], int]:
         """The intact record with the highest number, as ``(number,
@@ -321,8 +338,7 @@ class SnapshotStore:
         many existing slots failed."""
         newest: Optional[tuple[int, bytes, Path]] = None
         failed = 0
-        for slot in range(SNAPSHOT_SLOTS):
-            path = self._slot(slot)
+        for path in self._paths:
             try:
                 data = path.read_bytes()
             except FileNotFoundError:
@@ -338,16 +354,25 @@ class SnapshotStore:
         return newest, failed
 
     def write(self, payload: object) -> Path:
-        """Write ``payload`` as the next snapshot; durable on return."""
-        number = self._next_number
-        body = json.dumps(payload).encode()
-        record = (
-            _HEADER % (number, len(body), _digest(number, body).encode())
-            + body
-        )
-        path = self._slot(number)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
+        """Write ``payload`` as the next snapshot; durable on return.
+
+        Returns the slot file written."""
+        body = _encode_payload(payload).encode()
+        with self._lock:
+            number = self._next_number
+            record = (
+                _HEADER % (number, len(body), _digest(number, body).encode())
+                + body
+            )
+            slot = number % SNAPSHOT_SLOTS
+            handle = self._files[slot]
+            if handle is None:
+                handle = self._files[slot] = open(  # noqa: SIM115 — held
+                    os.open(self._paths[slot], os.O_WRONLY | os.O_CREAT, 0o666),
+                    "wb",
+                    buffering=0,
+                )
+            fd = handle.fileno()
             if self.before_write is not None:
                 self.before_write(fd, record)
             view = memoryview(record)
@@ -355,11 +380,18 @@ class SnapshotStore:
             while written < len(record):
                 written += os.pwrite(fd, view[written:], written)
             os.fdatasync(fd)
-        finally:
-            os.close(fd)
-        self._next_number = number + 1
-        self.written += 1
-        return path
+            self._next_number = number + 1
+            self.written += 1
+        return self._paths[slot]
+
+    def close(self) -> None:
+        """Release the held slot files (waits for a write in flight)."""
+        with self._lock:
+            files = self._files
+            for slot, handle in enumerate(files):
+                if handle is not None:
+                    files[slot] = None
+                    handle.close()
 
     def load_latest(self) -> Optional[tuple[object, Path]]:
         """The newest intact snapshot and its slot, or None.
@@ -701,10 +733,12 @@ class DurableEngine:
             wal.flush(sync=self.fsync == "always")
 
     def close(self) -> None:
-        """Close WAL and journal handles (a crashed process never does)."""
+        """Close WAL, journal and snapshot handles (a crashed process
+        never does)."""
         for __, wal in self._wal_entries():
             wal.close()
         self.journal.close()
+        self.snapshots.close()
 
     # ------------------------------------------------------------- inspection
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro._rows import INT, Fields, check_row
 from repro.detection.algorithm1 import (
@@ -75,6 +75,11 @@ __all__ = [
 ]
 
 MonitorLike = Union[Monitor, MonitorBase]
+
+#: ``RegisteredMonitor.capture`` builds each :class:`CheckpointCapture`
+#: as the plain tuple record it is, once per monitor inside every
+#: checkpoint's world stop.
+_new_tuple = tuple.__new__
 
 
 # ------------------------------------------------------------------ counters
@@ -205,8 +210,7 @@ def _require_kernel(monitor: Monitor, kernel) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CheckpointCapture:
+class CheckpointCapture(NamedTuple):
     """One monitor's phase-1 capture: everything phase 2 needs, frozen.
 
     Produced inside the atomic section by :meth:`RegisteredMonitor.capture`
@@ -218,6 +222,9 @@ class CheckpointCapture:
     monitor has no order checker), and ``taken_at`` the kernel's virtual
     time of the capture — the timestamp breaker decisions and timer sweeps
     are anchored to.
+
+    A tuple record: :meth:`RegisteredMonitor.capture` and the detection
+    server build it with ``tuple.__new__``.
     """
 
     entry: "RegisteredMonitor"
@@ -353,12 +360,8 @@ class RegisteredMonitor:
             if self.algorithm3 is not None
             else None
         )
-        return CheckpointCapture(
-            entry=self,
-            snapshot=snapshot,
-            segment=segment,
-            request_list=request_list,
-            taken_at=now,
+        return _new_tuple(
+            CheckpointCapture, (self, snapshot, segment, request_list, now)
         )
 
     # ----------------------------------------------------- phase 2: evaluate

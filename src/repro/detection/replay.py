@@ -523,8 +523,7 @@ class ReplayMachine:
         tmax: Optional[float] = None,
         tio: Optional[float] = None,
     ) -> None:
-        """:meth:`compare_with` for a window whose lists provably equal
-        ``current``'s queues (zero events on verified carried lists).
+        """:meth:`compare_with` for lists that :meth:`matches` ``current``.
 
         Every membership comparison is then a foregone conclusion, so only
         the snapshot's mutual-exclusion witness and the timer sweeps can

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import sys
+from types import MappingProxyType
 from typing import IO, Iterable
 
 from repro._rows import INT, LIST, OPTIONAL_LIST, Fields, check_row
@@ -92,6 +93,10 @@ _NUMBER = (float, int)
 #: chained comparison is false for all of them and never raises:
 #: ``math.isfinite`` raises ``OverflowError`` on such an ``int``.
 _MAX_TIME = sys.float_info.max
+
+#: The state and segment decoders build their records as the plain tuples
+#: they are, around the checks they make themselves.
+_new_tuple = tuple.__new__
 
 
 def is_wire_time(value) -> bool:
@@ -306,15 +311,21 @@ def state_from_row(row) -> SchedulingState:
             raise TypeError(
                 f"condition queues {cond_queues!r} are not an object"
             )
-        return SchedulingState(
-            time=time,
-            entry_queue=_queue(entry_queue),
-            cond_queues={
-                cond: _queue(queue) for cond, queue in cond_queues.items()
-            },
-            running=_queue(running),
-            urgent=_queue(urgent),
-            resource_count=count,
+        return _new_tuple(
+            SchedulingState,
+            (
+                time,
+                _queue(entry_queue),
+                MappingProxyType(
+                    {
+                        cond: _queue(queue)
+                        for cond, queue in cond_queues.items()
+                    }
+                ),
+                _queue(running),
+                count,
+                _queue(urgent),
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise HistoryError(f"malformed state row {row!r}: {exc}") from exc
@@ -350,11 +361,14 @@ def segment_from_dict(raw: dict) -> Segment:
         dropped = raw.get("dropped", 0)
         if type(dropped) is not int or dropped < 0:
             raise ValueError(f"dropped {dropped!r} is not a count")
-        return Segment(
-            previous=state_from_row(raw["previous"]),
-            events=events_from_rows(raw["events"]),
-            current=state_from_row(raw["current"]),
-            dropped=dropped,
+        return _new_tuple(
+            Segment,
+            (
+                state_from_row(raw["previous"]),
+                events_from_rows(raw["events"]),
+                state_from_row(raw["current"]),
+                dropped,
+            ),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise HistoryError(f"malformed segment record {raw!r}: {exc}") from exc

@@ -34,8 +34,7 @@ buffer for long-running workloads).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import CheckpointError
 from repro.history.events import SchedulingEvent
@@ -46,9 +45,12 @@ __all__ = ["EventListener", "EventSink", "Segment", "merge_event_streams"]
 #: A real-time event tap: called synchronously inside ``record``.
 EventListener = Callable[[SchedulingEvent], None]
 
+#: ``cut`` builds each :class:`Segment` as the plain tuple record it is,
+#: skipping the Python-level ``__new__`` that NamedTuple generates.
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class Segment:
+
+class Segment(NamedTuple):
     """Everything the checker needs for one checking interval.
 
     ``previous`` is the state at the last checking time (``s_p`` in the
@@ -57,6 +59,11 @@ class Segment:
     time (``s_t``).  ``dropped`` counts events the sink discarded inside
     the window (always 0 for :class:`~repro.history.database.HistoryDatabase`;
     nonzero when a :class:`~repro.history.bounded.BoundedHistory` saturated).
+
+    A tuple record: :meth:`EventSink.cut` and the wire decoder build it
+    with ``tuple.__new__``.  ``len(segment)`` is the number of events, so
+    ``_make`` and ``_replace``, which check the length of the record they
+    build, refuse a segment; build a changed one with the constructor.
     """
 
     previous: SchedulingState
@@ -211,11 +218,14 @@ class EventSink(abc.ABC):
                 f"checkpoint at t={self._last_state.time:g}"
             )
         self.flush_staged()
-        segment = Segment(
-            previous=self._last_state,
-            events=self._drain(),
-            current=current_state,
-            dropped=self._take_dropped(),
+        segment = _new_tuple(
+            Segment,
+            (
+                self._last_state,
+                self._drain(),
+                current_state,
+                self._take_dropped(),
+            ),
         )
         self._last_state = current_state
         self._on_cut(current_state)

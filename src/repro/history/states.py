@@ -14,7 +14,6 @@ table: ``Timer(pid) = now - entry.since``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -40,9 +39,9 @@ class QueueEntry(NamedTuple):
         return f"P{self.pid}({self.pname})@{self.since:g}"
 
 
-@dataclass(frozen=True)
-class SchedulingState:
-    """Immutable snapshot of a monitor's scheduling state at one instant."""
+class _StateFields(NamedTuple):
+    """:class:`SchedulingState`'s fields, in order.  A NamedTuple may not
+    override ``__new__``, so the freezing subclass below adds it."""
 
     #: Time at which the snapshot was taken.
     time: float
@@ -60,10 +59,42 @@ class SchedulingState:
     #: empty under the paper's signal-exit discipline).
     urgent: tuple[QueueEntry, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Freeze the mapping so a snapshot can never drift after capture.
-        object.__setattr__(
-            self, "cond_queues", MappingProxyType(dict(self.cond_queues))
+
+class SchedulingState(_StateFields):
+    """Immutable snapshot of a monitor's scheduling state at one instant.
+
+    A tuple record.  The constructor freezes ``cond_queues`` into a
+    read-only copy, so a snapshot can never drift after capture;
+    ``_make`` and ``_replace`` skip that, so code builds states through
+    the constructor, with two exceptions that build the tuple directly
+    (``tuple.__new__(SchedulingState, ...)``) around a mapping they wrap
+    in :class:`~types.MappingProxyType` themselves, because they run once
+    per checkpoint: :meth:`repro.monitor.core.MonitorCore.snapshot` and
+    the state row decoder
+    :func:`repro.history.serialize.state_from_row`.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time,
+        entry_queue,
+        cond_queues,
+        running,
+        resource_count=None,
+        urgent=(),
+    ):
+        return tuple.__new__(
+            cls,
+            (
+                time,
+                entry_queue,
+                MappingProxyType(dict(cond_queues)),
+                running,
+                resource_count,
+                urgent,
+            ),
         )
 
     # ------------------------------------------------------------- accessors

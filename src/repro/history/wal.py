@@ -42,14 +42,16 @@ Segments rotate once the active file passes ``segment_bytes``; replay
 (:meth:`iter_durable_events`) walks all segments in the order of their
 numbers (:func:`file_number`).  Reopening and replay decode every line
 through :func:`~repro.history.serialize.events_from_rows`, the decoder
-of every other event boundary.  A torn final line — the signature of
-dying mid-append: bytes that do not decode, or a bare integer left by a
-length prefix — is tolerated: it is physically truncated away when the
-log is reopened and silently skipped during replay.  Any other line that
-is not an event row, a torn line before the tail, a line that is not
-valid UTF-8, a mistyped field or the keyed object of earlier versions,
-is corruption and raises :class:`~repro.errors.HistoryError` naming the
-segment and the line.
+of every other event boundary.  A torn tail — the signature of dying
+mid-append: a final line that does not decode or holds a JSON scalar, or
+digit lines left by a length prefix — is tolerated: it is physically
+truncated away when the log is reopened and silently skipped during
+replay.  Both find it with :func:`~repro.service.framing.good_jsonl_prefix`,
+so they agree on which bytes are torn.  Any other line that is not an
+event row, a torn line before the tail, a line that is not valid UTF-8,
+a mistyped field or the keyed object of earlier versions, is corruption
+and raises :class:`~repro.errors.HistoryError` naming the segment and
+the line.
 """
 
 from __future__ import annotations
@@ -401,26 +403,23 @@ class WriteAheadLog(EventSink):
     def _segment_events(
         self, path: Path, *, final: bool
     ) -> Iterator[SchedulingEvent]:
+        raw = path.read_bytes()
+        if final:
+            # The torn tail is the bytes past the durable prefix: the very
+            # bytes a reopen truncates (``_truncate_torn_tail``), so replay
+            # before and after a reopen reads the same events.
+            raw = raw[: good_jsonl_prefix(raw)]
         # Decoded line by line: one undecodable byte is one corrupt line,
         # reported as such, not a failure to read the whole segment.
-        lines = path.read_bytes().splitlines()
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
-            torn = final and number == len(lines)
             try:
                 row = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # bad UTF-8 or bad JSON
-                if torn:
-                    return  # the write died mid-line
                 raise HistoryError(
                     f"{path.name} line {number}: corrupt WAL record: {exc}"
                 ) from exc
-            if torn and type(row) is int:
-                # A bare integer left by a torn length-prefixed write on a
-                # log that was never reopened (reopen would have truncated
-                # it away).
-                return
             try:
                 (event,) = events_from_rows((row,))
             except HistoryError as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -56,9 +57,10 @@ _WAIT = EventKind.WAIT
 _SIGNAL_EXIT = EventKind.SIGNAL_EXIT
 _SIGNAL = EventKind.SIGNAL
 #: The record hook builds each ``SchedulingEvent`` as the plain tuple
-#: record it is.  The constructor's two checks hold at every ``_record``
-#: call: each flag is the literal 0 or 1 or a local only ever set to one
-#: of them, and ``wait`` passes its condition after ``_check_condition``.
+#: record it is, and ``snapshot`` each ``SchedulingState``.  The event
+#: constructor's two checks hold at every ``_record`` call: each flag is
+#: the literal 0 or 1 or a local only ever set to one of them, and
+#: ``wait`` passes its condition after ``_check_condition``.
 _new_tuple = tuple.__new__
 
 
@@ -410,16 +412,27 @@ class MonitorCore:
     # --------------------------------------------------------------- snapshot
 
     def snapshot(self) -> SchedulingState:
-        """Capture the actual scheduling state (the checker's ``s_t``)."""
-        return SchedulingState(
-            time=self._now(),
-            entry_queue=tuple(self._entry_queue),
-            cond_queues={
-                cond: tuple(queue) for cond, queue in self._cond_queues.items()
-            },
-            running=tuple(self._running),
-            resource_count=self._probe() if self._probe is not None else None,
-            urgent=tuple(self._urgent),
+        """Capture the actual scheduling state (the checker's ``s_t``).
+
+        Built as the tuple record it is, around the read-only mapping the
+        constructor would make: this runs once per monitor inside every
+        checkpoint's world stop."""
+        probe = self._probe
+        return _new_tuple(
+            SchedulingState,
+            (
+                self._now(),
+                tuple(self._entry_queue),
+                MappingProxyType(
+                    {
+                        cond: tuple(queue)
+                        for cond, queue in self._cond_queues.items()
+                    }
+                ),
+                tuple(self._running),
+                probe() if probe is not None else None,
+                tuple(self._urgent),
+            ),
         )
 
     # ------------------------------------------------------------- inspection

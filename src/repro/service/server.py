@@ -74,6 +74,7 @@ from repro.detection.reports import FaultReport
 from repro.detection.supervision import BreakerState, CheckpointSupervisor
 from repro.errors import DeclarationError, RecoveryError, ServiceError
 from repro.history.serialize import is_wire_time
+from repro.history.sink import Segment
 from repro.monitor.construct import Monitor
 from repro.observability.export import write_metrics_json
 from repro.observability.registry import Histogram, MetricsRegistry
@@ -100,6 +101,10 @@ __all__ = [
     "DetectionServer",
     "serve",
 ]
+
+#: ``_on_window`` builds each window's capture as the plain tuple record
+#: it is, once per window.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -673,16 +678,18 @@ class DetectionServer:
                 extra = 1  # cold post-restart checker: force degraded
         stream.resync_pending = False
         if extra:
-            segment = replace(segment, dropped=segment.dropped + extra)
+            segment = Segment(
+                segment.previous,
+                segment.events,
+                segment.current,
+                segment.dropped + extra,
+            )
         entry = stream.entry
         if entry.breaker.allow(taken_at) and not self._probe_queued(entry):
             self.engine._pending_captures.append(
-                CheckpointCapture(
-                    entry=entry,
-                    snapshot=segment.current,
-                    segment=segment,
-                    request_list=None,
-                    taken_at=taken_at,
+                _new_tuple(
+                    CheckpointCapture,
+                    (entry, segment.current, segment, None, taken_at),
                 )
             )
         else:

@@ -12,19 +12,26 @@ from repro.detection.algorithm1 import (
     check_general_concurrency_control,
 )
 from repro.detection.rules import STRule
-from repro.history.events import enter_event, signal_exit_event
+from repro.history.events import (
+    enter_event,
+    signal_event,
+    signal_exit_event,
+    wait_event,
+)
 from repro.history.sink import Segment
 from repro.history.states import QueueEntry, SchedulingState
 from repro.monitor import MonitorDeclaration, MonitorType
+from repro.monitor.semantics import Discipline
 
 
-def declaration():
+def declaration(discipline=Discipline.SIGNAL_EXIT):
     return MonitorDeclaration(
         name="buffer",
         mtype=MonitorType.COMMUNICATION_COORDINATOR,
         procedures=("Send", "Receive"),
         conditions=("full", "empty"),
         rmax=3,
+        discipline=discipline,
     )
 
 
@@ -165,6 +172,145 @@ class TestFastPath:
         reports = checker.check_window(segment)
         assert checker.fastpaths == 0
         assert reports == check_general_concurrency_control(decl, segment)
+
+
+def agree(decl, windows, **timers):
+    """Check ``windows`` in order on one incremental checker, and each
+    one on the oracle; assert equal report lists, in order, window by
+    window.  Returns the checker and each window's reports."""
+    checker = IncrementalConcurrencyChecker(decl)
+    found = []
+    for segment in windows:
+        reports = checker.check_window(segment, **timers)
+        assert reports == check_general_concurrency_control(
+            decl, segment, **timers
+        )
+        found.append(reports)
+    return checker, found
+
+
+def rules(found):
+    return [[report.rule for report in reports] for reports in found]
+
+
+class TestCarryDecision:
+    """One ``matches`` after the replay picks the comparison: a matched
+    window runs only the witness and timer sweeps, a mismatch the full
+    comparison.  Window by window, the reports equal the oracle's."""
+
+    def test_matched_window_with_events(self):
+        first = clean_window(state(0.0), 0, 0.0)
+        second = clean_window(first.current, 2, 1.0)
+        checker, found = agree(declaration(), [first, second])
+        assert found == [[], []]
+        assert checker.carried
+        assert (checker.hits, checker.fastpaths) == (1, 0)
+
+    def test_waiter_on_an_undeclared_condition_is_a_mismatch(self):
+        # The lists and the snapshot agree on every declared queue; only
+        # the waiter on "ghost" differs from what a fresh machine seeds.
+        inside = QueueEntry(1, "Send", 0.1)
+        ghost = QueueEntry(1, "Send", 0.5)
+        current = state(
+            1.0, cond_queues={"full": (), "empty": (), "ghost": (ghost,)}
+        )
+        window = Segment(
+            state(0.0, running=(inside,)),
+            (wait_event(0, 1, "Send", "ghost", 0.5),),
+            current,
+        )
+        after = Segment(current, (), state(2.0, cond_queues=current.cond_queues))
+        checker, found = agree(declaration(), [window, after], tmax=0.4)
+        assert rules(found) == [[STRule.TMAX_EXCEEDED], []]
+        # The mismatch dropped the carry: the next window re-seeds.
+        assert (checker.hits, checker.rebases) == (0, 2)
+
+    def test_snapshot_witness_fires_on_a_matched_window(self):
+        both = (QueueEntry(1, "Send", 0.1), QueueEntry(2, "Receive", 0.2))
+        first = Segment(state(0.0, running=both), (), state(1.0, running=both))
+        second = Segment(first.current, (), state(2.0, running=both))
+        checker, found = agree(declaration(), [first, second])
+        assert rules(found) == [[STRule.ONE_INSIDE]] * 2
+        assert checker.carried
+        assert checker.fastpaths == 1
+
+    def test_hoare_urgent_list(self):
+        # P1 signals P2 awake and waits on the urgent list; P2's exit
+        # then hands the monitor back to P1.
+        waiting = state(
+            0.0,
+            running=(QueueEntry(1, "Send", 0.1),),
+            cond_queues={"full": (QueueEntry(2, "Receive", 0.05),), "empty": ()},
+        )
+        handed = state(
+            1.0,
+            running=(QueueEntry(2, "Receive", 0.5),),
+            urgent=(QueueEntry(1, "Send", 0.5),),
+        )
+        back = state(2.0, running=(QueueEntry(1, "Send", 1.5),))
+        windows = [
+            Segment(waiting, (signal_event(0, 1, "Send", "full", 0.5, 1),), handed),
+            Segment(handed, (signal_exit_event(1, 2, "Receive", 1.5, 0),), back),
+            Segment(back, (), state(3.0, running=back.running)),
+        ]
+        checker, found = agree(
+            declaration(Discipline.SIGNAL_AND_WAIT), windows, tmax=1.0
+        )
+        assert rules(found) == [[], [], [STRule.TMAX_EXCEEDED]]
+        assert checker.carried
+        assert (checker.hits, checker.fastpaths) == (2, 1)
+
+    def test_mesa_requeue(self):
+        # P1 signals P2, who re-queues on the entry queue; P1's exit
+        # then admits P2.
+        waiting = state(
+            0.0,
+            running=(QueueEntry(1, "Send", 0.1),),
+            cond_queues={"full": (QueueEntry(2, "Receive", 0.05),), "empty": ()},
+        )
+        requeued = state(
+            1.0,
+            running=(QueueEntry(1, "Send", 0.1),),
+            entry_queue=(QueueEntry(2, "Receive", 0.5),),
+        )
+        admitted = state(2.0, running=(QueueEntry(2, "Receive", 1.5),))
+        windows = [
+            Segment(
+                waiting, (signal_event(0, 1, "Send", "full", 0.5, 1),), requeued
+            ),
+            Segment(requeued, (signal_exit_event(1, 1, "Send", 1.5, 0),), admitted),
+        ]
+        checker, found = agree(
+            declaration(Discipline.SIGNAL_AND_CONTINUE), windows, tio=0.4
+        )
+        assert rules(found) == [[STRule.TIO_EXCEEDED], []]
+        assert checker.carried
+        assert checker.hits == 1
+
+    def test_timers_fire_on_a_matched_window(self):
+        stuck = QueueEntry(1, "Send", 0.0)
+        starved = QueueEntry(3, "Receive", 0.0)
+        s0 = state(0.0, running=(stuck,), entry_queue=(starved,))
+        queued = state(
+            1.0,
+            running=(stuck,),
+            entry_queue=(starved, QueueEntry(4, "Send", 0.5)),
+        )
+        windows = [
+            Segment(s0, (enter_event(0, 4, "Send", 0.5, 0),), queued),
+            Segment(
+                queued,
+                (),
+                state(2.0, running=queued.running, entry_queue=queued.entry_queue),
+            ),
+        ]
+        checker, found = agree(declaration(), windows, tmax=0.8, tio=0.8)
+        assert rules(found) == [
+            [STRule.TMAX_EXCEEDED, STRule.TIO_EXCEEDED],
+            [STRule.TMAX_EXCEEDED, STRule.TIO_EXCEEDED, STRule.TIO_EXCEEDED],
+        ]
+        assert checker.carried
+        assert checker.fastpaths == 1
 
 
 class TestDurability:

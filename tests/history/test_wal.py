@@ -326,6 +326,69 @@ class TestTornTails:
         assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
 
 
+#: Complete final lines that a reopen strips as a torn tail, and a
+#: partial row; replay must skip exactly those bytes too.
+TORN_TAILS = {
+    "float": b"1.5\n",
+    "string": b'"x"\n',
+    "true": b"true\n",
+    "bare integer": b"17\n",
+    "two digit lines": b"12\n34\n",
+    "partial row": b'[3,"Enter",1,',
+}
+
+
+class TestTornTailAgreement:
+    """Replay and reopen read a segment's tail through one grammar,
+    ``good_jsonl_prefix``, in either order."""
+
+    @staticmethod
+    def log_with_tail(tmp_path, tail):
+        wal = make_wal(tmp_path)
+        wal.open(state(0.0))
+        for seq in range(3):
+            wal.record(event(seq))
+        wal.flush()
+        path = wal.segment_paths()[-1]
+        durable = path.read_bytes()
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        return wal, path, durable
+
+    @pytest.mark.parametrize("tail", TORN_TAILS.values(), ids=TORN_TAILS)
+    def test_replay_then_reopen(self, tmp_path, tail):
+        wal, path, durable = self.log_with_tail(tmp_path, tail)
+        assert [e.seq for e in wal.iter_durable_events()] == [0, 1, 2]
+        wal.close()
+        reopened = make_wal(tmp_path)
+        assert reopened.torn_tails_truncated == 1
+        assert path.read_bytes() == durable
+        assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
+        reopened.close()
+
+    @pytest.mark.parametrize("tail", TORN_TAILS.values(), ids=TORN_TAILS)
+    def test_reopen_then_replay(self, tmp_path, tail):
+        wal, path, durable = self.log_with_tail(tmp_path, tail)
+        wal.close()
+        reopened = make_wal(tmp_path)
+        assert reopened.torn_tails_truncated == 1
+        assert path.read_bytes() == durable
+        assert [e.seq for e in reopened.iter_durable_events()] == [0, 1, 2]
+        assert reopened.next_seq() == 3
+        reopened.close()
+
+    def test_mistyped_row_at_the_tail_is_refused_in_either_order(
+        self, tmp_path
+    ):
+        row = b'[3, "Enter", 1, "Send", "late", 1, null]\n'
+        wal, path, __ = self.log_with_tail(tmp_path, row)
+        with pytest.raises(HistoryError, match=f"{path.name} line 4"):
+            list(wal.iter_durable_events())
+        wal.close()
+        with pytest.raises(HistoryError, match=f"{path.name} line 4"):
+            make_wal(tmp_path)
+
+
 class TestLineDecoding:
     """Reopen and replay decode every line as an event row, with the
     decoder every other event boundary uses."""
